@@ -7,8 +7,8 @@ multi-variable XGC1 dataset both ways, over several analytics sessions
 (the paper's "many analyses against one campaign" loop):
 
 * **seed path** — per session, per variable: a fresh
-  :class:`~repro.core.decoder.CanopusDecoder` (``workers=1``, no
-  pipeline, no caches) restores to L0;
+  :class:`~repro.core.decoder.CanopusDecoder` (no pipeline, no
+  caches) restores to L0;
 * **fast path** — per session, one
   :class:`~repro.core.decode_engine.DecodeEngine` (``workers=4``)
   restores all variables concurrently; the process-wide restored-level
@@ -85,9 +85,7 @@ def decode_timings(tmp_path_factory):
     seed_fields: dict[str, np.ndarray] = {}
     for _session in range(SESSIONS):
         for var in VARIABLES:
-            dec = CanopusDecoder(
-                BPDataset.open("fig9-multi", hierarchy), workers=1
-            )
+            dec = CanopusDecoder(BPDataset.open("fig9-multi", hierarchy))
             seed_fields[var] = dec.restore_to(var, 0, pipeline=False).field
     seed_seconds = time.perf_counter() - t0
 

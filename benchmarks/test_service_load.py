@@ -428,7 +428,7 @@ def test_traced_requests_are_single_span_trees(load_results):
     threads = {s.thread for t in restores for s in t.spans}
     assert any(th.startswith("repro-datanode") for th in threads), threads
     assert any(
-        th.startswith(("repro-io", "repro-decode", "repro-restore"))
+        th.startswith(("repro-io", "repro-restore"))
         for th in threads
     ), threads
 

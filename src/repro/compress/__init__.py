@@ -14,6 +14,7 @@ from repro.compress.base import (
     available_codecs,
     compress_with_stats,
     decode_auto,
+    decode_auto_many,
     get_codec,
     register_codec,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "available_codecs",
     "compress_with_stats",
     "decode_auto",
+    "decode_auto_many",
     "get_codec",
     "register_codec",
     "ZFPCompressor",

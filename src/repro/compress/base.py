@@ -14,7 +14,7 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "get_codec",
     "available_codecs",
     "decode_auto",
+    "decode_auto_many",
     "compress_with_stats",
 ]
 
@@ -82,27 +83,42 @@ class Compressor(ABC):
 
     def decode(self, blob: bytes) -> np.ndarray:
         """Decompress a payload produced by this codec."""
+        return self.decode_many([blob])[0]
+
+    def decode_many(self, blobs: Sequence[bytes]) -> list[np.ndarray]:
+        """Decompress several payloads of this codec in one pass.
+
+        Equals ``[decode(b) for b in blobs]`` bit for bit; codecs whose
+        payloads share a layout (zfp) override :meth:`_decode_payloads`
+        to run one kernel over the whole batch.
+        """
         tracer = trace.get_tracer()
         if tracer is None:
-            return self._decode(blob)
+            return self._decode_many(blobs)
         with tracer.span(
             f"codec.{self.name}.decode", "compress",
-            {"codec": self.name, "in_bytes": len(blob)},
+            {"codec": self.name, "blobs": len(blobs),
+             "in_bytes": sum(len(b) for b in blobs)},
         ):
-            return self._decode(blob)
+            return self._decode_many(blobs)
 
-    def _decode(self, blob: bytes) -> np.ndarray:
-        name, count, payload = _split_envelope(blob)
-        if name != self.name:
-            raise CompressionError(
-                f"payload was encoded with {name!r}, not {self.name!r}"
-            )
-        out = self._decode_payload(payload, count)
-        if out.size != count:
-            raise CompressionError(
-                f"{self.name}: decoded {out.size} values, expected {count}"
-            )
-        return out
+    def _decode_many(self, blobs: Sequence[bytes]) -> list[np.ndarray]:
+        payloads, counts = [], []
+        for blob in blobs:
+            name, count, payload = _split_envelope(blob)
+            if name != self.name:
+                raise CompressionError(
+                    f"payload was encoded with {name!r}, not {self.name!r}"
+                )
+            payloads.append(payload)
+            counts.append(count)
+        outs = self._decode_payloads(payloads, counts)
+        for out, count in zip(outs, counts):
+            if out.size != count:
+                raise CompressionError(
+                    f"{self.name}: decoded {out.size} values, expected {count}"
+                )
+        return outs
 
     @abstractmethod
     def _encode_payload(self, data: np.ndarray) -> bytes:
@@ -111,6 +127,15 @@ class Compressor(ABC):
     @abstractmethod
     def _decode_payload(self, payload: bytes, count: int) -> np.ndarray:
         """Codec-specific body decoding; must return ``count`` float64s."""
+
+    def _decode_payloads(
+        self, payloads: Sequence[bytes], counts: Sequence[int]
+    ) -> list[np.ndarray]:
+        """Body decoding of a batch; per payload unless overridden."""
+        return [
+            self._decode_payload(payload, count)
+            for payload, count in zip(payloads, counts)
+        ]
 
     def max_error(self) -> float:
         """Guaranteed absolute error bound (0 for lossless codecs)."""
@@ -160,9 +185,27 @@ def decode_auto(blob: bytes, **params) -> np.ndarray:
     ``params`` are forwarded to the codec factory (lossy codecs ignore
     the tolerance on decode, so defaults usually suffice).
     """
-    name, _, _ = _split_envelope(blob)
-    codec = get_codec(name, **params)
-    return codec.decode(blob)
+    return decode_auto_many([blob], **params)[0]
+
+
+def decode_auto_many(blobs: Sequence[bytes], **params) -> list[np.ndarray]:
+    """Decode a batch of payloads, one codec pass per codec present.
+
+    Payloads are grouped by their embedded codec name and each group
+    goes through that codec's :meth:`Compressor.decode_many`; results
+    come back in the order given, equal to ``decode_auto`` of each.
+    """
+    by_codec: dict[str, list[int]] = {}
+    for i, blob in enumerate(blobs):
+        by_codec.setdefault(_split_envelope(blob)[0], []).append(i)
+    out: list[np.ndarray | None] = [None] * len(blobs)
+    for name, members in by_codec.items():
+        decoded = get_codec(name, **params).decode_many(
+            [blobs[i] for i in members]
+        )
+        for i, values in zip(members, decoded):
+            out[i] = values
+    return out  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ per-bit loop would dominate the entire encode cost.
 Three layers:
 
 * :func:`pack_uint` / :func:`unpack_uint` — bulk fixed-width codecs over
-  whole arrays (the fast path);
-* :func:`unpack_uint_segments` — one-pass decode of many fixed-width
-  segments sharing a byte stream (the ZFP-style codec's per-(class,
-  width) groups), batched by width so the cost is a handful of NumPy
-  ops instead of one unpack call per group;
+  whole arrays;
+* :func:`gather_uint` — the one unpack kernel: every value named by its
+  own (bit offset, width), so the ZFP-style codec's per-(class, width)
+  groups of one payload, or of many payloads at once, decode in a
+  single pass (:func:`unpack_uint` is its evenly spaced case);
 * :class:`BitWriter` / :class:`BitReader` — a streaming interface for
   composing several bulk segments plus small scalar headers.
 """
@@ -27,7 +27,7 @@ from repro.errors import BitstreamError
 __all__ = [
     "pack_uint",
     "unpack_uint",
-    "unpack_uint_segments",
+    "gather_uint",
     "BitWriter",
     "BitReader",
 ]
@@ -62,30 +62,76 @@ def pack_uint(values: np.ndarray, width: int) -> np.ndarray:
     return np.packbits(bits.ravel())
 
 
-def _bits_to_uint(bits: np.ndarray, width: int) -> np.ndarray:
-    """Combine a ``(count, width)`` MSB-first 0/1 matrix into uint64 values.
+def gather_uint(
+    packed: np.ndarray, bit_offsets: np.ndarray, widths: np.ndarray | int
+) -> np.ndarray:
+    """Extract one unsigned integer per ``(bit offset, width)`` pair.
 
-    Two regimes, both far cheaper than a per-bit shift-and-sum over a
-    ``(count, width)`` uint64 temporary:
+    Parameters
+    ----------
+    packed:
+        uint8 array holding an MSB-first bit stream.
+    bit_offsets:
+        int64 array: where each value's most significant bit sits.
+    widths:
+        Bits per value, 0..64 — one per offset (any integer dtype), or
+        a scalar for all. A 0-bit value is 0 wherever its offset points.
 
-    * tiny widths ride a float64 dot product (exact below 2**52);
-    * wider values are right-aligned into whole bytes, collapsed with one
-      ``np.packbits(axis=1)`` call, and the resulting <= 8 byte columns
-      are shift-OR'ed together.
+    Returns
+    -------
+    uint64 array, ``out[k]`` being the ``widths[k]`` bits that start at
+    ``bit_offsets[k]``.
+
+    Values may sit anywhere and in any order, so a whole payload of
+    mixed-width groups — or many payloads laid end to end — decodes in
+    one pass. The stream is viewed as big-endian 64-bit words; a value
+    is the word its first bit falls in, shifted left past the bits
+    before it, OR the head of the next word (the spill, for values that
+    straddle two words), shifted right to drop the bits after it. No
+    per-bit expansion, no per-group or per-width loop.
     """
-    if width <= 4:
-        weights = np.float64(2.0) ** np.arange(width - 1, -1, -1)
-        return (bits @ weights).astype(np.uint64)
-    # packbits pads the trailing partial byte with zeros on the right, so
-    # the packed bytes hold ``value << pad`` — one final shift fixes it.
-    nbytes = (width + 7) // 8
-    by = np.packbits(bits, axis=1)
-    out = by[:, 0].astype(np.uint64)
-    for k in range(1, nbytes):
-        out = (out << np.uint64(8)) | by[:, k]
-    pad = nbytes * 8 - width
-    if pad:
-        out >>= np.uint64(pad)
+    bit_offsets = np.asarray(bit_offsets, dtype=np.int64)
+    widths = np.asarray(widths)
+    if bit_offsets.size == 0:
+        return np.zeros(0, dtype=np.uint64)
+    narrowest, widest = int(widths.min()), int(widths.max())
+    if narrowest < 0 or widest > 64:
+        raise BitstreamError("gathered widths must be in [0, 64]")
+    widths = widths.astype(np.uint8, copy=False)
+    lowest = int(bit_offsets.min())
+    if lowest < 0:
+        raise BitstreamError("negative bit_offset")
+    # One scratch array serves the bounds check, the in-word bit
+    # positions and the word indices in turn: fresh value-sized
+    # temporaries cost more in page faults than the arithmetic does.
+    scratch = bit_offsets + widths
+    end_bit = int(scratch.max())
+    packed = np.ascontiguousarray(packed, dtype=np.uint8)
+    if end_bit > packed.size * 8:
+        raise BitstreamError(
+            f"bitstream underflow: need {end_bit} bits, have {packed.size * 8}"
+        )
+    base = lowest >> 6  # first word any value touches
+    used = packed[base * 8 : (end_bit + 7) // 8]
+    padded = np.zeros((used.size // 8 + 2) * 8, dtype=np.uint8)
+    padded[: used.size] = used
+    words = padded.view(">u8").astype(np.uint64)
+
+    lead = np.bitwise_and(bit_offsets, 63, out=scratch).astype(np.uint8)
+    word = np.right_shift(bit_offsets, 6, out=scratch)
+    word -= base
+    out = words[word]
+    out <<= lead
+    word += 1
+    spill = words[word]
+    # The spill moves right by 64 - lead, which is a full 64 when the
+    # value starts a word: two shifts keep every count below 64.
+    spill >>= np.uint8(1)
+    spill >>= np.uint8(63) - lead
+    out |= spill
+    out >>= np.uint8(64) - np.maximum(widths, np.uint8(1))
+    if narrowest == 0:
+        out[np.broadcast_to(widths == 0, out.shape)] = 0
     return out
 
 
@@ -109,83 +155,8 @@ def unpack_uint(
         raise BitstreamError(f"width must be in [0, 64], got {width}")
     if width == 0 or count == 0:
         return np.zeros(count, dtype=np.uint64)
-    packed = np.ascontiguousarray(packed, dtype=np.uint8)
-    end_bit = bit_offset + count * width
-    if end_bit > packed.size * 8:
-        raise BitstreamError(
-            f"bitstream underflow: need {end_bit} bits, have {packed.size * 8}"
-        )
-    first_byte = bit_offset // 8
-    last_byte = (end_bit + 7) // 8
-    bits = np.unpackbits(packed[first_byte:last_byte])
-    start = bit_offset - first_byte * 8
-    bits = bits[start : start + count * width].reshape(count, width)
-    return _bits_to_uint(bits, width)
-
-
-def unpack_uint_segments(
-    packed: np.ndarray,
-    segments: list[tuple[int, int, int]],
-) -> list[np.ndarray]:
-    """Decode many fixed-width segments of one bit stream in bulk.
-
-    Parameters
-    ----------
-    packed:
-        uint8 array holding the shared bit stream.
-    segments:
-        ``(bit_offset, count, width)`` triples, in any order. Segments
-        may not overlap bits they do not own, but gaps (padding) between
-        them are fine.
-
-    Returns
-    -------
-    One uint64 array per segment, in the order given.
-
-    The stream's bits are expanded exactly once (``np.unpackbits``),
-    then segments are decoded *grouped by width*: all values of one
-    width — across every segment that uses it — are stacked and handed
-    to one :func:`_bits_to_uint` call. A payload with dozens of small
-    groups (the ZFP-style codec's class×width layout) costs a few NumPy
-    ops per distinct width instead of per group.
-    """
-    if not segments:
-        return []
-    packed = np.ascontiguousarray(packed, dtype=np.uint8)
-    end_bit = 0
-    for bit_offset, count, width in segments:
-        if not 0 <= width <= 64:
-            raise BitstreamError(f"width must be in [0, 64], got {width}")
-        if count < 0 or bit_offset < 0:
-            raise BitstreamError("negative count/bit_offset")
-        end_bit = max(end_bit, bit_offset + count * width)
-    if end_bit > packed.size * 8:
-        raise BitstreamError(
-            f"bitstream underflow: need {end_bit} bits, have {packed.size * 8}"
-        )
-    bits = np.unpackbits(packed[: (end_bit + 7) // 8])
-
-    results: list[np.ndarray | None] = [None] * len(segments)
-    by_width: dict[int, list[int]] = {}
-    for i, (bit_offset, count, width) in enumerate(segments):
-        if width == 0 or count == 0:
-            results[i] = np.zeros(count, dtype=np.uint64)
-        else:
-            by_width.setdefault(width, []).append(i)
-
-    for width, idxs in by_width.items():
-        counts = [segments[i][1] for i in idxs]
-        chunks = [
-            bits[segments[i][0] : segments[i][0] + n * width].reshape(n, width)
-            for i, n in zip(idxs, counts)
-        ]
-        stacked = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        values = _bits_to_uint(stacked, width)
-        pos = 0
-        for i, n in zip(idxs, counts):
-            results[i] = values[pos : pos + n]
-            pos += n
-    return results  # type: ignore[return-value]
+    offsets = bit_offset + width * np.arange(count, dtype=np.int64)
+    return gather_uint(packed, offsets, width)
 
 
 class BitWriter:

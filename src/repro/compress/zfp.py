@@ -33,13 +33,14 @@ zlib), since quantization cannot be exact.
 from __future__ import annotations
 
 import struct
+from typing import Sequence
 
 import numpy as np
 
 from repro.compress.base import Compressor, register_codec
-from repro.compress.bitstream import pack_uint, unpack_uint, unpack_uint_segments
+from repro.compress.bitstream import gather_uint, pack_uint
 from repro.compress.lossless import shuffle_compress, shuffle_decompress
-from repro.errors import CompressionError
+from repro.errors import BitstreamError, CompressionError
 
 __all__ = ["ZFPCompressor", "BLOCK", "CLASS_SIZES"]
 
@@ -56,6 +57,20 @@ _MAX_QBITS = 58
 _MODE_CONSTANT = 0
 _MODE_CODED = 1
 _MODE_LOSSLESS = 2
+
+_CODED_HEADER = struct.Struct("<BdQ")  # mode, step, nblocks
+_CLASS_SIZE = np.array(CLASS_SIZES, dtype=np.int64)
+#: Place within its class of each of a block's coefficients (the class
+#: itself is ``np.repeat(range(_N_CLASSES), CLASS_SIZES)``).
+_COEFF_RANK = (
+    np.arange(BLOCK) - np.repeat(np.cumsum(_CLASS_SIZE) - _CLASS_SIZE, _CLASS_SIZE)
+).astype(np.uint16)
+# A payload's groups lie in (class, ascending width) order: slot
+# ``class * 65 + width``. A block adds ``class size * width`` bits to its
+# slot of every class.
+_SLOTS = _N_CLASSES * 65
+_CLASS_SLOT0 = np.arange(_N_CLASSES) * 65
+_SLOT_BLOCK_BITS = (_CLASS_SIZE[:, None] * np.arange(65)).ravel()
 
 
 def _forward_transform(q: np.ndarray) -> np.ndarray:
@@ -85,11 +100,11 @@ def _inverse_transform(coeffs: np.ndarray) -> np.ndarray:
         size = 1 << level
         d = coeffs[:, pos : pos + size]
         pos += size
-        b = s - (d >> 1)
-        a = d + b
         out = np.empty((coeffs.shape[0], 2 * size), dtype=np.int64)
-        out[:, 0::2] = a
-        out[:, 1::2] = b
+        a, b = out[:, 0::2], out[:, 1::2]
+        np.right_shift(d, 1, out=b)
+        np.subtract(s, b, out=b)  # b = s - (d >> 1)
+        np.add(d, b, out=a)
         s = out
     return s
 
@@ -100,10 +115,12 @@ def _zigzag(q: np.ndarray) -> np.ndarray:
 
 
 def _unzigzag(u: np.ndarray) -> np.ndarray:
-    u = u.astype(np.uint64)
-    return ((u >> np.uint64(1)) ^ (~(u & np.uint64(1)) + np.uint64(1))).astype(
-        np.int64
-    )
+    """Inverse of :func:`_zigzag` (uint64 → int64)."""
+    sign = (u & np.uint64(1)).view(np.int64)
+    np.negative(sign, out=sign)  # 0 or all ones
+    q = (u >> np.uint64(1)).view(np.int64)
+    q ^= sign
+    return q
 
 
 def _bit_lengths(values: np.ndarray) -> np.ndarray:
@@ -116,6 +133,117 @@ def _bit_lengths(values: np.ndarray) -> np.ndarray:
         v[mask] >>= np.uint64(shift)
     bits[values > 0] += 1
     return bits
+
+
+def _decode_coded(payloads: Sequence[bytes]) -> list[np.ndarray]:
+    """Decode every ``_MODE_CODED`` payload of a batch in one pass.
+
+    Returns each payload's ``nblocks * BLOCK`` dequantized values (the
+    caller trims the edge padding). The payloads are laid end to end in
+    one byte stream and every step below runs once over all of them:
+
+    1. the 7-bit width headers come out of one :func:`gather_uint`;
+    2. the widths fully determine the layout — groups in (payload,
+       class, ascending width) order, block order inside a group, each
+       group packed on its own so it ends on a byte boundary. Counting
+       the blocks of every (payload, class, width) slot gives each
+       group's size and, cumulatively, its bit offset; a stable sort of
+       the (block, class) entries by slot gives each block's rank in
+       its group, hence every coefficient's bit offset;
+    3. one :func:`gather_uint` reads all coefficients, one
+       ``_unzigzag`` and one ``_inverse_transform`` rebuild all blocks.
+
+    A single payload is the ``len(payloads) == 1`` case.
+    """
+    n = len(payloads)
+    steps, nblocks = [], []
+    width_bit0 = np.empty(n, dtype=np.int64)
+    body_bit0 = np.empty(n, dtype=np.int64)
+    end_bit = np.empty(n, dtype=np.int64)
+    start = 0
+    for p, payload in enumerate(payloads):
+        if len(payload) < _CODED_HEADER.size:
+            raise CompressionError("corrupt zfp payload (truncated header)")
+        _, step, blocks = _CODED_HEADER.unpack_from(payload)
+        width_nbytes = (blocks * _N_CLASSES * _WIDTH_BITS + 7) // 8
+        if _CODED_HEADER.size + width_nbytes > len(payload):
+            raise BitstreamError(
+                f"bitstream underflow: {blocks} blocks of widths do not "
+                f"fit a {len(payload)}-byte payload"
+            )
+        steps.append(step)
+        nblocks.append(blocks)
+        width_bit0[p] = (start + _CODED_HEADER.size) * 8
+        body_bit0[p] = width_bit0[p] + width_nbytes * 8
+        start += len(payload)
+        end_bit[p] = start * 8
+    stream = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+    total_blocks = sum(nblocks)
+
+    # Entry e = block * _N_CLASSES + class, blocks numbered across the
+    # batch. Value-sized temporaries cost more in page faults than in
+    # arithmetic, hence the in-place updates and narrow dtypes below.
+    n_entries = np.array(nblocks, dtype=np.int64) * _N_CLASSES
+    width_off = np.repeat(
+        width_bit0 - _WIDTH_BITS * (np.cumsum(n_entries) - n_entries), n_entries
+    )
+    width_off += _WIDTH_BITS * np.arange(width_off.size)
+    widths = gather_uint(stream, width_off, _WIDTH_BITS).astype(np.uint8)
+    if widths.size and int(widths.max()) > 64:
+        raise BitstreamError("corrupt zfp payload (coefficient width > 64)")
+
+    # Slot = (payload, class, width) in stream order; width-0 slots hold
+    # no bits, so they ride along at no cost.
+    slot = np.repeat(
+        np.arange(n)[:, None] * _SLOTS + _CLASS_SLOT0, nblocks, axis=0
+    ).ravel()
+    slot += widths
+    blocks_in_slot = np.bincount(slot, minlength=n * _SLOTS)
+    slot_bits = (
+        blocks_in_slot.reshape(n, _SLOTS) * _SLOT_BLOCK_BITS + 7
+    ) // 8 * 8
+    slot_end = body_bit0[:, None] + np.cumsum(slot_bits, axis=1)
+    if (slot_end[:, -1] > end_bit).any():
+        raise BitstreamError(
+            "bitstream underflow: coefficient groups run past the payload"
+        )
+    slot_off = (slot_end - slot_bits).ravel()
+    # Rank of each block inside its group: its place in a stable sort by
+    # slot, minus where the slot begins. (16-bit keys take NumPy's radix
+    # sort, which is what np.min_scalar_type buys for ordinary batches.)
+    order = np.argsort(
+        slot.astype(np.min_scalar_type(n * _SLOTS)), kind="stable"
+    )
+    rank = np.empty_like(slot)
+    rank[order] = np.arange(slot.size) - np.repeat(
+        np.cumsum(blocks_in_slot) - blocks_in_slot, blocks_in_slot
+    )
+    # rank → bits ahead of the block in its group → bit offset in the
+    # stream, all in rank's storage.
+    entry_off = rank
+    entry_off *= np.tile(_CLASS_SIZE, total_blocks)
+    entry_off *= widths
+    entry_off += slot_off[slot]
+
+    # Coefficient k of a block is the _COEFF_RANK[k]-th value of its class.
+    coeff_width = np.repeat(
+        widths.reshape(total_blocks, _N_CLASSES), _CLASS_SIZE, axis=1
+    )
+    coeff_off = np.repeat(
+        entry_off.reshape(total_blocks, _N_CLASSES), _CLASS_SIZE, axis=1
+    )
+    coeff_off += coeff_width * _COEFF_RANK
+    u = gather_uint(stream, coeff_off.ravel(), coeff_width.ravel())
+
+    q = _inverse_transform(_unzigzag(u.reshape(total_blocks, BLOCK)))
+    values = q.astype(np.float64).ravel()
+    out, lo = [], 0
+    for step, blocks in zip(steps, nblocks):
+        piece = values[lo : lo + blocks * BLOCK]
+        piece *= step
+        out.append(piece)
+        lo += blocks * BLOCK
+    return out
 
 
 class ZFPCompressor(Compressor):
@@ -241,7 +369,7 @@ class ZFPCompressor(Compressor):
             pos += size
             widths[:, c] = _bit_lengths(seg.max(axis=1))
 
-        header = struct.pack("<BdQ", _MODE_CODED, step, nblocks)
+        header = _CODED_HEADER.pack(_MODE_CODED, step, nblocks)
         width_bytes = pack_uint(widths.ravel(), _WIDTH_BITS).tobytes()
 
         # Payload: class-major, then ascending width; block order within a
@@ -261,61 +389,32 @@ class ZFPCompressor(Compressor):
 
     # ------------------------------------------------------------------
     def _decode_payload(self, payload: bytes, count: int) -> np.ndarray:
-        if count == 0:
-            return np.zeros(0, dtype=np.float64)
-        mode = payload[0]
-        if mode == _MODE_CONSTANT:
-            (value,) = struct.unpack_from("<d", payload, 1)
-            return np.full(count, value, dtype=np.float64)
-        if mode == _MODE_LOSSLESS:
-            return shuffle_decompress(payload[1:], count)
-        if mode != _MODE_CODED:
-            raise CompressionError(f"corrupt zfp payload (mode={mode})")
+        return self._decode_payloads([payload], [count])[0]
 
-        step, nblocks = struct.unpack_from("<dQ", payload, 1)
-        offset = 1 + 16
-        n_width_vals = nblocks * _N_CLASSES
-        width_nbytes = (n_width_vals * _WIDTH_BITS + 7) // 8
-        width_area = np.frombuffer(
-            payload, dtype=np.uint8, count=width_nbytes, offset=offset
-        )
-        widths = unpack_uint(width_area, n_width_vals, _WIDTH_BITS).reshape(
-            nblocks, _N_CLASSES
-        ).astype(np.int64)
-        body = np.frombuffer(payload, dtype=np.uint8, offset=offset + width_nbytes)
-
-        # Walk the class-major / ascending-width group layout once to
-        # recover every group's (bit offset, member count, width), then
-        # decode all groups in one batched pass — the widths header
-        # fully determines the layout, and each group was packed
-        # separately so it starts and ends on a byte boundary.
-        groups: list[tuple[int, int, np.ndarray]] = []  # (class, width, sel)
-        segments: list[tuple[int, int, int]] = []
-        bitpos = 0
-        for c, size in enumerate(CLASS_SIZES):
-            wc = widths[:, c]
-            for w in np.unique(wc):
-                if w == 0:
-                    continue
-                sel = wc == w
-                n_members = int(sel.sum()) * size
-                groups.append((c, int(w), sel))
-                segments.append((bitpos, n_members, int(w)))
-                bitpos += (n_members * int(w) + 7) // 8 * 8
-
-        u = np.zeros((nblocks, BLOCK), dtype=np.uint64)
-        class_pos = np.concatenate(([0], np.cumsum(CLASS_SIZES)))
-        for (c, _w, sel), vals in zip(
-            groups, unpack_uint_segments(body, segments)
-        ):
-            size = CLASS_SIZES[c]
-            pos = int(class_pos[c])
-            u[sel, pos : pos + size] = vals.reshape(-1, size)
-
-        coeffs = _unzigzag(u)
-        q = _inverse_transform(coeffs)
-        out = q.astype(np.float64).ravel() * step
-        return out[:count]
+    def _decode_payloads(
+        self, payloads: Sequence[bytes], counts: Sequence[int]
+    ) -> list[np.ndarray]:
+        outs: list[np.ndarray | None] = [None] * len(payloads)
+        coded: list[int] = []
+        for i, (payload, count) in enumerate(zip(payloads, counts)):
+            if count == 0:
+                outs[i] = np.zeros(0, dtype=np.float64)
+                continue
+            mode = payload[0] if payload else None
+            if mode == _MODE_CONSTANT:
+                (value,) = struct.unpack_from("<d", payload, 1)
+                outs[i] = np.full(count, value, dtype=np.float64)
+            elif mode == _MODE_LOSSLESS:
+                outs[i] = shuffle_decompress(payload[1:], count)
+            elif mode == _MODE_CODED:
+                coded.append(i)
+            else:
+                raise CompressionError(f"corrupt zfp payload (mode={mode})")
+        if coded:
+            decoded = _decode_coded([payloads[i] for i in coded])
+            for i, values in zip(coded, decoded):
+                outs[i] = values[: counts[i]]
+        return outs  # type: ignore[return-value]
 
 
 def _factory(**params) -> ZFPCompressor:

@@ -18,10 +18,10 @@ the hardware allows:
   :class:`~repro.core.restored_cache.RestoredLevelCache` (a second
   session asking for an already-restored (var, level) gets it back with
   zero I/O; a finer request warm-starts from the closest cached level).
-* **Parallel chunk decode** — the underlying
-  :class:`~repro.core.decoder.CanopusDecoder` decodes spatial chunks of
-  one delta on the same worker budget (disjoint vertex sets, so the
-  scatter is order-independent).
+* **Batched chunk decode** — the underlying
+  :class:`~repro.core.decoder.CanopusDecoder` decodes the spatial chunks
+  of one delta in a single vectorised kernel call (disjoint vertex sets,
+  so the scatter is order-independent).
 
 Results are bit-identical to the serial seed path: parallelism changes
 *when* bytes move and which CPU decodes them, never what is applied.
@@ -67,8 +67,8 @@ class DecodeEngine:
     dataset:
         The open dataset to decode from.
     workers:
-        Thread-pool width for the variable fan-out *and* the per-delta
-        chunk decode. ``None`` inherits the retrieval engine's width.
+        Thread-pool width for the variable fan-out. ``None`` inherits
+        the retrieval engine's width.
     use_restored_cache:
         Consult/publish the process-wide restored-level cache.
     pipeline / lookahead:
@@ -94,9 +94,7 @@ class DecodeEngine:
         self.use_restored_cache = use_restored_cache
         self.pipeline = pipeline
         self.lookahead = lookahead
-        self.decoder = CanopusDecoder(
-            dataset, workers=workers, share_geometry=True
-        )
+        self.decoder = CanopusDecoder(dataset, share_geometry=True)
         #: Content fingerprint of the open catalog, snapshotted once.
         #: Every cache key below derives from this string — the
         #: tenant-visible content identity — never from handle identity,

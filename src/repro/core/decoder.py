@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.compress import decode_auto
+from repro.compress import decode_auto, decode_auto_many
 from repro.core.delta import apply_delta
 from repro.core.mapping import LevelMapping
 from repro.core.notation import (
@@ -32,7 +31,6 @@ from repro.errors import RestorationError
 from repro.io.dataset import BPDataset
 from repro.mesh.io import mesh_from_bytes
 from repro.mesh.triangle_mesh import TriangleMesh
-from repro.obs import context as obs_context
 from repro.obs import trace
 
 __all__ = ["PhaseTimings", "LevelData", "CanopusDecoder"]
@@ -86,12 +84,6 @@ class CanopusDecoder:
     ----------
     dataset:
         The open dataset to read from.
-    workers:
-        Thread-pool width for parallel chunk decode inside one delta
-        read. ``None`` inherits the retrieval engine's worker count;
-        ``1`` forces the serial path (chunk loop in submission order —
-        results are bit-identical either way because spatial chunks
-        cover disjoint vertex sets).
     share_geometry:
         Consult/populate the process-wide :class:`GeometryCache` so
         decoder instances over the same dataset bytes decode each mesh
@@ -105,16 +97,10 @@ class CanopusDecoder:
         self,
         dataset: BPDataset,
         *,
-        workers: int | None = None,
         share_geometry: bool = False,
     ) -> None:
         self.dataset = dataset
         self._clock = dataset.hierarchy.clock
-        if workers is None:
-            workers = getattr(dataset.engine, "workers", 1)
-        if workers < 1:
-            raise RestorationError("decoder workers must be >= 1")
-        self.workers = int(workers)
         self.share_geometry = share_geometry
         self._mapping_cache: dict[str, LevelMapping] = {}
         self._mesh_cache: dict[str, TriangleMesh] = {}
@@ -146,24 +132,32 @@ class CanopusDecoder:
         timings.io_seconds += self._clock.elapsed - before
         return blob
 
-    def _read_mesh(self, var: str, level: int, timings: PhaseTimings) -> TriangleMesh:
-        key = mesh_key(var, level)
-        cached = self._mesh_cache.get(key)
+    def _read_geometry(self, key: str, local: dict, decode, timings: PhaseTimings):
+        """One mesh or mapping: instance cache, shared cache, then bytes."""
+        cached = local.get(key)
         if cached is not None:
             return cached
-        if self.share_geometry:
-            shared = get_geometry_cache().get(self.dataset, key)
-            if shared is not None:
-                self._mesh_cache[key] = shared
-                return shared
-        blob = self._timed_read(key, timings)
-        t0 = time.perf_counter()
-        mesh = mesh_from_bytes(blob)
-        timings.decompress_seconds += time.perf_counter() - t0
-        self._mesh_cache[key] = mesh
-        if self.share_geometry:
-            get_geometry_cache().put(self.dataset, key, mesh)
-        return mesh
+        shared = get_geometry_cache() if self.share_geometry else None
+        obj = shared.get(self.dataset, key) if shared is not None else None
+        if obj is None:
+            blob = self._timed_read(key, timings)
+            t0 = time.perf_counter()
+            # The shared cache rebuilds identical bytes (the same mesh
+            # stored under each variable) once; the read above is
+            # charged either way.
+            obj = (
+                decode(blob)
+                if shared is None
+                else shared.decoded(self.dataset, key, blob, decode)
+            )
+            timings.decompress_seconds += time.perf_counter() - t0
+        local[key] = obj
+        return obj
+
+    def _read_mesh(self, var: str, level: int, timings: PhaseTimings) -> TriangleMesh:
+        return self._read_geometry(
+            mesh_key(var, level), self._mesh_cache, mesh_from_bytes, timings
+        )
 
     def prefetch_geometry(self, var: str) -> PhaseTimings:
         """Pre-load every level's mesh and mapping into the caches.
@@ -268,23 +262,12 @@ class CanopusDecoder:
     def _read_mapping(
         self, var: str, level: int, timings: PhaseTimings
     ) -> LevelMapping:
-        key = mapping_key(var, level)
-        cached = self._mapping_cache.get(key)
-        if cached is not None:
-            return cached
-        if self.share_geometry:
-            shared = get_geometry_cache().get(self.dataset, key)
-            if shared is not None:
-                self._mapping_cache[key] = shared
-                return shared
-        blob = self._timed_read(key, timings)
-        t0 = time.perf_counter()
-        mapping = LevelMapping.from_bytes(blob)
-        timings.decompress_seconds += time.perf_counter() - t0
-        self._mapping_cache[key] = mapping
-        if self.share_geometry:
-            get_geometry_cache().put(self.dataset, key, mapping)
-        return mapping
+        return self._read_geometry(
+            mapping_key(var, level),
+            self._mapping_cache,
+            LevelMapping.from_bytes,
+            timings,
+        )
 
     # ------------------------------------------------------------------
     def _planes(self, var: str) -> int:
@@ -362,10 +345,9 @@ class CanopusDecoder:
             return delta, applied
 
         # One overlapped batch for every surviving chunk's index + payload
-        # (coalesced per subfile, tiers in parallel), then decode chunks on
-        # the thread pool. Each spatial chunk owns a disjoint vertex set,
-        # so the scatters never overlap and the result is bit-identical to
-        # the serial loop regardless of completion order.
+        # (coalesced per subfile, tiers in parallel), then one batched
+        # decode of all of them. Each spatial chunk owns a disjoint vertex
+        # set, so the scatters never overlap.
         before = self._clock.elapsed
         blobs = self.dataset.read_many(
             [k for rec in wanted for k in (rec.key + "/idx", rec.key)],
@@ -373,36 +355,16 @@ class CanopusDecoder:
         )
         timings.io_seconds += self._clock.elapsed - before
 
-        def _decode_chunk(rec) -> None:
+        t0 = time.perf_counter()
+        pieces = decode_auto_many([blobs[rec.key] for rec in wanted])
+        for rec, piece in zip(wanted, pieces):
             idx = np.frombuffer(
                 zlib.decompress(blobs[rec.key + "/idx"]), dtype="<i8"
             )
-            piece = decode_auto(blobs[rec.key])
             if planes:
                 piece = piece.reshape(planes, len(idx))
             delta[..., idx] = piece
             applied[idx] = True
-
-        t0 = time.perf_counter()
-        if self.workers > 1 and len(wanted) > 1:
-            with trace.span(
-                "decode.chunks", "restore",
-                {"var": var, "level": level, "chunks": len(wanted),
-                 "workers": self.workers},
-            ):
-                with ThreadPoolExecutor(
-                    max_workers=min(self.workers, len(wanted)),
-                    thread_name_prefix="repro-decode",
-                ) as pool:
-                    # list() propagates the first worker exception.
-                    list(
-                        pool.map(
-                            obs_context.propagate(_decode_chunk), wanted
-                        )
-                    )
-        else:
-            for rec in wanted:
-                _decode_chunk(rec)
         timings.decompress_seconds += time.perf_counter() - t0
         return delta, applied
 
@@ -447,11 +409,12 @@ class CanopusDecoder:
             # NaN (not 0.0) when no chunk survived the region/significance
             # filter: "nothing was read" must not look like "the delta
             # converged", or refine_until() would stop spuriously.
-            rms = (
-                float(np.sqrt(np.mean(delta[..., applied] ** 2)))
-                if applied.any()
-                else float("nan")
-            )
+            if not applied.any():
+                rms = float("nan")
+            elif applied.all():  # the mask would only copy the array
+                rms = float(np.sqrt(np.mean(delta**2)))
+            else:
+                rms = float(np.sqrt(np.mean(delta[..., applied] ** 2)))
         return LevelData(
             var=var,
             level=target,

@@ -255,9 +255,12 @@ class RestoredLevelCache:
 class GeometryCache:
     """Process-wide LRU of decoded geometry (meshes and mappings).
 
-    Keyed by (dataset fingerprint, catalog key). Decoded geometry
-    objects are treated as immutable by the read path, so sharing one
-    instance across decoders and threads is safe.
+    Keyed by (dataset fingerprint, catalog key), with a content key — a
+    digest of the stored bytes — underneath: the single-shot layout
+    stores one copy of each level's mesh and mapping per variable, and
+    :meth:`decoded` rebuilds such copies once, not once per key. Decoded
+    geometry objects are treated as immutable by the read path, so
+    sharing one instance across keys, decoders and threads is safe.
     """
 
     def __init__(self, maxsize: int = 256) -> None:
@@ -266,8 +269,11 @@ class GeometryCache:
         self.maxsize = maxsize
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple[str, str], object] = OrderedDict()
+        self._by_content: OrderedDict[bytes, object] = OrderedDict()
         self.hits = 0
         self.misses = 0
+        self.content_hits = 0
+        self.decodes = 0
 
     def get(self, dataset, key: str):
         k = (dataset_fingerprint(dataset), key)
@@ -296,9 +302,36 @@ class GeometryCache:
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
 
+    def decoded(self, dataset, key: str, blob: bytes, decode):
+        """``decode(blob)``, run once per distinct ``blob`` content.
+
+        For a caller that has just read ``blob`` after :meth:`get`
+        missed: the bytes are already fetched (and charged), and only
+        the rebuild is shared. The result is published under ``key``.
+        """
+        digest = hashlib.blake2b(blob, digest_size=16).digest()
+        with self._lock:
+            obj = self._by_content.get(digest)
+            if obj is not None:
+                self._by_content.move_to_end(digest)
+                self.content_hits += 1
+        if obj is None:
+            obj = decode(blob)  # outside the lock: milliseconds of zlib
+            with self._lock:
+                self.decodes += 1
+                self._by_content[digest] = obj
+                while len(self._by_content) > self.maxsize:
+                    self._by_content.popitem(last=False)
+            _counter("geometry.cache.decodes")
+        else:
+            _counter("geometry.cache.content_hits")
+        self.put(dataset, key, obj)
+        return obj
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._by_content.clear()
 
     def stats(self) -> dict:
         with self._lock:
@@ -307,6 +340,8 @@ class GeometryCache:
                 "maxsize": self.maxsize,
                 "hits": self.hits,
                 "misses": self.misses,
+                "content_hits": self.content_hits,
+                "decodes": self.decodes,
             }
 
 

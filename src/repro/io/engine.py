@@ -37,7 +37,7 @@ from repro.io.metadata import VariableRecord
 from repro.io.transports import Transport
 from repro.obs import context as obs_context
 from repro.obs import trace
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.storage.hierarchy import StorageHierarchy
 
 __all__ = ["EngineStats", "RetrievalEngine"]
@@ -74,20 +74,37 @@ class EngineStats:
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
+        # Counter handles, resolved once: a registry lookup builds and
+        # sorts a label key per call, and one cold restore makes
+        # hundreds of increments. ``reset`` zeroes in place, so the
+        # handles stay valid.
+        self._scalar = {
+            name: self.registry.counter(f"engine.{name}")
+            for name in self._SCALARS
+        }
+        self._tiered: dict[tuple[str, str], Counter] = {}
 
     # -- mutation (engine-internal) -------------------------------------
+    def _tier_counter(self, name: str, tier: str) -> Counter:
+        counter = self._tiered.get((name, tier))
+        if counter is None:
+            counter = self._tiered[name, tier] = self.registry.counter(
+                f"engine.{name}", tier=tier
+            )
+        return counter
+
     def incr(self, name: str, n: int = 1) -> None:
-        self.registry.counter(f"engine.{name}").inc(n)
+        self._scalar[name].inc(n)
 
     def record_hit(self, tier: str, nbytes: int) -> None:
-        self.registry.counter("engine.hits").inc()
-        self.registry.counter("engine.hits_by_tier", tier=tier).inc()
-        self.registry.counter("engine.bytes_from_cache").inc(nbytes)
+        self._scalar["hits"].inc()
+        self._tier_counter("hits_by_tier", tier).inc()
+        self._scalar["bytes_from_cache"].inc(nbytes)
 
     def record_miss(self, tier: str, nbytes: int) -> None:
-        self.registry.counter("engine.misses").inc()
-        self.registry.counter("engine.misses_by_tier", tier=tier).inc()
-        self.registry.counter("engine.bytes_from_tier", tier=tier).inc(nbytes)
+        self._scalar["misses"].inc()
+        self._tier_counter("misses_by_tier", tier).inc()
+        self._tier_counter("bytes_from_tier", tier).inc(nbytes)
 
     # -- view -----------------------------------------------------------
     def __getattr__(self, name: str):

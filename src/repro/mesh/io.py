@@ -63,7 +63,12 @@ def mesh_from_bytes(blob: bytes) -> TriangleMesh:
     tris = np.frombuffer(
         body, dtype="<i8", count=nt * 3, offset=nv * 2 * 8
     ).reshape(nt, 3)
-    return TriangleMesh(verts.copy(), tris.copy(), validate=False)
+    # mesh_to_bytes serialises a constructed mesh, so the triangles are
+    # already oriented; the arrays stay read-only views of ``body``
+    # (astype copies only where the platform is not little-endian).
+    return TriangleMesh._from_own_arrays(
+        verts.astype(np.float64, copy=False), tris.astype(np.int64, copy=False)
+    )
 
 
 def save_mesh(

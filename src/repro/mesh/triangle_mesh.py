@@ -83,7 +83,10 @@ class TriangleMesh:
             if len(uniq) != len(canon):
                 raise MeshError("duplicate triangles present")
 
-        triangles = self._orient_ccw(vertices, triangles)
+        self._adopt(vertices, self._orient_ccw(vertices, triangles))
+
+    def _adopt(self, vertices: np.ndarray, triangles: np.ndarray) -> None:
+        """Take ownership of checked, CCW-oriented arrays."""
         self.vertices = _as_readonly(vertices)
         self.triangles = _as_readonly(triangles)
         self._edges: np.ndarray | None = None
@@ -95,6 +98,22 @@ class TriangleMesh:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
+    @classmethod
+    def _from_own_arrays(
+        cls, vertices: np.ndarray, triangles: np.ndarray
+    ) -> "TriangleMesh":
+        """Rebuild a mesh from arrays another ``TriangleMesh`` held.
+
+        Those are float64 ``(n, 2)`` / int64 ``(m, 3)``, in range and
+        already counter-clockwise, so neither the checks nor the
+        orientation pass run again. Private to
+        :func:`repro.mesh.io.mesh_from_bytes`, whose payloads
+        ``mesh_to_bytes`` writes from a constructed mesh only.
+        """
+        mesh = cls.__new__(cls)
+        mesh._adopt(vertices, triangles)
+        return mesh
+
     @staticmethod
     def _orient_ccw(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
         """Flip clockwise triangles so all have positive signed area."""

@@ -166,8 +166,11 @@ class Histogram:
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile (``0 <= q <= 1``) from buckets.
 
-        Linear interpolation inside the containing bucket, clamped to
-        the exact observed min/max so the tails never over-report.
+        Linear interpolation inside the containing bucket, whose span
+        is first cut to the exact observed min/max: the top occupied
+        bucket ends at the maximum, not at its upper bound, so tail
+        quantiles that share it stay distinct instead of all clamping
+        to ``max`` (and likewise the bottom bucket and ``min``).
         Returns 0.0 for an empty histogram.
         """
         if not 0.0 <= q <= 1.0:
@@ -184,11 +187,10 @@ class Histogram:
             if n == 0:
                 continue
             if seen + n >= rank:
-                lower = self.bounds[idx - 1] if idx > 0 else 0.0
-                upper = self.bounds[idx] if idx < len(self.bounds) else hi
+                lower = max(self.bounds[idx - 1], lo) if idx > 0 else lo
+                upper = min(self.bounds[idx], hi) if idx < len(self.bounds) else hi
                 frac = (rank - seen) / n
-                est = lower + (upper - lower) * max(0.0, min(1.0, frac))
-                return float(min(max(est, lo), hi))
+                return float(lower + (upper - lower) * max(0.0, min(1.0, frac)))
             seen += n
         return float(hi)
 

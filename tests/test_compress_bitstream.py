@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from repro.compress.bitstream import (
     BitReader,
     BitWriter,
+    gather_uint,
     pack_uint,
     unpack_uint,
-    unpack_uint_segments,
 )
 from repro.errors import BitstreamError
 
@@ -72,40 +72,69 @@ class TestPackUnpack:
         assert np.array_equal(unpack_uint(packed, n, width), vals)
 
 
-class TestUnpackSegments:
-    def test_matches_per_segment_unpack(self):
+def _bitwise_reference(stream, offset, width):
+    """One value read bit by bit — shares no code with the kernel."""
+    bits = np.unpackbits(stream)[offset : offset + width]
+    return int("".join(map(str, bits)), 2)
+
+
+class TestGatherUint:
+    def test_mixed_width_groups_in_any_order(self):
+        # The zfp layout: groups of different widths, byte-aligned joints.
         rng = np.random.default_rng(3)
-        parts = []
-        segments = []
+        parts, offsets, widths, expected = [], [], [], []
         bitpos = 0
-        for width in (3, 7, 13, 5, 13, 64):
+        for width in (3, 7, 13, 5, 13, 58, 64, 1):
             n = int(rng.integers(1, 40))
             hi = 2**width if width < 64 else 2**64
             vals = rng.integers(0, hi, size=n, dtype=np.uint64)
             parts.append(pack_uint(vals, width))
-            segments.append((bitpos, n, width))
-            # byte-aligned joints, as the ZFP-style group layout produces
+            offsets.extend(bitpos + width * np.arange(n))
+            widths.extend([width] * n)
+            expected.extend(vals)
             bitpos += (n * width + 7) // 8 * 8
         stream = np.concatenate(parts)
-        got = unpack_uint_segments(stream, segments)
-        for (off, n, width), out in zip(segments, got):
-            assert np.array_equal(out, unpack_uint(stream, n, width, off))
+        shuffle = rng.permutation(len(offsets))
+        offsets = np.array(offsets)[shuffle]
+        widths = np.array(widths)[shuffle]
+        got = gather_uint(stream, offsets, widths)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, np.array(expected, dtype=np.uint64)[shuffle])
 
-    def test_empty_and_zero_width_segments(self):
-        assert unpack_uint_segments(np.zeros(4, np.uint8), []) == []
-        out = unpack_uint_segments(
-            np.zeros(4, np.uint8), [(0, 0, 5), (0, 3, 0)]
-        )
-        assert out[0].size == 0
-        assert np.array_equal(out[1], np.zeros(3, dtype=np.uint64))
+    @settings(max_examples=80, deadline=None)
+    @given(
+        width=st.integers(1, 64),
+        offset=st.integers(0, 70),
+        seed=st.integers(0, 2**31),
+    )
+    def test_any_alignment_matches_bitwise_read(self, width, offset, seed):
+        # Every (start bit mod 8, width) pair, including 64-bit values
+        # that straddle nine bytes and values ending on the last bit.
+        rng = np.random.default_rng(seed)
+        stream = rng.integers(0, 256, (offset + width + 7) // 8, dtype=np.uint8)
+        got = gather_uint(stream, np.array([offset]), width)
+        assert int(got[0]) == _bitwise_reference(stream, offset, width)
+
+    def test_empty(self):
+        out = gather_uint(np.zeros(4, np.uint8), np.zeros(0, np.int64), 5)
+        assert out.size == 0 and out.dtype == np.uint64
 
     def test_underflow_raises(self):
         with pytest.raises(BitstreamError):
-            unpack_uint_segments(np.zeros(1, np.uint8), [(0, 4, 5)])
+            gather_uint(np.zeros(2, np.uint8), np.array([0, 12]), 5)
 
-    def test_bad_width_raises(self):
+    def test_zero_width_reads_zero_anywhere(self):
+        stream = np.full(4, 0xFF, np.uint8)
+        got = gather_uint(stream, np.array([0, 5, 32]), np.array([3, 0, 0]))
+        assert list(got) == [7, 0, 0]
+
+    def test_bad_width_or_offset_raises(self):
+        stream = np.zeros(16, np.uint8)
+        for width in (-1, 65):
+            with pytest.raises(BitstreamError):
+                gather_uint(stream, np.array([0]), width)
         with pytest.raises(BitstreamError):
-            unpack_uint_segments(np.zeros(8, np.uint8), [(0, 1, 65)])
+            gather_uint(stream, np.array([-1]), 4)
 
 
 class TestWriterReader:

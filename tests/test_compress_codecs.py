@@ -1,5 +1,7 @@
 """Tests for the ZFP-, SZ-, FPC-style codecs and the registry."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,11 @@ from repro.compress import (
     available_codecs,
     compress_with_stats,
     decode_auto,
+    decode_auto_many,
     get_codec,
 )
-from repro.compress.zfp import _forward_transform, _inverse_transform
+from repro.compress.lossless import shuffle_decompress
+from repro.compress.zfp import CLASS_SIZES, _forward_transform, _inverse_transform
 from repro.errors import CompressionError, UnknownCodecError
 
 
@@ -265,3 +269,157 @@ class TestPropertyBased:
         name = ["fpc", "deflate", "raw"][seed % 3]
         blob = get_codec(name).encode(data)
         assert np.array_equal(decode_auto(blob), data)
+
+
+# ---------------------------------------------------------------------------
+# batched decode
+# ---------------------------------------------------------------------------
+def _reference_zfp_decode(blob: bytes) -> np.ndarray:
+    """One zfp payload decoded straight from the format description.
+
+    Python integers and loops throughout — it shares no code with the
+    vectorised kernel, so it is the per-blob reference the batched
+    decode must match bit for bit.
+    """
+    name_len, count = struct.unpack_from("<BQ", blob, 4)
+    payload = blob[13 + name_len :]
+    if count == 0:
+        return np.zeros(0)
+    mode = payload[0]
+    if mode == 0:  # constant
+        return np.full(count, struct.unpack_from("<d", payload, 1)[0])
+    if mode == 2:  # lossless fallback
+        return shuffle_decompress(payload[1:], count)
+    step, nblocks = struct.unpack_from("<dQ", payload, 1)
+
+    def reader(data: bytes):
+        big, nbits = int.from_bytes(data, "big"), 8 * len(data)
+        return lambda pos, width: (big >> (nbits - pos - width)) & ((1 << width) - 1)
+
+    width_nbytes = (nblocks * 5 * 7 + 7) // 8
+    read_width = reader(payload[17 : 17 + width_nbytes])
+    widths = [[read_width(7 * (5 * b + c), 7) for c in range(5)]
+              for b in range(nblocks)]
+    read = reader(payload[17 + width_nbytes :])
+    u = [[0] * 16 for _ in range(nblocks)]
+    pos, first = 0, 0
+    for c, size in enumerate(CLASS_SIZES):  # class-major ...
+        for w in sorted({row[c] for row in widths} - {0}):  # ... ascending width
+            for b in range(nblocks):  # ... block order inside a group
+                if widths[b][c] == w:
+                    for j in range(size):
+                        u[b][first + j] = read(pos, w)
+                        pos += w
+            pos = (pos + 7) // 8 * 8  # groups end on a byte boundary
+        first += size
+    q = []
+    for block in u:
+        coeffs = [(v >> 1) ^ -(v & 1) for v in block]  # unzigzag
+        s, at = coeffs[:1], 1
+        for level in range(4):  # inverse S-transform, coarse to fine
+            d = coeffs[at : at + (1 << level)]
+            at += 1 << level
+            nxt = []
+            for s_i, d_i in zip(s, d):
+                b_i = s_i - (d_i >> 1)
+                nxt += [d_i + b_i, b_i]
+            s = nxt
+        q += s
+    return (np.array(q, dtype=np.int64).astype(np.float64) * step)[:count]
+
+
+def _zfp_case(seed: int, n: int, kind: str, exponent: int) -> bytes:
+    """One encoded payload; ``exponent`` sets the coefficient widths."""
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        return get_codec("zfp", tolerance=0.5).encode(np.full(n, 1.5 * seed))
+    if kind == "lossless":
+        return get_codec("zfp", tolerance=0.0).encode(rng.normal(size=n))
+    if kind == "smooth":  # the real case: narrow, mixed widths
+        return get_codec("zfp", tolerance=1e-4, mode="relative").encode(
+            np.cumsum(rng.normal(size=n))
+        )
+    # Quantisation step 1.0 and magnitudes up to 2**exponent: at 57 the
+    # detail coefficients need ~60 bits, past one 64-bit window.
+    return get_codec("zfp", tolerance=0.5).encode(
+        rng.uniform(-1, 1, n) * 2.0**exponent
+    )
+
+
+_CASES = st.tuples(
+    st.integers(0, 2**31),
+    st.sampled_from([0, 1, 15, 16, 17, 33, 400]),
+    st.sampled_from(["constant", "lossless", "smooth", "wide"]),
+    st.integers(0, 57),
+)
+
+
+class TestDecodeMany:
+    @settings(max_examples=60, deadline=None)
+    @given(cases=st.lists(_CASES, min_size=0, max_size=6))
+    def test_zfp_batch_equals_reference_decode_of_each(self, cases):
+        blobs = [_zfp_case(*case) for case in cases]
+        got = get_codec("zfp").decode_many(blobs)
+        assert len(got) == len(blobs)
+        for blob, values in zip(blobs, got):
+            assert values.dtype == np.float64
+            assert values.tobytes() == _reference_zfp_decode(blob).tobytes()
+
+    def test_chunk_sized_batch_and_widest_coefficients(self):
+        # ~10k-value chunks as the decoder batches them, next to blobs at
+        # the 58-bit quantisation limit and every fall-through mode.
+        blobs = [
+            _zfp_case(1, 10_400, "smooth", 0),
+            _zfp_case(2, 0, "smooth", 0),
+            _zfp_case(3, 10_399, "wide", 57),
+            _zfp_case(4, 17, "constant", 0),
+            _zfp_case(5, 1000, "lossless", 0),
+            _zfp_case(6, 9_000, "wide", 30),
+        ]
+        codec = get_codec("zfp")
+        got = codec.decode_many(blobs)
+        for blob, values in zip(blobs, got):
+            assert values.tobytes() == _reference_zfp_decode(blob).tobytes()
+            assert codec.decode(blob).tobytes() == values.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        picks=st.lists(
+            st.tuples(
+                st.sampled_from(["zfp", "sz", "fpc", "deflate", "raw"]),
+                st.integers(0, 2**31),
+                st.sampled_from([0, 1, 16, 17, 300]),
+            ),
+            max_size=8,
+        )
+    )
+    def test_auto_many_mixed_codecs_keeps_order(self, picks):
+        blobs = []
+        for name, seed, n in picks:
+            data = np.random.default_rng(seed).normal(size=n)
+            blobs.append(get_codec(name).encode(data))
+        got = decode_auto_many(blobs)
+        assert len(got) == len(blobs)
+        for blob, values in zip(blobs, got):
+            assert values.tobytes() == decode_auto(blob).tobytes()
+
+    def test_wrong_codec_in_batch_rejected(self):
+        data = np.linspace(0, 1, 40)
+        blobs = [get_codec("zfp").encode(data), get_codec("raw").encode(data)]
+        with pytest.raises(CompressionError):
+            get_codec("zfp").decode_many(blobs)
+
+    def test_truncated_payload_in_batch_rejected(self):
+        # A short blob must fail, not read on into its neighbour's bytes.
+        data = np.cumsum(np.random.default_rng(0).normal(size=500))
+        blob = get_codec("zfp", tolerance=1e-6).encode(data)
+        for cut in (len(blob) - 1, len(blob) // 2, 40, 20):
+            with pytest.raises(CompressionError):
+                get_codec("zfp").decode_many([blob[:cut], blob])
+
+    def test_out_of_range_width_header_rejected(self):
+        data = np.cumsum(np.random.default_rng(1).normal(size=64))
+        blob = bytearray(get_codec("zfp", tolerance=1e-6).encode(data))
+        blob[13 + 3 + 17] = 0xFF  # first 7-bit width becomes 127
+        with pytest.raises(CompressionError):
+            get_codec("zfp").decode(bytes(blob))

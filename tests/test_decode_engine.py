@@ -1,6 +1,6 @@
 """Tests for the parallel decode engine and the shared read-side caches.
 
-Covers the PR-4 acceptance points: parallel chunk decode and
+Covers the PR-4 acceptance points: batched chunk decode and
 multi-variable fan-out are bit-identical to the serial seed path
 (including region + min_significance filtered retrieval, whose chunk
 scatter order must not matter), the process-wide restored-level and
@@ -10,21 +10,27 @@ fixed.
 """
 
 import threading
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.api import (
     DecodeEngine,
+    Session,
     dataset_fingerprint,
     get_geometry_cache,
     get_restored_cache,
     read_progressive,
     read_progressive_many,
 )
+from repro.compress import decode_auto
 from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
 from repro.core.campaign import CampaignReader, CampaignWriter
+from repro.core.decoder import PhaseTimings
+from repro.core.notation import chunk_key
 from repro.errors import RestorationError
+from repro.harness.experiment import stack_planes
 from repro.io import BPDataset
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
@@ -71,8 +77,8 @@ def setup(tmp_path_factory):
 
 
 def _serial_restore(h, var, level=0, *, region=None, min_significance=0.0):
-    """The seed path: one decoder, workers=1, no pipeline, no caches."""
-    dec = CanopusDecoder(BPDataset.open("run", h), workers=1)
+    """The seed path: one decoder, no pipeline, no caches."""
+    dec = CanopusDecoder(BPDataset.open("run", h))
     if region is None and min_significance == 0.0:
         return dec.restore_to(var, level, pipeline=False)
     state = dec.read_base(var)
@@ -92,13 +98,65 @@ class TestBitIdentity:
         for var in fields:
             assert np.array_equal(out[var].field, serial[var].field)
 
-    def test_parallel_chunk_decode_matches_serial(self, setup):
-        _, _, h = setup
-        serial = _serial_restore(h, "dpot")
-        parallel = CanopusDecoder(
-            BPDataset.open("run", h), workers=8
-        ).restore_to("dpot", 0, pipeline=True)
-        assert np.array_equal(parallel.field, serial.field)
+    @pytest.mark.parametrize("planes", [0, 3])
+    @pytest.mark.parametrize(
+        "use_region, use_significance",
+        [(False, False), (True, False), (False, True), (True, True)],
+    )
+    def test_batched_read_delta_matches_per_chunk_loop(
+        self, tmp_path, planes, use_region, use_significance
+    ):
+        """``_read_delta`` against the loop it replaced, written out here:
+        filter chunk by chunk, ``decode_auto`` each survivor, scatter."""
+        src = make_xgc1(scale=0.25)
+        field = stack_planes(src, planes) if planes else src.field
+        h = two_tier_titan(tmp_path)
+        CanopusEncoder(
+            h, codec="zfp", codec_params={"tolerance": TOL, "mode": "relative"},
+            chunks=CHUNKS,
+        ).encode("one", "dpot", src.mesh, field, LevelScheme(3))
+        ds = BPDataset.open("one", h)
+        center = src.mesh.vertices[int(np.argmax(src.field))]
+        region = (center - 0.4, center + 0.4) if use_region else None
+        dec = CanopusDecoder(ds)
+        meta = ds.catalog.attrs["variables"]["dpot"]
+
+        for level in (1, 0):
+            n_chunks = int(meta["chunks_per_level"][str(level)])
+            # A threshold between the chunks' recorded maxima drops some.
+            ms = float(np.median([
+                ds.inq(chunk_key("dpot", level, c)).attrs["stats"]["vabs_max"]
+                for c in range(n_chunks)
+            ])) if use_significance else 0.0
+            n_fine = dec._read_mapping("dpot", level, PhaseTimings()).n_fine
+            shape = (planes, n_fine) if planes else (n_fine,)
+            want = np.zeros(shape)
+            want_applied = np.zeros(n_fine, dtype=bool)
+            for c in range(n_chunks):
+                rec = ds.inq(chunk_key("dpot", level, c))
+                x0, y0, x1, y1 = rec.attrs["bbox"]
+                if region is not None and (
+                    x1 < region[0][0] or x0 > region[1][0]
+                    or y1 < region[0][1] or y0 > region[1][1]
+                ):
+                    continue
+                if ms and rec.attrs["stats"]["vabs_max"] < ms:
+                    continue
+                idx = np.frombuffer(
+                    zlib.decompress(ds.read(rec.key + "/idx")), dtype="<i8"
+                )
+                piece = decode_auto(ds.read(rec.key))
+                want[..., idx] = piece.reshape(planes, -1) if planes else piece
+                want_applied[idx] = True
+
+            got, applied = dec._read_delta(
+                "dpot", level, n_fine, PhaseTimings(), region, ms
+            )
+            assert 0 < want_applied.sum()
+            if use_region or use_significance:
+                assert not want_applied.all()  # the filter dropped chunks
+            assert np.array_equal(applied, want_applied)
+            assert got.tobytes() == want.tobytes()
 
     def test_region_and_significance_parallel_vs_serial(self, setup):
         src, _, h = setup
@@ -249,7 +307,81 @@ class TestThreadSafety:
         assert geo.misses == before
 
 
+class TestGeometryContentKey:
+    """The single-shot layout stores each level's mesh and mapping once
+    per variable; the shared cache rebuilds each distinct payload once."""
+
+    @staticmethod
+    def _restore_all(h_root):
+        hierarchy = two_tier_titan(
+            h_root, fast_capacity=64 << 20, slow_capacity=1 << 36
+        )
+        with Session(hierarchy) as session:
+            campaign = session.open("run")
+            fields = {
+                (var, level): campaign.restore(var, level=level).field
+                for level in (2, 1, 0) for var in VARS
+            }
+            engine = campaign.dataset.engine_stats().snapshot()
+        return fields, engine, hierarchy.clock
+
+    def test_one_decode_per_level_and_unchanged_io(self, setup, monkeypatch):
+        _, _, h = setup
+        root = h.tier("lustre").root.parent
+        geo = get_geometry_cache()
+        before = geo.stats()
+        fields, engine, clock = self._restore_all(root)
+        after = geo.stats()
+        # Three meshes (levels 2, 1, 0) and two mappings, not x3 variables.
+        assert after["decodes"] - before["decodes"] == 5
+        assert after["content_hits"] - before["content_hits"] == 10
+        # Each variable still resolves its own keys to (shared) objects.
+        ds = BPDataset.open("run", h)
+        assert geo.get(ds, "dpot/mesh0") is geo.get(ds, "dden/mesh0")
+
+        # The same run with every payload rebuilt (no content key): the
+        # bytes read and the simulated seconds charged are identical.
+        def always_decode(self, dataset, key, blob, decode):
+            obj = decode(blob)
+            self.put(dataset, key, obj)
+            return obj
+
+        monkeypatch.setattr(type(geo), "decoded", always_decode)
+        get_restored_cache().clear()
+        geo.clear()
+        plain_fields, plain_engine, plain_clock = self._restore_all(root)
+        assert engine == plain_engine
+        assert clock.elapsed == plain_clock.elapsed
+        assert clock.bytes_moved() == plain_clock.bytes_moved()
+        for key, field in fields.items():
+            assert np.array_equal(field, plain_fields[key])
+
+    def test_different_content_never_shared(self, setup):
+        _, _, h = setup
+        geo = get_geometry_cache()
+        ds = BPDataset.open("run", h)
+        a = geo.decoded(ds, "k1", b"one", bytes.upper)
+        b = geo.decoded(ds, "k2", b"two", bytes.upper)
+        c = geo.decoded(ds, "k3", b"one", lambda blob: pytest.fail("decoded twice"))
+        assert (a, b) == (b"ONE", b"TWO") and c is a
+        assert geo.has(ds, "k3")
+
+
 class TestRmsRegression:
+    def test_full_refine_rms_equals_masked_formula(self, setup):
+        # The all-chunks-applied shortcut must give the float the
+        # boolean-mask expression gives, not merely a close one.
+        _, _, h = setup
+        dec = CanopusDecoder(BPDataset.open("run", h))
+        base = dec.read_base("dpot")
+        state = dec.refine(base)
+        delta, applied = dec._read_delta(
+            "dpot", state.level, len(state.field), PhaseTimings()
+        )
+        assert applied.all()
+        masked = float(np.sqrt(np.mean(delta[..., applied] ** 2)))
+        assert state.last_delta_rms == masked
+
     def test_refine_until_does_not_stop_on_empty_step(self, setup):
         src, _, h = setup
         ms = 1e12  # prunes every chunk: nothing applied per step
@@ -316,8 +448,6 @@ class TestEngineValidation:
         _, _, h = setup
         with pytest.raises(RestorationError):
             DecodeEngine(BPDataset.open("run", h), workers=0)
-        with pytest.raises(RestorationError):
-            CanopusDecoder(BPDataset.open("run", h), workers=0)
 
     def test_empty_restore_many(self, setup):
         _, _, h = setup

@@ -13,12 +13,13 @@ from repro.mesh.generators import (
     structured_rectangle,
     sunflower_points,
 )
-from repro.mesh.io import load_off, save_off
+from repro.mesh.io import load_off, mesh_from_bytes, mesh_to_bytes, save_off
 from repro.mesh.metrics import (
     mesh_stats,
     triangle_aspect_ratios,
     triangle_min_angles,
 )
+from repro.mesh.triangle_mesh import TriangleMesh
 
 
 class TestGenerators:
@@ -150,6 +151,25 @@ class TestIO:
         np.savez(path, foo=np.zeros(3))
         with pytest.raises(MeshError):
             load_mesh(path)
+
+    def test_bytes_roundtrip_keeps_orientation_without_reorienting(self):
+        # Built from clockwise input, so the constructor had to flip
+        # triangles; the payload is read back through the trusted path,
+        # which must find them already counter-clockwise.
+        src = disk(300, seed=6)
+        mesh = TriangleMesh(src.vertices, src.triangles[:, ::-1])
+        back = mesh_from_bytes(mesh_to_bytes(mesh))
+        assert np.array_equal(back.triangles, mesh.triangles)
+        assert np.array_equal(back.vertices, mesh.vertices)
+        assert back == mesh
+        p0, p1, p2 = (back.vertices[back.triangles[:, k]] for k in range(3))
+        signed = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (
+            p1[:, 1] - p0[:, 1]
+        ) * (p2[:, 0] - p0[:, 0])
+        assert (signed > 0).all()
+        assert not back.triangles.flags.writeable
+        assert not back.vertices.flags.writeable
+        assert back.num_edges == mesh.num_edges  # derived caches start empty
 
     def test_off_roundtrip(self, tmp_path):
         mesh = structured_rectangle(4, 4)

@@ -310,6 +310,25 @@ class TestEngineStatsView:
         assert stats.misses_by_tier == {"lustre": 1}
         assert stats.bytes_from_tier == {"lustre": 400}
 
+    def test_counter_handles_resolved_once_and_survive_reset(self):
+        stats = EngineStats()
+        stats.record_hit("tmpfs", 1)
+        stats.record_miss("lustre", 1)
+
+        def no_lookup(*args, **labels):
+            raise AssertionError("registry lookup on the increment path")
+
+        stats.registry.counter = no_lookup
+        stats.record_hit("tmpfs", 10)
+        stats.record_miss("lustre", 20)
+        stats.incr("batches")
+        assert (stats.hits, stats.misses, stats.batches) == (2, 2, 1)
+        assert stats.bytes_from_tier == {"lustre": 21}
+        stats.reset()
+        stats.record_hit("tmpfs", 5)
+        assert stats.snapshot()["hits"] == 1
+        assert stats.hits_by_tier == {"tmpfs": 1}
+
     def test_snapshot_reset(self):
         stats = EngineStats()
         stats.incr("hits", 2)

@@ -14,6 +14,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.obs import context as obs_context
@@ -197,6 +198,23 @@ class TestHistogramQuantiles:
         # One bucket spans 10^(1/3) ≈ 2.15x; the estimate must stay
         # within that factor of the exact quantile.
         assert exact / 2.2 <= est <= exact * 2.2
+
+    def test_tail_quantiles_sharing_the_top_bucket_stay_distinct(self):
+        """Uniform on [0.3, 0.9]: p95 and p99 both sit in the top
+        occupied bucket (0.464, 1.0], which used to interpolate to 1.0
+        and then clamp both to ``max``."""
+        values = np.random.default_rng(5).uniform(0.3, 0.9, 1000)
+        hist = Histogram("t")
+        for v in values:
+            hist.observe(float(v))
+        p50, p95, p99 = (hist.quantile(q) for q in (0.50, 0.95, 0.99))
+        assert p50 < p95 < p99 <= hist.max
+        assert hist.quantile(0.0) == hist.min
+        assert hist.quantile(1.0) == hist.max
+        ratio = 10 ** (1 / 3)  # one bucket
+        for q, est in ((0.50, p50), (0.95, p95), (0.99, p99)):
+            exact = float(np.quantile(values, q))
+            assert exact / ratio <= est <= exact * ratio
 
     def test_empty_and_invalid(self):
         hist = Histogram("t")

@@ -146,7 +146,7 @@ class TestTraceparentRoundtrip:
         threads = {s["thread"] for s in trace["spans"]}
         assert any(t.startswith("repro-datanode") for t in threads), threads
         assert any(
-            t.startswith(("repro-io", "repro-decode", "repro-restore"))
+            t.startswith(("repro-io", "repro-restore"))
             for t in threads
         ), threads
 

@@ -203,7 +203,7 @@ def test_products_bit_identical(scaleout_timings):
     for key in sorted(d_thread.keys()):
         assert d_thread.read(key) == d_mp.read(key), key
     assert (
-        d_thread.catalog.attrs["campaign"] == d_mp.catalog.attrs["campaign"]
+        d_thread.catalog.attrs["variables"] == d_mp.catalog.attrs["variables"]
     )
 
 

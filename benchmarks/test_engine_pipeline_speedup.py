@@ -13,8 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.api import read_progressive
-from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
+from repro.core import (
+    CanopusDecoder,
+    CanopusEncoder,
+    LevelScheme,
+    ProgressiveReader,
+)
 from repro.harness.experiment import stack_planes
 from repro.io import BPDataset
 from repro.simulations import make_xgc1
@@ -52,7 +56,7 @@ def encoded(tmp_path_factory):
 def _refine_to_full(hierarchy, var, *, pipeline):
     """Fresh dataset handle, refine to L0; returns (field, sim seconds)."""
     ds = BPDataset.open("xgc1-engine", hierarchy)
-    reader = read_progressive(ds, var, pipeline=pipeline)
+    reader = ProgressiveReader(CanopusDecoder(ds), var, pipeline=pipeline)
     before = hierarchy.clock.elapsed
     state = reader.refine_until(rms_tolerance=0.0, max_level=0)
     cost = hierarchy.clock.elapsed - before

@@ -15,6 +15,7 @@ import tempfile
 
 import numpy as np
 
+from repro.api import Session
 from repro.core import CampaignReader, CampaignWriter, LevelScheme
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
@@ -77,6 +78,18 @@ def main() -> None:
             "\nThe quick scan shows the amplitude trend at a fraction of "
             "the I/O; full accuracy confirms it for the interesting steps."
         )
+
+        # --- the same campaign through the session surface ------------
+        # A timestep is a data coordinate like a level, so the planner,
+        # the shared caches and the HTTP read tier all serve it.
+        with Session(hierarchy) as session:
+            campaign = session.open("campaign")
+            last = campaign.describe()["variables"][ds.variable]["steps"][-1]
+            state = campaign.restore(ds.variable, step=last, tolerance=1e-2)
+            print(
+                f"\nSession: step {last} to tolerance 1e-2 stopped at "
+                f"level {state.level} ({state.var!r})"
+            )
 
 
 if __name__ == "__main__":

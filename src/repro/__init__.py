@@ -18,7 +18,7 @@ user-facing API; subsystems live in their own subpackages:
 __version__ = "1.0.0"
 
 from repro import api, errors
-from repro.api import open_dataset, read_progressive, write_campaign
+from repro.api import Session, write_campaign
 from repro.core import (
     CanopusDecoder,
     CanopusEncoder,
@@ -32,9 +32,8 @@ __all__ = [
     "api",
     "errors",
     "__version__",
-    "open_dataset",
+    "Session",
     "write_campaign",
-    "read_progressive",
     "LevelScheme",
     "CanopusEncoder",
     "CanopusDecoder",

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.decoder import CanopusDecoder, LevelData, PhaseTimings
+from repro.core.notation import level_key, mesh_key
 from repro.errors import AnalyticsError
 
 __all__ = ["PipelineResult", "run_analysis_at_level", "restore_full_accuracy"]
@@ -143,7 +144,7 @@ def baseline_full_read(
     timings = PhaseTimings()
 
     before = clock.elapsed
-    blob = ds.read(f"{var}/L0")
+    blob = ds.read(level_key(var, 0))
     timings.io_seconds += clock.elapsed - before
     t0 = time.perf_counter()
     field = decode_auto(blob)
@@ -157,7 +158,7 @@ def baseline_full_read(
     # Mesh geometry is static across timesteps for the baseline too; its
     # read cost is reported as one-time setup, mirroring the Canopus path.
     mesh = None
-    key = mesh_bytes_key or f"{var}/mesh0"
+    key = mesh_bytes_key or mesh_key(var, 0)
     setup_seconds = 0.0
     if key in ds.catalog:
         before = clock.elapsed

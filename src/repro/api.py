@@ -18,13 +18,11 @@ One blessed import surface for the common workflows::
   time) of everything executed inside the ``with`` block, exportable as
   Chrome trace-event JSON (see :mod:`repro.obs`).
 
-The PR 1 helpers :func:`open_dataset` and :func:`read_progressive`
-remain as thin wrappers but are deprecated in favour of the session
-surface (they warn once per process).
-
 The classes behind these helpers are re-exported here too, so
-``repro.api`` is a stable one-stop namespace. (The historical
-``repro.io.api`` shim, deprecated since PR 1, has been removed.)
+``repro.api`` is a stable one-stop namespace: ``BPDataset.open`` /
+``BPDataset.create`` for raw product access,
+:class:`ProgressiveReader` for explicit level-by-level iteration, and
+the :class:`CampaignReader` / :class:`PartitionedDecoder` views.
 
 Storage is pluggable end to end: pass ``backend=`` to
 :func:`~repro.storage.hierarchy.two_tier_titan` (or build tiers over
@@ -60,8 +58,7 @@ from repro.core.restored_cache import (
     get_geometry_cache,
     get_restored_cache,
 )
-from repro.deprecation import warn_once
-from repro.errors import BPFormatError, CanopusError, QueryError
+from repro.errors import CanopusError, QueryError
 from repro.query import (
     PlanDecision,
     QueryPlanner,
@@ -109,10 +106,6 @@ __all__ = [
     "CampaignHandle",
     "write_campaign",
     "trace_session",
-    # deprecated thin wrappers (PR 1 surface)
-    "open_dataset",
-    "read_progressive",
-    "read_progressive_many",
     # re-exported building blocks
     "BPDataset",
     "CampaignReader",
@@ -167,51 +160,6 @@ __all__ = [
     "stats_query",
     "two_tier_titan",
 ]
-
-
-def open_dataset(
-    name: str,
-    hierarchy: StorageHierarchy,
-    *,
-    mode: str = "r",
-    transports=None,
-    verify_checksums: bool = True,
-    cache_bytes: int = 64 << 20,
-    workers: int = 4,
-    placement: str = "walk",
-) -> BPDataset:
-    """Open (``mode="r"``) or create (``mode="w"``) a BP dataset.
-
-    Every read goes through the dataset's retrieval engine: checksum
-    verification, a ``cache_bytes``-budgeted LRU range cache, and up to
-    ``workers`` concurrent range fetches for batched/prefetched reads.
-    ``placement`` selects the write-side policy: the paper's
-    fastest-first capacity ``walk`` or the ``cost``-based
-    :class:`PlacementEngine` plan applied at close.
-
-    .. deprecated:: PR 6
-        For reading, prefer ``Session(hierarchy).open(name)`` — the
-        session surface shared with the HTTP read tier.
-    """
-    if mode == "r":
-        warn_once(
-            "api.open_dataset",
-            "repro.api.open_dataset(mode='r') is deprecated; use "
-            "Session(hierarchy).open(name) instead",
-            stacklevel=2,
-        )
-    if mode not in ("r", "w"):
-        raise BPFormatError(f"mode must be 'r' or 'w', not {mode!r}")
-    return BPDataset(
-        name,
-        hierarchy,
-        mode=mode,
-        transports=transports,
-        verify_checksums=verify_checksums,
-        cache_bytes=cache_bytes,
-        workers=workers,
-        placement=placement,
-    )
 
 
 def write_campaign(
@@ -291,77 +239,3 @@ def write_campaign(
     finally:
         writer.close()
     return reports
-
-
-def read_progressive(
-    dataset: BPDataset | CanopusDecoder,
-    var: str,
-    *,
-    pipeline: bool = True,
-    lookahead: int = 2,
-    min_significance: float = 0.0,
-) -> ProgressiveReader:
-    """Progressive (level-by-level) reader for one variable.
-
-    Accepts an open dataset or an existing decoder. Pipelining is on by
-    default: upcoming levels' byte ranges are prefetched through the
-    retrieval engine while the current level decompresses, overlapping
-    tier I/O with compute; restored fields stay bit-identical to the
-    serial path. ``min_significance`` makes every refinement skip
-    chunks whose recorded correction magnitude is below the threshold
-    (bounded-lossy retrieval; requires the variable to be stored with
-    spatial chunks to save any I/O).
-
-    .. deprecated:: PR 6
-        Prefer ``Session(hierarchy).open(name).restore(var,
-        level=..., tolerance=...)``; for explicit level-by-level
-        iteration keep constructing :class:`ProgressiveReader` directly.
-    """
-    warn_once(
-        "api.read_progressive",
-        "repro.api.read_progressive is deprecated; use "
-        "Session(hierarchy).open(name).restore(var, level=..., "
-        "tolerance=...) instead",
-        stacklevel=2,
-    )
-    decoder = (
-        dataset if isinstance(dataset, CanopusDecoder)
-        else CanopusDecoder(dataset)
-    )
-    return ProgressiveReader(
-        decoder,
-        var,
-        pipeline=pipeline,
-        lookahead=lookahead,
-        min_significance=min_significance,
-    )
-
-
-def read_progressive_many(
-    dataset: BPDataset,
-    variables,
-    *,
-    level: int = 0,
-    workers: int | None = None,
-    region=None,
-    min_significance: float = 0.0,
-    use_restored_cache: bool = True,
-) -> dict[str, LevelData]:
-    """Restore several variables concurrently; returns ``{var: LevelData}``.
-
-    The :class:`DecodeEngine` fans the restore chains out over a thread
-    pool (``workers=None`` inherits the dataset engine's width), decodes
-    spatial chunks of each delta in parallel, shares decoded geometry
-    process-wide, and publishes/reuses finished levels through the
-    process-wide :class:`RestoredLevelCache` — a repeated call returns
-    cached fields with zero I/O. Results are bit-identical to restoring
-    each variable serially.
-    """
-    engine = DecodeEngine(
-        dataset,
-        workers=workers,
-        use_restored_cache=use_restored_cache,
-    )
-    return engine.restore_many(
-        variables, level, region=region, min_significance=min_significance
-    )

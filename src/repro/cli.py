@@ -148,6 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
         "multi-variable restore",
     )
     res.add_argument("--level", type=int, default=0)
+    res.add_argument(
+        "--step", type=int, default=None,
+        help="timestep of a campaign (write_campaign) dataset",
+    )
     res.add_argument("--root", required=True)
     res.add_argument(
         "--out", required=True,
@@ -418,9 +422,14 @@ def _cmd_info(args) -> int:
     print(format_table(rows, title=f"dataset {args.dataset!r}"))
     variables = ds.catalog.attrs.get("variables", {})
     for var, meta in sorted(variables.items()):
+        coords = "".join(
+            f", {plural} {meta[plural]}"
+            for plural in ("steps", "parts")
+            if plural in meta
+        )
         print(
             f"variable {var!r}: {meta['num_levels']} levels, "
-            f"codec {meta['codec']}, counts {meta['counts']}"
+            f"codec {meta['codec']}, counts {meta['counts']}{coords}"
         )
     return 0
 
@@ -452,21 +461,16 @@ def _out_path(template: str, var: str, multi: bool) -> str:
 
 
 def _cmd_restore(args) -> int:
-    from repro.core.decode_engine import DecodeEngine
+    from repro.session import Session
 
     hierarchy = _args_hierarchy(args)
-    dataset = BPDataset.open(args.dataset, hierarchy)
     variables = [v for v in args.var.split(",") if v]
+    width = {} if args.workers is None else {"workers": args.workers}
     io_before = hierarchy.clock.elapsed
-    if len(variables) == 1 and args.workers is None:
-        results = {
-            variables[0]: CanopusDecoder(dataset).restore_to(
-                variables[0], args.level
-            )
-        }
-    else:
-        engine = DecodeEngine(dataset, workers=args.workers)
-        results = engine.restore_many(variables, args.level)
+    with Session(hierarchy, **width) as session:
+        results = session.open(args.dataset).restore_many(
+            variables, step=args.step, level=args.level
+        )
     # The engine charges the overlapped prefetch batch up front, outside
     # any one variable's PhaseTimings — report the aggregate clock delta.
     io_ms = (hierarchy.clock.elapsed - io_before) * 1e3
@@ -475,7 +479,7 @@ def _cmd_restore(args) -> int:
         out = _out_path(args.out, var, multi=len(variables) > 1)
         save_mesh(out, state.mesh, {var: np.asarray(field)})
         print(
-            f"restored {var!r} to level {args.level} "
+            f"restored {state.var!r} to level {args.level} "
             f"({state.mesh.num_vertices} vertices) -> {out}"
         )
     print(f"simulated I/O {io_ms:.3f} ms ({len(variables)} variable(s))")

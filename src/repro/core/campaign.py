@@ -21,33 +21,32 @@ one-time ``setup_seconds`` accounting in the analysis pipelines.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compress import decode_auto, get_codec
+from repro.compress import get_codec
 from repro.core.decimation_plan import (
     build_plan,
     get_plan_cache,
     plan_eligible,
 )
+from repro.core.decode_engine import DecodeEngine
 from repro.core.decoder import LevelData, PhaseTimings
-from repro.core.delta import apply_delta
 from repro.core.encode_scheduler import BufferArena, fused_step_products
-from repro.core.mapping import LevelMapping
-from repro.core.notation import (
-    GEOM_VAR as _GEOM_VAR,
-    LevelScheme,
-    mapping_key,
-    mesh_key,
-    step_key as _step_key,
+from repro.core.layout import (
+    ProductWriter,
+    declare_variable,
+    find_variable,
+    variable_scheme,
 )
-from repro.core.plan import plan_placement
+from repro.core.mapping import LevelMapping
+from repro.core.notation import GEOM_VAR, LevelScheme, step_chain
 from repro.errors import CanopusError, RestorationError
 from repro.io.dataset import BPDataset
 from repro.io.query import ChunkStats
 from repro.mesh.edge_collapse import KERNELS
-from repro.mesh.io import mesh_from_bytes, mesh_to_bytes
+from repro.mesh.io import mesh_to_bytes
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.obs import trace
 from repro.storage.hierarchy import StorageHierarchy
@@ -122,7 +121,6 @@ class CampaignWriter:
         self.codec_name = codec
         self.codec_params = dict(codec_params or {})
         self._codec = get_codec(codec, **self.codec_params)
-        self._plan = plan_placement(scheme, len(hierarchy))
         self.workers = workers
         self._steps: list[int] = []
         self._closed = False
@@ -151,30 +149,17 @@ class CampaignWriter:
 
         # --- persist geometry once --------------------------------------
         self._dataset = BPDataset.create(name, hierarchy, placement=placement)
-        self._dataset.catalog.attrs["campaign"] = {
-            "var": var,
-            "num_levels": scheme.num_levels,
-            "step_ratio": scheme.step_ratio,
-            "codec": codec,
-            "counts": [m.num_vertices for m in self.meshes],
-            "steps": [],
-        }
-        for lvl, m in enumerate(self.meshes):
-            tier = (
-                self._plan.base_tier
-                if lvl == scheme.base_level
-                else self._plan.preferred_tier_for_delta(lvl)
-            )
-            self._dataset.write(
-                mesh_key(_GEOM_VAR, lvl), mesh_to_bytes(m),
-                kind="mesh", level=lvl, preferred_tier=tier,
-            )
-        for lvl, mapping in enumerate(self.mappings):
-            self._dataset.write(
-                mapping_key(_GEOM_VAR, lvl), mapping.to_bytes(),
-                kind="mapping", level=lvl,
-                preferred_tier=self._plan.preferred_tier_for_delta(lvl),
-            )
+        self._entry = declare_variable(
+            self._dataset, var, scheme, codec,
+            counts=[m.num_vertices for m in self.meshes],
+            steps=[], geometry=GEOM_VAR,
+        )
+        self._writer = ProductWriter(self._dataset, scheme, codec)
+        self._writer.geometry(
+            GEOM_VAR,
+            [mesh_to_bytes(m) for m in self.meshes],
+            [mapping.to_bytes() for mapping in self.mappings],
+        )
 
     # ------------------------------------------------------------------
     def write_step(self, step: int, data: np.ndarray) -> StepReport:
@@ -189,7 +174,6 @@ class CampaignWriter:
                 f"step {step}: field shape {data.shape} does not match mesh"
             )
 
-        base_level = self.scheme.base_level
         if self.workers and self.workers > 1:
             # Thread-overlapped staged path: replay the recorded
             # collapse sequence (bit-identical to re-running Algorithm 1
@@ -207,25 +191,9 @@ class CampaignWriter:
             refactor_seconds = time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            arrays: list[tuple[str, np.ndarray, str, int, int]] = [
-                (
-                    _step_key(self.var, step, base_level, "base"),
-                    levels[-1],
-                    "base",
-                    base_level,
-                    self._plan.base_tier,
-                )
-            ]
+            arrays = {"base": levels[-1]}
             for lvl in self.scheme.delta_levels():
-                arrays.append(
-                    (
-                        _step_key(self.var, step, lvl, "delta"),
-                        deltas[lvl],
-                        "delta",
-                        lvl,
-                        self._plan.preferred_tier_for_delta(lvl),
-                    )
-                )
+                arrays[f"delta{lvl}"] = deltas[lvl]
             with trace.span(
                 "campaign.compress", "compress",
                 {"step": step, "payloads": len(arrays),
@@ -236,16 +204,15 @@ class CampaignWriter:
                 with ThreadPoolExecutor(
                     max_workers=min(self.workers, len(arrays))
                 ) as pool:
-                    blobs = list(
-                        pool.map(self._codec.encode, (a for _, a, *_ in arrays))
+                    products = dict(
+                        zip(arrays, pool.map(self._codec.encode, arrays.values()))
                     )
             # Summaries describe the pre-compression values (the bounds
             # the retrieval planner prunes against), so compute them
             # from the staged arrays before they are dropped.
-            payloads = [
-                (key, blob, kind, lvl, tier, ChunkStats.of(arr).as_dict())
-                for (key, arr, kind, lvl, tier), blob in zip(arrays, blobs)
-            ]
+            summaries = {
+                tag: ChunkStats.of(arr).as_dict() for tag, arr in arrays.items()
+            }
             compress_seconds = time.perf_counter() - t0
         else:
             # Fused serial path: one level in flight at a time through
@@ -254,7 +221,7 @@ class CampaignWriter:
             with trace.span(
                 "campaign.fused_encode", "refactor", {"step": step}
             ):
-                summaries: dict = {}
+                summaries = {}
                 products, fstats = fused_step_products(
                     self._geom_plan, data, self._codec, arena=self._arena,
                     summaries=summaries,
@@ -263,43 +230,16 @@ class CampaignWriter:
                 fstats["replay_seconds"] + fstats["delta_seconds"]
             )
             compress_seconds = fstats["compress_seconds"]
-            payloads = [
-                (
-                    _step_key(self.var, step, base_level, "base"),
-                    products["base"],
-                    "base",
-                    base_level,
-                    self._plan.base_tier,
-                    summaries.get("base"),
-                )
-            ]
-            for lvl in self.scheme.delta_levels():
-                payloads.append(
-                    (
-                        _step_key(self.var, step, lvl, "delta"),
-                        products[f"delta{lvl}"],
-                        "delta",
-                        lvl,
-                        self._plan.preferred_tier_for_delta(lvl),
-                        summaries.get(f"delta{lvl}"),
-                    )
-                )
 
         clock = self.hierarchy.clock
         before = clock.elapsed
-        total = 0
-        for key, blob, kind, lvl, tier, summary in payloads:
-            rec = self._dataset.write(
-                key, blob, kind=kind, level=lvl,
-                codec=self.codec_name, preferred_tier=tier,
-            )
-            if summary is not None:
-                rec.attrs["stats"] = summary
-            total += len(blob)
+        total = self._writer.chain(
+            step_chain(self.var, step), products, summaries
+        )
         io_seconds = clock.elapsed - before  # buffered; realized at close
 
         self._steps.append(step)
-        self._dataset.catalog.attrs["campaign"]["steps"] = sorted(self._steps)
+        self._entry["steps"] = sorted(self._steps)
         return StepReport(
             step=step,
             compressed_bytes=total,
@@ -332,19 +272,23 @@ class CampaignWriter:
 
 
 class CampaignReader:
-    """Restores any (step, level) of a campaign with shared geometry."""
+    """Restores any (step, level) of a campaign with shared geometry.
+
+    A view over a :class:`~repro.core.decode_engine.DecodeEngine`: each
+    timestep is the chain ``step_chain(var, step)``, and every chain
+    shares the campaign's geometry owner, so meshes and mappings are
+    read and decoded once. The engine runs without the restored-level
+    cache, so every :meth:`restore` charges its own payload reads.
+    """
 
     def __init__(self, hierarchy: StorageHierarchy, name: str) -> None:
         self.dataset = BPDataset.open(name, hierarchy)
-        self._clock = hierarchy.clock
-        meta = self.dataset.catalog.attrs.get("campaign")
-        if not meta:
-            raise RestorationError(f"{name!r} is not a campaign dataset")
-        self.var: str = meta["var"]
-        self.scheme = LevelScheme(int(meta["num_levels"]), float(meta["step_ratio"]))
+        self.var, meta = find_variable(
+            self.dataset.catalog, "steps", "campaign"
+        )
+        self.scheme = variable_scheme(meta)
         self.steps: list[int] = list(meta["steps"])
-        self._meshes: dict[int, TriangleMesh] = {}
-        self._mappings: dict[int, LevelMapping] = {}
+        self._engine = DecodeEngine(self.dataset, use_restored_cache=False)
         self.geometry_timings = PhaseTimings()
 
     # ------------------------------------------------------------------
@@ -354,122 +298,45 @@ class CampaignReader:
         All geometry keys are fetched as one overlapped engine batch, so
         the one-time setup pays the batched (not per-product) I/O charge.
         """
-        keys = [mesh_key(_GEOM_VAR, lvl) for lvl in self.scheme.levels()]
-        keys += [mapping_key(_GEOM_VAR, lvl) for lvl in self.scheme.delta_levels()]
-        before = self._clock.elapsed
-        self.dataset.read_many(keys, label=f"{self.var}:geometry")
-        self.geometry_timings.io_seconds += self._clock.elapsed - before
-        for lvl in self.scheme.levels():
-            self._mesh(lvl)
-        for lvl in self.scheme.delta_levels():
-            self._mapping(lvl)
+        if self.steps:
+            self.geometry_timings += self._engine.decoder.prefetch_geometry(
+                step_chain(self.var, self.steps[0])
+            )
         return self.geometry_timings
 
-    def _mesh(self, level: int) -> TriangleMesh:
-        if level not in self._meshes:
-            before = self._clock.elapsed
-            blob = self.dataset.read(mesh_key(_GEOM_VAR, level))
-            self.geometry_timings.io_seconds += self._clock.elapsed - before
-            self._meshes[level] = mesh_from_bytes(blob)
-        return self._meshes[level]
-
-    def _mapping(self, level: int) -> LevelMapping:
-        if level not in self._mappings:
-            before = self._clock.elapsed
-            blob = self.dataset.read(mapping_key(_GEOM_VAR, level))
-            self.geometry_timings.io_seconds += self._clock.elapsed - before
-            self._mappings[level] = LevelMapping.from_bytes(blob)
-        return self._mappings[level]
-
-    # ------------------------------------------------------------------
-    def restore(self, step: int, target_level: int = 0) -> LevelData:
-        """Restore one timestep to the requested accuracy level."""
-        if step not in self.steps:
-            raise RestorationError(
-                f"step {step} not in campaign (has {self.steps})"
-            )
-        self.scheme.validate_level(target_level)
-        timings = PhaseTimings()
-
-        base_level = self.scheme.base_level
-        before = self._clock.elapsed
-        blob = self.dataset.read(_step_key(self.var, step, base_level, "base"))
-        timings.io_seconds += self._clock.elapsed - before
-        t0 = time.perf_counter()
-        field_ = decode_auto(blob)
-        timings.decompress_seconds += time.perf_counter() - t0
-
-        level = base_level
-        while level > target_level:
-            level -= 1
-            mapping = self._mapping(level)
-            before = self._clock.elapsed
-            blob = self.dataset.read(_step_key(self.var, step, level, "delta"))
-            timings.io_seconds += self._clock.elapsed - before
-            t0 = time.perf_counter()
-            delta = decode_auto(blob)
-            timings.decompress_seconds += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            field_ = apply_delta(field_, delta, mapping)
-            timings.restore_seconds += time.perf_counter() - t0
-
-        return LevelData(
-            var=self.var,
-            level=target_level,
-            mesh=self._mesh(target_level),
-            field=field_,
-            timings=timings,
-        )
-
-    def restore_many(
-        self, steps=None, target_level: int = 0, *, workers: int = 4
-    ) -> dict[int, LevelData]:
-        """Restore several timesteps concurrently; ``{step: LevelData}``.
-
-        Bit-identical to serial :meth:`restore` calls. Geometry is
-        decoded once up front (single-threaded, so the shared caches see
-        no concurrent mutation) and every step's base/delta ranges are
-        hinted to the retrieval engine as one overlapped batch before
-        the fan-out — the simulated I/O charge is deterministic and the
-        workers overlap decompression with each other's fetches.
-        """
-        if workers < 1:
-            raise RestorationError("restore_many workers must be >= 1")
-        steps = list(self.steps if steps is None else steps)
+    def _chains(self, steps) -> list[str]:
         for step in steps:
             if step not in self.steps:
                 raise RestorationError(
                     f"step {step} not in campaign (has {self.steps})"
                 )
-        self.scheme.validate_level(target_level)
-        if not steps:
-            return {}
-        with trace.span(
-            "decode.restore_many", "restore",
-            {"steps": len(steps), "level": target_level, "workers": workers},
-        ):
-            self.prefetch_geometry()
-            keys = []
-            for step in steps:
-                keys.append(
-                    _step_key(self.var, step, self.scheme.base_level, "base")
-                )
-                for lvl in range(self.scheme.base_level - 1, target_level - 1, -1):
-                    keys.append(_step_key(self.var, step, lvl, "delta"))
-            self.dataset.prefetch(keys, label=f"{self.var}:restore_many")
-            if workers > 1 and len(steps) > 1:
-                from concurrent.futures import ThreadPoolExecutor
+        return [step_chain(self.var, step) for step in steps]
 
-                with ThreadPoolExecutor(
-                    max_workers=min(workers, len(steps)),
-                    thread_name_prefix="repro-campaign",
-                ) as pool:
-                    results = list(
-                        pool.map(lambda s: self.restore(s, target_level), steps)
-                    )
-            else:
-                results = [self.restore(s, target_level) for s in steps]
-        return dict(zip(steps, results))
+    # ------------------------------------------------------------------
+    def restore(self, step: int, target_level: int = 0) -> LevelData:
+        """Restore one timestep to the requested accuracy level."""
+        (chain,) = self._chains([step])
+        return self._engine.restore(chain, target_level)
+
+    def restore_many(
+        self, steps=None, target_level: int = 0
+    ) -> dict[int, LevelData]:
+        """Restore several timesteps concurrently; ``{step: LevelData}``.
+
+        Bit-identical to serial :meth:`restore` calls. Geometry is
+        decoded once up front and every step's base/delta ranges are
+        hinted to the retrieval engine as one overlapped batch before
+        the fan-out (:meth:`DecodeEngine.restore_many`) — the simulated
+        I/O charge is deterministic and the workers, which run inside
+        the caller's trace context, overlap decompression with each
+        other's fetches.
+        """
+        steps = list(self.steps if steps is None else steps)
+        chains = self._chains(steps)
+        self.scheme.validate_level(target_level)
+        self.prefetch_geometry()
+        restored = self._engine.restore_many(chains, target_level)
+        return dict(zip(steps, restored.values()))
 
     def time_series(self, target_level: int, steps=None):
         """Yield ``(step, LevelData)`` across the campaign at one level."""

@@ -39,7 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.core.decoder import CanopusDecoder, LevelData, PhaseTimings
+from repro.core.decoder import CanopusDecoder, LevelData
 from repro.core.restored_cache import (
     RestoredLevelCache,
     dataset_fingerprint,
@@ -119,89 +119,24 @@ class DecodeEngine:
         region: tuple[np.ndarray, np.ndarray] | None = None,
         min_significance: float = 0.0,
     ) -> LevelData:
-        """Restore one variable to ``level`` (cached, pipelined)."""
+        """Restore one chain to ``level`` (cached, pipelined).
+
+        ``var`` is a chain name (see :class:`CanopusDecoder`).
+        """
         with trace.span(
             "decode.restore", "restore",
             {"var": var, "level": level,
              "filtered": region is not None or min_significance > 0.0},
         ):
-            if region is None and min_significance == 0.0:
-                return self.decoder.restore_to(
-                    var,
-                    level,
-                    pipeline=self.pipeline,
-                    lookahead=self.lookahead,
-                    use_cache=self.use_restored_cache,
-                )
-            return self._restore_filtered(var, level, region, min_significance)
-
-    def _restore_filtered(
-        self,
-        var: str,
-        level: int,
-        region: tuple[np.ndarray, np.ndarray] | None,
-        min_significance: float,
-    ) -> LevelData:
-        """Filtered chain: the filter applies at *every* refinement step.
-
-        Warm-starting from an unfiltered cached level would apply the
-        upper deltas unfiltered — a different (finer) result than the
-        filtered chain from the base — so filtered chains only ever
-        exact-hit entries stored under the same filter key.
-        """
-        decoder = self.decoder
-        scheme = decoder.scheme(var)
-        scheme.validate_level(level)
-        cache = self._cache
-        if cache is not None:
-            hit = cache.get(
-                cache.key_for(
-                    self.fingerprint, var, level,
-                    region=region, min_significance=min_significance,
-                )
+            return self.decoder.restore_to(
+                var,
+                level,
+                region=region,
+                min_significance=min_significance,
+                pipeline=self.pipeline,
+                lookahead=self.lookahead,
+                use_cache=self.use_restored_cache,
             )
-            if hit is not None:
-                timings = PhaseTimings()
-                mesh = decoder._read_mesh(var, level, timings)
-                return LevelData(
-                    var=var,
-                    level=level,
-                    mesh=mesh,
-                    field=hit.field.copy(),
-                    timings=timings,
-                    refined_mask=(
-                        None
-                        if hit.refined_mask is None
-                        else hit.refined_mask.copy()
-                    ),
-                    last_delta_rms=hit.last_delta_rms,
-                )
-        state = decoder.read_base(var)
-        while state.level > level:
-            state = decoder.refine(
-                state, region=region, min_significance=min_significance
-            )
-        if cache is not None:
-            cache.put(
-                cache.key_for(
-                    self.fingerprint, var, level,
-                    region=region, min_significance=min_significance,
-                ),
-                state.field,
-                refined_mask=state.refined_mask,
-                last_delta_rms=state.last_delta_rms,
-            )
-        return state
-
-    # ------------------------------------------------------------------
-    def _chain_keys(self, var: str, level: int) -> list[str]:
-        """Every catalog key an unfiltered restore chain will touch."""
-        decoder = self.decoder
-        scheme = decoder.scheme(var)
-        keys = list(decoder.base_keys(var))
-        for lvl in range(scheme.base_level - 1, level - 1, -1):
-            keys.extend(decoder.level_keys(var, lvl))
-        return keys
 
     def restore_many(
         self,
@@ -236,7 +171,7 @@ class DecodeEngine:
                         cache.key_for(self.fingerprint, var, level)
                     ):
                         continue  # no bytes needed for this chain
-                    keys.extend(self._chain_keys(var, level))
+                    keys.extend(self.decoder.chain_keys(var, level))
                 if keys:
                     self.dataset.prefetch(
                         keys, label="decode_engine:restore_many"

@@ -17,15 +17,9 @@ import numpy as np
 
 from repro.compress import decode_auto, decode_auto_many
 from repro.core.delta import apply_delta
+from repro.core.layout import Chain, chains
 from repro.core.mapping import LevelMapping
-from repro.core.notation import (
-    LevelScheme,
-    chunk_key,
-    delta_key,
-    level_key,
-    mapping_key,
-    mesh_key,
-)
+from repro.core.notation import LevelScheme, delta_key
 from repro.core.restored_cache import get_geometry_cache, get_restored_cache
 from repro.errors import RestorationError
 from repro.io.dataset import BPDataset
@@ -78,7 +72,14 @@ class LevelData:
 
 
 class CanopusDecoder:
-    """Configured Canopus read pipeline over an open dataset.
+    """The base → delta walker (paper Alg. 3) over an open dataset.
+
+    Every method's ``var`` is a *chain name* from
+    :func:`repro.core.layout.chains`: a single-shot variable's own name,
+    or the ``step``/``part`` chain that
+    :func:`repro.core.layout.resolve` returns for a campaign timestep or
+    a partition patch. Chains that share a geometry owner (the steps of
+    a campaign) share decoded meshes and mappings.
 
     Parameters
     ----------
@@ -87,10 +88,10 @@ class CanopusDecoder:
     share_geometry:
         Consult/populate the process-wide :class:`GeometryCache` so
         decoder instances over the same dataset bytes decode each mesh
-        and mapping once. Per-instance caches remain as a lock-free L1.
-        Off by default so standalone decoders keep the seed's per-
+        and mapping once. The per-instance cache remains as a lock-free
+        L1. Off by default so standalone decoders keep the seed's per-
         instance I/O accounting; :class:`~repro.core.decode_engine.DecodeEngine`
-        and the :mod:`repro.api` façade turn it on.
+        turns it on.
     """
 
     def __init__(
@@ -102,28 +103,28 @@ class CanopusDecoder:
         self.dataset = dataset
         self._clock = dataset.hierarchy.clock
         self.share_geometry = share_geometry
-        self._mapping_cache: dict[str, LevelMapping] = {}
-        self._mesh_cache: dict[str, TriangleMesh] = {}
+        self._chains: dict[str, Chain] | None = None
+        #: Decoded meshes and mappings by catalog key.
+        self._geometry: dict[str, object] = {}
 
     # ------------------------------------------------------------------
     def variables(self) -> list[str]:
         return sorted(self.dataset.catalog.attrs.get("variables", {}))
 
-    def scheme(self, var: str) -> LevelScheme:
-        meta = self._var_meta(var)
-        return LevelScheme(
-            num_levels=int(meta["num_levels"]),
-            step_ratio=float(meta["step_ratio"]),
-        )
-
-    def _var_meta(self, var: str) -> dict:
+    def chain(self, var: str) -> Chain:
+        """Layout of one restore chain (see the class docstring)."""
+        if self._chains is None:
+            self._chains = chains(self.dataset.catalog)
         try:
-            return self.dataset.catalog.attrs["variables"][var]
+            return self._chains[var]
         except KeyError:
             raise RestorationError(
                 f"variable {var!r} not in dataset "
                 f"{self.dataset.name!r}"
             ) from None
+
+    def scheme(self, var: str) -> LevelScheme:
+        return self.chain(var).scheme
 
     # ------------------------------------------------------------------
     def _timed_read(self, key: str, timings: PhaseTimings) -> bytes:
@@ -132,9 +133,9 @@ class CanopusDecoder:
         timings.io_seconds += self._clock.elapsed - before
         return blob
 
-    def _read_geometry(self, key: str, local: dict, decode, timings: PhaseTimings):
+    def _read_geometry(self, key: str, decode, timings: PhaseTimings):
         """One mesh or mapping: instance cache, shared cache, then bytes."""
-        cached = local.get(key)
+        cached = self._geometry.get(key)
         if cached is not None:
             return cached
         shared = get_geometry_cache() if self.share_geometry else None
@@ -151,12 +152,21 @@ class CanopusDecoder:
                 else shared.decoded(self.dataset, key, blob, decode)
             )
             timings.decompress_seconds += time.perf_counter() - t0
-        local[key] = obj
+        self._geometry[key] = obj
         return obj
 
-    def _read_mesh(self, var: str, level: int, timings: PhaseTimings) -> TriangleMesh:
+    def _read_mesh(
+        self, chain: Chain, level: int, timings: PhaseTimings
+    ) -> TriangleMesh:
         return self._read_geometry(
-            mesh_key(var, level), self._mesh_cache, mesh_from_bytes, timings
+            chain.mesh_key(level), mesh_from_bytes, timings
+        )
+
+    def _read_mapping(
+        self, chain: Chain, level: int, timings: PhaseTimings
+    ) -> LevelMapping:
+        return self._read_geometry(
+            chain.mapping_key(level), LevelMapping.from_bytes, timings
         )
 
     def prefetch_geometry(self, var: str) -> PhaseTimings:
@@ -174,123 +184,123 @@ class CanopusDecoder:
         retrieval engine (:meth:`~repro.io.dataset.BPDataset.read_many`),
         so the setup cost reflects concurrent, coalesced tier reads.
         """
-        scheme = self.scheme(var)
+        chain = self.chain(var)
         timings = PhaseTimings()
-        wanted = [
-            mesh_key(var, lvl)
-            for lvl in scheme.levels()
-            if mesh_key(var, lvl) in self.dataset.catalog
-        ] + [mapping_key(var, lvl) for lvl in scheme.delta_levels()]
         before = self._clock.elapsed
         self.dataset.read_many(
-            [k for k in wanted if k in self.dataset.catalog],
-            label=f"{var}:geometry",
+            self._stored(chain.all_geometry_keys()), label=f"{var}:geometry"
         )
         timings.io_seconds += self._clock.elapsed - before
         # Decode from the now-warm cache into the object caches.
-        for lvl in scheme.levels():
-            if mesh_key(var, lvl) in self.dataset.catalog:
-                self._read_mesh(var, lvl, timings)
-        for lvl in scheme.delta_levels():
-            self._read_mapping(var, lvl, timings)
+        for lvl in chain.scheme.levels():
+            if chain.mesh_key(lvl) in self.dataset.catalog:
+                self._read_mesh(chain, lvl, timings)
+        for lvl in chain.scheme.delta_levels():
+            self._read_mapping(chain, lvl, timings)
         return timings
 
     # ------------------------------------------------------------------
-    def level_keys(self, var: str, level: int) -> list[str]:
+    def _stored(self, keys: list[str]) -> list[str]:
+        return [k for k in keys if k in self.dataset.catalog]
+
+    def undecoded(self, keys: list[str]) -> list[str]:
+        """Stored geometry keys not yet in an object cache."""
+        shared = get_geometry_cache() if self.share_geometry else None
+        return [
+            k
+            for k in self._stored(keys)
+            if k not in self._geometry
+            and not (shared is not None and shared.has(self.dataset, k))
+        ]
+
+    def _level_keys(self, chain: Chain, level: int) -> list[str]:
         """Catalog keys needed to lift ``level + 1`` → ``level``.
 
-        This is the decoder's prefetch hint: the key set of the *next*
-        refinement is known before the current one finishes, so the
-        engine can fetch it while the current delta decompresses.
-        Geometry already decoded into the object caches is excluded.
+        The key set of the *next* refinement is known before the current
+        one finishes, so the engine can fetch it while the current delta
+        decompresses. Geometry already decoded into the object caches is
+        excluded.
         """
-        meta = self._var_meta(var)
-        keys: list[str] = []
-
-        def _decoded(cache: dict, key: str) -> bool:
-            if key in cache:
-                return True
-            return self.share_geometry and get_geometry_cache().has(
-                self.dataset, key
-            )
-
-        if not _decoded(self._mapping_cache, mapping_key(var, level)):
-            keys.append(mapping_key(var, level))
-        if not _decoded(self._mesh_cache, mesh_key(var, level)):
-            keys.append(mesh_key(var, level))
-        chunks = int(meta.get("chunks", 1))
-        if chunks == 1:
-            keys.append(delta_key(var, level))
-        else:
-            n_chunks = int(
-                meta.get("chunks_per_level", {}).get(str(level), chunks)
-            )
-            for c in range(n_chunks):
-                keys.append(chunk_key(var, level, c) + "/idx")
-                keys.append(chunk_key(var, level, c))
-        return [k for k in keys if k in self.dataset.catalog]
-
-    def base_keys(self, var: str) -> list[str]:
-        """Catalog keys of the base product (field + mesh)."""
-        scheme = self.scheme(var)
-        base_level = scheme.base_level
-        keys = [level_key(var, base_level)]
-        mkey = mesh_key(var, base_level)
-        decoded = mkey in self._mesh_cache or (
-            self.share_geometry and get_geometry_cache().has(self.dataset, mkey)
+        return self.undecoded(chain.geometry_keys(level)) + self._stored(
+            chain.delta_keys(level)
         )
-        if not decoded and mkey in self.dataset.catalog:
-            keys.append(mkey)
-        return [k for k in keys if k in self.dataset.catalog]
 
-    def prefetch_levels(self, var: str, levels, *, label: str = "") -> int:
-        """Hint the engine to fetch refinement levels in the background.
+    def _base_keys(self, chain: Chain) -> list[str]:
+        """Catalog keys of the base product (field + mesh)."""
+        return self._stored([chain.base_key]) + self.undecoded(
+            [chain.mesh_key(chain.scheme.base_level)]
+        )
 
-        ``levels`` iterates over target levels (next-to-be-refined
-        first). Already-cached or in-flight ranges are skipped by the
-        engine, so repeated hints cost nothing.
+    def chain_keys(self, var: str, level: int) -> list[str]:
+        """Every catalog key an unfiltered restore to ``level`` reads."""
+        chain = self.chain(var)
+        keys = self._base_keys(chain)
+        for lvl in range(chain.scheme.base_level - 1, level - 1, -1):
+            keys.extend(self._level_keys(chain, lvl))
+        return keys
+
+    def prefetch_window(
+        self, var: str, next_target: int, lookahead: int, floor: int = 0
+    ) -> float:
+        """Hint the next ``lookahead`` refinement levels; return sim cost.
+
+        The window never reaches below ``floor``: a chain that knows its
+        final target pays no charge for deltas it will not apply. The
+        returned simulated seconds are what the newly issued batches
+        cost (already-cached / in-flight ranges are skipped by the
+        engine, so repeated hints are free); callers fold them into the
+        current step's I/O phase — the charge is honest: it happens when
+        the requests are issued.
         """
-        keys: list[str] = []
-        for lvl in levels:
-            if lvl < 0:
-                continue
-            keys.extend(self.level_keys(var, lvl))
+        chain = self.chain(var)
+        keys = [
+            key
+            for lvl in range(
+                next_target, max(floor - 1, next_target - lookahead), -1
+            )
+            for key in self._level_keys(chain, lvl)
+        ]
         if not keys:
-            return 0
-        return self.dataset.prefetch(keys, label=label or f"{var}:prefetch")
+            return 0.0
+        before = self._clock.elapsed
+        with trace.span(
+            "decode.prefetch", "pipeline",
+            {"var": var, "next_target": next_target},
+        ):
+            self.dataset.prefetch(keys, label=f"{var}:pipeline")
+        return self._clock.elapsed - before
 
-    def _read_mapping(
-        self, var: str, level: int, timings: PhaseTimings
-    ) -> LevelMapping:
-        return self._read_geometry(
-            mapping_key(var, level),
-            self._mapping_cache,
-            LevelMapping.from_bytes,
-            timings,
+    def prefetch_base(self, var: str, lookahead: int, floor: int = 0) -> float:
+        """Batch the base field + base mesh into one engine fetch and
+        start the first deltas moving behind it; return sim cost."""
+        chain = self.chain(var)
+        before = self._clock.elapsed
+        self.dataset.prefetch(self._base_keys(chain), label=f"{var}:base")
+        return (
+            self._clock.elapsed - before
+            + self.prefetch_window(
+                var, chain.scheme.base_level - 1, lookahead, floor
+            )
         )
 
     # ------------------------------------------------------------------
-    def _planes(self, var: str) -> int:
-        """Plane count (0 = un-stacked 1-D field)."""
-        return int(self._var_meta(var).get("planes", 0))
-
-    def _shape_field(self, var: str, flat: np.ndarray) -> np.ndarray:
-        planes = self._planes(var)
-        return flat.reshape(planes, -1) if planes else flat
+    @staticmethod
+    def _shape_field(chain: Chain, flat: np.ndarray) -> np.ndarray:
+        return flat.reshape(chain.planes, -1) if chain.planes else flat
 
     def read_base(self, var: str) -> LevelData:
         """Option (1) of §III-B: the quick look from the fastest tier."""
-        scheme = self.scheme(var)
-        base_level = scheme.base_level
+        chain = self.chain(var)
+        base_level = chain.scheme.base_level
         with trace.span(
             "decode.read_base", "restore", {"var": var, "level": base_level}
         ):
             timings = PhaseTimings()
-            blob = self._timed_read(level_key(var, base_level), timings)
+            blob = self._timed_read(chain.base_key, timings)
             t0 = time.perf_counter()
-            field_ = self._shape_field(var, decode_auto(blob))
+            field_ = self._shape_field(chain, decode_auto(blob))
             timings.decompress_seconds += time.perf_counter() - t0
-            mesh = self._read_mesh(var, base_level, timings)
+            mesh = self._read_mesh(chain, base_level, timings)
         return LevelData(
             var=var, level=base_level, mesh=mesh, field=field_, timings=timings
         )
@@ -306,41 +316,30 @@ class CanopusDecoder:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Read (possibly chunked) delta; returns (delta, applied_mask).
 
-        ``region=(lo_xy, hi_xy)`` skips every chunk whose bounding box
-        does not intersect the window (focused retrieval — only valid
-        when the variable was encoded with spatial chunks).
-        ``min_significance`` additionally skips chunks whose recorded
-        ``|max|`` statistic is below the threshold: the unread chunks can
-        change no value by more than that, so the refinement is lossy
-        but bounded.
+        ``region=(lo_xy, hi_xy)`` and ``min_significance`` skip spatial
+        chunks by :meth:`Chain.chunk_verdicts` (focused / bounded-lossy
+        retrieval — only effective when the variable was encoded with
+        spatial chunks).
         """
-        meta = self._var_meta(var)
-        chunks = int(meta.get("chunks", 1))
-        planes = self._planes(var)
-        if chunks == 1:
+        chain = self.chain(var)
+        planes = chain.planes
+        if not chain.chunked:
             blob = self._timed_read(delta_key(var, level), timings)
             t0 = time.perf_counter()
-            delta = self._shape_field(var, decode_auto(blob))
+            delta = self._shape_field(chain, decode_auto(blob))
             timings.decompress_seconds += time.perf_counter() - t0
             return delta, np.ones(delta.shape[-1], dtype=bool)
 
-        n_chunks = int(meta.get("chunks_per_level", {}).get(str(level), chunks))
         shape = (planes, n_fine) if planes else (n_fine,)
         delta = np.zeros(shape, dtype=np.float64)
         applied = np.zeros(n_fine, dtype=bool)
-        wanted: list = []
-        for c in range(n_chunks):
-            rec = self.dataset.inq(chunk_key(var, level, c))
-            if region is not None:
-                lo, hi = region
-                x0, y0, x1, y1 = rec.attrs["bbox"]
-                if x1 < lo[0] or x0 > hi[0] or y1 < lo[1] or y0 > hi[1]:
-                    continue  # chunk entirely outside the ROI
-            if min_significance > 0.0:
-                stats = rec.attrs.get("stats")
-                if stats is not None and stats["vabs_max"] < min_significance:
-                    continue  # provably insignificant correction
-            wanted.append(rec)
+        wanted = [
+            (chain.idx_key(level, c), rec.key)
+            for c, rec, skip in chain.chunk_verdicts(
+                self.dataset.catalog, level, region, min_significance
+            )
+            if skip is None
+        ]
         if not wanted:
             return delta, applied
 
@@ -350,17 +349,14 @@ class CanopusDecoder:
         # set, so the scatters never overlap.
         before = self._clock.elapsed
         blobs = self.dataset.read_many(
-            [k for rec in wanted for k in (rec.key + "/idx", rec.key)],
-            label=f"{var}:delta{level}",
+            [k for pair in wanted for k in pair], label=f"{var}:delta{level}"
         )
         timings.io_seconds += self._clock.elapsed - before
 
         t0 = time.perf_counter()
-        pieces = decode_auto_many([blobs[rec.key] for rec in wanted])
-        for rec, piece in zip(wanted, pieces):
-            idx = np.frombuffer(
-                zlib.decompress(blobs[rec.key + "/idx"]), dtype="<i8"
-            )
+        pieces = decode_auto_many([blobs[key] for _, key in wanted])
+        for (ikey, _), piece in zip(wanted, pieces):
+            idx = np.frombuffer(zlib.decompress(blobs[ikey]), dtype="<i8")
             if planes:
                 piece = piece.reshape(planes, len(idx))
             delta[..., idx] = piece
@@ -387,13 +383,14 @@ class CanopusDecoder:
         if state.level <= 0:
             raise RestorationError("already at full accuracy (level 0)")
         var = state.var
+        chain = self.chain(var)
         target = state.level - 1
         with trace.span(
             "decode.refine", "restore", {"var": var, "level": target}
         ):
             timings = PhaseTimings()
-            mapping = self._read_mapping(var, target, timings)
-            fine_mesh = self._read_mesh(var, target, timings)
+            mapping = self._read_mapping(chain, target, timings)
+            fine_mesh = self._read_mesh(chain, target, timings)
 
             window = None
             if region is not None:
@@ -425,27 +422,13 @@ class CanopusDecoder:
             last_delta_rms=rms,
         )
 
-    def _prefetch_window(
-        self, var: str, next_target: int, lookahead: int, floor: int
-    ) -> float:
-        """Hint the next ``lookahead`` refinement levels; return sim cost.
-
-        Unlike the interactive reader, ``restore_to`` knows the final
-        target, so the window never reaches below ``floor`` — no charge
-        for deltas the chain will not apply.
-        """
-        if next_target < floor:
-            return 0.0
-        before = self._clock.elapsed
-        levels = range(next_target, max(floor - 1, next_target - lookahead), -1)
-        self.prefetch_levels(var, levels, label=f"{var}:pipeline")
-        return self._clock.elapsed - before
-
     def restore_to(
         self,
         var: str,
         level: int,
         *,
+        region: tuple[np.ndarray, np.ndarray] | None = None,
+        min_significance: float = 0.0,
         pipeline: bool = True,
         lookahead: int = 2,
         use_cache: bool = False,
@@ -458,61 +441,81 @@ class CanopusDecoder:
         :class:`~repro.core.progressive.ProgressiveReader`; the restored
         field is bit-identical either way. ``use_cache=True`` additionally
         consults the process-wide :class:`RestoredLevelCache`: an exact
-        (var, level) hit returns immediately, and a cached coarser level
-        warm-starts the chain; every level restored on the way down is
-        published back to the cache.
+        hit returns immediately, and a cached coarser level warm-starts
+        the chain; every level restored on the way down is published
+        back to the cache.
+
+        ``region`` / ``min_significance`` apply at *every* refinement
+        step. Warm-starting such a chain from an unfiltered cached level
+        would apply the upper deltas unfiltered — a different (finer)
+        result than the filtered chain from the base — so a filtered
+        chain only ever exact-hits the entry stored under its own filter
+        key, and publishes only its final state there. It is not
+        pipelined either: the engine cannot know which chunks the filter
+        keeps.
         """
         if lookahead < 1:
             raise RestorationError("lookahead must be >= 1")
-        scheme = self.scheme(var)
-        scheme.validate_level(level)
+        chain = self.chain(var)
+        chain.scheme.validate_level(level)
+        filtered = region is not None or min_significance > 0.0
+        pipeline = pipeline and not filtered
         cache = get_restored_cache() if use_cache else None
+
+        def cache_key(lvl: int) -> tuple:
+            return cache.key_for(
+                self.dataset, var, lvl,
+                region=region, min_significance=min_significance,
+            )
+
+        def publish(state: LevelData) -> None:
+            if cache is not None and (not filtered or state.level == level):
+                cache.put(
+                    cache_key(state.level),
+                    state.field,
+                    refined_mask=state.refined_mask if filtered else None,
+                    last_delta_rms=state.last_delta_rms,
+                )
+
         state: LevelData | None = None
         if cache is not None:
-            hit = cache.get(cache.key_for(self.dataset, var, level))
-            warm = hit if hit is not None else cache.warmest(
-                self.dataset, var, level
-            )
+            warm = cache.get(cache_key(level))
+            if warm is None and not filtered:
+                warm = cache.warmest(self.dataset, var, level)
             if warm is not None:
                 timings = PhaseTimings()
-                mesh = self._read_mesh(var, warm.level, timings)
+                mesh = self._read_mesh(chain, warm.level, timings)
                 state = LevelData(
                     var=var,
                     level=warm.level,
                     mesh=mesh,
                     field=warm.field.copy(),
                     timings=timings,
+                    refined_mask=(
+                        None
+                        if warm.refined_mask is None
+                        else warm.refined_mask.copy()
+                    ),
                     last_delta_rms=warm.last_delta_rms,
                 )
                 if warm.level == level:
                     return state
         if state is None:
-            prefetch_io = 0.0
-            if pipeline:
-                before = self._clock.elapsed
-                self.dataset.prefetch(self.base_keys(var), label=f"{var}:base")
-                prefetch_io = self._clock.elapsed - before
-                prefetch_io += self._prefetch_window(
-                    var, scheme.base_level - 1, lookahead, level
-                )
+            prefetch_io = (
+                self.prefetch_base(var, lookahead, level) if pipeline else 0.0
+            )
             state = self.read_base(var)
             state.timings.io_seconds += prefetch_io
-            if cache is not None:
-                cache.put(
-                    cache.key_for(self.dataset, var, state.level), state.field
-                )
+            publish(state)
         while state.level > level:
-            prefetch_io = 0.0
-            if pipeline:
-                prefetch_io = self._prefetch_window(
-                    var, state.level - 1, lookahead, level
-                )
-            state = self.refine(state)
+            prefetch_io = (
+                self.prefetch_window(var, state.level - 1, lookahead, level)
+                if pipeline
+                else 0.0
+            )
+            state = self.refine(
+                state, region=region, min_significance=min_significance
+            )
             state.timings.io_seconds += prefetch_io
-            if cache is not None:
-                cache.put(
-                    cache.key_for(self.dataset, var, state.level),
-                    state.field,
-                    last_delta_rms=state.last_delta_rms,
-                )
+            publish(state)
         return state

@@ -52,7 +52,8 @@ from repro.core.decimation_plan import (
     plan_eligible,
 )
 from repro.core.delta import compute_delta
-from repro.core.notation import LevelScheme
+from repro.core.layout import ProductWriter, declare_variable
+from repro.core.notation import GEOM_VAR, LevelScheme, step_chain
 from repro.errors import CanopusError
 from repro.mesh.io import mesh_to_bytes
 from repro.mesh.triangle_mesh import TriangleMesh
@@ -775,81 +776,43 @@ class EncodeScheduler:
 class _CampaignSink:
     """Aggregating writer: scheduler products → a campaign BP dataset.
 
-    Produces exactly the layout :class:`~repro.core.campaign.CampaignWriter`
-    writes (shared geometry once under ``GEOM_VAR``, base + deltas per
-    step), so :class:`~repro.core.campaign.CampaignReader` restores the
-    result unchanged and byte-compares clean against the in-process path.
+    Writes through the same :class:`~repro.core.layout.ProductWriter`
+    calls as :class:`~repro.core.campaign.CampaignWriter` (shared
+    geometry once under ``GEOM_VAR``, base + deltas per step), so the
+    result byte-compares clean against the in-process path.
     """
 
-    def __init__(self, dataset, var, scheme, placement_plan, codec_name):
-        from repro.core.notation import (
-            GEOM_VAR, mapping_key, mesh_key, step_key,
-        )
-
-        self._keys = (GEOM_VAR, mapping_key, mesh_key, step_key)
-        self.dataset = dataset
+    def __init__(self, dataset, var, scheme, codec_name):
         self.var = var
-        self.scheme = scheme
-        self.plan = placement_plan
-        self.codec_name = codec_name
+        self.entry = declare_variable(
+            dataset, var, scheme, codec_name,
+            counts=[], steps=[], geometry=GEOM_VAR,
+        )
+        self.writer = ProductWriter(dataset, scheme, codec_name)
         self.steps: list[int] = []
         self.compressed_bytes = 0
         self.step_records: dict[int, tuple[int, dict]] = {}
 
     def geometry(self, plane_id: int, geom: dict) -> None:
-        geom_var, mapping_key, mesh_key, _ = self._keys
-        self.dataset.catalog.attrs["campaign"]["counts"] = list(
-            geom["counts"]
+        self.entry["counts"] = list(geom["counts"])
+        self.writer.geometry(
+            GEOM_VAR, geom["mesh_blobs"], geom["mapping_blobs"]
         )
-        for lvl, blob in enumerate(geom["mesh_blobs"]):
-            tier = (
-                self.plan.base_tier
-                if lvl == self.scheme.base_level
-                else self.plan.preferred_tier_for_delta(lvl)
-            )
-            self.dataset.write(
-                mesh_key(geom_var, lvl), blob,
-                kind="mesh", level=lvl, preferred_tier=tier,
-            )
-        for lvl, blob in enumerate(geom["mapping_blobs"]):
-            self.dataset.write(
-                mapping_key(geom_var, lvl), blob,
-                kind="mapping", level=lvl,
-                preferred_tier=self.plan.preferred_tier_for_delta(lvl),
-            )
 
     def products(
         self, plane_id: int, step: int, products: dict, stats: dict
     ) -> None:
-        _, _, _, step_key = self._keys
         # The fused kernel ships per-product value summaries inside the
         # stats dict; attach them to the catalog records it writes so
         # the retrieval planner works on a cold-opened campaign.
         summaries = stats.pop("summaries", None) or {}
-        before = self.compressed_bytes
-        base_level = self.scheme.base_level
-        blob = products["base"]
-        rec = self.dataset.write(
-            step_key(self.var, step, base_level, "base"), blob,
-            kind="base", level=base_level, codec=self.codec_name,
-            preferred_tier=self.plan.base_tier,
+        written = self.writer.chain(
+            step_chain(self.var, step), products, summaries
         )
-        if "base" in summaries:
-            rec.attrs["stats"] = summaries["base"]
-        self.compressed_bytes += len(blob)
-        for lvl in self.scheme.delta_levels():
-            blob = products[f"delta{lvl}"]
-            rec = self.dataset.write(
-                step_key(self.var, step, lvl, "delta"), blob,
-                kind="delta", level=lvl, codec=self.codec_name,
-                preferred_tier=self.plan.preferred_tier_for_delta(lvl),
-            )
-            if f"delta{lvl}" in summaries:
-                rec.attrs["stats"] = summaries[f"delta{lvl}"]
-            self.compressed_bytes += len(blob)
+        self.compressed_bytes += written
         self.steps.append(step)
-        self.step_records[step] = (self.compressed_bytes - before, stats)
-        self.dataset.catalog.attrs["campaign"]["steps"] = sorted(self.steps)
+        self.step_records[step] = (written, stats)
+        self.entry["steps"] = sorted(self.steps)
 
 
 def encode_campaign_scaleout(
@@ -882,7 +845,6 @@ def encode_campaign_scaleout(
     Returns ``(report, io_seconds)`` where ``io_seconds`` is the
     simulated write time realized at close.
     """
-    from repro.core.plan import plan_placement
     from repro.io.dataset import BPDataset
 
     codec_params = dict(codec_params or {})
@@ -892,17 +854,7 @@ def encode_campaign_scaleout(
         priority=priority, method=method,
     )
     dataset = BPDataset.create(name, hierarchy, placement=placement)
-    dataset.catalog.attrs["campaign"] = {
-        "var": var,
-        "num_levels": scheme.num_levels,
-        "step_ratio": scheme.step_ratio,
-        "codec": codec,
-        "counts": [],
-        "steps": [],
-    }
-    sink = _CampaignSink(
-        dataset, var, scheme, plan_placement(scheme, len(hierarchy)), codec
-    )
+    sink = _CampaignSink(dataset, var, scheme, codec)
     plane = SchedPlane(plane_id=0, mesh=mesh, scheme=scheme)
 
     def task_stream():

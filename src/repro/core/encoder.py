@@ -26,19 +26,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.compress import get_codec
+from repro.core.encode_scheduler import BufferArena
+from repro.core.layout import ProductWriter, declare_variable
 from repro.core.notation import (
     LevelScheme,
     chunk_key,
     delta_key,
+    idx_key,
     level_key,
     mapping_key,
     mesh_key,
 )
-from repro.core.encode_scheduler import BufferArena
-from repro.core.plan import plan_placement
 from repro.core.refactor import RefactorResult, refactor
 from repro.errors import CanopusError
 from repro.io.dataset import BPDataset
+from repro.io.query import ChunkStats
 from repro.io.transports import Transport
 from repro.mesh.edge_collapse import KERNELS
 from repro.mesh.io import mesh_to_bytes
@@ -227,7 +229,6 @@ class CanopusEncoder:
             dataset_name, self.hierarchy, self.transports,
             placement=self.placement,
         )
-        plan = plan_placement(scheme, len(self.hierarchy))
         # A "relative" tolerance is resolved ONCE against the input
         # variable's range, then applied as the same absolute bound to the
         # base and every delta. Re-normalizing per product would tighten
@@ -249,24 +250,32 @@ class CanopusEncoder:
             codec_params["mode"] = "absolute"
         codec = get_codec(self.codec_name, **codec_params)
 
-        from repro.io.query import ChunkStats
-
         data_arr = np.asarray(data)
         planes = data_arr.shape[0] if data_arr.ndim == 2 else 0
-        ds.catalog.attrs.setdefault("variables", {})[var] = {
-            "num_levels": scheme.num_levels,
-            "step_ratio": scheme.step_ratio,
-            "codec": self.codec_name,
-            "codec_params": self.codec_params,
-            "estimator": self.estimator,
-            "chunks": self.chunks,
-            "planes": planes,
-            "counts": [m.num_vertices for m in result.meshes],
+        meta = declare_variable(
+            ds, var, scheme, self.codec_name,
+            codec_params=self.codec_params,
+            estimator=self.estimator,
+            chunks=self.chunks,
+            planes=planes,
+            counts=[m.num_vertices for m in result.meshes],
             # Whole-field value summary: lets aggregate predicates
             # (min/max/mean over the full domain) answer from the
             # catalog footer alone, with zero data I/O.
-            "field_stats": ChunkStats.of(data_arr).as_dict(),
-        }
+            field_stats=ChunkStats.of(data_arr).as_dict(),
+        )
+        writer = ProductWriter(ds, scheme, self.codec_name)
+
+        def put(key, payload, *, values=None, **record) -> None:
+            # Catalog-resident value statistics enable query-driven chunk
+            # pruning (repro.io.query) with zero data I/O.
+            rec = writer.put(
+                key, payload,
+                stats=None if values is None else ChunkStats.of(values).as_dict(),
+                **record,
+            )
+            report.compressed_bytes[key] = len(payload)
+            report.placed_tiers[key] = rec.tier
 
         # Compress every field/delta payload first — with workers > 1
         # the codec encodes overlap on a thread pool (the codecs release
@@ -298,28 +307,23 @@ class CanopusEncoder:
         report.compress_seconds += time.perf_counter() - t0
 
         # Base product: field + mesh on the fastest tier.
-        self._put(
-            ds, report, level_key(var, base_level), blobs["base"],
+        put(
+            level_key(var, base_level), blobs["base"],
             kind="base", level=base_level, count=result.base_field.size,
-            codec=self.codec_name, tier=plan.base_tier,
             values=result.base_field,
         )
-        self._put(
-            ds, report, mesh_key(var, base_level),
-            mesh_to_bytes(result.base_mesh),
-            kind="mesh", level=base_level, tier=plan.base_tier,
+        put(
+            mesh_key(var, base_level), mesh_to_bytes(result.base_mesh),
+            kind="mesh", level=base_level,
         )
 
         # Delta products: delta (possibly chunked) + mapping + level mesh.
         for lvl in scheme.delta_levels():
-            tier = plan.preferred_tier_for_delta(lvl)
             delta = result.deltas[lvl]
             if self.chunks == 1:
-                self._put(
-                    ds, report, delta_key(var, lvl), blobs[f"delta{lvl}"],
-                    kind="delta", level=lvl, count=delta.size,
-                    codec=self.codec_name, tier=tier,
-                    values=delta,
+                put(
+                    delta_key(var, lvl), blobs[f"delta{lvl}"],
+                    kind="delta", level=lvl, count=delta.size, values=delta,
                 )
             else:
                 # Spatial chunking: bin fine vertices on a 2-D grid so a
@@ -348,33 +352,26 @@ class CanopusEncoder:
                         attrs["field_stats"] = ChunkStats.of(
                             data_arr[..., idx]
                         ).as_dict()
-                    self._put(
-                        ds, report, chunk_key(var, lvl, c),
-                        blobs[f"chunk{lvl}/{c}"],
+                    put(
+                        chunk_key(var, lvl, c), blobs[f"chunk{lvl}/{c}"],
                         kind="delta", level=lvl, count=piece.size,
-                        codec=self.codec_name, tier=tier,
-                        attrs=attrs,
-                        values=piece,
+                        attrs=attrs, values=piece,
                     )
-                    self._put(
-                        ds, report, chunk_key(var, lvl, c) + "/idx",
+                    put(
+                        idx_key(var, lvl, c),
                         zlib.compress(idx.astype("<i8").tobytes(), 6),
-                        kind="mapping", level=lvl, tier=tier,
-                        attrs={"chunk": c},
+                        kind="mapping", level=lvl, attrs={"chunk": c},
                     )
                 # Record how many chunks were actually written (empty
                 # spatial bins are dropped).
-                meta = ds.catalog.attrs["variables"][var]
                 meta.setdefault("chunks_per_level", {})[str(lvl)] = len(groups)
-            self._put(
-                ds, report, mapping_key(var, lvl),
-                result.mappings[lvl].to_bytes(),
-                kind="mapping", level=lvl, tier=tier,
+            put(
+                mapping_key(var, lvl), result.mappings[lvl].to_bytes(),
+                kind="mapping", level=lvl,
             )
-            self._put(
-                ds, report, mesh_key(var, lvl),
-                mesh_to_bytes(result.meshes[lvl]),
-                kind="mesh", level=lvl, tier=tier,
+            put(
+                mesh_key(var, lvl), mesh_to_bytes(result.meshes[lvl]),
+                kind="mesh", level=lvl,
             )
 
         if close:
@@ -401,32 +398,3 @@ class CanopusEncoder:
                 encoded = pool.map(codec.encode, (arr for _, arr in jobs))
                 return {tag: blob for (tag, _), blob in zip(jobs, encoded)}
         return {tag: codec.encode(arr) for tag, arr in jobs}
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _put(
-        ds: BPDataset,
-        report: EncodeReport,
-        key: str,
-        payload: bytes,
-        *,
-        kind: str,
-        level: int,
-        tier: int,
-        count: int = 0,
-        codec: str = "",
-        attrs: dict | None = None,
-        values: np.ndarray | None = None,
-    ) -> None:
-        rec = ds.write(
-            key, payload, kind=kind, level=level, count=count,
-            codec=codec, preferred_tier=tier, attrs=attrs,
-        )
-        if values is not None:
-            # Catalog-resident value statistics enable query-driven chunk
-            # pruning (repro.io.query) with zero data I/O.
-            from repro.io.query import attach_stats
-
-            attach_stats(rec, values)
-        report.compressed_bytes[key] = len(payload)
-        report.placed_tiers[key] = rec.tier

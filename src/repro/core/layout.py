@@ -1,0 +1,313 @@
+"""Catalog layout: the one description of every restorable chain.
+
+Canopus stores one structure (paper §III-B, Alg. 3): a base, a chain of
+deltas, and a mesh + vertex→triangle mapping per level. A single-shot
+variable, a campaign timestep and a partition patch are that structure
+under different key prefixes, so each is an entry of
+``catalog.attrs["variables"]`` (schema: docs/FORMATS.md §3): every entry
+has ``num_levels``/``step_ratio``/``codec``/``counts``; a campaign adds
+``steps`` and the ``geometry`` owner of its shared meshes and mappings,
+a partitioned variable adds ``parts`` and its gather maps.
+
+A :class:`Chain` names the keys of one base→delta walk: payloads under
+``chain.name`` (``var``, ``var/step{s}``, ``var/part{p}``), meshes and
+mappings under ``chain.geometry``. Readers ask a chain which keys a
+level needs and which chunks survive a filter; writers put every
+product of level ``l`` on the :func:`~repro.core.plan.plan_placement`
+tier of ``l`` through a :class:`ProductWriter`. Key spellings stay in
+:mod:`repro.core.notation`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from repro.core.notation import (
+    LevelScheme,
+    chunk_key,
+    delta_key,
+    idx_key,
+    level_key,
+    mapping_key,
+    mesh_key,
+    part_chain,
+    step_chain,
+)
+from repro.core.plan import plan_placement
+from repro.errors import QueryError, RestorationError, VariableNotFoundError
+
+__all__ = [
+    "Chain",
+    "ProductWriter",
+    "chains",
+    "declare_variable",
+    "find_variable",
+    "resolve",
+    "variable",
+    "variable_scheme",
+]
+
+
+# ---------------------------------------------------------------------------
+# read side
+@dataclass(frozen=True)
+class Chain:
+    """The catalog keys of one base → delta restore chain."""
+
+    #: Payload key prefix; also the chain's identity in caches/cursors.
+    name: str
+    #: Prefix owning the mesh/mapping keys.
+    geometry: str
+    scheme: LevelScheme
+    #: The ``variables`` entry this chain belongs to.
+    meta: dict = field(compare=False, repr=False)
+
+    @property
+    def planes(self) -> int:
+        """Plane count of a stacked field (0 = un-stacked 1-D field)."""
+        return int(self.meta.get("planes", 0))
+
+    @property
+    def chunked(self) -> bool:
+        return int(self.meta.get("chunks", 1)) > 1
+
+    def chunk_count(self, level: int) -> int:
+        """Spatial chunks actually stored for delta ``level``."""
+        chunks = int(self.meta.get("chunks", 1))
+        return int(
+            self.meta.get("chunks_per_level", {}).get(str(level), chunks)
+        )
+
+    # -- keys -----------------------------------------------------------
+    @property
+    def base_key(self) -> str:
+        return level_key(self.name, self.scheme.base_level)
+
+    def mesh_key(self, level: int) -> str:
+        return mesh_key(self.geometry, level)
+
+    def mapping_key(self, level: int) -> str:
+        return mapping_key(self.geometry, level)
+
+    def idx_key(self, level: int, chunk: int) -> str:
+        return idx_key(self.name, level, chunk)
+
+    def geometry_keys(self, level: int) -> list[str]:
+        """Mapping + mesh needed to lift ``level + 1`` → ``level``."""
+        return [self.mapping_key(level), self.mesh_key(level)]
+
+    def all_geometry_keys(self) -> list[str]:
+        """Every level's mesh, then every delta level's mapping."""
+        return [self.mesh_key(lvl) for lvl in self.scheme.levels()] + [
+            self.mapping_key(lvl) for lvl in self.scheme.delta_levels()
+        ]
+
+    def delta_keys(self, level: int) -> list[str]:
+        """Payload keys of delta ``level`` (index before values per chunk)."""
+        if not self.chunked:
+            return [delta_key(self.name, level)]
+        return [
+            key
+            for c in range(self.chunk_count(level))
+            for key in (self.idx_key(level, c), chunk_key(self.name, level, c))
+        ]
+
+    # -- filters --------------------------------------------------------
+    def chunk_verdicts(
+        self, catalog, level: int, region=None, min_significance: float = 0.0
+    ):
+        """Each stored chunk of delta ``level`` and why a filter drops it.
+
+        Yields ``(chunk, record, reason)``; ``reason`` is ``None`` for a
+        chunk the read fetches. ``region=(lo_xy, hi_xy)`` drops chunks
+        whose bounding box misses the window; ``min_significance`` drops
+        chunks whose recorded ``|max|`` is below it (the unread chunk
+        can change no value by more than that). The decoder reads the
+        survivors; the planner reports both sides.
+        """
+        for c in range(self.chunk_count(level)):
+            rec = catalog.get(chunk_key(self.name, level, c))
+            reason = None
+            if region is not None:
+                lo, hi = region
+                x0, y0, x1, y1 = rec.attrs["bbox"]
+                if x1 < lo[0] or x0 > hi[0] or y1 < lo[1] or y0 > hi[1]:
+                    reason = "bbox outside region"
+            if reason is None and min_significance > 0.0:
+                stats = rec.attrs.get("stats")
+                if stats is not None and stats["vabs_max"] < min_significance:
+                    reason = (
+                        f"|max| {stats['vabs_max']:.3e} < "
+                        f"min_significance {min_significance:g}"
+                    )
+            yield c, rec, reason
+
+
+def _variables(catalog) -> dict:
+    return catalog.attrs.get("variables", {})
+
+
+def variable(catalog, var: str) -> dict:
+    """The ``variables`` entry of ``var`` (404 when there is none)."""
+    try:
+        return _variables(catalog)[var]
+    except KeyError:
+        raise VariableNotFoundError(
+            f"variable {var!r} not in dataset {catalog.name!r}; "
+            f"has {sorted(_variables(catalog))}"
+        ) from None
+
+
+def variable_scheme(meta: dict) -> LevelScheme:
+    return LevelScheme(int(meta["num_levels"]), float(meta["step_ratio"]))
+
+
+def _coordinate(meta: dict):
+    """``(coordinate, chain namer, members)`` of a per-step/per-part
+    variable; ``None`` for a single-shot one."""
+    if "steps" in meta:
+        return "step", step_chain, meta["steps"]
+    if "parts" in meta:
+        return "part", part_chain, range(int(meta["parts"]))
+    return None
+
+
+def chains(catalog) -> dict[str, Chain]:
+    """Every restorable chain of a catalog, by chain name."""
+    out: dict[str, Chain] = {}
+    for var, meta in _variables(catalog).items():
+        scheme = variable_scheme(meta)
+        coordinate = _coordinate(meta)
+        if coordinate is None:
+            names = [var]
+        else:
+            _, name_of, members = coordinate
+            names = [name_of(var, m) for m in members]
+        for name in names:
+            # A campaign's steps share one owner; a patch owns its own.
+            out[name] = Chain(name, meta.get("geometry", name), scheme, meta)
+    return out
+
+
+def resolve(
+    catalog, var: str, *, step: int | None = None, part: int | None = None
+) -> str:
+    """Chain name of ``var`` at a ``step``/``part`` coordinate.
+
+    The one place a data coordinate turns into a key prefix. An unknown
+    variable, step or part is :class:`VariableNotFoundError` (404); a
+    coordinate the variable does not have, or a missing one it needs,
+    is :class:`QueryError` (400).
+    """
+    meta = variable(catalog, var)
+    given = {"step": step, "part": part}
+    coord, name_of, members = _coordinate(meta) or (None, None, ())
+    for other, value in given.items():
+        if other != coord and value is not None:
+            raise QueryError(f"variable {var!r} has no {other}s")
+    if coord is None:
+        return var
+    value = given[coord]
+    if value is None:
+        raise QueryError(
+            f"variable {var!r} is stored per {coord}; pass {coord}="
+        )
+    if value not in members:
+        raise VariableNotFoundError(
+            f"{coord} {value} of {var!r} not in dataset "
+            f"{catalog.name!r}; has {list(members)}"
+        )
+    return name_of(var, int(value))
+
+
+def find_variable(catalog, plural: str, what: str) -> tuple[str, dict]:
+    """First variable stored per ``"steps"`` / ``"parts"``, with its entry."""
+    for var, meta in sorted(_variables(catalog).items()):
+        if plural in meta:
+            return var, meta
+    raise RestorationError(f"{catalog.name!r} is not a {what} dataset")
+
+
+# ---------------------------------------------------------------------------
+# write side
+def declare_variable(
+    dataset, var: str, scheme: LevelScheme, codec: str, **fields
+) -> dict:
+    """Create ``variables[var]`` in an open-for-write dataset's catalog."""
+    entry = {
+        "num_levels": scheme.num_levels,
+        "step_ratio": scheme.step_ratio,
+        "codec": codec,
+        **fields,
+    }
+    dataset.catalog.attrs.setdefault("variables", {})[var] = entry
+    return entry
+
+
+class ProductWriter:
+    """Writes chain products at their :func:`plan_placement` tiers.
+
+    A product of level ``l`` — payload, mesh, mapping, chunk or chunk
+    index — prefers the base tier when ``l`` is the base level and delta
+    ``l``'s tier otherwise, and records ``level=l``; ``codec`` is
+    recorded on base/delta payloads only.
+    """
+
+    def __init__(self, dataset, scheme: LevelScheme, codec: str = "") -> None:
+        self.dataset = dataset
+        self.scheme = scheme
+        self.codec = codec
+        self._plan = plan_placement(scheme, len(dataset.hierarchy))
+
+    def put(
+        self,
+        key: str,
+        blob: bytes,
+        *,
+        kind: str,
+        level: int,
+        count: int = 0,
+        attrs: dict | None = None,
+        stats: dict | None = None,
+    ):
+        """Write one product; ``stats`` becomes its catalog summary."""
+        tier = (
+            self._plan.base_tier
+            if level == self.scheme.base_level
+            else self._plan.preferred_tier_for_delta(level)
+        )
+        rec = self.dataset.write(
+            key, blob, kind=kind, level=level, count=count,
+            codec=self.codec if kind in ("base", "delta") else "",
+            preferred_tier=tier, attrs=attrs,
+        )
+        if stats is not None:
+            rec.attrs["stats"] = stats
+        return rec
+
+    def geometry(self, owner: str, mesh_blobs, mapping_blobs) -> int:
+        """Every level's mesh, then every mapping, under ``owner``."""
+        for lvl, blob in enumerate(mesh_blobs):
+            self.put(mesh_key(owner, lvl), blob, kind="mesh", level=lvl)
+        for lvl, blob in enumerate(mapping_blobs):
+            self.put(mapping_key(owner, lvl), blob, kind="mapping", level=lvl)
+        return sum(map(len, mesh_blobs)) + sum(map(len, mapping_blobs))
+
+    def chain(self, name: str, products: dict, summaries: dict) -> int:
+        """Base then deltas of one chain, with their value summaries.
+
+        ``products``/``summaries`` are keyed ``"base"`` / ``"delta{l}"``
+        (the fused kernel's product dict). Returns the bytes written.
+        """
+        base_level = self.scheme.base_level
+        items = [(level_key(name, base_level), "base", base_level, "base")]
+        items += [
+            (delta_key(name, lvl), "delta", lvl, f"delta{lvl}")
+            for lvl in self.scheme.delta_levels()
+        ]
+        for key, kind, lvl, tag in items:
+            self.put(
+                key, products[tag], kind=kind, level=lvl,
+                stats=summaries.get(tag),
+            )
+        return sum(len(products[tag]) for *_, tag in items)

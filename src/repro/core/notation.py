@@ -12,8 +12,15 @@ Variable keys in the BP catalog follow these conventions::
     {var}/L{l}            field payload of level l (base stores l = N−1)
     {var}/delta{l}-{l+1}  delta payload lifting l+1 → l
     {var}/delta{l}-{l+1}/chunk{c}   spatially-chunked delta (focused reads)
+    {var}/delta{l}-{l+1}/chunk{c}/idx   that chunk's vertex-index list
     {var}/mapping{l}      fine-vertex → coarse-triangle mapping for level l
     {var}/mesh{l}         mesh geometry of level l
+
+A campaign timestep and a partition patch are the same chain under a
+longer prefix — ``{var}/step{s}`` and ``{var}/part{p}`` stand where
+``{var}`` does above (:func:`step_chain`, :func:`part_chain`). These
+functions and :mod:`repro.core.layout` are the only places the
+spellings occur.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ __all__ = [
     "mapping_key",
     "mesh_key",
     "chunk_key",
+    "idx_key",
+    "step_chain",
+    "part_chain",
     "step_key",
 ]
 
@@ -42,15 +52,24 @@ def level_key(var: str, level: int) -> str:
     return f"{var}/L{level}"
 
 
+def step_chain(var: str, step: int) -> str:
+    """Chain name (payload key prefix) of one campaign timestep."""
+    return f"{var}/step{step}"
+
+
+def part_chain(var: str, part: int) -> str:
+    """Chain name (payload and geometry key prefix) of one mesh patch."""
+    return f"{var}/part{part}"
+
+
 def step_key(var: str, step: int, level: int, kind: str) -> str:
     """Catalog key of one campaign timestep product.
 
     ``kind`` is ``"base"`` (level payload) or ``"delta"`` (the delta
     lifting ``level+1 → level``).
     """
-    if kind == "base":
-        return f"{var}/step{step}/L{level}"
-    return f"{var}/step{step}/delta{level}-{level + 1}"
+    chain = step_chain(var, step)
+    return level_key(chain, level) if kind == "base" else delta_key(chain, level)
 
 
 def delta_key(var: str, level: int) -> str:
@@ -60,6 +79,11 @@ def delta_key(var: str, level: int) -> str:
 
 def chunk_key(var: str, level: int, chunk: int) -> str:
     return f"{delta_key(var, level)}/chunk{chunk}"
+
+
+def idx_key(var: str, level: int, chunk: int) -> str:
+    """Key of a spatial chunk's vertex-index list (its scatter map)."""
+    return f"{chunk_key(var, level, chunk)}/idx"
 
 
 def mapping_key(var: str, level: int) -> str:

@@ -21,27 +21,26 @@ rasterize the patch union.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.compress import decode_auto
+from repro.core.decode_engine import DecodeEngine
 from repro.core.encode_scheduler import EncodeScheduler, SchedPlane
-from repro.core.mapping import LevelMapping
-from repro.core.notation import LevelScheme
-from repro.errors import CanopusError, RestorationError
+from repro.core.layout import (
+    ProductWriter,
+    declare_variable,
+    find_variable,
+    variable_scheme,
+)
+from repro.core.notation import LevelScheme, part_chain
+from repro.errors import CanopusError
 from repro.io.dataset import BPDataset
-from repro.mesh.io import mesh_from_bytes
 from repro.mesh.partition import MeshPartition, gather_field, partition_mesh
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.storage.hierarchy import StorageHierarchy
 
 __all__ = ["encode_partitioned", "PartitionedDecoder", "PartitionedReport"]
-
-
-def _part_prefix(var: str, part: int) -> str:
-    return f"{var}/part{part}"
 
 
 @dataclass
@@ -146,59 +145,32 @@ def encode_partitioned(
     refactor_seconds = time.perf_counter() - t0
 
     ds = BPDataset.create(dataset_name, hierarchy)
-    ds.catalog.attrs["partitioned"] = {
-        "var": var,
-        "parts": len(partitions),
-        "num_levels": scheme.num_levels,
-        "step_ratio": scheme.step_ratio,
-        "num_global_vertices": mesh.num_vertices,
-        "counts": {
-            str(i): list(sink.geoms[i]["counts"])
-            for i in sorted(sink.geoms)
+    declare_variable(
+        ds, var, scheme, codec,
+        parts=len(partitions),
+        counts={
+            str(i): list(sink.geoms[i]["counts"]) for i in sorted(sink.geoms)
         },
-        "global_vertices": {
+        num_global_vertices=mesh.num_vertices,
+        global_vertices={
             str(p.index): p.global_vertices.tolist() for p in partitions
         },
-        "owned": {str(p.index): p.owned.tolist() for p in partitions},
-    }
+        owned={str(p.index): p.owned.tolist() for p in partitions},
+    )
+    writer = ProductWriter(ds, scheme, codec)
     compressed = 0
     clock = hierarchy.clock
     before = clock.elapsed
-    base_level = scheme.base_level
     for index in sorted(sink.prods):
         geom = sink.geoms[index]
-        summaries = sink.stats[index].get("summaries") or {}
-        products = {f"L{base_level}": sink.prods[index]["base"]}
-        summary_for = {f"L{base_level}": summaries.get("base")}
-        for lvl, blob in enumerate(geom["mesh_blobs"]):
-            products[f"mesh{lvl}"] = blob
-        for lvl in scheme.delta_levels():
-            products[f"delta{lvl}-{lvl + 1}"] = sink.prods[index][
-                f"delta{lvl}"
-            ]
-            summary_for[f"delta{lvl}-{lvl + 1}"] = summaries.get(
-                f"delta{lvl}"
-            )
-            products[f"mapping{lvl}"] = geom["mapping_blobs"][lvl]
-        for suffix, blob in sorted(products.items()):
-            kind = (
-                "base" if suffix == f"L{base_level}"
-                else "delta" if suffix.startswith("delta")
-                else "mapping" if suffix.startswith("mapping")
-                else "mesh"
-            )
-            # Base-level products prefer the fast tier; the rest descend.
-            tier = 0 if suffix.endswith(str(base_level)) else min(
-                1, len(hierarchy) - 1
-            )
-            rec = ds.write(
-                f"{_part_prefix(var, index)}/{suffix}", blob,
-                kind=kind, codec=codec if kind in ("base", "delta") else "",
-                preferred_tier=tier,
-            )
-            if summary_for.get(suffix) is not None:
-                rec.attrs["stats"] = summary_for[suffix]
-            compressed += len(blob)
+        chain = part_chain(var, index)
+        compressed += writer.geometry(
+            chain, geom["mesh_blobs"], geom["mapping_blobs"]
+        )
+        compressed += writer.chain(
+            chain, sink.prods[index],
+            sink.stats[index].get("summaries") or {},
+        )
     ds.close()
     write_seconds = clock.elapsed - before
 
@@ -217,20 +189,21 @@ def encode_partitioned(
 
 
 class PartitionedDecoder:
-    """Read side of a partitioned dataset."""
+    """Read side of a partitioned dataset.
+
+    A view over a :class:`~repro.core.decode_engine.DecodeEngine`: patch
+    ``p`` is the chain ``part_chain(var, p)``, which owns its geometry.
+    The engine runs without the restored-level cache, so every restore
+    charges its own reads.
+    """
 
     def __init__(self, hierarchy: StorageHierarchy, dataset_name: str) -> None:
         self.dataset = BPDataset.open(dataset_name, hierarchy)
-        meta = self.dataset.catalog.attrs.get("partitioned")
-        if not meta:
-            raise RestorationError(
-                f"{dataset_name!r} is not a partitioned dataset"
-            )
-        self.var: str = meta["var"]
-        self.parts: int = int(meta["parts"])
-        self.scheme = LevelScheme(
-            int(meta["num_levels"]), float(meta["step_ratio"])
+        self.var, meta = find_variable(
+            self.dataset.catalog, "parts", "partitioned"
         )
+        self.parts: int = int(meta["parts"])
+        self.scheme = variable_scheme(meta)
         self.num_global = int(meta["num_global_vertices"])
         self._global_vertices = {
             int(k): np.asarray(v, dtype=np.int64)
@@ -239,42 +212,14 @@ class PartitionedDecoder:
         self._owned = {
             int(k): np.asarray(v, dtype=bool) for k, v in meta["owned"].items()
         }
-
-    def _partition_keys(self, part: int, level: int) -> list[str]:
-        """Every catalog key one patch's restore chain will touch."""
-        prefix = _part_prefix(self.var, part)
-        base_level = self.scheme.base_level
-        keys = [f"{prefix}/L{base_level}"]
-        for lvl in range(base_level - 1, level - 1, -1):
-            keys.append(f"{prefix}/mapping{lvl}")
-            keys.append(f"{prefix}/delta{lvl}-{lvl + 1}")
-        keys.append(f"{prefix}/mesh{level}")
-        return keys
+        self._engine = DecodeEngine(self.dataset, use_restored_cache=False)
 
     def restore_partition(
         self, part: int, level: int = 0
     ) -> tuple[TriangleMesh, np.ndarray]:
-        """Restore one patch to the requested level.
-
-        The patch's whole read chain is known upfront, so it is fetched
-        as one overlapped batch through the retrieval engine before any
-        decode starts.
-        """
-        self.scheme.validate_level(level)
-        prefix = _part_prefix(self.var, part)
-        base_level = self.scheme.base_level
-        blobs = self.dataset.read_many(
-            self._partition_keys(part, level), label=f"{prefix}:restore"
-        )
-        field_ = decode_auto(blobs[f"{prefix}/L{base_level}"])
-        lvl = base_level
-        while lvl > level:
-            lvl -= 1
-            mapping = LevelMapping.from_bytes(blobs[f"{prefix}/mapping{lvl}"])
-            delta = decode_auto(blobs[f"{prefix}/delta{lvl}-{lvl + 1}"])
-            field_ = delta + mapping.estimate(field_)
-        mesh = mesh_from_bytes(blobs[f"{prefix}/mesh{level}"])
-        return mesh, field_
+        """Restore one patch to the requested level."""
+        state = self._engine.restore(part_chain(self.var, part), level)
+        return state.mesh, state.field
 
     def restore_levels(
         self, level: int = 0
@@ -282,39 +227,27 @@ class PartitionedDecoder:
         """Restore every patch to one level (the patch-union view)."""
         return [self.restore_partition(p, level) for p in range(self.parts)]
 
-    def gather_full_accuracy(self, *, workers: int = 4) -> np.ndarray:
+    def gather_full_accuracy(self) -> np.ndarray:
         """Reassemble the exact global field at level 0.
 
         Every patch's byte ranges are prefetched as one engine batch
         (one overlapped charge, issued deterministically before any
-        decode), then patches are decoded concurrently on a thread pool
-        — the read-side mirror of the per-rank parallel encode.
+        decode), then patches are decoded concurrently inside the
+        caller's trace context (:meth:`DecodeEngine.restore_many`) — the
+        read-side mirror of the per-rank parallel encode.
         """
-        self.scheme.validate_level(0)
-        all_keys: list[str] = []
-        for p in range(self.parts):
-            all_keys.extend(self._partition_keys(p, 0))
-        self.dataset.prefetch(all_keys, label=f"{self.var}:gather")
-
-        if workers > 1 and self.parts > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                restored = list(
-                    pool.map(lambda p: self.restore_partition(p, 0),
-                             range(self.parts))
-                )
-        else:
-            restored = [self.restore_partition(p, 0) for p in range(self.parts)]
-
-        locals_ = []
-        partitions = []
-        for p, (mesh, field_) in enumerate(restored):
-            locals_.append(field_)
-            partitions.append(
-                MeshPartition(
-                    index=p,
-                    mesh=mesh,
-                    global_vertices=self._global_vertices[p],
-                    owned=self._owned[p],
-                )
+        restored = self._engine.restore_many(
+            [part_chain(self.var, p) for p in range(self.parts)], 0
+        )
+        partitions = [
+            MeshPartition(
+                index=p,
+                mesh=state.mesh,
+                global_vertices=self._global_vertices[p],
+                owned=self._owned[p],
             )
-        return gather_field(partitions, locals_, self.num_global)
+            for p, state in enumerate(restored.values())
+        ]
+        return gather_field(
+            partitions, [s.field for s in restored.values()], self.num_global
+        )

@@ -8,7 +8,7 @@ mean square error between two adjacent levels) is known a priori".
 With ``pipeline=True`` the reader overlaps tier I/O with decode: before
 decompressing/applying the current delta it hints the retrieval engine
 with the next ``lookahead`` levels' byte ranges
-(:meth:`~repro.core.decoder.CanopusDecoder.prefetch_levels`), so worker
+(:meth:`~repro.core.decoder.CanopusDecoder.prefetch_window`), so worker
 threads fetch them while the CPU is busy. Restored fields are
 bit-identical to the serial path — pipelining changes *when* bytes are
 fetched, never what is applied — while the simulated I/O charge drops to
@@ -39,8 +39,7 @@ class ProgressiveReader:
     pipeline:
         Overlap tier I/O with decode by prefetching upcoming levels
         through the retrieval engine. Off by default so existing serial
-        measurements stay comparable; the :func:`repro.api.read_progressive`
-        façade turns it on.
+        measurements stay comparable.
     lookahead:
         How many refinement levels to keep in flight ahead of the
         current one (≥ 1 when pipelining).
@@ -73,30 +72,6 @@ class ProgressiveReader:
         self._state: LevelData | None = None
 
     # ------------------------------------------------------------------
-    def _clock(self):
-        return self.decoder.dataset.hierarchy.clock
-
-    def _prefetch_window(self, next_target: int) -> float:
-        """Issue hints for [next_target .. next_target-lookahead+1].
-
-        Returns the simulated seconds charged for newly issued batches
-        (already-cached / in-flight ranges are free), so callers can
-        fold the cost into the current step's I/O phase — the charge is
-        honest: it happens when the requests are issued.
-        """
-        clock = self._clock()
-        before = clock.elapsed
-        levels = range(next_target, max(-1, next_target - self.lookahead), -1)
-        with trace.span(
-            "progressive.prefetch", "pipeline",
-            {"var": self.var, "next_target": next_target},
-        ):
-            self.decoder.prefetch_levels(
-                self.var, levels, label=f"{self.var}:pipeline"
-            )
-        return clock.elapsed - before
-
-    # ------------------------------------------------------------------
     @property
     def state(self) -> LevelData:
         """Current restored level (reads the base on first access)."""
@@ -105,20 +80,11 @@ class ProgressiveReader:
                 "progressive.base", "pipeline",
                 {"var": self.var, "pipeline": self.pipeline},
             ):
-                prefetch_io = 0.0
-                if self.pipeline:
-                    # Batch the base field + base mesh into one engine
-                    # fetch, and start the first deltas moving behind it.
-                    clock = self._clock()
-                    before = clock.elapsed
-                    self.decoder.dataset.prefetch(
-                        self.decoder.base_keys(self.var),
-                        label=f"{self.var}:base",
-                    )
-                    prefetch_io = clock.elapsed - before
-                    prefetch_io += self._prefetch_window(
-                        self.scheme.base_level - 1
-                    )
+                prefetch_io = (
+                    self.decoder.prefetch_base(self.var, self.lookahead)
+                    if self.pipeline
+                    else 0.0
+                )
                 self._state = self.decoder.read_base(self.var)
                 self._state.timings.io_seconds += prefetch_io
         return self._state
@@ -160,7 +126,9 @@ class ProgressiveReader:
         ):
             prefetch_io = 0.0
             if self.pipeline and region is None and min_significance == 0.0:
-                prefetch_io = self._prefetch_window(target)
+                prefetch_io = self.decoder.prefetch_window(
+                    self.var, target, self.lookahead
+                )
             self._state = self.decoder.refine(
                 self.state, region=region, min_significance=min_significance
             )

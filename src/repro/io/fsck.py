@@ -114,7 +114,7 @@ def _check_payload(rec, blob: bytes) -> str | None:
     elif rec.kind == "mesh":
         mesh_from_bytes(blob)
     elif rec.kind == "mapping":
-        if rec.key.endswith("/idx"):
+        if "chunk" in rec.attrs:  # a spatial chunk's vertex-index list
             import zlib
 
             zlib.decompress(blob)

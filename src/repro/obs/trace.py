@@ -42,9 +42,8 @@ Use :func:`trace_session` (re-exported as ``repro.api.trace_session``)
 to install a tracer for a ``with`` block and export the result::
 
     with trace_session(hierarchy, chrome_path="trace.json") as tracer:
-        ds = open_dataset("run", hierarchy)
-        for state in read_progressive(ds, "dpot").levels():
-            ...
+        with Session(hierarchy) as session:
+            session.open("run").restore("dpot", level=0)
     # trace.json now loads in Perfetto / chrome://tracing
 """
 

@@ -15,10 +15,10 @@ progressive-retrieval framework of arXiv:2308.11759 — fetch exactly the
 components the requested accuracy needs), emits an explainable
 :class:`~repro.query.plan.RetrievalPlan`, then executes it: one
 ``prefetch`` batch for every surviving product, one engine restore. The
-chunk-survival rules (region bounding box, ``min_significance``) are
-the same tests :meth:`CanopusDecoder._read_delta` applies, so the
-executed restore reads exactly the planned set and the result is
-bit-identical to the measure-as-you-go loop.
+chunk-survival rule (region bounding box, ``min_significance``) is
+:meth:`repro.core.layout.Chain.chunk_verdicts`, the same call the
+decoder reads by, so the executed restore reads exactly the planned set
+and the result is bit-identical to the measure-as-you-go loop.
 
 Plans whose surviving products lack summaries come back with
 ``complete=False`` — the caller falls back to the progressive loop
@@ -31,14 +31,7 @@ import numpy as np
 
 from repro.core.decode_engine import DecodeEngine
 from repro.core.decoder import LevelData
-from repro.core.notation import (
-    chunk_key,
-    delta_key,
-    level_key,
-    mapping_key,
-    mesh_key,
-)
-from repro.core.restored_cache import get_geometry_cache
+from repro.core.layout import Chain
 from repro.errors import QueryError, RestorationError
 from repro.io.query import ChunkStats
 from repro.obs import trace
@@ -112,7 +105,7 @@ class QueryPlanner:
                 "tolerance must be > 0 (use level=0 for full accuracy)"
             )
         window = normalize_region(region)
-        scheme = self.decoder.scheme(var)
+        chain = self.decoder.chain(var)
         with trace.span(
             "query.plan", "query",
             {"var": var,
@@ -120,14 +113,15 @@ class QueryPlanner:
              "tolerance": tolerance},
         ):
             plan = self._plan(
-                var, scheme, tolerance, level, window, min_significance
+                chain, tolerance, level, window, min_significance
             )
         _bump("query.plan.calls")
         return plan
 
     def _plan(
-        self, var, scheme, tolerance, level, window, min_significance
+        self, chain: Chain, tolerance, level, window, min_significance
     ) -> RetrievalPlan:
+        var, scheme = chain.name, chain.scheme
         base_level = scheme.base_level
         if level is not None:
             scheme.validate_level(int(level))
@@ -146,8 +140,8 @@ class QueryPlanner:
 
         # Base estimate: always read (both modes start from it).
         for key, kind in (
-            (level_key(var, base_level), "base"),
-            (mesh_key(var, base_level), "geometry"),
+            (chain.base_key, "base"),
+            (chain.mesh_key(base_level), "geometry"),
         ):
             self._decide(
                 plan, key, kind, base_level, FETCH, "base estimate"
@@ -161,11 +155,10 @@ class QueryPlanner:
                 break
             if stopped_at is not None:
                 break
-            self._decide_geometry(plan, var, lvl, FETCH, "restore chain")
-            survivors, pruned, rms = self._survey_level(
-                plan, var, lvl, window, min_significance
+            self._decide_geometry(plan, chain, lvl, FETCH, "restore chain")
+            rms = self._survey_level(
+                plan, chain, lvl, window, min_significance
             )
-            del survivors, pruned  # decisions already recorded
             if rms is not None and not np.isnan(rms):
                 plan.level_rms[lvl] = float(rms)
             if mode != "tolerance":
@@ -192,14 +185,11 @@ class QueryPlanner:
             else f"below target level {plan.target_level}"
         )
         for lvl in range(plan.target_level - 1, -1, -1):
-            self._decide_geometry(plan, var, lvl, SKIP, reason)
-            self._skip_level(plan, var, lvl, reason)
+            self._decide_geometry(plan, chain, lvl, SKIP, reason)
+            self._survey_level(plan, chain, lvl, None, 0.0, skip=reason)
         return plan
 
     # ------------------------------------------------------------------
-    def _meta(self, var: str) -> dict:
-        return self.decoder._var_meta(var)
-
     def _decide(
         self, plan, key, kind, level, action, reason
     ) -> None:
@@ -213,97 +203,62 @@ class QueryPlanner:
             )
         )
 
-    def _decide_geometry(self, plan, var, lvl, action, reason) -> None:
-        self._decide(
-            plan, mapping_key(var, lvl), "geometry", lvl, action, reason
-        )
-        self._decide(
-            plan, mesh_key(var, lvl), "geometry", lvl, action, reason
-        )
-
-    def _level_chunks(self, var: str, lvl: int) -> int:
-        meta = self._meta(var)
-        chunks = int(meta.get("chunks", 1))
-        if chunks == 1:
-            return 1
-        return int(
-            meta.get("chunks_per_level", {}).get(str(lvl), chunks)
-        )
+    def _decide_geometry(self, plan, chain, lvl, action, reason) -> None:
+        for key in chain.geometry_keys(lvl):
+            self._decide(plan, key, "geometry", lvl, action, reason)
 
     def _survey_level(
-        self, plan, var, lvl, window, min_significance
+        self, plan, chain, lvl, window, min_significance, skip=None
     ):
         """Fetch/skip every product of one delta level; predicted RMS.
 
-        Applies the same survival tests as
-        :meth:`CanopusDecoder._read_delta` (bounding-box intersection,
-        ``|max| >= min_significance``), so execution reads exactly this
-        set. Returns ``(survivors, pruned, rms)`` where ``rms`` is the
-        count-weighted RMS over surviving summaries, NaN when nothing
-        survives, or ``None`` when a surviving product has no summary.
+        Chunks survive by :meth:`Chain.chunk_verdicts` — the call the
+        decoder reads by — so execution reads exactly this set. Returns
+        the count-weighted RMS over surviving summaries, NaN when
+        nothing survives, or ``None`` when a surviving product has no
+        summary. ``skip`` is the reason the whole level is unnecessary
+        (it lies below the plan's target): every product is then
+        recorded as skipped.
         """
-        meta = self._meta(var)
         survivors: list = []
-        pruned: list = []
-        if int(meta.get("chunks", 1)) == 1:
-            key = delta_key(var, lvl)
-            if key not in self.dataset.catalog:
+        if not chain.chunked:
+            (key,) = chain.delta_keys(lvl)
+            if skip is not None:
+                self._decide(plan, key, "delta", lvl, SKIP, skip)
+            elif key in self.dataset.catalog:
+                # Unchunked deltas cannot be pruned: the decoder always
+                # applies the whole level (region/significance only gate
+                # spatial chunks), so the RMS covers every vertex.
+                self._decide(
+                    plan, key, "delta", lvl, FETCH, "whole-level delta"
+                )
+                survivors.append(self.dataset.inq(key))
+            else:
                 plan.complete = False
-                return survivors, pruned, None
-            rec = self.dataset.inq(key)
-            # Unchunked deltas cannot be pruned: the decoder always
-            # applies the whole level (region/significance only gate
-            # spatial chunks), so the RMS covers every vertex.
-            self._decide(
-                plan, key, "delta", lvl, FETCH, "whole-level delta"
-            )
-            survivors.append(rec)
+                return None
         else:
-            for c in range(self._level_chunks(var, lvl)):
-                key = chunk_key(var, lvl, c)
-                if key not in self.dataset.catalog:
-                    continue
-                rec = self.dataset.inq(key)
-                action, reason = FETCH, "chunk survives filters"
-                if window is not None:
-                    lo, hi = window
-                    x0, y0, x1, y1 = rec.attrs["bbox"]
-                    if x1 < lo[0] or x0 > hi[0] or y1 < lo[1] or y0 > hi[1]:
-                        action, reason = SKIP, "bbox outside region"
-                if action == FETCH and min_significance > 0.0:
-                    stats = rec.attrs.get("stats")
-                    if (
-                        stats is not None
-                        and stats["vabs_max"] < min_significance
-                    ):
-                        action, reason = SKIP, (
-                            f"|max| {stats['vabs_max']:.3e} < "
-                            f"min_significance {min_significance:g}"
-                        )
-                self._decide(plan, key, "chunk", lvl, action, reason)
-                self._decide(plan, key + "/idx", "index", lvl, action, reason)
-                (survivors if action == FETCH else pruned).append(rec)
+            for c, rec, verdict in chain.chunk_verdicts(
+                self.dataset.catalog, lvl, window, min_significance
+            ):
+                reason = skip or verdict
+                action = SKIP if reason else FETCH
+                reason = reason or "chunk survives filters"
+                self._decide(plan, rec.key, "chunk", lvl, action, reason)
+                self._decide(
+                    plan, chain.idx_key(lvl, c), "index", lvl, action, reason
+                )
+                if action == FETCH:
+                    survivors.append(rec)
         if not survivors:
-            return survivors, pruned, float("nan")
+            return float("nan")
         parts = []
         for rec in survivors:
             raw = rec.attrs.get("stats")
             if raw is None:
-                return survivors, pruned, None
+                return None
             parts.append(ChunkStats(**raw))
         merged = ChunkStats.merge(parts)
-        rms = merged.rms if merged.count else float("nan")
-        return survivors, pruned, rms
-
-    def _skip_level(self, plan, var, lvl, reason) -> None:
-        meta = self._meta(var)
-        if int(meta.get("chunks", 1)) == 1:
-            self._decide(plan, delta_key(var, lvl), "delta", lvl, SKIP, reason)
-            return
-        for c in range(self._level_chunks(var, lvl)):
-            key = chunk_key(var, lvl, c)
-            self._decide(plan, key, "chunk", lvl, SKIP, reason)
-            self._decide(plan, key + "/idx", "index", lvl, SKIP, reason)
+        return merged.rms if merged.count else float("nan")
 
     # ------------------------------------------------------------------
     def execute(self, plan: RetrievalPlan) -> LevelData:
@@ -329,21 +284,17 @@ class QueryPlanner:
              "planned_bytes": plan.planned_bytes,
              "pruned_chunks": plan.pruned_chunks},
         ):
-            # Geometry already decoded into the shared cache never hits
-            # storage again — prefetching its ranges would charge the
-            # plan for bytes the restore won't read.
-            cache = (
-                get_geometry_cache() if self.decoder.share_geometry else None
+            # Geometry already decoded never hits storage again —
+            # prefetching its ranges would charge the plan for bytes the
+            # restore won't read.
+            fetched = [d for d in plan.decisions if d.fetched]
+            pending = self.decoder.undecoded(
+                [d.key for d in fetched if d.kind == "geometry"]
             )
             keys = [
                 d.key
-                for d in plan.decisions
-                if d.fetched
-                and not (
-                    cache is not None
-                    and d.kind == "geometry"
-                    and cache.has(self.dataset, d.key)
-                )
+                for d in fetched
+                if d.kind != "geometry" or d.key in pending
             ]
             if keys:
                 self.dataset.prefetch(keys, label=f"{plan.var}:query_plan")

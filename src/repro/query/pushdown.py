@@ -33,7 +33,6 @@ import numpy as np
 from repro.analytics.blob import BlobDetectorParams, detect_blobs
 from repro.analytics.raster import RasterSpec, rasterize
 from repro.core.decode_engine import DecodeEngine
-from repro.core.notation import chunk_key
 from repro.io.query import ChunkStats
 from repro.obs import trace
 from repro.query.planner import _bump, normalize_region
@@ -46,26 +45,19 @@ def _field_stats(attrs: dict) -> ChunkStats | None:
     return None if raw is None else ChunkStats(**raw)
 
 
-def _level0_chunk_records(engine: DecodeEngine, var: str) -> list:
-    """Level-0 delta chunk records (each carries its original-field
-    summary and bbox; together they partition the full-accuracy mesh)."""
-    meta = engine.decoder._var_meta(var)
-    chunks = int(meta.get("chunks", 1))
-    if chunks == 1:
+def _level0_chunks(engine: DecodeEngine, var: str, window) -> list:
+    """Level-0 delta chunk records as ``(record, inside_window)`` pairs
+    (each carries its original-field summary and bbox; together they
+    partition the full-accuracy mesh). Empty for unchunked variables."""
+    chain = engine.decoder.chain(var)
+    if not chain.chunked:
         return []
-    n_chunks = int(meta.get("chunks_per_level", {}).get("0", chunks))
-    records = []
-    for c in range(n_chunks):
-        key = chunk_key(var, 0, c)
-        if key in engine.dataset.catalog:
-            records.append(engine.dataset.inq(key))
-    return records
-
-
-def _intersects(bbox, window) -> bool:
-    lo, hi = window
-    x0, y0, x1, y1 = bbox
-    return not (x1 < lo[0] or x0 > hi[0] or y1 < lo[1] or y0 > hi[1])
+    return [
+        (rec, outside is None)
+        for _, rec, outside in chain.chunk_verdicts(
+            engine.dataset.catalog, 0, window
+        )
+    ]
 
 
 def _region_mask(mesh, window) -> np.ndarray:
@@ -100,7 +92,7 @@ def stats_query(
     the pushdown path), and chunk pruning counts for windowed queries.
     """
     window = normalize_region(region)
-    meta = engine.decoder._var_meta(var)
+    meta = engine.decoder.chain(var).meta
     _bump("query.pushdown.stats_calls")
     with trace.span(
         "query.pushdown.stats", "query",
@@ -124,9 +116,9 @@ def stats_query(
                 result.update(pushdown=True, stats=_stats_row(whole))
                 return result
         else:
-            records = _level0_chunk_records(engine, var)
+            records = _level0_chunks(engine, var, window)
             if records:
-                hits = [r for r in records if _intersects(r.attrs["bbox"], window)]
+                hits = [rec for rec, inside in records if inside]
                 pruned = len(records) - len(hits)
                 parts = [_field_stats(r.attrs) for r in hits]
                 if all(p is not None for p in parts):
@@ -185,7 +177,7 @@ def blob_query(
         {"var": var, "threshold": threshold,
          "windowed": window is not None},
     ):
-        meta = engine.decoder._var_meta(var)
+        meta = engine.decoder.chain(var).meta
         result = {
             "var": var,
             "threshold": float(threshold),
@@ -199,13 +191,11 @@ def blob_query(
             "count": 0,
             "blobs": [],
         }
-        records = _level0_chunk_records(engine, var)
+        records = _level0_chunks(engine, var, window)
         candidates = []
         if records:
-            for rec in records:
-                if window is not None and not _intersects(
-                    rec.attrs["bbox"], window
-                ):
+            for rec, inside in records:
+                if not inside:
                     continue
                 fs = _field_stats(rec.attrs)
                 if fs is not None and fs.vmax < threshold:

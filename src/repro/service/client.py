@@ -150,6 +150,7 @@ class ServiceClient:
         name: str,
         var: str,
         *,
+        step: int | None = None,
         level: int | None = None,
         tolerance: float | None = None,
         region=None,
@@ -159,11 +160,14 @@ class ServiceClient:
     ) -> tuple[np.ndarray | None, dict]:
         """Restore a variable; returns ``(field, meta)``.
 
+        ``step`` selects one timestep of a campaign variable.
+
         ``field`` is ``None`` on a 304 (the ``if_none_match`` cursor
         already names the result). ``meta`` carries ``level``,
         ``cursor``, ``rms``, ``cache`` and the raw byte count.
         """
         params: dict = {
+            "step": step,
             "level": level,
             "tolerance": tolerance,
             "min_significance": min_significance or None,
@@ -208,6 +212,7 @@ class ServiceClient:
         name: str,
         var: str,
         *,
+        step: int | None = None,
         level: int | None = None,
         tolerance: float | None = None,
         region=None,
@@ -218,6 +223,7 @@ class ServiceClient:
             f"/v1/campaigns/{name}/vars/{var}/plan"
             + self._query(
                 {
+                    "step": step,
                     "level": level,
                     "tolerance": tolerance,
                     "min_significance": min_significance or None,
@@ -229,7 +235,7 @@ class ServiceClient:
         return resp.parsed_json()["plan"]
 
     async def query_stats(
-        self, name: str, var: str, *, region=None
+        self, name: str, var: str, *, step: int | None = None, region=None
     ) -> dict:
         """Pushdown aggregate statistics over an optional region.
 
@@ -242,6 +248,7 @@ class ServiceClient:
                 {
                     "campaign": name,
                     "var": var,
+                    "step": step,
                     "region": self._region_param(region),
                 }
             )
@@ -255,6 +262,7 @@ class ServiceClient:
         var: str,
         *,
         threshold: float,
+        step: int | None = None,
         region=None,
         shape: tuple[int, int] | None = None,
     ) -> dict:
@@ -265,6 +273,7 @@ class ServiceClient:
                 {
                     "campaign": name,
                     "var": var,
+                    "step": step,
                     "threshold": repr(float(threshold)),
                     "region": self._region_param(region),
                     "shape": (

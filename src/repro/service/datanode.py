@@ -261,7 +261,7 @@ class DataNode:
     def _note_query(
         self,
         handle: CampaignHandle,
-        var: str,
+        chain: str,
         *,
         level: int,
         region=None,
@@ -275,8 +275,8 @@ class DataNode:
         response the tenant paid for has already been computed).
         """
         try:
-            plan = handle.plan(
-                var,
+            plan = handle.planner.plan_restore(
+                chain,
                 level=level,
                 region=region,
                 min_significance=min_significance,
@@ -288,7 +288,7 @@ class DataNode:
             return
         entry = {
             "campaign": handle.name,
-            "var": var,
+            "var": chain,
             "level": int(level),
             "region": _region_json(region),
             "subfiles_noted": noted,
@@ -304,6 +304,7 @@ class DataNode:
         name: str,
         var: str,
         *,
+        step: int | None = None,
         level: int | None = None,
         tolerance: float | None = None,
         region=None,
@@ -324,10 +325,12 @@ class DataNode:
             handle = self._handle(name)
             self.check_cursor(handle, cursor)
             self.check_cursor(handle, if_none_match)
+            # Cursors, cache keys and the query log name the chain.
+            chain = handle.chain(var, step=step)
             cache_hit = False
             if tolerance is None and level is not None:
                 expected = self.cursor_for(
-                    handle, var, int(level),
+                    handle, chain, int(level),
                     region=region, min_significance=min_significance,
                 )
                 if if_none_match and if_none_match == expected:
@@ -335,7 +338,7 @@ class DataNode:
                 cache = get_restored_cache()
                 cache_hit = cache.has(
                     cache.key_for(
-                        handle.dataset, var, int(level),
+                        handle.dataset, chain, int(level),
                         region=region, min_significance=min_significance,
                     )
                 )
@@ -346,13 +349,14 @@ class DataNode:
             ):
                 state = handle.restore(
                     var,
+                    step=step,
                     level=level,
                     tolerance=tolerance,
                     region=region,
                     min_significance=min_significance,
                 )
             self._note_query(
-                handle, var,
+                handle, chain,
                 level=state.level,
                 region=region,
                 min_significance=min_significance,
@@ -362,7 +366,7 @@ class DataNode:
                 },
             )
             out_cursor = self.cursor_for(
-                handle, var, state.level,
+                handle, chain, state.level,
                 region=region, min_significance=min_significance,
             )
             if if_none_match and if_none_match == out_cursor:
@@ -390,6 +394,7 @@ class DataNode:
         name: str,
         var: str,
         *,
+        step: int | None = None,
         level: int | None = None,
         tolerance: float | None = None,
         region=None,
@@ -401,6 +406,7 @@ class DataNode:
         def _plan() -> dict:
             return self._handle(name).plan(
                 var,
+                step=step,
                 level=level,
                 tolerance=tolerance,
                 region=region,
@@ -414,6 +420,7 @@ class DataNode:
         name: str,
         var: str,
         *,
+        step: int | None = None,
         region=None,
         tenant: TenantConfig | None = None,
     ) -> dict:
@@ -421,9 +428,9 @@ class DataNode:
 
         def _query() -> dict:
             handle = self._handle(name)
-            result = handle.query_stats(var, region=region)
+            result = handle.query_stats(var, step=step, region=region)
             self._note_query(
-                handle, var, level=0, region=region,
+                handle, result["var"], level=0, region=region,
                 shape={"mode": "stats"},
             )
             return result
@@ -436,6 +443,7 @@ class DataNode:
         var: str,
         *,
         threshold: float,
+        step: int | None = None,
         region=None,
         shape: tuple[int, int] = (128, 128),
         tenant: TenantConfig | None = None,
@@ -445,10 +453,11 @@ class DataNode:
         def _query() -> dict:
             handle = self._handle(name)
             result = handle.query_blobs(
-                var, threshold=threshold, region=region, shape=shape
+                var, threshold=threshold, step=step, region=region,
+                shape=shape,
             )
             self._note_query(
-                handle, var, level=0, region=region,
+                handle, result["var"], level=0, region=region,
                 shape={"mode": "blobs", "threshold": float(threshold)},
             )
             return result

@@ -14,6 +14,7 @@ Endpoints (all under ``/v1`` except the health probe):
 ``POST /v1/campaigns/{name}/open``                    open + describe
 ``GET  /v1/campaigns/{name}``                         describe (idempotent)
 ``GET  .../vars/{var}/restore?level=|tolerance=``     restore (npy body)
+``     ...&step=``                                    one campaign timestep
 ``GET  .../vars/{var}/stats?level=``                  per-chunk summaries
 ``GET  .../vars/{var}/plan?level=|tolerance=``        explain the retrieval
 ``GET  .../raw/{key}?start=&length=``                 ranged raw product
@@ -412,6 +413,7 @@ class ServiceNode:
     async def _restore(
         self, request: Request, name: str, var: str, tenant: TenantConfig
     ) -> Response:
+        step = _parse_int(request.query, "step")
         level = _parse_int(request.query, "level")
         tolerance = _parse_float(request.query, "tolerance")
         min_significance = _parse_float(request.query, "min_significance") or 0.0
@@ -423,6 +425,7 @@ class ServiceNode:
         result = await self.datanode.restore(
             name,
             var,
+            step=step,
             level=level,
             tolerance=tolerance,
             region=region,
@@ -477,6 +480,7 @@ class ServiceNode:
         plan = await self.datanode.plan(
             name,
             var,
+            step=_parse_int(request.query, "step"),
             level=level,
             tolerance=tolerance,
             region=region,
@@ -492,7 +496,8 @@ class ServiceNode:
         var = _require_param(request.query, "var")
         region = _parse_region(request.query)
         result = await self.datanode.query_stats(
-            name, var, region=region, tenant=tenant
+            name, var, step=_parse_int(request.query, "step"),
+            region=region, tenant=tenant,
         )
         return Response.json({"campaign": name, **result})
 
@@ -510,6 +515,7 @@ class ServiceNode:
             name,
             var,
             threshold=threshold,
+            step=_parse_int(request.query, "step"),
             region=region,
             shape=shape,
             tenant=tenant,

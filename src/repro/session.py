@@ -1,9 +1,7 @@
 """Session-oriented read API: open once, then restore by name.
 
-The PR 1 façade asked callers to juggle ``open_dataset`` +
-``CanopusDecoder`` + ``ProgressiveReader`` per read; this module is the
-object surface both in-process analytics and the HTTP read tier
-(:mod:`repro.service`) now share:
+The object surface both in-process analytics and the HTTP read tier
+(:mod:`repro.service`) share:
 
 .. code-block:: python
 
@@ -15,6 +13,13 @@ object surface both in-process analytics and the HTTP read tier
         coarse = campaign.restore("dpot", tolerance=1e-3)
         fields = campaign.restore_many(["dpot", "apar"], level=1)
         chunk_stats = campaign.stats("dpot", level=1)
+        step3 = session.open("run").restore("dpot", step=3, level=0)
+
+Every restorable chain is addressed the same way: a single-shot
+variable by name, one timestep of a ``write_campaign`` dataset by
+``step=``, one patch of an ``encode_partitioned`` dataset by ``part=``
+— data coordinates like ``level``, resolved to the chain's key prefix
+in :func:`repro.core.layout.resolve` and nowhere else.
 
 A :class:`Session` owns retrieval configuration (engine width, range
 cache budget, checksum policy) and caches one :class:`CampaignHandle`
@@ -35,12 +40,13 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.core import layout
 from repro.core.decode_engine import DecodeEngine
 from repro.core.decoder import LevelData
 from repro.core.notation import LevelScheme
 from repro.core.progressive import ProgressiveReader
 from repro.core.restored_cache import dataset_fingerprint
-from repro.errors import QueryError, RestorationError, VariableNotFoundError
+from repro.errors import RestorationError
 from repro.io.dataset import BPDataset
 from repro.obs import trace
 from repro.storage.hierarchy import StorageHierarchy
@@ -169,8 +175,7 @@ class CampaignHandle:
         return self.engine.variables()
 
     def scheme(self, var: str) -> LevelScheme:
-        self._require_var(var)
-        return self.engine.decoder.scheme(var)
+        return layout.variable_scheme(self._meta(var))
 
     def keys(self) -> list[str]:
         return self.dataset.keys()
@@ -183,9 +188,11 @@ class CampaignHandle:
         variables = {}
         for var in self.variables():
             scheme = self.scheme(var)
+            meta = self._meta(var)
             variables[var] = {
                 "num_levels": scheme.num_levels,
                 "base_level": scheme.base_level,
+                **{k: meta[k] for k in ("steps", "parts") if k in meta},
             }
         return {
             "name": self.name,
@@ -194,25 +201,39 @@ class CampaignHandle:
             "keys": len(self.dataset.catalog.records),
         }
 
-    def _require_var(self, var: str) -> None:
-        meta = self.dataset.catalog.attrs.get("variables", {})
-        if var not in meta:
-            raise VariableNotFoundError(
-                f"variable {var!r} not in dataset {self.name!r}; "
-                f"has {sorted(meta)}"
-            )
+    def _meta(self, var: str) -> dict:
+        """The catalog's ``variables`` entry (404 for an unknown name)."""
+        return layout.variable(self.dataset.catalog, var)
+
+    def chain(
+        self, var: str, *, step: int | None = None, part: int | None = None
+    ) -> str:
+        """Chain name of ``var`` at a step/part coordinate.
+
+        The engine, planner, caches and cursors all identify a chain by
+        this string. Unknown variable/step/part →
+        :class:`~repro.errors.VariableNotFoundError`; a coordinate the
+        variable lacks or requires → :class:`~repro.errors.QueryError`.
+        """
+        return layout.resolve(self.dataset.catalog, var, step=step, part=part)
 
     # -- retrieval ------------------------------------------------------
     def restore(
         self,
         var: str,
         *,
+        step: int | None = None,
+        part: int | None = None,
         level: int | None = None,
         tolerance: float | None = None,
         region: tuple[np.ndarray, np.ndarray] | None = None,
         min_significance: float = 0.0,
     ) -> LevelData:
         """Restore one variable by level or by accuracy.
+
+        ``step`` / ``part`` select the timestep of a campaign variable
+        or the patch of a partitioned one (see :meth:`chain`); the
+        returned ``LevelData.var`` is the chain name.
 
         Exactly one of ``level``/``tolerance`` may be given (neither
         means full accuracy, level 0). ``tolerance`` refines to the
@@ -229,7 +250,7 @@ class CampaignHandle:
         ``region`` — both previously degraded to a silent
         full-accuracy loop.
         """
-        self._require_var(var)
+        chain = self.chain(var, step=step, part=part)
         if level is not None and tolerance is not None:
             raise RestorationError(
                 "restore takes level or tolerance, not both"
@@ -239,16 +260,12 @@ class CampaignHandle:
 
             region = normalize_region(region)
         if tolerance is not None:
-            if tolerance <= 0:
-                raise QueryError(
-                    "tolerance must be > 0 (use level=0 for full accuracy)"
-                )
             with trace.span(
                 "session.restore", "session",
-                {"campaign": self.name, "var": var, "tolerance": tolerance},
+                {"campaign": self.name, "var": chain, "tolerance": tolerance},
             ):
                 plan = self.planner.plan_restore(
-                    var,
+                    chain,
                     tolerance=tolerance,
                     region=region,
                     min_significance=min_significance,
@@ -258,7 +275,7 @@ class CampaignHandle:
                 # No summaries to certify from: measure level by level.
                 reader = ProgressiveReader(
                     self.engine.decoder,
-                    var,
+                    chain,
                     pipeline=self.session.pipeline,
                     lookahead=self.session.lookahead,
                     min_significance=min_significance,
@@ -268,11 +285,11 @@ class CampaignHandle:
                 )
         with trace.span(
             "session.restore", "session",
-            {"campaign": self.name, "var": var,
+            {"campaign": self.name, "var": chain,
              "level": 0 if level is None else int(level)},
         ):
             return self.engine.restore(
-                var,
+                chain,
                 0 if level is None else int(level),
                 region=region,
                 min_significance=min_significance,
@@ -282,28 +299,34 @@ class CampaignHandle:
         self,
         variables: Iterable[str],
         *,
+        step: int | None = None,
         level: int = 0,
         region: tuple[np.ndarray, np.ndarray] | None = None,
         min_significance: float = 0.0,
     ) -> dict[str, LevelData]:
-        """Concurrent multi-variable restore (``{var: LevelData}``)."""
+        """Concurrent multi-variable restore (``{var: LevelData}``).
+
+        ``step`` applies to every listed variable.
+        """
         variables = list(variables)
-        for var in variables:
-            self._require_var(var)
+        chains = [self.chain(var, step=step) for var in variables]
         with trace.span(
             "session.restore_many", "session",
             {"campaign": self.name, "vars": len(variables), "level": level},
         ):
-            return self.engine.restore_many(
-                variables, level,
+            restored = self.engine.restore_many(
+                chains, level,
                 region=region, min_significance=min_significance,
             )
+        return {var: restored[chain] for var, chain in zip(variables, chains)}
 
     # -- accuracy-aware queries ----------------------------------------
     def plan(
         self,
         var: str,
         *,
+        step: int | None = None,
+        part: int | None = None,
         level: int | None = None,
         tolerance: float | None = None,
         region: tuple[np.ndarray, np.ndarray] | None = None,
@@ -316,33 +339,34 @@ class CampaignHandle:
         execute — which products it will fetch, which it proved it can
         skip, and the certified target level.
         """
-        self._require_var(var)
         return self.planner.plan_restore(
-            var,
+            self.chain(var, step=step, part=part),
             level=level,
             tolerance=tolerance,
             region=region,
             min_significance=min_significance,
         )
 
-    def query_stats(self, var: str, *, region=None) -> dict:
+    def query_stats(
+        self, var: str, *, step: int | None = None, region=None
+    ) -> dict:
         """Pushdown aggregate statistics (see :func:`repro.query.stats_query`)."""
-        self._require_var(var)
         from repro.query import stats_query
 
-        return stats_query(self.engine, var, region=region)
+        return stats_query(
+            self.engine, self.chain(var, step=step), region=region
+        )
 
     def query_blobs(
-        self, var: str, *, threshold: float, region=None,
-        shape: tuple[int, int] = (128, 128),
+        self, var: str, *, threshold: float, step: int | None = None,
+        region=None, shape: tuple[int, int] = (128, 128),
     ) -> dict:
         """Pushdown blob detection (see :func:`repro.query.blob_query`)."""
-        self._require_var(var)
         from repro.query import blob_query
 
         return blob_query(
-            self.engine, var, threshold=threshold, region=region,
-            shape=shape,
+            self.engine, self.chain(var, step=step), threshold=threshold,
+            region=region, shape=shape,
         )
 
     # -- near-data summaries -------------------------------------------
@@ -356,7 +380,7 @@ class CampaignHandle:
         predicates evaluate against these without restoring any field.
         """
         if var is not None:
-            self._require_var(var)
+            self._meta(var)
         rows = []
         for key in self.dataset.keys():
             rec = self.dataset.inq(key)

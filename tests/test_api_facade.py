@@ -1,4 +1,4 @@
-"""Tests for the repro.api façade, deprecation shims, and API conformance."""
+"""Tests for the repro.api façade and API conformance."""
 
 import importlib
 import pkgutil
@@ -11,9 +11,10 @@ import repro
 import repro.api
 from repro.api import (
     BPDataset,
+    CanopusDecoder,
     LevelScheme,
-    open_dataset,
-    read_progressive,
+    ProgressiveReader,
+    Session,
     write_campaign,
 )
 from repro.errors import BPFormatError, CanopusError
@@ -36,25 +37,25 @@ def mesh_and_field():
 
 class TestOpenDataset:
     def test_create_and_reopen(self, hierarchy):
-        ds = open_dataset("run", hierarchy, mode="w")
+        ds = BPDataset.create("run", hierarchy)
         assert isinstance(ds, BPDataset)
         ds.write("k", b"payload")
         ds.close()
-        rd = open_dataset("run", hierarchy)
+        rd = BPDataset.open("run", hierarchy)
         assert rd.read("k") == b"payload"
 
-    def test_default_mode_is_read(self, hierarchy):
-        open_dataset("x", hierarchy, mode="w").close()
-        ds = open_dataset("x", hierarchy)
+    def test_open_is_read_mode(self, hierarchy):
+        BPDataset.create("x", hierarchy).close()
+        ds = BPDataset.open("x", hierarchy)
         assert ds.mode == "r"
 
     def test_bad_mode(self, hierarchy):
         with pytest.raises(BPFormatError):
-            open_dataset("run", hierarchy, mode="a")
+            BPDataset("run", hierarchy, mode="a")
 
     def test_engine_knobs_forwarded(self, hierarchy):
-        open_dataset("x", hierarchy, mode="w").close()
-        ds = open_dataset("x", hierarchy, cache_bytes=0, workers=2)
+        BPDataset.create("x", hierarchy).close()
+        ds = BPDataset.open("x", hierarchy, cache_bytes=0, workers=2)
         assert ds.engine.cache.capacity_bytes == 0
 
 
@@ -74,6 +75,9 @@ class TestWriteCampaign:
         assert reader.steps == [0, 1]
         state = reader.restore(1, 0)
         assert np.allclose(state.field, field * 1.1, atol=1e-2)
+        with Session(hierarchy) as session:
+            same = session.open("camp").restore("dpot", step=1, level=0)
+        assert np.array_equal(same.field, state.field)
 
     def test_iterable_steps_enumerate(self, tmp_path, mesh_and_field):
         mesh, field = mesh_and_field
@@ -101,9 +105,8 @@ class TestReadProgressive:
             hierarchy, codec="zfp", codec_params={"tolerance": 1e-4}
         )
         enc.encode("run", "dpot", mesh, field, LevelScheme(3))
-        ds = open_dataset("run", hierarchy)
-        reader = read_progressive(ds, "dpot")
-        assert reader.pipeline  # pipelining on by default via the façade
+        ds = BPDataset.open("run", hierarchy)
+        reader = ProgressiveReader(CanopusDecoder(ds), "dpot", pipeline=True)
         state = reader.refine_until(rms_tolerance=0.0)
         assert state.level == 0
         assert np.allclose(state.field, field, atol=1e-3)
@@ -111,24 +114,31 @@ class TestReadProgressive:
 
     def test_accepts_decoder(self, hierarchy, mesh_and_field):
         mesh, field = mesh_and_field
-        from repro.api import CanopusDecoder, CanopusEncoder
+        from repro.api import CanopusEncoder
 
         enc = CanopusEncoder(
             hierarchy, codec="zfp", codec_params={"tolerance": 1e-3}
         )
         enc.encode("run", "dpot", mesh, field, LevelScheme(2))
         dec = CanopusDecoder(BPDataset.open("run", hierarchy))
-        reader = read_progressive(dec, "dpot", pipeline=False, lookahead=1)
+        reader = ProgressiveReader(dec, "dpot", pipeline=False, lookahead=1)
         assert reader.decoder is dec
         assert not reader.pipeline
 
 
-class TestDeprecationShims:
-    def test_old_io_api_shim_is_gone(self):
-        # Deprecated in PR 1, warned-once in PR 2, removed now: the
-        # supported import paths are repro.api and repro.io.dataset.
-        with pytest.raises(ModuleNotFoundError):
-            importlib.import_module("repro.io.api")
+class TestRemovedShims:
+    def test_old_shims_are_gone(self):
+        # repro.io.api, the PR 1/PR 6 helper functions and the
+        # warn-once registry behind them are removed: the supported
+        # import paths are repro.api and repro.io.dataset.
+        for module in ("repro.io.api", "repro.deprecation"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+        for helper in (
+            "open_dataset", "read_progressive", "read_progressive_many"
+        ):
+            assert not hasattr(repro.api, helper)
+            assert not hasattr(repro, helper)
         from repro.api import BPDataset as facade_bpd
         from repro.io.dataset import BPDataset as module_bpd
 
@@ -150,7 +160,7 @@ class TestAPIConformance:
             assert obj is not None
 
     def test_facade_all_sorted_within_sections(self):
-        helpers = {"open_dataset", "write_campaign", "read_progressive"}
+        helpers = {"Session", "CampaignHandle", "write_campaign"}
         assert helpers <= set(repro.api.__all__)
 
     def test_every_module_all_matches_exports(self):
@@ -171,7 +181,6 @@ class TestAPIConformance:
         assert not failures, f"__all__ names without attributes: {failures}"
 
     def test_root_namespace_reexports_facade(self):
-        assert repro.open_dataset is open_dataset
+        assert repro.Session is Session
         assert repro.write_campaign is write_campaign
-        assert repro.read_progressive is read_progressive
         assert "api" in repro.__all__

@@ -112,6 +112,36 @@ class TestEncodeInfoRestore:
         )
 
 
+class TestCampaignStep:
+    def test_info_and_restore_step(self, generated, tmp_path, capsys):
+        from repro.api import LevelScheme, two_tier_titan, write_campaign
+
+        mesh_path, root = generated
+        mesh, fields = load_mesh(mesh_path)
+        steps = [fields["dpot"], fields["dpot"] * 2.0]
+        write_campaign(
+            two_tier_titan(root), "camp", "dpot", mesh, steps,
+            LevelScheme(3), codec_params={"tolerance": 1e-6},
+        )
+        assert main(["info", "camp", "--root", str(root)]) == 0
+        assert "steps [0, 1]" in capsys.readouterr().out
+        out_path = tmp_path / "step1.npz"
+        rc = main(
+            ["restore", "camp", "--var", "dpot", "--step", "1",
+             "--root", str(root), "--out", str(out_path)]
+        )
+        assert rc == 0
+        assert "'dpot/step1'" in capsys.readouterr().out
+        _, restored = load_mesh(out_path)
+        assert np.abs(restored["dpot"] - steps[1]).max() <= 3e-6
+        # A campaign variable needs its step; a missing one is an error.
+        assert main(
+            ["restore", "camp", "--var", "dpot", "--root", str(root),
+             "--out", str(out_path)]
+        ) == 1
+        assert "pass step=" in capsys.readouterr().err
+
+
 class TestFsck:
     def test_healthy(self, generated, capsys):
         mesh_path, root = generated

@@ -21,13 +21,12 @@ from repro.api import (
     dataset_fingerprint,
     get_geometry_cache,
     get_restored_cache,
-    read_progressive,
-    read_progressive_many,
 )
 from repro.compress import decode_auto
 from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
 from repro.core.campaign import CampaignReader, CampaignWriter
 from repro.core.decoder import PhaseTimings
+from repro.core.progressive import ProgressiveReader
 from repro.core.notation import chunk_key
 from repro.errors import RestorationError
 from repro.harness.experiment import stack_planes
@@ -128,7 +127,9 @@ class TestBitIdentity:
                 ds.inq(chunk_key("dpot", level, c)).attrs["stats"]["vabs_max"]
                 for c in range(n_chunks)
             ])) if use_significance else 0.0
-            n_fine = dec._read_mapping("dpot", level, PhaseTimings()).n_fine
+            n_fine = dec._read_mapping(
+                dec.chain("dpot"), level, PhaseTimings()
+            ).n_fine
             shape = (planes, n_fine) if planes else (n_fine,)
             want = np.zeros(shape)
             want_applied = np.zeros(n_fine, dtype=bool)
@@ -177,8 +178,8 @@ class TestBitIdentity:
     def test_facade_matches_serial(self, setup):
         _, fields, h = setup
         serial = {v: _serial_restore(h, v, 1) for v in fields}
-        out = read_progressive_many(
-            BPDataset.open("run", h), list(fields), level=1
+        out = DecodeEngine(BPDataset.open("run", h)).restore_many(
+            list(fields), 1
         )
         for var in fields:
             assert out[var].level == 1
@@ -385,8 +386,9 @@ class TestRmsRegression:
     def test_refine_until_does_not_stop_on_empty_step(self, setup):
         src, _, h = setup
         ms = 1e12  # prunes every chunk: nothing applied per step
-        reader = read_progressive(
-            BPDataset.open("run", h), "dpot", min_significance=ms
+        reader = ProgressiveReader(
+            CanopusDecoder(BPDataset.open("run", h)), "dpot",
+            pipeline=True, min_significance=ms,
         )
         final = reader.refine_until(rms_tolerance=1e-9, max_level=0)
         # NaN rms on empty steps must not fake convergence: the loop
@@ -422,7 +424,7 @@ class TestCampaignRestoreMany:
         serial_reader = CampaignReader(h, "camp")
         serial = {s: serial_reader.restore(s, 0) for s in range(4)}
         reader = CampaignReader(h, "camp")
-        out = reader.restore_many(workers=4)
+        out = reader.restore_many()
         assert sorted(out) == [0, 1, 2, 3]
         for step in range(4):
             assert np.array_equal(out[step].field, serial[step].field)

@@ -206,7 +206,7 @@ class TestCampaignScaleout:
         for key in ref.keys():
             assert ref.read(key) == got.read(key), key
         assert (
-            ref.catalog.attrs["campaign"] == got.catalog.attrs["campaign"]
+            ref.catalog.attrs["variables"] == got.catalog.attrs["variables"]
         )
         assert report.tasks == len(fields)
         assert report.start_method == start_method

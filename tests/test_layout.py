@@ -1,0 +1,433 @@
+"""One catalog model, one walker: every layout restores through Session.
+
+The reference below is Algorithm 3 written out against the stored
+format — raw ``dataset.read`` + ``decode_auto`` + ``apply_delta``, with
+the catalog keys spelled by hand — and is the oracle for every writer's
+output: single-shot (monolithic and chunked), ``write_campaign`` in
+process and on the process pool, and ``encode_partitioned``.
+"""
+
+import ast
+import asyncio
+import pathlib
+import zlib
+
+import numpy as np
+import pytest
+
+from repro.api import (
+    BPDataset,
+    CampaignReader,
+    CanopusEncoder,
+    LevelScheme,
+    PartitionedDecoder,
+    Session,
+    encode_partitioned,
+    get_geometry_cache,
+    get_restored_cache,
+    trace_session,
+    two_tier_titan,
+    write_campaign,
+)
+from repro.compress import decode_auto
+from repro.core.delta import apply_delta
+from repro.core.mapping import LevelMapping
+from repro.core.plan import plan_placement
+from repro.errors import (
+    QueryError,
+    RestorationError,
+    VariableNotFoundError,
+    http_status,
+)
+from repro.harness.experiment import stack_planes
+from repro.mesh.io import mesh_from_bytes
+from repro.obs import context as obs_context
+from repro.obs import trace
+from repro.service import (
+    CanopusService,
+    ServiceClient,
+    TenantConfig,
+)
+from repro.service.loadgen import ServiceThread
+from repro.simulations import make_xgc1
+
+SCHEME = LevelScheme(3)
+PARAMS = {"tolerance": 1e-4, "mode": "relative"}
+STEPS = 3
+PARTS = 4  # partition_mesh tiles a square grid
+PLANES = 3
+
+#: layout name -> (key prefix of one chain, its geometry owner, the
+#: Session coordinate that selects it)
+LAYOUTS = {
+    "mono": [("dpot", "dpot", {})],
+    "chunked": [("dpot", "dpot", {})],
+    "campaign": [
+        (f"dpot/step{s}", "geometry", {"step": s}) for s in range(STEPS)
+    ],
+    "campaign-mp": [
+        (f"dpot/step{s}", "geometry", {"step": s}) for s in range(STEPS)
+    ],
+    "partitioned": [
+        (f"dpot/part{p}", f"dpot/part{p}", {"part": p}) for p in range(PARTS)
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def store(tmp_path_factory):
+    src = make_xgc1(scale=0.15)
+    h = two_tier_titan(tmp_path_factory.mktemp("layouts"))
+    CanopusEncoder(h, codec_params=PARAMS).encode(
+        "mono", "dpot", src.mesh, src.field, SCHEME
+    )
+    CanopusEncoder(h, codec_params=PARAMS, chunks=16).encode(
+        "chunked", "dpot", src.mesh, stack_planes(src, PLANES), SCHEME
+    )
+    steps = [src.field * (1.0 + 0.1 * s) for s in range(STEPS)]
+    for name, processes in (("campaign", None), ("campaign-mp", 2)):
+        write_campaign(
+            h, name, "dpot", src.mesh, steps, SCHEME,
+            codec_params={"tolerance": 1e-4}, processes=processes,
+        )
+    encode_partitioned(
+        h, "partitioned", "dpot", src.mesh, src.field, SCHEME,
+        parts=PARTS, codec_params=PARAMS,
+    )
+    return src, h
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    get_restored_cache().clear()
+    get_geometry_cache().clear()
+
+
+def reference_restore(
+    ds, prefix, owner, level, *, region=None, min_significance=0.0
+):
+    """Algorithm 3 over the stored format; returns ``(field, mesh)``."""
+    meta = ds.catalog.attrs["variables"]["dpot"]
+    planes = int(meta.get("planes", 0))
+
+    def shaped(flat, n):
+        return flat.reshape(planes, n) if planes else flat
+
+    base = SCHEME.base_level
+    field = decode_auto(ds.read(f"{prefix}/L{base}"))
+    field = shaped(field, field.size // max(planes, 1))
+    for lvl in range(base - 1, level - 1, -1):
+        mapping = LevelMapping.from_bytes(ds.read(f"{owner}/mapping{lvl}"))
+        delta_key = f"{prefix}/delta{lvl}-{lvl + 1}"
+        if int(meta.get("chunks", 1)) == 1:
+            delta = shaped(decode_auto(ds.read(delta_key)), mapping.n_fine)
+        else:
+            delta = np.zeros(
+                (planes, mapping.n_fine) if planes else (mapping.n_fine,)
+            )
+            for c in range(int(meta["chunks_per_level"][str(lvl)])):
+                rec = ds.inq(f"{delta_key}/chunk{c}")
+                x0, y0, x1, y1 = rec.attrs["bbox"]
+                if region is not None and (
+                    x1 < region[0][0] or x0 > region[1][0]
+                    or y1 < region[0][1] or y0 > region[1][1]
+                ):
+                    continue
+                if rec.attrs["stats"]["vabs_max"] < min_significance:
+                    continue
+                idx = np.frombuffer(
+                    zlib.decompress(ds.read(f"{rec.key}/idx")), dtype="<i8"
+                )
+                delta[..., idx] = shaped(decode_auto(ds.read(rec.key)), len(idx))
+        field = apply_delta(field, delta, mapping)
+    return field, mesh_from_bytes(ds.read(f"{owner}/mesh{level}"))
+
+
+def _filters(src, ds, layout):
+    yield "unfiltered", {}
+    if layout != "chunked":
+        return
+    center = src.mesh.vertices[int(np.argmax(src.field))]
+    yield "region", {"region": (center - 0.4, center + 0.4)}
+    # A threshold between the recorded chunk maxima drops some chunks.
+    maxima = [
+        ds.inq(f"dpot/delta0-1/chunk{c}").attrs["stats"]["vabs_max"]
+        for c in range(
+            ds.catalog.attrs["variables"]["dpot"]["chunks_per_level"]["0"]
+        )
+    ]
+    yield "min_significance", {"min_significance": float(np.median(maxima))}
+
+
+@pytest.mark.parametrize("level", [2, 1, 0])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_session_restore_equals_reference_loop(store, layout, level):
+    src, h = store
+    ds = BPDataset.open(layout, h)
+    with Session(h) as session:
+        handle = session.open(layout)
+        assert handle.variables() == ["dpot"]
+        for prefix, owner, coord in LAYOUTS[layout]:
+            for label, flt in _filters(src, ds, layout):
+                want, mesh = reference_restore(ds, prefix, owner, level, **flt)
+                got = handle.restore("dpot", level=level, **coord, **flt)
+                where = (layout, prefix, level, label)
+                assert got.var == prefix, where
+                assert got.level == level, where
+                assert got.field.tobytes() == want.tobytes(), where
+                assert np.array_equal(got.mesh.triangles, mesh.triangles)
+                if flt and level < SCHEME.base_level:
+                    # The filter really dropped chunks.
+                    assert not got.refined_mask.all(), where
+
+
+def test_views_equal_session(store):
+    _, h = store
+    with Session(h) as session:
+        reader = CampaignReader(h, "campaign-mp")
+        campaign = session.open("campaign-mp")
+        for step in reader.steps:
+            for level in SCHEME.levels():
+                assert np.array_equal(
+                    reader.restore(step, level).field,
+                    campaign.restore("dpot", step=step, level=level).field,
+                )
+        decoder = PartitionedDecoder(h, "partitioned")
+        parts = session.open("partitioned")
+        for part in range(PARTS):
+            mesh, field = decoder.restore_partition(part, 1)
+            state = parts.restore("dpot", part=part, level=1)
+            assert np.array_equal(field, state.field)
+            assert mesh.num_vertices == state.mesh.num_vertices
+
+
+def test_process_pool_campaign_plans_and_queries(store):
+    _, h = store
+    with Session(h) as session:
+        campaign = session.open("campaign-mp")
+        assert campaign.describe()["variables"]["dpot"]["steps"] == [0, 1, 2]
+        plan = campaign.plan("dpot", step=1, tolerance=1e-3)
+        assert plan.complete and plan.var == "dpot/step1"
+        assert {d.key for d in plan.decisions if d.fetched} >= {
+            "dpot/step1/L2", "geometry/mapping1", "geometry/mesh2",
+        }
+        by_tolerance = campaign.restore("dpot", step=1, tolerance=1e-3)
+        assert by_tolerance.level == plan.target_level
+        exact = campaign.restore("dpot", step=1, level=0)
+        stats = campaign.query_stats("dpot", step=1)
+        assert stats["stats"]["vmax"] == float(exact.field.max())
+        many = campaign.restore_many(["dpot"], step=2, level=1)
+        assert np.array_equal(
+            many["dpot"].field,
+            campaign.restore("dpot", step=2, level=1).field,
+        )
+
+
+def test_coordinate_errors(store):
+    _, h = store
+    with Session(h) as session:
+        campaign = session.open("campaign")
+        with pytest.raises(VariableNotFoundError):
+            campaign.restore("dpot", step=99)
+        with pytest.raises(VariableNotFoundError):
+            campaign.restore("nope", step=0)
+        with pytest.raises(QueryError):
+            campaign.restore("dpot")  # a campaign needs its step
+        with pytest.raises(QueryError):
+            session.open("mono").restore("dpot", step=0)
+        with pytest.raises(QueryError):
+            session.open("mono").plan("dpot", part=0)
+        with pytest.raises(VariableNotFoundError):
+            session.open("partitioned").restore("dpot", part=PARTS)
+
+
+def test_campaign_geometry_decoded_once(tmp_path):
+    src = make_xgc1(scale=0.1)
+    h = two_tier_titan(tmp_path)
+    write_campaign(
+        h, "long", "dpot", src.mesh, [src.field + s for s in range(16)],
+        SCHEME, codec_params={"tolerance": 1e-4}, processes=2,
+    )
+    get_geometry_cache().clear()
+    before = get_geometry_cache().stats()["decodes"]
+    with Session(h) as session:
+        campaign = session.open("long")
+        reads_before = h.clock.bytes_moved(op="read")
+        for step in range(16):
+            campaign.restore("dpot", step=step, level=0)
+        geometry_bytes = sum(
+            campaign.inq(key).length
+            for key in campaign.keys()
+            if key.startswith("geometry/")
+        )
+        payload_bytes = sum(
+            campaign.inq(key).length
+            for key in campaign.keys()
+            if key.startswith("dpot/")
+        )
+    # 3 meshes + 2 mappings, once for all 16 steps — decoded and read.
+    assert get_geometry_cache().stats()["decodes"] - before == 5
+    assert (
+        h.clock.bytes_moved(op="read") - reads_before
+        == geometry_bytes + payload_bytes
+    )
+
+
+class TestServedStep:
+    @pytest.fixture(scope="class")
+    def service(self, store):
+        _, h = store
+        svc = CanopusService(
+            h, tenants=[TenantConfig(name="alice", token="tok")], workers=2
+        )
+        with ServiceThread(svc):
+            yield svc
+
+    @staticmethod
+    def _client(svc, call):
+        async def go():
+            async with ServiceClient(svc.host, svc.port, token="tok") as c:
+                return await call(c)
+
+        return asyncio.run(go())
+
+    def test_step_body_equals_in_process_field(self, store, service):
+        _, h = store
+        with Session(h) as session:
+            want = session.open("campaign-mp").restore(
+                "dpot", step=2, level=0
+            )
+        field, meta = self._client(
+            service, lambda c: c.restore("campaign-mp", "dpot", step=2, level=0)
+        )
+        assert field.tobytes() == want.field.tobytes()
+        assert meta["level"] == 0
+        assert ".dpot/step2.L0." in meta["cursor"]
+        # The cursor of one step says nothing about another.
+        again, meta2 = self._client(
+            service,
+            lambda c: c.restore(
+                "campaign-mp", "dpot", step=1, level=0,
+                if_none_match=meta["cursor"],
+            ),
+        )
+        assert again is not None and meta2["cursor"] != meta["cursor"]
+
+    def test_plan_and_stats_over_http(self, service):
+        plan = self._client(
+            service, lambda c: c.plan("campaign-mp", "dpot", step=0, level=1)
+        )
+        assert plan["var"] == "dpot/step0" and plan["target_level"] == 1
+        stats = self._client(
+            service, lambda c: c.query_stats("campaign-mp", "dpot", step=0)
+        )
+        assert stats["var"] == "dpot/step0" and stats["stats"]["count"] > 0
+
+    def test_wire_errors(self, service):
+        with pytest.raises(VariableNotFoundError):
+            self._client(
+                service, lambda c: c.restore("campaign-mp", "dpot", step=99)
+            )
+        with pytest.raises(RestorationError):  # 400 on the wire
+            self._client(service, lambda c: c.restore("mono", "dpot", step=0))
+        assert http_status(VariableNotFoundError("x")) == 404
+        assert http_status(QueryError("x")) == 400
+
+
+def test_partitioned_products_follow_plan_placement(store):
+    _, h = store
+    ds = BPDataset.open("partitioned", h)
+    plan = plan_placement(SCHEME, len(h))
+    tiers = [t.name for t in h.tiers]
+    base = SCHEME.base_level
+    seen = 0
+    for part in range(PARTS):
+        prefix = f"dpot/part{part}"
+        expected = {f"{prefix}/L{base}": (base, "base")}
+        for lvl in SCHEME.levels():
+            expected[f"{prefix}/mesh{lvl}"] = (lvl, "mesh")
+        for lvl in SCHEME.delta_levels():
+            expected[f"{prefix}/delta{lvl}-{lvl + 1}"] = (lvl, "delta")
+            expected[f"{prefix}/mapping{lvl}"] = (lvl, "mapping")
+        for key, (lvl, kind) in expected.items():
+            rec = ds.inq(key)
+            tier = plan.base_tier if lvl == base else plan.delta_tiers[lvl]
+            assert (rec.tier, rec.level, rec.kind) == (tiers[tier], lvl, kind)
+            seen += 1
+    assert seen == len(ds.keys())
+    # delta1-2 is not a base-level product (it used to land on tmpfs).
+    assert ds.inq("dpot/part0/delta1-2").tier == ds.inq("dpot/part0/mapping1").tier
+
+
+@pytest.mark.parametrize("view", ["campaign", "partitioned"])
+def test_view_fanout_stays_in_callers_trace(tmp_path, view):
+    src = make_xgc1(scale=0.1)
+    h = two_tier_titan(tmp_path)
+    if view == "campaign":
+        write_campaign(
+            h, "v", "dpot", src.mesh, [src.field + s for s in range(4)],
+            SCHEME, codec_params={"tolerance": 1e-4},
+        )
+
+        def run():
+            return CampaignReader(h, "v").restore_many()
+    else:
+        encode_partitioned(
+            h, "v", "dpot", src.mesh, src.field, SCHEME, parts=4,
+            codec_params=PARAMS,
+        )
+
+        def run():
+            return PartitionedDecoder(h, "v").gather_full_accuracy()
+
+    ctx = obs_context.TraceContext(trace_id=obs_context.new_trace_id())
+    with trace_session(h) as tracer:
+        token = obs_context.activate(ctx)
+        try:
+            with trace.span("test.request", "test"):
+                before = h.clock.elapsed
+                run()
+                charged = h.clock.elapsed - before
+        finally:
+            obs_context.deactivate(token)
+    mine = [s for s in tracer.spans if s.trace_id == ctx.trace_id]
+    assert charged > 0
+    assert sum(s.sim_read for s in mine) == pytest.approx(charged, rel=1e-9)
+    # The four workers' restores are the caller's spans, on pool threads.
+    restores = [s for s in tracer.spans if s.name == "decode.restore"]
+    assert len(restores) == 4
+    assert all(s.trace_id == ctx.trace_id for s in restores)
+    assert any(s.thread.startswith("repro-restore") for s in restores)
+
+
+def test_key_spellings_live_in_notation_and_layout():
+    """No module but notation/layout builds a catalog key by hand."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    allowed = {src / "core" / "notation.py", src / "core" / "layout.py"}
+    spellings = ("/mesh", "/mapping", "/delta", "/step", "/part", "/idx",
+                 "/chunk", "/L")
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        if path in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.JoinedStr):
+                literal = "".join(
+                    part.value
+                    for part in node.values
+                    if isinstance(part, ast.Constant)
+                )
+                # An f-string that continues a path after a "{...}".
+                hit = any(
+                    isinstance(prev, ast.FormattedValue)
+                    and isinstance(part, ast.Constant)
+                    and part.value.startswith(spellings)
+                    for prev, part in zip(node.values, node.values[1:])
+                )
+            elif isinstance(node, ast.Constant) and node.value == "/idx":
+                literal, hit = node.value, True
+            else:
+                continue
+            if hit:
+                offenders.append(f"{path.relative_to(src)}:{node.lineno} {literal!r}")
+    assert not offenders, offenders

@@ -13,7 +13,12 @@ import json
 
 import pytest
 
-from repro.api import open_dataset, read_progressive, trace_session
+from repro.api import (
+    BPDataset,
+    CanopusDecoder,
+    ProgressiveReader,
+    trace_session,
+)
 from repro.core import CanopusEncoder, LevelScheme
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
@@ -40,8 +45,10 @@ def traced_run(tmp_path_factory):
             "xgc1-traced", dataset.variable, dataset.mesh, dataset.field,
             LevelScheme(LEVELS),
         )
-        ds = open_dataset("xgc1-traced", hierarchy)
-        reader = read_progressive(ds, dataset.variable, pipeline=True)
+        ds = BPDataset.open("xgc1-traced", hierarchy)
+        reader = ProgressiveReader(
+            CanopusDecoder(ds), dataset.variable, pipeline=True
+        )
         for _state in reader.levels():
             pass
         ds.close()
@@ -143,8 +150,10 @@ def test_restored_bits_unchanged_by_tracing(tmp_path):
                     "v", dataset.variable, dataset.mesh, dataset.field,
                     LevelScheme(LEVELS),
                 )
-                ds = open_dataset("v", hierarchy)
-                reader = read_progressive(ds, dataset.variable)
+                ds = BPDataset.open("v", hierarchy)
+                reader = ProgressiveReader(
+                    CanopusDecoder(ds), dataset.variable, pipeline=True
+                )
                 state = reader.refine_until(rms_tolerance=0.0, max_level=0)
                 ds.close()
         else:
@@ -152,8 +161,10 @@ def test_restored_bits_unchanged_by_tracing(tmp_path):
                 "v", dataset.variable, dataset.mesh, dataset.field,
                 LevelScheme(LEVELS),
             )
-            ds = open_dataset("v", hierarchy)
-            reader = read_progressive(ds, dataset.variable)
+            ds = BPDataset.open("v", hierarchy)
+            reader = ProgressiveReader(
+                CanopusDecoder(ds), dataset.variable, pipeline=True
+            )
             state = reader.refine_until(rms_tolerance=0.0, max_level=0)
             ds.close()
         return state.field

@@ -1,4 +1,4 @@
-"""Tests for the Session/CampaignHandle API, deprecation shims, error
+"""Tests for the Session/CampaignHandle API, error
 taxonomy, and content-keyed restored-cache sharing across handles."""
 
 import warnings
@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 import repro.errors as errors_mod
-from repro.api import Session, open_dataset, read_progressive
+from repro.api import CanopusDecoder, ProgressiveReader, Session
 from repro.core import CanopusEncoder, LevelScheme
 from repro.core.restored_cache import (
     dataset_fingerprint,
     get_geometry_cache,
     get_restored_cache,
 )
-from repro.deprecation import reset_warnings
 from repro.errors import (
     HTTP_STATUS,
     AuthError,
@@ -154,41 +153,20 @@ class TestSessionSurface:
             s.open("camp")
 
 
-class TestDeprecationShims:
-    def test_open_dataset_read_mode_warns_once(self, root):
-        path, _ = root
-        reset_warnings()
-        h = _hier(path)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            open_dataset("camp", h).close()
-            open_dataset("camp", h).close()
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        assert "Session" in str(dep[0].message)
-
-    def test_read_progressive_warns_and_still_works(self, root):
+class TestProgressiveReaderDirect:
+    def test_level_by_level_reader_restores_without_warning(self, root):
+        # What the removed read_progressive()/open_dataset() shims
+        # wrapped, called directly.
         path, fields = root
-        reset_warnings()
-        h = _hier(path)
-        ds = open_dataset("camp", h)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            reader = read_progressive(ds, "dpot")
+        ds = BPDataset.open("camp", _hier(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            reader = ProgressiveReader(
+                CanopusDecoder(ds), "dpot", pipeline=True
+            )
             state = reader.refine_until(rms_tolerance=0.0, max_level=0)
         assert np.allclose(state.field, fields["dpot"], atol=1e-3)
         ds.close()
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-
-    def test_write_mode_does_not_warn(self, tmp_path):
-        reset_warnings()
-        h = two_tier_titan(tmp_path / "w")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            open_dataset("fresh", h, mode="w").close()
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert dep == []
 
 
 class TestErrorTaxonomy:

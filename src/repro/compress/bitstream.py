@@ -3,19 +3,17 @@
 The ZFP-style codec stores each block's transform coefficients at a
 per-class bit width, so payloads are not byte aligned. These helpers pack
 and unpack fixed-width unsigned integers into a dense MSB-first bit
-stream using vectorized NumPy (``packbits``/shift tricks) — a Python
-per-bit loop would dominate the entire encode cost.
+stream using vectorized NumPy (64-bit word shifts) — a Python per-bit
+loop would dominate the entire encode cost.
 
-Three layers:
+Two layers:
 
-* :func:`pack_uint` / :func:`unpack_uint` — bulk fixed-width codecs over
-  whole arrays;
-* :func:`gather_uint` — the one unpack kernel: every value named by its
-  own (bit offset, width), so the ZFP-style codec's per-(class, width)
-  groups of one payload, or of many payloads at once, decode in a
-  single pass (:func:`unpack_uint` is its evenly spaced case);
-* :class:`BitWriter` / :class:`BitReader` — a streaming interface for
-  composing several bulk segments plus small scalar headers.
+* :func:`scatter_uint` / :func:`gather_uint` — the one pack and the one
+  unpack kernel: every value named by its own (bit offset, width), so
+  the ZFP-style codec's per-(class, width) groups of one payload, or of
+  many payloads at once, are written or read in a single pass;
+* :func:`pack_uint` / :func:`unpack_uint` — their evenly spaced cases,
+  bulk fixed-width codecs over whole arrays.
 """
 
 from __future__ import annotations
@@ -27,9 +25,8 @@ from repro.errors import BitstreamError
 __all__ = [
     "pack_uint",
     "unpack_uint",
+    "scatter_uint",
     "gather_uint",
-    "BitWriter",
-    "BitReader",
 ]
 
 
@@ -50,16 +47,113 @@ def pack_uint(values: np.ndarray, width: int) -> np.ndarray:
     """
     if not 0 <= width <= 64:
         raise BitstreamError(f"width must be in [0, 64], got {width}")
-    values = np.ascontiguousarray(values, dtype=np.uint64)
-    if width == 0 or values.size == 0:
+    count = np.size(values)
+    if width == 0 or count == 0:
         return np.zeros(0, dtype=np.uint8)
-    if width < 64 and values.size and int(values.max()) >> width:
+    offsets = width * np.arange(count, dtype=np.int64)
+    return scatter_uint(values, offsets, width, count * width)
+
+
+def scatter_uint(
+    values: np.ndarray,
+    bit_offsets: np.ndarray,
+    widths: np.ndarray | int,
+    total_bits: int,
+) -> np.ndarray:
+    """Write one unsigned integer per ``(bit offset, width)`` pair.
+
+    The inverse of :func:`gather_uint` and built the same way:
+    ``gather_uint(scatter_uint(v, off, w, n), off, w) == v``.
+
+    Parameters
+    ----------
+    values:
+        Unsigned integers, ``values[k]`` representable in ``widths[k]``
+        bits.
+    bit_offsets:
+        int64 array: where each value's most significant bit goes.
+    widths:
+        Bits per value, 0..64 — one per offset (any integer dtype), or
+        a scalar for all. A 0-bit value writes nothing.
+    total_bits:
+        Length of the stream; bits no value covers are 0.
+
+    Returns
+    -------
+    uint8 array of ``ceil(total_bits / 8)`` bytes.
+
+    Values may come in any order (offset-sorted input skips the sort)
+    but must not overlap. The stream is built as big-endian 64-bit
+    words: a value, moved to the top of a word, gives ``top >> lead`` to
+    the word its first bit falls in and the bits that pushes out (the
+    spill) to the next. Values are disjoint, so all that share a word
+    fold with one ``bitwise_or.reduceat``, and only the last of them can
+    spill.
+    """
+    values = np.ascontiguousarray(values, dtype=np.uint64).ravel()
+    bit_offsets = np.asarray(bit_offsets, dtype=np.int64).ravel()
+    widths = np.asarray(widths)
+    nbytes = (total_bits + 7) // 8
+    if values.size == 0:
+        return np.zeros(nbytes, dtype=np.uint8)
+    narrowest, widest = int(widths.min()), int(widths.max())
+    if narrowest < 0 or widest > 64:
+        raise BitstreamError("scattered widths must be in [0, 64]")
+    widths = widths.astype(np.uint8, copy=False)
+    if int(bit_offsets.min()) < 0:
+        raise BitstreamError("negative bit_offset")
+    # A value fits when nothing is left above its width (any 64-bit
+    # value fits 64 bits; a 0-bit value must be 0).
+    top = values >> np.minimum(widths, np.uint8(63))
+    if widest == 64:
+        top[np.broadcast_to(widths == 64, top.shape)] = 0
+    if top.any():
+        k = int(top.argmax())
         raise BitstreamError(
-            f"value {int(values.max())} does not fit in {width} bits"
+            f"value {int(values[k])} does not fit in "
+            f"{int(np.broadcast_to(widths, top.shape)[k])} bits"
         )
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    bits = ((values[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits.ravel())
+    if widest == 0:
+        return np.zeros(nbytes, dtype=np.uint8)
+    if narrowest == 0:
+        # 0-bit values hold no bits; their offsets may point anywhere.
+        keep = widths != 0
+        values, bit_offsets, widths = (
+            values[keep], bit_offsets[keep], widths[keep]
+        )
+        top = top[: values.size]  # all zeros, kept as scratch
+    end = bit_offsets + widths
+    if (end[:-1] > bit_offsets[1:]).any():
+        # Out of order, or overlapping: sort, then look again.
+        order = np.argsort(bit_offsets)
+        values, bit_offsets = values[order], bit_offsets[order]
+        if widths.ndim:
+            widths = widths[order]
+        end = bit_offsets + widths
+        if (end[:-1] > bit_offsets[1:]).any():
+            raise BitstreamError("scattered values overlap")
+    if int(end[-1]) > total_bits:
+        raise BitstreamError(
+            f"bitstream overflow: need {int(end[-1])} bits, have {total_bits}"
+        )
+
+    # Value-sized temporaries cost more in page faults than the
+    # arithmetic does, so ``top`` and ``end`` are reused from here on.
+    lead = np.bitwise_and(bit_offsets, 63, out=end).astype(np.uint8)
+    word = np.right_shift(bit_offsets, 6, out=end)
+    np.left_shift(values, np.uint8(64) - widths, out=top)
+    last = np.flatnonzero(word[1:] != word[:-1])  # where each word's run ends
+    first = np.concatenate(([0], last + 1))
+    last = np.append(last, word.size - 1)
+    # The spill moves left by 64 - lead, which is a full 64 when the
+    # value starts a word: two shifts keep every count below 64.
+    spill = top[last] << np.uint8(1)
+    spill <<= np.uint8(63) - lead[last]
+    top >>= lead
+    words = np.zeros((total_bits + 63) // 64 + 1, dtype=np.uint64)
+    words[word[first]] = np.bitwise_or.reduceat(top, first)
+    words[word[last] + 1] |= spill
+    return words.astype(">u8").view(np.uint8)[:nbytes]
 
 
 def gather_uint(
@@ -157,83 +251,3 @@ def unpack_uint(
         return np.zeros(count, dtype=np.uint64)
     offsets = bit_offset + width * np.arange(count, dtype=np.int64)
     return gather_uint(packed, offsets, width)
-
-
-class BitWriter:
-    """Accumulates bit segments; finalizes to bytes.
-
-    Segments are byte-concatenated lazily; scalar writes go through a
-    small staging buffer. All positions are tracked in bits so readers
-    can mirror the layout exactly.
-    """
-
-    def __init__(self) -> None:
-        self._chunks: list[np.ndarray] = []
-        self._bitpos = 0
-
-    @property
-    def bit_position(self) -> int:
-        return self._bitpos
-
-    def write_uint(self, value: int, width: int) -> None:
-        """Write a single unsigned integer of ``width`` bits."""
-        self.write_array(np.array([value], dtype=np.uint64), width)
-
-    def write_array(self, values: np.ndarray, width: int) -> None:
-        """Write a fixed-width array segment (bit-aligned, no padding)."""
-        packed = pack_uint(values, width)
-        nbits = len(np.atleast_1d(values)) * width
-        self._chunks.append((packed, nbits))  # type: ignore[arg-type]
-        self._bitpos += nbits
-
-    def getvalue(self) -> bytes:
-        """Concatenate all segments into a dense byte string."""
-        if not self._chunks:
-            return b""
-        # Fast path: all segments byte-aligned at their joints.
-        total_bits = 0
-        aligned = True
-        for _, nbits in self._chunks:  # type: ignore[misc]
-            if total_bits % 8:
-                aligned = False
-                break
-            total_bits += nbits
-        if aligned:
-            return b"".join(
-                chunk.tobytes() for chunk, _ in self._chunks  # type: ignore[misc]
-            )
-        # General path: re-expand to bits and repack once.
-        parts = []
-        for chunk, nbits in self._chunks:  # type: ignore[misc]
-            bits = np.unpackbits(chunk)[:nbits]
-            parts.append(bits)
-        return np.packbits(np.concatenate(parts)).tobytes()
-
-
-class BitReader:
-    """Sequential reader mirroring :class:`BitWriter`'s layout."""
-
-    def __init__(self, data: bytes | np.ndarray) -> None:
-        self._data = np.frombuffer(bytes(data), dtype=np.uint8)
-        self._bitpos = 0
-
-    @property
-    def bit_position(self) -> int:
-        return self._bitpos
-
-    @property
-    def bits_remaining(self) -> int:
-        return self._data.size * 8 - self._bitpos
-
-    def read_uint(self, width: int) -> int:
-        return int(self.read_array(1, width)[0])
-
-    def read_array(self, count: int, width: int) -> np.ndarray:
-        values = unpack_uint(self._data, count, width, self._bitpos)
-        self._bitpos += count * width
-        return values
-
-    def skip(self, nbits: int) -> None:
-        if self._bitpos + nbits > self._data.size * 8:
-            raise BitstreamError("skip past end of stream")
-        self._bitpos += nbits

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.compress.base import Compressor, register_codec
-from repro.compress.bitstream import gather_uint, pack_uint
+from repro.compress.bitstream import gather_uint, scatter_uint
 from repro.compress.lossless import shuffle_compress, shuffle_decompress
 from repro.errors import BitstreamError, CompressionError
 
@@ -60,10 +60,11 @@ _MODE_LOSSLESS = 2
 
 _CODED_HEADER = struct.Struct("<BdQ")  # mode, step, nblocks
 _CLASS_SIZE = np.array(CLASS_SIZES, dtype=np.int64)
+_CLASS_FIRST = np.cumsum(_CLASS_SIZE) - _CLASS_SIZE
 #: Place within its class of each of a block's coefficients (the class
 #: itself is ``np.repeat(range(_N_CLASSES), CLASS_SIZES)``).
 _COEFF_RANK = (
-    np.arange(BLOCK) - np.repeat(np.cumsum(_CLASS_SIZE) - _CLASS_SIZE, _CLASS_SIZE)
+    np.arange(BLOCK) - np.repeat(_CLASS_FIRST, _CLASS_SIZE)
 ).astype(np.uint16)
 # A payload's groups lie in (class, ascending width) order: slot
 # ``class * 65 + width``. A block adds ``class size * width`` bits to its
@@ -124,15 +125,71 @@ def _unzigzag(u: np.ndarray) -> np.ndarray:
 
 
 def _bit_lengths(values: np.ndarray) -> np.ndarray:
-    """Exact per-element bit length of uint64 values (vectorized)."""
-    v = values.astype(np.uint64).copy()
-    bits = np.zeros(v.shape, dtype=np.int64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        mask = (v >> np.uint64(shift)) > 0
-        bits[mask] += shift
-        v[mask] >>= np.uint64(shift)
-    bits[values > 0] += 1
+    """Exact per-element bit length of uint64 values, as uint8.
+
+    The float64 exponent of a value below 2**53 is its bit length, so
+    each value is read through its upper half when that is non-zero and
+    through its (then whole) lower half otherwise.
+    """
+    high = values >> np.uint64(32)
+    wide = high != 0
+    half = np.where(wide, high, values)
+    bits = np.frexp(half.astype(np.float64))[1].astype(np.uint8)
+    bits += wide.view(np.uint8) << np.uint8(5)
     return bits
+
+
+def _entry_layout(
+    widths: np.ndarray, nblocks: Sequence[int], body_bit0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where every (block, class) entry of a batch of payloads sits.
+
+    The one statement of the layout rule (docs/FORMATS.md §1.1), which
+    the widths alone determine: groups in (payload, class, ascending
+    width) order, block order inside a group, each group padded to a
+    byte. Counting the blocks of every (payload, class, width) slot
+    gives each group's size and, cumulatively, its bit offset; a stable
+    sort of the entries by slot gives each block's rank in its group.
+    The encoder scatters to these offsets, the decoder gathers from them.
+
+    ``widths`` is uint8, one per entry ``e = block * _N_CLASSES + class``
+    with blocks numbered across the batch; ``body_bit0`` is the bit each
+    payload's first group starts at. Returns the bit every entry's first
+    coefficient starts at (the rest of its class follow at the entry's
+    width), the entries in stream order, and the bit each payload's last
+    group ends at.
+    """
+    n = len(nblocks)
+    # Slot = (payload, class, width) in stream order; width-0 slots hold
+    # no bits, so they ride along at no cost.
+    slot = np.repeat(
+        np.arange(n)[:, None] * _SLOTS + _CLASS_SLOT0, nblocks, axis=0
+    ).ravel()
+    slot += widths
+    blocks_in_slot = np.bincount(slot, minlength=n * _SLOTS)
+    slot_bits = (
+        blocks_in_slot.reshape(n, _SLOTS) * _SLOT_BLOCK_BITS + 7
+    ) // 8 * 8
+    slot_end = body_bit0[:, None] + np.cumsum(slot_bits, axis=1)
+    slot_off = (slot_end - slot_bits).ravel()
+    # Rank of each block inside its group: its place in a stable sort by
+    # slot, minus where the slot begins. (16-bit keys take NumPy's radix
+    # sort, which is what np.min_scalar_type buys for ordinary batches.)
+    order = np.argsort(
+        slot.astype(np.min_scalar_type(n * _SLOTS)), kind="stable"
+    )
+    rank = np.empty_like(slot)
+    rank[order] = np.arange(slot.size) - np.repeat(
+        np.cumsum(blocks_in_slot) - blocks_in_slot, blocks_in_slot
+    )
+    # rank → bits ahead of the block in its group → bit offset in the
+    # stream, all in rank's storage.
+    entry_off = rank
+    by_block = entry_off.reshape(-1, _N_CLASSES)  # a view
+    by_block *= _CLASS_SIZE
+    entry_off *= widths
+    entry_off += slot_off[slot]
+    return entry_off, order, slot_end[:, -1]
 
 
 def _decode_coded(payloads: Sequence[bytes]) -> list[np.ndarray]:
@@ -143,13 +200,8 @@ def _decode_coded(payloads: Sequence[bytes]) -> list[np.ndarray]:
     one byte stream and every step below runs once over all of them:
 
     1. the 7-bit width headers come out of one :func:`gather_uint`;
-    2. the widths fully determine the layout — groups in (payload,
-       class, ascending width) order, block order inside a group, each
-       group packed on its own so it ends on a byte boundary. Counting
-       the blocks of every (payload, class, width) slot gives each
-       group's size and, cumulatively, its bit offset; a stable sort of
-       the (block, class) entries by slot gives each block's rank in
-       its group, hence every coefficient's bit offset;
+    2. :func:`_entry_layout` turns them into every entry's, hence every
+       coefficient's, bit offset;
     3. one :func:`gather_uint` reads all coefficients, one
        ``_unzigzag`` and one ``_inverse_transform`` rebuild all blocks.
 
@@ -180,8 +232,7 @@ def _decode_coded(payloads: Sequence[bytes]) -> list[np.ndarray]:
     stream = np.frombuffer(b"".join(payloads), dtype=np.uint8)
     total_blocks = sum(nblocks)
 
-    # Entry e = block * _N_CLASSES + class, blocks numbered across the
-    # batch. Value-sized temporaries cost more in page faults than in
+    # Value-sized temporaries cost more in page faults than in
     # arithmetic, hence the in-place updates and narrow dtypes below.
     n_entries = np.array(nblocks, dtype=np.int64) * _N_CLASSES
     width_off = np.repeat(
@@ -192,39 +243,11 @@ def _decode_coded(payloads: Sequence[bytes]) -> list[np.ndarray]:
     if widths.size and int(widths.max()) > 64:
         raise BitstreamError("corrupt zfp payload (coefficient width > 64)")
 
-    # Slot = (payload, class, width) in stream order; width-0 slots hold
-    # no bits, so they ride along at no cost.
-    slot = np.repeat(
-        np.arange(n)[:, None] * _SLOTS + _CLASS_SLOT0, nblocks, axis=0
-    ).ravel()
-    slot += widths
-    blocks_in_slot = np.bincount(slot, minlength=n * _SLOTS)
-    slot_bits = (
-        blocks_in_slot.reshape(n, _SLOTS) * _SLOT_BLOCK_BITS + 7
-    ) // 8 * 8
-    slot_end = body_bit0[:, None] + np.cumsum(slot_bits, axis=1)
-    if (slot_end[:, -1] > end_bit).any():
+    entry_off, _, body_end = _entry_layout(widths, nblocks, body_bit0)
+    if (body_end > end_bit).any():
         raise BitstreamError(
             "bitstream underflow: coefficient groups run past the payload"
         )
-    slot_off = (slot_end - slot_bits).ravel()
-    # Rank of each block inside its group: its place in a stable sort by
-    # slot, minus where the slot begins. (16-bit keys take NumPy's radix
-    # sort, which is what np.min_scalar_type buys for ordinary batches.)
-    order = np.argsort(
-        slot.astype(np.min_scalar_type(n * _SLOTS)), kind="stable"
-    )
-    rank = np.empty_like(slot)
-    rank[order] = np.arange(slot.size) - np.repeat(
-        np.cumsum(blocks_in_slot) - blocks_in_slot, blocks_in_slot
-    )
-    # rank → bits ahead of the block in its group → bit offset in the
-    # stream, all in rank's storage.
-    entry_off = rank
-    entry_off *= np.tile(_CLASS_SIZE, total_blocks)
-    entry_off *= widths
-    entry_off += slot_off[slot]
-
     # Coefficient k of a block is the _COEFF_RANK[k]-th value of its class.
     coeff_width = np.repeat(
         widths.reshape(total_blocks, _N_CLASSES), _CLASS_SIZE, axis=1
@@ -345,6 +368,11 @@ class ZFPCompressor(Compressor):
     def _encode_with_step(
         self, data: np.ndarray, step: float, lo: float, hi: float
     ) -> bytes:
+        """The one encode kernel, the mirror of :func:`_decode_coded`:
+        every step runs once over all blocks, and one
+        :func:`scatter_uint` writes the width header and all coefficients
+        at the offsets :func:`_entry_layout` derives from the widths.
+        """
         if max(abs(lo), abs(hi)) / step >= 2.0**_MAX_QBITS:
             raise CompressionError(
                 "tolerance too small relative to data magnitude "
@@ -358,34 +386,40 @@ class ZFPCompressor(Compressor):
         padded[n:] = data[-1]  # edge replication → zero detail coefficients
 
         q = np.round(padded / step).astype(np.int64).reshape(nblocks, BLOCK)
-        coeffs = _forward_transform(q)
-        u = _zigzag(coeffs)
-
-        # Per-block per-class minimal widths.
-        widths = np.empty((nblocks, _N_CLASSES), dtype=np.int64)
-        pos = 0
-        for c, size in enumerate(CLASS_SIZES):
-            seg = u[:, pos : pos + size]
-            pos += size
-            widths[:, c] = _bit_lengths(seg.max(axis=1))
-
-        header = _CODED_HEADER.pack(_MODE_CODED, step, nblocks)
-        width_bytes = pack_uint(widths.ravel(), _WIDTH_BITS).tobytes()
-
-        # Payload: class-major, then ascending width; block order within a
-        # (class, width) group. Deterministic given the widths header.
-        parts: list[bytes] = []
-        pos = 0
-        for c, size in enumerate(CLASS_SIZES):
-            seg = u[:, pos : pos + size]
-            pos += size
-            wc = widths[:, c]
-            for w in np.unique(wc):
-                if w == 0:
-                    continue
-                members = seg[wc == w].ravel()
-                parts.append(pack_uint(members, int(w)).tobytes())
-        return header + width_bytes + b"".join(parts)
+        u = _zigzag(_forward_transform(q))
+        widths = _bit_lengths(
+            np.maximum.reduceat(u, _CLASS_FIRST, axis=1).ravel()
+        )
+        # The stream after the fixed header: the 7-bit widths, padded to
+        # a byte, then the coefficient groups.
+        width_bits = (widths.size * _WIDTH_BITS + 7) // 8 * 8
+        entry_off, order, stream_end = _entry_layout(
+            widths, [nblocks], np.array([width_bits])
+        )
+        # scatter_uint folds values in stream order, and the layout has
+        # already sorted the entries: class c's are
+        # order[c * nblocks:][:nblocks] by ascending width, its 0-bit
+        # ones (nothing to write) first. Expanding entries to
+        # coefficients class by class spares a sort of every coefficient.
+        in_order = widths[order]
+        start = entry_off[order]
+        block = order // _N_CLASSES
+        values = [widths]
+        offsets = [_WIDTH_BITS * np.arange(widths.size)]
+        value_widths = [np.full(widths.size, _WIDTH_BITS, dtype=np.uint8)]
+        for c, (first, size) in enumerate(zip(_CLASS_FIRST, CLASS_SIZES)):
+            begin, end = c * nblocks, (c + 1) * nblocks
+            begin += int(np.searchsorted(in_order[begin:end], 1))
+            width = in_order[begin:end]
+            rank = _COEFF_RANK[first : first + size]
+            values.append(u[block[begin:end], first : first + size].ravel())
+            offsets.append((start[begin:end, None] + width[:, None] * rank).ravel())
+            value_widths.append(np.repeat(width, size))
+        stream = scatter_uint(
+            np.concatenate(values), np.concatenate(offsets),
+            np.concatenate(value_widths), int(stream_end[0]),
+        )
+        return _CODED_HEADER.pack(_MODE_CODED, step, nblocks) + stream.tobytes()
 
     # ------------------------------------------------------------------
     def _decode_payload(self, payload: bytes, count: int) -> np.ndarray:

@@ -46,7 +46,6 @@ from repro.errors import CanopusError, RestorationError
 from repro.io.dataset import BPDataset
 from repro.io.query import ChunkStats
 from repro.mesh.edge_collapse import KERNELS
-from repro.mesh.io import mesh_to_bytes
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.obs import trace
 from repro.storage.hierarchy import StorageHierarchy
@@ -155,11 +154,7 @@ class CampaignWriter:
             steps=[], geometry=GEOM_VAR,
         )
         self._writer = ProductWriter(self._dataset, scheme, codec)
-        self._writer.geometry(
-            GEOM_VAR,
-            [mesh_to_bytes(m) for m in self.meshes],
-            [mapping.to_bytes() for mapping in self.mappings],
-        )
+        self._writer.geometry(GEOM_VAR, *self._geom_plan.geometry_blobs())
 
     # ------------------------------------------------------------------
     def write_step(self, step: int, data: np.ndarray) -> StepReport:

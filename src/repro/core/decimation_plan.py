@@ -33,6 +33,7 @@ import io
 import json
 import threading
 import time
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -43,6 +44,7 @@ from repro.core.mapping import LevelMapping, build_mapping
 from repro.core.notation import LevelScheme
 from repro.errors import RefactoringError
 from repro.mesh.edge_collapse import KERNELS, decimate
+from repro.mesh.io import mesh_to_bytes
 from repro.mesh.lineage import CollapseLineage
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.obs import trace
@@ -76,6 +78,37 @@ def plan_eligible(priority) -> bool:
     return priority == "length"
 
 
+def _spatial_chunks(vertices: np.ndarray, target: int) -> list[np.ndarray]:
+    """Bin vertices into ≈``target`` spatially compact groups.
+
+    A uniform grid over the bounding box; empty cells are dropped, so the
+    returned group count can be below ``target``. Every vertex appears in
+    exactly one group.
+    """
+    g = max(1, int(np.ceil(np.sqrt(target))))
+    lo = vertices.min(axis=0)
+    hi = vertices.max(axis=0)
+    span = np.maximum(hi - lo, 1e-12)
+    cells = np.clip(
+        ((vertices - lo) / span * g).astype(np.int64), 0, g - 1
+    )
+    flat = cells[:, 0] * g + cells[:, 1]
+    order = np.argsort(flat, kind="stable")
+    sorted_flat = flat[order]
+    boundaries = np.flatnonzero(np.diff(sorted_flat)) + 1
+    return [grp for grp in np.split(order, boundaries) if len(grp)]
+
+
+def _chunk_layout(mesh: TriangleMesh, chunks: int) -> list[tuple]:
+    """``(vertex indices, deflated idx payload, bbox)`` per spatial chunk."""
+    layout = []
+    for idx in _spatial_chunks(mesh.vertices, chunks):
+        pts = mesh.vertices[idx]
+        bbox = [float(v) for v in (*pts.min(axis=0), *pts.max(axis=0))]
+        layout.append((idx, zlib.compress(idx.astype("<i8").tobytes(), 6), bbox))
+    return layout
+
+
 @dataclass
 class DecimationPlan:
     """Replayable record of one full multi-level geometry refactoring.
@@ -107,11 +140,42 @@ class DecimationPlan:
     estimator: str = "mean"
     build_seconds: float = 0.0
     achieved_ratios: list[float] = field(default_factory=list)
+    # What writers derive from geometry alone (geometry_blobs,
+    # chunk_layout): kept with the plan, not compared, not serialised.
+    # Threads racing on a first use compute the same bytes twice.
+    _memo: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     @property
     def num_levels(self) -> int:
         return self.scheme.num_levels
+
+    def geometry_blobs(self) -> tuple[list[bytes], list[bytes]]:
+        """``(mesh payloads, mapping payloads)`` as the writers store them.
+
+        Deflating them costs more than refactoring a field, so every
+        encode over this plan — each variable, each campaign — shares
+        the copy made on first use. Callers must not modify the lists.
+        """
+        if "geometry" not in self._memo:
+            self._memo["geometry"] = (
+                [mesh_to_bytes(mesh) for mesh in self.meshes],
+                [mapping.to_bytes() for mapping in self.mappings],
+            )
+        return self._memo["geometry"]
+
+    def chunk_layout(self, chunks: int) -> list[list[tuple]]:
+        """Per delta level, its mesh binned into ``chunks`` spatial chunks:
+        ``(vertex indices, deflated idx payload, bbox)`` each; made once
+        per ``chunks``, like :meth:`geometry_blobs`."""
+        if chunks not in self._memo:
+            self._memo[chunks] = [
+                _chunk_layout(self.meshes[lvl], chunks)
+                for lvl in self.scheme.delta_levels()
+            ]
+        return self._memo[chunks]
 
     def coarsen(self, data: np.ndarray, *, arena=None) -> list[np.ndarray]:
         """All level fields ``[L^0 .. L^{N−1}]`` for a new fine field.

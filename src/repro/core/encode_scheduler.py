@@ -55,7 +55,6 @@ from repro.core.delta import compute_delta
 from repro.core.layout import ProductWriter, declare_variable
 from repro.core.notation import GEOM_VAR, LevelScheme, step_chain
 from repro.errors import CanopusError
-from repro.mesh.io import mesh_to_bytes
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.obs import trace
 from repro.obs.metrics import get_registry
@@ -304,12 +303,13 @@ def _build_plane_state(
         )
         built = True
     codec = get_codec(cfg["codec"], **cfg["codec_params"])
+    mesh_blobs, mapping_blobs = plan.geometry_blobs()
     geom = {
         "fingerprint": mesh_fingerprint(mesh),
         "built": built,
         "counts": [m.num_vertices for m in plan.meshes],
-        "mesh_blobs": [mesh_to_bytes(m) for m in plan.meshes],
-        "mapping_blobs": [m.to_bytes() for m in plan.mappings],
+        "mesh_blobs": mesh_blobs,
+        "mapping_blobs": mapping_blobs,
     }
     return plan, codec, built, geom
 

@@ -20,12 +20,15 @@ can later fetch only the chunks overlapping a region of interest — the
 from __future__ import annotations
 
 import time
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.compress import get_codec
+from repro.core.decimation_plan import (
+    DecimationPlan,
+    _spatial_chunks,  # noqa: F401 - benchmarks/perf imports it from here
+)
 from repro.core.encode_scheduler import BufferArena
 from repro.core.layout import ProductWriter, declare_variable
 from repro.core.notation import (
@@ -43,7 +46,6 @@ from repro.io.dataset import BPDataset
 from repro.io.query import ChunkStats
 from repro.io.transports import Transport
 from repro.mesh.edge_collapse import KERNELS
-from repro.mesh.io import mesh_to_bytes
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.obs import trace
 from repro.storage.hierarchy import StorageHierarchy
@@ -82,27 +84,6 @@ class EncodeReport:
             for key, n in self.compressed_bytes.items()
             if "/mesh" not in key and "/mapping" not in key
         )
-
-
-def _spatial_chunks(vertices: np.ndarray, target: int) -> list[np.ndarray]:
-    """Bin vertices into ≈``target`` spatially compact groups.
-
-    A uniform grid over the bounding box; empty cells are dropped, so the
-    returned group count can be below ``target``. Every vertex appears in
-    exactly one group.
-    """
-    g = max(1, int(np.ceil(np.sqrt(target))))
-    lo = vertices.min(axis=0)
-    hi = vertices.max(axis=0)
-    span = np.maximum(hi - lo, 1e-12)
-    cells = np.clip(
-        ((vertices - lo) / span * g).astype(np.int64), 0, g - 1
-    )
-    flat = cells[:, 0] * g + cells[:, 1]
-    order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    boundaries = np.flatnonzero(np.diff(sorted_flat)) + 1
-    return [grp for grp in np.split(order, boundaries) if len(grp)]
 
 
 class CanopusEncoder:
@@ -282,20 +263,25 @@ class CanopusEncoder:
         # the GIL in their hot loops) — then place the blobs in the same
         # deterministic order as before.
         base_level = scheme.base_level
-        chunk_groups: dict[int, list[np.ndarray]] = {}
+        # Geometry-only payloads — meshes, mappings, chunk index lists —
+        # come from the plan, so every variable and every later encode on
+        # this mesh shares one deflate of each. Without a cached plan
+        # (data-dependent priority) a throwaway one over this result's
+        # geometry serialises it the same way, for this encode only.
+        plan = result.plan or DecimationPlan(
+            scheme, result.meshes, [], result.mappings
+        )
+        mesh_blobs, mapping_blobs = plan.geometry_blobs()
+        chunk_layout = plan.chunk_layout(self.chunks) if self.chunks > 1 else None
         jobs: list[tuple[str, np.ndarray]] = [
             ("base", result.base_field.ravel())
         ]
         for lvl in scheme.delta_levels():
             delta = result.deltas[lvl]
-            if self.chunks == 1:
+            if chunk_layout is None:
                 jobs.append((f"delta{lvl}", delta.ravel()))
             else:
-                groups = _spatial_chunks(
-                    result.meshes[lvl].vertices, self.chunks
-                )
-                chunk_groups[lvl] = groups
-                for c, idx in enumerate(groups):
+                for c, (idx, _, _) in enumerate(chunk_layout[lvl]):
                     jobs.append((f"chunk{lvl}/{c}", delta[..., idx].ravel()))
         t0 = time.perf_counter()
         with trace.span(
@@ -313,14 +299,14 @@ class CanopusEncoder:
             values=result.base_field,
         )
         put(
-            mesh_key(var, base_level), mesh_to_bytes(result.base_mesh),
+            mesh_key(var, base_level), mesh_blobs[base_level],
             kind="mesh", level=base_level,
         )
 
         # Delta products: delta (possibly chunked) + mapping + level mesh.
         for lvl in scheme.delta_levels():
             delta = result.deltas[lvl]
-            if self.chunks == 1:
+            if chunk_layout is None:
                 put(
                     delta_key(var, lvl), blobs[f"delta{lvl}"],
                     kind="delta", level=lvl, count=delta.size, values=delta,
@@ -331,17 +317,10 @@ class CanopusEncoder:
                 # bounding box intersects it ("focused data retrieval",
                 # §III-E). Each chunk stores its vertex-index list (the
                 # scatter map) next to its delta values.
-                fine_mesh = result.meshes[lvl]
-                groups = chunk_groups[lvl]
-                for c, idx in enumerate(groups):
+                for c, (idx, idx_blob, bbox) in enumerate(chunk_layout[lvl]):
                     piece = delta[..., idx]
-                    pts = fine_mesh.vertices[idx]
-                    bbox = [
-                        float(pts[:, 0].min()), float(pts[:, 1].min()),
-                        float(pts[:, 0].max()), float(pts[:, 1].max()),
-                    ]
                     attrs = {
-                        "chunk": c, "bbox": bbox, "n_vertices": len(idx),
+                        "chunk": c, "bbox": list(bbox), "n_vertices": len(idx),
                     }
                     if lvl == 0:
                         # Level-0 chunks partition the *original* mesh
@@ -358,21 +337,19 @@ class CanopusEncoder:
                         attrs=attrs, values=piece,
                     )
                     put(
-                        idx_key(var, lvl, c),
-                        zlib.compress(idx.astype("<i8").tobytes(), 6),
+                        idx_key(var, lvl, c), idx_blob,
                         kind="mapping", level=lvl, attrs={"chunk": c},
                     )
                 # Record how many chunks were actually written (empty
                 # spatial bins are dropped).
-                meta.setdefault("chunks_per_level", {})[str(lvl)] = len(groups)
+                meta.setdefault("chunks_per_level", {})[str(lvl)] = len(
+                    chunk_layout[lvl]
+                )
             put(
-                mapping_key(var, lvl), result.mappings[lvl].to_bytes(),
+                mapping_key(var, lvl), mapping_blobs[lvl],
                 kind="mapping", level=lvl,
             )
-            put(
-                mesh_key(var, lvl), mesh_to_bytes(result.meshes[lvl]),
-                kind="mesh", level=lvl,
-            )
+            put(mesh_key(var, lvl), mesh_blobs[lvl], kind="mesh", level=lvl)
 
         if close:
             clock = self.hierarchy.clock

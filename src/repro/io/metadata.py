@@ -10,7 +10,7 @@ the global index serialized as JSON next to the per-tier subfiles.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.errors import BPFormatError, VariableNotFoundError
 
@@ -105,11 +105,13 @@ class Catalog:
 
     # -- serialization ---------------------------------------------------
     def to_json(self) -> bytes:
+        # vars(), not dataclasses.asdict: a record's fields are its
+        # instance dict, and json.dumps needs no deep copy to read them.
         doc = {
             "version": _CATALOG_VERSION,
             "name": self.name,
             "attrs": self.attrs,
-            "records": [asdict(r) for r in self.records.values()],
+            "records": [vars(r) for r in self.records.values()],
         }
         return json.dumps(doc, sort_keys=True).encode("utf-8")
 

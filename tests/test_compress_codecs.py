@@ -17,7 +17,14 @@ from repro.compress import (
     get_codec,
 )
 from repro.compress.lossless import shuffle_decompress
-from repro.compress.zfp import CLASS_SIZES, _forward_transform, _inverse_transform
+from repro.compress.zfp import (
+    CLASS_SIZES,
+    ZFPCompressor,
+    _bit_lengths,
+    _forward_transform,
+    _inverse_transform,
+    _zigzag,
+)
 from repro.errors import CompressionError, UnknownCodecError
 
 
@@ -328,6 +335,63 @@ def _reference_zfp_decode(blob: bytes) -> np.ndarray:
     return (np.array(q, dtype=np.int64).astype(np.float64) * step)[:count]
 
 
+class _ReferenceZFP(ZFPCompressor):
+    """The codec with the per-group encode loop this repo used to ship.
+
+    One width per (block, class) from Python's ``int.bit_length``, then a
+    Python loop over every (class, ``np.unique`` width) group, each group
+    expanded to one array element per bit and packed on its own. Shares
+    the transform with the kernel and nothing after it — no layout walk,
+    no ``scatter_uint`` — so it is the reference ``encode`` must match
+    byte for byte.
+    """
+
+    def _encode_with_step(self, data, step, lo, hi):
+        if max(abs(lo), abs(hi)) / step >= 2.0**58:
+            raise CompressionError("needs > 58 bits per value")
+        nblocks = (data.size + 15) // 16
+        padded = np.empty(nblocks * 16)
+        padded[: data.size] = data
+        padded[data.size :] = data[-1]
+        q = np.round(padded / step).astype(np.int64).reshape(nblocks, 16)
+        u = _zigzag(_forward_transform(q))
+
+        def pack(values, width):
+            shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+            bits = (values[:, None] >> shifts[None, :]) & np.uint64(1)
+            return np.packbits(bits.astype(np.uint8).ravel()).tobytes()
+
+        widths = np.zeros((nblocks, 5), dtype=np.uint64)
+        pos = 0
+        for c, size in enumerate(CLASS_SIZES):
+            largest = u[:, pos : pos + size].max(axis=1)
+            widths[:, c] = [int(v).bit_length() for v in largest]
+            pos += size
+        parts = [struct.pack("<BdQ", 1, step, nblocks), pack(widths.ravel(), 7)]
+        pos = 0
+        for c, size in enumerate(CLASS_SIZES):
+            seg = u[:, pos : pos + size]
+            pos += size
+            for w in np.unique(widths[:, c]):
+                if w:
+                    parts.append(pack(seg[widths[:, c] == w].ravel(), int(w)))
+        return b"".join(parts)
+
+
+def _encode_input(kind: str, n: int, seed: int = 0) -> np.ndarray:
+    rng = np.random.default_rng([seed, n])
+    if kind == "smooth":
+        return np.sin(np.linspace(0.0, 9.0, n)) + 0.01 * np.arange(n)
+    if kind == "noise":
+        return rng.standard_normal(n)
+    if kind == "huge":
+        return 1e9 * (1.0 + rng.uniform(-1, 1, n))
+    assert kind == "constant_tail"
+    data = np.cumsum(rng.standard_normal(n))
+    data[n // 3 :] = data[n // 3]
+    return data
+
+
 def _zfp_case(seed: int, n: int, kind: str, exponent: int) -> bytes:
     """One encoded payload; ``exponent`` sets the coefficient widths."""
     rng = np.random.default_rng(seed)
@@ -423,3 +487,164 @@ class TestDecodeMany:
         blob[13 + 3 + 17] = 0xFF  # first 7-bit width becomes 127
         with pytest.raises(CompressionError):
             get_codec("zfp").decode(bytes(blob))
+
+
+# ---------------------------------------------------------------------------
+# one-pass encode
+# ---------------------------------------------------------------------------
+class TestEncodeKernel:
+    """``encode`` against the per-group loop it replaced, byte for byte."""
+
+    @staticmethod
+    def _same_bytes_or_same_refusal(data, **params):
+        try:
+            expected = _ReferenceZFP(**params).encode(data)
+        except CompressionError:
+            # More than 58 bits per value: both must refuse.
+            with pytest.raises(CompressionError):
+                get_codec("zfp", **params).encode(data)
+        else:
+            assert get_codec("zfp", **params).encode(data) == expected
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 2_583, 20_664, 4 * 20_664])
+    @pytest.mark.parametrize(
+        "kind", ["smooth", "noise", "huge", "constant_tail"]
+    )
+    def test_matches_reference_at_every_tolerance(self, n, kind):
+        data = _encode_input(kind, n)
+        tolerances = [1e-2, 1e-4, 1e-6, 1e-9, 1e-12, 1e-15]
+        for mode in ("absolute", "relative"):
+            for tolerance in tolerances if n <= 20_664 else tolerances[1::2]:
+                self._same_bytes_or_same_refusal(
+                    data, tolerance=tolerance, mode=mode
+                )
+
+    @pytest.mark.parametrize("rate", [1.0, 4.0, 8.0, 20.0, 64.0])
+    @pytest.mark.parametrize("n", [1, 17, 2_583])
+    def test_fixed_rate_matches_reference(self, rate, n):
+        # The bisection probes the same kernel at every step it tries.
+        for kind in ("smooth", "noise"):
+            self._same_bytes_or_same_refusal(_encode_input(kind, n), rate=rate)
+
+    def test_widest_coefficients(self):
+        # |q| near 2**62 (past the public bound, so straight to the
+        # kernel): the first detail of block 0 zigzags to 64 bits, and the
+        # block beside it keeps narrow groups in the same classes.
+        data = np.zeros(48)
+        data[0], data[1] = 2.0**62 - 2.0**10, -(2.0**62)
+        data[16:32] = np.arange(16.0)
+        data[32:] = -7.0
+        codec, reference = ZFPCompressor(), _ReferenceZFP()
+        payload = codec._encode_with_step(data, 1.0, 0.0, 0.0)
+        assert payload == reference._encode_with_step(data, 1.0, 0.0, 0.0)
+        widths = _bit_lengths(_zigzag(_forward_transform(
+            data.astype(np.int64).reshape(3, 16))).max(axis=1))
+        assert int(widths.max()) == 64
+        assert np.array_equal(codec._decode_payload(payload, 48), data)
+
+    def test_zero_width_classes(self):
+        codec, reference = get_codec("zfp", tolerance=0.5), _ReferenceZFP(0.5)
+        # Constant inside each block: every detail class is 0 bits wide.
+        steps = np.repeat(np.arange(40.0) * 3.0, 16)
+        # Not constant, yet every value quantises to 0: no group at all.
+        whisper = np.linspace(-0.2, 0.2, 100)
+        for data in (steps, steps[:-5], whisper):
+            blob = codec.encode(data)
+            assert blob == reference.encode(data)
+            assert np.abs(codec.decode(blob) - data).max() <= 0.5
+        nblocks = len(whisper) // 16 + 1
+        assert len(codec.encode(whisper)) == 13 + 3 + 17 + (nblocks * 35 + 7) // 8
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=arrays(
+            np.float64, st.integers(1, 300),
+            elements=st.floats(-1e6, 1e6, allow_nan=False, width=64),
+        ),
+        exponent=st.integers(-12, 2),
+    )
+    def test_matches_reference_property(self, data, exponent):
+        self._same_bytes_or_same_refusal(data, tolerance=10.0**exponent)
+
+    def test_bit_lengths_exact(self):
+        rng = np.random.default_rng(5)
+        edges = [0, 1, 2, 3, 2**53 - 1, 2**53, 2**53 + 1, 2**54 - 1, 2**64 - 1]
+        edges += [2**k for k in range(64)] + [2**k - 1 for k in range(1, 65)]
+        spread = rng.integers(0, 2**64, 4000, dtype=np.uint64) >> rng.integers(
+            0, 64, 4000
+        ).astype(np.uint64)
+        values = np.concatenate([np.array(edges, dtype=np.uint64), spread])
+        got = _bit_lengths(values)
+        assert got.dtype == np.uint8
+        assert got.tolist() == [int(v).bit_length() for v in values]
+
+
+def _payload_crcs(root, name):
+    from repro.api import BPDataset, two_tier_titan
+
+    records = BPDataset.open(name, two_tier_titan(root)).catalog.records
+    return {
+        key: (r.checksum, r.length)
+        for key, r in records.items() if r.kind in ("base", "delta")
+    }
+
+
+class TestStoredPayloadPins:
+    """(CRC-32, length) of every zfp product of two small writes.
+
+    Literals taken at the commit before the one-pass kernel, on a grid
+    mesh and a polynomial field (no RNG, no transcendental functions).
+    Geometry products are deflate output and so left to
+    ``test_decimation_plan.TestGeometryMemo``.
+    """
+
+    @staticmethod
+    def _inputs():
+        from repro.mesh.generators import structured_rectangle
+
+        mesh = structured_rectangle(33, 33)
+        x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+        return mesh, x * x - y + 0.25 * x * y * y
+
+    def test_write_campaign(self, tmp_path):
+        from repro.api import LevelScheme, two_tier_titan, write_campaign
+
+        mesh, field = self._inputs()
+        write_campaign(
+            two_tier_titan(tmp_path), "c", "f", mesh, [field, field * 1.125],
+            LevelScheme(3), codec_params={"tolerance": 1e-4},
+        )
+        assert _payload_crcs(tmp_path, "c") == {
+            "f/step0/L2": (13639716, 524),
+            "f/step0/delta0-1": (597414416, 1340),
+            "f/step0/delta1-2": (3235145542, 760),
+            "f/step1/L2": (3928707557, 527),
+            "f/step1/delta0-1": (2423751929, 1351),
+            "f/step1/delta1-2": (3813370784, 770),
+        }
+
+    def test_chunked_encode(self, tmp_path):
+        from repro.api import CanopusEncoder, LevelScheme, two_tier_titan
+
+        mesh, field = self._inputs()
+        CanopusEncoder(
+            two_tier_titan(tmp_path), codec_params={"tolerance": 1e-4}, chunks=8
+        ).encode("e", "f", mesh, field, LevelScheme(3))
+        chunks0 = [
+            (1656070716, 205), (3192401546, 187), (3025596013, 194),
+            (2525639156, 207), (4284484125, 191), (1291789553, 198),
+            (3192369423, 208), (213140222, 190), (1850701364, 201),
+        ]
+        chunks1 = [
+            (228111538, 132), (2113519978, 105), (2983328716, 122),
+            (3237123873, 130), (2599605155, 116), (1036440041, 122),
+            (4159848695, 133), (3546585038, 120), (3294096147, 127),
+        ]
+        expected = {"f/L2": (13639716, 524)}
+        expected.update(
+            {f"f/delta0-1/chunk{c}": pin for c, pin in enumerate(chunks0)}
+        )
+        expected.update(
+            {f"f/delta1-2/chunk{c}": pin for c, pin in enumerate(chunks1)}
+        )
+        assert _payload_crcs(tmp_path, "e") == expected

@@ -202,3 +202,211 @@ class TestRefactorIntegration:
         result = refactor(mesh, field, LevelScheme(2), priority="data_aware")
         assert result.plan is None
         assert get_plan_cache().stats["entries"] == 0
+
+
+class _Calls:
+    """Counts every geometry serialisation and every deflate."""
+
+    def __init__(self, monkeypatch):
+        import zlib
+
+        import repro.core.decimation_plan as plan_module
+        from repro.core.mapping import LevelMapping
+
+        self.mesh = self.mapping = self.deflate = 0
+        mesh_to_bytes = plan_module.mesh_to_bytes
+        mapping_to_bytes = LevelMapping.to_bytes
+        compress = zlib.compress
+
+        def count_mesh(mesh):
+            self.mesh += 1
+            return mesh_to_bytes(mesh)
+
+        def count_mapping(mapping):
+            self.mapping += 1
+            return mapping_to_bytes(mapping)
+
+        def count_deflate(*args, **kwargs):
+            self.deflate += 1
+            return compress(*args, **kwargs)
+
+        monkeypatch.setattr(plan_module, "mesh_to_bytes", count_mesh)
+        monkeypatch.setattr(LevelMapping, "to_bytes", count_mapping)
+        monkeypatch.setattr(zlib, "compress", count_deflate)
+
+    def take(self):
+        seen = (self.mesh, self.mapping, self.deflate)
+        self.mesh = self.mapping = self.deflate = 0
+        return seen
+
+
+def _geometry_payloads(hierarchy, name):
+    from repro.io.dataset import BPDataset
+
+    dataset = BPDataset.open(name, hierarchy)
+    return {
+        key: dataset.read(key)
+        for key, record in dataset.catalog.records.items()
+        if record.kind in ("mesh", "mapping")
+    }
+
+
+class TestGeometryMemo:
+    """Meshes, mappings and chunk indices serialise once per plan."""
+
+    def _hierarchy(self, tmp_path, tag):
+        from repro.storage import two_tier_titan
+
+        return two_tier_titan(tmp_path / tag)
+
+    def test_second_campaign_serialises_nothing(
+        self, mesh, field, tmp_path, monkeypatch
+    ):
+        from repro.api import write_campaign
+
+        get_plan_cache().clear()
+        calls = _Calls(monkeypatch)
+        scheme = LevelScheme(3)
+        stored = []
+        for tag in ("first", "second"):
+            hierarchy = self._hierarchy(tmp_path, tag)
+            write_campaign(
+                hierarchy, "run", "f", mesh, [field, 2.0 * field], scheme,
+                codec_params={"tolerance": 1e-4},
+            )
+            stored.append(_geometry_payloads(hierarchy, "run"))
+            if tag == "first":
+                # 3 meshes and 2 mappings, one deflate each.
+                assert calls.take() == (3, 2, 5)
+        assert calls.take() == (0, 0, 0)
+        assert len(stored[0]) == 5 and stored[0] == stored[1]
+
+    def test_three_variables_and_later_encodes_share_one_copy(
+        self, mesh, field, tmp_path, monkeypatch
+    ):
+        from repro.core import CanopusEncoder
+        from repro.io.dataset import BPDataset
+
+        get_plan_cache().clear()
+        calls = _Calls(monkeypatch)
+        scheme = LevelScheme(3)
+        stored = []
+        for tag in ("first", "second", "third"):
+            hierarchy = self._hierarchy(tmp_path, tag)
+            encoder = CanopusEncoder(
+                hierarchy, codec_params={"tolerance": 1e-4}, chunks=8
+            )
+            dataset = BPDataset.create("d", hierarchy)
+            for var in ("a", "b", "c"):
+                encoder.encode(
+                    "d", var, mesh, field, scheme, dataset=dataset, close=False
+                )
+            dataset.close()
+            payloads = _geometry_payloads(hierarchy, "d")
+            chunks = sum("/chunk" in key for key in payloads)
+            assert chunks % 3 == 0 and chunks >= 3 * 2 * 4
+            if tag == "first":
+                # Three variables, yet one deflate per mesh, mapping and
+                # chunk index list.
+                assert calls.take() == (3, 2, 5 + chunks // 3)
+            else:
+                assert calls.take() == (0, 0, 0)
+            for key, blob in payloads.items():
+                assert blob == payloads["a" + key[1:]], key
+            stored.append(payloads)
+        assert stored[0] == stored[1] == stored[2]
+
+    def test_no_plan_path_computes_directly_and_stores_the_same(
+        self, mesh, field, tmp_path, monkeypatch
+    ):
+        from repro.core import CanopusEncoder
+
+        get_plan_cache().clear()
+        calls = _Calls(monkeypatch)
+        scheme = LevelScheme(3)
+        stored = {}
+        for use_plan_cache in (True, False):
+            for attempt in (1, 2):
+                hierarchy = self._hierarchy(
+                    tmp_path, f"{use_plan_cache}{attempt}"
+                )
+                _, result = CanopusEncoder(
+                    hierarchy, codec_params={"tolerance": 1e-4}, chunks=8,
+                    use_plan_cache=use_plan_cache,
+                ).encode("d", "f", mesh, field, scheme)
+                assert (result.plan is None) == (not use_plan_cache)
+                meshes, mappings, _ = calls.take()
+                if use_plan_cache and attempt == 2:
+                    assert (meshes, mappings) == (0, 0)
+                else:
+                    assert (meshes, mappings) == (3, 2)
+            stored[use_plan_cache] = _geometry_payloads(hierarchy, "d")
+        assert stored[True] == stored[False]
+
+    def test_memo_is_neither_compared_nor_serialised(self, mesh):
+        import dataclasses
+
+        plan = build_plan(mesh, LevelScheme(3))
+        blob = plan.to_bytes()
+        (memo,) = [
+            f for f in dataclasses.fields(DecimationPlan) if f.name == "_memo"
+        ]
+        assert not memo.compare and not memo.init and not memo.repr
+        meshes, mappings = plan.geometry_blobs()
+        layout = plan.chunk_layout(8)
+        assert plan.geometry_blobs()[0] is meshes  # kept, not recomputed
+        assert plan.chunk_layout(8) is layout
+        assert plan.to_bytes() == blob
+
+        clone = DecimationPlan.from_bytes(blob)
+        assert clone._memo == {}  # memoises lazily
+        assert clone.to_bytes() == blob
+        assert clone.meshes == plan.meshes and clone.scheme == plan.scheme
+        assert clone.geometry_blobs() == (meshes, mappings)
+        for ours, theirs in zip(clone.chunk_layout(8), layout):
+            assert [c[1:] for c in ours] == [c[1:] for c in theirs]
+        assert clone.to_bytes() == blob
+        key = PlanCache.key_for(
+            mesh, plan.scheme, method="serial", priority="length",
+            placement="midpoint", estimator="mean",
+        )
+        assert key == PlanCache.key_for(
+            clone.meshes[0], clone.scheme, method=clone.method,
+            priority=clone.priority, placement=clone.placement,
+            estimator=clone.estimator,
+        )
+
+    def test_racing_first_uses_agree(self, mesh):
+        import sys
+        import threading
+
+        from repro.mesh.io import mesh_to_bytes
+
+        plan = build_plan(mesh, LevelScheme(3))
+        results, barrier = [], threading.Barrier(8)
+
+        def first_use():
+            barrier.wait(timeout=30)
+            results.append((plan.geometry_blobs(), plan.chunk_layout(8)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_use) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 8
+        direct = (
+            [mesh_to_bytes(m) for m in plan.meshes],
+            [m.to_bytes() for m in plan.mappings],
+        )
+        for blobs, layout in results:
+            assert blobs == direct
+            assert [[c[1:] for c in lvl] for lvl in layout] == [
+                [c[1:] for c in lvl] for lvl in results[0][1]
+            ]

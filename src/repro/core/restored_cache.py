@@ -158,15 +158,25 @@ class RestoredLevelCache:
 
     # -- access ---------------------------------------------------------
     def get(self, key: tuple) -> CachedLevel | None:
+        entry = self.resident(key)
+        if entry is None:
+            with self._lock:
+                self.misses += 1
+            _counter("restore.cache.misses")
+        return entry
+
+    def resident(self, key: tuple) -> CachedLevel | None:
+        """:meth:`get` for a caller that restores through it on ``None``.
+
+        A hit is a hit (counted, LRU order touched); a miss counts
+        nothing, because the fallback's own :meth:`get` records it.
+        """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                _counter("restore.cache.misses")
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            _counter("restore.cache.hits")
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                _counter("restore.cache.hits")
             return entry
 
     def has(self, key: tuple) -> bool:
@@ -208,8 +218,13 @@ class RestoredLevelCache:
         refined_mask: np.ndarray | None = None,
         last_delta_rms: float = float("nan"),
     ) -> CachedLevel:
-        """Insert a restored field; stores an immutable copy."""
-        snapshot = np.array(field, copy=True)
+        """Insert a restored field; stores an immutable C-ordered copy.
+
+        Refinement hands back plane-minor (Fortran-ordered) fields; the
+        snapshot is laid out once, here, in the order every consumer of
+        a hit wants, so a hit can be served as a view.
+        """
+        snapshot = np.array(field, copy=True, order="C")
         snapshot.setflags(write=False)
         mask = None
         if refined_mask is not None:

@@ -71,12 +71,16 @@ class SLO:
         self.prefix = prefix
         self._lock = threading.Lock()
         self._recent: deque[bool] = deque(maxlen=self.window)
+        self._good = 0  # good requests among _recent
         self._total = 0
         self._breaches = 0
-        self.metrics.gauge(f"{prefix}.target_seconds", slo=name).set(
-            self.target_seconds
+        gauge = self.metrics.gauge
+        gauge(f"{prefix}.target_seconds", slo=name).set(self.target_seconds)
+        gauge(f"{prefix}.objective", slo=name).set(self.objective)
+        self._gauges = tuple(
+            gauge(f"{prefix}.{what}", slo=name)
+            for what in ("compliance", "burn_rate", "window_requests")
         )
-        self.metrics.gauge(f"{prefix}.objective", slo=name).set(self.objective)
         self._publish()
 
     # ------------------------------------------------------------------
@@ -84,7 +88,10 @@ class SLO:
         """Record one request; returns ``True`` when it was good."""
         good = not error and seconds <= self.target_seconds
         with self._lock:
+            if self._recent and len(self._recent) == self.window:
+                self._good -= self._recent[0]  # about to fall out
             self._recent.append(good)
+            self._good += good
             self._total += 1
             if not good:
                 self._breaches += 1
@@ -98,7 +105,7 @@ class SLO:
         with self._lock:
             if not self._recent:
                 return 1.0
-            return sum(self._recent) / len(self._recent)
+            return self._good / len(self._recent)
 
     @property
     def burn_rate(self) -> float:
@@ -110,12 +117,10 @@ class SLO:
         return self.burn_rate <= 1.0
 
     def _publish(self) -> None:
-        gauge = self.metrics.gauge
-        gauge(f"{self.prefix}.compliance", slo=self.name).set(self.compliance)
-        gauge(f"{self.prefix}.burn_rate", slo=self.name).set(self.burn_rate)
-        gauge(f"{self.prefix}.window_requests", slo=self.name).set(
-            float(len(self._recent))
-        )
+        compliance, burn_rate, window_requests = self._gauges
+        compliance.set(self.compliance)
+        burn_rate.set(self.burn_rate)
+        window_requests.set(float(len(self._recent)))
 
     def snapshot(self) -> dict:
         with self._lock:

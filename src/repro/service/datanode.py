@@ -7,6 +7,10 @@ and every blocking restore/stat/raw-read runs on a **bounded**
 ``ThreadPoolExecutor`` so the asyncio service node above never blocks.
 Admission beyond the executor's queue bound is awaited, not rejected —
 backpressure, with the event loop free to keep serving cheap requests.
+The one request answered without the executor is a level-mode restore
+of a product that is resident in the restored-level cache, on a campaign
+that is already open (:meth:`DataNode.restore`): it reads no storage and
+runs no codec, so it costs the loop less than the thread hop would.
 
 Multi-tenant sharing happens here by construction:
 
@@ -45,8 +49,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.core.decoder import LevelData
-from repro.core.restored_cache import get_restored_cache
+from repro.core.restored_cache import RestoredLevelCache, get_restored_cache
 from repro.errors import (
     ConflictError,
     RestorationError,
@@ -61,6 +64,9 @@ from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.policy import AccessTracker
 
 __all__ = ["DataNode", "RestoreResult"]
+
+#: Feedback plans memoised per data node (oldest dropped first).
+_FEEDBACK_PLANS = 1024
 
 
 def _region_json(region) -> list | None:
@@ -89,16 +95,25 @@ def _filter_digest(region, min_significance: float) -> str:
 class RestoreResult:
     """One finished restore plus its wire identity.
 
-    ``state`` is ``None`` when the client's ``If-None-Match`` cursor
-    already names the result (the 304 fast path).
+    ``field`` is ``None`` when the client's ``If-None-Match`` cursor
+    already names the result (the 304 fast path). On a cache hit it is
+    the cache's own read-only array, not a copy: the response is built
+    from a view of it.
     """
 
-    __slots__ = ("state", "cursor", "cache_hit")
+    __slots__ = ("field", "level", "rms", "cursor", "cache_hit")
 
     def __init__(
-        self, state: LevelData | None, cursor: str, cache_hit: bool
+        self,
+        cursor: str,
+        cache_hit: bool,
+        field: np.ndarray | None = None,
+        level: int | None = None,
+        rms: float = float("nan"),
     ) -> None:
-        self.state = state
+        self.field = field
+        self.level = level
+        self.rms = rms
         self.cursor = cursor
         self.cache_hit = cache_hit
 
@@ -150,6 +165,9 @@ class DataNode:
             self.executor_workers * max(1, int(queue_factor))
         )
         self._open_lock = threading.Lock()
+        #: Handles opened so far; the event loop reads it without the
+        #: open lock, which an executor thread may hold across an open.
+        self._handles: dict[str, CampaignHandle] = {}
         self._closed = False
         # Elastic feedback: every served read/query heats the subfiles
         # its retrieval plan touched, so PlacementEngine.plan_replacement
@@ -159,6 +177,10 @@ class DataNode:
         self.tracker = AccessTracker()
         self._query_log: deque = deque(maxlen=256)
         self._query_lock = threading.Lock()
+        #: restored-cache key -> the subfile of every product its plan
+        #: fetches. The plan is a function of the catalog, so it is built
+        #: once per key and replayed into the tracker on later requests.
+        self._feedback: dict[tuple, tuple] = {}
         # Attribute simulated read seconds to the tenant carried by the
         # active trace context (see _run). Charges from contexts without
         # a tenant (e.g. in-process library use) are left unattributed.
@@ -212,15 +234,18 @@ class DataNode:
         # opens of one campaign create a single handle. A missing
         # catalog surfaces as StorageError (503); to a service client
         # an unknown campaign is a 404, so narrow it here.
+        handle = self._handles.get(name)
+        if handle is not None:
+            return handle
         with self._open_lock:
-            if name in self.session.campaigns:
-                return self.session.open(name)
             try:
-                return self.session.open(name)
+                handle = self.session.open(name)
             except StorageError as exc:
                 raise VariableNotFoundError(
                     f"campaign {name!r} not found: {exc}"
                 ) from exc
+            self._handles[name] = handle
+            return handle
 
     async def open_campaign(
         self, name: str, *, tenant: TenantConfig | None = None
@@ -232,19 +257,6 @@ class DataNode:
         return await self._run(_open, tenant=tenant)
 
     # -- cursors --------------------------------------------------------
-    @staticmethod
-    def cursor_for(
-        handle: CampaignHandle,
-        var: str,
-        level: int,
-        *,
-        region=None,
-        min_significance: float = 0.0,
-    ) -> str:
-        fp = handle.fingerprint[:12]
-        digest = _filter_digest(region, min_significance)
-        return f"{fp}.{var}.L{int(level)}.{digest}"
-
     @staticmethod
     def check_cursor(handle: CampaignHandle, cursor: str | None) -> None:
         """409 when a client cursor references different dataset bytes."""
@@ -275,15 +287,25 @@ class DataNode:
         response the tenant paid for has already been computed).
         """
         try:
-            plan = handle.planner.plan_restore(
-                chain,
-                level=level,
-                region=region,
-                min_significance=min_significance,
+            key = RestoredLevelCache.key_for(
+                handle.fingerprint, chain, level,
+                region=region, min_significance=min_significance,
             )
-            noted = handle.planner.note_plan(
-                self.tracker, plan, now=self.hierarchy.clock.elapsed
-            )
+            subfiles = self._feedback.get(key)
+            if subfiles is None:
+                plan = handle.planner.plan_restore(
+                    chain,
+                    level=level,
+                    region=region,
+                    min_significance=min_significance,
+                )
+                fetched = AccessTracker()
+                handle.planner.note_plan(fetched, plan, now=0.0)
+                subfiles = tuple(
+                    path
+                    for path, info in fetched.records.items()
+                    for _ in range(info.reads)
+                )
         except Exception:  # noqa: BLE001 — advisory path only
             return
         entry = {
@@ -291,11 +313,19 @@ class DataNode:
             "var": chain,
             "level": int(level),
             "region": _region_json(region),
-            "subfiles_noted": noted,
+            "subfiles_noted": len(subfiles),
         }
         if shape:
             entry.update(shape)
+        now = self.hierarchy.clock.elapsed
+        # The loop thread and the executor threads all land here.
         with self._query_lock:
+            for path in subfiles:
+                self.tracker.note(path, now)
+            if key not in self._feedback:
+                if len(self._feedback) >= _FEEDBACK_PLANS:
+                    del self._feedback[next(iter(self._feedback))]
+                self._feedback[key] = subfiles
             self._query_log.append(entry)
 
     # -- reads ----------------------------------------------------------
@@ -318,62 +348,79 @@ class DataNode:
         ``if_none_match`` short-circuits level-mode requests: when the
         client already holds the cursor of the exact result, no field
         is restored or shipped (the service node answers 304 with
-        ``state=None``).
-        """
+        ``field=None``).
 
-        def _restore() -> RestoreResult:
-            handle = self._handle(name)
+        A level-mode request for an entry resident in the restored-level
+        cache, on a campaign that is already open, is answered right
+        here on the calling (event-loop) thread: it needs no storage
+        read and no decode. Every other request runs on the executor.
+        """
+        level_mode = tolerance is None and level is not None
+        mode = {
+            "mode": "level" if tolerance is None else "tolerance",
+            "tolerance": tolerance,
+        }
+
+        def _restore(handle: CampaignHandle, resident_only: bool):
             self.check_cursor(handle, cursor)
             self.check_cursor(handle, if_none_match)
             # Cursors, cache keys and the query log name the chain.
             chain = handle.chain(var, step=step)
-            cache_hit = False
-            if tolerance is None and level is not None:
-                expected = self.cursor_for(
-                    handle, chain, int(level),
-                    region=region, min_significance=min_significance,
-                )
-                if if_none_match and if_none_match == expected:
-                    return RestoreResult(None, expected, True)
+            stem = f"{handle.fingerprint[:12]}.{chain}.L"
+            digest = _filter_digest(region, min_significance)
+            state = None  # a CachedLevel or a LevelData: same three fields
+            if level_mode:
+                if if_none_match == f"{stem}{int(level)}.{digest}":
+                    return RestoreResult(if_none_match, True)
                 cache = get_restored_cache()
-                cache_hit = cache.has(
+                state = cache.resident(
                     cache.key_for(
-                        handle.dataset, chain, int(level),
+                        handle.fingerprint, chain, int(level),
                         region=region, min_significance=min_significance,
                     )
                 )
+            hit = state is not None
+            if not hit and resident_only:
+                return None
             with trace.span(
                 "service.restore", "restore",
                 {"campaign": name, "var": var,
-                 "tenant": tenant.name if tenant else ""},
+                 "tenant": tenant.name if tenant else "", "resident": hit},
             ):
-                state = handle.restore(
-                    var,
-                    step=step,
-                    level=level,
-                    tolerance=tolerance,
-                    region=region,
-                    min_significance=min_significance,
-                )
+                if not hit:
+                    state = handle.restore(
+                        var,
+                        step=step,
+                        level=level,
+                        tolerance=tolerance,
+                        region=region,
+                        min_significance=min_significance,
+                    )
             self._note_query(
                 handle, chain,
                 level=state.level,
                 region=region,
                 min_significance=min_significance,
-                shape={
-                    "mode": "tolerance" if tolerance is not None else "level",
-                    "tolerance": tolerance,
-                },
+                shape=mode,
             )
-            out_cursor = self.cursor_for(
-                handle, chain, state.level,
-                region=region, min_significance=min_significance,
+            out_cursor = f"{stem}{state.level}.{digest}"
+            if if_none_match == out_cursor:
+                return RestoreResult(out_cursor, hit)
+            return RestoreResult(
+                out_cursor, hit, state.field, state.level,
+                state.last_delta_rms,
             )
-            if if_none_match and if_none_match == out_cursor:
-                return RestoreResult(None, out_cursor, cache_hit)
-            return RestoreResult(state, out_cursor, cache_hit)
 
-        return await self._run(_restore, tenant=tenant)
+        if self._closed:
+            raise RestorationError("data node is closed")
+        handle = self._handles.get(name) if level_mode else None
+        if handle is not None:
+            result = _restore(handle, True)
+            if result is not None:
+                return result
+        return await self._run(
+            lambda: _restore(self._handle(name), False), tenant=tenant
+        )
 
     async def stats(
         self,
@@ -541,6 +588,7 @@ class DataNode:
         if self._closed:
             return
         self._closed = True
+        self._handles.clear()
         self.hierarchy.clock.remove_listener(self._clock_listener)
         self._executor.shutdown(wait=True)
         self.session.close()

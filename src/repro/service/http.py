@@ -8,7 +8,7 @@ no TLS. That slice is enough for ``curl``, for the bundled
 concurrent load-generator connections, while keeping the parser a few
 dozen auditable lines.
 
-Both sides live here: :func:`read_request` / :meth:`Response.render`
+Both sides live here: :func:`read_request` / :meth:`Response.write_to`
 serve the listener, and :class:`ClientConnection` issues requests and
 parses :class:`Response` frames back.
 """
@@ -50,6 +50,11 @@ MAX_LINE = 16 * 1024
 MAX_HEADERS = 100
 MAX_BODY = 64 << 20
 
+#: A body buffer up to this size is joined to what precedes it in the
+#: frame: below it a ``send`` of its own (and the peer's extra wake-up)
+#: costs more than the copy. Larger buffers are written as they are.
+COALESCE_BYTES = 16 << 10
+
 
 @dataclass
 class Request:
@@ -78,11 +83,17 @@ class Request:
 
 @dataclass
 class Response:
-    """One HTTP response, rendered with Content-Length framing."""
+    """One HTTP response, framed by Content-Length.
+
+    ``body`` is one ``bytes`` object or a sequence of buffers (``bytes``
+    or byte-format ``memoryview``s) that go to the socket in order; a
+    large one is never copied (see :meth:`write_to`): a restore ships a
+    view of the restored field.
+    """
 
     status: int = 200
     headers: dict[str, str] = field(default_factory=dict)
-    body: bytes = b""
+    body: bytes | tuple = b""
 
     @classmethod
     def json(
@@ -97,7 +108,7 @@ class Response:
     @classmethod
     def binary(
         cls,
-        body: bytes,
+        body: bytes | tuple,
         *,
         status: int = 200,
         content_type: str = "application/octet-stream",
@@ -106,7 +117,7 @@ class Response:
         hdrs = {"content-type": content_type}
         if headers:
             hdrs.update(headers)
-        return cls(status=status, headers=hdrs, body=bytes(body))
+        return cls(status=status, headers=hdrs, body=body)
 
     def parsed_json(self):
         return json.loads(self.body.decode("utf-8") or "null")
@@ -119,18 +130,45 @@ class Response:
         """The server-assigned ``x-request-id`` (= trace id), if any."""
         return self.headers.get("x-request-id")
 
-    def render(self, *, keep_alive: bool = True) -> bytes:
+    def buffers(self) -> tuple:
+        """The body as the buffers to write, in order."""
+        body = self.body
+        return (body,) if isinstance(body, bytes) else tuple(body)
+
+    @property
+    def content_length(self) -> int:
+        return sum(len(buf) for buf in self.buffers())
+
+    def head(self, *, keep_alive: bool = True) -> bytes:
+        """Status line and headers, up to and including the blank line."""
         reason = REASONS.get(self.status, "Unknown")
         lines = [f"HTTP/1.1 {self.status} {reason}"]
         headers = dict(self.headers)
-        headers.setdefault("content-length", str(len(self.body)))
+        headers.setdefault("content-length", str(self.content_length))
         headers.setdefault(
             "connection", "keep-alive" if keep_alive else "close"
         )
         for name, value in headers.items():
             lines.append(f"{name}: {value}")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        return head + self.body
+        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+    def write_to(self, writer, *, keep_alive: bool = True) -> None:
+        """Queue the whole frame on a stream writer.
+
+        The head and the small buffers go out joined, one write per run
+        of them; a buffer above :data:`COALESCE_BYTES` is handed to the
+        writer as it is, uncopied.
+        """
+        small = [self.head(keep_alive=keep_alive)]
+        for buf in self.buffers():
+            if len(buf) <= COALESCE_BYTES:
+                small.append(buf)
+            else:
+                writer.write(b"".join(small))
+                writer.write(buf)
+                small = []
+        if small:
+            writer.write(b"".join(small))
 
 
 async def _read_head(reader: asyncio.StreamReader) -> list[str] | None:
@@ -170,9 +208,10 @@ def _parse_headers(lines: list[str]) -> dict[str, str]:
 async def _read_body(
     reader: asyncio.StreamReader, headers: dict[str, str]
 ) -> bytes:
-    length = int(headers.get("content-length", "0") or "0")
+    raw = headers.get("content-length") or "0"
+    length = int(raw) if raw.isascii() and raw.isdigit() else -1
     if length < 0 or length > MAX_BODY:
-        raise ServiceError(f"unacceptable content-length {length}")
+        raise ServiceError(f"unacceptable content-length {raw!r}")
     if length == 0:
         return b""
     return await reader.readexactly(length)

@@ -43,9 +43,9 @@ routes.
 from __future__ import annotations
 
 import asyncio
-import io
-import threading
+import functools
 import time
+import types
 
 import numpy as np
 
@@ -74,24 +74,26 @@ __all__ = ["CanopusService", "ServiceNode"]
 NPY_CONTENT_TYPE = "application/x-npy"
 
 
-def _parse_float(query: dict, name: str) -> float | None:
+def _parse_number(query: dict, name: str, kind=float):
     raw = query.get(name)
     if raw is None or raw == "":
         return None
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise RestorationError(f"query param {name!r} must be a number")
+        what = "an integer" if kind is int else "a number"
+        raise RestorationError(f"query param {name!r} must be {what}")
 
 
-def _parse_int(query: dict, name: str) -> int | None:
-    raw = query.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise RestorationError(f"query param {name!r} must be an integer")
+def _selection(query: dict) -> dict:
+    """What a restore or a plan selects: coordinate, target and filter."""
+    return {
+        "step": _parse_number(query, "step", int),
+        "level": _parse_number(query, "level", int),
+        "tolerance": _parse_number(query, "tolerance"),
+        "min_significance": _parse_number(query, "min_significance") or 0.0,
+        "region": _parse_region(query),
+    }
 
 
 def _parse_region(query: dict) -> tuple[np.ndarray, np.ndarray] | None:
@@ -135,10 +137,82 @@ def _require_param(query: dict, name: str) -> str:
     return value
 
 
-def _npy_bytes(array: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, np.ascontiguousarray(array), allow_pickle=False)
-    return buf.getvalue()
+@functools.lru_cache(maxsize=256)
+def _npy_header(shape: tuple, dtype: np.dtype) -> tuple[bytes, dict]:
+    """What a response says about an array before the array's bytes.
+
+    Both are pure functions of shape and dtype, so each product shape
+    pays for them once: the header ``np.save`` writes before a C-ordered
+    array (from numpy's own format 1.0 writer), and the HTTP headers
+    that describe the array.
+    """
+    out = bytearray()
+    np.lib.format.write_array_header_1_0(
+        types.SimpleNamespace(write=out.extend),
+        {
+            "descr": np.lib.format.dtype_to_descr(dtype),
+            "fortran_order": False,
+            "shape": shape,
+        },
+    )
+    return bytes(out), {
+        "x-canopus-shape": ",".join(str(n) for n in shape),
+        "x-canopus-dtype": str(dtype),
+        # A field holds one value per vertex of its level's mesh.
+        "x-canopus-vertices": str(shape[-1]),
+    }
+
+
+#: (path below ``/v1``, method, handler). A ``{...}`` segment binds one
+#: path segment, ``{key}`` the whole rest; the joined pattern is the
+#: low-cardinality route label of metrics, SLOs and traces.
+_ROUTES = tuple(
+    (tuple(path.split("/")), method, handler)
+    for path, method, handler in (
+        ("metrics", "GET", "_metrics"),
+        ("traces", "GET", "_traces"),
+        ("trace/{id}", "GET", "_trace"),
+        ("query/stats", "GET", "_query_stats"),
+        ("query/blobs", "GET", "_query_blobs"),
+        ("campaigns/{name}/open", "POST", "_open"),
+        ("campaigns/{name}", "GET", "_open"),
+        ("campaigns/{name}/vars/{var}/restore", "GET", "_restore"),
+        ("campaigns/{name}/vars/{var}/stats", "GET", "_stats"),
+        ("campaigns/{name}/vars/{var}/plan", "GET", "_plan"),
+        ("campaigns/{name}/raw/{key}", "GET", "_raw"),
+    )
+)
+
+
+@functools.lru_cache(maxsize=1024)
+def _resolve(method: str, path: str) -> tuple[str, str, tuple]:
+    """(route label, handler name, bound path segments).
+
+    The one walk of :data:`_ROUTES` a request gets (none at all when
+    the same method and path were seen before). A path that matches a
+    pattern under another method keeps the label and is answered 404,
+    like a path that matches nothing ("other").
+    """
+    if path == "/healthz":  # answered by _dispatch itself, before auth
+        return "/healthz", "_healthz", ()
+    parts = [p for p in path.split("/") if p]
+    if parts[:1] == ["v1"]:
+        del parts[0]
+        for pattern, wanted, handler in _ROUTES:
+            n = len(pattern)
+            if len(parts) < n or (len(parts) > n and pattern[-1] != "{key}"):
+                continue
+            pairs = list(zip(pattern, parts))
+            if all(w[0] == "{" or w == got for w, got in pairs):
+                bound = [got for w, got in pairs if w[0] == "{"]
+                if len(parts) > n:
+                    bound[-1] = "/".join(parts[n - 1:])
+                return (
+                    "/v1/" + "/".join(pattern),
+                    handler if method == wanted else "_not_found",
+                    tuple(bound),
+                )
+    return "other", "_not_found", ()
 
 
 class ServiceNode:
@@ -163,7 +237,10 @@ class ServiceNode:
         self.slo_target_seconds = float(slo_target_seconds)
         self.slo_objective = float(slo_objective)
         self._slos: dict[str, SLO] = {}
-        self._slo_lock = threading.Lock()
+        #: Instruments by what selects them — (route, tenant, status) at
+        #: the end of a request, (hit, tenant) after a restore — so the
+        #: registry is asked for each once, not on every request.
+        self._instruments: dict[tuple, object] = {}
 
     # -- dispatch -------------------------------------------------------
     async def handle(self, request: Request) -> Response:
@@ -184,11 +261,13 @@ class ServiceNode:
             ctx = obs_context.TraceContext(trace_id=obs_context.new_trace_id())
             head_sampled = None
         token = obs_context.activate(ctx)
-        route = self._route_template(request)
+        route, handler, bound = _resolve(request.method, request.path)
         error: str | None = None
         try:
             try:
-                response = await self._dispatch(request, route)
+                response = await self._dispatch(
+                    request, route, handler, bound
+                )
             except QuotaError as exc:
                 response = Response.json(
                     {"error": str(exc), "code": exc.code},
@@ -234,17 +313,35 @@ class ServiceNode:
         trace_id: str,
     ) -> None:
         """Account one finished request and stamp its identity headers."""
-        self.metrics.counter(
-            "service.responses", status=str(response.status)
-        ).inc()
-        failed = error is not None or response.status >= 500
-        if route != "/healthz":
-            self.metrics.histogram(
-                "service.request_seconds",
-                route=route,
-                tenant=tenant or "-",
-            ).observe(wall_seconds)
-            self._slo_for(route).observe(wall_seconds, error=failed)
+        key = (route, tenant, response.status)
+        instruments = self._instruments.get(key)
+        if instruments is None:
+            responses = self.metrics.counter(
+                "service.responses", status=str(response.status)
+            )
+            seconds = slo = None
+            if route != "/healthz":
+                seconds = self.metrics.histogram(
+                    "service.request_seconds",
+                    route=route,
+                    tenant=tenant or "-",
+                )
+                slo = self._slos.get(route)
+                if slo is None:
+                    slo = self._slos[route] = SLO(
+                        route,
+                        target_seconds=self.slo_target_seconds,
+                        objective=self.slo_objective,
+                        registry=self.metrics,
+                    )
+            instruments = self._instruments[key] = (responses, seconds, slo)
+        responses, seconds, slo = instruments
+        responses.inc()
+        if seconds is not None:
+            seconds.observe(wall_seconds)
+            slo.observe(
+                wall_seconds, error=error is not None or response.status >= 500
+            )
         if self.access_log is not None:
             self.access_log.access(
                 method=request.method,
@@ -277,57 +374,19 @@ class ServiceNode:
             ),
         )
 
-    def _slo_for(self, route: str) -> SLO:
-        slo = self._slos.get(route)
-        if slo is None:
-            with self._slo_lock:
-                slo = self._slos.get(route)
-                if slo is None:
-                    slo = SLO(
-                        route,
-                        target_seconds=self.slo_target_seconds,
-                        objective=self.slo_objective,
-                        registry=self.metrics,
-                    )
-                    self._slos[route] = slo
-        return slo
+    def _cache_counter(self, hit: bool, tenant: str):
+        counter = self._instruments.get((hit, tenant))
+        if counter is None:
+            counter = self._instruments[hit, tenant] = self.metrics.counter(
+                "service.cache.hits" if hit else "service.cache.misses",
+                tenant=tenant,
+            )
+        return counter
 
-    @staticmethod
-    def _route_template(request: Request) -> str:
-        """Low-cardinality route label for metrics/SLOs/traces."""
-        if request.path == "/healthz":
-            return "/healthz"
-        parts = [p for p in request.path.split("/") if p]
-        if parts[:1] != ["v1"]:
-            return "other"
-        rest = parts[1:]
-        if rest == ["metrics"]:
-            return "/v1/metrics"
-        if rest[:1] == ["traces"]:
-            return "/v1/traces"
-        if rest[:1] == ["trace"]:
-            return "/v1/trace/{id}"
-        if rest[:1] == ["query"] and len(rest) == 2:
-            if rest[1] in ("stats", "blobs"):
-                return f"/v1/query/{rest[1]}"
-        if rest[:1] == ["campaigns"] and len(rest) >= 2:
-            tail = rest[2:]
-            if tail == ["open"]:
-                return "/v1/campaigns/{name}/open"
-            if not tail:
-                return "/v1/campaigns/{name}"
-            if len(tail) == 3 and tail[0] == "vars" and tail[2] == "restore":
-                return "/v1/campaigns/{name}/vars/{var}/restore"
-            if len(tail) == 3 and tail[0] == "vars" and tail[2] == "stats":
-                return "/v1/campaigns/{name}/vars/{var}/stats"
-            if len(tail) == 3 and tail[0] == "vars" and tail[2] == "plan":
-                return "/v1/campaigns/{name}/vars/{var}/plan"
-            if tail[:1] == ["raw"]:
-                return "/v1/campaigns/{name}/raw/{key}"
-        return "other"
-
-    async def _dispatch(self, request: Request, route: str) -> Response:
-        if request.path == "/healthz":
+    async def _dispatch(
+        self, request: Request, route: str, handler: str, bound: tuple
+    ) -> Response:
+        if handler == "_healthz":
             return Response.json({"ok": True})
         tenant = self.tenants.authenticate(request.header("authorization"))
         # Record the tenant on the request context: executor jobs copy
@@ -341,62 +400,15 @@ class ServiceNode:
                 f"http {request.method} {route}", "service",
                 {"path": request.path, "tenant": tenant.name},
             ):
-                response = await self._route(request, tenant)
-            self.tenants.charge_bytes(tenant, len(response.body))
+                response = await getattr(self, handler)(
+                    request, tenant, *bound
+                )
+            self.tenants.charge_bytes(tenant, response.content_length)
             return response
         finally:
             self.tenants.release(tenant)
 
-    async def _route(self, request: Request, tenant: TenantConfig) -> Response:
-        parts = [p for p in request.path.split("/") if p]
-        if parts[:1] != ["v1"]:
-            return self._not_found(request)
-        if parts[1:] == ["metrics"] and request.method == "GET":
-            return self._metrics(request)
-        if parts[1:] == ["traces"] and request.method == "GET":
-            return self._traces(request)
-        if len(parts) == 3 and parts[1] == "trace" and request.method == "GET":
-            return self._trace(parts[2])
-        if len(parts) == 3 and parts[1] == "query" and request.method == "GET":
-            if parts[2] == "stats":
-                return await self._query_stats(request, tenant)
-            if parts[2] == "blobs":
-                return await self._query_blobs(request, tenant)
-        if len(parts) >= 3 and parts[1] == "campaigns":
-            name = parts[2]
-            rest = parts[3:]
-            if rest == ["open"] and request.method == "POST":
-                return await self._open(name, tenant)
-            if not rest and request.method == "GET":
-                return await self._open(name, tenant)
-            if (
-                len(rest) == 3
-                and rest[0] == "vars"
-                and rest[2] == "restore"
-                and request.method == "GET"
-            ):
-                return await self._restore(request, name, rest[1], tenant)
-            if (
-                len(rest) == 3
-                and rest[0] == "vars"
-                and rest[2] == "stats"
-                and request.method == "GET"
-            ):
-                return await self._stats(request, name, rest[1], tenant)
-            if (
-                len(rest) == 3
-                and rest[0] == "vars"
-                and rest[2] == "plan"
-                and request.method == "GET"
-            ):
-                return await self._plan(request, name, rest[1], tenant)
-            if len(rest) >= 2 and rest[0] == "raw" and request.method == "GET":
-                key = "/".join(rest[1:])
-                return await self._raw(request, name, key, tenant)
-        return self._not_found(request)
-
-    @staticmethod
-    def _not_found(request: Request) -> Response:
+    async def _not_found(self, request: Request, tenant, *bound) -> Response:
         return Response.json(
             {
                 "error": f"no route for {request.method} {request.path}",
@@ -406,86 +418,64 @@ class ServiceNode:
         )
 
     # -- handlers -------------------------------------------------------
-    async def _open(self, name: str, tenant: TenantConfig) -> Response:
+    async def _open(self, request, tenant, name: str) -> Response:
         info = await self.datanode.open_campaign(name, tenant=tenant)
         return Response.json(info)
 
     async def _restore(
-        self, request: Request, name: str, var: str, tenant: TenantConfig
+        self, request: Request, tenant: TenantConfig, name: str, var: str
     ) -> Response:
-        step = _parse_int(request.query, "step")
-        level = _parse_int(request.query, "level")
-        tolerance = _parse_float(request.query, "tolerance")
-        min_significance = _parse_float(request.query, "min_significance") or 0.0
-        region = _parse_region(request.query)
-        cursor = request.query.get("cursor") or None
         if_none_match = (
             request.header("if-none-match", "") or ""
         ).strip('"') or None
         result = await self.datanode.restore(
             name,
             var,
-            step=step,
-            level=level,
-            tolerance=tolerance,
-            region=region,
-            min_significance=min_significance,
-            cursor=cursor,
+            **_selection(request.query),
+            cursor=request.query.get("cursor") or None,
             if_none_match=if_none_match,
             tenant=tenant,
         )
-        cache_header = "hit" if result.cache_hit else "miss"
-        self.metrics.counter(
-            f"service.cache.{'hits' if result.cache_hit else 'misses'}",
-            tenant=tenant.name,
-        ).inc()
+        hit = result.cache_hit
+        self._cache_counter(hit, tenant.name).inc()
         common = {
             "etag": f'"{result.cursor}"',
             "x-canopus-cursor": result.cursor,
-            "x-canopus-cache": cache_header,
+            "x-canopus-cache": "hit" if hit else "miss",
         }
-        if result.state is None:
+        field = result.field
+        if field is None:
             return Response(status=304, headers=common)
-        state = result.state
-        body = _npy_bytes(state.field)
-        rms = state.last_delta_rms
+        npy_header, described = _npy_header(field.shape, field.dtype)
         headers = {
             **common,
-            "x-canopus-level": str(state.level),
-            "x-canopus-shape": ",".join(str(n) for n in state.field.shape),
-            "x-canopus-dtype": str(state.field.dtype),
-            "x-canopus-rms": repr(float(rms)),
-            "x-canopus-vertices": str(state.mesh.num_vertices),
+            "x-canopus-level": str(result.level),
+            "x-canopus-rms": repr(float(result.rms)),
+            **described,
         }
+        # The body is np.save(field) without the copy: the header, then
+        # a view of the (C-ordered) field's own bytes.
+        flat = np.ascontiguousarray(field).reshape(-1)
         return Response.binary(
-            body, content_type=NPY_CONTENT_TYPE, headers=headers
+            (npy_header, memoryview(flat.view(np.uint8))),
+            content_type=NPY_CONTENT_TYPE,
+            headers=headers,
         )
 
     async def _stats(
-        self, request: Request, name: str, var: str, tenant: TenantConfig
+        self, request: Request, tenant: TenantConfig, name: str, var: str
     ) -> Response:
-        level = _parse_int(request.query, "level")
+        level = _parse_number(request.query, "level", int)
         rows = await self.datanode.stats(
             name, var, level=level, tenant=tenant
         )
         return Response.json({"campaign": name, "var": var, "chunks": rows})
 
     async def _plan(
-        self, request: Request, name: str, var: str, tenant: TenantConfig
+        self, request: Request, tenant: TenantConfig, name: str, var: str
     ) -> Response:
-        level = _parse_int(request.query, "level")
-        tolerance = _parse_float(request.query, "tolerance")
-        min_significance = _parse_float(request.query, "min_significance") or 0.0
-        region = _parse_region(request.query)
         plan = await self.datanode.plan(
-            name,
-            var,
-            step=_parse_int(request.query, "step"),
-            level=level,
-            tolerance=tolerance,
-            region=region,
-            min_significance=min_significance,
-            tenant=tenant,
+            name, var, **_selection(request.query), tenant=tenant
         )
         return Response.json({"campaign": name, "plan": plan})
 
@@ -496,7 +486,7 @@ class ServiceNode:
         var = _require_param(request.query, "var")
         region = _parse_region(request.query)
         result = await self.datanode.query_stats(
-            name, var, step=_parse_int(request.query, "step"),
+            name, var, step=_parse_number(request.query, "step", int),
             region=region, tenant=tenant,
         )
         return Response.json({"campaign": name, **result})
@@ -506,7 +496,7 @@ class ServiceNode:
     ) -> Response:
         name = _require_param(request.query, "campaign")
         var = _require_param(request.query, "var")
-        threshold = _parse_float(request.query, "threshold")
+        threshold = _parse_number(request.query, "threshold")
         if threshold is None:
             raise RestorationError("query param 'threshold' is required")
         region = _parse_region(request.query)
@@ -515,7 +505,7 @@ class ServiceNode:
             name,
             var,
             threshold=threshold,
-            step=_parse_int(request.query, "step"),
+            step=_parse_number(request.query, "step", int),
             region=region,
             shape=shape,
             tenant=tenant,
@@ -523,10 +513,10 @@ class ServiceNode:
         return Response.json({"campaign": name, **result})
 
     async def _raw(
-        self, request: Request, name: str, key: str, tenant: TenantConfig
+        self, request: Request, tenant: TenantConfig, name: str, key: str
     ) -> Response:
-        start = _parse_int(request.query, "start") or 0
-        length = _parse_int(request.query, "length")
+        start = _parse_number(request.query, "start", int) or 0
+        length = _parse_number(request.query, "length", int)
         blob, meta = await self.datanode.read_raw(
             name, key, start=start, length=length, tenant=tenant
         )
@@ -536,7 +526,7 @@ class ServiceNode:
         }
         return Response.binary(blob, headers=headers)
 
-    def _metrics(self, request: Request) -> Response:
+    async def _metrics(self, request: Request, tenant) -> Response:
         fmt = (request.query.get("format") or "").strip().lower()
         if fmt == "prometheus":
             text = render_prometheus(self.metrics)
@@ -567,8 +557,8 @@ class ServiceNode:
             payload["traces"] = self.trace_buffer.stats()
         return Response.json(payload)
 
-    def _traces(self, request: Request) -> Response:
-        limit = _parse_int(request.query, "limit")
+    async def _traces(self, request: Request, tenant) -> Response:
+        limit = _parse_number(request.query, "limit", int)
         if self.trace_buffer is None:
             return Response.json({"tracing": False, "traces": []})
         kept = self.trace_buffer.list(limit if limit is not None else 20)
@@ -580,7 +570,7 @@ class ServiceNode:
             }
         )
 
-    def _trace(self, trace_id: str) -> Response:
+    async def _trace(self, request, tenant, trace_id: str) -> Response:
         if self.trace_buffer is None:
             return Response.json(
                 {"error": "tracing is disabled", "code": "not-found"},
@@ -674,22 +664,23 @@ class CanopusService:
         self.tracer: Tracer | None = None
         self._previous_tracer: Tracer | None = None
         self._server: asyncio.AbstractServer | None = None
+        #: Open client connections: handler task -> its stream writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- connection plumbing -------------------------------------------
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
                     request = await read_request(reader)
                 except ServiceError as exc:
-                    writer.write(
-                        Response.json(
-                            {"error": str(exc), "code": exc.code},
-                            status=400,
-                        ).render(keep_alive=False)
-                    )
+                    Response.json(
+                        {"error": str(exc), "code": exc.code}, status=400
+                    ).write_to(writer, keep_alive=False)
                     await writer.drain()
                     break
                 if request is None:
@@ -699,13 +690,14 @@ class CanopusService:
                     request.header("connection", "keep-alive").lower()
                     != "close"
                 )
-                writer.write(response.render(keep_alive=keep))
+                response.write_to(writer, keep_alive=keep)
                 await writer.drain()
                 if not keep:
                     break
         except (ConnectionError, asyncio.IncompleteReadError, OSError):
             pass  # client went away mid-frame; nothing to assemble
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()
@@ -744,6 +736,13 @@ class CanopusService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        # A closed transport reads as end of stream, so each handler
+        # leaves its loop by itself; wait for them, or the loop would be
+        # torn down around their pending reads.
+        for writer in self._connections.values():
+            writer.close()
+        if self._connections:
+            await asyncio.wait(list(self._connections))
         if self.tracer is not None:
             trace._uninstall(self._previous_tracer)
             self.tracer.detach_clock()

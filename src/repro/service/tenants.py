@@ -112,6 +112,8 @@ class TenantRegistry:
         self._usage: dict[str, TenantUsage] = {}
         self._clock = clock
         self.metrics = metrics if metrics is not None else get_registry()
+        #: (counter name, tenant name) -> Counter, resolved on first use.
+        self._counters: dict[tuple[str, str], object] = {}
         for tenant in tenants or []:
             self.add(tenant)
 
@@ -240,12 +242,15 @@ class TenantRegistry:
         """Attribute simulated tier-read seconds to a tenant."""
         with self._lock:
             self._usage[tenant.name].total_sim_read_seconds += seconds
-        self.metrics.counter(
-            "service.sim_read_seconds", tenant=tenant.name
-        ).inc(seconds)
+        self._count("service.sim_read_seconds", tenant, seconds)
 
     def _count(self, name: str, tenant: TenantConfig, n) -> None:
-        self.metrics.counter(name, tenant=tenant.name).inc(n)
+        counter = self._counters.get((name, tenant.name))
+        if counter is None:
+            counter = self._counters[name, tenant.name] = (
+                self.metrics.counter(name, tenant=tenant.name)
+            )
+        counter.inc(n)
 
     # -- reporting ------------------------------------------------------
     def usage(self, name: str | None = None) -> dict:

@@ -320,6 +320,24 @@ class TestSLO:
         assert slo.compliance == 1.0
         assert slo.snapshot()["total_breaches"] == 1
 
+    def test_running_count_equals_the_window_sum(self):
+        reg = MetricsRegistry()
+        slo = SLO(
+            "r", target_seconds=0.1, objective=0.5, window=5, registry=reg
+        )
+        outcomes = [True, False, False, True, True, True, False, True,
+                    False, False, False, True, True]
+        for i, good in enumerate(outcomes):
+            slo.observe(0.01 if good else 9.0)
+            recent = outcomes[max(0, i - 4): i + 1]
+            assert slo.compliance == sum(recent) / len(recent)
+            assert reg.value("service.slo.compliance", slo="r") == (
+                slo.compliance
+            )
+            assert reg.value("service.slo.window_requests", slo="r") == len(
+                recent
+            )
+
     def test_gauges_published(self):
         reg = MetricsRegistry()
         slo = SLO("/r", target_seconds=0.5, registry=reg)

@@ -9,6 +9,9 @@ Retry-After), and the per-tenant obs counters.
 """
 
 import asyncio
+import json
+import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from repro.service import (
     TenantConfig,
     TenantRegistry,
 )
-from repro.service.http import Request, Response
+from repro.service.http import COALESCE_BYTES, Request, Response
 from repro.service.loadgen import ServiceThread
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
@@ -90,9 +93,25 @@ def service(campaign_root):
 class TestHttpPrimitives:
     def test_response_roundtrip_via_parse(self):
         resp = Response.json({"a": 1}, status=200)
-        wire = resp.render(keep_alive=True)
+        frames = []
+        resp.write_to(SimpleNamespace(write=frames.append), keep_alive=True)
+        wire = b"".join(frames)
         assert wire.startswith(b"HTTP/1.1 200 OK\r\n")
-        assert b"content-length:" in wire.lower()
+        assert f"content-length: {len(resp.body)}\r\n".encode() in wire
+        assert wire.endswith(b"\r\n\r\n" + resp.body)
+
+    def test_large_buffers_are_written_uncopied(self):
+        big = memoryview(bytes(COALESCE_BYTES + 1))
+        resp = Response.binary((b"npy-header", big, b"tail"))
+        frames = []
+        resp.write_to(SimpleNamespace(write=frames.append))
+        # Small buffers ride with their neighbours; the big one is the
+        # very object the response was given.
+        assert len(frames) == 3 and frames[1] is big
+        assert frames[0].endswith(b"\r\n\r\nnpy-header")
+        assert frames[2] == b"tail"
+        length = len(b"npy-header") + len(big) + len(b"tail")
+        assert f"content-length: {length}\r\n".encode() in frames[0]
 
     def test_request_query_parsing(self):
         req = Request(
@@ -289,6 +308,36 @@ class TestErrorTaxonomy:
         resp = _drive(go())
         assert resp.status == 404
         assert resp.parsed_json()["code"] == "not-found"
+
+
+class TestMalformedFrames:
+    """A frame the parser refuses is answered 400, never a bare close."""
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1e3", "\u00b2"])
+    def test_unparsable_content_length_400(self, service, caplog, length):
+        svc, _ = service
+
+        async def go():
+            reader, writer = await asyncio.open_connection(svc.host, svc.port)
+            writer.write(
+                f"GET /healthz HTTP/1.1\r\ncontent-length: {length}\r\n\r\n"
+                .encode("latin-1")
+            )
+            await writer.drain()
+            wire = await reader.read()  # the server closes after a 400
+            writer.close()
+            await writer.wait_closed()
+            return wire
+
+        with caplog.at_level(logging.WARNING):
+            wire = _drive(go())
+        head, _, body = wire.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"connection: close" in head.lower()
+        payload = json.loads(body)
+        assert payload["code"] == "service"
+        assert "content-length" in payload["error"]
+        assert not caplog.records, [r.getMessage() for r in caplog.records]
 
 
 class TestDeltaCursors:

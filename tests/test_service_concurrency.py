@@ -10,6 +10,9 @@ while other tenants keep being served.
 """
 
 import asyncio
+import gc
+import logging
+import socket
 
 import numpy as np
 import pytest
@@ -200,3 +203,24 @@ class TestConcurrentClients:
         asyncio.run(go())
         after = svc.tenants.usage("alice")["total_sim_read_seconds"]
         assert after > before
+
+
+class TestShutdown:
+    def test_stop_with_idle_keepalive_connection_is_quiet(
+        self, stack, caplog
+    ):
+        """Stopping closes idle client connections; nothing is logged."""
+        running, _ = stack
+        svc = CanopusService(running.hierarchy, workers=1, executor_workers=1)
+        thread = ServiceThread(svc)
+        host, port = thread.start()
+        with caplog.at_level(logging.WARNING):
+            with socket.create_connection((host, port), timeout=10) as conn:
+                conn.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                assert conn.recv(4096).startswith(b"HTTP/1.1 200 OK")
+                # The connection is now idle in keep-alive: its handler
+                # is parked on the next request line.
+                thread.stop()
+                assert conn.recv(4096) == b""  # closed by the server
+            gc.collect()  # a task destroyed while pending logs from here
+        assert not caplog.records, [r.getMessage() for r in caplog.records]

@@ -117,6 +117,9 @@ class TestTraceparentRoundtrip:
         svc = traced_service
         trace_id = new_trace_id()
         ctx = TraceContext(trace_id=trace_id, parent_span=new_span_id())
+        # A miss: a resident product is answered on the service thread
+        # alone (tests/test_service_resident.py).
+        get_restored_cache().clear()
 
         async def go():
             async with ServiceClient(svc.host, svc.port,
@@ -257,10 +260,10 @@ class TestSamplingPolicy:
         svc = sampled_out_service
         original = svc.node._dispatch
 
-        async def broken(request, route):
+        async def broken(request, route, *resolved):
             if route == "/healthz":
                 raise RuntimeError("injected datanode failure")
-            return await original(request, route)
+            return await original(request, route, *resolved)
 
         svc.node._dispatch = broken
         try:

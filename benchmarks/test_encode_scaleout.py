@@ -74,7 +74,7 @@ def scaleout_timings(tmp_path_factory):
             fast_capacity=256 << 20, slow_capacity=1 << 38,
         )
 
-    # --- PR 3 thread path: plan replay + thread-pooled delta/compress ---
+    # --- thread path: plan replay, encodes on the writer's thread pool ---
     h_thread = hier("thread")
     t0 = time.perf_counter()
     writer = CampaignWriter(

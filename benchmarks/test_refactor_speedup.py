@@ -1,14 +1,15 @@
-"""Write-path speedup: batched kernel + plan replay + parallel compress.
+"""Write-path speedup: batched kernel + plan replay + overlapped compress.
 
 The seed write path re-ran Algorithm 1's serial heap loop for every
 timestep of a campaign and compressed each product one after another.
 This benchmark encodes a Fig.-4-scale XGC1 campaign both ways:
 
 * **seed path** — per step: direct serial refactoring (decimate with
-  fields, no plan reuse) followed by serial codec encodes;
+  fields, no plan reuse: ``tests/test_layout.py``'s write-side
+  reference) followed by serial codec encodes;
 * **fast path** — :class:`~repro.core.campaign.CampaignWriter` with the
-  batched kernel, the process-wide plan cache, and a thread pool
-  overlapping delta computation and codec encodes.
+  batched kernel, the process-wide plan cache, and the writer's thread
+  pool encoding each level while the walk goes on to the next.
 
 The structured result lands in ``benchmarks/results/BENCH_refactor.json``
 (uploaded as a CI artifact). Asserted: ≥3× wall-time speedup, plan
@@ -30,7 +31,6 @@ from repro.core import (
     LevelScheme,
     build_plan,
     get_plan_cache,
-    refactor,
 )
 from repro.harness import format_table, json_report
 from repro.harness.report import write_json_report
@@ -38,6 +38,7 @@ from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
 
 from pipeline_common import RESULTS_DIR
+from tests.test_layout import reference_refactor
 
 SCALE = 0.4  # Fig. 4's XGC1 scale
 LEVELS = 3
@@ -68,13 +69,13 @@ def campaign_timings(tmp_path_factory):
     t0 = time.perf_counter()
     seed_results = []
     for data in fields:
-        result = refactor(ds.mesh, data, scheme, use_plan_cache=False)
-        blobs = [codec.encode(result.base_field.ravel())]
-        blobs += [codec.encode(d.ravel()) for d in result.deltas]
-        seed_results.append((result, blobs))
+        _, levels, _, deltas = reference_refactor(ds.mesh, data, scheme)
+        blobs = [codec.encode(levels[-1].ravel())]
+        blobs += [codec.encode(d.ravel()) for d in deltas]
+        seed_results.append((levels, deltas, blobs))
     seed_seconds = time.perf_counter() - t0
 
-    # --- fast path: batched plan + replay + parallel delta/compress -------
+    # --- fast path: batched plan + replay + overlapped compress -----------
     get_plan_cache().clear()
     hierarchy = two_tier_titan(
         tmp_path_factory.mktemp("refactor-speedup"),
@@ -169,13 +170,13 @@ def test_plan_replay_bit_identical_to_seed_path(campaign_timings):
     ds = campaign_timings["ds"]
     scheme = campaign_timings["scheme"]
     plan = build_plan(ds.mesh, scheme, method="serial")
-    for data, (seed_result, _) in zip(
+    for data, (seed_levels, seed_deltas, _) in zip(
         campaign_timings["fields"], campaign_timings["seed_results"]
     ):
-        levels, deltas = plan.refactor_fields(data, workers=WORKERS)
-        for got, want in zip(levels, seed_result.levels):
+        levels = plan.coarsen(data)
+        for got, want in zip(levels, seed_levels):
             assert np.array_equal(got, want)
-        for got, want in zip(deltas, seed_result.deltas):
+        for got, want in zip(plan.deltas_for(levels), seed_deltas):
             assert np.array_equal(got, want)
 
 

@@ -23,15 +23,14 @@ from repro.core.decimation_plan import (
     get_plan_cache,
     mesh_fingerprint,
     plan_eligible,
+    plan_for,
 )
 from repro.core.delta import apply_delta, compute_delta
 from repro.core.encode_scheduler import (
-    BufferArena,
     EncodeScheduler,
     ScaleoutReport,
     SchedPlane,
     encode_campaign_scaleout,
-    fused_step_products,
 )
 from repro.core.encoder import CanopusEncoder, EncodeReport
 from repro.core.mapping import LevelMapping, build_mapping
@@ -45,7 +44,13 @@ from repro.core.notation import (
 )
 from repro.core.plan import PlacementPlan, plan_placement
 from repro.core.progressive import ProgressiveReader
-from repro.core.refactor import RefactorResult, refactor
+from repro.core.refactor import (
+    BufferArena,
+    RefactorResult,
+    fused_step_products,
+    refactor,
+    walk,
+)
 
 __all__ = [
     "LevelScheme",
@@ -66,6 +71,8 @@ __all__ = [
     "get_plan_cache",
     "mesh_fingerprint",
     "plan_eligible",
+    "plan_for",
+    "walk",
     "PlacementPlan",
     "plan_placement",
     "CanopusEncoder",

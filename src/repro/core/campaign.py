@@ -26,14 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compress import get_codec
-from repro.core.decimation_plan import (
-    build_plan,
-    get_plan_cache,
-    plan_eligible,
-)
+from repro.core.decimation_plan import plan_for
 from repro.core.decode_engine import DecodeEngine
 from repro.core.decoder import LevelData, PhaseTimings
-from repro.core.encode_scheduler import BufferArena, fused_step_products
 from repro.core.layout import (
     ProductWriter,
     declare_variable,
@@ -42,9 +37,9 @@ from repro.core.layout import (
 )
 from repro.core.mapping import LevelMapping
 from repro.core.notation import GEOM_VAR, LevelScheme, step_chain
+from repro.core.refactor import BufferArena, encode_pool, fused_step_products
 from repro.errors import CanopusError, RestorationError
 from repro.io.dataset import BPDataset
-from repro.io.query import ChunkStats
 from repro.mesh.edge_collapse import KERNELS
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.obs import trace
@@ -82,8 +77,10 @@ class CampaignWriter:
     — so a second campaign over the same mesh skips decimation
     entirely, and every ``write_step`` coarsens its field by replaying
     the recorded collapse sequence (bit-identical to re-running it).
-    With ``workers > 1``, per-level delta computation and codec encodes
-    overlap on a thread pool. ``placement="cost"`` defers product
+    With ``workers > 1``, each level's codec encode runs on this
+    writer's thread pool while the step goes on to the next level.
+    Data-dependent priorities decimate from geometry alone (there is no
+    field yet at campaign-setup time). ``placement="cost"`` defers product
     placement to close time, where the cost-based
     :class:`~repro.storage.placement.PlacementEngine` bins the whole
     campaign at once instead of walking fastest-first per write.
@@ -103,7 +100,6 @@ class CampaignWriter:
         priority: str = "length",
         method: str = "serial",
         workers: int | None = None,
-        use_plan_cache: bool = True,
         placement: str = "walk",
     ) -> None:
         if method not in KERNELS:
@@ -123,25 +119,17 @@ class CampaignWriter:
         self.workers = workers
         self._steps: list[int] = []
         self._closed = False
-        # Scratch pool for the fused serial encode path: after the
-        # first step every replay/delta buffer is a pool hit.
+        # Scratch pool: after the first step every replay/delta buffer
+        # is a pool hit.
         self._arena = BufferArena()
+        self._pool = encode_pool(workers)
 
         # --- one-time geometry refactoring (plan-cached) ----------------
         t0 = time.perf_counter()
-        if use_plan_cache and plan_eligible(priority):
-            self._geom_plan = get_plan_cache().get_or_build(
-                mesh, scheme, method=method, priority=priority,
-                estimator=estimator,
-            )
-        else:
-            # Data-dependent priorities degenerate to geometry-only here
-            # (there is no field yet at campaign-setup time), matching
-            # the historical fields=None decimation; build uncached.
-            self._geom_plan = build_plan(
-                mesh, scheme, method=method, priority=priority,
-                estimator=estimator,
-            )
+        self._geom_plan = plan_for(
+            mesh, scheme, method=method, priority=priority,
+            estimator=estimator,
+        )
         self.meshes: list[TriangleMesh] = self._geom_plan.meshes
         self.mappings: list[LevelMapping] = self._geom_plan.mappings
         self.geometry_seconds = time.perf_counter() - t0
@@ -163,73 +151,21 @@ class CampaignWriter:
             raise CanopusError("campaign already closed")
         if step in self._steps:
             raise CanopusError(f"step {step} already written")
-        data = np.ascontiguousarray(data, dtype=np.float64)
-        if data.shape[-1] != self.meshes[0].num_vertices:
-            raise CanopusError(
-                f"step {step}: field shape {data.shape} does not match mesh"
+        # One level in flight at a time through pooled scratch: the
+        # task body the multiprocess scheduler's workers run.
+        with trace.span(
+            "campaign.fused_encode", "refactor",
+            {"step": step, "workers": self.workers or 1},
+        ):
+            products, stats = fused_step_products(
+                self._geom_plan, data, self._codec, arena=self._arena,
+                pool=self._pool, what=f"step {step}: ",
             )
-
-        if self.workers and self.workers > 1:
-            # Thread-overlapped staged path: replay the recorded
-            # collapse sequence (bit-identical to re-running Algorithm 1
-            # on this step's values), compute per-level deltas on a
-            # thread pool, then overlap the codec encodes.
-            t0 = time.perf_counter()
-            with trace.span(
-                "campaign.refactor", "refactor",
-                {"step": step, "workers": self.workers},
-            ):
-                levels = self._geom_plan.coarsen(data)
-                deltas = self._geom_plan.deltas_for(
-                    levels, workers=self.workers
-                )
-            refactor_seconds = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            arrays = {"base": levels[-1]}
-            for lvl in self.scheme.delta_levels():
-                arrays[f"delta{lvl}"] = deltas[lvl]
-            with trace.span(
-                "campaign.compress", "compress",
-                {"step": step, "payloads": len(arrays),
-                 "workers": self.workers},
-            ):
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(
-                    max_workers=min(self.workers, len(arrays))
-                ) as pool:
-                    products = dict(
-                        zip(arrays, pool.map(self._codec.encode, arrays.values()))
-                    )
-            # Summaries describe the pre-compression values (the bounds
-            # the retrieval planner prunes against), so compute them
-            # from the staged arrays before they are dropped.
-            summaries = {
-                tag: ChunkStats.of(arr).as_dict() for tag, arr in arrays.items()
-            }
-            compress_seconds = time.perf_counter() - t0
-        else:
-            # Fused serial path: one level in flight at a time through
-            # pooled scratch (same kernel the multiprocess scheduler's
-            # workers run), bit-identical to the staged path.
-            with trace.span(
-                "campaign.fused_encode", "refactor", {"step": step}
-            ):
-                summaries = {}
-                products, fstats = fused_step_products(
-                    self._geom_plan, data, self._codec, arena=self._arena,
-                    summaries=summaries,
-                )
-            refactor_seconds = (
-                fstats["replay_seconds"] + fstats["delta_seconds"]
-            )
-            compress_seconds = fstats["compress_seconds"]
 
         clock = self.hierarchy.clock
         before = clock.elapsed
         total = self._writer.chain(
-            step_chain(self.var, step), products, summaries
+            step_chain(self.var, step), products, stats["summaries"]
         )
         io_seconds = clock.elapsed - before  # buffered; realized at close
 
@@ -238,9 +174,9 @@ class CampaignWriter:
         return StepReport(
             step=step,
             compressed_bytes=total,
-            original_bytes=data.nbytes,
-            refactor_seconds=refactor_seconds,
-            compress_seconds=compress_seconds,
+            original_bytes=int(np.asarray(data).nbytes),
+            refactor_seconds=stats["replay_seconds"] + stats["delta_seconds"],
+            compress_seconds=stats["compress_seconds"],
             io_seconds=io_seconds,
         )
 
@@ -253,6 +189,8 @@ class CampaignWriter:
         """
         if self._closed:
             return 0.0
+        if self._pool is not None:
+            self._pool.shutdown()
         clock = self.hierarchy.clock
         before = clock.elapsed
         self._dataset.close()

@@ -15,15 +15,14 @@ one geometry pass:
 
 Plans serialize to a single compressed-npz blob and are cached in a
 process-wide :class:`PlanCache` keyed by (mesh content fingerprint,
-level scheme, kernel, priority, placement, estimator) —
-:func:`~repro.core.refactor.refactor`,
-:class:`~repro.core.campaign.CampaignWriter` and
-:func:`~repro.core.parallel.encode_partitioned` all consult it, so a
-campaign decimates once and replays per timestep/variable.
+level scheme, kernel, priority, placement, estimator). Every writer
+gets its plan from :func:`plan_for`, so a campaign decimates once and
+replays per timestep/variable.
 
-Only geometry-determined priorities are plan-eligible: ``"data_aware"``
+Only geometry-determined priorities are cached: ``"data_aware"``
 orders collapses by the field being written, and callables are opaque,
-so both bypass the cache (see :func:`plan_eligible`).
+so :func:`plan_for` builds those afresh, carrying the field through the
+collapse (see :func:`plan_eligible`).
 """
 
 from __future__ import annotations
@@ -52,10 +51,12 @@ from repro.obs import trace
 __all__ = [
     "DecimationPlan",
     "PlanCache",
+    "as_field",
     "build_plan",
     "get_plan_cache",
     "mesh_fingerprint",
     "plan_eligible",
+    "plan_for",
 ]
 
 _FORMAT_VERSION = 1
@@ -76,6 +77,22 @@ def mesh_fingerprint(mesh: TriangleMesh) -> str:
 def plan_eligible(priority) -> bool:
     """True when the collapse order is determined by geometry alone."""
     return priority == "length"
+
+
+def as_field(data: np.ndarray, n_fine: int, what: str = "") -> np.ndarray:
+    """``data`` as the contiguous float64 field of ``n_fine`` vertices.
+
+    The one shape check of the write path: ``(n,)`` or ``(planes, n)``.
+    ``what`` names the offending input (``"step 3: "``) for callers that
+    refactor many.
+    """
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    if data.ndim not in (1, 2) or data.shape[-1] != n_fine:
+        raise RefactoringError(
+            f"{what}data of shape {data.shape} does not match plan's "
+            f"{n_fine} fine vertices (expect (n,) or (planes, n))"
+        )
+    return data
 
 
 def _spatial_chunks(vertices: np.ndarray, target: int) -> list[np.ndarray]:
@@ -177,68 +194,48 @@ class DecimationPlan:
             ]
         return self._memo[chunks]
 
-    def coarsen(self, data: np.ndarray, *, arena=None) -> list[np.ndarray]:
+    def coarsen_level(self, lvl: int, fine: np.ndarray, arena=None) -> np.ndarray:
+        """``L^{lvl+1}`` from ``L^lvl``: one vectorized lineage replay.
+
+        Bit-identical to running the recorded collapse sequence on
+        ``fine``. ``arena`` may supply a buffer pool (``take(shape)`` /
+        ``give(buf)``, e.g. :class:`~repro.core.refactor.BufferArena`)
+        for the replay's extended-id scratch; the returned level is
+        always a fresh array.
+        """
+        lineage = self.lineages[lvl]
+        scratch = None
+        if arena is not None:
+            scratch = arena.take(
+                fine.shape[:-1] + (lineage.n_fine + lineage.num_merges,)
+            )
+        coarse = lineage.replay(fine, scratch=scratch)
+        if arena is not None:
+            arena.give(scratch)
+        return coarse
+
+    def delta_level(
+        self, lvl: int, fine: np.ndarray, coarse: np.ndarray, out=None
+    ) -> np.ndarray:
+        """``delta^{lvl-(lvl+1)}`` (Algorithm 2), into ``out`` when given."""
+        return compute_delta(fine, coarse, self.mappings[lvl], out=out)
+
+    def coarsen(self, data: np.ndarray) -> list[np.ndarray]:
         """All level fields ``[L^0 .. L^{N−1}]`` for a new fine field.
 
-        Each step is a vectorized lineage replay — bit-identical to
-        running the recorded collapse sequence on ``data``. Accepts
-        ``(n,)`` or ``(planes, n)``. ``arena`` may supply a buffer pool
-        (``take(shape)`` / ``give(buf)``, e.g.
-        :class:`~repro.core.encode_scheduler.BufferArena`) for the
-        replay's extended-id scratch, so streaming encoders coarsen many
-        fields without per-call allocation; the level arrays themselves
-        are always fresh.
+        Accepts ``(n,)`` or ``(planes, n)``.
         """
-        data = np.ascontiguousarray(data, dtype=np.float64)
-        if data.shape[-1] != self.meshes[0].num_vertices:
-            raise RefactoringError(
-                f"data of shape {data.shape} does not match plan's "
-                f"{self.meshes[0].num_vertices} fine vertices"
-            )
-        levels = [data]
-        for lineage in self.lineages:
-            prev = levels[-1]
-            if arena is None:
-                levels.append(lineage.replay(prev))
-                continue
-            scratch = arena.take(
-                prev.shape[:-1] + (lineage.n_fine + lineage.num_merges,)
-            )
-            levels.append(lineage.replay(prev, scratch=scratch))
-            arena.give(scratch)
+        levels = [as_field(data, self.meshes[0].num_vertices)]
+        for lvl in self.scheme.delta_levels():
+            levels.append(self.coarsen_level(lvl, levels[-1]))
         return levels
 
-    def deltas_for(
-        self, levels: list[np.ndarray], *, workers: int | None = None
-    ) -> list[np.ndarray]:
-        """Per-level deltas for already-coarsened level fields.
-
-        With ``workers > 1`` the per-level delta computations run on a
-        thread pool (NumPy releases the GIL in the gather/scatter
-        kernels).
-        """
-
-        def one_delta(lvl: int) -> np.ndarray:
-            return compute_delta(
-                levels[lvl], levels[lvl + 1], self.mappings[lvl]
-            )
-
-        delta_levels = list(self.scheme.delta_levels())
-        if workers and workers > 1 and len(delta_levels) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(delta_levels))
-            ) as pool:
-                return list(pool.map(one_delta, delta_levels))
-        return [one_delta(lvl) for lvl in delta_levels]
-
-    def refactor_fields(
-        self, data: np.ndarray, *, workers: int | None = None
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Levels and deltas for a new fine field (no geometry work)."""
-        levels = self.coarsen(data)
-        return levels, self.deltas_for(levels, workers=workers)
+    def deltas_for(self, levels: list[np.ndarray]) -> list[np.ndarray]:
+        """Per-level deltas for already-coarsened level fields."""
+        return [
+            self.delta_level(lvl, levels[lvl], levels[lvl + 1])
+            for lvl in self.scheme.delta_levels()
+        ]
 
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
@@ -319,17 +316,29 @@ class DecimationPlan:
 def build_plan(
     mesh: TriangleMesh,
     scheme: LevelScheme,
+    data: np.ndarray | None = None,
     *,
     method: str = "serial",
     priority: str = "length",
     placement: str = "midpoint",
     estimator: str = "mean",
 ) -> DecimationPlan:
-    """One geometry pass: decimate every level and build every mapping."""
+    """One geometry pass: decimate every level and build every mapping.
+
+    This is the only road from a mesh to levels. ``data`` (``(n,)`` or
+    ``(planes, n)``) is carried through the collapse for priorities
+    that read it (``"data_aware"``, callables); the recorded lineages
+    then replay it, or any other field, to the same levels bit for bit.
+    Without it such a priority sees geometry alone.
+    """
     if method not in KERNELS:
         raise RefactoringError(
             f"unknown decimation method {method!r}; expected one of {KERNELS}"
         )
+    fields = None
+    if data is not None:
+        data = as_field(data, mesh.num_vertices)
+        fields = {str(p): row for p, row in enumerate(np.atleast_2d(data))}
     t0 = time.perf_counter()
     meshes: list[TriangleMesh] = [mesh]
     lineages: list[CollapseLineage] = []
@@ -341,13 +350,15 @@ def build_plan(
              "method": method},
         ):
             result = decimate(
-                meshes[-1], None, ratio=scheme.step_ratio,
+                meshes[-1], fields, ratio=scheme.step_ratio,
                 priority=priority, placement=placement,
                 method=method, record_lineage=True,
             )
         meshes.append(result.mesh)
         lineages.append(result.lineage)
         ratios.append(mesh.num_vertices / result.mesh.num_vertices)
+        if fields is not None:
+            fields = result.fields
     mappings = []
     for lvl in scheme.delta_levels():
         with trace.span("plan.mapping", "refactor", {"level": lvl}):
@@ -368,6 +379,37 @@ def build_plan(
         build_seconds=time.perf_counter() - t0,
         achieved_ratios=ratios,
     )
+
+
+def plan_for(
+    mesh: TriangleMesh,
+    scheme: LevelScheme,
+    data: np.ndarray | None = None,
+    *,
+    method: str = "serial",
+    priority: str = "length",
+    estimator: str = "mean",
+) -> DecimationPlan:
+    """The plan every writer refactors over.
+
+    The process-wide cached plan when the collapse order is geometry's
+    alone (:func:`plan_eligible`), so a mesh is decimated once however
+    many fields, steps and writers follow; otherwise a fresh
+    :func:`build_plan` steered by ``data``.
+    """
+    with trace.span(
+        "refactor.decimate", "refactor",
+        {"levels": scheme.num_levels, "method": method},
+    ):
+        if plan_eligible(priority):
+            return get_plan_cache().get_or_build(
+                mesh, scheme, method=method, priority=priority,
+                estimator=estimator,
+            )
+        return build_plan(
+            mesh, scheme, data, method=method, priority=priority,
+            estimator=estimator,
+        )
 
 
 class PlanCache:

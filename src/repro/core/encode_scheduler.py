@@ -1,10 +1,9 @@
 """Multiprocess streaming encode: shared-memory scheduler + fused kernels.
 
 The write path (paper §III-C1) refactors per MPI rank with zero
-inter-rank communication; PR 3 brought that spirit to one Python
-process (plan replay + thread-parallel delta/compress), but the
-GIL-bound replay loop caps throughput well below the hardware on
-campaigns 100x fig scale. This module scales the encode across
+inter-rank communication; one Python process gets plan replay and
+codec encodes on a thread pool, but the GIL-bound replay loop caps
+throughput well below the hardware on campaigns 100x fig scale. This module scales the encode across
 *processes* while keeping products bit-identical:
 
 * :class:`EncodeScheduler` shards encode work by ``(plane, timestep)``
@@ -21,9 +20,10 @@ campaigns 100x fig scale. This module scales the encode across
   O(window) resident memory; compressed products flow back to the
   single aggregating writer (the I/O stage stays serialized, like an
   aggregating transport).
-* Each task runs the **fused** decimate→delta→compress kernel
-  (:func:`fused_step_products`): one level in flight at a time, pooled
-  scratch buffers from a :class:`BufferArena` instead of materializing
+* Each task runs the one write-side task body
+  (:func:`~repro.core.refactor.fused_step_products`): one level in
+  flight at a time, pooled scratch buffers from a
+  :class:`~repro.core.refactor.BufferArena` instead of materializing
   every level and every delta before compressing.
 
 Observability: ``encode.sched.*`` counters (tasks, shm_bytes,
@@ -46,26 +46,24 @@ import numpy as np
 
 from repro.compress import get_codec
 from repro.core.decimation_plan import (
-    build_plan,
+    as_field,
     get_plan_cache,
     mesh_fingerprint,
-    plan_eligible,
+    plan_for,
 )
-from repro.core.delta import compute_delta
 from repro.core.layout import ProductWriter, declare_variable
 from repro.core.notation import GEOM_VAR, LevelScheme, step_chain
+from repro.core.refactor import BufferArena, fused_step_products
 from repro.errors import CanopusError
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.obs import trace
 from repro.obs.metrics import get_registry
 
 __all__ = [
-    "BufferArena",
     "EncodeScheduler",
     "ScaleoutReport",
     "SchedPlane",
     "encode_campaign_scaleout",
-    "fused_step_products",
 ]
 
 _STOP = ("stop",)
@@ -97,112 +95,6 @@ def _gauge_max(name: str, value: float) -> None:
 def _peak_rss_bytes() -> int:
     """This process's peak resident set size (ru_maxrss is KiB on Linux)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-
-
-# ---------------------------------------------------------------------------
-class BufferArena:
-    """Pool of reusable float64 scratch buffers keyed by shape.
-
-    The fused kernel's per-level working set (replay extended-id buffer,
-    delta output) has a fixed set of shapes per plane, so after the
-    first task every allocation is a pool hit — allocation churn on the
-    steady-state encode path drops to the codec's internals.
-    """
-
-    def __init__(self) -> None:
-        self._free: dict[tuple, list[np.ndarray]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.bytes_reused = 0
-
-    def take(self, shape: tuple) -> np.ndarray:
-        stack = self._free.get(shape)
-        if stack:
-            self.hits += 1
-            buf = stack.pop()
-            self.bytes_reused += buf.nbytes
-            return buf
-        self.misses += 1
-        return np.empty(shape, dtype=np.float64)
-
-    def give(self, buf: np.ndarray) -> None:
-        self._free.setdefault(buf.shape, []).append(buf)
-
-    @property
-    def pooled_bytes(self) -> int:
-        return sum(
-            b.nbytes for stack in self._free.values() for b in stack
-        )
-
-    def clear(self) -> None:
-        self._free.clear()
-
-
-def fused_step_products(
-    plan, data: np.ndarray, codec, *, arena: BufferArena | None = None,
-    summaries: dict | None = None,
-) -> tuple[dict[str, bytes], dict[str, float]]:
-    """Fused decimate→delta→compress for one timestep of one plane.
-
-    Walks the level chain keeping a single level in flight: replay the
-    collapse lineage to the next level, compute the delta straight into
-    a pooled buffer, compress it, drop the fine level, continue. Peak
-    scratch is ~3 level fields instead of the ``2N`` arrays the staged
-    path (`coarsen()` then `deltas_for()`) materializes.
-
-    Returns ``({"base": ..., "delta{l}": ...}, stage_seconds)``. The
-    payload bytes are bit-identical to the staged path: replay and
-    :func:`~repro.core.delta.compute_delta` evaluate the same IEEE-754
-    expressions on the same operands, pooled buffers or not.
-
-    When ``summaries`` is a dict it is filled with one
-    :meth:`~repro.io.query.ChunkStats.as_dict` per product (same keys
-    as ``products``), computed here while each level's delta is still
-    in a live buffer — the only point in the pipeline where the
-    uncompressed values exist without an extra decode. The retrieval
-    planner (:mod:`repro.query`) prunes delta levels from exactly these
-    bounds, so they must describe the *pre-compression* values.
-    """
-    from repro.io.query import ChunkStats
-
-    arena = arena if arena is not None else BufferArena()
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    products: dict[str, bytes] = {}
-    stats = {"replay_seconds": 0.0, "delta_seconds": 0.0,
-             "compress_seconds": 0.0, "summary_seconds": 0.0}
-    fine = data
-    for lvl in plan.scheme.delta_levels():
-        lineage = plan.lineages[lvl]
-        scratch_shape = fine.shape[:-1] + (
-            lineage.n_fine + lineage.num_merges,
-        )
-        scratch = arena.take(scratch_shape)
-        t0 = time.perf_counter()
-        coarse = lineage.replay(fine, scratch=scratch)
-        t1 = time.perf_counter()
-        arena.give(scratch)
-        delta = arena.take(fine.shape)
-        compute_delta(fine, coarse, plan.mappings[lvl], out=delta)
-        t2 = time.perf_counter()
-        if summaries is not None:
-            summaries[f"delta{lvl}"] = ChunkStats.of(delta).as_dict()
-        t2b = time.perf_counter()
-        products[f"delta{lvl}"] = codec.encode(delta.ravel())
-        t3 = time.perf_counter()
-        arena.give(delta)
-        stats["replay_seconds"] += t1 - t0
-        stats["delta_seconds"] += t2 - t1
-        stats["summary_seconds"] += t2b - t2
-        stats["compress_seconds"] += t3 - t2b
-        fine = coarse
-    if summaries is not None:
-        t0 = time.perf_counter()
-        summaries["base"] = ChunkStats.of(fine).as_dict()
-        stats["summary_seconds"] += time.perf_counter() - t0
-    t0 = time.perf_counter()
-    products["base"] = codec.encode(fine.ravel())
-    stats["compress_seconds"] += time.perf_counter() - t0
-    return products, stats
 
 
 # ---------------------------------------------------------------------------
@@ -284,34 +176,29 @@ def _shm_ndarray(shm, shape: tuple, dtype: str, offset: int = 0) -> np.ndarray:
 def _build_plane_state(
     mesh: TriangleMesh, scheme: LevelScheme, cfg: dict
 ) -> tuple:
-    """(plan, codec, built_flag, geometry_payload) for one plane."""
+    """(plan, codec, geometry_payload) for one plane.
+
+    Data-dependent priorities decimate from geometry alone here (the
+    stream's fields are not known at plane-setup time), as at
+    :class:`~repro.core.campaign.CampaignWriter` setup.
+    """
     cache = get_plan_cache()
-    if plan_eligible(cfg["priority"]):
-        before = cache.stats["misses"]
-        plan = cache.get_or_build(
-            mesh, scheme, method=cfg["method"], priority=cfg["priority"],
-            estimator=cfg["estimator"],
-        )
-        built = cache.stats["misses"] > before
-    else:
-        # Data-dependent priorities degenerate to geometry-only here
-        # (the stream's fields are not known at plane-setup time),
-        # matching CampaignWriter's campaign-setup semantics.
-        plan = build_plan(
-            mesh, scheme, method=cfg["method"], priority=cfg["priority"],
-            estimator=cfg["estimator"],
-        )
-        built = True
+    hits = cache.stats["hits"]
+    plan = plan_for(
+        mesh, scheme, method=cfg["method"], priority=cfg["priority"],
+        estimator=cfg["estimator"],
+    )
     codec = get_codec(cfg["codec"], **cfg["codec_params"])
     mesh_blobs, mapping_blobs = plan.geometry_blobs()
     geom = {
         "fingerprint": mesh_fingerprint(mesh),
-        "built": built,
+        # Decimated here, not a cache hit.
+        "built": cache.stats["hits"] == hits,
         "counts": [m.num_vertices for m in plan.meshes],
         "mesh_blobs": mesh_blobs,
         "mapping_blobs": mapping_blobs,
     }
-    return plan, codec, built, geom
+    return plan, codec, geom
 
 
 def _worker_main(worker_id: int, task_q, result_q, cfg: dict) -> None:
@@ -325,6 +212,7 @@ def _worker_main(worker_id: int, task_q, result_q, cfg: dict) -> None:
     """
     planes: dict[int, tuple] = {}
     attached: dict[str, object] = {}
+    data = None
     arena = BufferArena()
     counters = {
         "worker_id": worker_id, "tasks": 0, "plan_builds": 0,
@@ -351,10 +239,8 @@ def _worker_main(worker_id: int, task_q, result_q, cfg: dict) -> None:
                     pass
                 mesh = TriangleMesh(vertices, triangles, validate=False)
                 scheme = LevelScheme(num_levels, step_ratio)
-                plan, codec, built, geom = _build_plane_state(
-                    mesh, scheme, cfg
-                )
-                counters["plan_builds"] += int(built)
+                plan, codec, geom = _build_plane_state(mesh, scheme, cfg)
+                counters["plan_builds"] += int(geom["built"])
                 planes[plane_id] = (plan, codec)
                 geom["mesh_shm"] = shm_name
                 result_q.put(("geom", worker_id, plane_id, geom))
@@ -364,17 +250,10 @@ def _worker_main(worker_id: int, task_q, result_q, cfg: dict) -> None:
                 if shm_name not in attached:
                     attached[shm_name] = _attach_shm(shm_name)
                 data = _shm_ndarray(attached[shm_name], shape, "float64")
-                t0 = time.perf_counter()
-                summaries: dict = {}
+                # The parent validated the field before shipping it.
                 products, stats = fused_step_products(
-                    plan, data, codec, arena=arena, summaries=summaries
+                    plan, data, codec, arena=arena
                 )
-                stats["wall_seconds"] = time.perf_counter() - t0
-                # Summaries ride inside the stats dict so the sink
-                # protocol (geometry/products) keeps its arity for
-                # every existing sink implementation.
-                stats["summaries"] = summaries
-                del data
                 counters["tasks"] += 1
                 counters["plan_replays"] += 1
                 result_q.put(
@@ -387,6 +266,9 @@ def _worker_main(worker_id: int, task_q, result_q, cfg: dict) -> None:
         counters["arena_bytes_reused"] = arena.bytes_reused
         counters["peak_rss_bytes"] = _peak_rss_bytes()
         arena.clear()
+        # A segment cannot close while a view of it is alive, and a task
+        # that raised leaves its view in `data`.
+        data = None
         for shm in attached.values():
             try:
                 shm.close()
@@ -397,6 +279,13 @@ def _worker_main(worker_id: int, task_q, result_q, cfg: dict) -> None:
 
 # ---------------------------------------------------------------------------
 # parent side
+def _what(planes, plane_id: int, step: int) -> str:
+    """How an error names a task's field: by step, and by plane when
+    the run has several."""
+    plane = f"plane {plane_id} " if len(planes) > 1 else ""
+    return f"{plane}step {step}: "
+
+
 class _SlotPool:
     """Windowed pool of shared-memory slots owned by the parent.
 
@@ -568,20 +457,17 @@ class EncodeScheduler:
         for plane_id, step, data in tasks:
             if plane_id not in states:
                 spec = specs[plane_id]
-                plan, codec, built, geom = _build_plane_state(
+                plan, codec, geom = _build_plane_state(
                     spec.mesh, spec.scheme, self.cfg
                 )
                 states[plane_id] = (plan, codec)
-                report.plan_builds += int(built)
+                report.plan_builds += int(geom["built"])
                 sink.geometry(plane_id, geom)
             plan, codec = states[plane_id]
-            t0 = time.perf_counter()
-            summaries: dict = {}
             products, stats = fused_step_products(
-                plan, data, codec, arena=arena, summaries=summaries
+                plan, data, codec, arena=arena,
+                what=_what(specs, plane_id, step),
             )
-            stats["wall_seconds"] = time.perf_counter() - t0
-            stats["summaries"] = summaries
             report.tasks += 1
             report.plan_replays += 1
             report._vertices += int(np.asarray(data).shape[-1])
@@ -722,7 +608,12 @@ class EncodeScheduler:
             for plane_id in sorted(specs):
                 ship_plane(plane_id)
             for plane_id, step, data in tasks:
-                data = np.ascontiguousarray(data, dtype=np.float64)
+                # Checked here, before the copy into a slot: a worker
+                # would report the same error without the caller's frame.
+                data = as_field(
+                    data, specs[plane_id].mesh.num_vertices,
+                    _what(specs, plane_id, step),
+                )
                 # Window back-pressure: never more than `window` raw
                 # timesteps resident; drain results until a slot frees.
                 if pool.in_use >= self.window:

@@ -2,11 +2,11 @@
 
 The encoder drives one variable through the full pipeline:
 
-1. :func:`~repro.core.refactor.refactor` produces the base, the deltas,
-   and the vertex→triangle mappings;
-2. the base and each delta are compressed with the configured
-   floating-point codec; mappings and mesh geometry are stored
-   losslessly (deflate);
+1. :func:`~repro.core.refactor.walk` over the mesh's
+   :class:`~repro.core.decimation_plan.DecimationPlan` produces the
+   base and the deltas, each compressed with the configured
+   floating-point codec as soon as it exists;
+2. mappings and mesh geometry are stored losslessly (deflate);
 3. everything is written through an ADIOS-like
    :class:`~repro.io.dataset.BPDataset` with preferred tiers from
    :func:`~repro.core.plan.plan_placement` (base on the fastest tier,
@@ -26,10 +26,9 @@ import numpy as np
 
 from repro.compress import get_codec
 from repro.core.decimation_plan import (
-    DecimationPlan,
     _spatial_chunks,  # noqa: F401 - benchmarks/perf imports it from here
+    plan_for,
 )
-from repro.core.encode_scheduler import BufferArena
 from repro.core.layout import ProductWriter, declare_variable
 from repro.core.notation import (
     LevelScheme,
@@ -40,7 +39,7 @@ from repro.core.notation import (
     mapping_key,
     mesh_key,
 )
-from repro.core.refactor import RefactorResult, refactor
+from repro.core.refactor import BufferArena, RefactorResult, encode_pool, walk
 from repro.errors import CanopusError
 from repro.io.dataset import BPDataset
 from repro.io.query import ChunkStats
@@ -103,9 +102,9 @@ class CanopusEncoder:
         Decimation kernel: ``"serial"`` (Algorithm 1's heap loop,
         default) or ``"batched"`` (round-based vectorized kernel).
     workers:
-        With ``workers > 1``, per-level delta computation and codec
-        encodes overlap on a thread pool (NumPy and the codecs release
-        the GIL in their hot loops).
+        With ``workers > 1``, each level's codec encodes run on this
+        encoder's thread pool while the refactoring goes on to the next
+        level (NumPy and the codecs release the GIL in their hot loops).
     chunks:
         Number of spatial chunks per delta (1 = monolithic).
     total_error_budget:
@@ -136,7 +135,6 @@ class CanopusEncoder:
         chunks: int = 1,
         total_error_budget: float | None = None,
         transports: dict[str, Transport] | None = None,
-        use_plan_cache: bool = True,
         placement: str = "walk",
     ) -> None:
         if chunks < 1:
@@ -160,12 +158,12 @@ class CanopusEncoder:
         self.chunks = chunks
         self.total_error_budget = total_error_budget
         self.transports = transports
-        self.use_plan_cache = use_plan_cache
         self.placement = placement
         # Replay-scratch pool shared across this encoder's encode()
         # calls: steady-state multi-variable / multi-step encodes reuse
         # the extended-id work buffers instead of reallocating per field.
         self._arena = BufferArena()
+        self._pool = encode_pool(workers)
         # Fail fast on bad codec configuration.
         get_codec(codec, **self.codec_params)
 
@@ -186,29 +184,9 @@ class CanopusEncoder:
         An existing open ``dataset`` may be supplied to co-locate several
         variables in one BP dataset; set ``close=False`` to keep it open.
         """
+        data_arr = np.asarray(data)
         report = EncodeReport(
-            var=var,
-            scheme=scheme,
-            original_bytes=int(np.asarray(data).nbytes),
-        )
-        with trace.span(
-            "encode.refactor", "refactor",
-            {"var": var, "levels": scheme.num_levels,
-             "method": self.method},
-        ):
-            result = refactor(
-                mesh, data, scheme,
-                estimator=self.estimator, priority=self.priority,
-                method=self.method, workers=self.workers,
-                use_plan_cache=self.use_plan_cache,
-                arena=self._arena,
-            )
-        report.decimation_seconds = result.decimation_seconds
-        report.delta_seconds = result.delta_seconds
-
-        ds = dataset or BPDataset.create(
-            dataset_name, self.hierarchy, self.transports,
-            placement=self.placement,
+            var=var, scheme=scheme, original_bytes=int(data_arr.nbytes)
         )
         # A "relative" tolerance is resolved ONCE against the input
         # variable's range, then applied as the same absolute bound to the
@@ -224,14 +202,48 @@ class CanopusEncoder:
                 self.total_error_budget / scheme.num_levels
             )
         if codec_params.get("mode") == "relative":
-            value_range = float(np.ptp(data)) if np.asarray(data).size else 1.0
+            value_range = float(np.ptp(data)) if data_arr.size else 1.0
             codec_params["tolerance"] = (
                 codec_params.get("tolerance", 1e-6) * max(value_range, 1e-300)
             )
             codec_params["mode"] = "absolute"
         codec = get_codec(self.codec_name, **codec_params)
 
-        data_arr = np.asarray(data)
+        # Geometry-only payloads — meshes, mappings, chunk index lists —
+        # come from the plan, so every variable and every later encode on
+        # this mesh shares one deflate of each (a data-dependent priority
+        # gets a plan of its own, for this encode only). Every payload is
+        # compressed as the walk produces it, then all are placed in one
+        # deterministic order.
+        stats: dict = {}
+        with trace.span(
+            "encode.refactor", "refactor",
+            {"var": var, "levels": scheme.num_levels,
+             "method": self.method, "workers": self.workers or 1},
+        ):
+            t0 = time.perf_counter()
+            plan = plan_for(
+                mesh, scheme, data, method=self.method,
+                priority=self.priority, estimator=self.estimator,
+            )
+            plan_seconds = time.perf_counter() - t0
+            walked = list(walk(
+                plan, data, codec, chunks=self.chunks, arena=self._arena,
+                pool=self._pool, stats=stats,
+            ))
+        report.decimation_seconds = plan_seconds + stats["replay_seconds"]
+        report.delta_seconds = stats["delta_seconds"]
+        report.compress_seconds = stats["compress_seconds"]
+        result = RefactorResult.of(
+            plan, walked,
+            decimation_seconds=report.decimation_seconds,
+            delta_seconds=report.delta_seconds,
+        )
+
+        ds = dataset or BPDataset.create(
+            dataset_name, self.hierarchy, self.transports,
+            placement=self.placement,
+        )
         planes = data_arr.shape[0] if data_arr.ndim == 2 else 0
         meta = declare_variable(
             ds, var, scheme, self.codec_name,
@@ -239,7 +251,7 @@ class CanopusEncoder:
             estimator=self.estimator,
             chunks=self.chunks,
             planes=planes,
-            counts=[m.num_vertices for m in result.meshes],
+            counts=[m.num_vertices for m in plan.meshes],
             # Whole-field value summary: lets aggregate predicates
             # (min/max/mean over the full domain) answer from the
             # catalog footer alone, with zero data I/O.
@@ -247,56 +259,23 @@ class CanopusEncoder:
         )
         writer = ProductWriter(ds, scheme, self.codec_name)
 
-        def put(key, payload, *, values=None, **record) -> None:
-            # Catalog-resident value statistics enable query-driven chunk
-            # pruning (repro.io.query) with zero data I/O.
-            rec = writer.put(
-                key, payload,
-                stats=None if values is None else ChunkStats.of(values).as_dict(),
-                **record,
-            )
+        def put(key, payload, **record) -> None:
+            # `stats=`: catalog-resident value statistics enable
+            # query-driven chunk pruning (repro.io.query) with zero data
+            # I/O.
+            rec = writer.put(key, payload, **record)
             report.compressed_bytes[key] = len(payload)
             report.placed_tiers[key] = rec.tier
 
-        # Compress every field/delta payload first — with workers > 1
-        # the codec encodes overlap on a thread pool (the codecs release
-        # the GIL in their hot loops) — then place the blobs in the same
-        # deterministic order as before.
         base_level = scheme.base_level
-        # Geometry-only payloads — meshes, mappings, chunk index lists —
-        # come from the plan, so every variable and every later encode on
-        # this mesh shares one deflate of each. Without a cached plan
-        # (data-dependent priority) a throwaway one over this result's
-        # geometry serialises it the same way, for this encode only.
-        plan = result.plan or DecimationPlan(
-            scheme, result.meshes, [], result.mappings
-        )
         mesh_blobs, mapping_blobs = plan.geometry_blobs()
         chunk_layout = plan.chunk_layout(self.chunks) if self.chunks > 1 else None
-        jobs: list[tuple[str, np.ndarray]] = [
-            ("base", result.base_field.ravel())
-        ]
-        for lvl in scheme.delta_levels():
-            delta = result.deltas[lvl]
-            if chunk_layout is None:
-                jobs.append((f"delta{lvl}", delta.ravel()))
-            else:
-                for c, (idx, _, _) in enumerate(chunk_layout[lvl]):
-                    jobs.append((f"chunk{lvl}/{c}", delta[..., idx].ravel()))
-        t0 = time.perf_counter()
-        with trace.span(
-            "encode.compress", "compress",
-            {"var": var, "payloads": len(jobs),
-             "workers": self.workers or 1},
-        ):
-            blobs = self._encode_payloads(codec, jobs)
-        report.compress_seconds += time.perf_counter() - t0
 
         # Base product: field + mesh on the fastest tier.
         put(
-            level_key(var, base_level), blobs["base"],
+            level_key(var, base_level), walked[base_level].blobs[0],
             kind="base", level=base_level, count=result.base_field.size,
-            values=result.base_field,
+            stats=walked[base_level].summaries[0],
         )
         put(
             mesh_key(var, base_level), mesh_blobs[base_level],
@@ -305,11 +284,11 @@ class CanopusEncoder:
 
         # Delta products: delta (possibly chunked) + mapping + level mesh.
         for lvl in scheme.delta_levels():
-            delta = result.deltas[lvl]
+            _, _, delta, pieces, blobs, summaries = walked[lvl]
             if chunk_layout is None:
                 put(
-                    delta_key(var, lvl), blobs[f"delta{lvl}"],
-                    kind="delta", level=lvl, count=delta.size, values=delta,
+                    delta_key(var, lvl), blobs[0], kind="delta", level=lvl,
+                    count=delta.size, stats=summaries[0],
                 )
             else:
                 # Spatial chunking: bin fine vertices on a 2-D grid so a
@@ -318,7 +297,6 @@ class CanopusEncoder:
                 # §III-E). Each chunk stores its vertex-index list (the
                 # scatter map) next to its delta values.
                 for c, (idx, idx_blob, bbox) in enumerate(chunk_layout[lvl]):
-                    piece = delta[..., idx]
                     attrs = {
                         "chunk": c, "bbox": list(bbox), "n_vertices": len(idx),
                     }
@@ -332,9 +310,9 @@ class CanopusEncoder:
                             data_arr[..., idx]
                         ).as_dict()
                     put(
-                        chunk_key(var, lvl, c), blobs[f"chunk{lvl}/{c}"],
-                        kind="delta", level=lvl, count=piece.size,
-                        attrs=attrs, values=piece,
+                        chunk_key(var, lvl, c), blobs[c],
+                        kind="delta", level=lvl, count=pieces[c].size,
+                        attrs=attrs, stats=summaries[c],
                     )
                     put(
                         idx_key(var, lvl, c), idx_blob,
@@ -360,18 +338,3 @@ class CanopusEncoder:
             for key in list(report.placed_tiers):
                 report.placed_tiers[key] = ds.catalog.get(key).tier
         return report, result
-
-    # ------------------------------------------------------------------
-    def _encode_payloads(
-        self, codec, jobs: list[tuple[str, np.ndarray]]
-    ) -> dict[str, bytes]:
-        """Encode all payload arrays, overlapped when workers > 1."""
-        if self.workers and self.workers > 1 and len(jobs) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(
-                max_workers=min(self.workers, len(jobs))
-            ) as pool:
-                encoded = pool.map(codec.encode, (arr for _, arr in jobs))
-                return {tag: blob for (tag, _), blob in zip(jobs, encoded)}
-        return {tag: codec.encode(arr) for tag, arr in jobs}

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.decimation_plan import as_field
 from repro.core.decode_engine import DecodeEngine
 from repro.core.encode_scheduler import EncodeScheduler, SchedPlane
 from repro.core.layout import (
@@ -34,7 +35,6 @@ from repro.core.layout import (
     variable_scheme,
 )
 from repro.core.notation import LevelScheme, part_chain
-from repro.errors import CanopusError
 from repro.io.dataset import BPDataset
 from repro.mesh.partition import MeshPartition, gather_field, partition_mesh
 from repro.mesh.triangle_mesh import TriangleMesh
@@ -109,12 +109,8 @@ def encode_partitioned(
     stream through shared memory after plane setup, so they cannot
     steer the collapse order.
     """
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    if data.shape[-1] != mesh.num_vertices:
-        raise CanopusError(
-            f"data shape {data.shape} does not match mesh "
-            f"({mesh.num_vertices} vertices)"
-        )
+    original_bytes = int(np.asarray(data).nbytes)
+    data = as_field(data, mesh.num_vertices)
     codec_params = dict(codec_params or {})
     if codec_params.get("mode") == "relative":
         # Resolve against the *global* range once, so every patch (and
@@ -180,7 +176,7 @@ def encode_partitioned(
         refactor_seconds=refactor_seconds,
         write_seconds=write_seconds,
         compressed_bytes=compressed,
-        original_bytes=int(data.nbytes),
+        original_bytes=original_bytes,
         per_part_seconds=[
             sink.stats[i]["wall_seconds"] for i in sorted(sink.stats)
         ],

@@ -1,40 +1,253 @@
-"""Multi-level refactoring driver (decimation + delta chain).
+"""Multi-level refactoring (paper Algorithm 2): the one write-side walk.
 
-One refactoring pass produces, from ``(G^0, L^0)``:
+From ``(G^0, L^0)`` a refactoring produces the level fields
+``L^1 .. L^{N−1}`` and the deltas ``delta^{l-(l+1)}``; only ``L^{N−1}``
+(the base) and the deltas are persisted — the intermediate levels exist
+transiently, which is the whole point of Motivation 2 (Canopus vs. naive
+multi-level compression). Geometry — level meshes, collapse lineages,
+mappings — comes from a :class:`~repro.core.decimation_plan.DecimationPlan`
+(:func:`~repro.core.decimation_plan.plan_for`).
 
-* the level meshes ``G^1 .. G^{N−1}`` and fields ``L^1 .. L^{N−1}``
-  (paper Alg. 1, one :func:`~repro.mesh.edge_collapse.decimate` call per
-  step);
-* the mappings ``mapping^l`` (fine vertex → coarse triangle, §III-E2);
-* the deltas ``delta^{l-(l+1)}`` (paper Alg. 2).
+:func:`walk` is the recipe, written once: replay to the next level,
+delta against it, hand each payload piece to the codec, one level in
+flight. Everything that writes consumes it:
 
-Only ``L^{N−1}`` (the base) and the deltas are persisted — the
-intermediate levels exist transiently, which is the whole point of
-Motivation 2 (Canopus vs. naive multi-level compression). Per-phase wall
-times are recorded for the write-cost study (Fig. 6b).
+* :func:`refactor` keeps the levels and deltas (no codec, no storage);
+* :class:`~repro.core.encoder.CanopusEncoder` cuts each delta into the
+  plan's spatial chunks and places the payloads;
+* :func:`fused_step_products` is the task body of one campaign step or
+  partition patch, shared by :class:`~repro.core.campaign.CampaignWriter`
+  and the process scheduler's inline and worker loops.
+
+Per-stage wall times are recorded for the write-cost study (Fig. 6b).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from functools import partial
+from itertools import chain
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from repro.core.decimation_plan import (
-    DecimationPlan,
-    get_plan_cache,
-    plan_eligible,
-)
-from repro.core.delta import compute_delta
-from repro.core.mapping import LevelMapping, build_mapping
+from repro.core.decimation_plan import DecimationPlan, as_field, plan_for
+from repro.core.mapping import LevelMapping
 from repro.core.notation import LevelScheme
 from repro.errors import RefactoringError
-from repro.mesh.edge_collapse import decimate
+from repro.io.query import ChunkStats
 from repro.mesh.triangle_mesh import TriangleMesh
-from repro.obs import trace
+from repro.obs import context as obs_context
 
-__all__ = ["RefactorResult", "refactor"]
+__all__ = [
+    "BufferArena",
+    "RefactorResult",
+    "WalkedLevel",
+    "encode_pool",
+    "fused_step_products",
+    "refactor",
+    "walk",
+]
+
+
+class BufferArena:
+    """Pool of reusable float64 scratch buffers keyed by shape.
+
+    The walk's per-level working set (replay extended-id buffer, delta
+    output) has a fixed set of shapes per plan, so after the first field
+    every allocation is a pool hit — allocation churn on the
+    steady-state encode path drops to the codec's internals.
+    """
+
+    def __init__(self) -> None:
+        self._free: dict[tuple, list[np.ndarray]] = {}
+        self.hits = 0
+        self.misses = 0
+        self.bytes_reused = 0
+
+    def take(self, shape: tuple) -> np.ndarray:
+        stack = self._free.get(shape)
+        if stack:
+            self.hits += 1
+            buf = stack.pop()
+            self.bytes_reused += buf.nbytes
+            return buf
+        self.misses += 1
+        return np.empty(shape, dtype=np.float64)
+
+    def give(self, buf: np.ndarray) -> None:
+        self._free.setdefault(buf.shape, []).append(buf)
+
+    @property
+    def pooled_bytes(self) -> int:
+        return sum(
+            b.nbytes for stack in self._free.values() for b in stack
+        )
+
+    def clear(self) -> None:
+        self._free.clear()
+
+
+def encode_pool(workers: int | None) -> ThreadPoolExecutor | None:
+    """What a writer's ``workers`` means: the pool :func:`walk` hands a
+    level's codec encodes to while it goes on to the next level.
+
+    One per writer, for the writer's lifetime (threads start on first
+    use and leave with the pool); ``None`` below two workers.
+    """
+    if not workers or workers < 2:
+        return None
+    return ThreadPoolExecutor(
+        max_workers=workers, thread_name_prefix="repro-encode"
+    )
+
+
+class WalkedLevel(NamedTuple):
+    """What :func:`walk` hands its consumer for one level."""
+
+    level: int
+    #: ``L^level``.
+    field: np.ndarray
+    #: What is stored for the level: ``delta^{level-(level+1)}``, or the
+    #: field itself at the base level. The consumer owns a delta: it
+    #: keeps it, or gives it back to the walk's arena when done.
+    values: np.ndarray
+    #: ``values`` cut into payload arrays (one, unless chunked).
+    pieces: list[np.ndarray]
+    #: The codec payload of each piece (empty without a codec).
+    blobs: list[bytes]
+    #: One :meth:`~repro.io.query.ChunkStats.as_dict` per payload, taken
+    #: here because this is the only point in the pipeline where the
+    #: uncompressed values exist without an extra decode. The retrieval
+    #: planner (:mod:`repro.query`) prunes from exactly these bounds, so
+    #: they describe the *pre-compression* values.
+    summaries: list[dict]
+
+
+def walk(
+    plan: DecimationPlan,
+    data: np.ndarray,
+    codec=None,
+    *,
+    chunks: int = 1,
+    arena: BufferArena | None = None,
+    pool: ThreadPoolExecutor | None = None,
+    stats: dict | None = None,
+    what: str = "",
+) -> Iterator[WalkedLevel]:
+    """Algorithm 2 over ``plan`` for one field, finest level first.
+
+    Per delta level: replay the collapse lineage to the next level,
+    compute the delta (into a pooled buffer when ``arena`` is given),
+    cut it into ``plan.chunk_layout(chunks)`` pieces, encode each piece
+    with ``codec``; then the base. A single level is in flight: peak
+    scratch is ~3 level fields, not the ``2N`` arrays of coarsening
+    every level before computing any delta.
+
+    With ``pool`` the encodes of a level run there (in the caller's
+    trace context) while the walk goes on, so each level is yielded once
+    the next one's encodes are submitted — two levels in flight.
+    Payloads are the same bytes either way: same IEEE-754 expressions on
+    the same operands, pooled buffers or not.
+
+    ``data`` is validated here, once (``what`` names it in the error);
+    ``stats`` accumulates ``replay/delta/compress/summary_seconds``.
+    """
+    fine = as_field(data, plan.meshes[0].num_vertices, what)
+    stats = {} if stats is None else stats
+    for stage in ("replay", "delta", "compress", "summary"):
+        stats.setdefault(f"{stage}_seconds", 0.0)
+    if codec is None:
+        encode = pool = None
+    elif pool is None:
+        encode = codec.encode
+    else:
+        encode = partial(pool.submit, obs_context.propagate(codec.encode))
+    levels = _levels(plan, fine, encode, chunks, arena, stats)
+    return levels if pool is None else _one_behind(levels, stats)
+
+
+def _levels(plan, fine, encode, chunks, arena, stats):
+    layout = plan.chunk_layout(chunks) if chunks > 1 else None
+    base_level = plan.scheme.base_level
+    for lvl in plan.scheme.levels():
+        t0 = t1 = t2 = time.perf_counter()
+        coarse, values, pieces = None, fine, [fine]
+        if lvl != base_level:
+            coarse = plan.coarsen_level(lvl, fine, arena)
+            t1 = time.perf_counter()
+            values = plan.delta_level(
+                lvl, fine, coarse,
+                out=None if arena is None else arena.take(fine.shape),
+            )
+            t2 = time.perf_counter()
+            pieces = (
+                [values] if layout is None
+                else [values[..., idx] for idx, _, _ in layout[lvl]]
+            )
+        blobs, summaries = [], []
+        t3 = t2
+        if encode is not None:
+            # The one place the write path calls a payload codec; on a
+            # pool, the summaries are taken while the encodes run.
+            blobs = [encode(p.ravel()) for p in pieces]
+            t3 = time.perf_counter()
+            summaries = [ChunkStats.of(p).as_dict() for p in pieces]
+        stats["replay_seconds"] += t1 - t0
+        stats["delta_seconds"] += t2 - t1
+        stats["compress_seconds"] += t3 - t2
+        stats["summary_seconds"] += time.perf_counter() - t3
+        yield WalkedLevel(lvl, fine, values, pieces, blobs, summaries)
+        fine = coarse
+
+
+def _one_behind(levels, stats):
+    """Each level, its encode futures resolved, after the next one's
+    encodes were submitted; a buffer leaves the walk only once nothing
+    on the pool reads it."""
+    previous = None
+    for level in chain(levels, [None]):
+        if previous is not None:
+            t0 = time.perf_counter()
+            blobs = [future.result() for future in previous.blobs]
+            stats["compress_seconds"] += time.perf_counter() - t0
+            yield previous._replace(blobs=blobs)
+        previous = level
+
+
+def fused_step_products(
+    plan: DecimationPlan,
+    data: np.ndarray,
+    codec,
+    *,
+    arena: BufferArena | None = None,
+    pool: ThreadPoolExecutor | None = None,
+    what: str = "",
+) -> tuple[dict[str, bytes], dict]:
+    """The products of one chain: one campaign step, one partition patch.
+
+    Returns ``({"base": ..., "delta{l}": ...}, stats)``. ``stats`` holds
+    the per-stage seconds, ``wall_seconds``, and ``summaries``: the value
+    summary of each product, under the same keys.
+    """
+    began = time.perf_counter()
+    stats: dict = {}
+    products: dict[str, bytes] = {}
+    summaries: dict[str, dict] = {}
+    base_level = plan.scheme.base_level
+    for lvl, _, values, _, (blob,), (summary,) in walk(
+        plan, data, codec, arena=arena, pool=pool, stats=stats, what=what
+    ):
+        tag = "base" if lvl == base_level else f"delta{lvl}"
+        products[tag] = blob
+        summaries[tag] = summary
+        if arena is not None and lvl != base_level:
+            arena.give(values)
+    stats["summaries"] = summaries
+    stats["wall_seconds"] = time.perf_counter() - began
+    return products, stats
 
 
 @dataclass
@@ -43,30 +256,48 @@ class RefactorResult:
 
     Attributes
     ----------
-    scheme:
-        The level progression used.
-    meshes:
-        ``meshes[l]`` is ``G^l``; index 0 is the input mesh.
+    plan:
+        The geometry the pass ran over: ``meshes[l]`` is ``G^l`` (index
+        0 the input mesh), ``mappings[l]`` lifts level ``l+1`` to ``l``.
     levels:
         ``levels[l]`` is ``L^l``; only ``levels[-1]`` (the base) is
         persisted by the encoder.
     deltas:
         ``deltas[l] = delta^{l-(l+1)}`` for ``0 <= l < N−1``.
-    mappings:
-        ``mappings[l]`` lifts level ``l+1`` to ``l``.
     decimation_seconds / delta_seconds:
-        Wall time spent in each phase (Fig. 6b inputs).
+        Wall time spent in each phase (Fig. 6b inputs): getting the plan
+        plus replaying it, and the delta calculations.
     """
 
-    scheme: LevelScheme
-    meshes: list[TriangleMesh]
+    plan: DecimationPlan
     levels: list[np.ndarray]
     deltas: list[np.ndarray]
-    mappings: list[LevelMapping]
     decimation_seconds: float = 0.0
     delta_seconds: float = 0.0
-    achieved_ratios: list[float] = field(default_factory=list)
-    plan: DecimationPlan | None = None
+
+    @classmethod
+    def of(cls, plan, walked: list[WalkedLevel], **seconds) -> RefactorResult:
+        """From every level of one :func:`walk`, finest first."""
+        return cls(
+            plan, [w.field for w in walked], [w.values for w in walked[:-1]],
+            **seconds,
+        )
+
+    @property
+    def scheme(self) -> LevelScheme:
+        return self.plan.scheme
+
+    @property
+    def meshes(self) -> list[TriangleMesh]:
+        return self.plan.meshes
+
+    @property
+    def mappings(self) -> list[LevelMapping]:
+        return self.plan.mappings
+
+    @property
+    def achieved_ratios(self) -> list[float]:
+        return self.plan.achieved_ratios
 
     @property
     def base_field(self) -> np.ndarray:
@@ -74,7 +305,7 @@ class RefactorResult:
 
     @property
     def base_mesh(self) -> TriangleMesh:
-        return self.meshes[-1]
+        return self.plan.meshes[-1]
 
 
 def refactor(
@@ -85,10 +316,7 @@ def refactor(
     estimator: str = "mean",
     priority: str = "length",
     method: str = "serial",
-    workers: int | None = None,
     plan: DecimationPlan | None = None,
-    use_plan_cache: bool = True,
-    arena=None,
 ) -> RefactorResult:
     """Refactor ``(mesh, data)`` into a base + delta chain.
 
@@ -105,160 +333,28 @@ def refactor(
     method:
         Decimation kernel: ``"serial"`` (Algorithm 1's heap loop) or
         ``"batched"`` (round-based vectorized kernel).
-    workers:
-        With ``workers > 1``, per-level delta computations run on a
-        thread pool.
     plan:
         A prebuilt :class:`~repro.core.decimation_plan.DecimationPlan`
-        for this exact mesh + scheme; skips all geometry work.
-    use_plan_cache:
-        When true (default) and the priority is geometry-determined,
-        consult the process-wide plan cache so repeated refactorings of
-        the same mesh decimate once and replay thereafter. The replayed
-        results are bit-identical to the direct path.
-    arena:
-        Optional buffer pool (``take(shape)`` / ``give(buf)``, e.g.
-        :class:`~repro.core.encode_scheduler.BufferArena`) forwarded to
-        the plan replay so streaming callers reuse scratch across
-        fields. Ignored on the direct (data-aware) path.
+        for this exact mesh + scheme; skips all geometry work. Without
+        one, :func:`~repro.core.decimation_plan.plan_for` supplies it:
+        repeated refactorings of one mesh decimate once and replay
+        thereafter when the priority is geometry-determined.
     """
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    if data.ndim not in (1, 2) or data.shape[-1] != mesh.num_vertices:
+    t0 = time.perf_counter()
+    if plan is None:
+        plan = plan_for(
+            mesh, scheme, data, method=method, priority=priority,
+            estimator=estimator,
+        )
+    elif plan.scheme != scheme:
         raise RefactoringError(
-            f"data of shape {data.shape} does not match "
-            f"{mesh.num_vertices} vertices (expect (n,) or (planes, n))"
+            f"plan was built for {plan.scheme}, not {scheme}"
         )
-
-    if plan is None and use_plan_cache and plan_eligible(priority):
-        # The collapse sequence depends only on geometry, so the cached
-        # (or freshly built) plan reproduces the direct path exactly.
-        t0 = time.perf_counter()
-        with trace.span(
-            "refactor.decimate", "refactor",
-            {"levels": scheme.num_levels, "method": method, "plan": True},
-        ):
-            plan = get_plan_cache().get_or_build(
-                mesh, scheme, method=method, priority=priority,
-                estimator=estimator,
-            )
-            levels = plan.coarsen(data, arena=arena)
-        t_decimate = time.perf_counter() - t0
-    elif plan is not None:
-        if plan.scheme != scheme:
-            raise RefactoringError(
-                f"plan was built for {plan.scheme}, not {scheme}"
-            )
-        t0 = time.perf_counter()
-        with trace.span(
-            "refactor.decimate", "refactor",
-            {"levels": scheme.num_levels, "method": plan.method,
-             "plan": True},
-        ):
-            levels = plan.coarsen(data, arena=arena)
-        t_decimate = time.perf_counter() - t0
-    else:
-        plan = None
-        levels = None
-        t_decimate = 0.0
-
-    if plan is not None:
-        t0 = time.perf_counter()
-        with trace.span(
-            "refactor.delta", "refactor",
-            {"levels": scheme.num_levels, "workers": workers or 1},
-        ):
-            deltas = plan.deltas_for(levels, workers=workers)
-        t_delta = time.perf_counter() - t0
-        return RefactorResult(
-            scheme=scheme,
-            meshes=plan.meshes,
-            levels=levels,
-            deltas=deltas,
-            mappings=plan.mappings,
-            decimation_seconds=t_decimate,
-            delta_seconds=t_delta,
-            achieved_ratios=list(plan.achieved_ratios),
-            plan=plan,
-        )
-
-    # --- direct path: data-aware / callable priorities ----------------------
-    planes = data.shape[0] if data.ndim == 2 else 0  # 0 = un-stacked
-
-    def _to_fields(level_data: np.ndarray) -> dict[str, np.ndarray]:
-        if planes:
-            return {str(p): level_data[p] for p in range(planes)}
-        return {"data": level_data}
-
-    def _from_fields(fields: dict[str, np.ndarray]) -> np.ndarray:
-        if planes:
-            return np.stack([fields[str(p)] for p in range(planes)])
-        return fields["data"]
-
-    meshes: list[TriangleMesh] = [mesh]
-    levels = [data]
-    ratios: list[float] = [1.0]
-    t_decimate = 0.0
-    for step in range(scheme.num_levels - 1):
-        t0 = time.perf_counter()
-        with trace.span(
-            "refactor.decimate", "refactor",
-            {"level": step + 1, "vertices_in": meshes[-1].num_vertices,
-             "method": method},
-        ):
-            result = decimate(
-                meshes[-1],
-                _to_fields(levels[-1]),
-                ratio=scheme.step_ratio,
-                priority=priority,
-                method=method,
-            )
-        t_decimate += time.perf_counter() - t0
-        meshes.append(result.mesh)
-        levels.append(_from_fields(result.fields))
-        ratios.append(mesh.num_vertices / result.mesh.num_vertices)
-
-    deltas: list[np.ndarray] = []
-    mappings: list[LevelMapping] = []
-    t_delta = 0.0
-
-    def _one_delta(lvl: int) -> tuple[LevelMapping, np.ndarray]:
-        mapping = build_mapping(
-            meshes[lvl], meshes[lvl + 1], estimator=estimator
-        )
-        return mapping, compute_delta(levels[lvl], levels[lvl + 1], mapping)
-
-    delta_levels = list(scheme.delta_levels())
-    if workers and workers > 1 and len(delta_levels) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        t0 = time.perf_counter()
-        with trace.span(
-            "refactor.delta", "refactor",
-            {"levels": len(delta_levels), "workers": workers},
-        ):
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(delta_levels))
-            ) as pool:
-                for mapping, delta in pool.map(_one_delta, delta_levels):
-                    deltas.append(delta)
-                    mappings.append(mapping)
-        t_delta = time.perf_counter() - t0
-    else:
-        for lvl in delta_levels:
-            t0 = time.perf_counter()
-            with trace.span("refactor.delta", "refactor", {"level": lvl}):
-                mapping, delta = _one_delta(lvl)
-            t_delta += time.perf_counter() - t0
-            deltas.append(delta)
-            mappings.append(mapping)
-
-    return RefactorResult(
-        scheme=scheme,
-        meshes=meshes,
-        levels=levels,
-        deltas=deltas,
-        mappings=mappings,
-        decimation_seconds=t_decimate,
-        delta_seconds=t_delta,
-        achieved_ratios=ratios,
+    plan_seconds = time.perf_counter() - t0
+    stats: dict = {}
+    walked = list(walk(plan, data, stats=stats))
+    return RefactorResult.of(
+        plan, walked,
+        decimation_seconds=plan_seconds + stats["replay_seconds"],
+        delta_seconds=stats["delta_seconds"],
     )

@@ -88,6 +88,25 @@ class TestWriteCampaign:
         )
         assert [r.step for r in reports] == [0, 1]
 
+    def test_original_bytes_is_the_callers_on_every_executor(
+        self, tmp_path, mesh_and_field
+    ):
+        mesh, field = mesh_and_field
+        steps = [field.astype(np.float32), (field * 1.1).astype(np.float32)]
+        reports = {
+            processes: write_campaign(
+                two_tier_titan(tmp_path / f"p{processes}"), "camp", "dpot",
+                mesh, steps, LevelScheme(2), codec_params={"tolerance": 1e-3},
+                processes=processes, start_method="fork",
+            )
+            for processes in (None, 2)
+        }
+        for inline, pooled in zip(reports[None], reports[2]):
+            assert inline.original_bytes == steps[0].nbytes  # float32 bytes
+            assert pooled.original_bytes == inline.original_bytes
+            assert pooled.compressed_bytes == inline.compressed_bytes
+            assert pooled.reduction == inline.reduction
+
     def test_empty_steps_rejected(self, hierarchy, mesh_and_field):
         mesh, _ = mesh_and_field
         with pytest.raises(CanopusError):

@@ -17,6 +17,8 @@ from repro.errors import RefactoringError
 from repro.mesh.generators import structured_rectangle
 from repro.obs import trace_session
 
+from tests.test_layout import reference_refactor
+
 
 @pytest.fixture
 def mesh():
@@ -58,32 +60,53 @@ class TestPlanReplay:
     def test_coarsen_matches_direct_refactor(self, mesh, field, method):
         scheme = LevelScheme(3)
         plan = build_plan(mesh, scheme, method=method)
-        # use_plan_cache=False forces the decimate-with-fields loop, the
-        # seed's original code path.
-        direct = refactor(
-            mesh, field, scheme, method=method, use_plan_cache=False
+        # The decimate-with-fields loop, the seed's original code path.
+        meshes, direct, _, _ = reference_refactor(
+            mesh, field, scheme, method=method
         )
         levels = plan.coarsen(field)
         assert len(levels) == scheme.num_levels
-        for got, want in zip(levels, direct.levels):
+        for got, want in zip(levels, direct):
             assert np.array_equal(got, want)
+        assert plan.meshes == meshes
 
-    def test_refactor_fields_returns_both(self, mesh, field):
+    @pytest.mark.parametrize("method", ["serial", "batched"])
+    @pytest.mark.parametrize("planes", [0, 3])
+    def test_field_steered_plan_replays_to_the_direct_levels(
+        self, mesh, field, method, planes
+    ):
+        """A data-dependent decimation recorded as lineages is the
+        direct decimate-with-fields loop, meshes and levels."""
+        if planes:
+            field = np.stack([field * (1 + 0.2 * p) for p in range(planes)])
+        scheme = LevelScheme(3)
+        plan = build_plan(
+            mesh, scheme, field, method=method, priority="data_aware"
+        )
+        meshes, levels, mappings, deltas = reference_refactor(
+            mesh, field, scheme, method=method, priority="data_aware"
+        )
+        assert plan.meshes == meshes
+        assert plan.meshes != build_plan(mesh, scheme, method=method).meshes
+        result = refactor(
+            mesh, field, scheme, method=method, priority="data_aware"
+        )
+        for got, replayed, want in zip(
+            result.levels, plan.coarsen(field), levels
+        ):
+            assert got.tobytes() == replayed.tobytes() == want.tobytes()
+        for got, want in zip(result.deltas, deltas):
+            assert got.tobytes() == want.tobytes()
+
+    def test_coarsen_then_deltas_reconstruct(self, mesh, field):
         plan = build_plan(mesh, LevelScheme(3))
-        levels, deltas = plan.refactor_fields(field)
+        levels = plan.coarsen(field)
+        deltas = plan.deltas_for(levels)
         assert len(levels) == 3 and len(deltas) == 2
         # Deltas reconstruct the finer level exactly (delta definition).
         for lvl in (0, 1):
             est = plan.mappings[lvl].estimate(levels[lvl + 1])
             assert np.allclose(levels[lvl], est + deltas[lvl])
-
-    def test_parallel_deltas_bit_identical_to_serial(self, mesh, field):
-        plan = build_plan(mesh, LevelScheme(4))
-        levels = plan.coarsen(field)
-        serial = plan.deltas_for(levels, workers=None)
-        pooled = plan.deltas_for(levels, workers=4)
-        for a, b in zip(serial, pooled):
-            assert np.array_equal(a, b)
 
     def test_shape_mismatch_rejected(self, mesh):
         plan = build_plan(mesh, LevelScheme(3))
@@ -200,7 +223,7 @@ class TestRefactorIntegration:
     def test_data_aware_bypasses_cache(self, mesh, field):
         get_plan_cache().clear()
         result = refactor(mesh, field, LevelScheme(2), priority="data_aware")
-        assert result.plan is None
+        assert result.plan.priority == "data_aware"
         assert get_plan_cache().stats["entries"] == 0
 
 
@@ -317,31 +340,34 @@ class TestGeometryMemo:
         assert stored[0] == stored[1] == stored[2]
 
     def test_no_plan_path_computes_directly_and_stores_the_same(
-        self, mesh, field, tmp_path, monkeypatch
+        self, mesh, tmp_path, monkeypatch
     ):
+        """A data-dependent priority gets a private plan per encode. On
+        a constant field it orders edges exactly as "length" does, so
+        the two must store the same geometry bytes."""
         from repro.core import CanopusEncoder
 
         get_plan_cache().clear()
         calls = _Calls(monkeypatch)
         scheme = LevelScheme(3)
+        flat = np.ones(mesh.num_vertices)
         stored = {}
-        for use_plan_cache in (True, False):
+        for priority in ("length", "data_aware"):
             for attempt in (1, 2):
-                hierarchy = self._hierarchy(
-                    tmp_path, f"{use_plan_cache}{attempt}"
-                )
+                hierarchy = self._hierarchy(tmp_path, f"{priority}{attempt}")
                 _, result = CanopusEncoder(
                     hierarchy, codec_params={"tolerance": 1e-4}, chunks=8,
-                    use_plan_cache=use_plan_cache,
-                ).encode("d", "f", mesh, field, scheme)
-                assert (result.plan is None) == (not use_plan_cache)
+                    priority=priority,
+                ).encode("d", "f", mesh, flat, scheme)
+                cached = get_plan_cache().get_or_build(mesh, scheme)
+                assert (result.plan is cached) == (priority == "length")
                 meshes, mappings, _ = calls.take()
-                if use_plan_cache and attempt == 2:
+                if priority == "length" and attempt == 2:
                     assert (meshes, mappings) == (0, 0)
                 else:
                     assert (meshes, mappings) == (3, 2)
-            stored[use_plan_cache] = _geometry_payloads(hierarchy, "d")
-        assert stored[True] == stored[False]
+            stored[priority] = _geometry_payloads(hierarchy, "d")
+        assert stored["length"] == stored["data_aware"]
 
     def test_memo_is_neither_compared_nor_serialised(self, mesh):
         import dataclasses

@@ -16,6 +16,7 @@ from repro.core import (
     BufferArena,
     CampaignReader,
     CampaignWriter,
+    CanopusEncoder,
     EncodeScheduler,
     LevelScheme,
     SchedPlane,
@@ -30,6 +31,8 @@ from repro.core.encode_scheduler import _SlotPool
 from repro.core.parallel import PartitionedDecoder
 from repro.errors import CanopusError
 from repro.io import BPDataset
+from repro.obs import context as obs_context
+from repro.obs import trace_session
 from repro.obs.metrics import get_registry
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
@@ -89,7 +92,8 @@ class TestFusedKernel:
         plan = build_plan(ds.mesh, scheme)
         codec = get_codec("zfp", tolerance=TOL)
         products, stats = fused_step_products(plan, fields[0], codec)
-        levels, deltas = plan.refactor_fields(fields[0])
+        levels = plan.coarsen(fields[0])
+        deltas = plan.deltas_for(levels)
         assert products["base"] == codec.encode(levels[-1].ravel())
         for lvl in scheme.delta_levels():
             assert products[f"delta{lvl}"] == codec.encode(deltas[lvl].ravel())
@@ -106,6 +110,83 @@ class TestFusedKernel:
         fused_step_products(plan, fields[1], codec, arena=arena)
         assert arena.misses == misses_after_first  # all buffers pooled
         assert arena.hits > 0
+
+
+class TestEncodePool:
+    """``workers``: one long-lived pool per writer, fed by the walk."""
+
+    @staticmethod
+    def _campaign(hier, ds, workers, name="run"):
+        return CampaignWriter(
+            hier, name, "dpot", ds.mesh, LevelScheme(3),
+            codec_params={"tolerance": TOL}, workers=workers,
+        )
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_at_most_one_pool_per_writer(
+        self, ds, fields, tmp_path, monkeypatch, workers
+    ):
+        from concurrent.futures import ThreadPoolExecutor
+
+        built = []
+        init = ThreadPoolExecutor.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("thread_name_prefix"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", counted)
+        with self._campaign(_hier(tmp_path, "c"), ds, workers) as writer:
+            for step in range(8):
+                writer.write_step(step, fields[step % len(fields)])
+        encoder = CanopusEncoder(
+            _hier(tmp_path, "e"), codec_params={"tolerance": TOL},
+            chunks=4, workers=workers,
+        )
+        for var in ("a", "b", "c"):
+            encoder.encode(f"d{var}", var, ds.mesh, fields[0], LevelScheme(3))
+        assert built == (["repro-encode"] * 2 if workers else [])
+
+    def test_pool_spans_stay_in_the_callers_trace(self, ds, fields, tmp_path):
+        hier = _hier(tmp_path, "t")
+        ctx = obs_context.TraceContext(trace_id=obs_context.new_trace_id())
+        with trace_session(hier) as tracer:
+            token = obs_context.activate(ctx)
+            try:
+                with self._campaign(hier, ds, 2) as writer:
+                    writer.write_step(0, fields[0])
+            finally:
+                obs_context.deactivate(token)
+        (step,) = [s for s in tracer.spans if s.name == "campaign.fused_encode"]
+        encodes = [s for s in tracer.spans if s.name == "codec.zfp.encode"]
+        assert len(encodes) == 3
+        for span in encodes:
+            assert span.thread.startswith("repro-encode")
+            assert span.trace_id == ctx.trace_id
+            assert span.parent_id == step.span_id
+
+    def test_codec_error_on_a_pool_thread_surfaces_and_spares_the_arena(
+        self, ds, fields, tmp_path
+    ):
+        from repro.errors import CompressionError
+
+        poisoned = fields[1].copy()
+        poisoned[7] = np.nan
+        with self._campaign(_hier(tmp_path, "p"), ds, 2) as pooled:
+            pooled.write_step(0, fields[0])
+            with pytest.raises(CompressionError, match="non-finite"):
+                pooled.write_step(1, poisoned)
+            hits = pooled._arena.hits
+            pooled.write_step(2, fields[2])
+            assert pooled._arena.hits > hits
+        with self._campaign(_hier(tmp_path, "i"), ds, None) as inline:
+            inline.write_step(0, fields[0])
+            inline.write_step(2, fields[2])
+        got = BPDataset.open("run", _hier(tmp_path, "p"))
+        want = BPDataset.open("run", _hier(tmp_path, "i"))
+        assert sorted(got.keys()) == sorted(want.keys())
+        for key in want.keys():
+            assert got.read(key) == want.read(key), key
 
 
 class TestSlotPool:
@@ -243,15 +324,54 @@ class TestCampaignScaleout:
         assert get_registry().gauge("encode.sched.shm_hwm_bytes").value > 0
         assert get_registry().gauge("encode.sched.peak_rss_bytes").value > 0
 
-    def test_worker_error_propagates(self, ds, tmp_path):
+    def test_wrong_length_step_fails_the_same_on_every_executor(
+        self, ds, fields, tmp_path, capfd
+    ):
+        from repro.errors import RefactoringError
+
+        steps = [(0, fields[0]), (1, fields[1][:-3])]
+        kwargs = {"codec_params": {"tolerance": TOL}}
+
+        def in_process(hier):
+            with CampaignWriter(
+                hier, "run", "dpot", ds.mesh, LevelScheme(3), **kwargs
+            ) as writer:
+                for step, data in steps:
+                    writer.write_step(step, data)
+
+        def scheduled(processes):
+            return lambda hier: encode_campaign_scaleout(
+                hier, "run", "dpot", ds.mesh, LevelScheme(3), steps,
+                processes=processes, start_method="fork", **kwargs,
+            )
+
+        n = ds.mesh.num_vertices
+        messages = set()
+        for tag, run in (
+            ("w", in_process), ("i", scheduled(None)), ("p", scheduled(2)),
+        ):
+            with pytest.raises(RefactoringError) as raised:
+                run(_hier(tmp_path, tag))
+            messages.add(str(raised.value))
+        (message,) = messages
+        assert message.startswith(
+            f"step 1: data of shape ({n - 3},) does not match plan's {n} "
+        )
+        assert capfd.readouterr().err == ""
+
+    def test_worker_error_propagates(self, ds, tmp_path, capfd):
         hier = _hier(tmp_path, "err")
-        with pytest.raises(CanopusError, match="worker"):
+        poisoned = ds.field.copy()
+        poisoned[5] = np.nan  # the codec refuses it, inside the worker
+        with pytest.raises(CanopusError, match="(?s)worker 0 failed.*non-finite"):
             encode_campaign_scaleout(
                 hier, "run", "dpot", ds.mesh, LevelScheme(3),
-                [(0, np.zeros(17))],  # wrong vertex count
+                [(0, poisoned)],
                 processes=2, window=2, start_method="fork",
                 codec="zfp", codec_params={"tolerance": TOL},
             )
+        # The worker dropped its view of the slot before closing it.
+        assert capfd.readouterr().err == ""
 
 
 class TestPlanCacheAcrossProcesses:

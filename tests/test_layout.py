@@ -1,10 +1,16 @@
-"""One catalog model, one walker: every layout restores through Session.
+"""One catalog model, one walker each way: the two references.
 
-The reference below is Algorithm 3 written out against the stored
+``reference_restore`` is Algorithm 3 written out against the stored
 format — raw ``dataset.read`` + ``decode_auto`` + ``apply_delta``, with
 the catalog keys spelled by hand — and is the oracle for every writer's
 output: single-shot (monolithic and chunked), ``write_campaign`` in
 process and on the process pool, and ``encode_partitioned``.
+
+``reference_refactor`` / ``reference_products`` are its write-side
+mirror: Algorithms 1–2 from the layers below ``repro.core``'s writers
+(``decimate`` with the field carried through the collapse, level by
+level, ``build_mapping``, ``compute_delta``, ``codec.encode``), giving
+the ``{key: payload bytes}`` every writer on every executor must store.
 """
 
 import ast
@@ -29,9 +35,12 @@ from repro.api import (
     two_tier_titan,
     write_campaign,
 )
-from repro.compress import decode_auto
-from repro.core.delta import apply_delta
-from repro.core.mapping import LevelMapping
+from repro.compress import decode_auto, get_codec
+from repro.core.campaign import CampaignWriter
+from repro.core.delta import apply_delta, compute_delta
+from repro.core.encode_scheduler import encode_campaign_scaleout
+from repro.core.encoder import _spatial_chunks
+from repro.core.mapping import LevelMapping, build_mapping
 from repro.core.plan import plan_placement
 from repro.errors import (
     QueryError,
@@ -40,7 +49,9 @@ from repro.errors import (
     http_status,
 )
 from repro.harness.experiment import stack_planes
-from repro.mesh.io import mesh_from_bytes
+from repro.mesh.edge_collapse import decimate
+from repro.mesh.io import mesh_from_bytes, mesh_to_bytes
+from repro.mesh.partition import partition_mesh
 from repro.obs import context as obs_context
 from repro.obs import trace
 from repro.service import (
@@ -431,3 +442,161 @@ def test_key_spellings_live_in_notation_and_layout():
             if hit:
                 offenders.append(f"{path.relative_to(src)}:{node.lineno} {literal!r}")
     assert not offenders, offenders
+
+
+# ---------------------------------------------------------------------------
+# write side: the reference every writer's stored bytes must equal
+def reference_refactor(
+    mesh, data, scheme, *, method="serial", priority="length", estimator="mean"
+):
+    """Algorithms 1–2 spelled out: ``(meshes, levels, mappings, deltas)``.
+
+    Algorithm 1 runs level by level with the field carried through the
+    collapse (``decimate(mesh, fields)``), so nothing here replays a
+    lineage or consults a plan.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    fields = {str(p): row for p, row in enumerate(np.atleast_2d(data))}
+    meshes, levels = [mesh], [data]
+    for _ in scheme.delta_levels():
+        step = decimate(
+            meshes[-1], fields, ratio=scheme.step_ratio,
+            priority=priority, method=method,
+        )
+        fields = step.fields
+        meshes.append(step.mesh)
+        rows = [fields[str(p)] for p in range(len(fields))]
+        levels.append(np.stack(rows) if data.ndim == 2 else rows[0])
+    mappings = [
+        build_mapping(meshes[lvl], meshes[lvl + 1], estimator=estimator)
+        for lvl in scheme.delta_levels()
+    ]
+    deltas = [
+        compute_delta(levels[lvl], levels[lvl + 1], mappings[lvl])
+        for lvl in scheme.delta_levels()
+    ]
+    return meshes, levels, mappings, deltas
+
+
+def reference_products(prefix, owner, refactored, codec, chunks=1):
+    """``{key: payload bytes}`` of one chain, plus the geometry it owns."""
+    meshes, levels, mappings, deltas = refactored
+    out = {f"{prefix}/L{len(deltas)}": codec.encode(levels[-1].ravel())}
+    for lvl, delta in enumerate(deltas):
+        key = f"{prefix}/delta{lvl}-{lvl + 1}"
+        if chunks == 1:
+            out[key] = codec.encode(delta.ravel())
+            continue
+        groups = _spatial_chunks(meshes[lvl].vertices, chunks)
+        for c, idx in enumerate(groups):
+            out[f"{key}/chunk{c}"] = codec.encode(delta[..., idx].ravel())
+            out[f"{key}/chunk{c}/idx"] = zlib.compress(
+                idx.astype("<i8").tobytes(), 6
+            )
+    if owner:
+        for lvl, mesh in enumerate(meshes):
+            out[f"{owner}/mesh{lvl}"] = mesh_to_bytes(mesh)
+        for lvl, mapping in enumerate(mappings):
+            out[f"{owner}/mapping{lvl}"] = mapping.to_bytes()
+    return out
+
+
+WRITE_TOLERANCE = {"tolerance": 1e-4}
+WRITE_PLANES = 4
+WRITE_STEPS = 2
+
+#: (writer, executor): every executor each writer has.
+WRITERS = [
+    ("encoder", "inline"), ("encoder", "workers"),
+    ("encoder-chunked", "inline"), ("encoder-chunked", "workers"),
+    ("campaign", "inline"), ("campaign", "workers"),
+    ("scaleout", "inline"), ("scaleout", "processes"),
+    ("partitioned", "inline"), ("partitioned", "processes"),
+]
+
+
+@pytest.fixture(scope="module")
+def write_reference():
+    """``(src, refactored)``; ``refactored(mesh, data, method, priority)``
+    memoises :func:`reference_refactor` across the matrix."""
+    src = make_xgc1(scale=0.2, seed=5)
+    memo = {}
+
+    def refactored(mesh, data, method, priority):
+        key = (mesh.num_vertices, data.tobytes(), method, priority)
+        if key not in memo:
+            memo[key] = reference_refactor(
+                mesh, data, SCHEME, method=method, priority=priority
+            )
+        return memo[key]
+
+    return src, refactored
+
+
+@pytest.mark.parametrize("priority", ["length", "data_aware"])
+@pytest.mark.parametrize("planes", [0, WRITE_PLANES])
+@pytest.mark.parametrize("method", ["serial", "batched"])
+@pytest.mark.parametrize("writer,executor", WRITERS)
+def test_every_writer_stores_the_reference_products(
+    tmp_path, write_reference, writer, executor, method, planes, priority
+):
+    src, refactored = write_reference
+    h = two_tier_titan(tmp_path)
+    mesh = src.mesh
+    field = stack_planes(src, planes) if planes else src.field
+    steps = [field * (1.0 + 0.1 * s) for s in range(WRITE_STEPS)]
+    codec = get_codec("zfp", **WRITE_TOLERANCE)
+    config = {
+        "codec_params": WRITE_TOLERANCE, "method": method, "priority": priority,
+    }
+    workers = 2 if executor == "workers" else None
+    pool = {
+        "processes": 2 if executor == "processes" else None,
+        "start_method": "fork",
+    }
+    # Only the single-shot encoder has its field when it decimates; the
+    # others decimate from geometry alone, where "data_aware" orders
+    # edges as "length" does.
+    steered = priority if writer.startswith("encoder") else "length"
+    want = {}
+    if writer.startswith("encoder"):
+        chunks = 8 if writer == "encoder-chunked" else 1
+        CanopusEncoder(h, chunks=chunks, workers=workers, **config).encode(
+            "w", "dpot", mesh, field, SCHEME
+        )
+        want = reference_products(
+            "dpot", "dpot", refactored(mesh, field, method, steered),
+            codec, chunks,
+        )
+    elif writer == "partitioned":
+        encode_partitioned(
+            h, "w", "dpot", mesh, field, SCHEME, parts=PARTS, **pool, **config
+        )
+        for patch in partition_mesh(mesh, PARTS):
+            chain = f"dpot/part{patch.index}"
+            want |= reference_products(
+                chain, chain,
+                refactored(patch.mesh, patch.restrict(field), method, steered),
+                codec,
+            )
+    else:
+        if writer == "campaign":
+            with CampaignWriter(
+                h, "w", "dpot", mesh, SCHEME, workers=workers, **config
+            ) as campaign:
+                for step, data in enumerate(steps):
+                    campaign.write_step(step, data)
+        else:
+            encode_campaign_scaleout(
+                h, "w", "dpot", mesh, SCHEME, list(enumerate(steps)),
+                **pool, **config,
+            )
+        for step, data in enumerate(steps):
+            want |= reference_products(
+                f"dpot/step{step}", "geometry" if step == 0 else None,
+                refactored(mesh, data, method, steered), codec,
+            )
+    ds = BPDataset.open("w", h)
+    assert sorted(ds.keys()) == sorted(want)
+    for key, payload in want.items():
+        assert ds.read(key) == payload, key

@@ -27,10 +27,11 @@ Results are bit-identical to the serial seed path: parallelism changes
 *when* bytes move and which CPU decodes them, never what is applied.
 
 Filtered retrieval (``region`` / ``min_significance``) composes with the
-fan-out; filtered chains are cached under their exact filter key and
-never substituted for full-accuracy results, and the upfront prefetch is
-skipped for them (the engine cannot know which chunks the filter keeps —
-same rule as :class:`~repro.core.progressive.ProgressiveReader`).
+fan-out; a filtered chain is cached under the chunks its filter keeps
+(:meth:`CanopusDecoder.cache_key`), so it is only ever substituted for a
+request that applies the same deltas, and the upfront prefetch is
+skipped for it (the hints name whole levels — same rule as
+:class:`~repro.core.progressive.ProgressiveReader`).
 """
 
 from __future__ import annotations
@@ -40,11 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.core.decoder import CanopusDecoder, LevelData
-from repro.core.restored_cache import (
-    RestoredLevelCache,
-    dataset_fingerprint,
-    get_restored_cache,
-)
+from repro.core.restored_cache import dataset_fingerprint, get_restored_cache
 from repro.errors import RestorationError
 from repro.io.dataset import BPDataset
 from repro.obs import context as obs_context
@@ -95,17 +92,29 @@ class DecodeEngine:
         self.pipeline = pipeline
         self.lookahead = lookahead
         self.decoder = CanopusDecoder(dataset, share_geometry=True)
-        #: Content fingerprint of the open catalog, snapshotted once.
-        #: Every cache key below derives from this string — the
-        #: tenant-visible content identity — never from handle identity,
-        #: so any two engines (sessions, service tenants) over the same
+        #: Content fingerprint of the open catalog. Restored-cache keys
+        #: (:meth:`CanopusDecoder.cache_key`) carry this string — the
+        #: tenant-visible content identity — never handle identity, so
+        #: any two engines (sessions, service tenants) over the same
         #: bytes share restored-level entries.
         self.fingerprint = dataset_fingerprint(dataset)
 
     # ------------------------------------------------------------------
-    @property
-    def _cache(self) -> RestoredLevelCache | None:
-        return get_restored_cache() if self.use_restored_cache else None
+    def resident(
+        self,
+        var: str,
+        level: int,
+        *,
+        region: tuple[np.ndarray, np.ndarray] | None = None,
+        min_significance: float = 0.0,
+    ) -> bool:
+        """Whether :meth:`restore` would be answered from the restored
+        cache, reading no bytes (a peek: no counter or LRU order moves)."""
+        return self.use_restored_cache and get_restored_cache().has(
+            self.decoder.cache_key(
+                var, level, region=region, min_significance=min_significance
+            )
+        )
 
     def variables(self) -> list[str]:
         return self.decoder.variables()
@@ -164,14 +173,10 @@ class DecodeEngine:
             _counter("decode.restore_many.calls")
             _counter("decode.restore_many.vars", len(variables))
             if not filtered:
-                cache = self._cache
                 keys: list[str] = []
                 for var in variables:
-                    if cache is not None and cache.has(
-                        cache.key_for(self.fingerprint, var, level)
-                    ):
-                        continue  # no bytes needed for this chain
-                    keys.extend(self.decoder.chain_keys(var, level))
+                    if not self.resident(var, level):  # else: no bytes needed
+                        keys.extend(self.decoder.chain_keys(var, level))
                 if keys:
                     self.dataset.prefetch(
                         keys, label="decode_engine:restore_many"

@@ -20,7 +20,11 @@ from repro.core.delta import apply_delta
 from repro.core.layout import Chain, chains
 from repro.core.mapping import LevelMapping
 from repro.core.notation import LevelScheme, delta_key
-from repro.core.restored_cache import get_geometry_cache, get_restored_cache
+from repro.core.restored_cache import (
+    RestoredLevelCache,
+    get_geometry_cache,
+    get_restored_cache,
+)
 from repro.errors import RestorationError
 from repro.io.dataset import BPDataset
 from repro.mesh.io import mesh_from_bytes
@@ -422,6 +426,26 @@ class CanopusDecoder:
             last_delta_rms=rms,
         )
 
+    def cache_key(
+        self,
+        var: str,
+        level: int,
+        *,
+        region: tuple[np.ndarray, np.ndarray] | None = None,
+        min_significance: float = 0.0,
+    ) -> tuple:
+        """:class:`RestoredLevelCache` key of one :meth:`restore_to` result.
+
+        Content fingerprint, chain, level and the chain's filter
+        signature: requests that keep the same chunks share it.
+        """
+        return RestoredLevelCache.key_for(
+            self.dataset, var, level,
+            signature=self.chain(var).filter_signature(
+                self.dataset.catalog, level, region, min_significance
+            ),
+        )
+
     def restore_to(
         self,
         var: str,
@@ -440,48 +464,55 @@ class CanopusDecoder:
         non-interactive path gets the same overlapped I/O charge as
         :class:`~repro.core.progressive.ProgressiveReader`; the restored
         field is bit-identical either way. ``use_cache=True`` additionally
-        consults the process-wide :class:`RestoredLevelCache`: an exact
-        hit returns immediately, and a cached coarser level warm-starts
-        the chain; every level restored on the way down is published
-        back to the cache.
+        consults the process-wide :class:`RestoredLevelCache` under the
+        chain's filter signature (:meth:`cache_key`): an exact hit
+        returns immediately, else the nearest cached coarser state of
+        the same walk warm-starts it, and every level restored on the
+        way down is published back under its own prefix of the
+        signature.
 
         ``region`` / ``min_significance`` apply at *every* refinement
-        step. Warm-starting such a chain from an unfiltered cached level
-        would apply the upper deltas unfiltered — a different (finer)
-        result than the filtered chain from the base — so a filtered
-        chain only ever exact-hits the entry stored under its own filter
-        key, and publishes only its final state there. It is not
-        pipelined either: the engine cannot know which chunks the filter
-        keeps.
+        step. A filtered chain is not pipelined: the hints name whole
+        levels, and the filter reads only the chunks it keeps.
         """
         if lookahead < 1:
             raise RestorationError("lookahead must be >= 1")
         chain = self.chain(var)
         chain.scheme.validate_level(level)
-        filtered = region is not None or min_significance > 0.0
-        pipeline = pipeline and not filtered
+        pipeline = pipeline and region is None and not min_significance > 0.0
         cache = get_restored_cache() if use_cache else None
+        signature = (
+            chain.filter_signature(
+                self.dataset.catalog, level, region, min_significance
+            )
+            if use_cache
+            else ()
+        )
 
-        def cache_key(lvl: int) -> tuple:
+        def key_at(lvl: int) -> tuple:
             return cache.key_for(
                 self.dataset, var, lvl,
-                region=region, min_significance=min_significance,
+                signature=chain.signature_prefix(signature, lvl),
             )
 
         def publish(state: LevelData) -> None:
-            if cache is not None and (not filtered or state.level == level):
+            if cache is not None:
+                mask = state.refined_mask
                 cache.put(
-                    cache_key(state.level),
+                    key_at(state.level),
                     state.field,
-                    refined_mask=state.refined_mask if filtered else None,
+                    refined_mask=None if mask is None or mask.all() else mask,
                     last_delta_rms=state.last_delta_rms,
                 )
 
         state: LevelData | None = None
         if cache is not None:
-            warm = cache.get(cache_key(level))
-            if warm is None and not filtered:
-                warm = cache.warmest(self.dataset, var, level)
+            warm = cache.get(key_at(level)) or cache.nearest(
+                [
+                    key_at(lvl)
+                    for lvl in range(level + 1, chain.scheme.base_level + 1)
+                ]
+            )
             if warm is not None:
                 timings = PhaseTimings()
                 mesh = self._read_mesh(chain, warm.level, timings)

@@ -142,6 +142,47 @@ class Chain:
                     )
             yield c, rec, reason
 
+    def filter_signature(
+        self, catalog, level: int, region=None, min_significance: float = 0.0
+    ) -> tuple:
+        """What a filtered restore to ``level`` applies: its identity.
+
+        One entry per applied delta level, coarsest first: the tuple of
+        chunk ids :meth:`chunk_verdicts` keeps, ``None`` where every
+        chunk survives; trailing ``None`` entries are trimmed. A restore
+        is a pure function of this tuple, so two filters with equal
+        signatures restore the same bits, and an unfiltered, un-chunked
+        or whole-domain request is ``()``. The signature of the state the
+        same walk passes through at a coarser level is a
+        :meth:`signature_prefix` of it.
+        """
+        if not self.chunked or (region is None and not min_significance > 0.0):
+            return ()
+        signature = []
+        for lvl in range(self.scheme.base_level - 1, level - 1, -1):
+            kept = tuple(
+                c
+                for c, _, skip in self.chunk_verdicts(
+                    catalog, lvl, region, min_significance
+                )
+                if skip is None
+            )
+            signature.append(
+                None if len(kept) == self.chunk_count(lvl) else kept
+            )
+        return _trimmed(signature)
+
+    def signature_prefix(self, signature: tuple, level: int) -> tuple:
+        """The part of ``signature`` applied on reaching ``level``."""
+        return _trimmed(signature[: self.scheme.base_level - level])
+
+
+def _trimmed(signature) -> tuple:
+    n = len(signature)
+    while n and signature[n - 1] is None:
+        n -= 1
+    return tuple(signature[:n])
+
 
 def _variables(catalog) -> dict:
     return catalog.attrs.get("variables", {})

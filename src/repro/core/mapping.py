@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,10 @@ class LevelMapping:
 
     tri_vertices: np.ndarray
     weights: np.ndarray | None = None
+    #: The three columns of ``tri_vertices``, each contiguous (lazy).
+    _columns: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.tri_vertices = np.ascontiguousarray(self.tri_vertices, dtype=np.int64)
@@ -69,10 +73,25 @@ class LevelMapping:
         (XGC1's dpot is a stack of poloidal planes sharing one mesh);
         the plane axis broadcasts.
         """
-        corners = coarse_field[..., self.tri_vertices]  # (..., n_fine, 3)
-        if self.weights is None:
-            return corners.mean(axis=-1)
-        return np.einsum("...ij,ij->...i", corners, self.weights)
+        if self.weights is not None:
+            corners = coarse_field[..., self.tri_vertices]  # (..., n_fine, 3)
+            return np.einsum("...ij,ij->...i", corners, self.weights)
+        # The mean as three gathers, not a reduction over an inner axis
+        # of 3. Bit-identical to ``corners.mean(axis=-1)``, which sums
+        # ((0 + i) + j) + k: the leading zero turns an all ``-0.0``
+        # triple into ``+0.0``, and no other association matches.
+        coarse_field = np.asarray(coarse_field, dtype=np.float64)
+        if self._columns is None:
+            self._columns = tuple(
+                np.ascontiguousarray(self.tri_vertices[:, k]) for k in range(3)
+            )
+        i, j, k = self._columns
+        out = np.take(coarse_field, i, axis=-1)
+        out += 0.0
+        out += np.take(coarse_field, j, axis=-1)
+        out += np.take(coarse_field, k, axis=-1)
+        out /= 3.0
+        return out
 
     # -- serialization ----------------------------------------------------
     def to_bytes(self) -> bytes:

@@ -13,10 +13,11 @@ work:
   same static mesh hierarchy N times.
 
 :class:`RestoredLevelCache` keeps finished fields keyed by *dataset
-content fingerprint* + variable + level + retrieval filter, so a second
-session gets the field back with zero I/O, and a session asking for a
-finer level warm-starts from the closest cached coarser level instead of
-the base (fewer deltas to read and apply). :class:`GeometryCache` shares
+content fingerprint* + variable + level + the chunks the retrieval
+filter kept, so a second session gets the field back with zero I/O, and
+a session asking for a finer level warm-starts from the closest cached
+coarser state of the same walk instead of the base (fewer deltas to read
+and apply). :class:`GeometryCache` shares
 decoded meshes/mappings across decoder instances.
 
 Both caches are thread-safe and content-keyed: datasets with different
@@ -100,13 +101,13 @@ class CachedLevel:
 class RestoredLevelCache:
     """Process-wide byte-budgeted LRU of restored fields.
 
-    Keys are ``(fingerprint, var, level, region, min_significance)``;
-    entries produced by focused (``region``) or bounded-lossy
-    (``min_significance``) retrieval are cached under their exact filter
-    and never substituted for full-accuracy results. Warm-start lookups
-    (:meth:`warmest`) only ever consider unfiltered entries, because a
-    filtered field is not a valid refinement starting point for other
-    requests.
+    Keys are ``(fingerprint, chain, level, signature)``: the filter
+    signature (:meth:`repro.core.layout.Chain.filter_signature`) names
+    the chunks a restore applied at each level, not the filter that was
+    asked, so every request that keeps the same chunks shares one entry
+    and ``()`` is the full-accuracy result. An entry is a valid
+    refinement starting point for exactly the requests whose signature
+    starts with its own (:meth:`nearest`).
     """
 
     def __init__(self, max_bytes: int = 512 << 20) -> None:
@@ -121,40 +122,17 @@ class RestoredLevelCache:
 
     # -- keying ---------------------------------------------------------
     @staticmethod
-    def key_for(
-        dataset,
-        var: str,
-        level: int,
-        *,
-        region: tuple[np.ndarray, np.ndarray] | None = None,
-        min_significance: float = 0.0,
-    ) -> tuple:
-        """Cache key: content identity + tenant-visible filter state only.
+    def key_for(dataset, var: str, level: int, *, signature: tuple = ()) -> tuple:
+        """Cache key: content identity + what the restore applied.
 
         ``dataset`` may be an open dataset *or* an already-computed
         fingerprint string — nothing about the handle (engine width,
         checksum policy, which session/tenant opened it) enters the key,
         so any two sessions restoring the same
-        ``(fingerprint, var, level, region, min_significance)`` share
-        one entry. Filter values are normalized (plain floats, ``-0.0``
-        folded to ``0.0``) so equivalent requests spelled with lists vs
-        arrays collide onto the same key.
+        ``(fingerprint, var, level, signature)`` share one entry.
         """
-        region_token = None
-        if region is not None:
-            lo, hi = region
-            region_token = (
-                tuple(float(v) + 0.0 for v in np.asarray(lo).ravel()),
-                tuple(float(v) + 0.0 for v in np.asarray(hi).ravel()),
-            )
         fp = dataset if isinstance(dataset, str) else dataset_fingerprint(dataset)
-        return (
-            fp,
-            str(var),
-            int(level),
-            region_token,
-            float(min_significance) + 0.0,
-        )
+        return (fp, str(var), int(level), signature)
 
     # -- access ---------------------------------------------------------
     def get(self, key: tuple) -> CachedLevel | None:
@@ -184,31 +162,21 @@ class RestoredLevelCache:
         with self._lock:
             return key in self._entries
 
-    def warmest(self, dataset, var: str, level: int) -> CachedLevel | None:
-        """Best unfiltered starting point for restoring ``var`` to ``level``.
+    def nearest(self, keys) -> CachedLevel | None:
+        """First resident entry of ``keys``: a refinement's warm start.
 
-        Returns the cached entry with the smallest level >= ``level``
-        (i.e. the already-restored field closest to the target), or
-        ``None``. An exact-level entry is returned as-is — callers can
-        use it directly instead of refining.
+        ``keys`` run from the finest acceptable starting level to the
+        coarsest, each under the target signature's prefix for its
+        level. Not a hit or a miss (the exact lookup before it counted).
         """
-        fp = dataset_fingerprint(dataset)
         with self._lock:
-            best_key = None
-            best_level = None
-            for key, entry in self._entries.items():
-                kfp, kvar, klevel, kregion, kms = key
-                if kfp != fp or kvar != var or kregion is not None or kms != 0.0:
-                    continue
-                if klevel < level:
-                    continue  # finer than requested: not a refinement start
-                if best_level is None or klevel < best_level:
-                    best_key, best_level = key, klevel
-            if best_key is None:
-                return None
-            self._entries.move_to_end(best_key)
-            _counter("restore.cache.warm_starts")
-            return self._entries[best_key]
+            for key in keys:
+                entry = self._entries.get(key)
+                if entry is not None:
+                    self._entries.move_to_end(key)
+                    _counter("restore.cache.warm_starts")
+                    return entry
+        return None
 
     def put(
         self,

@@ -284,20 +284,28 @@ class QueryPlanner:
              "planned_bytes": plan.planned_bytes,
              "pruned_chunks": plan.pruned_chunks},
         ):
-            # Geometry already decoded never hits storage again —
-            # prefetching its ranges would charge the plan for bytes the
-            # restore won't read.
-            fetched = [d for d in plan.decisions if d.fetched]
-            pending = self.decoder.undecoded(
-                [d.key for d in fetched if d.kind == "geometry"]
-            )
-            keys = [
-                d.key
-                for d in fetched
-                if d.kind != "geometry" or d.key in pending
-            ]
-            if keys:
-                self.dataset.prefetch(keys, label=f"{plan.var}:query_plan")
+            # A resident result reads nothing, and geometry already
+            # decoded never hits storage again: prefetching either would
+            # charge the plan for bytes the restore won't read.
+            if not self.engine.resident(
+                plan.var,
+                plan.target_level,
+                region=window,
+                min_significance=plan.min_significance,
+            ):
+                fetched = [d for d in plan.decisions if d.fetched]
+                pending = self.decoder.undecoded(
+                    [d.key for d in fetched if d.kind == "geometry"]
+                )
+                keys = [
+                    d.key
+                    for d in fetched
+                    if d.kind != "geometry" or d.key in pending
+                ]
+                if keys:
+                    self.dataset.prefetch(
+                        keys, label=f"{plan.var}:query_plan"
+                    )
             state = self.engine.restore(
                 plan.var,
                 plan.target_level,

@@ -18,8 +18,9 @@ Multi-tenant sharing happens here by construction:
   :class:`~repro.core.decode_engine.DecodeEngine` per campaign, so the
   process-wide restored-level/geometry caches and the engine's range
   cache/prefetch are shared — a second tenant asking for the same
-  ``(fingerprint, var, level, filters)`` is a cache hit, because cache
-  keys carry content identity + tenant-visible filter state only;
+  ``(fingerprint, var, level)`` under a filter that keeps the same
+  chunks is a cache hit, because cache keys carry content identity +
+  the filter signature only;
 * *accounting* stays per tenant: a listener on the hierarchy's
   :class:`~repro.storage.simclock.SimClock` attributes every simulated
   read to the tenant carried by the active
@@ -49,7 +50,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.core.restored_cache import RestoredLevelCache, get_restored_cache
+from repro.core.restored_cache import get_restored_cache
 from repro.errors import (
     ConflictError,
     RestorationError,
@@ -58,6 +59,7 @@ from repro.errors import (
 )
 from repro.obs import context as obs_context
 from repro.obs import trace
+from repro.query import normalize_region
 from repro.service.tenants import TenantConfig, TenantRegistry
 from repro.session import CampaignHandle, Session
 from repro.storage.hierarchy import StorageHierarchy
@@ -287,8 +289,8 @@ class DataNode:
         response the tenant paid for has already been computed).
         """
         try:
-            key = RestoredLevelCache.key_for(
-                handle.fingerprint, chain, level,
+            key = handle.engine.decoder.cache_key(
+                chain, level,
                 region=region, min_significance=min_significance,
             )
             subfiles = self._feedback.get(key)
@@ -353,7 +355,9 @@ class DataNode:
         A level-mode request for an entry resident in the restored-level
         cache, on a campaign that is already open, is answered right
         here on the calling (event-loop) thread: it needs no storage
-        read and no decode. Every other request runs on the executor.
+        read and no decode. That includes a region request whose
+        surviving chunks were restored before under another box. Every
+        other request runs on the executor.
         """
         level_mode = tolerance is None and level is not None
         mode = {
@@ -366,17 +370,17 @@ class DataNode:
             self.check_cursor(handle, if_none_match)
             # Cursors, cache keys and the query log name the chain.
             chain = handle.chain(var, step=step)
+            window = normalize_region(region)
             stem = f"{handle.fingerprint[:12]}.{chain}.L"
-            digest = _filter_digest(region, min_significance)
+            digest = _filter_digest(window, min_significance)
             state = None  # a CachedLevel or a LevelData: same three fields
             if level_mode:
                 if if_none_match == f"{stem}{int(level)}.{digest}":
                     return RestoreResult(if_none_match, True)
-                cache = get_restored_cache()
-                state = cache.resident(
-                    cache.key_for(
-                        handle.fingerprint, chain, int(level),
-                        region=region, min_significance=min_significance,
+                state = get_restored_cache().resident(
+                    handle.engine.decoder.cache_key(
+                        chain, int(level),
+                        region=window, min_significance=min_significance,
                     )
                 )
             hit = state is not None
@@ -393,13 +397,13 @@ class DataNode:
                         step=step,
                         level=level,
                         tolerance=tolerance,
-                        region=region,
+                        region=window,
                         min_significance=min_significance,
                     )
             self._note_query(
                 handle, chain,
                 level=state.level,
-                region=region,
+                region=window,
                 min_significance=min_significance,
                 shape=mode,
             )

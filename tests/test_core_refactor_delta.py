@@ -55,6 +55,59 @@ class TestLevelMapping:
         )
         assert m.estimate(np.array([3.0, 6.0, 9.0]))[0] == pytest.approx(3.0)
 
+    @pytest.mark.parametrize(
+        "layout", ["1-D", "planes-C", "planes-F", "one-plane", "strided"]
+    )
+    @pytest.mark.parametrize("special", ["finite", "zeros", "inf-nan"])
+    def test_mean_is_bitwise_the_inner_axis_mean(self, layout, special):
+        """The three-gather mean against the reduction it replaced,
+        ``coarse[..., tri].mean(axis=-1)``: mixed magnitudes, triples
+        of signed zeros (all ``-0.0`` must come out ``+0.0``), and
+        non-finite values, in every layout the walks hand over —
+        ``refine`` returns plane-minor (Fortran-ordered) stacks."""
+        rng = np.random.default_rng(11)
+        n_coarse, n_fine = 500, 1300
+        tri = rng.integers(0, n_coarse, size=(n_fine, 3))
+        shape = {"1-D": (n_coarse,), "one-plane": (1, n_coarse)}.get(
+            layout, (4, n_coarse)
+        )
+        coarse = rng.standard_normal(shape) * 10.0 ** rng.integers(
+            -8, 9, size=shape
+        )
+        draw = rng.uniform(size=shape)
+        if special == "zeros":
+            coarse[draw < 0.5] = -0.0
+            coarse[draw < 0.1] = 0.0
+        elif special == "inf-nan":
+            coarse[draw < 0.05] = np.inf
+            coarse[draw < 0.03] = -np.inf
+            coarse[draw < 0.01] = np.nan
+        if layout == "planes-F":
+            coarse = np.asfortranarray(coarse)
+        elif layout == "strided":
+            coarse = np.repeat(coarse, 2, axis=-1)[..., ::2]
+        with np.errstate(invalid="ignore"):
+            reference = coarse[..., tri].mean(axis=-1)
+            estimate = LevelMapping(tri_vertices=tri).estimate(coarse)
+        assert estimate.shape == reference.shape
+        assert estimate.tobytes() == reference.tobytes()
+        if special == "zeros":
+            all_negative = np.signbit(coarse[..., tri]).all(axis=-1) & (
+                coarse[..., tri] == 0.0
+            ).all(axis=-1)
+            assert all_negative.any()
+            assert not np.signbit(estimate[all_negative]).any()
+
+    def test_weighted_estimate_is_the_einsum(self, level_pair):
+        fine, _, coarse, coarse_field = level_pair
+        m = build_mapping(fine, coarse, estimator="barycentric")
+        stack = np.stack([coarse_field, -2.0 * coarse_field])
+        for field in (coarse_field, stack, np.asfortranarray(stack)):
+            reference = np.einsum(
+                "...ij,ij->...i", field[..., m.tri_vertices], m.weights
+            )
+            assert m.estimate(field).tobytes() == reference.tobytes()
+
     def test_serialization_roundtrip_mean(self, level_pair):
         fine, _, coarse, _ = level_pair
         m = build_mapping(fine, coarse)

@@ -271,6 +271,26 @@ class TestPlanner:
             legacy = handle.restore("dpot", tolerance=1e-3)
             assert np.array_equal(planned.field, legacy.field)
 
+    def test_resident_result_prefetches_nothing(self, campaign):
+        """A plan whose result is in the restored cache reads no bytes,
+        so it must not prefetch any either on a cold range cache."""
+        ds, h = campaign
+        request = {"tolerance": 1e-3, "region": _roi(ds, 0.3)}
+        try:
+            with Session(h) as session:
+                handle = session.open("q")
+                first = handle.restore("dpot", **request)
+                handle.dataset.engine.cache.invalidate()
+                elapsed = h.clock.elapsed
+                stats = handle.dataset.engine_stats().as_dict()
+                again = handle.restore("dpot", **request)
+                assert again.field.tobytes() == first.field.tobytes()
+                assert h.clock.elapsed == elapsed
+                after = handle.dataset.engine_stats().as_dict()
+                assert after["bytes_from_tier"] == stats["bytes_from_tier"]
+        finally:
+            get_restored_cache().clear()
+
 
 # ---------------------------------------------------------------------------
 class TestValidation:

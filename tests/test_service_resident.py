@@ -339,31 +339,76 @@ class TestExecutorSubmits:
         )
 
 
+def _region_boxes(handle):
+    """Grid boxes over the domain, grouped by ``(var, signature)``.
+
+    Level-0 region requests on the two chunked variables: every group
+    restores one distinct result, whatever box of it is asked.
+    """
+    groups = {}
+    centres = [float(c) for c in np.linspace(-0.9, 0.9, 25)]
+    for var in ("dpot", "planes"):
+        chain = handle.engine.decoder.chain(var)
+        for cx in centres:
+            for cy in centres:
+                box = ((cx - 0.04, cy - 0.04), (cx + 0.04, cy + 0.04))
+                signature = chain.filter_signature(
+                    handle.dataset.catalog, 0, box
+                )
+                if signature:  # () is the resident unfiltered product
+                    groups.setdefault((var, signature), []).append(box)
+    return groups
+
+
+def _region_target(var, box):
+    (x0, y0), (x1, y1) = box
+    return _target("camp", var, None, 0, region=f"{x0},{y0}:{x1},{y1}")
+
+
 class TestLoopAndExecutorInterleave:
-    def test_hits_on_the_loop_while_misses_decode(self, service):
+    def test_hits_on_the_loop_while_misses_decode(self, service, submits):
         """Resident hits (loop thread) and region misses (executor
         threads) share the tracker, the feedback memo and the query log;
-        under a short switch interval nothing is lost or mixed up."""
+        under a short switch interval nothing is lost or mixed up.
+
+        A region request is a miss once per distinct set of surviving
+        chunks: each miss below keeps a set no other request keeps, and
+        the boxes of one repeated set, never the same box twice, are
+        hits served on the loop like any resident product."""
         svc, expected = service
         clients, rounds = 8, 12
+        total = clients * rounds
         hot = [p for p in PRODUCTS if p[0] == "camp"]
         _get_all(svc, [_target(*product) for product in hot])
+        handle = svc.datanode._handles["camp"]
+        groups = _region_boxes(handle)
+        repeated = max(groups, key=lambda group: len(groups[group]))
+        seed_box, *repeats = groups.pop(repeated)
+        assert len(repeats) >= total and len(groups) >= 8
+        misses = [(var, boxes[0]) for (var, _), boxes in groups.items()]
+        stride = total // len(misses)
+        (seeded,) = _get_all(svc, [_region_target(repeated[0], seed_box)])
+        assert seeded.headers["x-canopus-cache"] == "miss"
         requests_before = svc.node.metrics.value(
             "service.requests", tenant="bob"
         )
+        submits_before = len(submits)
 
         async def one_client(ci):
             out = []
             async with ServiceClient(svc.host, svc.port,
                                      token="tok-bob") as c:
                 for i in range(rounds):
+                    n = ci * rounds + i
                     product = hot[(ci + i) % len(hot)]
                     out.append((product, await c._get(_target(*product))))
-                    lo = 1.0 + 0.01 * (ci * rounds + i)  # never repeats
-                    out.append((None, await c._get(_target(
-                        "camp", "dpot", None, 0,
-                        region=f"{lo},-1.0:{lo + 0.5},1.0",
-                    ))))
+                    out.append(("repeat", await c._get(
+                        _region_target(repeated[0], repeats[n])
+                    )))
+                    if n % stride == 0 and n // stride < len(misses):
+                        out.append(("miss", await c._get(
+                            _region_target(*misses[n // stride])
+                        )))
             return out
 
         async def go():
@@ -378,26 +423,39 @@ class TestLoopAndExecutorInterleave:
             results = _drive(go())
         finally:
             sys.setswitchinterval(interval)
-        total = clients * rounds
         for per_client in results:
             for product, response in per_client:
                 assert response.status == 200
-                if product is not None:
+                if product == "miss":
+                    assert response.headers["x-canopus-cache"] == "miss"
+                elif product == "repeat":
+                    assert response.headers["x-canopus-cache"] == "hit"
+                    assert response.body == seeded.body
+                else:
                     assert response.headers["x-canopus-cache"] == "hit"
                     assert response.body == _npy(expected[product][0])
-                else:
-                    assert response.headers["x-canopus-cache"] == "miss"
+        # Same survivors, same bits: a box the server never saw.
+        assert seeded.body == _npy(handle.engine.decoder.restore_to(
+            repeated[0], 0,
+            region=tuple(np.array(b) for b in repeats[-1]),
+        ).field)
+        # Only the misses left the loop.
+        assert len(submits) - submits_before == len(misses)
         metrics = svc.node.metrics
-        assert metrics.value("service.cache.hits", tenant="bob") == total
-        assert metrics.value("service.cache.misses", tenant="bob") == total
+        assert metrics.value("service.cache.hits", tenant="bob") == 2 * total
+        assert metrics.value(
+            "service.cache.misses", tenant="bob"
+        ) == len(misses)
         assert metrics.value(
             "service.requests", tenant="bob"
-        ) - requests_before == 2 * total
+        ) - requests_before == 2 * total + len(misses)
         node = svc.datanode
-        assert len(node._query_log) == len(hot) + 2 * total
-        # One memoised plan per distinct product or region asked for,
-        # and every note of every request landed in the tracker.
-        assert len(node._feedback) == len(hot) + total
+        # One memoised plan per distinct product or survivor set asked
+        # for, and every note of every request landed in the tracker.
+        distinct = len(hot) + 1 + len(misses)
+        assert len(node._feedback) == distinct
+        assert len(node._query_log) == distinct + 2 * total
+        assert len(node._query_log) < node._query_log.maxlen
         assert sum(info.reads for info in node.tracker.records.values()) == (
             sum(entry["subfiles_noted"] for entry in node._query_log)
         )

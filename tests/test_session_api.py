@@ -10,6 +10,7 @@ import repro.errors as errors_mod
 from repro.api import CanopusDecoder, ProgressiveReader, Session
 from repro.core import CanopusEncoder, LevelScheme
 from repro.core.restored_cache import (
+    RestoredLevelCache,
     dataset_fingerprint,
     get_geometry_cache,
     get_restored_cache,
@@ -229,21 +230,37 @@ class TestContentKeyedCache:
         ds.close()
 
     def test_key_normalizes_filter_state(self, root):
+        """The key names the chunks a filter keeps, not its spelling."""
         path, _ = root
-        cache = get_restored_cache()
-        h = _hier(path)
-        ds = BPDataset.open("camp", h)
-        a = cache.key_for(
-            ds, "dpot", 0,
-            region=(np.array([0.0, -0.0]), np.array([1, 2])),
-            min_significance=0,
-        )
-        b = cache.key_for(
-            ds, "dpot", 0,
-            region=(np.array([-0.0, 0.0]), np.array([1.0, 2.0])),
-            min_significance=-0.0,
-        )
-        assert a == b
+        ds = BPDataset.open("camp", _hier(path))
+        decoder = CanopusDecoder(ds)
+
+        def key(lo, hi, min_significance=0.0, level=0):
+            return decoder.cache_key(
+                "dpot", level,
+                region=(lo, hi), min_significance=min_significance,
+            )
+
+        # Lists, arrays, ints and -0.0 are one request.
+        a = key(np.array([0.5, -0.0]), np.array([1, 2]), 0)
+        assert a == key([0.5, 0.0], [1.0, 2.0], -0.0)
+        # Two boxes inside the x > 0, y > 0 chunk keep the same
+        # survivors at both delta levels and share a key ...
+        inside = key([0.5, 0.5], [0.6, 0.6])
+        assert inside == key([0.55, 0.45], [0.7, 0.6])
+        assert inside[3] == ((3,), (3,))
+        # ... a box in another chunk, or one more survivor, does not.
+        assert key([-0.6, -0.6], [-0.5, -0.5]) != inside
+        assert key([0.5, -0.1], [0.6, 0.6]) != inside
+        # The coarser state of the same walk is keyed by the prefix.
+        assert key([0.5, 0.5], [0.6, 0.6], level=1)[3] == ((3,),)
+        # A box over the whole domain keeps everything: the
+        # unfiltered key. So does a threshold that drops nothing.
+        unfiltered = RestoredLevelCache.key_for(ds, "dpot", 0)
+        assert key([-5.0, -5.0], [5.0, 5.0]) == unfiltered
+        assert key([-5.0, -5.0], [5.0, 5.0], 1e-12) == unfiltered
+        # One that drops every chunk of both levels is its own result.
+        assert key([-5.0, -5.0], [5.0, 5.0], 1e9)[3] == ((), ())
         ds.close()
 
     def test_key_excludes_handle_identity(self, root):

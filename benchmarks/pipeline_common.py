@@ -131,6 +131,7 @@ def run_pipeline_sweep(
         codec="zfp",
         codec_params={"tolerance": REL_TOL, "mode": "relative"},
         chunks=chunks,
+        method="serial",  # Figs. 9-11 are about the paper's Algorithm 1
     )
 
     # One encoding per base ratio (the paper's per-ratio test cases).

@@ -22,7 +22,7 @@ REL_TOL = 1e-4
 @pytest.fixture(scope="module")
 def products():
     ds = make_xgc1(scale=0.4)
-    result = refactor(ds.mesh, ds.field, LevelScheme(3))
+    result = refactor(ds.mesh, ds.field, LevelScheme(3), method="serial")
     tol = REL_TOL * float(np.ptp(ds.field))
     return ds, result, tol
 

@@ -28,7 +28,8 @@ def comparison():
         codec = get_codec("zfp", tolerance=tol)
         for estimator in ("mean", "barycentric"):
             result = refactor(
-                ds.mesh, ds.field, LevelScheme(3), estimator=estimator
+                ds.mesh, ds.field, LevelScheme(3), estimator=estimator,
+                method="serial",
             )
             delta_bytes = sum(len(codec.encode(d)) for d in result.deltas)
             mapping_bytes = sum(len(m.to_bytes()) for m in result.mappings)
@@ -75,13 +76,19 @@ def test_both_estimators_restore_exactly(benchmark):
 
     ds = make_dataset("xgc1", scale=0.2)
     for estimator in ("mean", "barycentric"):
-        result = refactor(ds.mesh, ds.field, LevelScheme(3), estimator=estimator)
+        result = refactor(
+            ds.mesh, ds.field, LevelScheme(3), estimator=estimator,
+            method="serial",
+        )
         state = result.base_field
         for lvl in (1, 0):
             state = apply_delta(state, result.deltas[lvl], result.mappings[lvl])
         assert np.allclose(state, ds.field, atol=1e-12)
 
-    result = refactor(ds.mesh, ds.field, LevelScheme(2), estimator="barycentric")
+    result = refactor(
+        ds.mesh, ds.field, LevelScheme(2), estimator="barycentric",
+        method="serial",
+    )
     benchmark(
         lambda: apply_delta(result.levels[1], result.deltas[0], result.mappings[0])
     )

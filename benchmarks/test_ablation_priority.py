@@ -26,7 +26,8 @@ def comparison():
         ds = make_dataset(name, scale=0.3)
         for priority in PRIORITIES:
             result = refactor(
-                ds.mesh, ds.field, LevelScheme(3), priority=priority
+                ds.mesh, ds.field, LevelScheme(3), priority=priority,
+                method="serial",
             )
             err = cross_level_errors(
                 result.meshes[2], result.levels[2], ds.mesh, ds.field
@@ -78,7 +79,9 @@ def test_priority_benchmark(benchmark):
 
     ds = make_dataset("xgc1", scale=0.15)
     benchmark.pedantic(
-        lambda: decimate(ds.mesh, ds.field, ratio=2, priority="data_aware"),
+        lambda: decimate(
+            ds.mesh, ds.field, ratio=2, priority="data_aware", method="serial"
+        ),
         rounds=3,
         iterations=1,
     )

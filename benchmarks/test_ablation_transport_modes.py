@@ -37,7 +37,8 @@ def modes(tmp_path_factory):
         slow_capacity=1 << 34,
     )
     encoder = CanopusEncoder(
-        h, codec="zfp", codec_params={"tolerance": 1e-4, "mode": "relative"}
+        h, codec="zfp", codec_params={"tolerance": 1e-4, "mode": "relative"},
+        method="serial",
     )
     report, _ = encoder.encode("modes", "dpot", ds.mesh, ds.field, LevelScheme(3))
     # Keep the measured reduction; rescale volume and kernel speeds.

@@ -29,7 +29,8 @@ def convergence(tmp_path_factory):
         slow_capacity=1 << 34,
     )
     enc = CanopusEncoder(
-        h, codec="zfp", codec_params={"tolerance": 1e-5, "mode": "relative"}
+        h, codec="zfp", codec_params={"tolerance": 1e-5, "mode": "relative"},
+        method="serial",
     )
     enc.encode("iso", "dpot", ds.mesh, ds.field, LevelScheme(5))
 

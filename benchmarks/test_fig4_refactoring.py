@@ -24,7 +24,7 @@ SCALE = {"xgc1": 0.4, "genasis": 0.15, "cfd": 1.0}
 @pytest.fixture(scope="module", params=DATASETS)
 def refactored(request):
     ds = make_dataset(request.param, scale=SCALE[request.param])
-    result = refactor(ds.mesh, ds.field, LevelScheme(3))
+    result = refactor(ds.mesh, ds.field, LevelScheme(3), method="serial")
     return ds, result
 
 
@@ -93,7 +93,7 @@ def test_fig4_mesh_progression(refactored):
 def test_fig4_refactor_benchmark(benchmark):
     ds = make_dataset("xgc1", scale=0.15)
     benchmark.pedantic(
-        lambda: refactor(ds.mesh, ds.field, LevelScheme(3)),
+        lambda: refactor(ds.mesh, ds.field, LevelScheme(3), method="serial"),
         rounds=3,
         iterations=1,
     )

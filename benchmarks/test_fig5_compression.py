@@ -32,7 +32,7 @@ def curves(request):
     tol = REL_TOL * float(np.ptp(ds.field))
     codec = get_codec("zfp", tolerance=tol)
     # One deep refactoring provides every prefix N (levels are nested).
-    deep = refactor(ds.mesh, ds.field, LevelScheme(MAX_LEVELS))
+    deep = refactor(ds.mesh, ds.field, LevelScheme(MAX_LEVELS), method="serial")
     rows = []
     for n in range(1, MAX_LEVELS + 1):
         levels = deep.levels[:n]

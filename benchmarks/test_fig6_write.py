@@ -39,7 +39,7 @@ def encode_report(tmp_path_factory):
     )
     encoder = CanopusEncoder(
         hierarchy, codec="zfp",
-        codec_params={"tolerance": 1e-4, "mode": "relative"},
+        codec_params={"tolerance": 1e-4, "mode": "relative"}, method="serial",
     )
     report, _ = encoder.encode(
         "fig6", "dpot", ds.mesh, ds.field, LevelScheme(2)
@@ -84,7 +84,7 @@ def test_fig6b_encode_benchmark(benchmark, tmp_path):
     )
     encoder = CanopusEncoder(
         hierarchy, codec="zfp",
-        codec_params={"tolerance": 1e-4, "mode": "relative"},
+        codec_params={"tolerance": 1e-4, "mode": "relative"}, method="serial",
     )
     counter = iter(range(10_000))
 

@@ -29,7 +29,7 @@ CONFIG1 = BlobDetectorParams(min_threshold=10, max_threshold=200, min_area=100)
 @pytest.fixture(scope="module")
 def levels():
     ds = make_xgc1(scale=1.0)
-    result = refactor(ds.mesh, ds.field, LevelScheme(N_LEVELS))
+    result = refactor(ds.mesh, ds.field, LevelScheme(N_LEVELS), method="serial")
     spec = RasterSpec.from_reference(ds.mesh, ds.field, (256, 256))
     detections = []
     for lvl in range(N_LEVELS):

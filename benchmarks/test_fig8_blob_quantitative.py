@@ -39,7 +39,9 @@ CONFIGS = {
 @pytest.fixture(scope="module")
 def sweep():
     ds = make_xgc1(scale=1.0)
-    result = refactor(ds.mesh, ds.field, LevelScheme(len(RATIOS)))
+    result = refactor(
+        ds.mesh, ds.field, LevelScheme(len(RATIOS)), method="serial"
+    )
     spec = RasterSpec.from_reference(ds.mesh, ds.field, (256, 256))
     table: dict[str, dict[int, dict]] = {name: {} for name in CONFIGS}
     reference: dict[str, list] = {}

@@ -89,7 +89,7 @@ def test_fig9_restore_benchmark(benchmark):
     from repro.core.delta import apply_delta
 
     ds = make_xgc1(scale=0.3)
-    result = refactor(ds.mesh, ds.field, LevelScheme(2))
+    result = refactor(ds.mesh, ds.field, LevelScheme(2), method="serial")
     benchmark(
         lambda: apply_delta(
             result.levels[1], result.deltas[0], result.mappings[0]

@@ -35,6 +35,7 @@ def runs(tmp_path_factory):
             h, f"run-{label}", "dpot", ds.mesh, ds.field, LevelScheme(3),
             parts=PARTS, processes=processes,
             codec_params={"tolerance": TOL, "mode": "relative"},
+            method="serial",
         )
         results[label] = report
     return ds, h, results

@@ -32,7 +32,7 @@ def setup(tmp_path_factory):
     )
     enc = CanopusEncoder(
         h, codec="zfp", codec_params={"tolerance": 1e-4, "mode": "relative"},
-        chunks=CHUNKS,
+        chunks=CHUNKS, method="serial",
     )
     enc.encode("q", "dpot", ds.mesh, ds.field, LevelScheme(3))
     return ds, h

@@ -34,7 +34,7 @@ from repro.core import (
 from repro.errors import ReproError
 from repro.harness.report import format_table
 from repro.io import BPDataset
-from repro.mesh.edge_collapse import KERNELS
+from repro.mesh.edge_collapse import DEFAULT_METHOD, KERNELS
 from repro.mesh.io import load_mesh, save_mesh
 from repro.simulations import dataset_names, make_dataset
 from repro.storage import BACKEND_KINDS, two_tier_titan
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--tolerance", type=float, default=1e-4)
     enc.add_argument("--chunks", type=int, default=1)
     enc.add_argument(
-        "--method", choices=KERNELS, default="serial",
+        "--method", choices=KERNELS, default=DEFAULT_METHOD,
         help="decimation kernel (serial heap loop or batched rounds)",
     )
     enc.add_argument(

@@ -40,7 +40,7 @@ from repro.core.notation import GEOM_VAR, LevelScheme, step_chain
 from repro.core.refactor import BufferArena, encode_pool, fused_step_products
 from repro.errors import CanopusError, RestorationError
 from repro.io.dataset import BPDataset
-from repro.mesh.edge_collapse import KERNELS
+from repro.mesh.edge_collapse import DEFAULT_METHOD, KERNELS
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.obs import trace
 from repro.storage.hierarchy import StorageHierarchy
@@ -98,7 +98,7 @@ class CampaignWriter:
         codec_params: dict | None = None,
         estimator: str = "mean",
         priority: str = "length",
-        method: str = "serial",
+        method: str = DEFAULT_METHOD,
         workers: int | None = None,
         placement: str = "walk",
     ) -> None:

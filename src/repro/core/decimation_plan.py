@@ -42,7 +42,7 @@ from repro.core.delta import compute_delta
 from repro.core.mapping import LevelMapping, build_mapping
 from repro.core.notation import LevelScheme
 from repro.errors import RefactoringError
-from repro.mesh.edge_collapse import KERNELS, decimate
+from repro.mesh.edge_collapse import DEFAULT_METHOD, KERNELS, decimate
 from repro.mesh.io import mesh_to_bytes
 from repro.mesh.lineage import CollapseLineage
 from repro.mesh.triangle_mesh import TriangleMesh
@@ -151,7 +151,7 @@ class DecimationPlan:
     meshes: list[TriangleMesh]
     lineages: list[CollapseLineage]
     mappings: list[LevelMapping]
-    method: str = "serial"
+    method: str = DEFAULT_METHOD
     priority: str = "length"
     placement: str = "midpoint"
     estimator: str = "mean"
@@ -318,7 +318,7 @@ def build_plan(
     scheme: LevelScheme,
     data: np.ndarray | None = None,
     *,
-    method: str = "serial",
+    method: str = DEFAULT_METHOD,
     priority: str = "length",
     placement: str = "midpoint",
     estimator: str = "mean",
@@ -386,7 +386,7 @@ def plan_for(
     scheme: LevelScheme,
     data: np.ndarray | None = None,
     *,
-    method: str = "serial",
+    method: str = DEFAULT_METHOD,
     priority: str = "length",
     estimator: str = "mean",
 ) -> DecimationPlan:
@@ -456,7 +456,7 @@ class PlanCache:
         mesh: TriangleMesh,
         scheme: LevelScheme,
         *,
-        method: str = "serial",
+        method: str = DEFAULT_METHOD,
         priority: str = "length",
         placement: str = "midpoint",
         estimator: str = "mean",

@@ -55,6 +55,7 @@ from repro.core.layout import ProductWriter, declare_variable
 from repro.core.notation import GEOM_VAR, LevelScheme, step_chain
 from repro.core.refactor import BufferArena, fused_step_products
 from repro.errors import CanopusError
+from repro.mesh.edge_collapse import DEFAULT_METHOD
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.obs import trace
 from repro.obs.metrics import get_registry
@@ -386,7 +387,7 @@ class EncodeScheduler:
         codec_params: dict | None = None,
         estimator: str = "mean",
         priority: str = "length",
-        method: str = "serial",
+        method: str = DEFAULT_METHOD,
     ) -> None:
         if processes is not None and processes < 1:
             raise CanopusError("processes must be >= 1")
@@ -721,7 +722,7 @@ def encode_campaign_scaleout(
     codec_params: dict | None = None,
     estimator: str = "mean",
     priority: str = "length",
-    method: str = "serial",
+    method: str = DEFAULT_METHOD,
     placement: str = "walk",
 ) -> tuple[ScaleoutReport, float]:
     """Encode a timestep campaign on the process-pool scheduler.

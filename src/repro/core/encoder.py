@@ -44,7 +44,7 @@ from repro.errors import CanopusError
 from repro.io.dataset import BPDataset
 from repro.io.query import ChunkStats
 from repro.io.transports import Transport
-from repro.mesh.edge_collapse import KERNELS
+from repro.mesh.edge_collapse import DEFAULT_METHOD, KERNELS
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.obs import trace
 from repro.storage.hierarchy import StorageHierarchy
@@ -99,8 +99,8 @@ class CanopusEncoder:
     priority:
         Edge-collapse priority strategy.
     method:
-        Decimation kernel: ``"serial"`` (Algorithm 1's heap loop,
-        default) or ``"batched"`` (round-based vectorized kernel).
+        Decimation kernel: ``"batched"`` (round-based vectorized
+        kernel, default) or ``"serial"`` (Algorithm 1's heap loop).
     workers:
         With ``workers > 1``, each level's codec encodes run on this
         encoder's thread pool while the refactoring goes on to the next
@@ -130,7 +130,7 @@ class CanopusEncoder:
         codec_params: dict | None = None,
         estimator: str = "mean",
         priority: str = "length",
-        method: str = "serial",
+        method: str = DEFAULT_METHOD,
         workers: int | None = None,
         chunks: int = 1,
         total_error_budget: float | None = None,

@@ -36,6 +36,7 @@ from repro.core.layout import (
 )
 from repro.core.notation import LevelScheme, part_chain
 from repro.io.dataset import BPDataset
+from repro.mesh.edge_collapse import DEFAULT_METHOD
 from repro.mesh.partition import MeshPartition, gather_field, partition_mesh
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.storage.hierarchy import StorageHierarchy
@@ -90,7 +91,7 @@ def encode_partitioned(
     codec_params: dict | None = None,
     estimator: str = "mean",
     priority: str = "length",
-    method: str = "serial",
+    method: str = DEFAULT_METHOD,
 ) -> tuple[PartitionedReport, list[MeshPartition]]:
     """Partition, refactor each patch (optionally in parallel), write.
 

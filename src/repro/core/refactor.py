@@ -38,6 +38,7 @@ from repro.core.mapping import LevelMapping
 from repro.core.notation import LevelScheme
 from repro.errors import RefactoringError
 from repro.io.query import ChunkStats
+from repro.mesh.edge_collapse import DEFAULT_METHOD
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.obs import context as obs_context
 
@@ -315,7 +316,7 @@ def refactor(
     *,
     estimator: str = "mean",
     priority: str = "length",
-    method: str = "serial",
+    method: str = DEFAULT_METHOD,
     plan: DecimationPlan | None = None,
 ) -> RefactorResult:
     """Refactor ``(mesh, data)`` into a base + delta chain.
@@ -331,8 +332,8 @@ def refactor(
         Edge-collapse priority strategy (see
         :func:`repro.mesh.edge_collapse.make_priority`).
     method:
-        Decimation kernel: ``"serial"`` (Algorithm 1's heap loop) or
-        ``"batched"`` (round-based vectorized kernel).
+        Decimation kernel: ``"batched"`` (round-based vectorized
+        kernel, default) or ``"serial"`` (Algorithm 1's heap loop).
     plan:
         A prebuilt :class:`~repro.core.decimation_plan.DecimationPlan`
         for this exact mesh + scheme; skips all geometry work. Without

@@ -176,6 +176,8 @@ def setup_experiment(
     params: dict = {"tolerance": tolerance}
     if codec == "zfp":
         params["mode"] = codec_mode
+    # Paper figures are about the paper's Algorithm 1, not the library default.
+    encoder_kwargs.setdefault("method", "serial")
     encoder = CanopusEncoder(
         hierarchy, codec=codec, codec_params=params, **encoder_kwargs
     )

@@ -17,7 +17,7 @@ meshes carrying per-vertex floating-point fields. This subpackage provides:
 """
 
 from repro.mesh.triangle_mesh import TriangleMesh
-from repro.mesh.edge_collapse import KERNELS, DecimationResult, decimate
+from repro.mesh.edge_collapse import DEFAULT_METHOD, KERNELS, DecimationResult, decimate
 from repro.mesh.batch_collapse import decimate_batched
 from repro.mesh.lineage import CollapseLineage
 from repro.mesh.locate import TriangleLocator, barycentric_coordinates
@@ -31,6 +31,7 @@ __all__ = [
     "TriangleMesh",
     "DecimationResult",
     "KERNELS",
+    "DEFAULT_METHOD",
     "decimate",
     "decimate_batched",
     "CollapseLineage",

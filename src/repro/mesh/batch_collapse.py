@@ -35,6 +35,10 @@ The same robustness guards as the serial kernel apply, vectorized:
   over the triangle soup). Failing edges sit out the round, accumulate
   a skip penalty, and are banned after ``_MAX_SKIPS`` failures.
 * duplicate-triangle suppression after remapping.
+* *flip/sliver guard* — a selected collapse that would flip a triangle
+  of its 1-ring, or shrink one below ``_MIN_AREA_FRACTION`` of its area,
+  is un-selected before the round commits and penalised like a link
+  failure (the serial kernel has no such guard).
 
 Collapse lineage is recorded natively: one round = one generation group
 of :class:`~repro.mesh.lineage.CollapseLineage` (sources within a round
@@ -50,17 +54,21 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import DecimationError
+from repro.mesh.edge_collapse import (
+    _MAX_SKIPS,
+    _SKIP_PENALTY,
+    DecimationResult,
+    check_pass,
+)
 from repro.mesh.lineage import CollapseLineage
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.obs import trace
 
 __all__ = ["decimate_batched"]
 
-# Shared with the serial kernel: an edge that fails the link condition
-# this many times is dropped for good; until then its priority is
-# inflated by _SKIP_PENALTY per failure.
-_MAX_SKIPS = 8
-_SKIP_PENALTY = 1.5
+# A collapse may not shrink any triangle it moves a corner of below this
+# fraction of the triangle's area before the round (negative = flipped).
+_MIN_AREA_FRACTION = 1e-3
 
 
 def _hash_ranks(gkey: np.ndarray) -> np.ndarray:
@@ -72,7 +80,7 @@ def _hash_ranks(gkey: np.ndarray) -> np.ndarray:
     are stable across runs and processes — decimation stays
     reproducible.
     """
-    h = gkey.astype(np.uint64).copy()
+    h = gkey.astype(np.uint64)
     h ^= h >> np.uint64(33)
     h *= np.uint64(0xFF51AFD7ED558CCD)
     h ^= h >> np.uint64(33)
@@ -81,6 +89,41 @@ def _hash_ranks(gkey: np.ndarray) -> np.ndarray:
     rank = np.empty(len(h), dtype=np.int64)
     rank[np.argsort(h, kind="stable")] = np.arange(len(h), dtype=np.int64)
     return rank
+
+
+def _merge(arr: np.ndarray, u: np.ndarray, v: np.ndarray, placement: str):
+    """``NewVertex`` / ``NewData`` for the collapses ``(u[i], v[i])``."""
+    return (arr[u] + arr[v]) / 2.0 if placement == "midpoint" else arr[u]
+
+
+def _area2(p: np.ndarray) -> np.ndarray:
+    """Twice the signed area of each ``(3, 2)`` corner block of ``p``."""
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+
+
+def _flip_rejects(pos, tris, su, sv, merged_pos) -> np.ndarray:
+    """Mask of the selected collapses that flip or squash a triangle.
+
+    1-rings of the selection are disjoint, so a triangle with exactly
+    one merged corner has one owner; it is measured with that corner at
+    its old and at its merged position. Triangles with two merged
+    corners die with the edge and are not looked at.
+    """
+    own = np.full(len(pos), -1, dtype=np.int64)
+    own[su] = own[sv] = np.arange(len(su))
+    owners = own[tris]
+    moved = owners >= 0
+    # Never three merged corners (1-rings are disjoint): odd means one.
+    rows = np.flatnonzero(moved[:, 0] ^ moved[:, 1] ^ moved[:, 2])
+    corner = moved[rows].argmax(axis=1)
+    owner = owners[rows, corner]
+    p = pos[tris[rows]]
+    before = _area2(p)
+    p[np.arange(len(rows)), corner] = merged_pos[owner]
+    reject = np.zeros(len(su), dtype=bool)
+    reject[owner[_area2(p) < _MIN_AREA_FRACTION * before]] = True
+    return reject
 
 
 def decimate_batched(
@@ -102,24 +145,7 @@ def decimate_batched(
     per live edge per round — prefer the named strategies, which are
     fully vectorized.
     """
-    from repro.mesh.edge_collapse import DecimationResult
-
-    if ratio < 1.0:
-        raise DecimationError(f"decimation ratio must be >= 1, got {ratio}")
-    if placement not in ("midpoint", "endpoint"):
-        raise DecimationError(f"unknown placement {placement!r}")
-    if isinstance(fields, np.ndarray):
-        field_map: dict[str, np.ndarray] = {"data": fields}
-    elif fields is None:
-        field_map = {}
-    else:
-        field_map = dict(fields)
-    for name, arr in field_map.items():
-        if len(arr) != mesh.num_vertices:
-            raise DecimationError(
-                f"field {name!r} has {len(arr)} values for "
-                f"{mesh.num_vertices} vertices"
-            )
+    field_map = check_pass(mesh, fields, ratio, placement)
 
     n0 = mesh.num_vertices
     target_vertices = max(3, int(np.ceil(n0 / ratio)))
@@ -135,6 +161,9 @@ def decimate_batched(
     # creates id n0 + k, matching CollapseLineage's convention.
     gid = np.arange(n0, dtype=np.int64)
     next_gid = n0
+    # Smallest fine vertex each current vertex descends from: the output
+    # order (hash-ordered merges would cost the geometry blobs locality).
+    root = gid.copy()
 
     data_scale = 0.0
     for arr in vals.values():
@@ -143,17 +172,18 @@ def decimate_batched(
     if data_scale <= 0.0:
         data_scale = 1.0
 
-    # Lineage accumulators: one generation group per round.
-    mrg_u: list[np.ndarray] = []
-    mrg_v: list[np.ndarray] = []
-    mrg_d: list[np.ndarray] = []
+    # Lineage accumulators: one generation group per round, each a
+    # (src_u, src_v, dst) block.
+    merges = [np.empty((3, 0), dtype=np.int64)]
     group_sizes: list[int] = []
 
-    # Link-condition failures, keyed by packed extended-id edge key.
-    skip_count: dict[int, int] = {}
+    # Link-condition and flip-guard failures per packed extended-id edge
+    # key: sorted keys and their counts.
+    skip_keys = skip_counts = np.empty(0, dtype=np.int64)
 
     cuts = 0
     skipped = 0
+    flip_rejects = 0
     rounds = 0
     exhausted = False
 
@@ -164,17 +194,14 @@ def decimate_batched(
             break
 
         # --- live edge set + shared-triangle multiplicity ----------------
-        raw = np.concatenate(
-            [tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [0, 2]]]
-        )
-        raw = np.sort(raw, axis=1)
-        ekey, shared = np.unique(raw[:, 0] * n + raw[:, 1], return_counts=True)
+        a, b = tris[:, [0, 1, 0]].ravel(), tris[:, [1, 2, 2]].ravel()
+        ekey = np.minimum(a, b) * n + np.maximum(a, b)
+        ekey.sort()
+        starts = np.flatnonzero(np.r_[True, ekey[1:] != ekey[:-1], True])
+        ekey, shared = ekey[starts[:-1]], np.diff(starts)
         eu = ekey // n
         ev = ekey % n
-        n_edges = len(eu)
-        if n_edges == 0:
-            exhausted = True
-            break
+        n_edges = len(eu)  # >= 3: tris is not empty
 
         # --- priorities ---------------------------------------------------
         if callable(priority):
@@ -203,15 +230,11 @@ def decimate_batched(
         gmax = np.maximum(gid[eu], gid[ev])
         gkey = (gmin << 32) | gmax
         banned = np.zeros(n_edges, dtype=bool)
-        if skip_count:
-            sk = np.fromiter(skip_count.keys(), np.int64, len(skip_count))
-            sv = np.fromiter(skip_count.values(), np.int64, len(skip_count))
-            so = np.argsort(sk)
-            sk, sv = sk[so], sv[so]
-            loc = np.searchsorted(sk, gkey)
-            loc_c = np.minimum(loc, len(sk) - 1)
-            hit = sk[loc_c] == gkey
-            counts = np.where(hit, sv[loc_c], 0)
+        if len(skip_keys):
+            loc = np.minimum(
+                np.searchsorted(skip_keys, gkey), len(skip_keys) - 1
+            )
+            counts = np.where(skip_keys[loc] == gkey, skip_counts[loc], 0)
             banned = counts >= _MAX_SKIPS
             prio = prio * _SKIP_PENALTY ** counts
 
@@ -225,32 +248,23 @@ def decimate_batched(
         common = np.asarray((adj @ adj)[eu, ev]).ravel()
         link_ok = common == shared
         fails = np.flatnonzero(~link_ok & ~banned)
-        if len(fails):
-            skipped += len(fails)
-            for k in gkey[fails]:
-                k = int(k)
-                skip_count[k] = skip_count.get(k, 0) + 1
-
-        candidate = link_ok & ~banned
-        if not candidate.any():
-            if not len(fails):
-                exhausted = True
-                break
-            rounds += 1
-            continue
+        skipped += len(fails)
 
         # --- short-edge pool: at or below the median candidate priority ---
-        pool = candidate & (
-            prio <= np.quantile(prio[candidate], 0.5)
-        )
-        if not pool.any():  # degenerate priorities; fall back to all
-            pool = candidate.copy()
+        pool = candidate = link_ok & ~banned
+        if candidate.any():
+            pool = candidate & (prio <= np.quantile(prio[candidate], 0.5))
+            if not pool.any():  # degenerate priorities; fall back to all
+                pool = candidate
 
         # --- sub-iterated Luby selection over the pool ---------------------
-        rnk = _hash_ranks(gkey)
+        # Only ranks inside the pool are ever compared (avail ⊂ pool).
         big = np.int64(n_edges)
+        rnk = np.full(n_edges, big)
+        rnk[pool] = _hash_ranks(gkey[pool])
         merged_mask = np.zeros(n, dtype=bool)
         sel_parts: list[np.ndarray] = []
+        rej_parts: list[np.ndarray] = []
         n_sel = 0
         remaining = target_cuts - cuts
         avail = pool.copy()
@@ -270,6 +284,16 @@ def decimate_batched(
                 break  # unreachable while avail is non-empty; safety net
             if n_sel + len(sel) > remaining:
                 sel = sel[np.argsort(rnk[sel])][: remaining - n_sel]
+            # Flip/sliver guard: a rejected edge leaves the round without
+            # blocking its neighbours, so the round keeps filling.
+            su, sv_ = eu[sel], ev[sel]
+            reject = _flip_rejects(
+                pos, tris, su, sv_, _merge(pos, su, sv_, placement)
+            )
+            if reject.any():
+                rej_parts.append(sel[reject])
+                avail[sel[reject]] = False
+                sel = sel[~reject]
             sel_parts.append(sel)
             n_sel += len(sel)
             # Block the closed neighborhoods of the merged endpoints so
@@ -282,8 +306,20 @@ def decimate_batched(
             blocked = merged_mask.copy()
             blocked[und_v[merged_mask[und_u]]] = True
             avail &= ~blocked[eu] & ~blocked[ev]
+        # Link failures and guard rejections (distinct edges) each count
+        # one more failure in the sorted key / count pair.
+        failed = np.concatenate([fails, *rej_parts])
+        flip_rejects += len(failed) - len(fails)
+        if len(failed):
+            keys, inv = np.unique(
+                np.concatenate([skip_keys, gkey[failed]]), return_inverse=True
+            )
+            tally = np.zeros(len(keys), dtype=np.int64)
+            tally[inv[: len(skip_keys)]] = skip_counts
+            tally[inv[len(skip_keys):]] += 1
+            skip_keys, skip_counts = keys, tally
         if n_sel == 0:
-            if not len(fails):
+            if not len(failed):
                 exhausted = True
                 break
             rounds += 1
@@ -292,36 +328,26 @@ def decimate_batched(
         su, sv_ = eu[sel], ev[sel]
 
         # --- collapse the whole round at once -----------------------------
-        merged_pos = (
-            (pos[su] + pos[sv_]) / 2.0 if placement == "midpoint"
-            else pos[su]
-        )
         new_gids = next_gid + np.arange(n_sel, dtype=np.int64)
         next_gid += n_sel
-        mrg_u.append(gid[su])
-        mrg_v.append(gid[sv_])
-        mrg_d.append(new_gids)
+        merges.append(np.stack([gid[su], gid[sv_], new_gids]))
         group_sizes.append(n_sel)
 
-        merged = np.zeros(n, dtype=bool)
-        merged[su] = True
-        merged[sv_] = True
-        survivors = np.flatnonzero(~merged)
+        survivors = np.flatnonzero(~merged_mask)
         ns = len(survivors)
         remap = np.empty(n, dtype=np.int64)
         remap[survivors] = np.arange(ns, dtype=np.int64)
-        seq = ns + np.arange(n_sel, dtype=np.int64)
-        remap[su] = seq
-        remap[sv_] = seq
+        remap[su] = remap[sv_] = ns + np.arange(n_sel, dtype=np.int64)
 
-        pos = np.concatenate([pos[survivors], merged_pos])
+        pos = np.concatenate([pos[survivors], _merge(pos, su, sv_, placement)])
         gid = np.concatenate([gid[survivors], new_gids])
+        root = np.concatenate(
+            [root[survivors], np.minimum(root[su], root[sv_])]
+        )
         for name, arr in vals.items():
-            m = (
-                (arr[su] + arr[sv_]) / 2.0 if placement == "midpoint"
-                else arr[su]
+            vals[name] = np.concatenate(
+                [arr[survivors], _merge(arr, su, sv_, placement)]
             )
-            vals[name] = np.concatenate([arr[survivors], m])
 
         t2 = remap[tris]
         deg = (
@@ -346,33 +372,27 @@ def decimate_batched(
             f"batched kernel exhausted after {cuts}/{target_cuts} collapses"
         )
 
+    order = np.argsort(root)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    pos, gid, tris = pos[order], gid[order], rank[tris]
+    vals = {name: arr[order] for name, arr in vals.items()}
     out_mesh = TriangleMesh(pos, tris, validate=False)
     achieved = n0 / max(1, out_mesh.num_vertices)
     lineage = None
     if record_lineage:
-        k = sum(group_sizes)
-        offsets = np.zeros(len(group_sizes) + 1, dtype=np.int64)
-        if group_sizes:
-            np.cumsum(group_sizes, out=offsets[1:])
+        src_u, src_v, dst = np.concatenate(merges, axis=1)
         lineage = CollapseLineage(
-            n_fine=n0,
-            src_u=(
-                np.concatenate(mrg_u) if mrg_u else np.empty(0, np.int64)
-            ),
-            src_v=(
-                np.concatenate(mrg_v) if mrg_v else np.empty(0, np.int64)
-            ),
-            dst=np.concatenate(mrg_d) if mrg_d else np.empty(0, np.int64),
-            group_offsets=offsets,
-            alive_ids=gid.copy(),
-            placement=placement,
+            n_fine=n0, src_u=src_u, src_v=src_v, dst=dst,
+            group_offsets=np.cumsum([0] + group_sizes),
+            alive_ids=gid, placement=placement,
         )
-        assert lineage.num_merges == k
     tracer = trace.get_tracer()
     if tracer is not None:
         tracer.metrics.counter("decimate.batched.rounds").inc(rounds)
         tracer.metrics.counter("decimate.batched.collapses").inc(cuts)
         tracer.metrics.counter("decimate.queue.link_skips").inc(skipped)
+        tracer.metrics.counter("decimate.batched.flip_rejects").inc(flip_rejects)
     return DecimationResult(
         mesh=out_mesh,
         fields=vals,
@@ -380,6 +400,9 @@ def decimate_batched(
         collapses=cuts,
         skipped=skipped,
         exhausted=exhausted,
-        queue_stats={"rounds": rounds, "link_skips": skipped},
+        queue_stats={
+            "rounds": rounds, "link_skips": skipped,
+            "flip_rejects": flip_rejects,
+        },
         lineage=lineage,
     )

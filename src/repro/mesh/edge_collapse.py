@@ -37,10 +37,14 @@ from repro.mesh.priority_queue import EdgePriorityQueue, edge_key
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.obs import trace
 
-__all__ = ["decimate", "DecimationResult", "make_priority", "KERNELS"]
+__all__ = ["decimate", "DecimationResult", "make_priority", "KERNELS", "DEFAULT_METHOD"]
 
 #: Registered decimation kernels (see also :mod:`repro.mesh.batch_collapse`).
 KERNELS = ("serial", "batched")
+#: The kernel every writer uses unless told otherwise — spelled here and
+#: nowhere else. ``"serial"`` is the reference Algorithm 1: ask for it by
+#: name for paper figures and byte pins.
+DEFAULT_METHOD = "batched"
 
 # An edge skipped this many times for link-condition violations is dropped
 # permanently; its neighborhood is evidently stuck non-manifold.
@@ -124,6 +128,27 @@ def make_priority(
     raise DecimationError(f"unknown priority strategy: {name!r}")
 
 
+def check_pass(mesh, fields, ratio: float, placement: str) -> dict:
+    """Validate one pass's arguments (both kernels); fields by name."""
+    if ratio < 1.0:
+        raise DecimationError(f"decimation ratio must be >= 1, got {ratio}")
+    if placement not in ("midpoint", "endpoint"):
+        raise DecimationError(f"unknown placement {placement!r}")
+    if isinstance(fields, np.ndarray):
+        field_map: dict[str, np.ndarray] = {"data": fields}
+    elif fields is None:
+        field_map = {}
+    else:
+        field_map = dict(fields)
+    for name, arr in field_map.items():
+        if len(arr) != mesh.num_vertices:
+            raise DecimationError(
+                f"field {name!r} has {len(arr)} values for "
+                f"{mesh.num_vertices} vertices"
+            )
+    return field_map
+
+
 def decimate(
     mesh: TriangleMesh,
     fields: Mapping[str, np.ndarray] | np.ndarray | None = None,
@@ -132,7 +157,7 @@ def decimate(
     priority: str | PriorityFn = "length",
     placement: str = "midpoint",
     strict: bool = False,
-    method: str = "serial",
+    method: str = DEFAULT_METHOD,
     record_lineage: bool = False,
 ) -> DecimationResult:
     """Decimate ``mesh`` by edge collapse until ``|V'| <= |V| / ratio``.
@@ -160,9 +185,9 @@ def decimate(
         exhausted before the target ratio; otherwise return what was
         achieved with ``exhausted=True``.
     method:
-        ``"serial"`` — Algorithm 1's heap loop (this function);
-        ``"batched"`` — the round-based vectorized kernel
-        (:func:`repro.mesh.batch_collapse.decimate_batched`).
+        ``"batched"`` (default) — the round-based vectorized kernel
+        (:func:`repro.mesh.batch_collapse.decimate_batched`);
+        ``"serial"`` — Algorithm 1's heap loop (this function).
     record_lineage:
         When true, the result carries a
         :class:`~repro.mesh.lineage.CollapseLineage` that replays the
@@ -186,22 +211,7 @@ def decimate(
             mesh, fields, ratio, priority=priority, placement=placement,
             strict=strict, record_lineage=record_lineage,
         )
-    if ratio < 1.0:
-        raise DecimationError(f"decimation ratio must be >= 1, got {ratio}")
-    if placement not in ("midpoint", "endpoint"):
-        raise DecimationError(f"unknown placement {placement!r}")
-    if isinstance(fields, np.ndarray):
-        field_map: dict[str, np.ndarray] = {"data": fields}
-    elif fields is None:
-        field_map = {}
-    else:
-        field_map = dict(fields)
-    for name, arr in field_map.items():
-        if len(arr) != mesh.num_vertices:
-            raise DecimationError(
-                f"field {name!r} has {len(arr)} values for "
-                f"{mesh.num_vertices} vertices"
-            )
+    field_map = check_pass(mesh, fields, ratio, placement)
 
     n0 = mesh.num_vertices
     target_vertices = max(3, int(np.ceil(n0 / ratio)))

@@ -5,16 +5,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analytics import cross_level_errors
 from repro.errors import DecimationError
 from repro.mesh import (
     KERNELS,
     CollapseLineage,
     TriangleMesh,
+    batch_collapse,
     decimate,
     decimate_batched,
 )
 from repro.mesh.generators import annulus, disk, structured_rectangle
 from repro.obs import trace_session
+from repro.simulations import make_xgc1
 
 _SETTINGS = dict(
     max_examples=15,
@@ -183,7 +186,9 @@ class TestLineageReplay:
 class TestQueueObservability:
     def test_serial_queue_counters_on_tracer(self):
         with trace_session(None) as tracer:
-            decimate(structured_rectangle(15, 15), None, ratio=2.0)
+            decimate(
+                structured_rectangle(15, 15), None, ratio=2.0, method="serial"
+            )
         snap = tracer.metrics.snapshot()
         assert snap["decimate.queue.pushes"] > 0
         assert snap["decimate.queue.stale_pops"] >= 0
@@ -203,3 +208,147 @@ class TestQueueObservability:
         # The metrics hook must be a no-op outside a trace session.
         decimate(structured_rectangle(8, 8), None, ratio=2.0)
         decimate(structured_rectangle(8, 8), None, ratio=2.0, method="batched")
+
+
+def _area2(vertices, triangles):
+    """Twice the signed area of each triangle, in the order given."""
+    a, b, c = (vertices[triangles[:, k]] for k in range(3))
+    return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (
+        b[:, 1] - a[:, 1]
+    ) * (c[:, 0] - a[:, 0])
+
+
+def _thin_strip():
+    """Jittered grid whose last column of cells is 2 % of a cell wide:
+    the shortest edges of the mesh all sit on the boundary."""
+    nx, ny = 31, 30
+    grid = structured_rectangle(nx, ny, jitter=0.25, seed=5)
+    x, y = grid.vertices[:, 0].copy(), grid.vertices[:, 1]
+    dx = 1.0 / (nx - 1)
+    kink = 1.0 - 0.87 * dx  # right of every jittered interior vertex
+    x[x > kink] = kink + 0.02 * (x[x > kink] - kink)
+    vertices = np.column_stack([x, y])
+    assert (_area2(vertices, grid.triangles) > 0).all()
+    mesh = TriangleMesh(vertices, grid.triangles)
+    return mesh, np.sin(3 * x) * np.cos(2 * y)
+
+
+def _smooth_disk():
+    mesh = disk(2000, seed=0)
+    return mesh, np.sin(mesh.vertices[:, 0] * 2)
+
+
+def _xgc1_annulus():
+    plane = make_xgc1(scale=0.15)
+    return plane.mesh, plane.field
+
+
+_FIXTURES = {"disk": _smooth_disk, "xgc1": _xgc1_annulus, "strip": _thin_strip}
+
+
+@pytest.fixture(scope="module", params=sorted(_FIXTURES))
+def guarded(request):
+    return _FIXTURES[request.param]()
+
+
+class TestFlipGuard:
+    """The batched kernel's third guard: no flips, no slivers."""
+
+    @pytest.mark.parametrize("ratio", [2.0, 4.0])
+    @pytest.mark.parametrize("placement", ["midpoint", "endpoint"])
+    def test_raw_triangles_keep_their_orientation(
+        self, guarded, ratio, placement, monkeypatch
+    ):
+        """Checked on the kernel's own ``tris``: the mesh constructor's
+        CCW pass would re-orient a flipped triangle and hide it."""
+        mesh, _ = guarded
+        monkeypatch.setattr(
+            TriangleMesh, "_orient_ccw", staticmethod(lambda v, t: t)
+        )
+        out = decimate_batched(mesh, None, ratio=ratio, placement=placement).mesh
+        assert (_area2(out.vertices, out.triangles) > 0).all()
+
+    def test_one_round_keeps_the_area_fraction(self, guarded):
+        """The invariant the guard enforces, where it is exact: within
+        one round every surviving triangle keeps at least the constant's
+        share of its area (across rounds the factor may compound)."""
+        mesh, _ = guarded
+        result = decimate_batched(mesh, None, ratio=1.04, record_lineage=True)
+        lineage = result.lineage
+        assert result.queue_stats["rounds"] == 1 and lineage.num_groups == 1
+        final = np.arange(lineage.n_fine + lineage.num_merges)
+        final[lineage.src_u] = final[lineage.src_v] = lineage.dst
+        coarse = np.full(len(final), -1)
+        coarse[lineage.alive_ids] = np.arange(lineage.n_coarse)
+        moved = coarse[final[mesh.triangles]]
+        assert (moved >= 0).all()
+        alive = (
+            (moved[:, 0] != moved[:, 1])
+            & (moved[:, 1] != moved[:, 2])
+            & (moved[:, 0] != moved[:, 2])
+        )
+        assert alive.sum() == result.mesh.num_triangles
+        before = _area2(mesh.vertices, mesh.triangles)[alive]
+        after = _area2(result.mesh.vertices, moved[alive])
+        assert (after >= batch_collapse._MIN_AREA_FRACTION * before).all()
+
+    def test_rejections_are_counted(self, guarded):
+        mesh, _ = guarded
+        with trace_session(None) as tracer:
+            result = decimate_batched(mesh, None, ratio=4.0)
+        rejects = result.queue_stats["flip_rejects"]
+        assert rejects > 0  # every fixture needs the guard
+        assert (
+            tracer.metrics.snapshot()["decimate.batched.flip_rejects"]
+            == rejects
+        )
+        assert not result.exhausted
+        assert result.achieved_ratio == pytest.approx(4.0, rel=0.05)
+
+    def test_guard_is_what_keeps_orientation(self, monkeypatch):
+        """Without the guard the same pass does flip: the test above
+        would not pass by construction."""
+        mesh, _ = _smooth_disk()
+        monkeypatch.setattr(
+            TriangleMesh, "_orient_ccw", staticmethod(lambda v, t: t)
+        )
+        monkeypatch.setattr(
+            batch_collapse, "_flip_rejects",
+            lambda pos, tris, su, sv, merged: np.zeros(len(su), dtype=bool),
+        )
+        out = decimate_batched(mesh, None, ratio=4.0).mesh
+        assert (_area2(out.vertices, out.triangles) <= 0).any()
+
+    def test_lineage_replay_matches_guarded_coarsening(self, guarded):
+        mesh, field = guarded
+        result = decimate_batched(
+            mesh, {"f": field}, ratio=4.0, record_lineage=True
+        )
+        assert result.queue_stats["flip_rejects"] > 0
+        assert np.array_equal(result.lineage.replay(field), result.fields["f"])
+
+    @pytest.mark.parametrize("ratio", [2.0, 4.0])
+    def test_error_within_twice_the_reference_kernel(self, guarded, ratio):
+        mesh, field = guarded
+        nrmse = {}
+        for method in KERNELS:
+            res = decimate(mesh, field, ratio=ratio, method=method)
+            nrmse[method] = cross_level_errors(
+                res.mesh, res.fields["data"], mesh, field
+            ).nrmse
+        assert nrmse["batched"] <= 2.0 * nrmse["serial"]
+
+    def test_output_order_follows_the_fine_mesh(self, guarded):
+        """Survivors are numbered by their smallest fine descendant, so
+        the stored index arrays keep the input's locality."""
+        mesh, _ = guarded
+        lineage = decimate_batched(
+            mesh, None, ratio=2.0, record_lineage=True
+        ).lineage
+        root = np.arange(lineage.n_fine + lineage.num_merges)
+        for g in range(lineage.num_groups):
+            sl = slice(lineage.group_offsets[g], lineage.group_offsets[g + 1])
+            root[lineage.dst[sl]] = np.minimum(
+                root[lineage.src_u[sl]], root[lineage.src_v[sl]]
+            )
+        assert (np.diff(root[lineage.alive_ids]) > 0).all()

@@ -593,7 +593,9 @@ class TestStoredPayloadPins:
     """(CRC-32, length) of every zfp product of two small writes.
 
     Literals taken at the commit before the one-pass kernel, on a grid
-    mesh and a polynomial field (no RNG, no transcendental functions).
+    mesh and a polynomial field (no RNG, no transcendental functions),
+    over the reference kernel's levels (``method="serial"``): the pins
+    are about the codec, not about whichever kernel is the default.
     Geometry products are deflate output and so left to
     ``test_decimation_plan.TestGeometryMemo``.
     """
@@ -607,13 +609,18 @@ class TestStoredPayloadPins:
         return mesh, x * x - y + 0.25 * x * y * y
 
     def test_write_campaign(self, tmp_path):
-        from repro.api import LevelScheme, two_tier_titan, write_campaign
+        from repro.api import CampaignWriter, LevelScheme, two_tier_titan
 
+        # write_campaign's in-process body, with the kernel named (the
+        # façade takes no ``method``).
         mesh, field = self._inputs()
-        write_campaign(
-            two_tier_titan(tmp_path), "c", "f", mesh, [field, field * 1.125],
-            LevelScheme(3), codec_params={"tolerance": 1e-4},
+        writer = CampaignWriter(
+            two_tier_titan(tmp_path), "c", "f", mesh, LevelScheme(3),
+            codec_params={"tolerance": 1e-4}, method="serial",
         )
+        for step, data in enumerate([field, field * 1.125]):
+            writer.write_step(step, data)
+        writer.close()
         assert _payload_crcs(tmp_path, "c") == {
             "f/step0/L2": (13639716, 524),
             "f/step0/delta0-1": (597414416, 1340),
@@ -628,7 +635,8 @@ class TestStoredPayloadPins:
 
         mesh, field = self._inputs()
         CanopusEncoder(
-            two_tier_titan(tmp_path), codec_params={"tolerance": 1e-4}, chunks=8
+            two_tier_titan(tmp_path), codec_params={"tolerance": 1e-4},
+            chunks=8, method="serial",
         ).encode("e", "f", mesh, field, LevelScheme(3))
         chunks0 = [
             (1656070716, 205), (3192401546, 187), (3025596013, 194),

@@ -14,6 +14,7 @@ from repro.core import (
     refactor,
 )
 from repro.errors import RefactoringError
+from repro.mesh import DEFAULT_METHOD
 from repro.mesh.generators import structured_rectangle
 from repro.obs import trace_session
 
@@ -393,7 +394,7 @@ class TestGeometryMemo:
             assert [c[1:] for c in ours] == [c[1:] for c in theirs]
         assert clone.to_bytes() == blob
         key = PlanCache.key_for(
-            mesh, plan.scheme, method="serial", priority="length",
+            mesh, plan.scheme, method=DEFAULT_METHOD, priority="length",
             placement="midpoint", estimator="mean",
         )
         assert key == PlanCache.key_for(

@@ -204,7 +204,7 @@ class TestDecimation:
 
     def test_queue_stats_exposed(self):
         mesh = disk(200, seed=14)
-        res = decimate(mesh, ratio=2)
+        res = decimate(mesh, ratio=2, method="serial")  # the heap's counters
         assert res.queue_stats["pushes"] > 0
 
     def test_endpoint_placement_subsets_vertices(self):

@@ -192,13 +192,24 @@ class TestConcurrentClients:
     def test_sim_read_seconds_attributed(self, stack):
         """Cold restores charge simulated read time to the tenant."""
         svc, _ = stack
+        # dpot L0 was already restored above, and a filter that keeps
+        # every chunk is that same cached result. Take the threshold from
+        # the stored chunk summaries: just above the smallest |max| drops
+        # that chunk and no more than its ties, which forces chunk reads.
+        with BPDataset.open("camp", svc.hierarchy) as ds:
+            peaks = [
+                rec.attrs["stats"]["vabs_max"]
+                for key, rec in ds.catalog.records.items()
+                if key.startswith("dpot/delta") and "stats" in rec.attrs
+            ]
+        assert len(set(peaks)) > 1
+        threshold = float(np.nextafter(min(peaks), np.inf))
         before = svc.tenants.usage("alice")["total_sim_read_seconds"]
-        # dpot L0 was already restored above; raw reads always touch
-        # the engine. Use a fresh filtered restore to force I/O.
+
         async def go():
             async with ServiceClient(svc.host, svc.port, token="tok-a") as c:
                 await c.restore("camp", "dpot", level=0,
-                                min_significance=0.75)
+                                min_significance=threshold)
 
         asyncio.run(go())
         after = svc.tenants.usage("alice")["total_sim_read_seconds"]

@@ -41,7 +41,6 @@ DEFAULT_GATED = (
     "BENCH_decode.json",
     "BENCH_placement.json",
     "BENCH_service.json",
-    "BENCH_encode_scaleout.json",
     "BENCH_query.json",
     "BENCH_durability.json",
 )

@@ -41,11 +41,6 @@ import numpy as np
 
 from repro.core.campaign import CampaignReader, CampaignWriter, StepReport
 from repro.core.decode_engine import DecodeEngine
-from repro.core.encode_scheduler import (
-    EncodeScheduler,
-    ScaleoutReport,
-    encode_campaign_scaleout,
-)
 from repro.core.decoder import CanopusDecoder, LevelData
 from repro.core.encoder import CanopusEncoder
 from repro.core.notation import LevelScheme
@@ -113,7 +108,6 @@ __all__ = [
     "CanopusDecoder",
     "CanopusEncoder",
     "DecodeEngine",
-    "EncodeScheduler",
     "EngineStats",
     "FilesystemBackend",
     "GeometryCache",
@@ -137,7 +131,6 @@ __all__ = [
     "RestoredLevelCache",
     "RetrievalEngine",
     "SLO",
-    "ScaleoutReport",
     "ShardedBackend",
     "StepReport",
     "StorageHierarchy",
@@ -149,7 +142,6 @@ __all__ = [
     "blob_query",
     "current_context",
     "dataset_fingerprint",
-    "encode_campaign_scaleout",
     "encode_partitioned",
     "get_geometry_cache",
     "get_registry",
@@ -175,54 +167,28 @@ def write_campaign(
     estimator: str = "mean",
     priority: str = "length",
     placement: str = "walk",
-    processes: int | None = None,
-    window: int = 4,
-    start_method: str | None = None,
 ) -> list[StepReport]:
     """Canopus-encode a timestep series and flush it to the hierarchy.
 
-    ``steps`` is either a mapping ``{step: field}`` or an iterable of
-    fields (implicitly steps ``0, 1, ...``). Geometry (mesh chain +
-    mappings) is refactored and stored once and shared by every step.
-    Returns the per-step write reports; the dataset is closed (subfiles
-    + catalog flushed) before returning.
-
-    With ``processes > 1`` the steps encode on the shared-memory
-    process-pool scheduler (:func:`encode_campaign_scaleout`): at most
-    ``window`` raw timesteps in flight, products bit-identical to the
-    in-process path. Per-step ``io_seconds`` are 0 either way (writes
-    are buffered until close).
+    ``steps`` is either a mapping ``{step: field}`` (written in step
+    order) or an iterable of fields (implicitly steps ``0, 1, ...``),
+    consumed lazily: a generator keeps one raw field resident at a time,
+    so a campaign of any length encodes out of core. Geometry (mesh
+    chain + mappings) is refactored and stored once and shared by every
+    step. Returns the per-step write reports; the dataset is closed
+    (subfiles + catalog flushed) before returning. Per-step
+    ``io_seconds`` are 0 (writes are buffered until close).
     """
     if isinstance(steps, Mapping):
-        items = sorted(steps.items())
+        items = iter(sorted(steps.items()))
     else:
-        items = list(enumerate(steps))
-    if not items:
+        items = enumerate(steps)
+    # Looked at before the dataset is created: an empty series leaves
+    # nothing behind.
+    first = next(items, None)
+    if first is None:
         raise CanopusError("write_campaign needs at least one timestep")
-    if processes is not None and processes > 1:
-        report, _ = encode_campaign_scaleout(
-            hierarchy, name, var, mesh, scheme, items,
-            processes=processes, window=window, start_method=start_method,
-            codec=codec, codec_params=codec_params, estimator=estimator,
-            priority=priority, placement=placement,
-        )
-        reports = []
-        for step, data in items:
-            compressed, stats = report.step_records[step]
-            reports.append(
-                StepReport(
-                    step=step,
-                    compressed_bytes=compressed,
-                    original_bytes=int(np.asarray(data).nbytes),
-                    refactor_seconds=(
-                        stats["replay_seconds"] + stats["delta_seconds"]
-                    ),
-                    compress_seconds=stats["compress_seconds"],
-                    io_seconds=0.0,
-                )
-            )
-        return reports
-    writer = CampaignWriter(
+    with CampaignWriter(
         hierarchy,
         name,
         var,
@@ -233,9 +199,8 @@ def write_campaign(
         estimator=estimator,
         priority=priority,
         placement=placement,
-    )
-    try:
-        reports = [writer.write_step(step, data) for step, data in items]
-    finally:
-        writer.close()
+    ) as writer:
+        reports = [writer.write_step(*first)]
+        first = None  # the series may be larger than memory
+        reports.extend(writer.write_step(step, data) for step, data in items)
     return reports

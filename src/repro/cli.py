@@ -90,21 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     enc.add_argument(
         "--workers", type=int, default=None,
-        help="thread count for delta + compress overlap (default: serial)",
-    )
-    enc.add_argument(
-        "--processes", type=int, default=None,
-        help="scale the encode across N worker processes (shared-memory "
-        "scheduler; writes a partitioned dataset, one patch per plane)",
-    )
-    enc.add_argument(
-        "--window", type=int, default=4,
-        help="max raw fields in flight through shared memory "
-        "(with --processes; bounds resident memory)",
+        help="encode threads: a level's codec encodes overlap the next "
+        "level, or patches run side by side with --parts (default: inline)",
     )
     enc.add_argument(
         "--parts", type=int, default=None,
-        help="mesh patches for --processes (default: one per process)",
+        help="write a partitioned dataset: split the mesh into N spatial "
+        "patches, each refactored on its own",
     )
     enc.add_argument(
         "--fast-capacity", type=int, default=64 << 20,
@@ -355,12 +347,10 @@ def _cmd_encode(args) -> int:
     params = {"tolerance": args.tolerance}
     if args.codec == "zfp":
         params["mode"] = "relative"
-    if args.processes and args.processes > 1:
+    if args.parts:
         report, _ = encode_partitioned(
             hierarchy, args.dataset, args.field, mesh, fields[args.field],
-            LevelScheme(args.levels),
-            parts=args.parts or args.processes,
-            processes=args.processes, window=args.window,
+            LevelScheme(args.levels), parts=args.parts, workers=args.workers,
             codec=args.codec, codec_params=params, method=args.method,
         )
         rows = [
@@ -372,7 +362,7 @@ def _cmd_encode(args) -> int:
                 rows,
                 title=(
                     f"encoded {args.dataset!r} ({report.parts} patches on "
-                    f"{args.processes} processes, window {args.window})"
+                    f"{args.workers or 1} workers)"
                 ),
             )
         )

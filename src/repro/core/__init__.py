@@ -26,12 +26,6 @@ from repro.core.decimation_plan import (
     plan_for,
 )
 from repro.core.delta import apply_delta, compute_delta
-from repro.core.encode_scheduler import (
-    EncodeScheduler,
-    ScaleoutReport,
-    SchedPlane,
-    encode_campaign_scaleout,
-)
 from repro.core.encoder import CanopusEncoder, EncodeReport
 from repro.core.mapping import LevelMapping, build_mapping
 from repro.core.notation import (
@@ -94,9 +88,5 @@ __all__ = [
     "PartitionedDecoder",
     "PartitionedReport",
     "BufferArena",
-    "EncodeScheduler",
-    "ScaleoutReport",
-    "SchedPlane",
-    "encode_campaign_scaleout",
     "fused_step_products",
 ]

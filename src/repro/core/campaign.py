@@ -107,8 +107,6 @@ class CampaignWriter:
                 f"unknown decimation method {method!r}; "
                 f"expected one of {KERNELS}"
             )
-        if workers is not None and workers < 1:
-            raise CanopusError("workers must be >= 1")
         self.hierarchy = hierarchy
         self.name = name
         self.var = var
@@ -151,8 +149,7 @@ class CampaignWriter:
             raise CanopusError("campaign already closed")
         if step in self._steps:
             raise CanopusError(f"step {step} already written")
-        # One level in flight at a time through pooled scratch: the
-        # task body the multiprocess scheduler's workers run.
+        # One level in flight at a time through pooled scratch.
         with trace.span(
             "campaign.fused_encode", "refactor",
             {"step": step, "workers": self.workers or 1},

@@ -412,20 +412,29 @@ def plan_for(
         )
 
 
+#: Fine-level vertices the plan cache holds before it evicts. A plan
+#: costs what its input mesh does (about 200 B per fine vertex at three
+#: levels, so ~0.8 GB at the bound), and the patches of a partitioned
+#: mesh weigh together what the mesh does, however many there are.
+PLAN_CACHE_VERTICES = 1 << 22
+
+
 class PlanCache:
     """Process-wide LRU of :class:`DecimationPlan` keyed by content.
 
     The key includes the mesh's content fingerprint, so two
     structurally identical meshes share an entry while any geometry
-    change misses. Thread-safe; hit/miss counts are surfaced on the
-    active tracer ("plan.cache.hits"/"plan.cache.misses") so
-    ``repro trace`` shows whether a campaign actually reused its plan.
+    change misses. Bounded by the fine-level vertices it holds, not by
+    entries; the newest plan stays whatever it weighs. Thread-safe;
+    hit/miss counts are surfaced on the active tracer
+    ("plan.cache.hits"/"plan.cache.misses") so ``repro trace`` shows
+    whether a campaign actually reused its plan.
     """
 
-    def __init__(self, maxsize: int = 8) -> None:
-        if maxsize < 1:
-            raise RefactoringError("PlanCache maxsize must be >= 1")
-        self.maxsize = maxsize
+    def __init__(self, max_vertices: int = PLAN_CACHE_VERTICES) -> None:
+        if max_vertices < 1:
+            raise RefactoringError("PlanCache max_vertices must be >= 1")
+        self.max_vertices = max_vertices
         self._lock = threading.Lock()
         self._plans: OrderedDict[tuple, DecimationPlan] = OrderedDict()
         self.hits = 0
@@ -490,8 +499,10 @@ class PlanCache:
             self._count("plan.cache.misses")
             self._plans[key] = plan
             self._plans.move_to_end(key)
-            while len(self._plans) > self.maxsize:
-                self._plans.popitem(last=False)
+            held = sum(p.meshes[0].num_vertices for p in self._plans.values())
+            while held > self.max_vertices and len(self._plans) > 1:
+                _, evicted = self._plans.popitem(last=False)
+                held -= evicted.meshes[0].num_vertices
         return plan
 
     @staticmethod

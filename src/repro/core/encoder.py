@@ -146,8 +146,6 @@ class CanopusEncoder:
                 f"unknown decimation method {method!r}; "
                 f"expected one of {KERNELS}"
             )
-        if workers is not None and workers < 1:
-            raise CanopusError("workers must be >= 1")
         self.hierarchy = hierarchy
         self.codec_name = codec
         self.codec_params = dict(codec_params or {})

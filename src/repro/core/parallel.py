@@ -5,10 +5,10 @@ mesh patch with no communication (paper §III-C1). This module mirrors
 that structure on one node:
 
 * :func:`encode_partitioned` splits the mesh into spatial patches,
-  refactors + compresses each independently — optionally on a process
-  pool — and writes each patch's products under ``{var}/part{i}/...``
-  through one shared dataset (the I/O stage is serialized, like an
-  aggregating transport);
+  refactors + compresses each independently — optionally on
+  ``workers`` threads — and writes each patch's products under
+  ``{var}/part{i}/...`` through one shared dataset (the I/O stage is
+  serialized, like an aggregating transport);
 * :class:`PartitionedDecoder` restores any level per patch and gathers
   full-accuracy fields back to the global vertex order exactly.
 
@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.decimation_plan import as_field
+from repro.compress import get_codec
+from repro.core.decimation_plan import as_field, plan_for
 from repro.core.decode_engine import DecodeEngine
-from repro.core.encode_scheduler import EncodeScheduler, SchedPlane
 from repro.core.layout import (
     ProductWriter,
     declare_variable,
@@ -35,10 +35,12 @@ from repro.core.layout import (
     variable_scheme,
 )
 from repro.core.notation import LevelScheme, part_chain
+from repro.core.refactor import encode_pool, fused_step_products
 from repro.io.dataset import BPDataset
 from repro.mesh.edge_collapse import DEFAULT_METHOD
 from repro.mesh.partition import MeshPartition, gather_field, partition_mesh
 from repro.mesh.triangle_mesh import TriangleMesh
+from repro.obs import context as obs_context
 from repro.storage.hierarchy import StorageHierarchy
 
 __all__ = ["encode_partitioned", "PartitionedDecoder", "PartitionedReport"]
@@ -57,24 +59,6 @@ class PartitionedReport:
     per_part_seconds: list[float] = field(default_factory=list)
 
 
-class _PartitionSink:
-    """Accumulates scheduler output per patch for the one-shot writer."""
-
-    def __init__(self) -> None:
-        self.geoms: dict[int, dict] = {}
-        self.prods: dict[int, dict] = {}
-        self.stats: dict[int, dict] = {}
-
-    def geometry(self, plane_id: int, geom: dict) -> None:
-        self.geoms[plane_id] = geom
-
-    def products(
-        self, plane_id: int, step: int, products: dict, stats: dict
-    ) -> None:
-        self.prods[plane_id] = products
-        self.stats[plane_id] = stats
-
-
 def encode_partitioned(
     hierarchy: StorageHierarchy,
     dataset_name: str,
@@ -84,9 +68,7 @@ def encode_partitioned(
     scheme: LevelScheme,
     *,
     parts: int = 4,
-    processes: int | None = None,
-    window: int = 4,
-    start_method: str | None = None,
+    workers: int | None = None,
     codec: str = "zfp",
     codec_params: dict | None = None,
     estimator: str = "mean",
@@ -95,50 +77,54 @@ def encode_partitioned(
 ) -> tuple[PartitionedReport, list[MeshPartition]]:
     """Partition, refactor each patch (optionally in parallel), write.
 
-    Patches run through the shared-memory
-    :class:`~repro.core.encode_scheduler.EncodeScheduler`: one plane per
-    patch, patch fields shipped worker-bound through windowed
-    shared-memory slots (never pickled), and each worker decimating
-    only its own patches — a stand-in for one MPI rank, exchanging zero
-    data with its peers. ``processes=None`` runs patches sequentially
-    in-process, where the shared plan cache makes repeated encodes of
-    the same partitions replay instead of re-decimating; forked workers
-    inherit that same warm cache.
+    Every patch is one run of the write-side task body
+    (:func:`~repro.core.refactor.fused_step_products`) over the patch's
+    own plan — a stand-in for one MPI rank, exchanging zero data with
+    its peers. With ``workers > 1`` the patches are mapped over that
+    many threads (decimation, replay and the codecs are numpy kernels
+    that release the GIL); products are the same bytes either way. The
+    shared plan cache makes repeated encodes of the same partitions
+    replay instead of re-decimating.
 
     ``priority`` values that are not plan-eligible (``"data_aware"``,
-    callables) decimate from geometry alone on this path — patch fields
-    stream through shared memory after plane setup, so they cannot
-    steer the collapse order.
+    callables) decimate from geometry alone on this path, as at
+    :class:`~repro.core.campaign.CampaignWriter` setup.
     """
     original_bytes = int(np.asarray(data).nbytes)
     data = as_field(data, mesh.num_vertices)
     codec_params = dict(codec_params or {})
     if codec_params.get("mode") == "relative":
-        # Resolve against the *global* range once, so every patch (and
-        # every worker) instantiates the identical absolute codec.
+        # Resolve against the *global* range once, so every patch
+        # instantiates the identical absolute codec.
         codec_params["tolerance"] = codec_params.get("tolerance", 1e-6) * max(
             float(np.ptp(data)), 1e-300
         )
         codec_params["mode"] = "absolute"
+    payload_codec = get_codec(codec, **codec_params)
+
+    def encode_patch(patch: MeshPartition) -> tuple:
+        plan = plan_for(
+            patch.mesh, scheme, method=method, priority=priority,
+            estimator=estimator,
+        )
+        plan.geometry_blobs()  # deflated once per plan: here, off the writer
+        # No arena (patch shapes all differ) and no pool: this body may
+        # itself be running on the pool.
+        products, stats = fused_step_products(
+            plan, patch.restrict(data), payload_codec
+        )
+        return plan, products, stats
 
     partitions = partition_mesh(mesh, parts)
-    scheduler = EncodeScheduler(
-        processes=processes, window=window, start_method=start_method,
-        codec=codec, codec_params=codec_params, estimator=estimator,
-        priority=priority, method=method,
-    )
-    planes = [
-        SchedPlane(plane_id=p.index, mesh=p.mesh, scheme=scheme)
-        for p in partitions
-    ]
-    sink = _PartitionSink()
-
     t0 = time.perf_counter()
-    scheduler.run(
-        planes,
-        ((p.index, 0, p.restrict(data)) for p in partitions),
-        sink,
-    )
+    pool = encode_pool(workers)
+    if pool is None:
+        encoded = [encode_patch(p) for p in partitions]
+    else:
+        with pool:
+            encoded = list(
+                pool.map(obs_context.propagate(encode_patch), partitions)
+            )
     refactor_seconds = time.perf_counter() - t0
 
     ds = BPDataset.create(dataset_name, hierarchy)
@@ -146,7 +132,8 @@ def encode_partitioned(
         ds, var, scheme, codec,
         parts=len(partitions),
         counts={
-            str(i): list(sink.geoms[i]["counts"]) for i in sorted(sink.geoms)
+            str(p.index): [m.num_vertices for m in plan.meshes]
+            for p, (plan, _, _) in zip(partitions, encoded)
         },
         num_global_vertices=mesh.num_vertices,
         global_vertices={
@@ -158,16 +145,10 @@ def encode_partitioned(
     compressed = 0
     clock = hierarchy.clock
     before = clock.elapsed
-    for index in sorted(sink.prods):
-        geom = sink.geoms[index]
-        chain = part_chain(var, index)
-        compressed += writer.geometry(
-            chain, geom["mesh_blobs"], geom["mapping_blobs"]
-        )
-        compressed += writer.chain(
-            chain, sink.prods[index],
-            sink.stats[index].get("summaries") or {},
-        )
+    for patch, (plan, products, stats) in zip(partitions, encoded):
+        chain = part_chain(var, patch.index)
+        compressed += writer.geometry(chain, *plan.geometry_blobs())
+        compressed += writer.chain(chain, products, stats["summaries"])
     ds.close()
     write_seconds = clock.elapsed - before
 
@@ -178,9 +159,7 @@ def encode_partitioned(
         write_seconds=write_seconds,
         compressed_bytes=compressed,
         original_bytes=original_bytes,
-        per_part_seconds=[
-            sink.stats[i]["wall_seconds"] for i in sorted(sink.stats)
-        ],
+        per_part_seconds=[stats["wall_seconds"] for _, _, stats in encoded],
     )
     return report, partitions
 

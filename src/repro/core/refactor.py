@@ -17,7 +17,7 @@ flight. Everything that writes consumes it:
   plan's spatial chunks and places the payloads;
 * :func:`fused_step_products` is the task body of one campaign step or
   partition patch, shared by :class:`~repro.core.campaign.CampaignWriter`
-  and the process scheduler's inline and worker loops.
+  and :func:`~repro.core.parallel.encode_partitioned`.
 
 Per-stage wall times are recorded for the write-cost study (Fig. 6b).
 """
@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.decimation_plan import DecimationPlan, as_field, plan_for
 from repro.core.mapping import LevelMapping
 from repro.core.notation import LevelScheme
-from repro.errors import RefactoringError
+from repro.errors import CanopusError, RefactoringError
 from repro.io.query import ChunkStats
 from repro.mesh.edge_collapse import DEFAULT_METHOD
 from repro.mesh.triangle_mesh import TriangleMesh
@@ -92,13 +92,17 @@ class BufferArena:
 
 
 def encode_pool(workers: int | None) -> ThreadPoolExecutor | None:
-    """What a writer's ``workers`` means: the pool :func:`walk` hands a
-    level's codec encodes to while it goes on to the next level.
+    """What a writer's ``workers`` means, and the write side's one
+    executor: the pool :func:`walk` hands a level's codec encodes to
+    while it goes on to the next level, or the one
+    :func:`~repro.core.parallel.encode_partitioned` maps its patches over.
 
     One per writer, for the writer's lifetime (threads start on first
     use and leave with the pool); ``None`` below two workers.
     """
-    if not workers or workers < 2:
+    if workers is not None and workers < 1:
+        raise CanopusError("workers must be >= 1")
+    if workers is None or workers < 2:
         return None
     return ThreadPoolExecutor(
         max_workers=workers, thread_name_prefix="repro-encode"

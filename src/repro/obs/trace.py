@@ -394,43 +394,6 @@ class Tracer:
         """New live span handle (use as a context manager)."""
         return _SpanHandle(self, name, category, args)
 
-    def record_span(
-        self,
-        name: str,
-        category: str = "",
-        *,
-        wall_start: float,
-        wall_end: float,
-        thread: str = "",
-        parent_id: int | None = None,
-        args: dict | None = None,
-    ) -> SpanRecord:
-        """Fold an externally-measured span into this tracer's tree.
-
-        Work executed in another process (the multiprocess encode
-        scheduler's workers) cannot push live span handles onto this
-        tracer's context stack; instead the owning process reports wall
-        timestamps (seconds on *this* tracer's ``wall_origin`` axis) and
-        the span is recorded retroactively under ``parent_id``. The
-        record flows through sinks exactly like a live span.
-        """
-        record = SpanRecord(
-            name=name,
-            category=category,
-            span_id=self._next_id(),
-            parent_id=parent_id,
-            thread=thread or threading.current_thread().name,
-            wall_start=wall_start,
-            wall_end=wall_end,
-            args=dict(args) if args else {},
-        )
-        ctx = obs_context.current()
-        if ctx is not None:
-            record.trace_id = ctx.trace_id
-            record.tenant = ctx.tenant
-        self._record(record)
-        return record
-
     # -- summaries -------------------------------------------------------
     def summary(self) -> dict[str, dict[str, float]]:
         """Per-category totals (inclusive — nested spans both count)."""

@@ -11,13 +11,14 @@ import repro
 import repro.api
 from repro.api import (
     BPDataset,
+    CampaignWriter,
     CanopusDecoder,
     LevelScheme,
     ProgressiveReader,
     Session,
     write_campaign,
 )
-from repro.errors import BPFormatError, CanopusError
+from repro.errors import BPFormatError, CanopusError, StorageError
 from repro.mesh.generators import annulus
 from repro.storage import two_tier_titan
 
@@ -93,24 +94,60 @@ class TestWriteCampaign:
     ):
         mesh, field = mesh_and_field
         steps = [field.astype(np.float32), (field * 1.1).astype(np.float32)]
-        reports = {
-            processes: write_campaign(
-                two_tier_titan(tmp_path / f"p{processes}"), "camp", "dpot",
-                mesh, steps, LevelScheme(2), codec_params={"tolerance": 1e-3},
-                processes=processes, start_method="fork",
-            )
-            for processes in (None, 2)
-        }
-        for inline, pooled in zip(reports[None], reports[2]):
-            assert inline.original_bytes == steps[0].nbytes  # float32 bytes
-            assert pooled.original_bytes == inline.original_bytes
-            assert pooled.compressed_bytes == inline.compressed_bytes
-            assert pooled.reduction == inline.reduction
+        config = {"codec_params": {"tolerance": 1e-3}}
+        inline = write_campaign(
+            two_tier_titan(tmp_path / "inline"), "camp", "dpot", mesh, steps,
+            LevelScheme(2), **config,
+        )
+        with CampaignWriter(
+            two_tier_titan(tmp_path / "pooled"), "camp", "dpot", mesh,
+            LevelScheme(2), workers=2, **config,
+        ) as writer:
+            pooled = [writer.write_step(s, data) for s, data in enumerate(steps)]
+        for one, other in zip(inline, pooled, strict=True):
+            assert one.original_bytes == steps[0].nbytes  # float32 bytes
+            assert other.original_bytes == one.original_bytes
+            assert other.compressed_bytes == one.compressed_bytes
+            assert other.reduction == one.reduction
+
+    def test_steps_are_consumed_one_at_a_time(
+        self, hierarchy, mesh_and_field, monkeypatch
+    ):
+        """A generator of steps is never materialised: step ``k`` is
+        written when exactly ``k + 1`` fields have been produced."""
+        mesh, field = mesh_and_field
+        produced = []
+
+        def series():
+            for k in range(4):
+                produced.append(k)
+                yield field * (1.0 + 0.1 * k)
+
+        seen = []
+        write_step = CampaignWriter.write_step
+
+        def watched(self, step, data):
+            seen.append((step, len(produced)))
+            return write_step(self, step, data)
+
+        monkeypatch.setattr(CampaignWriter, "write_step", watched)
+        reports = write_campaign(
+            hierarchy, "camp", "dpot", mesh, series(), LevelScheme(2),
+            codec_params={"tolerance": 1e-3},
+        )
+        assert [r.step for r in reports] == [0, 1, 2, 3]
+        assert seen == [(k, k + 1) for k in range(4)]
 
     def test_empty_steps_rejected(self, hierarchy, mesh_and_field):
         mesh, _ = mesh_and_field
-        with pytest.raises(CanopusError):
-            write_campaign(hierarchy, "camp", "dpot", mesh, [], LevelScheme(2))
+        for steps in ([], {}, iter(())):
+            with pytest.raises(CanopusError, match="at least one timestep"):
+                write_campaign(
+                    hierarchy, "camp", "dpot", mesh, steps, LevelScheme(2)
+                )
+        # Refused before the dataset was created.
+        with pytest.raises(StorageError):
+            BPDataset.open("camp", hierarchy)
 
 
 class TestReadProgressive:

@@ -164,7 +164,8 @@ class TestPlanCache:
         assert cache.stats["misses"] == 3 and cache.stats["hits"] == 0
 
     def test_lru_eviction(self, mesh):
-        cache = PlanCache(maxsize=1)
+        # Room for one plan of this mesh, not two.
+        cache = PlanCache(max_vertices=mesh.num_vertices)
         cache.get_or_build(mesh, LevelScheme(2))
         cache.get_or_build(mesh, LevelScheme(3))
         assert len(cache) == 1

@@ -3,8 +3,8 @@
 ``reference_restore`` is Algorithm 3 written out against the stored
 format — raw ``dataset.read`` + ``decode_auto`` + ``apply_delta``, with
 the catalog keys spelled by hand — and is the oracle for every writer's
-output: single-shot (monolithic and chunked), ``write_campaign`` in
-process and on the process pool, and ``encode_partitioned``.
+output: single-shot (monolithic and chunked), ``write_campaign`` and
+``encode_partitioned``.
 
 ``reference_refactor`` / ``reference_products`` are its write-side
 mirror: Algorithms 1–2 from the layers below ``repro.core``'s writers
@@ -38,7 +38,6 @@ from repro.api import (
 from repro.compress import decode_auto, get_codec
 from repro.core.campaign import CampaignWriter
 from repro.core.delta import apply_delta, compute_delta
-from repro.core.encode_scheduler import encode_campaign_scaleout
 from repro.core.encoder import _spatial_chunks
 from repro.core.mapping import LevelMapping, build_mapping
 from repro.core.plan import plan_placement
@@ -76,9 +75,6 @@ LAYOUTS = {
     "campaign": [
         (f"dpot/step{s}", "geometry", {"step": s}) for s in range(STEPS)
     ],
-    "campaign-mp": [
-        (f"dpot/step{s}", "geometry", {"step": s}) for s in range(STEPS)
-    ],
     "partitioned": [
         (f"dpot/part{p}", f"dpot/part{p}", {"part": p}) for p in range(PARTS)
     ],
@@ -96,11 +92,10 @@ def store(tmp_path_factory):
         "chunked", "dpot", src.mesh, stack_planes(src, PLANES), SCHEME
     )
     steps = [src.field * (1.0 + 0.1 * s) for s in range(STEPS)]
-    for name, processes in (("campaign", None), ("campaign-mp", 2)):
-        write_campaign(
-            h, name, "dpot", src.mesh, steps, SCHEME,
-            codec_params={"tolerance": 1e-4}, processes=processes,
-        )
+    write_campaign(
+        h, "campaign", "dpot", src.mesh, steps, SCHEME,
+        codec_params={"tolerance": 1e-4},
+    )
     encode_partitioned(
         h, "partitioned", "dpot", src.mesh, src.field, SCHEME,
         parts=PARTS, codec_params=PARAMS,
@@ -195,8 +190,8 @@ def test_session_restore_equals_reference_loop(store, layout, level):
 def test_views_equal_session(store):
     _, h = store
     with Session(h) as session:
-        reader = CampaignReader(h, "campaign-mp")
-        campaign = session.open("campaign-mp")
+        reader = CampaignReader(h, "campaign")
+        campaign = session.open("campaign")
         for step in reader.steps:
             for level in SCHEME.levels():
                 assert np.array_equal(
@@ -212,10 +207,10 @@ def test_views_equal_session(store):
             assert mesh.num_vertices == state.mesh.num_vertices
 
 
-def test_process_pool_campaign_plans_and_queries(store):
+def test_campaign_plans_and_queries(store):
     _, h = store
     with Session(h) as session:
-        campaign = session.open("campaign-mp")
+        campaign = session.open("campaign")
         assert campaign.describe()["variables"]["dpot"]["steps"] == [0, 1, 2]
         plan = campaign.plan("dpot", step=1, tolerance=1e-3)
         assert plan.complete and plan.var == "dpot/step1"
@@ -257,7 +252,7 @@ def test_campaign_geometry_decoded_once(tmp_path):
     h = two_tier_titan(tmp_path)
     write_campaign(
         h, "long", "dpot", src.mesh, [src.field + s for s in range(16)],
-        SCHEME, codec_params={"tolerance": 1e-4}, processes=2,
+        SCHEME, codec_params={"tolerance": 1e-4},
     )
     get_geometry_cache().clear()
     before = get_geometry_cache().stats()["decodes"]
@@ -305,11 +300,11 @@ class TestServedStep:
     def test_step_body_equals_in_process_field(self, store, service):
         _, h = store
         with Session(h) as session:
-            want = session.open("campaign-mp").restore(
+            want = session.open("campaign").restore(
                 "dpot", step=2, level=0
             )
         field, meta = self._client(
-            service, lambda c: c.restore("campaign-mp", "dpot", step=2, level=0)
+            service, lambda c: c.restore("campaign", "dpot", step=2, level=0)
         )
         assert field.tobytes() == want.field.tobytes()
         assert meta["level"] == 0
@@ -318,7 +313,7 @@ class TestServedStep:
         again, meta2 = self._client(
             service,
             lambda c: c.restore(
-                "campaign-mp", "dpot", step=1, level=0,
+                "campaign", "dpot", step=1, level=0,
                 if_none_match=meta["cursor"],
             ),
         )
@@ -326,18 +321,18 @@ class TestServedStep:
 
     def test_plan_and_stats_over_http(self, service):
         plan = self._client(
-            service, lambda c: c.plan("campaign-mp", "dpot", step=0, level=1)
+            service, lambda c: c.plan("campaign", "dpot", step=0, level=1)
         )
         assert plan["var"] == "dpot/step0" and plan["target_level"] == 1
         stats = self._client(
-            service, lambda c: c.query_stats("campaign-mp", "dpot", step=0)
+            service, lambda c: c.query_stats("campaign", "dpot", step=0)
         )
         assert stats["var"] == "dpot/step0" and stats["stats"]["count"] > 0
 
     def test_wire_errors(self, service):
         with pytest.raises(VariableNotFoundError):
             self._client(
-                service, lambda c: c.restore("campaign-mp", "dpot", step=99)
+                service, lambda c: c.restore("campaign", "dpot", step=99)
             )
         with pytest.raises(RestorationError):  # 400 on the wire
             self._client(service, lambda c: c.restore("mono", "dpot", step=0))
@@ -510,8 +505,7 @@ WRITERS = [
     ("encoder", "inline"), ("encoder", "workers"),
     ("encoder-chunked", "inline"), ("encoder-chunked", "workers"),
     ("campaign", "inline"), ("campaign", "workers"),
-    ("scaleout", "inline"), ("scaleout", "processes"),
-    ("partitioned", "inline"), ("partitioned", "processes"),
+    ("partitioned", "inline"), ("partitioned", "workers"),
 ]
 
 
@@ -550,10 +544,6 @@ def test_every_writer_stores_the_reference_products(
         "codec_params": WRITE_TOLERANCE, "method": method, "priority": priority,
     }
     workers = 2 if executor == "workers" else None
-    pool = {
-        "processes": 2 if executor == "processes" else None,
-        "start_method": "fork",
-    }
     # Only the single-shot encoder has its field when it decimates; the
     # others decimate from geometry alone, where "data_aware" orders
     # edges as "length" does.
@@ -570,7 +560,8 @@ def test_every_writer_stores_the_reference_products(
         )
     elif writer == "partitioned":
         encode_partitioned(
-            h, "w", "dpot", mesh, field, SCHEME, parts=PARTS, **pool, **config
+            h, "w", "dpot", mesh, field, SCHEME, parts=PARTS, workers=workers,
+            **config,
         )
         for patch in partition_mesh(mesh, PARTS):
             chain = f"dpot/part{patch.index}"
@@ -580,17 +571,11 @@ def test_every_writer_stores_the_reference_products(
                 codec,
             )
     else:
-        if writer == "campaign":
-            with CampaignWriter(
-                h, "w", "dpot", mesh, SCHEME, workers=workers, **config
-            ) as campaign:
-                for step, data in enumerate(steps):
-                    campaign.write_step(step, data)
-        else:
-            encode_campaign_scaleout(
-                h, "w", "dpot", mesh, SCHEME, list(enumerate(steps)),
-                **pool, **config,
-            )
+        with CampaignWriter(
+            h, "w", "dpot", mesh, SCHEME, workers=workers, **config
+        ) as campaign:
+            for step, data in enumerate(steps):
+                campaign.write_step(step, data)
         for step, data in enumerate(steps):
             want |= reference_products(
                 f"dpot/step{step}", "geometry" if step == 0 else None,

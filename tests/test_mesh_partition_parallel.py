@@ -146,8 +146,8 @@ class TestPartitionedEncoding:
                 h, "bad", "v", ds.mesh, np.zeros(5), LevelScheme(2)
             )
 
-    def test_parallel_processes_match_serial(self, tmp_path):
-        """Process-pool encoding produces the same restored field."""
+    def test_parallel_workers_match_serial(self, tmp_path):
+        """Patches encoded on a thread pool restore to the same field."""
         ds = make_xgc1(scale=0.12)
         h = two_tier_titan(
             tmp_path, fast_capacity=16 << 20, slow_capacity=1 << 34
@@ -158,7 +158,7 @@ class TestPartitionedEncoding:
         )
         encode_partitioned(
             h, "parallel", "dpot", ds.mesh, ds.field, LevelScheme(2),
-            parts=4, processes=2,
+            parts=4, workers=2,
             codec_params={"tolerance": TOL, "mode": "relative"},
         )
         a = PartitionedDecoder(h, "serial").gather_full_accuracy()

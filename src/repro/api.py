@@ -62,7 +62,7 @@ from repro.query import (
     stats_query,
 )
 from repro.io.cache import RangeCache
-from repro.io.dataset import BPDataset
+from repro.io.dataset import DEFAULT_PLACEMENT, BPDataset
 from repro.io.engine import EngineStats, RetrievalEngine
 from repro.io.xmlconfig import parse_config
 from repro.mesh.triangle_mesh import TriangleMesh
@@ -166,7 +166,7 @@ def write_campaign(
     codec_params: dict | None = None,
     estimator: str = "mean",
     priority: str = "length",
-    placement: str = "walk",
+    placement: str = DEFAULT_PLACEMENT,
 ) -> list[StepReport]:
     """Canopus-encode a timestep series and flush it to the hierarchy.
 

@@ -33,7 +33,7 @@ from repro.core import (
 )
 from repro.errors import ReproError
 from repro.harness.report import format_table
-from repro.io import BPDataset
+from repro.io.dataset import DEFAULT_PLACEMENT, PLACEMENTS, BPDataset
 from repro.mesh.edge_collapse import DEFAULT_METHOD, KERNELS
 from repro.mesh.io import load_mesh, save_mesh
 from repro.simulations import dataset_names, make_dataset
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fast-tier capacity in bytes",
     )
     enc.add_argument(
-        "--placement", choices=("walk", "cost"), default="walk",
+        "--placement", choices=PLACEMENTS, default=DEFAULT_PLACEMENT,
         help="product placement: fastest-first capacity walk (paper "
         "default) or close-time cost-based plan",
     )

@@ -60,12 +60,8 @@ class Compressor(ABC):
         ) as sp:
             blob = self._encode(arr)
             sp.note(in_bytes=int(arr.nbytes), out_bytes=len(blob))
-            tracer.metrics.counter(
-                "codec.bytes_in", codec=self.name, op="encode"
-            ).inc(int(arr.nbytes))
-            tracer.metrics.counter(
-                "codec.bytes_out", codec=self.name, op="encode"
-            ).inc(len(blob))
+            trace.count("codec.bytes_in", arr.nbytes, codec=self.name, op="encode")
+            trace.count("codec.bytes_out", len(blob), codec=self.name, op="encode")
             return blob
 
     def _encode(self, data: np.ndarray) -> bytes:

@@ -39,7 +39,7 @@ from repro.core.mapping import LevelMapping
 from repro.core.notation import GEOM_VAR, LevelScheme, step_chain
 from repro.core.refactor import BufferArena, encode_pool, fused_step_products
 from repro.errors import CanopusError, RestorationError
-from repro.io.dataset import BPDataset
+from repro.io.dataset import DEFAULT_PLACEMENT, BPDataset
 from repro.mesh.edge_collapse import DEFAULT_METHOD, KERNELS
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.obs import trace
@@ -100,7 +100,7 @@ class CampaignWriter:
         priority: str = "length",
         method: str = DEFAULT_METHOD,
         workers: int | None = None,
-        placement: str = "walk",
+        placement: str = DEFAULT_PLACEMENT,
     ) -> None:
         if method not in KERNELS:
             raise CanopusError(

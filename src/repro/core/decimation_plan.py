@@ -30,10 +30,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import threading
 import time
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +40,7 @@ from repro.core.delta import compute_delta
 from repro.core.mapping import LevelMapping, build_mapping
 from repro.core.notation import LevelScheme
 from repro.errors import RefactoringError
+from repro.lru import LRU
 from repro.mesh.edge_collapse import DEFAULT_METHOD, KERNELS, decimate
 from repro.mesh.io import mesh_to_bytes
 from repro.mesh.lineage import CollapseLineage
@@ -435,10 +434,7 @@ class PlanCache:
         if max_vertices < 1:
             raise RefactoringError("PlanCache max_vertices must be >= 1")
         self.max_vertices = max_vertices
-        self._lock = threading.Lock()
-        self._plans: OrderedDict[tuple, DecimationPlan] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        self.clear()
 
     @staticmethod
     def key_for(
@@ -480,55 +476,34 @@ class PlanCache:
             mesh, scheme, method=method, priority=priority,
             placement=placement, estimator=estimator,
         )
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._plans.move_to_end(key)
-                self.hits += 1
-                self._count("plan.cache.hits")
-                return plan
-        # Build outside the lock: geometry passes are long and hitting
+        plans = self._plans
+        plan = plans.get(key)
+        if plan is not None:
+            trace.count("plan.cache.hits")
+            return plan
+        trace.count("plan.cache.misses")
+        # Build outside any lock: geometry passes are long and hitting
         # threads must not serialize behind them. A concurrent duplicate
         # build is harmless (last insert wins, both plans identical).
         plan = build_plan(
             mesh, scheme, method=method, priority=priority,
             placement=placement, estimator=estimator,
         )
-        with self._lock:
-            self.misses += 1
-            self._count("plan.cache.misses")
-            self._plans[key] = plan
-            self._plans.move_to_end(key)
-            held = sum(p.meshes[0].num_vertices for p in self._plans.values())
-            while held > self.max_vertices and len(self._plans) > 1:
-                _, evicted = self._plans.popitem(last=False)
-                held -= evicted.meshes[0].num_vertices
+        plans.put(key, plan)
         return plan
 
-    @staticmethod
-    def _count(name: str) -> None:
-        tracer = trace.get_tracer()
-        if tracer is not None:
-            tracer.metrics.counter(name).inc()
-
     def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
-            self.hits = 0
-            self.misses = 0
+        """Drop every plan and zero the counters."""
+        self._plans = LRU(
+            self.max_vertices, weigh=lambda plan: plan.meshes[0].num_vertices
+        )
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
+        return len(self._plans)
 
     @property
     def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._plans),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+        return self._plans.stats("vertices")
 
 
 _default_cache = PlanCache()

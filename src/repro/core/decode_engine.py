@@ -50,12 +50,6 @@ from repro.obs import trace
 __all__ = ["DecodeEngine"]
 
 
-def _counter(name: str, n: int = 1) -> None:
-    tracer = trace.get_tracer()
-    if tracer is not None:
-        tracer.metrics.counter(name).inc(n)
-
-
 class DecodeEngine:
     """Concurrent multi-variable restore over one open dataset.
 
@@ -170,8 +164,8 @@ class DecodeEngine:
             "decode.restore_many", "restore",
             {"vars": len(variables), "level": level, "workers": self.workers},
         ):
-            _counter("decode.restore_many.calls")
-            _counter("decode.restore_many.vars", len(variables))
+            trace.count("decode.restore_many.calls")
+            trace.count("decode.restore_many.vars", len(variables))
             if not filtered:
                 keys: list[str] = []
                 for var in variables:

@@ -41,7 +41,7 @@ from repro.core.notation import (
 )
 from repro.core.refactor import BufferArena, RefactorResult, encode_pool, walk
 from repro.errors import CanopusError
-from repro.io.dataset import BPDataset
+from repro.io.dataset import DEFAULT_PLACEMENT, BPDataset
 from repro.io.query import ChunkStats
 from repro.io.transports import Transport
 from repro.mesh.edge_collapse import DEFAULT_METHOD, KERNELS
@@ -135,7 +135,7 @@ class CanopusEncoder:
         chunks: int = 1,
         total_error_budget: float | None = None,
         transports: dict[str, Transport] | None = None,
-        placement: str = "walk",
+        placement: str = DEFAULT_PLACEMENT,
     ) -> None:
         if chunks < 1:
             raise CanopusError("chunks must be >= 1")

@@ -30,12 +30,11 @@ active tracer (``restore.cache.*`` / ``geometry.cache.*``) so
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.lru import LRU
 from repro.obs import trace
 
 __all__ = [
@@ -75,12 +74,6 @@ def dataset_fingerprint(dataset) -> str:
     return fp
 
 
-def _counter(name: str) -> None:
-    tracer = trace.get_tracer()
-    if tracer is not None:
-        tracer.metrics.counter(name).inc()
-
-
 @dataclass(frozen=True)
 class CachedLevel:
     """One cached restored field (immutable snapshot)."""
@@ -113,12 +106,19 @@ class RestoredLevelCache:
     def __init__(self, max_bytes: int = 512 << 20) -> None:
         if max_bytes < 1:
             raise ValueError("RestoredLevelCache max_bytes must be >= 1")
-        self.max_bytes = max_bytes
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, CachedLevel] = OrderedDict()
-        self._bytes = 0
-        self.hits = 0
-        self.misses = 0
+        self._levels = LRU(max_bytes, weigh=lambda entry: entry.nbytes)
+
+    hits = property(lambda self: self._levels.hits)
+    misses = property(lambda self: self._levels.misses)
+
+    @property
+    def max_bytes(self) -> int:
+        return self._levels.budget
+
+    @max_bytes.setter
+    def max_bytes(self, value: int) -> None:
+        """A new budget applies from the next insert on."""
+        self._levels.budget = value
 
     # -- keying ---------------------------------------------------------
     @staticmethod
@@ -136,11 +136,8 @@ class RestoredLevelCache:
 
     # -- access ---------------------------------------------------------
     def get(self, key: tuple) -> CachedLevel | None:
-        entry = self.resident(key)
-        if entry is None:
-            with self._lock:
-                self.misses += 1
-            _counter("restore.cache.misses")
+        entry = self._levels.get(key)
+        trace.count("restore.cache.misses" if entry is None else "restore.cache.hits")
         return entry
 
     def resident(self, key: tuple) -> CachedLevel | None:
@@ -149,18 +146,14 @@ class RestoredLevelCache:
         A hit is a hit (counted, LRU order touched); a miss counts
         nothing, because the fallback's own :meth:`get` records it.
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                _counter("restore.cache.hits")
-            return entry
+        entry = self._levels.get(key, miss=False)
+        if entry is not None:
+            trace.count("restore.cache.hits")
+        return entry
 
     def has(self, key: tuple) -> bool:
         """Membership peek that does not touch LRU order or counters."""
-        with self._lock:
-            return key in self._entries
+        return key in self._levels
 
     def nearest(self, keys) -> CachedLevel | None:
         """First resident entry of ``keys``: a refinement's warm start.
@@ -169,13 +162,11 @@ class RestoredLevelCache:
         coarsest, each under the target signature's prefix for its
         level. Not a hit or a miss (the exact lookup before it counted).
         """
-        with self._lock:
-            for key in keys:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    _counter("restore.cache.warm_starts")
-                    return entry
+        for key in keys:
+            entry = self._levels.get(key, hit=False, miss=False)
+            if entry is not None:
+                trace.count("restore.cache.warm_starts")
+                return entry
         return None
 
     def put(
@@ -206,33 +197,18 @@ class RestoredLevelCache:
         )
         if entry.nbytes > self.max_bytes:
             return entry  # larger than the whole budget: never cache
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old.nbytes
-            self._entries[key] = entry
-            self._bytes += entry.nbytes
-            while self._bytes > self.max_bytes and self._entries:
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.nbytes
-                _counter("restore.cache.evictions")
+        evicted = self._levels.put(key, entry)
+        if evicted:
+            trace.count("restore.cache.evictions", evicted)
         return entry
 
     # -- maintenance ----------------------------------------------------
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
+        """Drop every entry; hit, miss and eviction counts carry on."""
+        self._levels.clear()
 
     def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "bytes": self._bytes,
-                "max_bytes": self.max_bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+        return {**self._levels.stats("bytes"), "max_bytes": self.max_bytes}
 
 
 class GeometryCache:
@@ -250,40 +226,23 @@ class GeometryCache:
         if maxsize < 1:
             raise ValueError("GeometryCache maxsize must be >= 1")
         self.maxsize = maxsize
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple[str, str], object] = OrderedDict()
-        self._by_content: OrderedDict[bytes, object] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.content_hits = 0
-        self.decodes = 0
+        self._entries = LRU(maxsize)
+        self._by_content = LRU(maxsize)
+
+    hits = property(lambda self: self._entries.hits)
+    misses = property(lambda self: self._entries.misses)
 
     def get(self, dataset, key: str):
-        k = (dataset_fingerprint(dataset), key)
-        with self._lock:
-            obj = self._entries.get(k)
-            if obj is None:
-                self.misses += 1
-                _counter("geometry.cache.misses")
-                return None
-            self._entries.move_to_end(k)
-            self.hits += 1
-            _counter("geometry.cache.hits")
-            return obj
+        obj = self._entries.get((dataset_fingerprint(dataset), key))
+        trace.count("geometry.cache.misses" if obj is None else "geometry.cache.hits")
+        return obj
 
     def has(self, dataset, key: str) -> bool:
         """Membership peek that does not touch LRU order or counters."""
-        k = (dataset_fingerprint(dataset), key)
-        with self._lock:
-            return k in self._entries
+        return (dataset_fingerprint(dataset), key) in self._entries
 
     def put(self, dataset, key: str, obj) -> None:
-        k = (dataset_fingerprint(dataset), key)
-        with self._lock:
-            self._entries[k] = obj
-            self._entries.move_to_end(k)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+        self._entries.put((dataset_fingerprint(dataset), key), obj)
 
     def decoded(self, dataset, key: str, blob: bytes, decode):
         """``decode(blob)``, run once per distinct ``blob`` content.
@@ -291,41 +250,33 @@ class GeometryCache:
         For a caller that has just read ``blob`` after :meth:`get`
         missed: the bytes are already fetched (and charged), and only
         the rebuild is shared. The result is published under ``key``.
+        A content hit is a hit of the content LRU, a decode its miss.
         """
         digest = hashlib.blake2b(blob, digest_size=16).digest()
-        with self._lock:
-            obj = self._by_content.get(digest)
-            if obj is not None:
-                self._by_content.move_to_end(digest)
-                self.content_hits += 1
+        obj = self._by_content.get(digest)
         if obj is None:
-            obj = decode(blob)  # outside the lock: milliseconds of zlib
-            with self._lock:
-                self.decodes += 1
-                self._by_content[digest] = obj
-                while len(self._by_content) > self.maxsize:
-                    self._by_content.popitem(last=False)
-            _counter("geometry.cache.decodes")
+            obj = decode(blob)  # outside any lock: milliseconds of zlib
+            self._by_content.put(digest, obj)
+            trace.count("geometry.cache.decodes")
         else:
-            _counter("geometry.cache.content_hits")
+            trace.count("geometry.cache.content_hits")
         self.put(dataset, key, obj)
         return obj
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._by_content.clear()
+        self._entries.clear()
+        self._by_content.clear()
 
     def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "maxsize": self.maxsize,
-                "hits": self.hits,
-                "misses": self.misses,
-                "content_hits": self.content_hits,
-                "decodes": self.decodes,
-            }
+        content = self._by_content.stats()
+        return {
+            **self._entries.stats("entries"),  # each entry weighs 1
+            "maxsize": self.maxsize,
+            "content_hits": content["hits"],
+            "decodes": content["misses"],
+            "content_entries": content["entries"],
+            "content_evictions": content["evictions"],
+        }
 
 
 _restored_cache = RestoredLevelCache()

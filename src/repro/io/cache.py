@@ -15,14 +15,11 @@ prefetched ranges while the foreground thread reads.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
-__all__ = ["CacheEntry", "RangeCache"]
+from repro.lru import LRU
 
-#: Cache key: (subfile relpath, byte offset, byte length).
-RangeKey = "tuple[str, int, int]"
+__all__ = ["CacheEntry", "RangeCache"]
 
 
 @dataclass
@@ -49,36 +46,24 @@ class RangeCache:
         if capacity_bytes < 0:
             raise ValueError("capacity_bytes must be >= 0")
         self.capacity_bytes = int(capacity_bytes)
-        self._entries: OrderedDict[tuple[str, int, int], CacheEntry] = OrderedDict()
-        self._lock = threading.Lock()
-        self._used = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.insertions = 0
+        self._ranges = LRU(self.capacity_bytes, weigh=lambda e: len(e.data))
 
     # ------------------------------------------------------------------
-    @property
-    def used_bytes(self) -> int:
-        return self._used
+    hits = property(lambda self: self._ranges.hits)
+    misses = property(lambda self: self._ranges.misses)
+    evictions = property(lambda self: self._ranges.evictions)
+    insertions = property(lambda self: self._ranges.insertions)
+    used_bytes = property(lambda self: self._ranges.weight)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._ranges)
 
     def __contains__(self, key: tuple[str, int, int]) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._ranges
 
     def get(self, key: tuple[str, int, int]) -> CacheEntry | None:
         """Return the entry (refreshing its recency) or None on a miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
+        return self._ranges.get(key)
 
     def put(
         self, key: tuple[str, int, int], data: bytes, tier: str, *,
@@ -90,21 +75,10 @@ class RangeCache:
         them would evict everything for one entry that cannot recur
         cheaply anyway).
         """
-        nbytes = len(data)
-        if nbytes > self.capacity_bytes:
+        if len(data) > self.capacity_bytes:
             return False
-        with self._lock:
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self._used -= len(previous.data)
-            self._entries[key] = CacheEntry(data, tier, prefetched)
-            self._used += nbytes
-            self.insertions += 1
-            while self._used > self.capacity_bytes:
-                _, victim = self._entries.popitem(last=False)
-                self._used -= len(victim.data)
-                self.evictions += 1
-            return True
+        self._ranges.put(key, CacheEntry(data, tier, prefetched))
+        return True
 
     def invalidate(self, subfile: str | None = None) -> int:
         """Drop entries (all, or one subfile's); returns the count dropped.
@@ -113,31 +87,21 @@ class RangeCache:
         cached bytes stay valid; invalidation is for writers that reuse
         a dataset name.
         """
-        with self._lock:
-            if subfile is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-                self._used = 0
-                return dropped
-            victims = [k for k in self._entries if k[0] == subfile]
-            for k in victims:
-                self._used -= len(self._entries.pop(k).data)
-            return len(victims)
+        return sum(
+            self._ranges.pop(key) is not None
+            for key, _ in self._ranges.items()
+            if subfile is None or key[0] == subfile
+        )
 
     def stats(self) -> dict:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "insertions": self.insertions,
-                "entries": len(self._entries),
-                "used_bytes": self._used,
-                "capacity_bytes": self.capacity_bytes,
-            }
+        return {
+            **self._ranges.stats("used_bytes"),
+            "insertions": self.insertions,
+            "capacity_bytes": self.capacity_bytes,
+        }
 
     def __repr__(self) -> str:
         return (
-            f"RangeCache(entries={len(self._entries)}, "
-            f"used={self._used}/{self.capacity_bytes})"
+            f"RangeCache(entries={len(self._ranges)}, "
+            f"used={self.used_bytes}/{self.capacity_bytes})"
         )

@@ -46,7 +46,12 @@ from repro.storage.placement import (
     default_weight,
 )
 
-__all__ = ["BPDataset"]
+__all__ = ["BPDataset", "DEFAULT_PLACEMENT", "PLACEMENTS"]
+
+#: Product placement policies: the paper's fastest-first capacity walk
+#: (§III-D) or the cost-based :class:`PlacementEngine`, applied at close.
+PLACEMENTS = ("walk", "cost")
+DEFAULT_PLACEMENT = "walk"
 
 
 class BPDataset:
@@ -67,14 +72,12 @@ class BPDataset:
         verify_checksums: bool = True,
         cache_bytes: int = 64 << 20,
         workers: int = 4,
-        placement: str = "walk",
+        placement: str = DEFAULT_PLACEMENT,
     ) -> None:
         if mode not in ("w", "r"):
             raise BPFormatError(f"mode must be 'w' or 'r', not {mode!r}")
-        if placement not in ("walk", "cost"):
-            raise BPFormatError(
-                f"placement must be 'walk' or 'cost', not {placement!r}"
-            )
+        if placement not in PLACEMENTS:
+            raise BPFormatError(f"placement {placement!r} is not one of {PLACEMENTS}")
         self.name = name
         self.hierarchy = hierarchy
         self.mode = mode

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ConfigError, ReproError
+from repro.io.dataset import DEFAULT_PLACEMENT, PLACEMENTS
 from repro.io.transports import Transport, make_transport
 from repro.storage.backend import make_backend
 from repro.storage.hierarchy import StorageHierarchy
@@ -76,7 +77,7 @@ class CanopusConfig:
     codec: str = "zfp"
     tolerance: float = 1e-6
     decimation: float = 2.0
-    placement: str = "walk"
+    placement: str = DEFAULT_PLACEMENT
     extra: dict = field(default_factory=dict)
 
     def transport_for(self, tier_name: str) -> Transport:
@@ -178,11 +179,9 @@ def parse_config(
     cfg = CanopusConfig(hierarchy=hierarchy, transports=transports)
     placement_el = root.find("placement")
     if placement_el is not None:
-        policy = placement_el.get("policy", "walk")
-        if policy not in ("walk", "cost"):
-            raise ConfigError(
-                f"<placement> policy must be 'walk' or 'cost', not {policy!r}"
-            )
+        policy = placement_el.get("policy", DEFAULT_PLACEMENT)
+        if policy not in PLACEMENTS:
+            raise ConfigError(f"<placement> policy {policy!r} not in {PLACEMENTS}")
         cfg.placement = policy
     can_el = root.find("canopus")
     if can_el is not None:

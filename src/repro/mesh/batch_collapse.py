@@ -387,12 +387,10 @@ def decimate_batched(
             group_offsets=np.cumsum([0] + group_sizes),
             alive_ids=gid, placement=placement,
         )
-    tracer = trace.get_tracer()
-    if tracer is not None:
-        tracer.metrics.counter("decimate.batched.rounds").inc(rounds)
-        tracer.metrics.counter("decimate.batched.collapses").inc(cuts)
-        tracer.metrics.counter("decimate.queue.link_skips").inc(skipped)
-        tracer.metrics.counter("decimate.batched.flip_rejects").inc(flip_rejects)
+    trace.count("decimate.batched.rounds", rounds)
+    trace.count("decimate.batched.collapses", cuts)
+    trace.count("decimate.queue.link_skips", skipped)
+    trace.count("decimate.batched.flip_rejects", flip_rejects)
     return DecimationResult(
         mesh=out_mesh,
         fields=vals,

@@ -245,15 +245,21 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[tuple[str, LabelsKey], object] = {}
+        #: (name, labels in call order) -> instrument: a call site passes
+        #: its labels in one order, so this skips sorting them on a hit.
+        #: Only ``_metrics`` is listed, so no instrument shows twice.
+        self._aliases: dict[tuple, object] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _get(self, cls, name: str, labels: dict[str, str]):
-        key = (name, _labels_key(labels))
-        metric = self._metrics.get(key)
+        alias = (name, tuple(labels.items()))
+        metric = self._aliases.get(alias)
         if metric is None:
+            key = (name, _labels_key(labels))
             with self._lock:
                 metric = self._metrics.setdefault(key, cls(name, key[1]))
+                self._aliases[alias] = metric
         if not isinstance(metric, cls):
             raise TypeError(
                 f"metric {name!r} already registered as "

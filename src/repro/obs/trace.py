@@ -53,12 +53,12 @@ import contextvars
 import sys
 import threading
 import time
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.lru import LRU
 from repro.obs import context as obs_context
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, get_registry
 
 __all__ = [
     "SpanRecord",
@@ -67,6 +67,7 @@ __all__ = [
     "RequestTrace",
     "TraceBuffer",
     "Tracer",
+    "count",
     "enabled",
     "get_tracer",
     "span",
@@ -509,8 +510,11 @@ class TraceBuffer:
         self.sample_rate = float(sample_rate)
         self.slow_seconds = float(slow_seconds)
         self._lock = threading.Lock()
-        self._pending: dict[str, list[SpanRecord]] = {}
-        self._kept: OrderedDict[str, RequestTrace] = OrderedDict()
+        # Requests that never reach finish() (client vanished
+        # mid-flight) must not grow the pending area without limit; it
+        # evicts the oldest started (peek keeps insertion order).
+        self._pending = LRU(4 * self.capacity)
+        self._kept = LRU(self.capacity)
         self.finished = 0
         self.dropped = 0
 
@@ -519,12 +523,11 @@ class TraceBuffer:
         if not record.trace_id:
             return
         with self._lock:
-            self._pending.setdefault(record.trace_id, []).append(record)
-            # Bound the pending area too: requests that never reach
-            # finish() (client vanished mid-flight) must not grow it
-            # without limit.
-            while len(self._pending) > 4 * self.capacity:
-                self._pending.pop(next(iter(self._pending)))
+            spans = self._pending.peek(record.trace_id)
+            if spans is None:
+                spans = []
+                self._pending.put(record.trace_id, spans)
+            spans.append(record)
 
     def close(self) -> None:
         pass
@@ -586,27 +589,20 @@ class TraceBuffer:
             kept=kept,
             spans=spans,
         )
-        with self._lock:
-            self._kept[trace_id] = trace
-            self._kept.move_to_end(trace_id)
-            while len(self._kept) > self.capacity:
-                self._kept.popitem(last=False)
+        self._kept.put(trace_id, trace)
         return trace
 
     # -- reads -----------------------------------------------------------
     def get(self, trace_id: str) -> RequestTrace | None:
-        with self._lock:
-            return self._kept.get(trace_id)
+        return self._kept.peek(trace_id)
 
     def list(self, limit: int = 20) -> list[RequestTrace]:
         """Most recently kept traces, newest first."""
-        with self._lock:
-            kept = list(self._kept.values())
+        kept = [trace for _, trace in self._kept.items()]
         return kept[::-1][: max(0, int(limit))]
 
     def slowest(self, limit: int = 10) -> list[RequestTrace]:
-        with self._lock:
-            kept = list(self._kept.values())
+        kept = [trace for _, trace in self._kept.items()]
         kept.sort(key=lambda t: t.wall_seconds, reverse=True)
         return kept[: max(0, int(limit))]
 
@@ -620,11 +616,12 @@ class TraceBuffer:
                 "pending": len(self._pending),
                 "finished": self.finished,
                 "dropped": self.dropped,
+                "evictions": self._kept.evictions,
+                "pending_evictions": self._pending.evictions,
             }
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._kept)
+        return len(self._kept)
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +651,21 @@ def span(name: str, category: str = "", args: dict | None = None):
     if tracer is None:
         return _NOOP
     return tracer.span(name, category, args)
+
+
+def count(
+    name: str, n: int | float = 1, *, everywhere: bool = False, **labels: str
+) -> None:
+    """Add ``n`` to a counter on the current tracer, if one is installed.
+
+    ``everywhere`` also counts it in the process registry (once, when
+    the tracer records into that same registry).
+    """
+    tracer = _tracer
+    if everywhere:
+        get_registry().counter(name, **labels).inc(n)
+    if tracer is not None and not (everywhere and tracer.metrics is get_registry()):
+        tracer.metrics.counter(name, **labels).inc(n)
 
 
 def _install(tracer: Tracer) -> Tracer | None:

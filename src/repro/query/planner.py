@@ -27,6 +27,8 @@ Plans whose surviving products lack summaries come back with
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.core.decode_engine import DecodeEngine
@@ -35,18 +37,13 @@ from repro.core.layout import Chain
 from repro.errors import QueryError, RestorationError
 from repro.io.query import ChunkStats
 from repro.obs import trace
-from repro.obs.metrics import get_registry
 from repro.query.plan import FETCH, SKIP, PlanDecision, RetrievalPlan
 
 __all__ = ["QueryPlanner"]
 
 
-def _bump(name: str, n: int | float = 1) -> None:
-    """Count in the global registry and the active tracer's registry."""
-    get_registry().counter(name).inc(n)
-    tracer = trace.get_tracer()
-    if tracer is not None and tracer.metrics is not get_registry():
-        tracer.metrics.counter(name).inc(n)
+#: Count in the global registry and the active tracer's registry.
+_bump = functools.partial(trace.count, everywhere=True)
 
 
 def normalize_region(region) -> tuple[np.ndarray, np.ndarray] | None:

@@ -57,6 +57,7 @@ from repro.errors import (
     StorageError,
     VariableNotFoundError,
 )
+from repro.lru import LRU
 from repro.obs import context as obs_context
 from repro.obs import trace
 from repro.query import normalize_region
@@ -67,7 +68,7 @@ from repro.storage.policy import AccessTracker
 
 __all__ = ["DataNode", "RestoreResult"]
 
-#: Feedback plans memoised per data node (oldest dropped first).
+#: Feedback plans memoised per data node (least recently used dropped first).
 _FEEDBACK_PLANS = 1024
 
 
@@ -182,7 +183,7 @@ class DataNode:
         #: restored-cache key -> the subfile of every product its plan
         #: fetches. The plan is a function of the catalog, so it is built
         #: once per key and replayed into the tracker on later requests.
-        self._feedback: dict[tuple, tuple] = {}
+        self._feedback = LRU(_FEEDBACK_PLANS)
         # Attribute simulated read seconds to the tenant carried by the
         # active trace context (see _run). Charges from contexts without
         # a tenant (e.g. in-process library use) are left unattributed.
@@ -308,6 +309,7 @@ class DataNode:
                     for path, info in fetched.records.items()
                     for _ in range(info.reads)
                 )
+                self._feedback.put(key, subfiles)
         except Exception:  # noqa: BLE001 — advisory path only
             return
         entry = {
@@ -324,10 +326,6 @@ class DataNode:
         with self._query_lock:
             for path in subfiles:
                 self.tracker.note(path, now)
-            if key not in self._feedback:
-                if len(self._feedback) >= _FEEDBACK_PLANS:
-                    del self._feedback[next(iter(self._feedback))]
-                self._feedback[key] = subfiles
             self._query_log.append(entry)
 
     # -- reads ----------------------------------------------------------
@@ -560,6 +558,8 @@ class DataNode:
                 "tracked_reads": sum(
                     info.reads for info in self.tracker.records.values()
                 ),
+                "feedback_plans": len(self._feedback),
+                "feedback_evictions": self._feedback.evictions,
             },
             "executor": {
                 "workers": self.executor_workers,

@@ -237,10 +237,6 @@ class ServiceNode:
         self.slo_target_seconds = float(slo_target_seconds)
         self.slo_objective = float(slo_objective)
         self._slos: dict[str, SLO] = {}
-        #: Instruments by what selects them — (route, tenant, status) at
-        #: the end of a request, (hit, tenant) after a restore — so the
-        #: registry is asked for each once, not on every request.
-        self._instruments: dict[tuple, object] = {}
 
     # -- dispatch -------------------------------------------------------
     async def handle(self, request: Request) -> Response:
@@ -313,32 +309,23 @@ class ServiceNode:
         trace_id: str,
     ) -> None:
         """Account one finished request and stamp its identity headers."""
-        key = (route, tenant, response.status)
-        instruments = self._instruments.get(key)
-        if instruments is None:
-            responses = self.metrics.counter(
-                "service.responses", status=str(response.status)
-            )
-            seconds = slo = None
-            if route != "/healthz":
-                seconds = self.metrics.histogram(
-                    "service.request_seconds",
-                    route=route,
-                    tenant=tenant or "-",
+        self.metrics.counter(
+            "service.responses", status=str(response.status)
+        ).inc()
+        if route != "/healthz":
+            self.metrics.histogram(
+                "service.request_seconds",
+                route=route,
+                tenant=tenant or "-",
+            ).observe(wall_seconds)
+            slo = self._slos.get(route)
+            if slo is None:
+                slo = self._slos[route] = SLO(
+                    route,
+                    target_seconds=self.slo_target_seconds,
+                    objective=self.slo_objective,
+                    registry=self.metrics,
                 )
-                slo = self._slos.get(route)
-                if slo is None:
-                    slo = self._slos[route] = SLO(
-                        route,
-                        target_seconds=self.slo_target_seconds,
-                        objective=self.slo_objective,
-                        registry=self.metrics,
-                    )
-            instruments = self._instruments[key] = (responses, seconds, slo)
-        responses, seconds, slo = instruments
-        responses.inc()
-        if seconds is not None:
-            seconds.observe(wall_seconds)
             slo.observe(
                 wall_seconds, error=error is not None or response.status >= 500
             )
@@ -373,15 +360,6 @@ class ServiceNode:
                 sampled=True if head_sampled is None else head_sampled,
             ),
         )
-
-    def _cache_counter(self, hit: bool, tenant: str):
-        counter = self._instruments.get((hit, tenant))
-        if counter is None:
-            counter = self._instruments[hit, tenant] = self.metrics.counter(
-                "service.cache.hits" if hit else "service.cache.misses",
-                tenant=tenant,
-            )
-        return counter
 
     async def _dispatch(
         self, request: Request, route: str, handler: str, bound: tuple
@@ -437,7 +415,10 @@ class ServiceNode:
             tenant=tenant,
         )
         hit = result.cache_hit
-        self._cache_counter(hit, tenant.name).inc()
+        self.metrics.counter(
+            "service.cache.hits" if hit else "service.cache.misses",
+            tenant=tenant.name,
+        ).inc()
         common = {
             "etag": f'"{result.cursor}"',
             "x-canopus-cursor": result.cursor,

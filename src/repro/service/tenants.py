@@ -112,8 +112,6 @@ class TenantRegistry:
         self._usage: dict[str, TenantUsage] = {}
         self._clock = clock
         self.metrics = metrics if metrics is not None else get_registry()
-        #: (counter name, tenant name) -> Counter, resolved on first use.
-        self._counters: dict[tuple[str, str], object] = {}
         for tenant in tenants or []:
             self.add(tenant)
 
@@ -245,12 +243,7 @@ class TenantRegistry:
         self._count("service.sim_read_seconds", tenant, seconds)
 
     def _count(self, name: str, tenant: TenantConfig, n) -> None:
-        counter = self._counters.get((name, tenant.name))
-        if counter is None:
-            counter = self._counters[name, tenant.name] = (
-                self.metrics.counter(name, tenant=tenant.name)
-            )
-        counter.inc(n)
+        self.metrics.counter(name, tenant=tenant.name).inc(n)
 
     # -- reporting ------------------------------------------------------
     def usage(self, name: str | None = None) -> dict:

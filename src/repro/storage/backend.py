@@ -32,6 +32,7 @@ so the backend charges it directly via :meth:`ObjectStore.bind_clock`
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import re
@@ -41,8 +42,7 @@ from abc import ABC, abstractmethod
 from pathlib import Path
 
 from repro.errors import StorageError, TransientFaultError
-from repro.obs.metrics import get_registry
-from repro.obs.trace import get_tracer
+from repro.obs import trace
 
 __all__ = [
     "ObjectStore",
@@ -66,12 +66,8 @@ DEFAULT_NETWORK_BANDWIDTH = 5 * (1 << 30)
 DEFAULT_NETWORK_LATENCY = 2e-6
 
 
-def _counter(name: str, n: int = 1, **labels: str) -> None:
-    """Bump a durability counter in the process registry (and tracer's)."""
-    get_registry().counter(name, **labels).inc(n)
-    tracer = get_tracer()
-    if tracer is not None and tracer.metrics is not get_registry():
-        tracer.metrics.counter(name, **labels).inc(n)
+#: Durability counters land in the process registry (and the tracer's).
+_counter = functools.partial(trace.count, everywhere=True)
 
 
 class ObjectStore(ABC):
@@ -87,6 +83,11 @@ class ObjectStore(ABC):
 
     #: Short backend identifier used in metrics labels and configs.
     kind = ""
+    #: The sub-stores a composite store is built over (empty for leaf
+    #: stores). :attr:`replication_factor`, :attr:`degraded`,
+    #: :meth:`bind_clock`, :meth:`uncharged` and :meth:`repair` forward
+    #: over them unless a store overrides.
+    children: tuple[ObjectStore, ...] = ()
 
     # -- single-object ops ----------------------------------------------
     @abstractmethod
@@ -128,12 +129,12 @@ class ObjectStore(ABC):
     @property
     def replication_factor(self) -> int:
         """How many independent copies of each byte this store holds."""
-        return 1
+        return min((child.replication_factor for child in self.children), default=1)
 
     @property
     def degraded(self) -> bool:
         """True once any read or write had to route around a failure."""
-        return False
+        return any(child.degraded for child in self.children)
 
     def bind_clock(self, clock) -> None:
         """Attach a :class:`SimClock` for backends that charge sim time.
@@ -142,15 +143,17 @@ class ObjectStore(ABC):
         :class:`RemoteBackend` uses it for network latency/bandwidth and
         retry backoff. Composite backends forward the clock downward.
         """
+        for child in self.children:
+            child.bind_clock(clock)
 
     def repair(self) -> list[str]:
         """Restore internal redundancy/consistency; returns action strings.
 
-        The base implementation has nothing to repair. Composite stores
-        roll journals forward, garbage-collect orphans, rebuild
-        manifests, and re-replicate from surviving copies.
+        A leaf store has nothing to repair. Composite stores roll
+        journals forward, garbage-collect orphans, rebuild manifests,
+        and re-replicate from surviving copies.
         """
-        return []
+        return [action for child in self.children for action in child.repair()]
 
     def uncharged(self):
         """Context manager suppressing simulated-clock charges.
@@ -161,7 +164,10 @@ class ObjectStore(ABC):
         overlapped batch itself — does not double-charge the network
         hop; composite backends forward it to their sub-stores.
         """
-        return contextlib.nullcontext()
+        stack = contextlib.ExitStack()
+        for child in self.children:
+            stack.enter_context(child.uncharged())
+        return stack
 
     # -- integrity -------------------------------------------------------
     def verify(self, deep: bool = True) -> list[str]:
@@ -377,7 +383,7 @@ class ShardedBackend(ObjectStore):
             raise StorageError("sharded backend needs at least one sub-store")
         if chunk_size <= 0:
             raise StorageError("chunk_size must be positive")
-        self.substores = list(substores)
+        self.substores = self.children = tuple(substores)
         self.chunk_size = int(chunk_size)
         self.journal = bool(journal)
 
@@ -398,25 +404,6 @@ class ShardedBackend(ObjectStore):
             return json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise StorageError(f"corrupt manifest for {key!r}: {exc}") from exc
-
-    # -- durability contract ---------------------------------------------
-    @property
-    def replication_factor(self) -> int:
-        return min(s.replication_factor for s in self.substores)
-
-    @property
-    def degraded(self) -> bool:
-        return any(s.degraded for s in self.substores)
-
-    def bind_clock(self, clock) -> None:
-        for store in self.substores:
-            store.bind_clock(clock)
-
-    def uncharged(self):
-        stack = contextlib.ExitStack()
-        for store in self.substores:
-            stack.enter_context(store.uncharged())
-        return stack
 
     # -- single-object ops ----------------------------------------------
     def put(self, key: str, data: bytes) -> int:
@@ -519,11 +506,6 @@ class ShardedBackend(ObjectStore):
                 key = name[: -len(_META_SUFFIX)]
                 out.append((key, self.size(key)))
         return sorted(out)
-
-    def get_many(self, requests: list[RangeRequest]) -> list[bytes]:
-        # Manifests are read once per distinct key; chunk fetches then go
-        # through the per-request batched path.
-        return [self.get_range(k, off, length) for k, off, length in requests]
 
     # -- integrity -------------------------------------------------------
     def verify(self, deep: bool = True) -> list[str]:
@@ -844,7 +826,7 @@ class ReplicatedBackend(ObjectStore):
     ) -> None:
         if not replicas:
             raise StorageError("replicated backend needs at least one replica")
-        self.replicas = list(replicas)
+        self.replicas = self.children = tuple(replicas)
         self.read_repair = bool(read_repair)
         self._degraded = False
         self._lock = threading.Lock()
@@ -852,23 +834,11 @@ class ReplicatedBackend(ObjectStore):
     # -- durability contract ---------------------------------------------
     @property
     def replication_factor(self) -> int:
-        return len(self.replicas) * min(
-            r.replication_factor for r in self.replicas
-        )
+        return len(self.replicas) * super().replication_factor
 
     @property
     def degraded(self) -> bool:
-        return self._degraded or any(r.degraded for r in self.replicas)
-
-    def bind_clock(self, clock) -> None:
-        for rep in self.replicas:
-            rep.bind_clock(clock)
-
-    def uncharged(self):
-        stack = contextlib.ExitStack()
-        for rep in self.replicas:
-            stack.enter_context(rep.uncharged())
-        return stack
+        return self._degraded or super().degraded
 
     def _note_degraded(self, op: str, replica: int) -> None:
         with self._lock:
@@ -1139,6 +1109,7 @@ class RemoteBackend(ObjectStore):
         if retries < 0:
             raise StorageError("retries must be >= 0")
         self.inner = inner
+        self.children = (inner,)
         self.network_bandwidth = float(network_bandwidth)
         self.network_latency = float(network_latency)
         self.retries = int(retries)
@@ -1150,36 +1121,22 @@ class RemoteBackend(ObjectStore):
         self._local = threading.local()
 
     # -- durability contract ---------------------------------------------
-    @property
-    def replication_factor(self) -> int:
-        return self.inner.replication_factor
-
-    @property
-    def degraded(self) -> bool:
-        return self.inner.degraded
-
     def bind_clock(self, clock) -> None:
         self._clock = clock
-        self.inner.bind_clock(clock)
-
-    def repair(self) -> list[str]:
-        return self.inner.repair()
+        super().bind_clock(clock)
 
     def verify(self, deep: bool = True) -> list[str]:
         return self.inner.verify(deep=deep)
 
+    @contextlib.contextmanager
     def uncharged(self):
-        @contextlib.contextmanager
-        def _suspend():
-            prev = getattr(self._local, "uncharged", False)
-            self._local.uncharged = True
-            try:
-                with self.inner.uncharged():
-                    yield
-            finally:
-                self._local.uncharged = prev
-
-        return _suspend()
+        prev = getattr(self._local, "uncharged", False)
+        self._local.uncharged = True
+        try:
+            with self.inner.uncharged():
+                yield
+        finally:
+            self._local.uncharged = prev
 
     # -- network accounting ----------------------------------------------
     def _charge(self, op: str, nbytes: int, label: str) -> None:

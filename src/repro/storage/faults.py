@@ -29,7 +29,6 @@ from repro.storage.backend import (
     _CHUNK_RE,
     _META_SUFFIX,
     ObjectStore,
-    RemoteBackend,
     ReplicatedBackend,
     ShardedBackend,
 )
@@ -86,23 +85,13 @@ class FaultInjector:
                 )
 
 
-def _replica_sets(backend: ObjectStore) -> Iterator[ReplicatedBackend]:
-    """Every :class:`ReplicatedBackend` reachable inside ``backend``."""
-    if isinstance(backend, ReplicatedBackend):
+def _nested(backend: ObjectStore, cls: type) -> Iterator:
+    """Every ``cls`` store reachable inside ``backend``, outermost first."""
+    if isinstance(backend, cls):
         yield backend
-    elif isinstance(backend, ShardedBackend):
-        for sub in backend.substores:
-            yield from _replica_sets(sub)
-    elif isinstance(backend, RemoteBackend):
-        yield from _replica_sets(backend.inner)
-
-
-def _first_sharded(backend: ObjectStore) -> ShardedBackend | None:
-    if isinstance(backend, ShardedBackend):
-        return backend
-    if isinstance(backend, RemoteBackend):
-        return _first_sharded(backend.inner)
-    return None
+    else:
+        for child in backend.children:
+            yield from _nested(child, cls)
 
 
 def kill_replica(backend: ObjectStore, index: int = 0) -> int:
@@ -114,7 +103,7 @@ def kill_replica(backend: ObjectStore, index: int = 0) -> int:
     there would be nothing redundant to degrade.
     """
     wiped = 0
-    for rset in _replica_sets(backend):
+    for rset in _nested(backend, ReplicatedBackend):
         rep = rset.replicas[index % len(rset.replicas)]
         for name, _ in rep.list_objects():
             rep.delete(name)
@@ -145,7 +134,7 @@ def inject_fault(backend: ObjectStore, mode: str) -> str:
         try:
             wiped = kill_replica(backend, 0)
         except StorageError:
-            sharded = _first_sharded(backend)
+            sharded = next(_nested(backend, ShardedBackend), None)
             if sharded is None or len(sharded.substores) < 2:
                 raise StorageError(
                     "drop_substore needs a replicated or multi-shard backend"
@@ -156,7 +145,7 @@ def inject_fault(backend: ObjectStore, mode: str) -> str:
                 store.delete(name)
             return f"dropped sub-store 1 ({len(names)} objects, unreplicated)"
         return f"dropped replica 0 of every replica set ({wiped} objects)"
-    sharded = _first_sharded(backend)
+    sharded = next(_nested(backend, ShardedBackend), None)
     if sharded is None:
         raise StorageError(f"{mode} needs a sharded backend")
     if mode == "truncate_manifest":
@@ -168,12 +157,9 @@ def inject_fault(backend: ObjectStore, mode: str) -> str:
                 return f"truncated manifest {name} to {len(blob) // 2} bytes"
         raise StorageError("no manifest found to truncate")
     # corrupt_chunk: damage one leaf copy without touching its sidecar.
-    for substore in sharded.substores:
-        leaf = (
-            substore.replicas[0]
-            if isinstance(substore, ReplicatedBackend)
-            else substore
-        )
+    for leaf in sharded.substores:
+        while leaf.children:  # a replica set's first copy, a remote's inner
+            leaf = leaf.children[0]
         for name, _ in leaf.list_objects():
             if _CHUNK_RE.match(name):
                 blob = bytearray(leaf.get(name))

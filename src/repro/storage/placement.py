@@ -58,12 +58,6 @@ def default_weight(kind: str, level: int = 0) -> float:
     return 1.0
 
 
-def _counter(name: str, n: int = 1, **labels) -> None:
-    tracer = trace.get_tracer()
-    if tracer is not None:
-        tracer.metrics.counter(name, **labels).inc(n)
-
-
 @dataclass(frozen=True)
 class ProductSpec:
     """A placeable product: size, read weight, optional current home.
@@ -295,8 +289,8 @@ class PlacementEngine:
                 current_tier=p.current_tier,
             )
         plan = PlacementPlan([decisions[p.key] for p in products])
-        _counter("placement.plans")
-        _counter("placement.planned_bytes", sum(p.nbytes for p in products))
+        trace.count("placement.plans")
+        trace.count("placement.planned_bytes", sum(p.nbytes for p in products))
         tracer = trace.get_tracer()
         if tracer is not None:
             with tracer.span(

@@ -66,12 +66,6 @@ class AccessTracker:
         return info.reads if info is not None else 0
 
 
-def _counter(name: str, n: int = 1, **labels) -> None:
-    tracer = trace.get_tracer()
-    if tracer is not None:
-        tracer.metrics.counter(name, **labels).inc(n)
-
-
 class TierManager:
     """Plan-driven migration policy over a :class:`StorageHierarchy`."""
 
@@ -256,6 +250,6 @@ class TierManager:
         for d in moving:
             self.hierarchy.migrate(d.key, d.tier)
             moves.append((d.key, d.current_tier, d.tier))
-            _counter("placement.migrations", src=d.current_tier, dst=d.tier)
-            _counter("placement.bytes_moved", d.nbytes)
+            trace.count("placement.migrations", src=d.current_tier, dst=d.tier)
+            trace.count("placement.bytes_moved", d.nbytes)
         return moves

@@ -22,12 +22,6 @@ from repro.storage.simclock import IOEvent, SimClock
 __all__ = ["StorageTier"]
 
 
-def _counter(name: str, n: int = 1, **labels) -> None:
-    tracer = trace.get_tracer()
-    if tracer is not None:
-        tracer.metrics.counter(name, **labels).inc(n)
-
-
 class StorageTier:
     """One level of the storage hierarchy.
 
@@ -96,7 +90,7 @@ class StorageTier:
             self.backend.verify(deep=False) if self._files else []
         )
         if self.adoption_problems:
-            _counter(
+            trace.count(
                 "storage.adoption.problems", len(self.adoption_problems),
                 tier=self.name,
             )
@@ -188,8 +182,8 @@ class StorageTier:
         self.backend.put(relpath, data)
         self._used += nbytes - previous
         self._files[relpath] = nbytes
-        _counter("storage.backend.put", backend=self.backend.kind, tier=self.name)
-        _counter(
+        trace.count("storage.backend.put", backend=self.backend.kind, tier=self.name)
+        trace.count(
             "storage.backend.put_bytes", nbytes,
             backend=self.backend.kind, tier=self.name,
         )
@@ -213,8 +207,8 @@ class StorageTier:
 
     def _read(self, relpath: str, label: str) -> bytes:
         data = self.backend.get(relpath)
-        _counter("storage.backend.get", backend=self.backend.kind, tier=self.name)
-        _counter(
+        trace.count("storage.backend.get", backend=self.backend.kind, tier=self.name)
+        trace.count(
             "storage.backend.get_bytes", len(data),
             backend=self.backend.kind, tier=self.name,
         )
@@ -268,7 +262,7 @@ class StorageTier:
             )
         with self.backend.uncharged():
             data = self.backend.get_range(relpath, offset, length)
-        _counter(
+        trace.count(
             "storage.backend.get_bytes", length,
             backend=self.backend.kind, tier=self.name,
         )
@@ -291,7 +285,7 @@ class StorageTier:
                 )
         with self.backend.uncharged():
             blobs = self.backend.get_many(requests)
-        _counter(
+        trace.count(
             "storage.backend.get_bytes", sum(len(b) for b in blobs),
             backend=self.backend.kind, tier=self.name,
         )
@@ -304,7 +298,7 @@ class StorageTier:
         self._used -= self._files.pop(relpath)
         if self.backend.exists(relpath):
             self.backend.delete(relpath)
-        _counter(
+        trace.count(
             "storage.backend.delete", backend=self.backend.kind, tier=self.name
         )
 

@@ -153,7 +153,10 @@ class TestPlanCache:
         p1 = cache.get_or_build(mesh, scheme)
         p2 = cache.get_or_build(mesh.copy(), scheme)
         assert p1 is p2
-        assert cache.stats == {"entries": 1, "hits": 1, "misses": 1}
+        assert cache.stats == {
+            "entries": 1, "hits": 1, "misses": 1,
+            "evictions": 0, "vertices": mesh.num_vertices,
+        }
 
     def test_distinct_config_misses(self, mesh):
         cache = PlanCache()
@@ -171,6 +174,16 @@ class TestPlanCache:
         assert len(cache) == 1
         cache.get_or_build(mesh, LevelScheme(2))  # evicted -> rebuild
         assert cache.stats["misses"] == 3
+        assert cache.stats["evictions"] == 2
+        # A plan heavier than the whole budget evicts every older plan
+        # and is itself kept: the newest plan stays whatever it weighs.
+        big = structured_rectangle(30, 30, jitter=0.3, seed=11)
+        assert big.num_vertices > cache.max_vertices
+        plan = cache.get_or_build(big, LevelScheme(2))
+        assert len(cache) == 1
+        assert cache.stats["vertices"] == big.num_vertices
+        assert cache.stats["evictions"] == 3
+        assert cache.get_or_build(big.copy(), LevelScheme(2)) is plan
 
     def test_ineligible_priority_raises(self, mesh):
         with pytest.raises(RefactoringError, match="not plan-cacheable"):
@@ -189,7 +202,9 @@ class TestPlanCache:
         cache = PlanCache()
         cache.get_or_build(mesh, LevelScheme(2))
         cache.clear()
-        assert cache.stats == {"entries": 0, "hits": 0, "misses": 0}
+        assert cache.stats == {
+            "entries": 0, "hits": 0, "misses": 0, "evictions": 0, "vertices": 0,
+        }
 
 
 class TestRefactorIntegration:

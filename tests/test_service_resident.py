@@ -453,7 +453,7 @@ class TestLoopAndExecutorInterleave:
         # One memoised plan per distinct product or survivor set asked
         # for, and every note of every request landed in the tracker.
         distinct = len(hot) + 1 + len(misses)
-        assert len(node._feedback) == distinct
+        assert node.metrics()["query"]["feedback_plans"] == distinct
         assert len(node._query_log) == distinct + 2 * total
         assert len(node._query_log) < node._query_log.maxlen
         assert sum(info.reads for info in node.tracker.records.values()) == (
@@ -699,8 +699,12 @@ class TestCachedFieldIsReadOnly:
             key, np.asfortranarray(np.arange(12.0).reshape(3, 4))
         )
         assert stored.field.flags.c_contiguous
-        older = cache.put(cache.key_for("fp", "v", 2), np.zeros(3))
+        older_key = cache.key_for("fp", "v", 2)
+        older = cache.put(older_key, np.zeros(3))
         assert cache.resident(key) is stored
         assert (cache.hits, cache.misses) == (1, 1)
-        # ...and the hit made it the most recently used entry.
-        assert list(cache._entries.values()) == [older, stored]
+        # ...and the hit made it the most recently used entry: one more
+        # insert past the budget evicts the other one.
+        cache.max_bytes = stored.nbytes + older.nbytes
+        cache.put(cache.key_for("fp", "v", 3), np.zeros(1))
+        assert cache.has(key) and not cache.has(older_key)

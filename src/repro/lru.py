@@ -2,7 +2,7 @@
 
 Every bounded cache in the package — subfile byte ranges, restored
 levels, decoded geometry, decimation plans, kept request traces, the
-data node's plan-feedback memo — is an :class:`LRU`; they differ only in
+query planner's resolution memo — is an :class:`LRU`; they differ only in
 what an entry weighs (bytes, fine-level vertices, or 1 per entry) and in
 the budget. A leaf module: it imports nothing from ``repro``, so
 ``repro.obs`` can use it.

@@ -28,6 +28,7 @@ Plans whose surviving products lack summaries come back with
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,14 +37,26 @@ from repro.core.decoder import LevelData
 from repro.core.layout import Chain
 from repro.errors import QueryError, RestorationError
 from repro.io.query import ChunkStats
+from repro.lru import LRU
 from repro.obs import trace
 from repro.query.plan import FETCH, SKIP, PlanDecision, RetrievalPlan
 
-__all__ = ["QueryPlanner"]
+__all__ = ["QueryPlanner", "Resolution"]
 
 
 #: Count in the global registry and the active tracer's registry.
 _bump = functools.partial(trace.count, everywhere=True)
+
+#: Resolutions memoised per planner (least recently used dropped first).
+_FEEDBACK_PLANS = 1024
+
+
+class Resolution(NamedTuple):
+    """A complete plan's target level and the subfile of each product it
+    fetches: a function of the chunks the filter keeps, not of the box."""
+
+    level: int
+    subfiles: tuple
 
 
 def normalize_region(region) -> tuple[np.ndarray, np.ndarray] | None:
@@ -76,6 +89,7 @@ class QueryPlanner:
         self.engine = engine
         self.dataset = engine.dataset
         self.decoder = engine.decoder
+        self.resolutions = LRU(_FEEDBACK_PLANS)  # memo key -> Resolution
 
     # ------------------------------------------------------------------
     def plan_restore(
@@ -93,7 +107,8 @@ class QueryPlanner:
         :meth:`Session.restore`; neither means full accuracy). The
         returned plan lists every product with a fetch/skip decision;
         ``plan.complete`` is False when summaries were missing and the
-        tolerance target could not be certified.
+        tolerance target could not be certified. A complete plan's
+        :class:`Resolution` is memoised on the way out.
         """
         if tolerance is not None and level is not None:
             raise RestorationError("plan takes level or tolerance, not both")
@@ -113,7 +128,38 @@ class QueryPlanner:
                 chain, tolerance, level, window, min_significance
             )
         _bump("query.plan.calls")
+        if plan.complete:  # an uncertified target is measured, not replayed
+            key = self._memo_key(chain, tolerance, level, window, min_significance)
+            resolved = Resolution(plan.target_level, self._subfiles(plan))
+            self.resolutions.put(key, resolved)
         return plan
+
+    def resolved(
+        self, var: str, *, plan: bool = False, **selection
+    ) -> Resolution | None:
+        """The memoised :class:`Resolution` of a restore, or ``None``.
+
+        ``selection`` is :meth:`plan_restore`'s keywords. Cheap enough for
+        the service's event loop: it plans only if ``plan=True`` and the
+        memo misses. Each call counts one memo hit or miss."""
+        key = self._memo_key(self.decoder.chain(var), **selection)
+        found = self.resolutions.get(key)
+        if found is None and plan:
+            self.plan_restore(var, **selection)
+            found = self.resolutions.peek(key)
+        return found
+
+    def _memo_key(
+        self, chain, tolerance=None, level=None, region=None,
+        min_significance=0.0,
+    ) -> tuple:
+        """``(chain, mode, target, min_significance, signature)``."""
+        reach = 0 if level is None else int(level)  # deepest level surveyed
+        mode = ("level", reach) if tolerance is None else ("tolerance", tolerance)
+        signature = chain.filter_signature(
+            self.dataset.catalog, reach, normalize_region(region), min_significance
+        )
+        return (chain.name, *mode, float(min_significance), signature)
 
     def _plan(
         self, chain: Chain, tolerance, level, window, min_significance
@@ -345,12 +391,14 @@ class QueryPlanner:
         replacement weight and migrate toward fast tiers. Returns the
         number of records noted.
         """
-        noted = 0
-        for d in plan.decisions:
-            if not d.fetched or d.key not in self.dataset.catalog:
-                continue
-            rec = self.dataset.inq(d.key)
-            if rec.subfile:
-                tracker.note(rec.subfile, now)
-                noted += 1
-        return noted
+        subfiles = self._subfiles(plan)
+        for path in subfiles:
+            tracker.note(path, now)
+        return len(subfiles)
+
+    def _subfiles(self, plan: RetrievalPlan) -> tuple:
+        """The subfile of every product ``plan`` fetches, one per product
+        (:meth:`_decide` records catalog keys only)."""
+        inq = self.dataset.inq
+        paths = (inq(d.key).subfile for d in plan.decisions if d.fetched)
+        return tuple(path for path in paths if path)

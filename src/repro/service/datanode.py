@@ -7,10 +7,10 @@ and every blocking restore/stat/raw-read runs on a **bounded**
 ``ThreadPoolExecutor`` so the asyncio service node above never blocks.
 Admission beyond the executor's queue bound is awaited, not rejected —
 backpressure, with the event loop free to keep serving cheap requests.
-The one request answered without the executor is a level-mode restore
-of a product that is resident in the restored-level cache, on a campaign
-that is already open (:meth:`DataNode.restore`): it reads no storage and
-runs no codec, so it costs the loop less than the thread hop would.
+The one request answered without the executor is a restore of a product
+resident in the restored-level cache, on an open campaign, at a level
+given or already resolved from its tolerance (:meth:`DataNode.restore`):
+it reads no storage and runs no codec, so it costs less than a thread hop.
 
 Multi-tenant sharing happens here by construction:
 
@@ -57,7 +57,6 @@ from repro.errors import (
     StorageError,
     VariableNotFoundError,
 )
-from repro.lru import LRU
 from repro.obs import context as obs_context
 from repro.obs import trace
 from repro.query import normalize_region
@@ -67,9 +66,6 @@ from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.policy import AccessTracker
 
 __all__ = ["DataNode", "RestoreResult"]
-
-#: Feedback plans memoised per data node (least recently used dropped first).
-_FEEDBACK_PLANS = 1024
 
 
 def _region_json(region) -> list | None:
@@ -180,10 +176,6 @@ class DataNode:
         self.tracker = AccessTracker()
         self._query_log: deque = deque(maxlen=256)
         self._query_lock = threading.Lock()
-        #: restored-cache key -> the subfile of every product its plan
-        #: fetches. The plan is a function of the catalog, so it is built
-        #: once per key and replayed into the tracker on later requests.
-        self._feedback = LRU(_FEEDBACK_PLANS)
         # Attribute simulated read seconds to the tenant carried by the
         # active trace context (see _run). Charges from contexts without
         # a tenant (e.g. in-process library use) are left unattributed.
@@ -285,31 +277,16 @@ class DataNode:
     ) -> None:
         """Record one served query shape and heat its plan's subfiles.
 
-        Feedback must never fail a read: plan construction here is
-        metadata-only and advisory, so any error is swallowed (the
+        The subfiles come from the planner's memo (planned once per
+        filter signature). Feedback must never fail a read: planning here
+        is metadata-only and advisory, so any error is swallowed (the
         response the tenant paid for has already been computed).
         """
         try:
-            key = handle.engine.decoder.cache_key(
-                chain, level,
-                region=region, min_significance=min_significance,
-            )
-            subfiles = self._feedback.get(key)
-            if subfiles is None:
-                plan = handle.planner.plan_restore(
-                    chain,
-                    level=level,
-                    region=region,
-                    min_significance=min_significance,
-                )
-                fetched = AccessTracker()
-                handle.planner.note_plan(fetched, plan, now=0.0)
-                subfiles = tuple(
-                    path
-                    for path, info in fetched.records.items()
-                    for _ in range(info.reads)
-                )
-                self._feedback.put(key, subfiles)
+            subfiles = handle.planner.resolved(
+                chain, level=level, region=region,
+                min_significance=min_significance, plan=True,
+            ).subfiles
         except Exception:  # noqa: BLE001 — advisory path only
             return
         entry = {
@@ -345,19 +322,24 @@ class DataNode:
     ) -> RestoreResult:
         """Restore near the bytes; returns field + cursor + hit flag.
 
-        ``if_none_match`` short-circuits level-mode requests: when the
-        client already holds the cursor of the exact result, no field
-        is restored or shipped (the service node answers 304 with
-        ``field=None``).
+        ``if_none_match`` short-circuits a request whose target level is
+        known: when the client already holds the cursor of the exact
+        result, no field is restored or shipped (the service node
+        answers 304 with ``field=None``).
 
-        A level-mode request for an entry resident in the restored-level
-        cache, on a campaign that is already open, is answered right
-        here on the calling (event-loop) thread: it needs no storage
-        read and no decode. That includes a region request whose
-        surviving chunks were restored before under another box. Every
-        other request runs on the executor.
+        The target is ``level`` (neither ``level`` nor ``tolerance``
+        means 0), or the level the planner's memo resolved ``tolerance``
+        to under the same filter signature. A request whose target is
+        resident in the restored-level cache, on a campaign that is
+        already open, is answered right here on the calling (event-loop)
+        thread: no storage read, no decode, no tolerance walk. That
+        includes a region request whose surviving chunks were restored
+        before under another box. Every other request runs on the executor.
         """
-        level_mode = tolerance is None and level is not None
+        if tolerance is None:
+            level = 0 if level is None else int(level)
+        elif level is not None:
+            raise RestorationError("restore takes level or tolerance, not both")
         mode = {
             "mode": "level" if tolerance is None else "tolerance",
             "tolerance": tolerance,
@@ -371,13 +353,19 @@ class DataNode:
             window = normalize_region(region)
             stem = f"{handle.fingerprint[:12]}.{chain}.L"
             digest = _filter_digest(window, min_significance)
+            target = level
+            if tolerance is not None:  # None until a plan resolved it
+                target = getattr(handle.planner.resolved(
+                    chain, tolerance=tolerance,
+                    region=window, min_significance=min_significance,
+                ), "level", None)
             state = None  # a CachedLevel or a LevelData: same three fields
-            if level_mode:
-                if if_none_match == f"{stem}{int(level)}.{digest}":
+            if target is not None:
+                if if_none_match == f"{stem}{target}.{digest}":
                     return RestoreResult(if_none_match, True)
                 state = get_restored_cache().resident(
                     handle.engine.decoder.cache_key(
-                        chain, int(level),
+                        chain, target,
                         region=window, min_significance=min_significance,
                     )
                 )
@@ -415,7 +403,7 @@ class DataNode:
 
         if self._closed:
             raise RestorationError("data node is closed")
-        handle = self._handles.get(name) if level_mode else None
+        handle = self._handles.get(name)
         if handle is not None:
             result = _restore(handle, True)
             if result is not None:
@@ -548,6 +536,8 @@ class DataNode:
         cache = get_restored_cache()
         with self._query_lock:
             query_log = list(self._query_log)
+        # The planners' resolution memos, summed over open campaigns.
+        memos = [h.planner.resolutions for h in list(self._handles.values())]
         return {
             "campaigns": self.session.campaigns,
             "engine": self.session.stats(),
@@ -558,8 +548,10 @@ class DataNode:
                 "tracked_reads": sum(
                     info.reads for info in self.tracker.records.values()
                 ),
-                "feedback_plans": len(self._feedback),
-                "feedback_evictions": self._feedback.evictions,
+                "feedback_plans": sum(len(m) for m in memos),
+                "feedback_evictions": sum(m.evictions for m in memos),
+                "resolve_hits": sum(m.hits for m in memos),
+                "resolve_misses": sum(m.misses for m in memos),
             },
             "executor": {
                 "workers": self.executor_workers,

@@ -293,6 +293,104 @@ class TestPlanner:
 
 
 # ---------------------------------------------------------------------------
+def _same_signature_boxes(engine):
+    """Two boxes that keep the same chunks at every level, and a third
+    that keeps others (all three prune something)."""
+    chain = engine.decoder.chain("dpot")
+    by_signature = {}
+    for cx in np.linspace(-0.9, 0.9, 13):
+        for cy in np.linspace(-0.9, 0.9, 13):
+            box = ((cx - 0.05, cy - 0.05), (cx + 0.05, cy + 0.05))
+            signature = chain.filter_signature(engine.dataset.catalog, 0, box)
+            if signature:
+                by_signature.setdefault(signature, []).append(box)
+    shared = max(by_signature.values(), key=len)
+    other = next(b for b in by_signature.values() if b is not shared)
+    return shared[0], shared[1], other[0]
+
+
+@pytest.fixture()
+def counted_plans(engine, monkeypatch):
+    """A planner whose every ``_plan`` call is recorded."""
+    planner = QueryPlanner(engine)
+    calls = []
+    plan = planner._plan
+
+    def counted(*args):
+        calls.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(planner, "_plan", counted)
+    return planner, calls
+
+
+class TestResolutionMemo:
+    def test_one_plan_per_tolerance_and_signature(self, counted_plans, engine):
+        planner, calls = counted_plans
+        box, twin, _ = _same_signature_boxes(engine)
+        assert planner.resolved("dpot", tolerance=1e-3, region=box) is None
+        first = planner.resolved("dpot", tolerance=1e-3, region=box, plan=True)
+        again = planner.resolved("dpot", tolerance=1e-3, region=twin, plan=True)
+        assert again == first and len(calls) == 1
+        assert planner.resolved("dpot", tolerance=1e-3, region=twin) == first
+        assert (planner.resolutions.hits, planner.resolutions.misses) == (2, 2)
+        # Plans are never memoised: each explains the box it was asked.
+        plan = planner.plan_restore("dpot", tolerance=1e-3, region=twin)
+        assert len(calls) == 2
+        assert plan.region == tuple(list(map(float, b)) for b in twin)
+        assert plan.target_level == first.level
+        fetched = AccessTracker()
+        assert planner.note_plan(fetched, plan, now=0.0) == len(
+            first.subfiles
+        )
+
+    def test_tolerance_significance_and_signature_are_separate_entries(
+        self, counted_plans, engine
+    ):
+        planner, calls = counted_plans
+        box, _, other = _same_signature_boxes(engine)
+        selections = [
+            {"tolerance": 1e-3, "region": box},
+            {"tolerance": 1e-2, "region": box},
+            {"tolerance": 1e-3, "region": box, "min_significance": 1e-3},
+            {"tolerance": 1e-3, "region": other},
+            {"level": 0, "region": box},
+        ]
+        for selection in selections * 2:
+            planner.resolved("dpot", **selection, plan=True)
+        assert len(calls) == len(planner.resolutions) == len(selections)
+
+    def test_memo_is_bounded_and_counts_evictions(self, counted_plans):
+        planner, calls = counted_plans
+        planner.resolutions.budget = 2
+        for tolerance in (1e-1, 1e-2, 1e-3):
+            planner.resolved("dpot", tolerance=tolerance, plan=True)
+        assert len(planner.resolutions) == 2
+        assert planner.resolutions.evictions == 1
+        # The least recent went first: asking for it plans again.
+        assert planner.resolved("dpot", tolerance=1e-1) is None
+        assert planner.resolved("dpot", tolerance=1e-3) is not None
+        planner.resolved("dpot", tolerance=1e-1, plan=True)
+        assert len(calls) == 4
+
+    def test_an_incomplete_plan_is_not_memoised(self, campaign):
+        _, h = campaign
+        dataset = BPDataset.open("q", h)
+        try:
+            for key in dataset.keys():
+                dataset.inq(key).attrs.pop("stats", None)
+            planner = QueryPlanner(
+                DecodeEngine(dataset, use_restored_cache=False)
+            )
+            assert not planner.plan_restore("dpot", tolerance=1e-3).complete
+            assert planner.resolved("dpot", tolerance=1e-3, plan=True) is None
+            assert len(planner.resolutions) == 0
+            assert planner.resolved("dpot", tolerance=1e-3) is None
+        finally:
+            dataset.close()
+
+
+# ---------------------------------------------------------------------------
 class TestValidation:
     def test_non_positive_tolerance_rejected(self, campaign):
         _, h = campaign

@@ -1,12 +1,13 @@
 """The resident path of the read tier, and the zero-copy response body.
 
-A level-mode restore whose campaign is open and whose result is in the
-process-wide :class:`RestoredLevelCache` is answered on the event-loop
-thread; everything else takes the bounded executor. These tests pin
-which requests take which path (by counting executor submits and by the
-thread each span ran on), that both paths put the same bytes, headers,
-accounting and elastic feedback on the wire, and that the body is
-``np.save`` of the field without ever copying the field.
+A restore whose campaign is open, whose target level is known (given,
+0 by default, or a tolerance the planner resolved before) and whose
+result is in the process-wide :class:`RestoredLevelCache` is answered on
+the event-loop thread; everything else takes the bounded executor. These
+tests pin which requests take which path (by counting executor submits
+and by the thread each span ran on), that both paths put the same bytes,
+headers, accounting and elastic feedback on the wire, and that the body
+is ``np.save`` of the field without ever copying the field.
 """
 
 import asyncio
@@ -20,6 +21,8 @@ import pytest
 
 from repro.api import write_campaign
 from repro.core import CanopusEncoder, LevelScheme
+from repro.core.decode_engine import DecodeEngine
+from repro.core.progressive import ProgressiveReader
 from repro.core.restored_cache import (
     RestoredLevelCache,
     get_geometry_cache,
@@ -275,11 +278,13 @@ class TestExecutorSubmits:
             {"region": "1.0,-1.0:2.0,1.0"},
             {"min_significance": 0.5},
         ],
-        ids=["tolerance", "region-miss", "significance-miss"],
+        ids=["first-tol", "region-miss", "significance-miss"],
     )
     def test_everything_else_takes_the_executor(
         self, service, submits, query
     ):
+        """A miss, and the first request for a tolerance (nothing has
+        resolved it to a level yet), are decoded on the executor."""
         svc, _ = service
         warm = _target("camp", "dpot", None, 0)
         _get_all(svc, [warm, warm])
@@ -602,6 +607,10 @@ class TestHitAccounting:
         assert planned == [1, 0, 0, 0]
         noted = [e["subfiles_noted"] for e in svc.datanode._query_log]
         assert len(set(noted)) == 1 and noted[0] > 0
+        query = svc.datanode.metrics()["query"]
+        assert query["feedback_plans"] == 1
+        assert query["feedback_evictions"] == 0
+        assert (query["resolve_hits"], query["resolve_misses"]) == (3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -708,3 +717,170 @@ class TestCachedFieldIsReadOnly:
         cache.max_bytes = stored.nbytes + older.nbytes
         cache.put(cache.key_for("fp", "v", 3), np.zeros(1))
         assert cache.has(key) and not cache.has(older_key)
+
+
+# ---------------------------------------------------------------------------
+# (g) a tolerance resolves to a level on the loop
+# ---------------------------------------------------------------------------
+#: The four request kinds of the exploration workload.
+ROI_KINDS = (
+    {"level": 0}, {"level": 1}, {"tolerance": 1e-1}, {"tolerance": 1e-3},
+)
+
+
+def _camp_target(var, box=None, **query) -> str:
+    if box is not None:
+        (x0, y0), (x1, y1) = box
+        query["region"] = f"{x0},{y0}:{x1},{y1}"
+    text = "&".join(f"{k}={v}" for k, v in query.items())
+    return f"/v1/campaigns/camp/vars/{var}/restore" + (
+        f"?{text}" if text else ""
+    )
+
+
+def _opened(svc):
+    """Open ``camp`` on the node (one coarse restore); its handle."""
+    _get_all(svc, [_camp_target("dpot", level=2)])
+    return svc.datanode._handles["camp"]
+
+
+def _one_signature(handle, var):
+    """The most boxes of ``var`` that keep one and the same chunk set."""
+    groups = _region_boxes(handle)
+    return max(
+        (boxes for (v, _), boxes in groups.items() if v == var), key=len
+    )
+
+
+def _assert_on_the_loop(svc, response):
+    spans = _spans(svc, response)
+    assert sorted(s.name.split(" ")[0] for s in spans) == [
+        "http", "service.restore",
+    ]
+    assert {s.thread for s in spans} == {"repro-service"}
+    restore = next(s for s in spans if s.name == "service.restore")
+    assert restore.args["resident"] is True
+
+
+class TestToleranceOnTheLoop:
+    REPEATS = 4
+
+    @pytest.mark.parametrize("var", ["dpot", "planes"])
+    @pytest.mark.parametrize("region", [False, True], ids=["whole", "region"])
+    @pytest.mark.parametrize(
+        "kind", ROI_KINDS, ids=["L0", "L1", "tol-1e-1", "tol-1e-3"]
+    )
+    def test_repeats_are_loop_hits_equal_to_the_first_and_to_session(
+        self, service, submits, stored, var, region, kind
+    ):
+        svc, _ = service
+        root, _ = stored
+        box = _one_signature(_opened(svc), var)[0] if region else None
+        target = _camp_target(var, box, **kind)
+        (first,) = _get_all(svc, [target])
+        assert first.status == 200
+        assert first.headers["x-canopus-cache"] == "miss"
+        before = len(submits)
+        hits_before = svc.node.metrics.value(
+            "service.cache.hits", tenant="alice"
+        )
+        repeats = _get_all(svc, [target] * self.REPEATS)
+        assert len(submits) == before
+        assert svc.node.metrics.value(
+            "service.cache.hits", tenant="alice"
+        ) - hits_before == self.REPEATS
+        for response in repeats:
+            assert response.headers["x-canopus-cache"] == "hit"
+            assert response.body == first.body
+            for name in ("x-canopus-level", "x-canopus-rms",
+                         "x-canopus-cursor", "etag"):
+                assert response.headers[name] == first.headers[name], name
+            _assert_on_the_loop(svc, response)
+        window = None if box is None else tuple(np.array(b) for b in box)
+        with Session(_hierarchy(root), use_restored_cache=False) as session:
+            state = session.open("camp").restore(var, region=window, **kind)
+        assert first.body == _npy(state.field)
+        assert first.headers["x-canopus-level"] == str(state.level)
+        assert first.headers["x-canopus-rms"] == repr(
+            float(state.last_delta_rms)
+        )
+        assert f".L{state.level}." in first.headers["x-canopus-cursor"]
+
+    def test_another_box_with_the_same_signature_hits(self, service, submits):
+        svc, _ = service
+        first_box, *boxes = _one_signature(_opened(svc), "planes")
+        assert len(boxes) >= 3
+        (first,) = _get_all(
+            svc, [_camp_target("planes", first_box, tolerance=1e-1)]
+        )
+        # The box's survivors meet 1e-1 one level above full accuracy.
+        assert first.headers["x-canopus-level"] == "1"
+        before = len(submits)
+        others = _get_all(svc, [
+            _camp_target("planes", box, tolerance=1e-1) for box in boxes[:3]
+        ])
+        assert len(submits) == before
+        for response in others:
+            assert response.headers["x-canopus-cache"] == "hit"
+            assert response.body == first.body
+            assert response.headers["x-canopus-level"] == (
+                first.headers["x-canopus-level"]
+            )
+            _assert_on_the_loop(svc, response)
+
+    def test_if_none_match_is_304_on_the_loop(self, service, submits):
+        svc, _ = service
+        _opened(svc)
+        target = _camp_target("dpot", tolerance=1e-2)
+        (first,) = _get_all(svc, [target])
+        before = len(submits)
+        (again,) = _get_all(
+            svc, [target], headers={"if-none-match": first.headers["etag"]}
+        )
+        assert again.status == 304 and again.body == b""
+        assert again.headers["etag"] == first.headers["etag"]
+        assert again.headers["x-canopus-cache"] == "hit"
+        assert len(submits) == before
+        assert {s.thread for s in _spans(svc, again)} == {"repro-service"}
+
+    def test_an_incomplete_plan_is_never_memoised(self, service, submits):
+        svc, _ = service
+        handle = _opened(svc)
+        # No summaries: the planner cannot certify a stopping level.
+        for key in handle.dataset.keys():
+            handle.dataset.inq(key).attrs.pop("stats", None)
+        target = _camp_target("dpot", tolerance=1e-3)
+        before = len(submits)
+        responses = _get_all(svc, [target] * 3)
+        assert len(submits) == before + 3
+        assert {r.headers["x-canopus-cache"] for r in responses} == {"miss"}
+        assert not [
+            key for key, _ in handle.planner.resolutions.items()
+            if key[1] == "tolerance"
+        ]
+        measured = ProgressiveReader(
+            DecodeEngine(handle.dataset, use_restored_cache=False).decoder,
+            "dpot",
+        ).refine_until(rms_tolerance=1e-3, max_level=0)
+        for response in responses:
+            assert response.body == _npy(measured.field)
+            assert response.headers["x-canopus-level"] == str(measured.level)
+
+    def test_no_level_and_no_tolerance_is_level_zero_on_the_loop(
+        self, service, submits
+    ):
+        svc, expected = service
+        target = _camp_target("dpot")
+        (warm,) = _get_all(svc, [target])
+        assert warm.headers["x-canopus-cache"] == "miss"
+        before = len(submits)
+        hits = _get_all(svc, [target] * 3 + [_camp_target("dpot", level=0)])
+        assert len(submits) == before
+        for response in hits:
+            assert response.headers["x-canopus-cache"] == "hit"
+            assert response.headers["x-canopus-level"] == "0"
+            assert response.headers["etag"] == warm.headers["etag"]
+            assert response.body == warm.body == _npy(
+                expected["camp", "dpot", None, 0][0]
+            )
+            _assert_on_the_loop(svc, response)

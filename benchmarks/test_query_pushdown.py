@@ -28,7 +28,7 @@ from repro.core.decode_engine import DecodeEngine
 from repro.core.restored_cache import get_geometry_cache, get_restored_cache
 from repro.harness import format_table, json_report
 from repro.harness.report import write_json_report
-from repro.io import BPDataset, QueryEngine
+from repro.io import BPDataset
 from repro.query import QueryPlanner, blob_query, stats_query
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
@@ -243,11 +243,19 @@ def test_query_pushdown_benchmark(setup, record_result):
 
 def test_statistics_pruning_report(setup, record_result):
     _, h = setup
-    q = QueryEngine(BPDataset.open("q", h))
+    planner = _fresh_planner(h)
     rows = []
     for magnitude in (0.0, 1e-3, 1e-2, 1e-1):
-        kept = q.candidates_significant(magnitude, kind="delta")
-        rows.append({"min_significance": magnitude, "chunks_kept": len(kept)})
+        plan = planner.plan_restore("dpot", level=0, min_significance=magnitude)
+        kept = [d for d in plan.decisions if d.fetched and d.kind == "chunk"]
+        rows.append(
+            {
+                "min_significance": magnitude,
+                "chunks_kept": len(kept),
+                "planned_bytes": plan.planned_bytes,
+                "skipped_bytes": plan.skipped_bytes,
+            }
+        )
     record_result(
         "query_stats_pruning",
         format_table(rows, title="Delta chunks surviving significance pruning"),

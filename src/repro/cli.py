@@ -476,27 +476,14 @@ def _cmd_restore(args) -> int:
     return 0
 
 
-def _parse_cli_region(raw: str | None):
-    if not raw:
-        return None
-    lo_s, sep, hi_s = raw.partition(":")
-    if not sep:
-        raise ReproError("--region must be 'x0,y0:x1,y1'")
-    try:
-        lo = np.array([float(v) for v in lo_s.split(",")])
-        hi = np.array([float(v) for v in hi_s.split(",")])
-    except ValueError:
-        raise ReproError("--region coordinates must be numbers")
-    return lo, hi
-
-
 def _cmd_query(args) -> int:
     import json
 
+    from repro.query import parse_region, parse_shape
     from repro.session import Session
 
     hierarchy = _args_hierarchy(args)
-    region = _parse_cli_region(args.region)
+    region = parse_region(args.region)
     with Session(hierarchy) as session:
         campaign = session.open(args.dataset)
         if args.mode == "plan":
@@ -514,17 +501,11 @@ def _cmd_query(args) -> int:
         else:
             if args.threshold is None:
                 raise ReproError("query --mode blobs needs --threshold")
-            try:
-                shape = tuple(int(v) for v in args.shape.split(","))
-            except ValueError:
-                raise ReproError("--shape must be 'ny,nx' integers")
-            if len(shape) != 2:
-                raise ReproError("--shape must be 'ny,nx' integers")
             result = campaign.query_blobs(
                 args.var,
                 threshold=args.threshold,
                 region=region,
-                shape=shape,
+                shape=parse_shape(args.shape),
             )
             print(json.dumps(result, indent=2))
     return 0
@@ -638,6 +619,21 @@ def _trace_rows(summaries: list[dict], top: int) -> list[dict]:
     ]
 
 
+def _slo_rows(snapshots: dict[str, dict]) -> list[dict]:
+    """Table rows for per-route :meth:`SLO.snapshot` dicts."""
+    return [
+        {
+            "route": route,
+            "target_s": s["target_seconds"],
+            "window": s["window_requests"],
+            "compliance": f"{s['compliance']:.4f}",
+            "burn_rate": f"{s['burn_rate']:.2f}",
+            "healthy": s["healthy"],
+        }
+        for route, s in sorted(snapshots.items())
+    ]
+
+
 def _report_from_server(args) -> int:
     import asyncio
     from urllib.parse import urlsplit
@@ -674,17 +670,7 @@ def _report_from_server(args) -> int:
             f"{stats.get('finished', 0)} finished "
             f"({stats.get('dropped', 0)} dropped by sampling)"
         )
-    slo_rows = [
-        {
-            "route": route,
-            "target_s": s.get("target_seconds", 0.0),
-            "window": s.get("window_requests", 0),
-            "compliance": f"{s.get('compliance', 1.0):.4f}",
-            "burn_rate": f"{s.get('burn_rate', 0.0):.2f}",
-            "healthy": s.get("healthy", True),
-        }
-        for route, s in sorted(metrics.get("slo", {}).items())
-    ]
+    slo_rows = _slo_rows(metrics.get("slo", {}))
     if slo_rows:
         print(format_table(slo_rows, title="SLO status (rolling window)"))
     return 0
@@ -692,6 +678,9 @@ def _report_from_server(args) -> int:
 
 def _report_from_jsonl(args) -> int:
     import json
+
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.slo import SLO
 
     requests: list[dict] = []
     with open(args.jsonl, encoding="utf-8") as fh:
@@ -710,34 +699,28 @@ def _report_from_jsonl(args) -> int:
         return 0
     rows = _trace_rows(requests, args.top)
     print(format_table(rows, title=f"slowest requests ({args.jsonl})"))
-    # Offline SLO: recompute per-route compliance from the logged walls.
-    per_route: dict[str, list[dict]] = {}
+    # Offline SLO: replay each route's logged requests through the
+    # service's own SLO, on a registry of this report's own; the window
+    # holds the whole log.
+    registry = MetricsRegistry()
+    slos: dict[str, SLO] = {}
     for rec in requests:
-        per_route.setdefault(rec.get("route", "other"), []).append(rec)
-    slo_rows = []
-    for route, recs in sorted(per_route.items()):
-        good = sum(
-            1
-            for r in recs
-            if r.get("status", 0) < 500
-            and r.get("error") is None
-            and r.get("wall_seconds", 0.0) <= args.slo_target
-        )
-        compliance = good / len(recs)
-        burn = (1.0 - compliance) / max(1e-9, 1.0 - args.slo_objective)
-        slo_rows.append(
-            {
-                "route": route,
-                "requests": len(recs),
-                "target_s": args.slo_target,
-                "compliance": f"{compliance:.4f}",
-                "burn_rate": f"{burn:.2f}",
-                "healthy": compliance >= args.slo_objective,
-            }
+        route = rec.get("route", "other")
+        if route not in slos:
+            slos[route] = SLO(
+                route,
+                target_seconds=args.slo_target,
+                objective=args.slo_objective,
+                window=len(requests),
+                registry=registry,
+            )
+        slos[route].observe(
+            rec.get("wall_seconds", 0.0),
+            error=rec.get("error") is not None or rec.get("status", 0) >= 500,
         )
     print(
         format_table(
-            slo_rows,
+            _slo_rows({route: slo.snapshot() for route, slo in slos.items()}),
             title=(
                 f"SLO status (offline, target {args.slo_target}s, "
                 f"objective {args.slo_objective:.0%})"

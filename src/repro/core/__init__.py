@@ -36,7 +36,7 @@ from repro.core.notation import (
     mapping_key,
     mesh_key,
 )
-from repro.core.plan import PlacementPlan, plan_placement
+from repro.core.plan import TierPreference, plan_placement
 from repro.core.progressive import ProgressiveReader
 from repro.core.refactor import (
     BufferArena,
@@ -67,7 +67,7 @@ __all__ = [
     "plan_eligible",
     "plan_for",
     "walk",
-    "PlacementPlan",
+    "TierPreference",
     "plan_placement",
     "CanopusEncoder",
     "EncodeReport",

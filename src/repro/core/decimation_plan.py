@@ -13,9 +13,9 @@ one geometry pass:
 * the fine→coarse :class:`~repro.core.mapping.LevelMapping` per step
   (paper §III-E2), needed for delta calculation.
 
-Plans serialize to a single compressed-npz blob and are cached in a
-process-wide :class:`PlanCache` keyed by (mesh content fingerprint,
-level scheme, kernel, priority, placement, estimator). Every writer
+Plans live in memory only, in a process-wide :class:`PlanCache` keyed
+by (mesh content fingerprint, level scheme, kernel, priority,
+placement, estimator). Every writer
 gets its plan from :func:`plan_for`, so a campaign decimates once and
 replays per timestep/variable.
 
@@ -28,8 +28,6 @@ collapse (see :func:`plan_eligible`).
 from __future__ import annotations
 
 import hashlib
-import io
-import json
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -57,9 +55,6 @@ __all__ = [
     "plan_eligible",
     "plan_for",
 ]
-
-_FORMAT_VERSION = 1
-
 
 def mesh_fingerprint(mesh: TriangleMesh) -> str:
     """Content hash of a mesh (vertex coordinates + connectivity)."""
@@ -157,7 +152,7 @@ class DecimationPlan:
     build_seconds: float = 0.0
     achieved_ratios: list[float] = field(default_factory=list)
     # What writers derive from geometry alone (geometry_blobs,
-    # chunk_layout): kept with the plan, not compared, not serialised.
+    # chunk_layout): kept with the plan, not compared.
     # Threads racing on a first use compute the same bytes twice.
     _memo: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -235,81 +230,6 @@ class DecimationPlan:
             self.delta_level(lvl, levels[lvl], levels[lvl + 1])
             for lvl in self.scheme.delta_levels()
         ]
-
-    # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Serialize to one compressed-npz blob."""
-        arrays: dict[str, np.ndarray] = {
-            "meta": np.frombuffer(
-                json.dumps(
-                    {
-                        "version": _FORMAT_VERSION,
-                        "num_levels": self.scheme.num_levels,
-                        "step_ratio": self.scheme.step_ratio,
-                        "method": self.method,
-                        "priority": self.priority,
-                        "placement": self.placement,
-                        "estimator": self.estimator,
-                        "build_seconds": self.build_seconds,
-                        "achieved_ratios": list(self.achieved_ratios),
-                    }
-                ).encode("utf-8"),
-                dtype=np.uint8,
-            ),
-        }
-        for lvl, mesh in enumerate(self.meshes):
-            arrays[f"mesh{lvl}_vertices"] = mesh.vertices
-            arrays[f"mesh{lvl}_triangles"] = mesh.triangles
-        for step, lineage in enumerate(self.lineages):
-            arrays.update(lineage.to_arrays(prefix=f"lineage{step}_"))
-        for step, mapping in enumerate(self.mappings):
-            arrays[f"mapping{step}"] = np.frombuffer(
-                mapping.to_bytes(), dtype=np.uint8
-            )
-        buf = io.BytesIO()
-        np.savez_compressed(buf, **arrays)
-        return buf.getvalue()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "DecimationPlan":
-        with np.load(io.BytesIO(blob), allow_pickle=False) as npz:
-            arrays = {k: npz[k] for k in npz.files}
-        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        if meta.get("version") != _FORMAT_VERSION:
-            raise RefactoringError(
-                f"unsupported plan format version {meta.get('version')!r}"
-            )
-        scheme = LevelScheme(
-            int(meta["num_levels"]), float(meta["step_ratio"])
-        )
-        meshes = [
-            TriangleMesh(
-                arrays[f"mesh{lvl}_vertices"],
-                arrays[f"mesh{lvl}_triangles"],
-                validate=False,
-            )
-            for lvl in range(scheme.num_levels)
-        ]
-        lineages = [
-            CollapseLineage.from_arrays(arrays, prefix=f"lineage{step}_")
-            for step in range(scheme.num_levels - 1)
-        ]
-        mappings = [
-            LevelMapping.from_bytes(bytes(arrays[f"mapping{step}"]))
-            for step in range(scheme.num_levels - 1)
-        ]
-        return cls(
-            scheme=scheme,
-            meshes=meshes,
-            lineages=lineages,
-            mappings=mappings,
-            method=str(meta["method"]),
-            priority=str(meta["priority"]),
-            placement=str(meta["placement"]),
-            estimator=str(meta["estimator"]),
-            build_seconds=float(meta["build_seconds"]),
-            achieved_ratios=[float(r) for r in meta["achieved_ratios"]],
-        )
 
 
 def build_plan(

@@ -62,9 +62,9 @@ class DecodeEngine:
         the retrieval engine's width.
     use_restored_cache:
         Consult/publish the process-wide restored-level cache.
-    pipeline / lookahead:
+    pipeline:
         Forwarded to :meth:`CanopusDecoder.restore_to` — prefetch the
-        next ``lookahead`` levels while the current delta decodes.
+        next levels while the current delta decodes.
     """
 
     def __init__(
@@ -74,7 +74,6 @@ class DecodeEngine:
         workers: int | None = None,
         use_restored_cache: bool = True,
         pipeline: bool = True,
-        lookahead: int = 2,
     ) -> None:
         if workers is None:
             workers = getattr(dataset.engine, "workers", 4)
@@ -84,7 +83,6 @@ class DecodeEngine:
         self.workers = int(workers)
         self.use_restored_cache = use_restored_cache
         self.pipeline = pipeline
-        self.lookahead = lookahead
         self.decoder = CanopusDecoder(dataset, share_geometry=True)
         #: Content fingerprint of the open catalog. Restored-cache keys
         #: (:meth:`CanopusDecoder.cache_key`) carry this string — the
@@ -137,7 +135,6 @@ class DecodeEngine:
                 region=region,
                 min_significance=min_significance,
                 pipeline=self.pipeline,
-                lookahead=self.lookahead,
                 use_cache=self.use_restored_cache,
             )
 

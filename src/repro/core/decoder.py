@@ -33,6 +33,10 @@ from repro.obs import trace
 
 __all__ = ["PhaseTimings", "LevelData", "CanopusDecoder"]
 
+#: Refinement levels a pipelined read keeps in flight ahead of the one
+#: it is decoding (:meth:`CanopusDecoder.prefetch_window`).
+LOOKAHEAD = 2
+
 
 @dataclass
 class PhaseTimings:
@@ -243,10 +247,8 @@ class CanopusDecoder:
             keys.extend(self._level_keys(chain, lvl))
         return keys
 
-    def prefetch_window(
-        self, var: str, next_target: int, lookahead: int, floor: int = 0
-    ) -> float:
-        """Hint the next ``lookahead`` refinement levels; return sim cost.
+    def prefetch_window(self, var: str, next_target: int, floor: int = 0) -> float:
+        """Hint the next :data:`LOOKAHEAD` refinement levels; return sim cost.
 
         The window never reaches below ``floor``: a chain that knows its
         final target pays no charge for deltas it will not apply. The
@@ -260,7 +262,7 @@ class CanopusDecoder:
         keys = [
             key
             for lvl in range(
-                next_target, max(floor - 1, next_target - lookahead), -1
+                next_target, max(floor - 1, next_target - LOOKAHEAD), -1
             )
             for key in self._level_keys(chain, lvl)
         ]
@@ -274,7 +276,7 @@ class CanopusDecoder:
             self.dataset.prefetch(keys, label=f"{var}:pipeline")
         return self._clock.elapsed - before
 
-    def prefetch_base(self, var: str, lookahead: int, floor: int = 0) -> float:
+    def prefetch_base(self, var: str, floor: int = 0) -> float:
         """Batch the base field + base mesh into one engine fetch and
         start the first deltas moving behind it; return sim cost."""
         chain = self.chain(var)
@@ -282,9 +284,7 @@ class CanopusDecoder:
         self.dataset.prefetch(self._base_keys(chain), label=f"{var}:base")
         return (
             self._clock.elapsed - before
-            + self.prefetch_window(
-                var, chain.scheme.base_level - 1, lookahead, floor
-            )
+            + self.prefetch_window(var, chain.scheme.base_level - 1, floor)
         )
 
     # ------------------------------------------------------------------
@@ -454,7 +454,6 @@ class CanopusDecoder:
         region: tuple[np.ndarray, np.ndarray] | None = None,
         min_significance: float = 0.0,
         pipeline: bool = True,
-        lookahead: int = 2,
         use_cache: bool = False,
     ) -> LevelData:
         """Restore from the base down to ``level`` (paper options 2/3).
@@ -475,8 +474,6 @@ class CanopusDecoder:
         step. A filtered chain is not pipelined: the hints name whole
         levels, and the filter reads only the chunks it keeps.
         """
-        if lookahead < 1:
-            raise RestorationError("lookahead must be >= 1")
         chain = self.chain(var)
         chain.scheme.validate_level(level)
         pipeline = pipeline and region is None and not min_significance > 0.0
@@ -533,14 +530,14 @@ class CanopusDecoder:
                     return state
         if state is None:
             prefetch_io = (
-                self.prefetch_base(var, lookahead, level) if pipeline else 0.0
+                self.prefetch_base(var, level) if pipeline else 0.0
             )
             state = self.read_base(var)
             state.timings.io_seconds += prefetch_io
             publish(state)
         while state.level > level:
             prefetch_io = (
-                self.prefetch_window(var, state.level - 1, lookahead, level)
+                self.prefetch_window(var, state.level - 1, level)
                 if pipeline
                 else 0.0
             )

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 from repro.core.notation import LevelScheme
 
-__all__ = ["PlacementPlan", "plan_placement"]
+__all__ = ["TierPreference", "plan_placement"]
 
 
 @dataclass(frozen=True)
-class PlacementPlan:
+class TierPreference:
     """Preferred tier index (0 = fastest) for each product."""
 
     base_tier: int
@@ -28,7 +28,7 @@ class PlacementPlan:
         return self.delta_tiers[level]
 
 
-def plan_placement(scheme: LevelScheme, num_tiers: int) -> PlacementPlan:
+def plan_placement(scheme: LevelScheme, num_tiers: int) -> TierPreference:
     """Compute preferred tiers for a base + delta chain.
 
     The base prefers tier 0. Delta level ``l`` (which lifts ``l+1 → l``)
@@ -42,4 +42,4 @@ def plan_placement(scheme: LevelScheme, num_tiers: int) -> PlacementPlan:
         lvl: min(num_tiers - 1, scheme.num_levels - 1 - lvl)
         for lvl in scheme.delta_levels()
     }
-    return PlacementPlan(base_tier=0, delta_tiers=delta_tiers)
+    return TierPreference(base_tier=0, delta_tiers=delta_tiers)

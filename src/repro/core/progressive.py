@@ -7,7 +7,7 @@ mean square error between two adjacent levels) is known a priori".
 
 With ``pipeline=True`` the reader overlaps tier I/O with decode: before
 decompressing/applying the current delta it hints the retrieval engine
-with the next ``lookahead`` levels' byte ranges
+with the next levels' byte ranges
 (:meth:`~repro.core.decoder.CanopusDecoder.prefetch_window`), so worker
 threads fetch them while the CPU is busy. Restored fields are
 bit-identical to the serial path — pipelining changes *when* bytes are
@@ -40,9 +40,6 @@ class ProgressiveReader:
         Overlap tier I/O with decode by prefetching upcoming levels
         through the retrieval engine. Off by default so existing serial
         measurements stay comparable.
-    lookahead:
-        How many refinement levels to keep in flight ahead of the
-        current one (≥ 1 when pipelining).
     min_significance:
         Default significance threshold applied by every refinement:
         chunks whose recorded ``|max|`` correction is below it are
@@ -56,18 +53,14 @@ class ProgressiveReader:
         var: str,
         *,
         pipeline: bool = False,
-        lookahead: int = 2,
         min_significance: float = 0.0,
     ) -> None:
-        if lookahead < 1:
-            raise RestorationError("lookahead must be >= 1")
         if min_significance < 0.0:
             raise RestorationError("min_significance must be >= 0")
         self.decoder = decoder
         self.var = var
         self.scheme = decoder.scheme(var)
         self.pipeline = pipeline
-        self.lookahead = lookahead
         self.min_significance = min_significance
         self._state: LevelData | None = None
 
@@ -81,7 +74,7 @@ class ProgressiveReader:
                 {"var": self.var, "pipeline": self.pipeline},
             ):
                 prefetch_io = (
-                    self.decoder.prefetch_base(self.var, self.lookahead)
+                    self.decoder.prefetch_base(self.var)
                     if self.pipeline
                     else 0.0
                 )
@@ -126,9 +119,7 @@ class ProgressiveReader:
         ):
             prefetch_io = 0.0
             if self.pipeline and region is None and min_significance == 0.0:
-                prefetch_io = self.decoder.prefetch_window(
-                    self.var, target, self.lookahead
-                )
+                prefetch_io = self.decoder.prefetch_window(self.var, target)
             self._state = self.decoder.refine(
                 self.state, region=region, min_significance=min_significance
             )

@@ -24,7 +24,7 @@ from repro.io.fsck import (
     repair_backends,
     repair_dataset,
 )
-from repro.io.query import ChunkStats, QueryEngine, attach_stats
+from repro.io.query import ChunkStats, attach_stats
 from repro.io.transports import (
     AggregatingTransport,
     PosixTransport,
@@ -46,7 +46,6 @@ __all__ = [
     "Catalog",
     "VariableRecord",
     "ChunkStats",
-    "QueryEngine",
     "attach_stats",
     "CheckResult",
     "check_backends",

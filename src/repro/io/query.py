@@ -1,16 +1,14 @@
-"""Query-driven retrieval: prune products by value statistics.
+"""Per-product value summaries: the catalog's query metadata.
 
 The paper's related work (§V) motivates query-driven exploration
 (MLOC, SDS): analytics often ask "where does dpot exceed a threshold?"
 rather than "give me everything". Canopus's chunked deltas make this
 cheap: the encoder records per-product value statistics (min/max of the
-*restored* contribution range) in the catalog, and the query engine
-prunes chunks that provably cannot satisfy a predicate before any data
-I/O happens.
-
-This composes with progressive refinement: detect candidate regions on
-the base, then refine only the delta chunks whose statistics (or
-bounding boxes) intersect the query.
+*restored* contribution range) in the catalog, and the readers prune
+chunks that provably cannot satisfy a predicate before any data I/O
+happens — the decoder's significance filter
+(:meth:`~repro.core.layout.Chain.chunk_verdicts`), the retrieval planner
+and the pushdown queries of :mod:`repro.query`.
 """
 
 from __future__ import annotations
@@ -20,11 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import VariableNotFoundError
-from repro.io.dataset import BPDataset
 from repro.io.metadata import VariableRecord
 
-__all__ = ["ChunkStats", "QueryEngine", "attach_stats"]
+__all__ = ["ChunkStats", "attach_stats"]
 
 
 @dataclass(frozen=True)
@@ -109,70 +105,3 @@ class ChunkStats:
 def attach_stats(record: VariableRecord, values: np.ndarray) -> None:
     """Store a product's value statistics in its catalog record."""
     record.attrs["stats"] = ChunkStats.of(values).as_dict()
-
-
-class QueryEngine:
-    """Predicate evaluation over catalog statistics (no data I/O)."""
-
-    def __init__(self, dataset: BPDataset) -> None:
-        self.dataset = dataset
-
-    def stats_of(self, key: str) -> ChunkStats | None:
-        rec = self.dataset.inq(key)
-        raw = rec.attrs.get("stats")
-        if raw is None:
-            return None
-        return ChunkStats(**raw)
-
-    # ------------------------------------------------------------------
-    def candidates_above(
-        self, threshold: float, *, kind: str | None = None, level: int | None = None
-    ) -> list[str]:
-        """Keys whose stored values may exceed ``threshold``.
-
-        Products without statistics are conservatively kept (they might
-        match); products whose ``vmax`` is below the threshold are
-        provably irrelevant and pruned.
-        """
-        hits = []
-        for rec in self.dataset.select(kind=kind, level=level):
-            raw = rec.attrs.get("stats")
-            if raw is None or raw["vmax"] >= threshold:
-                hits.append(rec.key)
-        return sorted(hits)
-
-    def candidates_significant(
-        self, magnitude: float, *, kind: str = "delta", level: int | None = None
-    ) -> list[str]:
-        """Delta chunks whose correction can move any value by ≥ magnitude.
-
-        Skipping insignificant deltas is a lossy-but-bounded refinement:
-        the unread chunks change the field by less than ``magnitude``, so
-        the restored level is within that bound of the true level.
-        """
-        hits = []
-        for rec in self.dataset.select(kind=kind, level=level):
-            raw = rec.attrs.get("stats")
-            if raw is None or raw["vabs_max"] >= magnitude:
-                hits.append(rec.key)
-        return sorted(hits)
-
-    def prune_report(
-        self, threshold: float, *, kind: str | None = None
-    ) -> dict[str, int]:
-        """How much I/O a threshold query avoids, in products and bytes."""
-        records = self.dataset.select(kind=kind)
-        kept = set(self.candidates_above(threshold, kind=kind))
-        return {
-            "total_products": len(records),
-            "kept_products": len(kept),
-            "total_bytes": sum(r.length for r in records),
-            "kept_bytes": sum(r.length for r in records if r.key in kept),
-        }
-
-    # ------------------------------------------------------------------
-    def require(self, key: str) -> ChunkStats:
-        stats = self.stats_of(key)
-        if stats is None:
-            raise VariableNotFoundError(f"no statistics stored for {key!r}")
-        return stats

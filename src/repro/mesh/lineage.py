@@ -193,32 +193,3 @@ class CollapseLineage:
             else:
                 vals[..., self.dst[sl]] = vals[..., self.src_u[sl]]
         return vals[..., self.alive_ids]
-
-    # ------------------------------------------------------------------
-    def to_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
-        """Flat array view for npz-style serialization."""
-        return {
-            f"{prefix}src_u": self.src_u,
-            f"{prefix}src_v": self.src_v,
-            f"{prefix}dst": self.dst,
-            f"{prefix}group_offsets": self.group_offsets,
-            f"{prefix}alive_ids": self.alive_ids,
-            f"{prefix}meta": np.array(
-                [self.n_fine, _PLACEMENTS.index(self.placement)], np.int64
-            ),
-        }
-
-    @classmethod
-    def from_arrays(
-        cls, arrays: dict[str, np.ndarray], prefix: str = ""
-    ) -> "CollapseLineage":
-        meta = arrays[f"{prefix}meta"]
-        return cls(
-            n_fine=int(meta[0]),
-            src_u=arrays[f"{prefix}src_u"],
-            src_v=arrays[f"{prefix}src_v"],
-            dst=arrays[f"{prefix}dst"],
-            group_offsets=arrays[f"{prefix}group_offsets"],
-            alive_ids=arrays[f"{prefix}alive_ids"],
-            placement=_PLACEMENTS[int(meta[1])],
-        )

@@ -12,7 +12,12 @@ the service routes.
 """
 
 from repro.query.plan import PlanDecision, RetrievalPlan
-from repro.query.planner import QueryPlanner, normalize_region
+from repro.query.planner import (
+    QueryPlanner,
+    normalize_region,
+    parse_region,
+    parse_shape,
+)
 from repro.query.pushdown import blob_query, stats_query
 
 __all__ = [
@@ -20,6 +25,8 @@ __all__ = [
     "RetrievalPlan",
     "QueryPlanner",
     "normalize_region",
+    "parse_region",
+    "parse_shape",
     "blob_query",
     "stats_query",
 ]

@@ -41,7 +41,7 @@ from repro.lru import LRU
 from repro.obs import trace
 from repro.query.plan import FETCH, SKIP, PlanDecision, RetrievalPlan
 
-__all__ = ["QueryPlanner", "Resolution"]
+__all__ = ["QueryPlanner", "Resolution", "parse_region", "parse_shape"]
 
 
 #: Count in the global registry and the active tracer's registry.
@@ -80,6 +80,35 @@ def normalize_region(region) -> tuple[np.ndarray, np.ndarray] | None:
             f"empty region: lo {lo.tolist()} exceeds hi {hi.tolist()}"
         )
     return lo, hi
+
+
+def parse_region(raw: str | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """The text window ``"x0,y0:x1,y1"`` (CLI ``--region``, service
+    ``region=``) as a :func:`normalize_region` window; empty is none."""
+    if not raw:
+        return None
+    lo, sep, hi = raw.partition(":")
+    if not sep:
+        raise QueryError(f"region must be 'x0,y0:x1,y1'; got {raw!r}")
+    try:
+        window = [[float(v) for v in side.split(",")] for side in (lo, hi)]
+    except ValueError:
+        raise QueryError(f"region coordinates must be numbers; got {raw!r}") from None
+    return normalize_region(window)
+
+
+def parse_shape(raw: str | None) -> tuple[int, int]:
+    """The text raster grid ``"ny,nx"`` of a blob query (CLI ``--shape``,
+    service ``shape=``); empty is ``(128, 128)``."""
+    if not raw:
+        return (128, 128)
+    try:
+        dims = tuple(int(v) for v in raw.split(","))
+    except ValueError:
+        dims = ()
+    if len(dims) != 2 or min(dims) < 1:
+        raise QueryError(f"shape must be two positive integers 'ny,nx'; got {raw!r}")
+    return dims
 
 
 class QueryPlanner:

@@ -64,6 +64,7 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.prom import render_prometheus
 from repro.obs.slo import SLO
 from repro.obs.trace import TraceBuffer, Tracer
+from repro.query import parse_region, parse_shape
 from repro.service.datanode import DataNode
 from repro.service.http import Request, Response, read_request
 from repro.service.tenants import TenantConfig, TenantRegistry
@@ -92,42 +93,8 @@ def _selection(query: dict) -> dict:
         "level": _parse_number(query, "level", int),
         "tolerance": _parse_number(query, "tolerance"),
         "min_significance": _parse_number(query, "min_significance") or 0.0,
-        "region": _parse_region(query),
+        "region": parse_region(query.get("region")),
     }
-
-
-def _parse_region(query: dict) -> tuple[np.ndarray, np.ndarray] | None:
-    """``region=x0,y0:x1,y1`` → (lo, hi) float arrays."""
-    raw = query.get("region")
-    if raw is None or raw == "":
-        return None
-    lo_s, sep, hi_s = raw.partition(":")
-    if not sep:
-        raise RestorationError(
-            "region must be 'lo0,lo1,...:hi0,hi1,...'"
-        )
-    try:
-        lo = np.array([float(v) for v in lo_s.split(",")])
-        hi = np.array([float(v) for v in hi_s.split(",")])
-    except ValueError:
-        raise RestorationError("region coordinates must be numbers")
-    if lo.shape != hi.shape or lo.size == 0:
-        raise RestorationError("region lo/hi must have the same length")
-    return lo, hi
-
-
-def _parse_shape(query: dict) -> tuple[int, int]:
-    """``shape=ny,nx`` raster grid (defaults to 128x128)."""
-    raw = query.get("shape")
-    if raw is None or raw == "":
-        return (128, 128)
-    try:
-        dims = tuple(int(v) for v in raw.split(","))
-    except ValueError:
-        raise RestorationError("shape must be 'ny,nx' integers")
-    if len(dims) != 2 or any(d < 1 for d in dims):
-        raise RestorationError("shape must be two positive integers")
-    return dims
 
 
 def _require_param(query: dict, name: str) -> str:
@@ -465,7 +432,7 @@ class ServiceNode:
     ) -> Response:
         name = _require_param(request.query, "campaign")
         var = _require_param(request.query, "var")
-        region = _parse_region(request.query)
+        region = parse_region(request.query.get("region"))
         result = await self.datanode.query_stats(
             name, var, step=_parse_number(request.query, "step", int),
             region=region, tenant=tenant,
@@ -480,8 +447,8 @@ class ServiceNode:
         threshold = _parse_number(request.query, "threshold")
         if threshold is None:
             raise RestorationError("query param 'threshold' is required")
-        region = _parse_region(request.query)
-        shape = _parse_shape(request.query)
+        region = parse_region(request.query.get("region"))
+        shape = parse_shape(request.query.get("shape"))
         result = await self.datanode.query_blobs(
             name,
             var,

@@ -61,7 +61,7 @@ class Session:
     opens: ``workers`` (engine + decode fan-out width), ``cache_bytes``
     (per-dataset range-cache budget), ``verify_checksums``,
     ``use_restored_cache`` (consult/publish the process-wide restored
-    cache), ``pipeline``/``lookahead`` (prefetch pipelining), and
+    cache), ``pipeline`` (prefetch pipelining), and
     ``transports`` (tier-name → transport override).
     """
 
@@ -74,7 +74,6 @@ class Session:
         verify_checksums: bool = True,
         use_restored_cache: bool = True,
         pipeline: bool = True,
-        lookahead: int = 2,
         transports=None,
     ) -> None:
         self.hierarchy = hierarchy
@@ -83,7 +82,6 @@ class Session:
         self.verify_checksums = verify_checksums
         self.use_restored_cache = use_restored_cache
         self.pipeline = pipeline
-        self.lookahead = lookahead
         self.transports = transports
         self._handles: dict[str, CampaignHandle] = {}
         self._closed = False
@@ -152,7 +150,6 @@ class CampaignHandle:
             workers=session.workers,
             use_restored_cache=session.use_restored_cache,
             pipeline=session.pipeline,
-            lookahead=session.lookahead,
         )
         self._planner = None
 
@@ -277,7 +274,6 @@ class CampaignHandle:
                     self.engine.decoder,
                     chain,
                     pipeline=self.session.pipeline,
-                    lookahead=self.session.lookahead,
                     min_significance=min_significance,
                 )
                 return reader.refine_until(

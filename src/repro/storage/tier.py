@@ -268,29 +268,6 @@ class StorageTier:
         )
         return data
 
-    def peek_many(self, requests: list[tuple[str, int, int]]) -> list[bytes]:
-        """Batched uncharged ranged reads (one backend round-trip).
-
-        Sharded backends turn this into batched multi-chunk gets; the
-        default backend implementation degrades to a loop.
-        """
-        for relpath, offset, length in requests:
-            if relpath not in self._files:
-                raise StorageError(f"tier {self.name!r}: no file {relpath!r}")
-            size = self._files[relpath]
-            if offset < 0 or length < 0 or offset + length > size:
-                raise StorageError(
-                    f"tier {self.name!r}: range [{offset}, {offset + length})"
-                    f" outside file of {size} bytes"
-                )
-        with self.backend.uncharged():
-            blobs = self.backend.get_many(requests)
-        trace.count(
-            "storage.backend.get_bytes", sum(len(b) for b in blobs),
-            backend=self.backend.kind, tier=self.name,
-        )
-        return blobs
-
     def delete(self, relpath: str) -> None:
         """Remove a file and release its capacity."""
         if relpath not in self._files:

@@ -177,7 +177,7 @@ class TestReadProgressive:
         )
         enc.encode("run", "dpot", mesh, field, LevelScheme(2))
         dec = CanopusDecoder(BPDataset.open("run", hierarchy))
-        reader = ProgressiveReader(dec, "dpot", pipeline=False, lookahead=1)
+        reader = ProgressiveReader(dec, "dpot", pipeline=False)
         assert reader.decoder is dec
         assert not reader.pipeline
 

@@ -9,7 +9,6 @@ from repro.analytics import cross_level_errors
 from repro.errors import DecimationError
 from repro.mesh import (
     KERNELS,
-    CollapseLineage,
     TriangleMesh,
     batch_collapse,
     decimate,
@@ -169,14 +168,6 @@ class TestLineageReplay:
             assert np.array_equal(
                 geom.lineage.replay(field), with_f.fields["f"]
             )
-
-    def test_lineage_round_trips_through_arrays(self):
-        mesh = structured_rectangle(10, 10, jitter=0.2, seed=4)
-        result = decimate_batched(mesh, None, ratio=2.0, record_lineage=True)
-        arrays = result.lineage.to_arrays(prefix="x_")
-        clone = CollapseLineage.from_arrays(arrays, prefix="x_")
-        field = np.arange(mesh.num_vertices, dtype=np.float64)
-        assert np.array_equal(clone.replay(field), result.lineage.replay(field))
 
     def test_lineage_absent_without_flag(self):
         result = decimate_batched(structured_rectangle(8, 8), None, ratio=2.0)

@@ -314,3 +314,214 @@ class TestErrors:
     def test_no_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def _table_rows(text: str, title: str) -> list[dict]:
+    """The rows of the ``format_table`` block headed ``title``."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(title))
+    header = [c.strip() for c in lines[start + 1].split("|")]
+    rows = []
+    for line in lines[start + 3:]:
+        cells = [c.strip() for c in line.split("|")]
+        if len(cells) != len(header):
+            break
+        rows.append(dict(zip(header, cells)))
+    return rows
+
+
+RESTORE_ROUTE = "/v1/campaigns/{name}/vars/{var}/restore"
+
+
+def _cli_hierarchy(root):
+    """The hierarchy the CLI opens for ``--root root``."""
+    from repro.cli import _hierarchy
+
+    return _hierarchy(str(root))
+
+
+class TestQuery:
+    @pytest.fixture
+    def root(self, generated):
+        mesh_path, root = generated
+        assert main(
+            ["encode", str(mesh_path), "--field", "dpot", "--dataset", "run",
+             "--root", str(root), "--levels", "3", "--tolerance", "1e-4",
+             "--chunks", "4"]
+        ) == 0
+        return root
+
+    def query(self, root, *extra):
+        return main(["query", "run", "--root", str(root), "--var", "dpot",
+                     *extra])
+
+    def test_plan_mode_explains_without_restoring(self, root, capsys):
+        capsys.readouterr()
+        assert self.query(
+            root, "--mode", "plan", "--tolerance", "1e-3",
+            "--region=-0.5,-0.5:0.5,0.5",
+        ) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("retrieval plan for 'dpot': target level")
+        assert "tolerance 0.001, region ([-0.5, -0.5], [0.5, 0.5])" in out
+        assert "[fetch] dpot/L2" in out
+
+    def test_stats_mode_answers_from_summaries(self, root, capsys):
+        import json
+
+        capsys.readouterr()
+        assert self.query(root, "--mode", "stats") == 0
+        whole = json.loads(capsys.readouterr().out)
+        assert whole["pushdown"] is True and whole["restores"] == 0
+        assert whole["granularity"] == "exact"
+        assert self.query(
+            root, "--mode", "stats", "--region=-0.2,-0.2:0.2,0.2"
+        ) == 0
+        windowed = json.loads(capsys.readouterr().out)
+        assert windowed["granularity"] == "chunk"
+        assert windowed["region"] == [[-0.2, -0.2], [0.2, 0.2]]
+        assert windowed["stats"]["count"] <= whole["stats"]["count"]
+
+    def test_blobs_mode(self, root, capsys):
+        import json
+
+        capsys.readouterr()
+        assert self.query(
+            root, "--mode", "blobs", "--threshold", "1e30", "--shape", "32,32"
+        ) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["count"] == 0 and result["restores"] == 0
+        assert result["pruned_chunks"] == result["candidate_chunks"] + 4
+        assert self.query(root, "--mode", "blobs") == 1
+        assert "needs --threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--region", "0,0"),
+            ("--region", "a,0:1,1"),
+            ("--region", "0,0,0:1,1,1"),
+            ("--region", "1,1:0,0"),
+            ("--shape", "32"),
+            ("--shape", "32,x"),
+            ("--shape", "0,32"),
+        ],
+    )
+    def test_malformed_region_or_shape_exits_1(self, root, capsys, flag, value):
+        capsys.readouterr()
+        assert self.query(
+            root, "--mode", "blobs", "--threshold", "0", f"{flag}={value}"
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert flag.strip("-") in captured.err
+        assert captured.out == ""
+
+
+class TestObsReport:
+    """``repro obs report`` over what ``repro serve`` exposes."""
+
+    @pytest.fixture
+    def served(self, generated, tmp_path):
+        from repro.obs.logs import JsonlLogger
+        from repro.obs.metrics import MetricsRegistry
+        from repro.service import CanopusService
+        from repro.service.loadgen import ServiceThread
+
+        mesh_path, root = generated
+        assert main(
+            ["encode", str(mesh_path), "--field", "dpot", "--dataset", "run",
+             "--root", str(root), "--levels", "2", "--tolerance", "1e-4"]
+        ) == 0
+        log_path = tmp_path / "access.jsonl"
+        log = JsonlLogger(log_path)
+        # Every request breaches a 1 ns target: a report with the same
+        # target must say so exactly as the service does.
+        service = CanopusService(
+            _cli_hierarchy(root),
+            metrics=MetricsRegistry(),
+            tracing=True,
+            trace_sample_rate=1.0,
+            slo_target_seconds=1e-9,
+            access_log=log,
+        )
+        with ServiceThread(service):
+            yield service, log_path
+        log.close()
+
+    @staticmethod
+    def drive(service) -> dict:
+        """Three restores and one 404 on the restore route; returns the
+        service's own SLO snapshot of that route."""
+        import asyncio
+
+        from repro.errors import VariableNotFoundError
+        from repro.service import ServiceClient
+
+        async def go():
+            async with ServiceClient(service.host, service.port) as client:
+                for level in (1, 0, 0):
+                    await client.restore("run", "dpot", level=level)
+                with pytest.raises(VariableNotFoundError):
+                    await client.restore("run", "nope", level=0)
+                return (await client.metrics())["slo"][RESTORE_ROUTE]
+
+        return asyncio.run(go())
+
+    def report_jsonl(self, log_path, capsys, target: str) -> dict:
+        capsys.readouterr()
+        assert main(
+            ["obs", "report", "--jsonl", str(log_path), "--top", "2",
+             "--slo-target", target, "--slo-objective", "0.95"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert len(_table_rows(out, "slowest requests")) == 2
+        rows = _table_rows(out, "SLO status (offline")
+        return {r["route"]: r for r in rows}[RESTORE_ROUTE]
+
+    def test_jsonl_replays_the_services_slo(self, served, capsys):
+        service, log_path = served
+        live = self.drive(service)
+        row = self.report_jsonl(log_path, capsys, "1e-9")
+        assert row == {
+            "route": RESTORE_ROUTE,
+            "target_s": "1e-09",
+            "window": "4",
+            "compliance": f"{live['compliance']:.4f}",
+            "burn_rate": f"{live['burn_rate']:.2f}",
+            "healthy": str(live["healthy"]),
+        }
+        assert (row["compliance"], row["burn_rate"]) == ("0.0000", "20.00")
+        # A 404 is the client's fault, not a breach: under a roomy target
+        # the route is fully compliant, as the service would count it.
+        row = self.report_jsonl(log_path, capsys, "60")
+        assert (row["compliance"], row["burn_rate"], row["healthy"]) == (
+            "1.0000", "0.00", "True"
+        )
+
+    def test_jsonl_without_requests(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text('{"event": "other"}\nnot json\n')
+        assert main(["obs", "report", "--jsonl", str(empty)]) == 0
+        assert "no service.request records" in capsys.readouterr().out
+
+    def test_url_reads_a_live_service(self, served, capsys):
+        service, _ = served
+        live = self.drive(service)
+        capsys.readouterr()
+        assert main(
+            ["obs", "report", "--url",
+             f"http://{service.host}:{service.port}", "--top", "3"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert len(_table_rows(out, "slowest requests")) == 3
+        assert "trace buffer:" in out
+        slo = {r["route"]: r for r in _table_rows(out, "SLO status")}
+        assert slo[RESTORE_ROUTE]["window"] == "4"
+        assert slo[RESTORE_ROUTE]["compliance"] == f"{live['compliance']:.4f}"
+        assert slo[RESTORE_ROUTE]["burn_rate"] == "20.00"
+
+    def test_needs_exactly_one_source(self, capsys):
+        assert main(["obs", "report"]) == 1
+        assert "exactly one of --url or --jsonl" in capsys.readouterr().err
+

@@ -58,7 +58,7 @@ class TestLevelScheme:
             LevelScheme(3).validate_level(-1)
 
 
-class TestPlacementPlan:
+class TestTierPreference:
     def test_paper_example_three_levels_three_tiers(self):
         """Fig. 1: base → ST2 (fastest), delta1-2 → ST1, delta0-1 → ST0."""
         plan = plan_placement(LevelScheme(3), num_tiers=3)

@@ -317,7 +317,6 @@ class TestRemoteBackend:
         tier.write("a.bin", bytes(range(64)))
         before = tier.clock.elapsed
         assert tier.peek_range("a.bin", 10, 4) == bytes(range(10, 14))
-        assert tier.peek_many([("a.bin", 0, 8)]) == [bytes(range(8))]
         assert tier.clock.elapsed == before
 
 

@@ -327,17 +327,6 @@ class TestPipelinedProgressive:
         # (prefetch cost folded into the issuing step).
         assert final.timings.io_seconds == pytest.approx(charged)
 
-    def test_lookahead_validation(self, hierarchy, dataset_inputs):
-        mesh, field = dataset_inputs
-        encode(hierarchy, mesh, field)
-        from repro.errors import RestorationError
-
-        with pytest.raises(RestorationError):
-            ProgressiveReader(
-                CanopusDecoder(BPDataset.open("run", hierarchy)), "dpot",
-                pipeline=True, lookahead=0,
-            )
-
 
 class TestEngineMisc:
     def test_stats_as_dict_keys(self):

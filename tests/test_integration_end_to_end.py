@@ -22,7 +22,7 @@ from repro.core import (
     LevelScheme,
     ProgressiveReader,
 )
-from repro.io import BPDataset, QueryEngine, parse_config
+from repro.io import BPDataset, parse_config
 from repro.simulations import make_cfd, make_genasis, make_xgc1
 
 
@@ -148,7 +148,8 @@ class TestQueryThenFocusedRefine:
         full_bytes = h.clock.bytes_moved(op="read") - before
         assert roi_bytes < 0.6 * full_bytes
 
-    def test_query_engine_consistent_with_data(self, tmp_path):
+    def test_blob_query_consistent_with_data(self, tmp_path):
+        from repro.session import Session
         from repro.storage import two_tier_titan
 
         ds = make_xgc1(scale=0.2)
@@ -156,13 +157,17 @@ class TestQueryThenFocusedRefine:
         enc = CanopusEncoder(
             h, codec_params={"tolerance": 1e-4, "mode": "relative"}, chunks=16
         )
-        _, refactored = enc.encode("q", "dpot", ds.mesh, ds.field, LevelScheme(2))
-        q = QueryEngine(BPDataset.open("q", h))
-        threshold = float(np.quantile(refactored.deltas[0], 0.99))
-        kept = q.candidates_above(threshold, kind="delta")
-        # Soundness is guaranteed; completeness: the max delta's chunk
-        # must be among the candidates.
-        assert kept, "at least the chunk holding the max must survive"
+        enc.encode("q", "dpot", ds.mesh, ds.field, LevelScheme(2))
+        threshold = float(np.quantile(ds.field, 0.99))
+        with Session(h) as session:
+            result = session.open("q").query_blobs(
+                "dpot", threshold=threshold, shape=(64, 64)
+            )
+        # Soundness is guaranteed; completeness: the chunk holding the
+        # maximum must be among the candidates.
+        assert result["candidate_chunks"] >= 1, "the max's chunk must survive"
+        assert result["pruned_chunks"] + result["candidate_chunks"] == 16
+        assert result["restores"] == 1
 
 
 class TestProgressiveBlobWorkflow:

@@ -1,15 +1,17 @@
-"""Tests for the query engine and the deployment-mode cost model."""
+"""Tests for the catalog value summaries and the deployment-mode cost model."""
 
 import numpy as np
 import pytest
 
 from repro.core.encoder import EncodeReport
 from repro.core.notation import LevelScheme
-from repro.errors import ReproError, VariableNotFoundError
+from repro.core.decimation_plan import _spatial_chunks
+from repro.errors import ReproError
 from repro.harness import setup_experiment
-from repro.io import BPDataset, ChunkStats, QueryEngine, attach_stats
+from repro.io import ChunkStats, attach_stats
 from repro.io.metadata import VariableRecord
 from repro.perfmodel import model_modes
+from repro.session import Session
 
 
 @pytest.fixture(scope="module")
@@ -36,59 +38,67 @@ class TestChunkStats:
         assert rec.attrs["stats"]["vmax"] == 5.0
 
 
-class TestQueryEngine:
-    def test_stats_recorded_by_encoder(self, chunked_setup):
-        q = QueryEngine(BPDataset.open(chunked_setup.canopus_name,
-                                       chunked_setup.hierarchy))
-        stats = q.stats_of("dpot/L2")
-        assert stats is not None
+class TestSummaryPruning:
+    """The catalog's value summaries, read where the system reads them:
+    the planner's significance filter and the blob screen's prune."""
+
+    @pytest.fixture
+    def campaign(self, chunked_setup):
+        with Session(chunked_setup.hierarchy) as session:
+            yield session.open(chunked_setup.canopus_name)
+
+    def test_stats_recorded_by_encoder(self, chunked_setup, campaign):
+        rec = campaign.dataset.inq("dpot/L2")
+        stats = ChunkStats(**rec.attrs["stats"])
         field = chunked_setup.refactored.base_field
         assert stats.vmax == pytest.approx(field.max())
 
-    def test_candidates_above_prunes(self, chunked_setup):
-        ds = BPDataset.open(chunked_setup.canopus_name, chunked_setup.hierarchy)
-        q = QueryEngine(ds)
-        everything = q.candidates_above(-np.inf, kind="delta")
-        # Deltas are near zero; a high threshold prunes almost all chunks.
-        few = q.candidates_above(0.5, kind="delta")
-        assert len(few) < len(everything)
+    def test_blob_screen_prunes(self, campaign):
+        everything = campaign.query_blobs("dpot", threshold=-np.inf, shape=(32, 32))
+        # No level-0 chunk reaches a threshold above the field's maximum.
+        few = campaign.query_blobs("dpot", threshold=1e30, shape=(32, 32))
+        assert everything["pruned_chunks"] == 0 and everything["restores"] == 1
+        assert few["candidate_chunks"] == 0 < few["pruned_chunks"]
+        assert few["restores"] == 0
 
-    def test_candidates_sound(self, chunked_setup):
-        """Pruned chunks provably cannot contain values above threshold."""
-        ds = BPDataset.open(chunked_setup.canopus_name, chunked_setup.hierarchy)
-        q = QueryEngine(ds)
-        threshold = 0.3
-        kept = set(q.candidates_above(threshold, kind="base"))
-        for rec in ds.select(kind="base"):
-            if rec.key not in kept:
-                assert rec.attrs["stats"]["vmax"] < threshold
+    def test_pruned_chunks_cannot_hold_a_value_above_threshold(
+        self, chunked_setup, campaign
+    ):
+        field = chunked_setup.dataset.field
+        threshold = float(np.quantile(field, 0.9))
+        result = campaign.query_blobs("dpot", threshold=threshold, shape=(32, 32))
+        chunks = _spatial_chunks(chunked_setup.dataset.mesh.vertices, 16)
+        below = [idx for idx in chunks if field[..., idx].max() < threshold]
+        # Exactly the chunks holding no value above the threshold.
+        assert result["pruned_chunks"] == len(below) > 0
+        assert result["candidate_chunks"] == len(chunks) - len(below)
 
-    def test_candidates_significant(self, chunked_setup):
-        ds = BPDataset.open(chunked_setup.canopus_name, chunked_setup.hierarchy)
-        q = QueryEngine(ds)
-        all_deltas = q.candidates_significant(0.0)
-        some = q.candidates_significant(1e-2)
-        assert len(some) <= len(all_deltas)
+    def test_significance_prunes_monotonically(self, campaign):
+        pruned = [
+            campaign.plan("dpot", level=0, min_significance=m).pruned_chunks
+            for m in (0.0, 1e-3, 1e-2, 1e-1)
+        ]
+        assert pruned == sorted(pruned)
+        assert pruned[0] == 0
 
     def test_products_without_stats_kept(self, chunked_setup):
-        """Mesh/mapping products carry no stats → conservatively kept."""
-        ds = BPDataset.open(chunked_setup.canopus_name, chunked_setup.hierarchy)
-        q = QueryEngine(ds)
-        kept = q.candidates_above(1e18, kind="mesh")
-        assert len(kept) == len(ds.select(kind="mesh"))
+        """A chunk without a summary might match: never pruned."""
+        with Session(chunked_setup.hierarchy) as session:
+            campaign = session.open(chunked_setup.canopus_name)
+            for rec in campaign.dataset.select(kind="delta"):
+                rec.attrs.pop("stats", None)
+                rec.attrs.pop("field_stats", None)
+            blobs = campaign.query_blobs("dpot", threshold=1e30, shape=(32, 32))
+            assert blobs["pruned_chunks"] == 0 and blobs["restores"] == 1
+            plan = campaign.plan("dpot", level=0, min_significance=1e30)
+            assert plan.pruned_chunks == 0
 
-    def test_prune_report(self, chunked_setup):
-        ds = BPDataset.open(chunked_setup.canopus_name, chunked_setup.hierarchy)
-        q = QueryEngine(ds)
-        rep = q.prune_report(0.5, kind="delta")
-        assert rep["kept_products"] <= rep["total_products"]
-        assert rep["kept_bytes"] <= rep["total_bytes"]
-
-    def test_require_missing(self, chunked_setup):
-        ds = BPDataset.open(chunked_setup.canopus_name, chunked_setup.hierarchy)
-        q = QueryEngine(ds)
-        with pytest.raises(VariableNotFoundError):
-            q.require("dpot/mesh2")  # mesh has no stats
+    def test_plan_accounts_bytes(self, campaign):
+        full = campaign.plan("dpot", level=0)
+        pruned = campaign.plan("dpot", level=0, min_significance=1e30)
+        assert full.skipped_bytes == 0 < pruned.skipped_bytes
+        assert pruned.planned_bytes < full.planned_bytes
+        assert pruned.planned_bytes + pruned.skipped_bytes == full.planned_bytes
 
 
 class TestModes:

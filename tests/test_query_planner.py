@@ -6,7 +6,8 @@ planner consumes must have survived the catalog round-trip (the
 sidecar-metadata contract of the paper's §III-C). Covers:
 
 * :class:`ChunkStats` NaN safety and exact chunk merging;
-* :class:`QueryEngine` predicates over the persisted summaries;
+* summary pruning (blob screen, significance) over the persisted
+  summaries;
 * :class:`QueryPlanner` — certified stopping levels, bit-identity with
   the measure-as-you-go progressive loop, chunk pruning, explainable
   plans, and the no-summaries fallback;
@@ -23,17 +24,20 @@ import numpy as np
 import pytest
 
 from repro.core import CanopusEncoder, LevelScheme
+from repro.core.decimation_plan import _spatial_chunks
 from repro.core.decode_engine import DecodeEngine
 from repro.core.progressive import ProgressiveReader
 from repro.core.restored_cache import get_geometry_cache, get_restored_cache
 from repro.errors import QueryError, RestorationError
 from repro.io import BPDataset
-from repro.io.query import ChunkStats, QueryEngine
+from repro.io.query import ChunkStats
 from repro.query import (
     QueryPlanner,
     RetrievalPlan,
     blob_query,
     normalize_region,
+    parse_region,
+    parse_shape,
     stats_query,
 )
 from repro.session import Session
@@ -122,36 +126,48 @@ class TestChunkStats:
 
 
 # ---------------------------------------------------------------------------
-class TestQueryEngineCold:
-    """Predicates over the cold-opened catalog (no data I/O at all)."""
+class TestSummariesCold:
+    """Summary pruning over the cold-opened catalog (no payload I/O)."""
 
-    def test_candidates_above_prunes_provably_low_chunks(self, campaign):
+    def test_blob_pruned_chunks_cannot_hold_a_value_above_threshold(
+        self, campaign, engine
+    ):
         ds, h = campaign
-        q = QueryEngine(BPDataset.open("q", h))
-        everything = q.candidates_above(-np.inf, kind="delta")
-        nothing = q.candidates_above(np.inf, kind="delta")
-        mid = q.candidates_above(
-            float(np.quantile(ds.field, 0.99)) * 0.01, kind="delta"
+        chunks = _spatial_chunks(ds.mesh.vertices, CHUNKS)
+        assert len(chunks) == CHUNKS
+        before = h.clock.bytes_moved(op="read")
+        assert blob_query(engine, "dpot", threshold=np.inf)["pruned_chunks"] == (
+            CHUNKS
         )
-        assert everything and not nothing
-        assert set(nothing) <= set(mid) <= set(everything)
+        assert h.clock.bytes_moved(op="read") == before
+        threshold = float(np.quantile(ds.field, 0.75))
+        result = blob_query(engine, "dpot", threshold=threshold, shape=(32, 32))
+        # Pruned exactly where no original value reaches the threshold.
+        below = sum(1 for idx in chunks if ds.field[idx].max() < threshold)
+        assert result["pruned_chunks"] == below > 0
+        assert result["candidate_chunks"] == CHUNKS - below > 0
 
-    def test_candidates_significant_monotone(self, campaign):
-        _, h = campaign
-        q = QueryEngine(BPDataset.open("q", h))
-        counts = [
-            len(q.candidates_significant(m, kind="delta"))
+    def test_significance_skips_chunks_monotonically(self, engine):
+        planner = QueryPlanner(engine)
+        pruned = [
+            planner.plan_restore(
+                "dpot", level=0, min_significance=m
+            ).pruned_chunks
             for m in (0.0, 1e-3, 1e-2, 1e-1)
         ]
-        assert counts == sorted(counts, reverse=True)
-        assert counts[-1] < counts[0]
+        assert pruned == sorted(pruned)
+        assert pruned[0] == 0 < pruned[-1]
 
-    def test_prune_report_accounts_bytes(self, campaign):
-        ds, h = campaign
-        q = QueryEngine(BPDataset.open("q", h))
-        report = q.prune_report(float(ds.field.max()) * 2, kind="delta")
-        assert report["kept_products"] < report["total_products"]
-        assert report["kept_bytes"] < report["total_bytes"]
+    def test_plan_accounts_bytes(self, campaign, engine):
+        ds, _ = campaign
+        planner = QueryPlanner(engine)
+        full = planner.plan_restore("dpot", level=0)
+        pruned = planner.plan_restore(
+            "dpot", level=0, min_significance=float(ds.field.max()) * 2
+        )
+        assert full.skipped_bytes == 0 < pruned.skipped_bytes
+        assert pruned.planned_bytes < full.planned_bytes
+        assert pruned.planned_bytes + pruned.skipped_bytes == full.planned_bytes
 
     def test_every_payload_product_has_a_summary(self, campaign):
         _, h = campaign
@@ -425,6 +441,20 @@ class TestValidation:
         assert normalize_region(None) is None
         lo, hi = normalize_region(((0, 0), (1, 1)))
         assert lo.dtype == np.float64 and hi.shape == (2,)
+
+    def test_text_region_and_shape(self):
+        """One syntax for ``region=``/``shape=``, on the CLI and the wire."""
+        assert parse_region(None) is None and parse_region("") is None
+        lo, hi = parse_region("-1,0.5:2,3")
+        assert lo.tolist() == [-1.0, 0.5] and hi.tolist() == [2.0, 3.0]
+        for bad in ("0,0", "a,0:1,1", "0,0,0:1,1,1", "1,1:0,0", "0,0:inf,1"):
+            with pytest.raises(QueryError):
+                parse_region(bad)
+        assert parse_shape(None) == parse_shape("") == (128, 128)
+        assert parse_shape("32,64") == (32, 64)
+        for bad in ("32", "32,x", "0,32", "1,2,3"):
+            with pytest.raises(QueryError):
+                parse_shape(bad)
 
     def test_level_and_tolerance_conflict(self, campaign, engine):
         with pytest.raises(RestorationError):

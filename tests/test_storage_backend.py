@@ -412,21 +412,6 @@ class TestTierOverBackends:
         assert tier.read_range("x.bin", 10, 5) == bytes(range(10, 15))
         assert tier.clock.events[-1].nbytes == 5
 
-    def test_peek_many(self, tier):
-        tier.write("a.bin", bytes(range(64)))
-        tier.write("b.bin", b"q" * 10)
-        before = tier.clock.elapsed
-        blobs = tier.peek_many([("b.bin", 0, 3), ("a.bin", 60, 4)])
-        assert blobs == [b"qqq", bytes(range(60, 64))]
-        assert tier.clock.elapsed == before  # peeks are uncharged
-
-    def test_peek_many_validates_bounds(self, tier):
-        tier.write("a.bin", b"abc")
-        with pytest.raises(StorageError):
-            tier.peek_many([("a.bin", 0, 4)])
-        with pytest.raises(StorageError):
-            tier.peek_many([("ghost", 0, 1)])
-
     def test_capacity_enforced(self, tmp_path):
         tier = StorageTier("t", "ssd", 10, backend=MemoryBackend())
         tier.write("a", b"12345")

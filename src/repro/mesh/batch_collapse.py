@@ -102,6 +102,50 @@ def _area2(p: np.ndarray) -> np.ndarray:
     return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
 
 
+def _edges(tris: np.ndarray, n: int):
+    """Unique edges ``(eu, ev)`` of ``tris`` (``eu < ev``, sorted) and the
+    number of triangles sharing each."""
+    a, b = tris[:, [0, 1, 0]].ravel(), tris[:, [1, 2, 2]].ravel()
+    ekey = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+    del a, b
+    ekey.sort()
+    starts = np.flatnonzero(np.r_[True, ekey[1:] != ekey[:-1], True])
+    ekey = ekey[starts[:-1]]
+    return ekey // n, ekey % n, np.diff(starts)
+
+
+def _link_ok(eu: np.ndarray, ev: np.ndarray, shared: np.ndarray, n: int):
+    """Link condition per edge: #common neighbours == #shared triangles.
+
+    Common neighbours come from one sparse product of the adjacency; it
+    and the product are the round's largest temporaries, so they live
+    only here.
+    """
+    adj = sparse.csr_matrix(
+        (np.ones(2 * len(eu), dtype=np.int32), (np.r_[eu, ev], np.r_[ev, eu])),
+        shape=(n, n),
+    )
+    return np.asarray((adj @ adj)[eu, ev]).ravel() == shared
+
+
+def _dedupe_triangles(tris: np.ndarray, n: int) -> np.ndarray:
+    """``tris`` without repeated vertex sets; first occurrences, in order.
+
+    Vertex ids are in ``[0, n)``. The sorted corners are compared as a
+    pair of keys, ``c0*n + c1`` and ``c2``, which fit int64 while
+    ``n < 2**31``; one packed key ``(c0*n + c1)*n + c2`` would wrap once
+    ``n > 2**21`` and merge distinct faces.
+    """
+    if not len(tris):
+        return tris
+    canon = np.sort(tris, axis=1).astype(np.int64)
+    key = canon[:, 0] * n + canon[:, 1]
+    order = np.lexsort((canon[:, 2], key))  # stable: ties by position
+    key, c2 = key[order], canon[order, 2]
+    first = order[np.r_[True, (key[1:] != key[:-1]) | (c2[1:] != c2[:-1])]]
+    return tris[np.sort(first)]
+
+
 def _flip_rejects(pos, tris, su, sv, merged_pos) -> np.ndarray:
     """Mask of the selected collapses that flip or squash a triangle.
 
@@ -110,7 +154,7 @@ def _flip_rejects(pos, tris, su, sv, merged_pos) -> np.ndarray:
     its old and at its merged position. Triangles with two merged
     corners die with the edge and are not looked at.
     """
-    own = np.full(len(pos), -1, dtype=np.int64)
+    own = np.full(len(pos), -1, dtype=tris.dtype)
     own[su] = own[sv] = np.arange(len(su))
     owners = own[tris]
     moved = owners >= 0
@@ -124,6 +168,70 @@ def _flip_rejects(pos, tris, su, sv, merged_pos) -> np.ndarray:
     reject = np.zeros(len(su), dtype=bool)
     reject[owner[_area2(p) < _MIN_AREA_FRACTION * before]] = True
     return reject
+
+
+def _select(eu, ev, pool, gkey, n, remaining, pos, tris, placement):
+    """Sub-iterated Luby selection over one round's short-edge ``pool``.
+
+    Returns the selected edges (closed 1-rings pairwise disjoint, at
+    most ``remaining`` of them), the edges the flip/sliver guard
+    rejected, and the mask of the ``n`` vertices the selection merges.
+    """
+    n_edges = len(eu)
+    # Only ranks inside the pool are ever compared (avail ⊂ pool).
+    big = np.int64(n_edges)
+    rnk = np.full(n_edges, big)
+    rnk[pool] = _hash_ranks(gkey[pool])
+    merged_mask = np.zeros(n, dtype=bool)
+    sel_parts: list[np.ndarray] = []
+    rej_parts: list[np.ndarray] = []
+    n_sel = 0
+    avail = pool.copy()
+    while avail.any() and n_sel < remaining:
+        rank_eff = np.where(avail, rnk, big)
+        m1 = np.full(n, big, dtype=np.int64)
+        np.minimum.at(m1, eu, rank_eff)
+        np.minimum.at(m1, ev, rank_eff)
+        # Propagate over ALL mesh edges: conflicts come from mesh
+        # adjacency, not just pool membership.
+        m2 = m1.copy()
+        np.minimum.at(m2, eu, m1[ev])
+        np.minimum.at(m2, ev, m1[eu])
+        selected = avail & (rank_eff == m2[eu]) & (rank_eff == m2[ev])
+        sel = np.flatnonzero(selected)
+        if len(sel) == 0:
+            break  # unreachable while avail is non-empty; safety net
+        if n_sel + len(sel) > remaining:
+            sel = sel[np.argsort(rnk[sel])][: remaining - n_sel]
+        # Flip/sliver guard: a rejected edge leaves the round without
+        # blocking its neighbours, so the round keeps filling.
+        su, sv_ = eu[sel], ev[sel]
+        reject = _flip_rejects(
+            pos, tris, su, sv_, _merge(pos, su, sv_, placement)
+        )
+        if reject.any():
+            rej_parts.append(sel[reject])
+            avail[sel[reject]] = False
+            sel = sel[~reject]
+        sel_parts.append(sel)
+        n_sel += len(sel)
+        # Block the closed neighborhoods of the merged endpoints so
+        # later sub-iterations stay 1-ring disjoint from this one
+        # (their link conditions are then also still valid). Blocking
+        # radiates exactly one hop from merged vertices — recomputed
+        # from merged_mask so it never compounds across sub-iterations.
+        merged_mask[eu[sel]] = True
+        merged_mask[ev[sel]] = True
+        blocked = merged_mask.copy()
+        blocked[ev[merged_mask[eu]]] = True
+        blocked[eu[merged_mask[ev]]] = True
+        avail &= ~blocked[eu] & ~blocked[ev]
+    empty = np.empty(0, dtype=np.intp)
+    return (
+        np.concatenate([empty, *sel_parts]),
+        np.concatenate([empty, *rej_parts]),
+        merged_mask,
+    )
 
 
 def decimate_batched(
@@ -152,7 +260,11 @@ def decimate_batched(
     target_cuts = n0 - target_vertices
 
     pos = np.array(mesh.vertices, dtype=np.float64)
-    tris = np.array(mesh.triangles, dtype=np.int64)
+    # Triangles are stored as int32 while ids fit. Edge endpoints stay
+    # intp: every gather and ufunc.at would cast int32 indices back, and
+    # the Luby loop gathers through them many times per round.
+    idx = np.int32 if n0 < 2**31 else np.int64
+    tris = np.array(mesh.triangles, dtype=idx)
     vals = {
         name: np.asarray(arr, dtype=np.float64).copy()
         for name, arr in field_map.items()
@@ -194,13 +306,7 @@ def decimate_batched(
             break
 
         # --- live edge set + shared-triangle multiplicity ----------------
-        a, b = tris[:, [0, 1, 0]].ravel(), tris[:, [1, 2, 2]].ravel()
-        ekey = np.minimum(a, b) * n + np.maximum(a, b)
-        ekey.sort()
-        starts = np.flatnonzero(np.r_[True, ekey[1:] != ekey[:-1], True])
-        ekey, shared = ekey[starts[:-1]], np.diff(starts)
-        eu = ekey // n
-        ev = ekey % n
+        eu, ev, shared = _edges(tris, n)
         n_edges = len(eu)  # >= 3: tris is not empty
 
         # --- priorities ---------------------------------------------------
@@ -211,8 +317,7 @@ def decimate_batched(
                 n_edges,
             )
         else:
-            d = pos[eu] - pos[ev]
-            prio = np.hypot(d[:, 0], d[:, 1])
+            prio = np.hypot(*(pos[eu] - pos[ev]).T)
             if priority == "data_aware":
                 jump = np.zeros(n_edges, dtype=np.float64)
                 for arr in vals.values():
@@ -226,9 +331,9 @@ def decimate_batched(
                 )
 
         # --- skip penalties / bans (keyed on extended ids) ---------------
-        gmin = np.minimum(gid[eu], gid[ev])
-        gmax = np.maximum(gid[eu], gid[ev])
-        gkey = (gmin << 32) | gmax
+        gu, gv = gid[eu], gid[ev]
+        gkey = (np.minimum(gu, gv) << 32) | np.maximum(gu, gv)
+        del gu, gv
         banned = np.zeros(n_edges, dtype=bool)
         if len(skip_keys):
             loc = np.minimum(
@@ -239,14 +344,7 @@ def decimate_batched(
             prio = prio * _SKIP_PENALTY ** counts
 
         # --- link condition, vectorized -----------------------------------
-        und_u = np.concatenate([eu, ev])
-        und_v = np.concatenate([ev, eu])
-        adj = sparse.csr_matrix(
-            (np.ones(len(und_u), dtype=np.int32), (und_u, und_v)),
-            shape=(n, n),
-        )
-        common = np.asarray((adj @ adj)[eu, ev]).ravel()
-        link_ok = common == shared
+        link_ok = _link_ok(eu, ev, shared, n)
         fails = np.flatnonzero(~link_ok & ~banned)
         skipped += len(fails)
 
@@ -258,58 +356,14 @@ def decimate_batched(
                 pool = candidate
 
         # --- sub-iterated Luby selection over the pool ---------------------
-        # Only ranks inside the pool are ever compared (avail ⊂ pool).
-        big = np.int64(n_edges)
-        rnk = np.full(n_edges, big)
-        rnk[pool] = _hash_ranks(gkey[pool])
-        merged_mask = np.zeros(n, dtype=bool)
-        sel_parts: list[np.ndarray] = []
-        rej_parts: list[np.ndarray] = []
-        n_sel = 0
-        remaining = target_cuts - cuts
-        avail = pool.copy()
-        while avail.any() and n_sel < remaining:
-            rank_eff = np.where(avail, rnk, big)
-            m1 = np.full(n, big, dtype=np.int64)
-            np.minimum.at(m1, eu, rank_eff)
-            np.minimum.at(m1, ev, rank_eff)
-            # Propagate over ALL mesh edges: conflicts come from mesh
-            # adjacency, not just pool membership.
-            m2 = m1.copy()
-            np.minimum.at(m2, eu, m1[ev])
-            np.minimum.at(m2, ev, m1[eu])
-            selected = avail & (rank_eff == m2[eu]) & (rank_eff == m2[ev])
-            sel = np.flatnonzero(selected)
-            if len(sel) == 0:
-                break  # unreachable while avail is non-empty; safety net
-            if n_sel + len(sel) > remaining:
-                sel = sel[np.argsort(rnk[sel])][: remaining - n_sel]
-            # Flip/sliver guard: a rejected edge leaves the round without
-            # blocking its neighbours, so the round keeps filling.
-            su, sv_ = eu[sel], ev[sel]
-            reject = _flip_rejects(
-                pos, tris, su, sv_, _merge(pos, su, sv_, placement)
-            )
-            if reject.any():
-                rej_parts.append(sel[reject])
-                avail[sel[reject]] = False
-                sel = sel[~reject]
-            sel_parts.append(sel)
-            n_sel += len(sel)
-            # Block the closed neighborhoods of the merged endpoints so
-            # later sub-iterations stay 1-ring disjoint from this one
-            # (their link conditions are then also still valid). Blocking
-            # radiates exactly one hop from merged vertices — recomputed
-            # from merged_mask so it never compounds across sub-iterations.
-            merged_mask[eu[sel]] = True
-            merged_mask[ev[sel]] = True
-            blocked = merged_mask.copy()
-            blocked[und_v[merged_mask[und_u]]] = True
-            avail &= ~blocked[eu] & ~blocked[ev]
+        sel, rejected, merged_mask = _select(
+            eu, ev, pool, gkey, n, target_cuts - cuts, pos, tris, placement
+        )
+        n_sel = len(sel)
         # Link failures and guard rejections (distinct edges) each count
         # one more failure in the sorted key / count pair.
-        failed = np.concatenate([fails, *rej_parts])
-        flip_rejects += len(failed) - len(fails)
+        failed = np.concatenate([fails, rejected])
+        flip_rejects += len(rejected)
         if len(failed):
             keys, inv = np.unique(
                 np.concatenate([skip_keys, gkey[failed]]), return_inverse=True
@@ -324,7 +378,6 @@ def decimate_batched(
                 break
             rounds += 1
             continue
-        sel = np.concatenate(sel_parts)
         su, sv_ = eu[sel], ev[sel]
 
         # --- collapse the whole round at once -----------------------------
@@ -335,9 +388,9 @@ def decimate_batched(
 
         survivors = np.flatnonzero(~merged_mask)
         ns = len(survivors)
-        remap = np.empty(n, dtype=np.int64)
-        remap[survivors] = np.arange(ns, dtype=np.int64)
-        remap[su] = remap[sv_] = ns + np.arange(n_sel, dtype=np.int64)
+        remap = np.empty(n, dtype=idx)
+        remap[survivors] = np.arange(ns)
+        remap[su] = remap[sv_] = ns + np.arange(n_sel)
 
         pos = np.concatenate([pos[survivors], _merge(pos, su, sv_, placement)])
         gid = np.concatenate([gid[survivors], new_gids])
@@ -355,14 +408,7 @@ def decimate_batched(
             | (t2[:, 1] == t2[:, 2])
             | (t2[:, 0] == t2[:, 2])
         )
-        t2 = t2[~deg]
-        if len(t2):
-            canon = np.sort(t2, axis=1)
-            nn = len(pos)
-            ck = (canon[:, 0] * nn + canon[:, 1]) * nn + canon[:, 2]
-            _, first = np.unique(ck, return_index=True)
-            t2 = t2[np.sort(first)]
-        tris = t2
+        tris = _dedupe_triangles(t2[~deg], len(pos))
 
         cuts += n_sel
         rounds += 1

@@ -27,6 +27,22 @@ __all__ = ["TriangleLocator", "barycentric_coordinates"]
 
 _INSIDE_EPS = 1e-9
 
+# Points per locate block: a block's (point, candidate) pairs are the
+# only temporaries that grow with the query.
+_BLOCK = 4096
+# Triangles per build block (cell expansion and prefilter boxes).
+_TRI_BLOCK = 16384
+
+# Prefilter (docs/refactoring.md, "Point location"): a pair reaches the
+# exact solve only if the point lies in the triangle's bbox widened by
+# _BOX_SLACK × D (D = longest edge from corner 0). Outside that box the
+# solve's rounded w provably fails the -_INSIDE_EPS test when
+# D² / area ≤ _MAX_ASPECT and D is in range; other triangles bypass it.
+_BOX_SLACK = 1e-3
+_MAX_ASPECT = 1e3
+_MIN_EDGE, _MAX_EDGE = 1e-60, 1e60
+_MIN_REL_EDGE = 1e-9
+
 
 def barycentric_coordinates(
     points: np.ndarray, tri_points: np.ndarray
@@ -44,6 +60,10 @@ def barycentric_coordinates(
     -------
     ``(n, 3)`` coordinates ``(w_i, w_j, w_k)`` summing to 1. Values may lie
     outside [0, 1] for points outside their triangle (linear extrapolation).
+
+    The locator's prefilter is exact only for this operation order; its
+    rounding bound (docs/refactoring.md, "Point location") must be
+    redone if the solve changes.
     """
     points = np.asarray(points, dtype=np.float64)
     tri_points = np.asarray(tri_points, dtype=np.float64)
@@ -77,7 +97,11 @@ class TriangleLocator:
 
     The grid resolution targets a handful of triangles per cell:
     ``cells ≈ n_triangles``, so build is O(m) and a point query inspects
-    only the triangles whose bounding box overlaps its cell.
+    only the triangles whose bounding box overlaps its cell. Build and
+    query both run in fixed-size blocks, so their temporaries are
+    O(block), not O(triangles × cells) or O(points × candidates);
+    docs/refactoring.md ("Point location") has the bounds and the
+    prefilter's exactness argument.
     """
 
     def __init__(self, mesh: TriangleMesh, cells_per_triangle: float = 1.0):
@@ -90,34 +114,68 @@ class TriangleLocator:
         self._lo = lo
         self._cell = span / n_cells
         self._n = n_cells
+        m = mesh.num_triangles
 
-        tri_pts = mesh.vertices[mesh.triangles]  # (m, 3, 2)
-        ilo = self._cell_index(tri_pts.min(axis=1))
-        ihi = self._cell_index(tri_pts.max(axis=1))
         # Bucket triangle ids by every cell their bbox covers — CSR over
-        # the dense cell grid, built by expanding each triangle into its
-        # (bbox width × height) covered cells in one shot.
-        wx = ihi[:, 0] - ilo[:, 0] + 1
-        wy = ihi[:, 1] - ilo[:, 1] + 1
-        counts = wx * wy
-        tri_ids = np.repeat(
-            np.arange(mesh.num_triangles, dtype=np.int64), counts
+        # the dense cell grid, built by expanding each block of triangles
+        # into its (bbox width × height) covered cells.
+        self._box = np.empty((4, m), dtype=np.float64)  # x0, y0, x1, y1
+        self._exact = np.empty(m, dtype=bool)
+        cell_parts, tri_parts = [], []
+        for s in range(0, m, _TRI_BLOCK):
+            p = mesh.vertices[mesh.triangles[s:s + _TRI_BLOCK]]  # (b, 3, 2)
+            tlo, thi = p.min(axis=1), p.max(axis=1)
+            self._fill_prefilter(s, p, tlo, thi)
+            ilo, ihi = self._cell_index(tlo), self._cell_index(thi)
+            wy = ihi[:, 1] - ilo[:, 1] + 1
+            counts = (ihi[:, 0] - ilo[:, 0] + 1) * wy
+            owner = np.repeat(np.arange(len(p)), counts)
+            local = np.arange(len(owner)) - np.repeat(
+                np.cumsum(counts) - counts, counts
+            )
+            flat = (ilo[owner, 0] + local // wy[owner]) * n_cells + (
+                ilo[owner, 1] + local % wy[owner]
+            )
+            cell_parts.append(flat.astype(_index_dtype(n_cells * n_cells)))
+            tri_parts.append((owner + s).astype(_index_dtype(m)))
+        flat = np.concatenate(cell_parts)
+        del cell_parts
+        # Entries are generated in ascending triangle id, so a stable sort
+        # by cell keeps ids ascending within each bucket: a query hitting
+        # several containing triangles picks the lowest id.
+        order = np.argsort(flat, kind="stable")
+        self._bucket_tris = np.concatenate(tri_parts)[order]
+        del tri_parts, order
+        indptr = np.zeros(n_cells * n_cells + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(flat, minlength=n_cells * n_cells), out=indptr[1:]
         )
-        offsets = np.concatenate([[0], np.cumsum(counts[:-1])])
-        local = np.arange(len(tri_ids), dtype=np.int64) - np.repeat(
-            offsets, counts
+        self._bucket_indptr = indptr.astype(_index_dtype(len(flat)))
+        # Built on the first point outside every triangle (see locate).
+        self._centroid_tree: cKDTree | None = None
+
+    def _fill_prefilter(self, s, p, tlo, thi) -> None:
+        """Prefilter boxes and bypass flags for triangles ``s, s+1, …``.
+
+        A triangle's box is its bbox widened by ``_BOX_SLACK`` × D, with
+        D its longest edge from corner 0. Triangles outside the range
+        where the slack argument holds — aspect D²/area above
+        ``_MAX_ASPECT``, degenerate, extreme or non-finite D — are flagged
+        ``_exact`` and bypass the prefilter.
+        """
+        v0, v1 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        d = np.maximum(np.hypot(v0[:, 0], v0[:, 1]), np.hypot(v1[:, 0], v1[:, 1]))
+        area2 = np.abs(v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0])
+        ok = (
+            (d * d <= _MAX_ASPECT * area2)
+            & (d >= _MIN_EDGE) & (d <= _MAX_EDGE)
+            & (d >= _MIN_REL_EDGE * np.abs(p).max(axis=(1, 2)))
         )
-        cx = ilo[tri_ids, 0] + local // wy[tri_ids]
-        cy = ilo[tri_ids, 1] + local % wy[tri_ids]
-        flat = cx * n_cells + cy
-        # Sort by cell, triangle id ascending within each bucket, so a
-        # query hitting several containing triangles picks the lowest id.
-        order = np.lexsort((tri_ids, flat))
-        self._bucket_tris = tri_ids[order]
-        self._bucket_indptr = np.searchsorted(
-            flat[order], np.arange(n_cells * n_cells + 1, dtype=np.int64)
-        )
-        self._centroid_tree = cKDTree(mesh.triangle_centroids())
+        e = s + len(p)
+        self._exact[s:e] = ~ok
+        slack = (_BOX_SLACK * d)[:, None]
+        self._box[:2, s:e] = (tlo - slack).T
+        self._box[2:, s:e] = (thi + slack).T
 
     def _cell_index(self, points: np.ndarray) -> np.ndarray:
         idx = ((points - self._lo) / self._cell).astype(np.int64)
@@ -129,10 +187,11 @@ class TriangleLocator:
         """Locate every point; return ``(triangle_ids, barycentric)``.
 
         ``triangle_ids`` is ``(n,)`` int64; ``barycentric`` is ``(n, 3)``.
-        Points inside the mesh get their containing triangle; points
-        outside get the nearest-centroid triangle with extrapolated
-        coordinates when ``allow_fallback`` (otherwise
-        :class:`PointLocationError` is raised).
+        Points inside the mesh get their containing triangle (the lowest
+        id when several contain it); points outside get the
+        nearest-centroid triangle with extrapolated coordinates when
+        ``allow_fallback`` (otherwise :class:`PointLocationError` is
+        raised).
         """
         points = np.asarray(points, dtype=np.float64)
         single = points.ndim == 1
@@ -141,34 +200,10 @@ class TriangleLocator:
         n = len(points)
         tri_ids = np.full(n, -1, dtype=np.int64)
         bary = np.zeros((n, 3), dtype=np.float64)
-
-        cells = self._cell_index(points)
-        flat = cells[:, 0] * self._n + cells[:, 1]
-        verts = self.mesh.vertices
-        tris = self.mesh.triangles
-
-        # One flat (point, candidate) pair expansion: every point is
-        # paired with each triangle bucketed in its cell, the barycentric
-        # solve runs over all pairs at once, and the first containing
-        # candidate per point (lowest triangle id) wins.
-        starts = self._bucket_indptr[flat]
-        counts = self._bucket_indptr[flat + 1] - starts
-        total = int(counts.sum())
-        if total:
-            pt = np.repeat(np.arange(n, dtype=np.int64), counts)
-            offsets = np.concatenate([[0], np.cumsum(counts[:-1])])
-            local = np.arange(total, dtype=np.int64) - np.repeat(
-                offsets, counts
+        for s in range(0, n, _BLOCK):
+            self._locate_block(
+                points[s:s + _BLOCK], tri_ids[s:s + _BLOCK], bary[s:s + _BLOCK]
             )
-            cand = self._bucket_tris[np.repeat(starts, counts) + local]
-            w = barycentric_coordinates(points[pt], verts[tris[cand]])
-            inside = np.flatnonzero(w.min(axis=1) >= -_INSIDE_EPS)
-            # pt is non-decreasing, so the first occurrence of each point
-            # among the inside pairs is its lowest-id containing triangle.
-            hits, first = np.unique(pt[inside], return_index=True)
-            sel = inside[first]
-            tri_ids[hits] = cand[sel]
-            bary[hits] = w[sel]
 
         missing = np.flatnonzero(tri_ids < 0)
         if len(missing):
@@ -176,13 +211,59 @@ class TriangleLocator:
                 raise PointLocationError(
                     f"{len(missing)} point(s) outside the mesh"
                 )
+            if self._centroid_tree is None:
+                self._centroid_tree = cKDTree(self.mesh.triangle_centroids())
             _, nearest = self._centroid_tree.query(points[missing])
             nearest = np.atleast_1d(nearest).astype(np.int64)
             tri_ids[missing] = nearest
             bary[missing] = barycentric_coordinates(
-                points[missing], verts[tris[nearest]]
+                points[missing], self.mesh.vertices[self.mesh.triangles[nearest]]
             )
 
         if single:
             return tri_ids[:1], bary[:1]
         return tri_ids, bary
+
+    def _locate_block(self, points, tri_ids, bary) -> None:
+        """Fill ``tri_ids``/``bary`` (views) for the points that a triangle
+        contains; the rest stay ``-1``.
+
+        Every point is paired with each triangle bucketed in its cell; the
+        prefilter drops pairs that provably fail the containment test, the
+        barycentric solve runs over the rest at once (it is row-wise, so
+        its bits do not depend on which pairs share the call), and the
+        first containing candidate per point (lowest triangle id) wins.
+        """
+        cells = self._cell_index(points)
+        flat = cells[:, 0] * self._n + cells[:, 1]
+        starts = self._bucket_indptr[flat].astype(np.int64)
+        counts = self._bucket_indptr[flat + 1] - starts
+        total = int(counts.sum())
+        if not total:
+            return
+        pt = np.repeat(np.arange(len(points)), counts)
+        cand = self._bucket_tris[
+            np.arange(total) - np.repeat(np.cumsum(counts) - counts - starts, counts)
+        ]
+        x, y = points[:, 0][pt], points[:, 1][pt]
+        x0, y0, x1, y1 = self._box
+        keep = (x >= x0[cand]) & (y >= y0[cand]) & (x <= x1[cand]) & (y <= y1[cand])
+        keep |= self._exact[cand]
+        pt, cand = pt[keep], cand[keep]
+        w = barycentric_coordinates(
+            points[pt], self.mesh.vertices[self.mesh.triangles[cand]]
+        )
+        inside = np.flatnonzero(w.min(axis=1) >= -_INSIDE_EPS)
+        # pt is non-decreasing, so the first occurrence of each point
+        # among the inside pairs is its lowest-id containing triangle.
+        hit_pt = pt[inside]
+        first = np.ones(len(hit_pt), dtype=bool)
+        first[1:] = hit_pt[1:] != hit_pt[:-1]
+        sel = inside[first]
+        tri_ids[pt[sel]] = cand[sel]
+        bary[pt[sel]] = w[sel]
+
+
+def _index_dtype(limit: int):
+    """int32 when every index below ``limit`` fits, else int64."""
+    return np.int32 if limit < 2**31 else np.int64

@@ -343,3 +343,29 @@ class TestFlipGuard:
                 root[lineage.src_u[sl]], root[lineage.src_v[sl]]
             )
         assert (np.diff(root[lineage.alive_ids]) > 0).all()
+
+
+class TestTriangleDedupe:
+    """``_dedupe_triangles``: the round's duplicate-face filter."""
+
+    def test_faces_whose_packed_keys_wrap_stay_distinct(self):
+        n = 2**22
+        t = np.array(
+            [[1, 2**21 + 5, 2**21 + 6], [1 + 2**20, 2**21 + 5, 2**21 + 6]]
+        )
+        # (c0*n + c1)*n + c2 differs by 2**20 * n * n = 2**64 between the
+        # two faces, so in int64 the two keys are equal.
+        packed = (t[:, 0] * n + t[:, 1]) * n + t[:, 2]
+        assert packed[0] == packed[1]
+        np.testing.assert_array_equal(batch_collapse._dedupe_triangles(t, n), t)
+
+    @pytest.mark.parametrize("n", [7, 2**22])
+    def test_first_occurrence_kept_in_order(self, n):
+        t = np.array([[3, 1, 2], [4, 5, 6], [2, 3, 1], [6, 4, 5], [0, 1, 2]])
+        np.testing.assert_array_equal(
+            batch_collapse._dedupe_triangles(t, n), t[[0, 1, 4]]
+        )
+
+    def test_no_faces(self):
+        t = np.empty((0, 3), dtype=np.int32)
+        assert batch_collapse._dedupe_triangles(t, 7).shape == (0, 3)

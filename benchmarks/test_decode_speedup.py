@@ -1,4 +1,4 @@
-"""Read-path speedup: parallel decode engine + shared restored cache.
+"""Read-path speedup: decode engine + shared restored cache.
 
 The seed read path restored one variable at a time with a fresh decoder
 per analytics session — every session re-read and re-decoded the same
@@ -10,10 +10,10 @@ multi-variable XGC1 dataset both ways, over several analytics sessions
   :class:`~repro.core.decoder.CanopusDecoder` (no pipeline, no
   caches) restores to L0;
 * **fast path** — per session, one
-  :class:`~repro.core.decode_engine.DecodeEngine` (``workers=4``)
-  restores all variables concurrently; the process-wide restored-level
-  and geometry caches stay warm across sessions, so repeat sessions
-  decode nothing.
+  :class:`~repro.core.decode_engine.DecodeEngine` restores all
+  variables with one upfront prefetch batch; the process-wide
+  restored-level and geometry caches stay warm across sessions, so
+  repeat sessions decode nothing.
 
 The structured result lands in ``benchmarks/results/BENCH_decode.json``
 (uploaded as a CI artifact). Asserted: ≥3× wall-time speedup and
@@ -43,7 +43,6 @@ PLANES = 4
 LEVELS = 3
 CHUNKS = 8
 SESSIONS = 5
-WORKERS = 4
 VARIABLES = ["dpot", "apar", "dden"]
 REL_TOL = 1e-4
 MIN_SPEEDUP = 3.0
@@ -89,15 +88,13 @@ def decode_timings(tmp_path_factory):
             seed_fields[var] = dec.restore_to(var, 0, pipeline=False).field
     seed_seconds = time.perf_counter() - t0
 
-    # --- fast path: parallel fan-out + warm process-wide caches ----------
+    # --- fast path: one prefetch batch + warm process-wide caches -------
     get_restored_cache().clear()
     get_geometry_cache().clear()
     t0 = time.perf_counter()
     fast_fields: dict[str, np.ndarray] = {}
     for _session in range(SESSIONS):
-        engine = DecodeEngine(
-            BPDataset.open("fig9-multi", hierarchy), workers=WORKERS
-        )
+        engine = DecodeEngine(BPDataset.open("fig9-multi", hierarchy))
         out = engine.restore_many(VARIABLES, 0)
         fast_fields = {var: state.field for var, state in out.items()}
     fast_seconds = time.perf_counter() - t0
@@ -129,7 +126,7 @@ def test_speedup_and_report(decode_timings, record_result):
             "per_restore_s": f"{seed_s / per_restore:.3f}",
         },
         {
-            "path": f"fast (restore_many, {WORKERS} workers, warm caches)",
+            "path": "fast (restore_many, warm caches)",
             "restores": per_restore,
             "wall_s": f"{fast_s:.3f}",
             "per_restore_s": f"{fast_s / per_restore:.3f}",
@@ -160,7 +157,6 @@ def test_speedup_and_report(decode_timings, record_result):
             "chunks": CHUNKS,
             "variables": VARIABLES,
             "sessions": SESSIONS,
-            "workers": WORKERS,
             "codec": "zfp",
             "rel_tolerance": REL_TOL,
         },
@@ -210,7 +206,6 @@ def test_chunk_decode_benchmark(benchmark, tmp_path):
         chunks=CHUNKS,
     ).encode("bench", src.variable, src.mesh, src.field, LevelScheme(LEVELS))
     engine = DecodeEngine(
-        BPDataset.open("bench", hierarchy),
-        workers=WORKERS, use_restored_cache=False,
+        BPDataset.open("bench", hierarchy), use_restored_cache=False,
     )
     benchmark(lambda: engine.restore(src.variable, 0))

@@ -95,7 +95,7 @@ def _serial_library_baseline(
         level = REQUEST_LEVELS[i % len(REQUEST_LEVELS)]
         engine = DecodeEngine(
             BPDataset.open("fig9-multi", hierarchy),
-            workers=1, use_restored_cache=False, pipeline=False,
+            use_restored_cache=False, pipeline=False,
         )
         state = engine.restore(var, level)
         if not np.array_equal(state.field, expected[(var, level)]):
@@ -163,7 +163,7 @@ def load_results(tmp_path_factory):
     expected: dict[tuple[str, int], np.ndarray] = {}
     ref_h = two_tier_titan(root, fast_capacity=256 << 20,
                            slow_capacity=1 << 38)
-    with Session(ref_h, workers=4) as session:
+    with Session(ref_h) as session:
         camp = session.open("fig9-multi")
         for var in VARIABLES:
             for level in REQUEST_LEVELS:
@@ -181,7 +181,7 @@ def load_results(tmp_path_factory):
     svc_h = two_tier_titan(root, fast_capacity=256 << 20,
                            slow_capacity=1 << 38)
     service = CanopusService(
-        svc_h, tenants=list(TENANTS), workers=4, executor_workers=8
+        svc_h, tenants=list(TENANTS), executor_workers=8
     )
 
     async def _measure(host: str, port: int):
@@ -229,7 +229,6 @@ def load_results(tmp_path_factory):
     traced_service = CanopusService(
         two_tier_titan(root, fast_capacity=256 << 20, slow_capacity=1 << 38),
         tenants=traced_tenants,
-        workers=4,
         executor_workers=8,
         tracing=True,
         trace_capacity=8192,
@@ -412,7 +411,7 @@ def test_per_tenant_metrics_visible(load_results):
 
 
 def test_traced_requests_are_single_span_trees(load_results):
-    """Every kept request is one tree spanning service/data/engine threads."""
+    """Every kept request is one tree spanning service/datanode threads."""
     traces = load_results["traced_traces"]
     stats = load_results["traced_stats"]
     assert sum(r.failures for r in load_results["traced_reports"]) == 0
@@ -427,10 +426,6 @@ def test_traced_requests_are_single_span_trees(load_results):
         assert all(s.trace_id == t.trace_id for s in t.spans)
     threads = {s.thread for t in restores for s in t.spans}
     assert any(th.startswith("repro-datanode") for th in threads), threads
-    assert any(
-        th.startswith(("repro-io", "repro-restore"))
-        for th in threads
-    ), threads
 
 
 def test_traced_sim_read_matches_tenant_counters(load_results):

@@ -151,11 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "a '{var}' placeholder is substituted (default: var suffix "
         "before the extension)",
     )
-    res.add_argument(
-        "--workers", type=int, default=None,
-        help="decode thread-pool width (default: the retrieval "
-        "engine's worker count)",
-    )
     _add_backend_arg(res)
 
     qry = sub.add_parser(
@@ -208,12 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (0 picks a free one)",
     )
     srv.add_argument(
-        "--workers", type=int, default=4,
-        help="decode fan-out width per restore",
-    )
-    srv.add_argument(
         "--executor-workers", type=int, default=8,
-        help="bounded executor size for blocking decode work",
+        help="bounded executor size for blocking decode work (the read "
+        "side's one thread pool)",
     )
     srv.add_argument(
         "--tenants", default=None,
@@ -455,9 +447,8 @@ def _cmd_restore(args) -> int:
 
     hierarchy = _args_hierarchy(args)
     variables = [v for v in args.var.split(",") if v]
-    width = {} if args.workers is None else {"workers": args.workers}
     io_before = hierarchy.clock.elapsed
-    with Session(hierarchy, **width) as session:
+    with Session(hierarchy) as session:
         results = session.open(args.dataset).restore_many(
             variables, step=args.step, level=args.level
         )
@@ -527,7 +518,6 @@ def _cmd_serve(args) -> int:
         tenants=registry,
         host=args.host,
         port=args.port,
-        workers=args.workers,
         executor_workers=args.executor_workers,
         tracing=args.tracing,
         trace_capacity=args.trace_capacity,

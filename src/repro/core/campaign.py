@@ -251,15 +251,13 @@ class CampaignReader:
     def restore_many(
         self, steps=None, target_level: int = 0
     ) -> dict[int, LevelData]:
-        """Restore several timesteps concurrently; ``{step: LevelData}``.
+        """Restore several timesteps; ``{step: LevelData}``.
 
-        Bit-identical to serial :meth:`restore` calls. Geometry is
+        Bit-identical to :meth:`restore` calls one by one. Geometry is
         decoded once up front and every step's base/delta ranges are
-        hinted to the retrieval engine as one overlapped batch before
-        the fan-out (:meth:`DecodeEngine.restore_many`) — the simulated
-        I/O charge is deterministic and the workers, which run inside
-        the caller's trace context, overlap decompression with each
-        other's fetches.
+        hinted to the retrieval engine as one overlapped batch
+        (:meth:`DecodeEngine.restore_many`), so the simulated I/O charge
+        is that one batch; the steps then restore on the calling thread.
         """
         steps = list(self.steps if steps is None else steps)
         chains = self._chains(steps)

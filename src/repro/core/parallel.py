@@ -208,9 +208,8 @@ class PartitionedDecoder:
 
         Every patch's byte ranges are prefetched as one engine batch
         (one overlapped charge, issued deterministically before any
-        decode), then patches are decoded concurrently inside the
-        caller's trace context (:meth:`DecodeEngine.restore_many`) — the
-        read-side mirror of the per-rank parallel encode.
+        decode), then the patches are decoded one by one on the calling
+        thread (:meth:`DecodeEngine.restore_many`).
         """
         restored = self._engine.restore_many(
             [part_chain(self.var, p) for p in range(self.parts)], 0

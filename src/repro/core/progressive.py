@@ -5,11 +5,12 @@ paper describes: start from the base, refine level by level, stop either
 interactively or automatically "if the criteria to terminate (e.g., root
 mean square error between two adjacent levels) is known a priori".
 
-With ``pipeline=True`` the reader overlaps tier I/O with decode: before
-decompressing/applying the current delta it hints the retrieval engine
-with the next levels' byte ranges
-(:meth:`~repro.core.decoder.CanopusDecoder.prefetch_window`), so worker
-threads fetch them while the CPU is busy. Restored fields are
+With ``pipeline=True`` the reader models the overlap of tier I/O with
+decode: before decompressing/applying the current delta it hints the
+retrieval engine with the next levels' byte ranges
+(:meth:`~repro.core.decoder.CanopusDecoder.prefetch_window`), which are
+charged as one overlapped batch and cached before the delta decodes.
+Restored fields are
 bit-identical to the serial path — pipelining changes *when* bytes are
 fetched, never what is applied — while the simulated I/O charge drops to
 the engine's overlapped batch model (per-op latency paid once per batch,

@@ -9,8 +9,8 @@ catalog addresses), evicted strictly least-recently-used, and bounded
 by a byte budget rather than an entry count because range sizes span
 four orders of magnitude (chunk indices to full base payloads).
 
-The cache is thread-safe: the retrieval engine's worker threads insert
-prefetched ranges while the foreground thread reads.
+The cache is thread-safe: the data node's executor threads restore
+through one retrieval engine, and so one cache, at the same time.
 """
 
 from __future__ import annotations

@@ -20,10 +20,10 @@ Each tier receives one BP subfile per dataset; the catalog (global
 metadata) lives on the slowest tier, which every job can reach.
 
 Every read is served through a :class:`~repro.io.engine.RetrievalEngine`
-(per open dataset): a byte-budgeted LRU range cache, concurrent batched
-reads (:meth:`BPDataset.read_many`), and background prefetch
-(:meth:`BPDataset.prefetch`). Payload CRC-32 checksums recorded by the
-catalog at write time are verified on every fetch; pass
+(per open dataset): a byte-budgeted LRU range cache, batched reads
+charged as one concurrent batch (:meth:`BPDataset.read_many`), and
+prefetch (:meth:`BPDataset.prefetch`). Payload CRC-32 checksums
+recorded by the catalog at write time are verified on every fetch; pass
 ``verify_checksums=False`` (or ``read(key, verify=False)``) to opt out,
 e.g. for benchmarks isolating raw transfer cost.
 """
@@ -71,7 +71,6 @@ class BPDataset:
         transports: dict[str, Transport] | None = None,
         verify_checksums: bool = True,
         cache_bytes: int = 64 << 20,
-        workers: int = 4,
         placement: str = DEFAULT_PLACEMENT,
     ) -> None:
         if mode not in ("w", "r"):
@@ -92,7 +91,7 @@ class BPDataset:
         self.verify_checksums = verify_checksums
         self.catalog = Catalog(name)
         self.engine = RetrievalEngine(
-            hierarchy, self.transports, cache_bytes=cache_bytes, workers=workers
+            hierarchy, self.transports, cache_bytes=cache_bytes
         )
         self._writers: dict[str, BPWriter] = {}
         self._closed = False
@@ -260,7 +259,6 @@ class BPDataset:
 
     def close(self) -> None:
         """Flush all subfiles through their transports + write the catalog."""
-        self.engine.close()
         if self.mode != "w" or self._closed:
             self._closed = True
             return
@@ -336,7 +334,8 @@ class BPDataset:
     def prefetch(
         self, keys: list[str], *, verify: bool | None = None, label: str = ""
     ) -> int:
-        """Hint that ``keys`` will be read soon; fetch them in background.
+        """Hint that ``keys`` will be read soon: charge them as one
+        overlapped batch and move them into the range cache now.
 
         Unknown keys are ignored (prefetching is best-effort by design).
         Returns the number of fetch spans issued.

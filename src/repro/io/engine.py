@@ -1,4 +1,4 @@
-"""Concurrent retrieval engine: batched, cached, prefetching range reads.
+"""Retrieval engine: batched, cached, prefetching range reads.
 
 The Canopus read side is where the paper's value lives — analytics
 restore accuracy progressively from base + deltas spread across tiers —
@@ -9,16 +9,22 @@ mechanisms:
 * a byte-budgeted LRU **range cache** (:mod:`repro.io.cache`) so
   repeated progressive queries stop re-paying slow-tier reads;
 * **batched reads** (:meth:`RetrievalEngine.read_many`): requests are
-  coalesced per subfile and issued concurrently across tiers, charged
-  with the overlap model — per-tier batches use the device's stream
-  concurrency (:meth:`~repro.storage.device.DeviceModel.concurrent_read_seconds`)
+  coalesced per subfile and charged as one concurrent batch across
+  tiers with the overlap model — per-tier batches use the device's
+  stream concurrency
+  (:meth:`~repro.storage.device.DeviceModel.concurrent_read_seconds`)
   and different tiers overlap entirely (max-per-tier, via
   :meth:`~repro.storage.simclock.SimClock.charge_concurrent`);
 * **prefetch** (:meth:`RetrievalEngine.prefetch`): the decoder knows
   the next level's keys before it needs them, so their byte ranges are
-  fetched by worker threads while the current delta decompresses; the
-  simulated charge is issued deterministically at submit time, so the
-  accounting never depends on thread scheduling.
+  charged as one overlapped batch when the hint is issued and moved
+  into the cache before the hint returns. The overlap of tier I/O with
+  decode (paper Fig. 9) is what the simulated clock models; the engine
+  owns no threads, so the accounting never depends on scheduling.
+
+Every fetch runs on the calling thread. Concurrent callers asking for
+the same range share one fetch: the first claims the range, fetches it
+and charges it; the others wait on that claim and read the cache.
 
 Real bytes always move through :meth:`Transport.peek_range` (uncharged);
 the engine owns every simulated charge it causes. CRC-32 checksums from
@@ -27,15 +33,16 @@ the catalog are verified on every fetch unless the caller opts out.
 
 from __future__ import annotations
 
+import threading
 import zlib
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
+from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.errors import BPFormatError, StorageError
+from repro.errors import BPFormatError, ReproError, StorageError
 from repro.io.cache import RangeCache
 from repro.io.metadata import VariableRecord
 from repro.io.transports import Transport
-from repro.obs import context as obs_context
 from repro.obs import trace
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.storage.hierarchy import StorageHierarchy
@@ -52,10 +59,11 @@ class EngineStats:
 
     Historically a plain dataclass mutated with ``+=`` from whichever
     thread got there first; now every counter lives in a thread-safe
-    :class:`~repro.obs.metrics.MetricsRegistry` (worker threads update
-    hit counters concurrently with the submit path). The attribute API
-    (``stats.hits``, ``stats.hits_by_tier``, ...) is preserved as
-    read-only properties, so existing benchmarks keep working.
+    :class:`~repro.obs.metrics.MetricsRegistry` (the data node's
+    executor threads restore through one engine concurrently). The
+    attribute API (``stats.hits``, ``stats.hits_by_tier``, ...) is
+    preserved as read-only properties, so existing benchmarks keep
+    working.
     """
 
     #: Scalar counters exposed as attributes and snapshot keys.
@@ -164,8 +172,12 @@ class _Span:
     records: tuple[VariableRecord, ...]
 
 
+#: A record and the claim of the caller fetching it.
+_Wait = tuple[VariableRecord, Future]
+
+
 class RetrievalEngine:
-    """Thread-pool-backed fetcher shared by one open dataset.
+    """Cached, batched fetcher shared by one open dataset.
 
     Parameters
     ----------
@@ -174,8 +186,6 @@ class RetrievalEngine:
     cache_bytes:
         Range-cache budget; ``0`` disables caching *and* prefetching
         (cold-read charges only — the benchmark opt-out).
-    workers:
-        Thread-pool width for concurrent span fetches.
     """
 
     def __init__(
@@ -184,37 +194,17 @@ class RetrievalEngine:
         transports: dict[str, Transport],
         *,
         cache_bytes: int = 64 << 20,
-        workers: int = 4,
     ) -> None:
-        if workers < 1:
-            raise StorageError("engine workers must be >= 1")
         self.hierarchy = hierarchy
         self.transports = transports
         self.cache = RangeCache(cache_bytes)
         self.stats = EngineStats()
-        self._workers = workers
-        self._pool: ThreadPoolExecutor | None = None
-        #: (subfile, offset, length) of an individual record -> span future.
+        #: Guards claiming: a range is looked up in the cache and, on a
+        #: miss, claimed in ``_inflight`` in one step.
+        self._lock = threading.Lock()
+        #: (subfile, offset, length) of a record being fetched -> the
+        #: claim its waiters block on; resolved when the fetch ends.
         self._inflight: dict[tuple[str, int, int], Future] = {}
-
-    # ------------------------------------------------------------------
-    @property
-    def workers(self) -> int:
-        """Thread-pool width (read-only; decoders inherit it by default)."""
-        return self._workers
-
-    def _executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._workers, thread_name_prefix="repro-io"
-            )
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        self._inflight.clear()
 
     # ------------------------------------------------------------------
     def _locate(self, rec: VariableRecord) -> str:
@@ -285,9 +275,65 @@ class RetrievalEngine:
                 )
         return data
 
+    # -- single-flight claims -------------------------------------------
+    def _claim(
+        self, records: list[VariableRecord]
+    ) -> tuple[dict[str, bytes], list[VariableRecord], list[_Wait]]:
+        """Sort ``records`` into cache hits, ranges this caller now owns,
+        and ranges another caller is fetching — in one step, under the
+        lock, so no range is ever fetched by two callers at once.
+
+        Returns ``(hits, owned, waits)``: ``hits`` maps record key to
+        bytes (counted as hits), ``owned`` must be fetched by the caller
+        inside :meth:`_owning`, and each ``waits`` entry pairs a record
+        with the claim to block on before reading the cache.
+        """
+        hits: dict[str, bytes] = {}
+        owned: list[VariableRecord] = []
+        waits: list[_Wait] = []
+        seen: set[tuple[str, int, int]] = set()
+        with self._lock:
+            for rec in records:
+                key = self._key(rec)
+                if key in seen:
+                    continue
+                seen.add(key)
+                entry = self.cache.get(key)
+                if entry is not None:
+                    if entry.prefetched:
+                        entry.prefetched = False
+                        self.stats.incr("prefetch_useful")
+                    self.stats.record_hit(entry.tier, rec.length)
+                    hits[rec.key] = entry.data
+                elif key in self._inflight:
+                    waits.append((rec, self._inflight[key]))
+                else:
+                    self._inflight[key] = Future()
+                    owned.append(rec)
+        return hits, owned, waits
+
+    @contextmanager
+    def _owning(self, owned: list[VariableRecord]):
+        """Release the caller's claims when its fetch ends; an error in
+        the fetch is raised in every waiter too."""
+        error: BaseException | None = None
+        try:
+            yield
+        except BaseException as exc:
+            error = exc
+            raise
+        finally:
+            with self._lock:
+                claims = [self._inflight.pop(self._key(rec)) for rec in owned]
+            for claim in claims:
+                if error is None:
+                    claim.set_result(None)
+                else:
+                    claim.set_exception(error)
+
     # ------------------------------------------------------------------
     def read(self, rec: VariableRecord, *, verify: bool = True) -> bytes:
-        """Fetch one record's bytes: cache → in-flight prefetch → tier.
+        """Fetch one record's bytes: cache → another caller's fetch → tier.
 
         A cold read charges exactly the legacy per-request cost
         (``latency + length / bandwidth``), so serial retrieval through
@@ -303,31 +349,28 @@ class RetrievalEngine:
             return data
 
     def _read(self, rec: VariableRecord, verify: bool) -> bytes:
-        key = self._key(rec)
-        entry = self.cache.get(key)
-        if entry is None:
-            future = self._inflight.get(key)
-            if future is not None:
-                future.result()  # wall-time wait; charge already issued
-                entry = self.cache.get(key)
-        if entry is not None:
-            if entry.prefetched:
-                entry.prefetched = False
-                self.stats.incr("prefetch_useful")
-            self.stats.record_hit(entry.tier, rec.length)
-            return entry.data
-        data, tier_name = self._peek_resilient(
-            self._locate(rec), rec.subfile, rec.offset, rec.length
-        )
-        tier = self.hierarchy.tier(tier_name)
-        tier.clock.charge(
-            tier_name, "read", rec.length,
-            tier.device.read_seconds(rec.length), rec.key,
-        )
-        if verify:
-            self._verify(rec, data)
-        self.stats.record_miss(tier_name, rec.length)
-        self.cache.put(key, data, tier_name)
+        while True:
+            hits, owned, waits = self._claim([rec])
+            if hits:
+                return hits[rec.key]
+            if owned:
+                break
+            # Wall-time wait on the owner's fetch (its charge is issued);
+            # then look again: a hit, or a fresh claim if it was evicted.
+            waits[0][1].result()
+        with self._owning(owned):
+            data, tier_name = self._peek_resilient(
+                self._locate(rec), rec.subfile, rec.offset, rec.length
+            )
+            tier = self.hierarchy.tier(tier_name)
+            tier.clock.charge(
+                tier_name, "read", rec.length,
+                tier.device.read_seconds(rec.length), rec.key,
+            )
+            if verify:
+                self._verify(rec, data)
+            self.stats.record_miss(tier_name, rec.length)
+            self.cache.put(self._key(rec), data, tier_name)
         return data
 
     # ------------------------------------------------------------------
@@ -380,9 +423,26 @@ class RetrievalEngine:
         self.stats.incr("coalesced_spans", len(spans))
         return clock.charge_concurrent(entries, label or "engine-batch")
 
+    def _fetch(
+        self, spans: list[_Span], *, verify: bool, prefetched: bool,
+        label: str,
+    ) -> dict[str, bytes]:
+        """Charge the spans as one overlapped batch, then move their
+        bytes into the cache, span by span, on the calling thread."""
+        self._charge_spans(spans, label)
+        for span in spans:
+            for rec in span.records:
+                self.stats.record_miss(span.tier, rec.length)
+            if prefetched:
+                self.stats.incr("prefetch_issued", len(span.records))
+        out: dict[str, bytes] = {}
+        for span in spans:
+            out.update(self._fetch_span(span, verify=verify, prefetched=prefetched))
+        return out
+
     def _fetch_span(
         self, span: _Span, *, verify: bool, prefetched: bool
-    ) -> dict[tuple[str, int, int], bytes]:
+    ) -> dict[str, bytes]:
         """Move one span's real bytes and fan them out into the cache."""
         tracer = trace.get_tracer()
         if tracer is None:
@@ -401,27 +461,21 @@ class RetrievalEngine:
 
     def _fetch_span_inner(
         self, span: _Span, *, verify: bool, prefetched: bool
-    ) -> dict[tuple[str, int, int], bytes]:
+    ) -> dict[str, bytes]:
         # Cache entries keep the planned tier label even if the retry
         # served the bytes from elsewhere; the charge was already issued
         # against the planned tier at batch time.
         blob, _ = self._peek_resilient(
             span.tier, span.subfile, span.offset, span.length
         )
-        out: dict[tuple[str, int, int], bytes] = {}
-        try:
-            for rec in span.records:
-                lo = rec.offset - span.offset
-                data = blob[lo:lo + rec.length]
-                if verify:
-                    self._verify(rec, data)
-                self.cache.put(
-                    self._key(rec), data, span.tier, prefetched=prefetched
-                )
-                out[self._key(rec)] = data
-        finally:
-            for rec in span.records:
-                self._inflight.pop(self._key(rec), None)
+        out: dict[str, bytes] = {}
+        for rec in span.records:
+            lo = rec.offset - span.offset
+            data = blob[lo:lo + rec.length]
+            if verify:
+                self._verify(rec, data)
+            self.cache.put(self._key(rec), data, span.tier, prefetched=prefetched)
+            out[rec.key] = data
         return out
 
     def read_many(
@@ -431,10 +485,12 @@ class RetrievalEngine:
         verify: bool = True,
         label: str = "",
     ) -> dict[str, bytes]:
-        """Fetch a batch of records, coalesced and issued concurrently.
+        """Fetch a batch of records, coalesced and charged as one
+        concurrent batch.
 
-        Returns ``{record.key: bytes}``. Cached and in-flight ranges are
-        reused; the rest is charged as one overlapped batch.
+        Returns ``{record.key: bytes}``. Cached ranges and ranges another
+        caller is fetching are reused; the rest is charged as one
+        overlapped batch and fetched on the calling thread.
         """
         tracer = trace.get_tracer()
         if tracer is None:
@@ -459,66 +515,15 @@ class RetrievalEngine:
         verify: bool,
         label: str,
     ) -> dict[str, bytes]:
-        out: dict[str, bytes] = {}
-        missing: list[VariableRecord] = []
-        waiting: list[VariableRecord] = []
-        seen: set[tuple[str, int, int]] = set()
-        for rec in records:
-            key = self._key(rec)
-            if key in seen:
-                continue
-            seen.add(key)
-            entry = self.cache.get(key)
-            if entry is not None:
-                if entry.prefetched:
-                    entry.prefetched = False
-                    self.stats.incr("prefetch_useful")
-                self.stats.record_hit(entry.tier, rec.length)
-                out[rec.key] = entry.data
-            elif key in self._inflight:
-                waiting.append(rec)
-            else:
-                missing.append(rec)
-
-        spans = self._coalesce(missing)
-        self._charge_spans(spans, label)
-        for rec in missing:
-            self.stats.record_miss(self._locate(rec), rec.length)
-        if len(spans) > 1:
-            # propagate: worker fetches inherit the submitting request's
-            # trace context (no-op outside a request).
-            fetched = self._executor().map(
-                obs_context.propagate(
-                    lambda s: self._fetch_span(
-                        s, verify=verify, prefetched=False
-                    )
-                ),
-                spans,
-            )
-        else:
-            fetched = (
-                self._fetch_span(s, verify=verify, prefetched=False)
-                for s in spans
-            )
-        by_key = {}
-        for chunk in fetched:
-            by_key.update(chunk)
-        for rec in missing:
-            out[rec.key] = by_key[self._key(rec)]
-
-        for rec in waiting:
-            future = self._inflight.get(self._key(rec))
-            if future is not None:
-                future.result()
-            entry = self.cache.get(self._key(rec))
-            if entry is None:  # evicted between completion and consumption
-                out[rec.key] = self.read(rec, verify=verify)
-                continue
-            if entry.prefetched:
-                entry.prefetched = False
-                self.stats.incr("prefetch_useful")
-            self.stats.record_hit(entry.tier, rec.length)
-            out[rec.key] = entry.data
+        out, owned, waits = self._claim(records)
+        with self._owning(owned):
+            out.update(self._fetch(
+                self._coalesce(owned), verify=verify, prefetched=False,
+                label=label,
+            ))
+        for rec, claim in waits:
+            claim.result()
+            out[rec.key] = self._read(rec, verify)  # a hit unless evicted
         return out
 
     # ------------------------------------------------------------------
@@ -529,50 +534,42 @@ class RetrievalEngine:
         verify: bool = True,
         label: str = "",
     ) -> int:
-        """Start fetching records in the background; returns spans issued.
+        """Move records into the cache ahead of their reads; returns
+        the number of spans fetched.
 
-        The simulated charge for the whole batch is issued *now* (at
-        submit time, overlapped per the batch model); worker threads
-        then move the real bytes into the cache while the caller
-        decompresses/applies the current level. Already-cached and
-        already-in-flight ranges are skipped, so repeated hints are
-        free. A disabled cache (``cache_bytes=0``) turns prefetching
-        into a no-op — there would be nowhere to land the bytes.
+        The simulated charge for the whole batch is issued *now*,
+        overlapped per the batch model — this is the overlap of tier
+        I/O with decode that ``pipeline`` stands for — and the bytes
+        land in the cache before the call returns. Already-cached and
+        already-claimed ranges are skipped, so repeated hints are free.
+        A disabled cache (``cache_bytes=0``) turns prefetching into a
+        no-op — there would be nowhere to land the bytes. Prefetching is
+        best-effort: a failed fetch is raised in any caller waiting on
+        it and again by the read that needs the bytes, not here.
         """
         if self.cache.capacity_bytes == 0:
             return 0
-        missing = []
-        seen: set[tuple[str, int, int]] = set()
-        for rec in records:
-            key = self._key(rec)
-            if key in seen or key in self.cache or key in self._inflight:
-                continue
-            seen.add(key)
-            missing.append(rec)
-        spans = self._coalesce(missing)
-        if not spans:
-            return 0
-        self._charge_spans(spans, label or "prefetch")
-        for rec in missing:
-            self.stats.record_miss(self._locate(rec), rec.length)
-        self.stats.incr("prefetch_issued", len(missing))
-        pool = self._executor()
-        fetch = obs_context.propagate(self._fetch_span)
-        for span in spans:
-            future = pool.submit(
-                fetch, span, verify=verify, prefetched=True
-            )
-            for rec in span.records:
-                self._inflight[self._key(rec)] = future
+        owned: list[VariableRecord] = []
+        with self._lock:
+            for rec in records:
+                key = self._key(rec)
+                if key not in self._inflight and key not in self.cache:
+                    self._inflight[key] = Future()
+                    owned.append(rec)
+        spans: list[_Span] = []
+        try:
+            with self._owning(owned):
+                spans = self._coalesce(owned)
+                self._fetch(
+                    spans, verify=verify, prefetched=True,
+                    label=label or "prefetch",
+                )
+        except ReproError:
+            pass  # the read that needs these bytes raises it again
         return len(spans)
-
-    def drain(self) -> None:
-        """Block until every in-flight prefetch has landed."""
-        for future in list(self._inflight.values()):
-            future.result()
 
     def __repr__(self) -> str:
         return (
             f"RetrievalEngine(cache={self.cache!r}, "
-            f"workers={self._workers}, inflight={len(self._inflight)})"
+            f"inflight={len(self._inflight)})"
         )

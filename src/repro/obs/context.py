@@ -3,9 +3,8 @@
 PR 2's tracer attributed spans and SimClock charges to *threads*
 (``threading.local`` stacks), which is the wrong key for a multi-tenant
 service: one request hops from the asyncio service node onto a shared
-``ThreadPoolExecutor`` in the data node and from there into the
-engine's internal pools, while the same executor thread serves many
-requests back to back. This module keys everything by **request**
+``ThreadPoolExecutor`` in the data node, while the same executor thread
+serves many requests back to back. This module keys everything by **request**
 instead: a small immutable :class:`TraceContext` (trace id, remote
 parent span, tenant, sampling decision) stored in a
 :class:`contextvars.ContextVar`, which

@@ -10,8 +10,8 @@ state at once and the harness can emit it as machine-readable JSON.
 Metrics are identified by ``(name, labels)``; labels are free-form
 string key/value pairs (``counter("engine.hits_by_tier", tier="lustre")``).
 Instruments are created on first use and are safe to mutate from any
-thread — the retrieval engine's worker threads update counters
-concurrently with the submit path.
+thread — the data node's executor threads update one retrieval
+engine's counters concurrently.
 """
 
 from __future__ import annotations

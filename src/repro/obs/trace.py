@@ -20,9 +20,9 @@ records both:
 
 Span stacks live on :mod:`contextvars` (one module-level ContextVar
 holding an immutable tuple), not ``threading.local``: a request that
-hops from the asyncio service node onto the data node's executor and
-into the engine's internal pools keeps ONE stack, provided each pool
-submit wraps the callable with :func:`repro.obs.context.propagate`.
+hops from the asyncio service node onto the data node's executor keeps
+ONE stack, provided each pool submit wraps the callable with
+:func:`repro.obs.context.propagate`.
 That makes the span tree — and SimClock charge attribution — keyed by
 request rather than by thread. Code running outside any request still
 gets natural per-thread roots, because fresh threads start with an

@@ -5,6 +5,8 @@ one process-wide :class:`~repro.session.Session` owns the open datasets
 (and therefore each dataset's retrieval engine + prefetch pipeline),
 and every blocking restore/stat/raw-read runs on a **bounded**
 ``ThreadPoolExecutor`` so the asyncio service node above never blocks.
+That executor is the read side's only thread pool: a restore fetches,
+verifies and decodes on the executor thread that runs it.
 Admission beyond the executor's queue bound is awaited, not rejected —
 backpressure, with the event loop free to keep serving cheap requests.
 The one request answered without the executor is a restore of a product
@@ -27,9 +29,7 @@ Multi-tenant sharing happens here by construction:
   :class:`~repro.obs.context.TraceContext` — each executor job runs
   inside a copy of the submitting request's context
   (:func:`contextvars.copy_context` at submit time), so attribution is
-  keyed by *request*, never by whatever the worker thread ran last,
-  and charges issued from the engine's internal pools (which propagate
-  the same context) land on the right tenant too.
+  keyed by *request*, never by whatever the worker thread ran last.
 
 Delta cursors: every restore result carries an ETag-like cursor
 ``<fp12>.<var>.L<level>.<filter digest>``. A client resuming with the
@@ -66,6 +66,10 @@ from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.policy import AccessTracker
 
 __all__ = ["DataNode", "RestoreResult"]
+
+#: Executor jobs admitted per executor thread; a request past
+#: ``executor_workers * QUEUE_FACTOR`` waits on the event loop.
+QUEUE_FACTOR = 4
 
 
 def _region_json(region) -> list | None:
@@ -127,11 +131,10 @@ class DataNode:
     tenants:
         The registry used for per-tenant sim-read attribution; the
         service node passes the same instance it authenticates with.
-    workers:
-        Decode fan-out width per restore (Session/DecodeEngine width).
     executor_workers:
-        Bounded executor size for blocking work. Queued jobs beyond
-        ``executor_workers * queue_factor`` wait asynchronously.
+        Bounded executor size for blocking work: the read side's one
+        thread pool. Queued jobs beyond
+        ``executor_workers * QUEUE_FACTOR`` wait asynchronously.
     """
 
     def __init__(
@@ -139,9 +142,7 @@ class DataNode:
         hierarchy: StorageHierarchy,
         *,
         tenants: TenantRegistry | None = None,
-        workers: int = 4,
         executor_workers: int = 8,
-        queue_factor: int = 4,
         cache_bytes: int = 64 << 20,
         verify_checksums: bool = True,
     ) -> None:
@@ -151,7 +152,6 @@ class DataNode:
         self.tenants = tenants
         self.session = Session(
             hierarchy,
-            workers=workers,
             cache_bytes=cache_bytes,
             verify_checksums=verify_checksums,
         )
@@ -160,9 +160,7 @@ class DataNode:
             max_workers=self.executor_workers,
             thread_name_prefix="repro-datanode",
         )
-        self._slots = asyncio.Semaphore(
-            self.executor_workers * max(1, int(queue_factor))
-        )
+        self._slots = asyncio.Semaphore(self.executor_workers * QUEUE_FACTOR)
         self._open_lock = threading.Lock()
         #: Handles opened so far; the event loop reads it without the
         #: open lock, which an executor thread may hold across an open.

@@ -560,7 +560,6 @@ class CanopusService:
         tenants: TenantRegistry | list[TenantConfig] | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        workers: int = 4,
         executor_workers: int = 8,
         cache_bytes: int = 64 << 20,
         verify_checksums: bool = True,
@@ -586,7 +585,6 @@ class CanopusService:
         self.datanode = DataNode(
             hierarchy,
             tenants=registry,
-            workers=workers,
             executor_workers=executor_workers,
             cache_bytes=cache_bytes,
             verify_checksums=verify_checksums,

@@ -58,18 +58,16 @@ class Session:
     """One configured connection to a storage hierarchy (read side).
 
     Parameters (all keyword-only) configure every dataset the session
-    opens: ``workers`` (engine + decode fan-out width), ``cache_bytes``
-    (per-dataset range-cache budget), ``verify_checksums``,
-    ``use_restored_cache`` (consult/publish the process-wide restored
-    cache), ``pipeline`` (prefetch pipelining), and
-    ``transports`` (tier-name → transport override).
+    opens: ``cache_bytes`` (per-dataset range-cache budget),
+    ``verify_checksums``, ``use_restored_cache`` (consult/publish the
+    process-wide restored cache), ``pipeline`` (prefetch pipelining),
+    and ``transports`` (tier-name → transport override).
     """
 
     def __init__(
         self,
         hierarchy: StorageHierarchy,
         *,
-        workers: int = 4,
         cache_bytes: int = 64 << 20,
         verify_checksums: bool = True,
         use_restored_cache: bool = True,
@@ -77,7 +75,6 @@ class Session:
         transports=None,
     ) -> None:
         self.hierarchy = hierarchy
-        self.workers = int(workers)
         self.cache_bytes = int(cache_bytes)
         self.verify_checksums = verify_checksums
         self.use_restored_cache = use_restored_cache
@@ -99,7 +96,6 @@ class Session:
                 transports=self.transports,
                 verify_checksums=self.verify_checksums,
                 cache_bytes=self.cache_bytes,
-                workers=self.workers,
             )
             handle = CampaignHandle(self, name, dataset)
             self._handles[name] = handle
@@ -147,7 +143,6 @@ class CampaignHandle:
         self.dataset = dataset
         self.engine = DecodeEngine(
             dataset,
-            workers=session.workers,
             use_restored_cache=session.use_restored_cache,
             pipeline=session.pipeline,
         )

@@ -75,7 +75,7 @@ class ObjectStore(ABC):
 
     Keys are tier-relative object names (``"run.tmpfs.bp"``); values are
     opaque byte strings. Implementations must be thread-safe for
-    concurrent reads (the retrieval engine's worker threads call
+    concurrent reads (the data node's executor threads call
     :meth:`get_range` in parallel) and must raise
     :class:`~repro.errors.StorageError` for missing keys and
     out-of-bounds ranges — never backend-native errors.

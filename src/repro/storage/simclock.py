@@ -45,7 +45,7 @@ class SimClock:
     """Accumulates simulated I/O time and an event log.
 
     Thread-safe: transports and the retrieval engine may charge from
-    worker threads. Elapsed totals are order-independent (sums and
+    the data node's executor threads. Elapsed totals are order-independent (sums and
     per-group maxima), so the accounting is deterministic regardless of
     thread scheduling.
     """

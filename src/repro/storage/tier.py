@@ -247,9 +247,9 @@ class StorageTier:
         """Fetch a byte range *without* charging the simulated clock.
 
         Thread-safe (no tier state is mutated). This is the retrieval
-        engine's data path: worker threads move the real bytes through
-        ``peek_range`` while the engine charges the clock once per
-        overlapped batch, keeping the accounting deterministic under
+        engine's data path: the caller's thread moves the real bytes
+        through ``peek_range`` while the engine charges the clock once
+        per overlapped batch, keeping the accounting deterministic under
         concurrency.
         """
         if relpath not in self._files:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.mesh.io import load_mesh
 
 
@@ -314,6 +314,19 @@ class TestErrors:
     def test_no_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_read_side_workers_rejected_by_parser(self, capsys):
+        """The data node's executor is the read side's one thread pool:
+        ``restore`` and ``serve`` take no ``--workers``."""
+        for argv in (
+            ["restore", "run", "--var", "dpot", "--root", "r", "--out", "o"],
+            ["serve", "--root", "r"],
+        ):
+            build_parser().parse_args(argv)  # valid without the flag
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([*argv, "--workers", "2"])
+            assert exc.value.code == 2
+            assert "--workers" in capsys.readouterr().err
 
 
 def _table_rows(text: str, title: str) -> list[dict]:

@@ -92,7 +92,7 @@ class TestBitIdentity:
     def test_restore_many_matches_serial(self, setup):
         _, fields, h = setup
         serial = {v: _serial_restore(h, v) for v in fields}
-        engine = DecodeEngine(BPDataset.open("run", h), workers=4)
+        engine = DecodeEngine(BPDataset.open("run", h))
         out = engine.restore_many(list(fields), 0)
         for var in fields:
             assert np.array_equal(out[var].field, serial[var].field)
@@ -167,7 +167,7 @@ class TestBitIdentity:
         serial = _serial_restore(
             h, "dpot", region=region, min_significance=ms
         )
-        engine = DecodeEngine(BPDataset.open("run", h), workers=8)
+        engine = DecodeEngine(BPDataset.open("run", h))
         out = engine.restore(
             "dpot", 0, region=region, min_significance=ms
         )
@@ -189,7 +189,7 @@ class TestBitIdentity:
 class TestRestoredLevelCache:
     def test_second_restore_reads_zero_bytes(self, setup):
         _, _, h = setup
-        engine = DecodeEngine(BPDataset.open("run", h), workers=4)
+        engine = DecodeEngine(BPDataset.open("run", h))
         first = engine.restore("dpot", 0)
         before = h.clock.bytes_moved(op="read")
         second = engine.restore("dpot", 0)
@@ -199,7 +199,7 @@ class TestRestoredLevelCache:
 
     def test_warm_start_from_coarser_level(self, setup):
         _, _, h = setup
-        engine = DecodeEngine(BPDataset.open("run", h), workers=4)
+        engine = DecodeEngine(BPDataset.open("run", h))
         engine.restore("dpot", 1)
         serial = _serial_restore(h, "dpot", 0)
         bytes_before = h.clock.bytes_moved(op="read")
@@ -208,7 +208,7 @@ class TestRestoredLevelCache:
 
         get_restored_cache().clear()
         bytes_before = h.clock.bytes_moved(op="read")
-        engine2 = DecodeEngine(BPDataset.open("run", h), workers=4)
+        engine2 = DecodeEngine(BPDataset.open("run", h))
         cold = engine2.restore("dpot", 0)
         cold_bytes = h.clock.bytes_moved(op="read") - bytes_before
         assert np.array_equal(full.field, serial.field)
@@ -218,7 +218,7 @@ class TestRestoredLevelCache:
 
     def test_filtered_entries_are_not_substituted(self, setup):
         src, _, h = setup
-        engine = DecodeEngine(BPDataset.open("run", h), workers=4)
+        engine = DecodeEngine(BPDataset.open("run", h))
         ms = 0.05 * float(np.abs(src.field).max())
         pruned = engine.restore("dpot", 0, min_significance=ms)
         full = engine.restore("dpot", 0)
@@ -231,7 +231,7 @@ class TestRestoredLevelCache:
 
     def test_cached_field_is_immutable_snapshot(self, setup):
         _, _, h = setup
-        engine = DecodeEngine(BPDataset.open("run", h), workers=4)
+        engine = DecodeEngine(BPDataset.open("run", h))
         first = engine.restore("dpot", 0)
         first.field[...] = -1.0  # callers own their copy
         second = engine.restore("dpot", 0)
@@ -250,8 +250,8 @@ class TestRestoredLevelCache:
         ds_a = BPDataset.open("run", h)
         ds_b = BPDataset.open("run", h2)
         assert dataset_fingerprint(ds_a) != dataset_fingerprint(ds_b)
-        a = DecodeEngine(ds_a, workers=2).restore("dpot", 0)
-        b = DecodeEngine(ds_b, workers=2).restore("dpot", 0)
+        a = DecodeEngine(ds_a).restore("dpot", 0)
+        b = DecodeEngine(ds_b).restore("dpot", 0)
         assert not np.array_equal(a.field, b.field)
 
     def test_eviction_keeps_budget(self, setup):
@@ -279,7 +279,7 @@ class TestThreadSafety:
 
         def worker():
             try:
-                engine = DecodeEngine(BPDataset.open("run", h), workers=2)
+                engine = DecodeEngine(BPDataset.open("run", h))
                 results.append(engine.restore_many(list(fields), 0))
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -297,13 +297,13 @@ class TestThreadSafety:
 
     def test_geometry_cache_shared_across_decoders(self, setup):
         _, _, h = setup
-        engine = DecodeEngine(BPDataset.open("run", h), workers=2)
+        engine = DecodeEngine(BPDataset.open("run", h))
         engine.restore("dpot", 0)
         geo = get_geometry_cache()
         assert geo.stats()["entries"] > 0
         # A second engine over the same bytes decodes no new geometry.
         before = geo.misses
-        engine2 = DecodeEngine(BPDataset.open("run", h), workers=2)
+        engine2 = DecodeEngine(BPDataset.open("run", h))
         engine2.restore("dpot", 1)
         assert geo.misses == before
 
@@ -446,11 +446,6 @@ class TestCampaignRestoreMany:
 
 
 class TestEngineValidation:
-    def test_bad_workers(self, setup):
-        _, _, h = setup
-        with pytest.raises(RestorationError):
-            DecodeEngine(BPDataset.open("run", h), workers=0)
-
     def test_empty_restore_many(self, setup):
         _, _, h = setup
         assert DecodeEngine(BPDataset.open("run", h)).restore_many([]) == {}

@@ -448,7 +448,7 @@ def degraded_service(tmp_path_factory):
     get_geometry_cache().clear()
     h = two_tier_titan(root, fast_capacity=48 << 20, **kw)
     svc = CanopusService(
-        h, tenants=[TenantConfig(name="t", token="tok")], workers=2,
+        h, tenants=[TenantConfig(name="t", token="tok")],
         executor_workers=2,
     )
     with ServiceThread(svc):

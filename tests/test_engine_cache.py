@@ -1,12 +1,16 @@
 """Tests for the retrieval engine: range cache, batching, prefetch."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme, ProgressiveReader
-from repro.errors import BPFormatError, StorageError
+from repro.errors import BPFormatError
 from repro.io import BPDataset, RangeCache
-from repro.io.engine import EngineStats, RetrievalEngine
+from repro.io.engine import EngineStats
+from repro.io.transports import PosixTransport
 from repro.mesh.generators import annulus
 from repro.storage import SimClock, StorageHierarchy, StorageTier, two_tier_titan
 
@@ -212,7 +216,6 @@ class TestPrefetch:
         rd = plain_dataset(hierarchy, payloads)
         issued = rd.prefetch(sorted(payloads))
         assert issued >= 1
-        rd.engine.drain()
         charged = hierarchy.clock.elapsed
         for key in sorted(payloads):
             assert rd.read(key) == b"x" * 1000
@@ -236,14 +239,148 @@ class TestPrefetch:
     def test_repeated_hints_are_free(self, hierarchy):
         rd = plain_dataset(hierarchy, {"k": (b"abc", 1)})
         rd.prefetch(["k"])
-        rd.engine.drain()
         before = hierarchy.clock.elapsed
         assert rd.prefetch(["k"]) == 0
         assert hierarchy.clock.elapsed == before
 
 
+class _BarrierTransport(PosixTransport):
+    """Counts uncharged range reads; each one waits (up to half a second) for
+    a second caller, so two fetches of one range always overlap."""
+
+    def __init__(self, tier):
+        super().__init__(tier)
+        self.barrier = threading.Barrier(2, timeout=0.5)
+        self.peeks = 0
+        self._lock = threading.Lock()
+
+    def peek_range(self, relpath, offset, length):
+        with self._lock:
+            self.peeks += 1
+        try:
+            self.barrier.wait()
+        except threading.BrokenBarrierError:
+            pass  # no second fetch came: the range was fetched once
+        return super().peek_range(relpath, offset, length)
+
+
+class TestSingleFlight:
+    """Concurrent misses of one range are fetched, charged and counted
+    once: the first caller claims the range, the second waits on it."""
+
+    PAYLOAD = b"p" * 20_000
+
+    def _open(self, hierarchy):
+        transports = {t.name: _BarrierTransport(t) for t in hierarchy}
+        rd = plain_dataset(
+            hierarchy, {"k": (self.PAYLOAD, 1)}, transports=transports
+        )
+        return rd, rd.inq("k"), transports[rd.inq("k").tier]
+
+    @staticmethod
+    def _race(call):
+        """Run ``call`` on two threads at once; (results, errors)."""
+        results, errors = [], []
+
+        def worker():
+            try:
+                results.append(call())
+            except Exception as exc:  # collected for the assertions
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        return results, errors
+
+    def test_identical_misses_fetch_once(self, hierarchy):
+        rd, rec, transport = self._open(hierarchy)
+        before = hierarchy.clock.elapsed
+        results, errors = self._race(lambda: rd.engine.read_many([rec]))
+        assert errors == []
+        assert results == [{"k": self.PAYLOAD}] * 2
+        assert transport.peeks == 1
+        stats = rd.engine_stats()
+        assert (stats.misses, stats.hits) == (1, 1)
+        device = hierarchy.tier(rec.tier).device
+        assert hierarchy.clock.elapsed - before == pytest.approx(
+            device.concurrent_read_seconds([rec.length])
+        )
+
+    def test_single_reads_fetch_once(self, hierarchy):
+        rd, rec, transport = self._open(hierarchy)
+        before = hierarchy.clock.elapsed
+        results, errors = self._race(lambda: rd.engine.read(rec))
+        assert errors == [] and results == [self.PAYLOAD] * 2
+        assert transport.peeks == 1
+        assert rd.engine_stats().misses == 1
+        device = hierarchy.tier(rec.tier).device
+        assert hierarchy.clock.elapsed - before == pytest.approx(
+            device.read_seconds(rec.length)
+        )
+
+    def test_owner_error_is_raised_in_waiter(self, hierarchy):
+        rd, rec, transport = self._open(hierarchy)
+        TestChecksumVerification._corrupt(hierarchy, rd, "k")
+        results, errors = self._race(lambda: rd.engine.read_many([rec]))
+        assert results == [] and len(errors) == 2
+        assert all(isinstance(e, BPFormatError) for e in errors)
+        assert transport.peeks == 1
+        # The failed claim is released: the next read fetches again.
+        with pytest.raises(BPFormatError, match="checksum mismatch"):
+            rd.read("k")
+        assert transport.peeks == 2
+
+    def test_stress_overlapping_batches(self, hierarchy):
+        """Eight threads read, batch and prefetch overlapping key sets
+        with a tiny switch interval: every range is still fetched and
+        counted once, every caller gets its bytes, no claim is left."""
+        payloads = {
+            f"k{i:02d}": (bytes([i]) * (5_000 + 97 * i), i % 2)
+            for i in range(24)
+        }
+        rd = plain_dataset(hierarchy, payloads)
+        recs = [rd.inq(key) for key in sorted(payloads)]
+        errors = []
+
+        def worker(n):
+            try:
+                for round_ in range(6):
+                    lo = (n * 5 + round_ * 7) % len(recs)
+                    batch = (recs + recs)[lo:lo + 9]
+                    if round_ % 3 == 0:
+                        rd.engine.prefetch(batch)
+                    out = rd.engine.read_many(batch)
+                    out[batch[0].key] = rd.engine.read(batch[0])
+                    for rec in batch:
+                        assert out[rec.key] == payloads[rec.key][0]
+            except Exception as exc:  # collected for the assertion
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(n,)) for n in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert rd.engine_stats().misses == len(recs)
+        assert rd.engine._inflight == {}
+
+
 class TestChecksumVerification:
-    def _corrupt(self, hierarchy, rd, key):
+    @staticmethod
+    def _corrupt(hierarchy, rd, key):
         rec = rd.inq(key)
         tier = hierarchy.tier(rec.tier)
         path = tier._path(rec.subfile)
@@ -334,10 +471,6 @@ class TestEngineMisc:
         d = stats.as_dict()
         assert {"hits", "misses", "bytes_from_tier", "prefetch_issued",
                 "prefetch_useful", "batches"} <= set(d)
-
-    def test_workers_validated(self, hierarchy):
-        with pytest.raises(StorageError):
-            RetrievalEngine(hierarchy, {}, workers=0)
 
     def test_engine_repr(self, hierarchy):
         rd = plain_dataset(hierarchy, {"k": (b"abc", 1)})

@@ -16,6 +16,7 @@ the ``{key: payload bytes}`` every writer on every executor must store.
 import ast
 import asyncio
 import pathlib
+import threading
 import zlib
 
 import numpy as np
@@ -284,7 +285,7 @@ class TestServedStep:
     def service(self, store):
         _, h = store
         svc = CanopusService(
-            h, tenants=[TenantConfig(name="alice", token="tok")], workers=2
+            h, tenants=[TenantConfig(name="alice", token="tok")]
         )
         with ServiceThread(svc):
             yield svc
@@ -399,11 +400,15 @@ def test_view_fanout_stays_in_callers_trace(tmp_path, view):
     mine = [s for s in tracer.spans if s.trace_id == ctx.trace_id]
     assert charged > 0
     assert sum(s.sim_read for s in mine) == pytest.approx(charged, rel=1e-9)
-    # The four workers' restores are the caller's spans, on pool threads.
+    # The four restores are the caller's spans, and they and every span
+    # fetch behind them run on the caller's thread.
     restores = [s for s in tracer.spans if s.name == "decode.restore"]
     assert len(restores) == 4
     assert all(s.trace_id == ctx.trace_id for s in restores)
-    assert any(s.thread.startswith("repro-restore") for s in restores)
+    work = [s for s in tracer.spans
+            if s.name in ("decode.restore", "engine.fetch_span")]
+    assert {s.name for s in work} == {"decode.restore", "engine.fetch_span"}
+    assert {s.thread for s in work} == {threading.current_thread().name}
 
 
 def test_key_spellings_live_in_notation_and_layout():

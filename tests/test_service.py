@@ -83,7 +83,7 @@ def service(campaign_root):
             max_requests=2, window_seconds=3600.0,
         ),
     ]
-    svc = CanopusService(h, tenants=tenants, workers=2, executor_workers=4)
+    svc = CanopusService(h, tenants=tenants, executor_workers=4)
     with ServiceThread(svc):
         yield svc, fields
     get_restored_cache().clear()

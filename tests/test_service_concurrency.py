@@ -65,7 +65,7 @@ def stack(tmp_path_factory):
     from repro.session import Session
 
     expected = {}
-    with Session(ref_h, workers=2) as session:
+    with Session(ref_h) as session:
         camp = session.open("camp")
         for var in VARS:
             for level in LEVELS:
@@ -83,10 +83,9 @@ def stack(tmp_path_factory):
             max_requests=3, window_seconds=3600.0,
         ),
     ]
-    # Deliberately narrow executor: concurrency >> workers must queue,
-    # not deadlock.
-    svc = CanopusService(svc_h, tenants=tenants, workers=2,
-                         executor_workers=2)
+    # Deliberately narrow executor: concurrency >> executor threads must
+    # queue, not deadlock.
+    svc = CanopusService(svc_h, tenants=tenants, executor_workers=2)
     with ServiceThread(svc):
         yield svc, expected
     get_restored_cache().clear()
@@ -222,7 +221,7 @@ class TestShutdown:
     ):
         """Stopping closes idle client connections; nothing is logged."""
         running, _ = stack
-        svc = CanopusService(running.hierarchy, workers=1, executor_workers=1)
+        svc = CanopusService(running.hierarchy, executor_workers=1)
         thread = ServiceThread(svc)
         host, port = thread.start()
         with caplog.at_level(logging.WARNING):

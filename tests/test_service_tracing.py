@@ -66,7 +66,6 @@ def traced_service(campaign_root):
             TenantConfig(name="alice", token="tok-alice"),
             TenantConfig(name="bob", token="tok-bob"),
         ],
-        workers=2,
         executor_workers=4,
         metrics=MetricsRegistry(),
         tracing=True,
@@ -86,7 +85,6 @@ def sampled_out_service(campaign_root):
     svc = CanopusService(
         _hierarchy(campaign_root),
         tenants=[TenantConfig(name="alice", token="tok-alice")],
-        workers=2,
         executor_workers=2,
         metrics=MetricsRegistry(),
         tracing=True,
@@ -144,14 +142,16 @@ class TestTraceparentRoundtrip:
         assert trace["status"] == 200
         assert trace["route"] == "/v1/campaigns/{name}/vars/{var}/restore"
         _assert_single_span_tree(trace)
-        # One coherent tree spanning the datanode executor and the
-        # engine's internal pools, not just the asyncio thread.
-        threads = {s["thread"] for s in trace["spans"]}
-        assert any(t.startswith("repro-datanode") for t in threads), threads
-        assert any(
-            t.startswith(("repro-io", "repro-restore"))
-            for t in threads
-        ), threads
+        # One coherent tree spanning the asyncio thread and the datanode
+        # executor, the read side's one pool: the restore and every span
+        # fetch behind it run on the executor thread.
+        work = [s for s in trace["spans"]
+                if s["name"] in ("decode.restore", "engine.fetch_span")]
+        assert {s["name"] for s in work} == {
+            "decode.restore", "engine.fetch_span"
+        }
+        threads = {s["thread"] for s in work}
+        assert all(t.startswith("repro-datanode") for t in threads), threads
 
     def test_fresh_trace_id_minted_and_echoed_when_absent(
         self, traced_service

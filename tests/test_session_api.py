@@ -119,7 +119,7 @@ class TestSessionSurface:
 
     def test_restore_many_matches_restore(self, root):
         path, _ = root
-        with Session(_hier(path), workers=2) as s:
+        with Session(_hier(path)) as s:
             camp = s.open("camp")
             single = {v: camp.restore(v, level=1) for v in ["dpot", "apar"]}
             many = camp.restore_many(["dpot", "apar"], level=1)
@@ -268,8 +268,8 @@ class TestContentKeyedCache:
         path, _ = root
         cache = get_restored_cache()
         h = _hier(path)
-        ds1 = BPDataset.open("camp", h, workers=1, cache_bytes=0)
-        ds2 = BPDataset.open("camp", h, workers=8)
+        ds1 = BPDataset.open("camp", h, cache_bytes=0)
+        ds2 = BPDataset.open("camp", h)
         assert cache.key_for(ds1, "apar", 2) == cache.key_for(ds2, "apar", 2)
         ds1.close()
         ds2.close()
@@ -280,6 +280,6 @@ class TestContentKeyedCache:
         path, _ = root
         h = _hier(path)
         ds = BPDataset.open("camp", h)
-        engine = DecodeEngine(ds, workers=1)
+        engine = DecodeEngine(ds)
         assert engine.fingerprint == dataset_fingerprint(ds)
         ds.close()

@@ -1,4 +1,4 @@
-"""Read-path speedup: decode engine + shared restored cache.
+"""Read-path speedup: batched restore + shared restored cache.
 
 The seed read path restored one variable at a time with a fresh decoder
 per analytics session — every session re-read and re-decoded the same
@@ -10,8 +10,9 @@ multi-variable XGC1 dataset both ways, over several analytics sessions
   :class:`~repro.core.decoder.CanopusDecoder` (no pipeline, no
   caches) restores to L0;
 * **fast path** — per session, one
-  :class:`~repro.core.decode_engine.DecodeEngine` restores all
-  variables with one upfront prefetch batch; the process-wide
+  :class:`~repro.session.Session` handle restores all variables
+  (:meth:`~repro.session.CampaignHandle.restore_many`) with one
+  upfront prefetch batch; the process-wide
   restored-level and geometry caches stay warm across sessions, so
   repeat sessions decode nothing.
 
@@ -50,7 +51,7 @@ MIN_SPEEDUP = 3.0
 
 @pytest.fixture(scope="module")
 def decode_timings(tmp_path_factory):
-    from repro.core.decode_engine import DecodeEngine
+    from repro.session import Session
 
     src = make_xgc1(scale=SCALE, seed=9)
     base = stack_planes(src, PLANES)
@@ -94,8 +95,8 @@ def decode_timings(tmp_path_factory):
     t0 = time.perf_counter()
     fast_fields: dict[str, np.ndarray] = {}
     for _session in range(SESSIONS):
-        engine = DecodeEngine(BPDataset.open("fig9-multi", hierarchy))
-        out = engine.restore_many(VARIABLES, 0)
+        handle = Session(hierarchy).open("fig9-multi")
+        out = handle.restore_many(VARIABLES, level=0)
         fast_fields = {var: state.field for var, state in out.items()}
     fast_seconds = time.perf_counter() - t0
     cache_stats = get_restored_cache().stats()
@@ -193,8 +194,6 @@ def test_warm_cache_hits_recorded(decode_timings):
 
 
 def test_chunk_decode_benchmark(benchmark, tmp_path):
-    from repro.core.decode_engine import DecodeEngine
-
     src = make_xgc1(scale=0.2)
     hierarchy = two_tier_titan(
         tmp_path, fast_capacity=128 << 20, slow_capacity=1 << 38
@@ -205,7 +204,7 @@ def test_chunk_decode_benchmark(benchmark, tmp_path):
         codec_params={"tolerance": REL_TOL, "mode": "relative"},
         chunks=CHUNKS,
     ).encode("bench", src.variable, src.mesh, src.field, LevelScheme(LEVELS))
-    engine = DecodeEngine(
-        BPDataset.open("bench", hierarchy), use_restored_cache=False,
+    decoder = CanopusDecoder(
+        BPDataset.open("bench", hierarchy), share_geometry=True,
     )
-    benchmark(lambda: engine.restore(src.variable, 0))
+    benchmark(lambda: decoder.restore_to(src.variable, 0))

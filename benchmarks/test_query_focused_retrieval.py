@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
-from repro.core.decode_engine import DecodeEngine
 from repro.harness import format_table
 from repro.io import BPDataset
-from repro.query import QueryPlanner
+from repro.session import Session
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
 
@@ -97,7 +96,7 @@ def test_roi_region_is_exact(setup):
 
 def test_query_benchmark(benchmark, setup):
     _, h = setup
-    planner = QueryPlanner(DecodeEngine(BPDataset.open("q", h)))
+    planner = Session(h).open("q").planner
     benchmark(
         lambda: planner.plan_restore("dpot", level=0, min_significance=1e-2)
     )

@@ -24,12 +24,11 @@ import numpy as np
 import pytest
 
 from repro.core import CanopusEncoder, LevelScheme
-from repro.core.decode_engine import DecodeEngine
 from repro.core.restored_cache import get_geometry_cache, get_restored_cache
 from repro.harness import format_table, json_report
 from repro.harness.report import write_json_report
-from repro.io import BPDataset
-from repro.query import QueryPlanner, blob_query, stats_query
+from repro.query import blob_query, stats_query
+from repro.session import Session
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
 
@@ -63,9 +62,8 @@ def setup(tmp_path_factory):
 
 
 def _fresh_planner(h):
-    """Cold engine: no restored cache, fresh range cache."""
-    dataset = BPDataset.open("q", h)
-    return QueryPlanner(DecodeEngine(dataset, use_restored_cache=False))
+    """Cold handle: no restored cache, fresh range cache."""
+    return Session(h, use_restored_cache=False).open("q").planner
 
 
 def _measure(h, fn):
@@ -90,7 +88,7 @@ def test_query_pushdown_benchmark(setup, record_result):
     # Warm shared geometry once, unmeasured: both sides reuse it, and
     # the bench is about per-query payload bytes, not the mesh chain.
     warm = _fresh_planner(h)
-    warm.engine.decoder.prefetch_geometry("dpot")
+    warm.decoder.prefetch_geometry("dpot")
     base_level = LEVELS - 1
 
     def certified_rms(region=None):
@@ -141,7 +139,7 @@ def test_query_pushdown_benchmark(setup, record_result):
             detail = f"level {plan.target_level}, {plan.pruned_chunks} pruned"
         elif kind == "stats":
             result, psim, pbytes, pwall = _measure(
-                h, lambda: stats_query(planner.engine, "dpot", **params)
+                h, lambda: stats_query(planner.handle, "dpot", **params)
             )
             assert result["pushdown"] and result["restores"] == 0
             assert pbytes == 0
@@ -153,7 +151,7 @@ def test_query_pushdown_benchmark(setup, record_result):
             detail = "pushdown, 0 restores"
         else:
             result, psim, pbytes, pwall = _measure(
-                h, lambda: blob_query(planner.engine, "dpot", **params)
+                h, lambda: blob_query(planner.handle, "dpot", **params)
             )
             assert result["count"] == 0 and result["restores"] == 0
             assert result["pruned_chunks"] == CHUNKS
@@ -162,7 +160,7 @@ def test_query_pushdown_benchmark(setup, record_result):
 
         naive = _fresh_planner(h)
         _, nsim, nbytes, nwall = _measure(
-            h, lambda: naive.engine.restore("dpot", 0)
+            h, lambda: naive.handle.restore_chain("dpot", 0)
         )
 
         for acc, vals in (
@@ -185,7 +183,7 @@ def test_query_pushdown_benchmark(setup, record_result):
     # Exact queries stay bit-identical through the planner.
     exact = _fresh_planner(h)
     exact_state, exact_plan = exact.restore("dpot", level=0)
-    reference = _fresh_planner(h).engine.restore("dpot", 0)
+    reference = _fresh_planner(h).handle.restore_chain("dpot", 0)
     assert np.array_equal(exact_state.field, reference.field)
     assert exact_plan.skipped_bytes == 0
 

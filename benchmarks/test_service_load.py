@@ -19,8 +19,8 @@ measures
   deterministic (var, level) mix.
 
 Every concurrent payload is verified bit-for-bit against a direct
-in-process :class:`DecodeEngine` restore, and the aggregate concurrent
-throughput must be ≥3× the serial library baseline. The structured
+in-process :class:`~repro.session.Session` restore, and the aggregate
+concurrent throughput must be ≥3× the serial library baseline. The structured
 result (all reports, p50/p95/p99 latency via the obs bucketed
 histograms, per-tenant ``repro.obs`` counters) lands in
 ``benchmarks/results/BENCH_service.json``.
@@ -45,7 +45,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import CanopusEncoder, LevelScheme
+from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
 from repro.core.restored_cache import get_geometry_cache, get_restored_cache
 from repro.harness import format_table, json_report
 from repro.harness.experiment import stack_planes
@@ -83,21 +83,18 @@ TENANTS = [
 def _serial_library_baseline(
     hierarchy, expected: dict[tuple[str, int], np.ndarray], requests: int
 ):
-    """The pre-service world: fresh engine per request, no shared cache."""
+    """The pre-service world: fresh decoder per request, no shared cache."""
     import time
-
-    from repro.core.decode_engine import DecodeEngine
 
     mismatches = 0
     t0 = time.perf_counter()
     for i in range(requests):
         var = VARIABLES[i % len(VARIABLES)]
         level = REQUEST_LEVELS[i % len(REQUEST_LEVELS)]
-        engine = DecodeEngine(
-            BPDataset.open("fig9-multi", hierarchy),
-            use_restored_cache=False, pipeline=False,
+        decoder = CanopusDecoder(
+            BPDataset.open("fig9-multi", hierarchy), share_geometry=True,
         )
-        state = engine.restore(var, level)
+        state = decoder.restore_to(var, level, pipeline=False)
         if not np.array_equal(state.field, expected[(var, level)]):
             mismatches += 1
     wall = time.perf_counter() - t0

@@ -40,7 +40,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.core.campaign import CampaignReader, CampaignWriter, StepReport
-from repro.core.decode_engine import DecodeEngine
 from repro.core.decoder import CanopusDecoder, LevelData
 from repro.core.encoder import CanopusEncoder
 from repro.core.notation import LevelScheme
@@ -107,7 +106,6 @@ __all__ = [
     "CampaignWriter",
     "CanopusDecoder",
     "CanopusEncoder",
-    "DecodeEngine",
     "EngineStats",
     "FilesystemBackend",
     "GeometryCache",

@@ -27,8 +27,7 @@ import numpy as np
 
 from repro.compress import get_codec
 from repro.core.decimation_plan import plan_for
-from repro.core.decode_engine import DecodeEngine
-from repro.core.decoder import LevelData, PhaseTimings
+from repro.core.decoder import CanopusDecoder, LevelData, PhaseTimings
 from repro.core.layout import (
     ProductWriter,
     declare_variable,
@@ -204,11 +203,11 @@ class CampaignWriter:
 class CampaignReader:
     """Restores any (step, level) of a campaign with shared geometry.
 
-    A view over a :class:`~repro.core.decode_engine.DecodeEngine`: each
+    A view over a :class:`~repro.core.decoder.CanopusDecoder`: each
     timestep is the chain ``step_chain(var, step)``, and every chain
     shares the campaign's geometry owner, so meshes and mappings are
-    read and decoded once. The engine runs without the restored-level
-    cache, so every :meth:`restore` charges its own payload reads.
+    read and decoded once. Restores skip the restored-level cache, so
+    every :meth:`restore` charges its own payload reads.
     """
 
     def __init__(self, hierarchy: StorageHierarchy, name: str) -> None:
@@ -218,7 +217,7 @@ class CampaignReader:
         )
         self.scheme = variable_scheme(meta)
         self.steps: list[int] = list(meta["steps"])
-        self._engine = DecodeEngine(self.dataset, use_restored_cache=False)
+        self._decoder = CanopusDecoder(self.dataset, share_geometry=True)
         self.geometry_timings = PhaseTimings()
 
     # ------------------------------------------------------------------
@@ -229,7 +228,7 @@ class CampaignReader:
         the one-time setup pays the batched (not per-product) I/O charge.
         """
         if self.steps:
-            self.geometry_timings += self._engine.decoder.prefetch_geometry(
+            self.geometry_timings += self._decoder.prefetch_geometry(
                 step_chain(self.var, self.steps[0])
             )
         return self.geometry_timings
@@ -246,7 +245,7 @@ class CampaignReader:
     def restore(self, step: int, target_level: int = 0) -> LevelData:
         """Restore one timestep to the requested accuracy level."""
         (chain,) = self._chains([step])
-        return self._engine.restore(chain, target_level)
+        return self._decoder.restore_to(chain, target_level)
 
     def restore_many(
         self, steps=None, target_level: int = 0
@@ -256,15 +255,16 @@ class CampaignReader:
         Bit-identical to :meth:`restore` calls one by one. Geometry is
         decoded once up front and every step's base/delta ranges are
         hinted to the retrieval engine as one overlapped batch
-        (:meth:`DecodeEngine.restore_many`), so the simulated I/O charge
+        (:meth:`CanopusDecoder.restore_many`), so the simulated I/O charge
         is that one batch; the steps then restore on the calling thread.
+        A step listed twice is restored once.
         """
         steps = list(self.steps if steps is None else steps)
         chains = self._chains(steps)
         self.scheme.validate_level(target_level)
         self.prefetch_geometry()
-        restored = self._engine.restore_many(chains, target_level)
-        return dict(zip(steps, restored.values()))
+        restored = self._decoder.restore_many(chains, target_level)
+        return {step: restored[chain] for step, chain in zip(steps, chains)}
 
     def time_series(self, target_level: int, steps=None):
         """Yield ``(step, LevelData)`` across the campaign at one level."""

@@ -98,8 +98,10 @@ class CanopusDecoder:
         decoder instances over the same dataset bytes decode each mesh
         and mapping once. The per-instance cache remains as a lock-free
         L1. Off by default so standalone decoders keep the seed's per-
-        instance I/O accounting; :class:`~repro.core.decode_engine.DecodeEngine`
-        turns it on.
+        instance I/O accounting; every session handle and read view
+        (:class:`~repro.session.CampaignHandle`,
+        :class:`~repro.core.campaign.CampaignReader`,
+        :class:`~repro.core.parallel.PartitionedDecoder`) turns it on.
     """
 
     def __init__(
@@ -446,6 +448,24 @@ class CanopusDecoder:
             ),
         )
 
+    def resident(
+        self,
+        var: str,
+        level: int,
+        *,
+        region: tuple[np.ndarray, np.ndarray] | None = None,
+        min_significance: float = 0.0,
+        use_cache: bool = False,
+    ) -> bool:
+        """Whether :meth:`restore_to` with the same arguments would be
+        answered from the restored cache, reading no bytes (a peek: no
+        counter or LRU order moves)."""
+        return use_cache and get_restored_cache().has(
+            self.cache_key(
+                var, level, region=region, min_significance=min_significance
+            )
+        )
+
     def restore_to(
         self,
         var: str,
@@ -474,76 +494,126 @@ class CanopusDecoder:
         step. A filtered chain is not pipelined: the hints name whole
         levels, and the filter reads only the chunks it keeps.
         """
-        chain = self.chain(var)
-        chain.scheme.validate_level(level)
-        pipeline = pipeline and region is None and not min_significance > 0.0
-        cache = get_restored_cache() if use_cache else None
-        signature = (
-            chain.filter_signature(
-                self.dataset.catalog, level, region, min_significance
+        filtered = region is not None or min_significance > 0.0
+        with trace.span(
+            "decode.restore", "restore",
+            {"var": var, "level": level, "filtered": filtered},
+        ):
+            chain = self.chain(var)
+            chain.scheme.validate_level(level)
+            pipeline = pipeline and not filtered
+            cache = get_restored_cache() if use_cache else None
+            signature = (
+                chain.filter_signature(
+                    self.dataset.catalog, level, region, min_significance
+                )
+                if use_cache
+                else ()
             )
-            if use_cache
-            else ()
-        )
 
-        def key_at(lvl: int) -> tuple:
-            return cache.key_for(
-                self.dataset, var, lvl,
-                signature=chain.signature_prefix(signature, lvl),
-            )
+            def key_at(lvl: int) -> tuple:
+                return cache.key_for(
+                    self.dataset, var, lvl,
+                    signature=chain.signature_prefix(signature, lvl),
+                )
 
-        def publish(state: LevelData) -> None:
+            def publish(state: LevelData) -> None:
+                if cache is not None:
+                    mask = state.refined_mask
+                    cache.put(
+                        key_at(state.level),
+                        state.field,
+                        refined_mask=None if mask is None or mask.all() else mask,
+                        last_delta_rms=state.last_delta_rms,
+                    )
+
+            state: LevelData | None = None
             if cache is not None:
-                mask = state.refined_mask
-                cache.put(
-                    key_at(state.level),
-                    state.field,
-                    refined_mask=None if mask is None or mask.all() else mask,
-                    last_delta_rms=state.last_delta_rms,
+                warm = cache.get(key_at(level)) or cache.nearest(
+                    [
+                        key_at(lvl)
+                        for lvl in range(level + 1, chain.scheme.base_level + 1)
+                    ]
                 )
+                if warm is not None:
+                    timings = PhaseTimings()
+                    mesh = self._read_mesh(chain, warm.level, timings)
+                    state = LevelData(
+                        var=var,
+                        level=warm.level,
+                        mesh=mesh,
+                        field=warm.field.copy(),
+                        timings=timings,
+                        refined_mask=(
+                            None
+                            if warm.refined_mask is None
+                            else warm.refined_mask.copy()
+                        ),
+                        last_delta_rms=warm.last_delta_rms,
+                    )
+                    if warm.level == level:
+                        return state
+            if state is None:
+                prefetch_io = (
+                    self.prefetch_base(var, level) if pipeline else 0.0
+                )
+                state = self.read_base(var)
+                state.timings.io_seconds += prefetch_io
+                publish(state)
+            while state.level > level:
+                prefetch_io = (
+                    self.prefetch_window(var, state.level - 1, level)
+                    if pipeline
+                    else 0.0
+                )
+                state = self.refine(
+                    state, region=region, min_significance=min_significance
+                )
+                state.timings.io_seconds += prefetch_io
+                publish(state)
+            return state
 
-        state: LevelData | None = None
-        if cache is not None:
-            warm = cache.get(key_at(level)) or cache.nearest(
-                [
-                    key_at(lvl)
-                    for lvl in range(level + 1, chain.scheme.base_level + 1)
+    def restore_many(
+        self,
+        variables,
+        level: int = 0,
+        *,
+        region: tuple[np.ndarray, np.ndarray] | None = None,
+        min_significance: float = 0.0,
+        pipeline: bool = True,
+        use_cache: bool = False,
+    ) -> dict[str, LevelData]:
+        """Restore several chains; ``{var: LevelData}``, one entry per
+        distinct chain, each bit-identical to its :meth:`restore_to`.
+
+        An unfiltered request first prefetches every non-resident chain's
+        byte ranges as one overlapped batch, so the simulated I/O charge
+        is that one batch; the chains then restore in order on the
+        calling thread.
+        """
+        variables = list(dict.fromkeys(variables))
+        if not variables:
+            return {}
+        with trace.span(
+            "decode.restore_many", "restore",
+            {"vars": len(variables), "level": level},
+        ):
+            trace.count("decode.restore_many.calls")
+            trace.count("decode.restore_many.vars", len(variables))
+            if region is None and not min_significance > 0.0:
+                keys = [
+                    key
+                    for var in variables
+                    if not self.resident(var, level, use_cache=use_cache)
+                    for key in self.chain_keys(var, level)
                 ]
-            )
-            if warm is not None:
-                timings = PhaseTimings()
-                mesh = self._read_mesh(chain, warm.level, timings)
-                state = LevelData(
-                    var=var,
-                    level=warm.level,
-                    mesh=mesh,
-                    field=warm.field.copy(),
-                    timings=timings,
-                    refined_mask=(
-                        None
-                        if warm.refined_mask is None
-                        else warm.refined_mask.copy()
-                    ),
-                    last_delta_rms=warm.last_delta_rms,
+                if keys:
+                    self.dataset.prefetch(keys, label="restore_many")
+            return {
+                var: self.restore_to(
+                    var, level,
+                    region=region, min_significance=min_significance,
+                    pipeline=pipeline, use_cache=use_cache,
                 )
-                if warm.level == level:
-                    return state
-        if state is None:
-            prefetch_io = (
-                self.prefetch_base(var, level) if pipeline else 0.0
-            )
-            state = self.read_base(var)
-            state.timings.io_seconds += prefetch_io
-            publish(state)
-        while state.level > level:
-            prefetch_io = (
-                self.prefetch_window(var, state.level - 1, level)
-                if pipeline
-                else 0.0
-            )
-            state = self.refine(
-                state, region=region, min_significance=min_significance
-            )
-            state.timings.io_seconds += prefetch_io
-            publish(state)
-        return state
+                for var in variables
+            }

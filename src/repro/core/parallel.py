@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.compress import get_codec
 from repro.core.decimation_plan import as_field, plan_for
-from repro.core.decode_engine import DecodeEngine
+from repro.core.decoder import CanopusDecoder
 from repro.core.layout import (
     ProductWriter,
     declare_variable,
@@ -167,10 +167,10 @@ def encode_partitioned(
 class PartitionedDecoder:
     """Read side of a partitioned dataset.
 
-    A view over a :class:`~repro.core.decode_engine.DecodeEngine`: patch
+    A view over a :class:`~repro.core.decoder.CanopusDecoder`: patch
     ``p`` is the chain ``part_chain(var, p)``, which owns its geometry.
-    The engine runs without the restored-level cache, so every restore
-    charges its own reads.
+    Restores skip the restored-level cache, so every restore charges
+    its own reads.
     """
 
     def __init__(self, hierarchy: StorageHierarchy, dataset_name: str) -> None:
@@ -188,13 +188,13 @@ class PartitionedDecoder:
         self._owned = {
             int(k): np.asarray(v, dtype=bool) for k, v in meta["owned"].items()
         }
-        self._engine = DecodeEngine(self.dataset, use_restored_cache=False)
+        self._decoder = CanopusDecoder(self.dataset, share_geometry=True)
 
     def restore_partition(
         self, part: int, level: int = 0
     ) -> tuple[TriangleMesh, np.ndarray]:
         """Restore one patch to the requested level."""
-        state = self._engine.restore(part_chain(self.var, part), level)
+        state = self._decoder.restore_to(part_chain(self.var, part), level)
         return state.mesh, state.field
 
     def restore_levels(
@@ -209,9 +209,9 @@ class PartitionedDecoder:
         Every patch's byte ranges are prefetched as one engine batch
         (one overlapped charge, issued deterministically before any
         decode), then the patches are decoded one by one on the calling
-        thread (:meth:`DecodeEngine.restore_many`).
+        thread (:meth:`CanopusDecoder.restore_many`).
         """
-        restored = self._engine.restore_many(
+        restored = self._decoder.restore_many(
             [part_chain(self.var, p) for p in range(self.parts)], 0
         )
         partitions = [

@@ -56,7 +56,7 @@ class ProgressiveReader:
         pipeline: bool = False,
         min_significance: float = 0.0,
     ) -> None:
-        if min_significance < 0.0:
+        if not min_significance >= 0.0:  # NaN too
             raise RestorationError("min_significance must be >= 0")
         self.decoder = decoder
         self.var = var

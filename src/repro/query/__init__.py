@@ -14,6 +14,7 @@ the service routes.
 from repro.query.plan import PlanDecision, RetrievalPlan
 from repro.query.planner import (
     QueryPlanner,
+    check_selection,
     normalize_region,
     parse_region,
     parse_shape,
@@ -24,6 +25,7 @@ __all__ = [
     "PlanDecision",
     "RetrievalPlan",
     "QueryPlanner",
+    "check_selection",
     "normalize_region",
     "parse_region",
     "parse_shape",

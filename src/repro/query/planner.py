@@ -14,7 +14,8 @@ is *computable from metadata alone*:
 progressive-retrieval framework of arXiv:2308.11759 — fetch exactly the
 components the requested accuracy needs), emits an explainable
 :class:`~repro.query.plan.RetrievalPlan`, then executes it: one
-``prefetch`` batch for every surviving product, one engine restore. The
+``prefetch`` batch for every surviving product, one chain restore
+(:meth:`~repro.session.CampaignHandle.restore_chain`). The
 chunk-survival rule (region bounding box, ``min_significance``) is
 :meth:`repro.core.layout.Chain.chunk_verdicts`, the same call the
 decoder reads by, so the executed restore reads exactly the planned set
@@ -32,10 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.decode_engine import DecodeEngine
 from repro.core.decoder import LevelData
 from repro.core.layout import Chain
-from repro.errors import QueryError, RestorationError
+from repro.errors import QueryError
 from repro.io.query import ChunkStats
 from repro.lru import LRU
 from repro.obs import trace
@@ -57,6 +57,19 @@ class Resolution(NamedTuple):
 
     level: int
     subfiles: tuple
+
+
+def check_selection(level=None, tolerance=None, min_significance=0.0) -> None:
+    """Raise :class:`QueryError` (HTTP 400) unless at most one of
+    ``level``/``tolerance`` is given, ``tolerance`` > 0 (``inf`` allowed)
+    and ``min_significance`` >= 0. A NaN compares false to everything, so
+    it fails either bound instead of silently restoring full accuracy."""
+    if level is not None and tolerance is not None:
+        raise QueryError("restore takes level or tolerance, not both")
+    if tolerance is not None and not tolerance > 0:
+        raise QueryError("tolerance must be > 0 (use level=0 for full accuracy)")
+    if not min_significance >= 0:
+        raise QueryError("min_significance must be >= 0")
 
 
 def normalize_region(region) -> tuple[np.ndarray, np.ndarray] | None:
@@ -112,12 +125,12 @@ def parse_shape(raw: str | None) -> tuple[int, int]:
 
 
 class QueryPlanner:
-    """Plans and executes accuracy-aware restores over one engine."""
+    """Plans and executes accuracy-aware restores over one campaign handle."""
 
-    def __init__(self, engine: DecodeEngine) -> None:
-        self.engine = engine
-        self.dataset = engine.dataset
-        self.decoder = engine.decoder
+    def __init__(self, handle) -> None:
+        self.handle = handle
+        self.dataset = handle.dataset
+        self.decoder = handle.decoder
         self.resolutions = LRU(_FEEDBACK_PLANS)  # memo key -> Resolution
 
     # ------------------------------------------------------------------
@@ -139,12 +152,7 @@ class QueryPlanner:
         tolerance target could not be certified. A complete plan's
         :class:`Resolution` is memoised on the way out.
         """
-        if tolerance is not None and level is not None:
-            raise RestorationError("plan takes level or tolerance, not both")
-        if tolerance is not None and tolerance <= 0:
-            raise QueryError(
-                "tolerance must be > 0 (use level=0 for full accuracy)"
-            )
+        check_selection(level, tolerance, min_significance)
         window = normalize_region(region)
         chain = self.decoder.chain(var)
         with trace.span(
@@ -334,7 +342,7 @@ class QueryPlanner:
 
     # ------------------------------------------------------------------
     def execute(self, plan: RetrievalPlan) -> LevelData:
-        """Run a plan: one batched prefetch, then one engine restore.
+        """Run a plan: one batched prefetch, then one chain restore.
 
         The prefetch moves every surviving product's bytes as a single
         overlapped engine batch — the focused/filtered chain previously
@@ -359,11 +367,12 @@ class QueryPlanner:
             # A resident result reads nothing, and geometry already
             # decoded never hits storage again: prefetching either would
             # charge the plan for bytes the restore won't read.
-            if not self.engine.resident(
+            if not self.decoder.resident(
                 plan.var,
                 plan.target_level,
                 region=window,
                 min_significance=plan.min_significance,
+                use_cache=self.handle.session.use_restored_cache,
             ):
                 fetched = [d for d in plan.decisions if d.fetched]
                 pending = self.decoder.undecoded(
@@ -378,7 +387,7 @@ class QueryPlanner:
                     self.dataset.prefetch(
                         keys, label=f"{plan.var}:query_plan"
                     )
-            state = self.engine.restore(
+            state = self.handle.restore_chain(
                 plan.var,
                 plan.target_level,
                 region=window,

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.analytics.blob import BlobDetectorParams, detect_blobs
 from repro.analytics.raster import RasterSpec, rasterize
-from repro.core.decode_engine import DecodeEngine
 from repro.io.query import ChunkStats
 from repro.obs import trace
 from repro.query.planner import _bump, normalize_region
@@ -45,17 +44,17 @@ def _field_stats(attrs: dict) -> ChunkStats | None:
     return None if raw is None else ChunkStats(**raw)
 
 
-def _level0_chunks(engine: DecodeEngine, var: str, window) -> list:
+def _level0_chunks(handle, var: str, window) -> list:
     """Level-0 delta chunk records as ``(record, inside_window)`` pairs
     (each carries its original-field summary and bbox; together they
     partition the full-accuracy mesh). Empty for unchunked variables."""
-    chain = engine.decoder.chain(var)
+    chain = handle.decoder.chain(var)
     if not chain.chunked:
         return []
     return [
         (rec, outside is None)
         for _, rec, outside in chain.chunk_verdicts(
-            engine.dataset.catalog, 0, window
+            handle.dataset.catalog, 0, window
         )
     ]
 
@@ -81,10 +80,9 @@ def _stats_row(stats: ChunkStats) -> dict:
 
 
 # ---------------------------------------------------------------------------
-def stats_query(
-    engine: DecodeEngine, var: str, *, region=None
-) -> dict:
-    """Aggregate statistics of ``var`` (optionally over a region).
+def stats_query(handle, var: str, *, region=None) -> dict:
+    """Aggregate statistics of chain ``var`` of a
+    :class:`~repro.session.CampaignHandle` (optionally over a region).
 
     Answered from catalog summaries whenever they exist — zero payload
     I/O, zero restores. The response records how it was answered:
@@ -92,7 +90,7 @@ def stats_query(
     the pushdown path), and chunk pruning counts for windowed queries.
     """
     window = normalize_region(region)
-    meta = engine.decoder.chain(var).meta
+    meta = handle.decoder.chain(var).meta
     _bump("query.pushdown.stats_calls")
     with trace.span(
         "query.pushdown.stats", "query",
@@ -116,7 +114,7 @@ def stats_query(
                 result.update(pushdown=True, stats=_stats_row(whole))
                 return result
         else:
-            records = _level0_chunks(engine, var, window)
+            records = _level0_chunks(handle, var, window)
             if records:
                 hits = [rec for rec, inside in records if inside]
                 pruned = len(records) - len(hits)
@@ -136,7 +134,7 @@ def stats_query(
         # Fallback: datasets written before summaries existed. Restore
         # the full field once and reduce exactly over the window.
         _bump("query.pushdown.fallback_restores")
-        state = engine.restore(var, 0)
+        state = handle.restore_chain(var, 0)
         values = state.field
         if window is not None:
             mask = _region_mask(state.mesh, window)
@@ -152,7 +150,7 @@ def stats_query(
 
 # ---------------------------------------------------------------------------
 def blob_query(
-    engine: DecodeEngine,
+    handle,
     var: str,
     *,
     threshold: float,
@@ -160,7 +158,8 @@ def blob_query(
     shape: tuple[int, int] = (128, 128),
     params: BlobDetectorParams | None = None,
 ) -> dict:
-    """Count/locate bright blobs of ``var`` above a field-value threshold.
+    """Count/locate bright blobs of chain ``var`` of a
+    :class:`~repro.session.CampaignHandle` above a field-value threshold.
 
     Summary pruning first: a chunk whose recorded field maximum is below
     ``threshold`` provably contains no blob pixel, so a window where
@@ -177,7 +176,7 @@ def blob_query(
         {"var": var, "threshold": threshold,
          "windowed": window is not None},
     ):
-        meta = engine.decoder.chain(var).meta
+        meta = handle.decoder.chain(var).meta
         result = {
             "var": var,
             "threshold": float(threshold),
@@ -191,7 +190,7 @@ def blob_query(
             "count": 0,
             "blobs": [],
         }
-        records = _level0_chunks(engine, var, window)
+        records = _level0_chunks(handle, var, window)
         candidates = []
         if records:
             for rec, inside in records:
@@ -221,7 +220,7 @@ def blob_query(
         # Window (or whole domain) may contain blobs: one focused
         # restore, rasterize the window, detect.
         _bump("query.pushdown.blob_restores")
-        state = engine.restore(var, 0, region=window)
+        state = handle.restore_chain(var, 0, region=window)
         result["restores"] = 1
         result["pushdown"] = bool(result["pruned_chunks"])
         if window is None:

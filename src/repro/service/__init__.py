@@ -8,7 +8,7 @@ HSDS-style split in one process (and one import surface):
   negotiation;
 * **data node** (:mod:`repro.service.datanode`) — owns the storage
   hierarchy/backends and runs the
-  :class:`~repro.core.decode_engine.DecodeEngine` near the bytes on a
+  :class:`~repro.core.decoder.CanopusDecoder` near the bytes on a
   bounded executor, so blocking decode work never stalls the event
   loop. All tenants share the process-wide restored-level/geometry
   caches and each dataset's retrieval-engine prefetch pipeline;

@@ -1,4 +1,4 @@
-"""Data node: runs the decode engine near the bytes, off the event loop.
+"""Data node: runs the decoder near the bytes, off the event loop.
 
 The HSDS-style split puts everything that touches storage on this side:
 one process-wide :class:`~repro.session.Session` owns the open datasets
@@ -17,7 +17,7 @@ it reads no storage and runs no codec, so it costs less than a thread hop.
 Multi-tenant sharing happens here by construction:
 
 * all tenants' restores go through the same
-  :class:`~repro.core.decode_engine.DecodeEngine` per campaign, so the
+  :class:`~repro.session.CampaignHandle` per campaign, so the
   process-wide restored-level/geometry caches and the engine's range
   cache/prefetch are shared — a second tenant asking for the same
   ``(fingerprint, var, level)`` under a filter that keeps the same
@@ -59,7 +59,7 @@ from repro.errors import (
 )
 from repro.obs import context as obs_context
 from repro.obs import trace
-from repro.query import normalize_region
+from repro.query import check_selection, normalize_region
 from repro.service.tenants import TenantConfig, TenantRegistry
 from repro.session import CampaignHandle, Session
 from repro.storage.hierarchy import StorageHierarchy
@@ -333,11 +333,12 @@ class DataNode:
         thread: no storage read, no decode, no tolerance walk. That
         includes a region request whose surviving chunks were restored
         before under another box. Every other request runs on the executor.
+        A target or filter no restore can honour is refused first
+        (:func:`~repro.query.check_selection`).
         """
+        check_selection(level, tolerance, min_significance)
         if tolerance is None:
             level = 0 if level is None else int(level)
-        elif level is not None:
-            raise RestorationError("restore takes level or tolerance, not both")
         mode = {
             "mode": "level" if tolerance is None else "tolerance",
             "tolerance": tolerance,
@@ -362,7 +363,7 @@ class DataNode:
                 if if_none_match == f"{stem}{target}.{digest}":
                     return RestoreResult(if_none_match, True)
                 state = get_restored_cache().resident(
-                    handle.engine.decoder.cache_key(
+                    handle.decoder.cache_key(
                         chain, target,
                         region=window, min_significance=min_significance,
                     )

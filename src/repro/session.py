@@ -21,15 +21,16 @@ variable by name, one timestep of a ``write_campaign`` dataset by
 — data coordinates like ``level``, resolved to the chain's key prefix
 in :func:`repro.core.layout.resolve` and nowhere else.
 
-A :class:`Session` owns retrieval configuration (engine width, range
-cache budget, checksum policy) and caches one :class:`CampaignHandle`
-per dataset name. Each handle wraps an open
+A :class:`Session` owns retrieval configuration (range cache budget,
+checksum policy, restored-cache use, prefetch pipelining) and caches
+one :class:`CampaignHandle` per dataset name. Each handle wraps an open
 :class:`~repro.io.dataset.BPDataset` plus a
-:class:`~repro.core.decode_engine.DecodeEngine`, so every restore gets
-the engine's prefetch pipeline and the process-wide
-restored-level/geometry caches — two sessions (or two service tenants)
-restoring the same content share one cache entry because keys are
-content-fingerprint based, never handle identity.
+:class:`~repro.core.decoder.CanopusDecoder`, and restores every chain
+as the session is configured (:meth:`CampaignHandle.restore_chain`):
+with the prefetch pipeline and the process-wide restored-level/geometry
+caches — two sessions (or two service tenants) restoring the same
+content share one cache entry because keys are content-fingerprint
+based, never handle identity.
 
 All entry points beyond the positional name/variable are keyword-only.
 """
@@ -41,14 +42,20 @@ from typing import Iterable
 import numpy as np
 
 from repro.core import layout
-from repro.core.decode_engine import DecodeEngine
-from repro.core.decoder import LevelData
+from repro.core.decoder import CanopusDecoder, LevelData
 from repro.core.notation import LevelScheme
 from repro.core.progressive import ProgressiveReader
 from repro.core.restored_cache import dataset_fingerprint
 from repro.errors import RestorationError
 from repro.io.dataset import BPDataset
 from repro.obs import trace
+from repro.query import (
+    QueryPlanner,
+    blob_query,
+    check_selection,
+    normalize_region,
+    stats_query,
+)
 from repro.storage.hierarchy import StorageHierarchy
 
 __all__ = ["CampaignHandle", "Session"]
@@ -141,20 +148,14 @@ class CampaignHandle:
         self.session = session
         self.name = name
         self.dataset = dataset
-        self.engine = DecodeEngine(
-            dataset,
-            use_restored_cache=session.use_restored_cache,
-            pipeline=session.pipeline,
-        )
+        self.decoder = CanopusDecoder(dataset, share_geometry=True)
         self._planner = None
 
     @property
     def planner(self):
         """Lazy accuracy-aware retrieval planner over this handle."""
         if self._planner is None:
-            from repro.query import QueryPlanner
-
-            self._planner = QueryPlanner(self.engine)
+            self._planner = QueryPlanner(self)
         return self._planner
 
     # -- metadata -------------------------------------------------------
@@ -164,7 +165,7 @@ class CampaignHandle:
         return dataset_fingerprint(self.dataset)
 
     def variables(self) -> list[str]:
-        return self.engine.variables()
+        return self.decoder.variables()
 
     def scheme(self, var: str) -> LevelScheme:
         return layout.variable_scheme(self._meta(var))
@@ -202,7 +203,7 @@ class CampaignHandle:
     ) -> str:
         """Chain name of ``var`` at a step/part coordinate.
 
-        The engine, planner, caches and cursors all identify a chain by
+        The decoder, planner, caches and cursors all identify a chain by
         this string. Unknown variable/step/part →
         :class:`~repro.errors.VariableNotFoundError`; a coordinate the
         variable lacks or requires → :class:`~repro.errors.QueryError`.
@@ -239,18 +240,13 @@ class CampaignHandle:
 
         Raises :class:`~repro.errors.QueryError` (a ``ValueError``
         mapping to HTTP 400) for ``tolerance <= 0`` or an empty
-        ``region`` — both previously degraded to a silent
-        full-accuracy loop.
+        ``region``, a NaN ``tolerance`` and a negative or NaN
+        ``min_significance`` (:func:`~repro.query.check_selection`) —
+        each previously degraded to a silent full-accuracy loop.
         """
+        check_selection(level, tolerance, min_significance)
         chain = self.chain(var, step=step, part=part)
-        if level is not None and tolerance is not None:
-            raise RestorationError(
-                "restore takes level or tolerance, not both"
-            )
-        if region is not None:
-            from repro.query import normalize_region
-
-            region = normalize_region(region)
+        region = normalize_region(region)
         if tolerance is not None:
             with trace.span(
                 "session.restore", "session",
@@ -266,7 +262,7 @@ class CampaignHandle:
                     return self.planner.execute(plan)
                 # No summaries to certify from: measure level by level.
                 reader = ProgressiveReader(
-                    self.engine.decoder,
+                    self.decoder,
                     chain,
                     pipeline=self.session.pipeline,
                     min_significance=min_significance,
@@ -274,17 +270,27 @@ class CampaignHandle:
                 return reader.refine_until(
                     rms_tolerance=tolerance, max_level=0, region=region
                 )
+        level = 0 if level is None else int(level)
         with trace.span(
             "session.restore", "session",
-            {"campaign": self.name, "var": chain,
-             "level": 0 if level is None else int(level)},
+            {"campaign": self.name, "var": chain, "level": level},
         ):
-            return self.engine.restore(
-                chain,
-                0 if level is None else int(level),
-                region=region,
-                min_significance=min_significance,
+            return self.restore_chain(
+                chain, level, region=region, min_significance=min_significance
             )
+
+    def restore_chain(
+        self, chain: str, level: int = 0, *, region=None,
+        min_significance: float = 0.0,
+    ) -> LevelData:
+        """Restore one :meth:`chain` to ``level`` as the session is
+        configured (``pipeline``, ``use_restored_cache``): the restore
+        :meth:`restore`, executed plans and pushdown fallbacks end in."""
+        return self.decoder.restore_to(
+            chain, level, region=region, min_significance=min_significance,
+            pipeline=self.session.pipeline,
+            use_cache=self.session.use_restored_cache,
+        )
 
     def restore_many(
         self,
@@ -295,19 +301,21 @@ class CampaignHandle:
         region: tuple[np.ndarray, np.ndarray] | None = None,
         min_significance: float = 0.0,
     ) -> dict[str, LevelData]:
-        """Concurrent multi-variable restore (``{var: LevelData}``).
-
-        ``step`` applies to every listed variable.
-        """
+        """Multi-variable restore (``{var: LevelData}``); ``step``
+        applies to every listed variable. One prefetch batch, then each
+        chain on the calling thread (:meth:`CanopusDecoder.restore_many`)."""
+        check_selection(min_significance=min_significance)
         variables = list(variables)
         chains = [self.chain(var, step=step) for var in variables]
         with trace.span(
             "session.restore_many", "session",
             {"campaign": self.name, "vars": len(variables), "level": level},
         ):
-            restored = self.engine.restore_many(
+            restored = self.decoder.restore_many(
                 chains, level,
                 region=region, min_significance=min_significance,
+                pipeline=self.session.pipeline,
+                use_cache=self.session.use_restored_cache,
             )
         return {var: restored[chain] for var, chain in zip(variables, chains)}
 
@@ -342,21 +350,15 @@ class CampaignHandle:
         self, var: str, *, step: int | None = None, region=None
     ) -> dict:
         """Pushdown aggregate statistics (see :func:`repro.query.stats_query`)."""
-        from repro.query import stats_query
-
-        return stats_query(
-            self.engine, self.chain(var, step=step), region=region
-        )
+        return stats_query(self, self.chain(var, step=step), region=region)
 
     def query_blobs(
         self, var: str, *, threshold: float, step: int | None = None,
         region=None, shape: tuple[int, int] = (128, 128),
     ) -> dict:
         """Pushdown blob detection (see :func:`repro.query.blob_query`)."""
-        from repro.query import blob_query
-
         return blob_query(
-            self.engine, self.chain(var, step=step), threshold=threshold,
+            self, self.chain(var, step=step), threshold=threshold,
             region=region, shape=shape,
         )
 

@@ -1,7 +1,8 @@
-"""Tests for the parallel decode engine and the shared read-side caches.
+"""Tests for the restore walker and the shared read-side caches.
 
-Covers the PR-4 acceptance points: batched chunk decode and
-multi-variable fan-out are bit-identical to the serial seed path
+Covers: batched chunk decode and multi-variable
+``restore_many`` (:meth:`CanopusDecoder.restore_many` through a
+session handle) are bit-identical to the serial seed path
 (including region + min_significance filtered retrieval, whose chunk
 scatter order must not matter), the process-wide restored-level and
 geometry caches are correct and thread-safe under concurrent
@@ -16,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.api import (
-    DecodeEngine,
     Session,
     dataset_fingerprint,
     get_geometry_cache,
@@ -75,6 +75,11 @@ def setup(tmp_path_factory):
     return src, fields, h
 
 
+def _handle(h):
+    """A fresh session handle: pipelined, with the restored cache."""
+    return Session(h).open("run")
+
+
 def _serial_restore(h, var, level=0, *, region=None, min_significance=0.0):
     """The seed path: one decoder, no pipeline, no caches."""
     dec = CanopusDecoder(BPDataset.open("run", h))
@@ -92,8 +97,7 @@ class TestBitIdentity:
     def test_restore_many_matches_serial(self, setup):
         _, fields, h = setup
         serial = {v: _serial_restore(h, v) for v in fields}
-        engine = DecodeEngine(BPDataset.open("run", h))
-        out = engine.restore_many(list(fields), 0)
+        out = _handle(h).restore_many(list(fields), level=0)
         for var in fields:
             assert np.array_equal(out[var].field, serial[var].field)
 
@@ -167,8 +171,7 @@ class TestBitIdentity:
         serial = _serial_restore(
             h, "dpot", region=region, min_significance=ms
         )
-        engine = DecodeEngine(BPDataset.open("run", h))
-        out = engine.restore(
+        out = _handle(h).restore_chain(
             "dpot", 0, region=region, min_significance=ms
         )
         # Chunk scatter order must not matter: disjoint vertex sets.
@@ -178,9 +181,7 @@ class TestBitIdentity:
     def test_facade_matches_serial(self, setup):
         _, fields, h = setup
         serial = {v: _serial_restore(h, v, 1) for v in fields}
-        out = DecodeEngine(BPDataset.open("run", h)).restore_many(
-            list(fields), 1
-        )
+        out = _handle(h).restore_many(list(fields), level=1)
         for var in fields:
             assert out[var].level == 1
             assert np.array_equal(out[var].field, serial[var].field)
@@ -189,27 +190,26 @@ class TestBitIdentity:
 class TestRestoredLevelCache:
     def test_second_restore_reads_zero_bytes(self, setup):
         _, _, h = setup
-        engine = DecodeEngine(BPDataset.open("run", h))
-        first = engine.restore("dpot", 0)
+        handle = _handle(h)
+        first = handle.restore_chain("dpot", 0)
         before = h.clock.bytes_moved(op="read")
-        second = engine.restore("dpot", 0)
+        second = handle.restore_chain("dpot", 0)
         assert h.clock.bytes_moved(op="read") == before  # geometry cached too
         assert np.array_equal(second.field, first.field)
         assert get_restored_cache().hits >= 1
 
     def test_warm_start_from_coarser_level(self, setup):
         _, _, h = setup
-        engine = DecodeEngine(BPDataset.open("run", h))
-        engine.restore("dpot", 1)
+        handle = _handle(h)
+        handle.restore_chain("dpot", 1)
         serial = _serial_restore(h, "dpot", 0)
         bytes_before = h.clock.bytes_moved(op="read")
-        full = engine.restore("dpot", 0)
+        full = handle.restore_chain("dpot", 0)
         warm_bytes = h.clock.bytes_moved(op="read") - bytes_before
 
         get_restored_cache().clear()
         bytes_before = h.clock.bytes_moved(op="read")
-        engine2 = DecodeEngine(BPDataset.open("run", h))
-        cold = engine2.restore("dpot", 0)
+        cold = _handle(h).restore_chain("dpot", 0)
         cold_bytes = h.clock.bytes_moved(op="read") - bytes_before
         assert np.array_equal(full.field, serial.field)
         assert np.array_equal(cold.field, serial.field)
@@ -218,23 +218,23 @@ class TestRestoredLevelCache:
 
     def test_filtered_entries_are_not_substituted(self, setup):
         src, _, h = setup
-        engine = DecodeEngine(BPDataset.open("run", h))
+        handle = _handle(h)
         ms = 0.05 * float(np.abs(src.field).max())
-        pruned = engine.restore("dpot", 0, min_significance=ms)
-        full = engine.restore("dpot", 0)
+        pruned = handle.restore_chain("dpot", 0, min_significance=ms)
+        full = handle.restore_chain("dpot", 0)
         serial = _serial_restore(h, "dpot", 0)
         assert np.array_equal(full.field, serial.field)
         assert not np.array_equal(pruned.field, full.field)
         # The filtered result is cached under its own key and hits too.
-        again = engine.restore("dpot", 0, min_significance=ms)
+        again = handle.restore_chain("dpot", 0, min_significance=ms)
         assert np.array_equal(again.field, pruned.field)
 
     def test_cached_field_is_immutable_snapshot(self, setup):
         _, _, h = setup
-        engine = DecodeEngine(BPDataset.open("run", h))
-        first = engine.restore("dpot", 0)
+        handle = _handle(h)
+        first = handle.restore_chain("dpot", 0)
         first.field[...] = -1.0  # callers own their copy
-        second = engine.restore("dpot", 0)
+        second = handle.restore_chain("dpot", 0)
         assert not np.array_equal(second.field, first.field)
 
     def test_fingerprint_distinguishes_datasets(self, setup, tmp_path):
@@ -250,8 +250,8 @@ class TestRestoredLevelCache:
         ds_a = BPDataset.open("run", h)
         ds_b = BPDataset.open("run", h2)
         assert dataset_fingerprint(ds_a) != dataset_fingerprint(ds_b)
-        a = DecodeEngine(ds_a).restore("dpot", 0)
-        b = DecodeEngine(ds_b).restore("dpot", 0)
+        a = _handle(h).restore_chain("dpot", 0)
+        b = _handle(h2).restore_chain("dpot", 0)
         assert not np.array_equal(a.field, b.field)
 
     def test_eviction_keeps_budget(self, setup):
@@ -279,8 +279,7 @@ class TestThreadSafety:
 
         def worker():
             try:
-                engine = DecodeEngine(BPDataset.open("run", h))
-                results.append(engine.restore_many(list(fields), 0))
+                results.append(_handle(h).restore_many(list(fields), level=0))
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -297,14 +296,12 @@ class TestThreadSafety:
 
     def test_geometry_cache_shared_across_decoders(self, setup):
         _, _, h = setup
-        engine = DecodeEngine(BPDataset.open("run", h))
-        engine.restore("dpot", 0)
+        _handle(h).restore_chain("dpot", 0)
         geo = get_geometry_cache()
         assert geo.stats()["entries"] > 0
-        # A second engine over the same bytes decodes no new geometry.
+        # A second handle over the same bytes decodes no new geometry.
         before = geo.misses
-        engine2 = DecodeEngine(BPDataset.open("run", h))
-        engine2.restore("dpot", 1)
+        _handle(h).restore_chain("dpot", 1)
         assert geo.misses == before
 
 
@@ -429,6 +426,29 @@ class TestCampaignRestoreMany:
         for step in range(4):
             assert np.array_equal(out[step].field, serial[step].field)
 
+    def test_repeated_step_keeps_every_step(self, setup, tmp_path):
+        """Each requested step maps to its own chain's field, a step
+        listed twice included, and no step is dropped."""
+        src, _, _ = setup
+        h = two_tier_titan(
+            tmp_path, fast_capacity=64 << 20, slow_capacity=1 << 36
+        )
+        writer = CampaignWriter(
+            h, "camp3", "dpot", src.mesh, LevelScheme(2),
+            codec="zfp", codec_params={"tolerance": TOL, "mode": "relative"},
+        )
+        for step in range(3):
+            writer.write_step(step, src.field + step)
+        writer.close()
+        reader = CampaignReader(h, "camp3")
+        out = reader.restore_many([1, 1, 2], 0)
+        assert sorted(out) == [1, 2]
+        for step in (1, 2):
+            assert out[step].var == reader.restore(step, 0).var
+            assert np.array_equal(
+                out[step].field, reader.restore(step, 0).field
+            )
+
     def test_rejects_unknown_step(self, setup, tmp_path):
         src, _, _ = setup
         h = two_tier_titan(
@@ -448,4 +468,4 @@ class TestCampaignRestoreMany:
 class TestEngineValidation:
     def test_empty_restore_many(self, setup):
         _, _, h = setup
-        assert DecodeEngine(BPDataset.open("run", h)).restore_many([]) == {}
+        assert CanopusDecoder(BPDataset.open("run", h)).restore_many([]) == {}

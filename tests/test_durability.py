@@ -417,10 +417,10 @@ class TestFsckRepairEndToEnd:
         ).healthy
 
     def test_restore_bit_identical_with_replica_down(self, tmp_path):
-        from repro.core.decode_engine import DecodeEngine
+        from repro.core.decoder import CanopusDecoder
 
         _encode_campaign(tmp_path, **self.KW)
-        reference = DecodeEngine(_reopen(tmp_path, **self.KW)).restore(
+        reference = CanopusDecoder(_reopen(tmp_path, **self.KW)).restore_to(
             "dpot", 0
         ).field
 
@@ -428,7 +428,7 @@ class TestFsckRepairEndToEnd:
         for tier in ds.hierarchy.tiers:
             if tier.backend.list_objects():
                 kill_replica(tier.backend, 0)
-        degraded = DecodeEngine(ds).restore("dpot", 0).field
+        degraded = CanopusDecoder(ds).restore_to("dpot", 0).field
         np.testing.assert_array_equal(reference, degraded)
 
 

@@ -25,15 +25,13 @@ import pytest
 
 from repro.core import CanopusEncoder, LevelScheme
 from repro.core.decimation_plan import _spatial_chunks
-from repro.core.decode_engine import DecodeEngine
+from repro.core.decoder import CanopusDecoder
 from repro.core.progressive import ProgressiveReader
 from repro.core.restored_cache import get_geometry_cache, get_restored_cache
 from repro.errors import QueryError, RestorationError
 from repro.io import BPDataset
 from repro.io.query import ChunkStats
 from repro.query import (
-    QueryPlanner,
-    RetrievalPlan,
     blob_query,
     normalize_region,
     parse_region,
@@ -71,12 +69,15 @@ def campaign(tmp_path_factory):
 
 
 @pytest.fixture()
-def engine(campaign):
+def handle(campaign):
     _, h = campaign
-    dataset = BPDataset.open("q", h)
-    engine = DecodeEngine(dataset, use_restored_cache=False)
-    yield engine
-    dataset.close()
+    with Session(h, use_restored_cache=False) as session:
+        yield session.open("q")
+
+
+def _fresh(handle):
+    """A decoder sharing no instance state with ``handle``'s."""
+    return CanopusDecoder(handle.dataset, share_geometry=True)
 
 
 def _roi(ds, half):
@@ -130,25 +131,25 @@ class TestSummariesCold:
     """Summary pruning over the cold-opened catalog (no payload I/O)."""
 
     def test_blob_pruned_chunks_cannot_hold_a_value_above_threshold(
-        self, campaign, engine
+        self, campaign, handle
     ):
         ds, h = campaign
         chunks = _spatial_chunks(ds.mesh.vertices, CHUNKS)
         assert len(chunks) == CHUNKS
         before = h.clock.bytes_moved(op="read")
-        assert blob_query(engine, "dpot", threshold=np.inf)["pruned_chunks"] == (
+        assert blob_query(handle, "dpot", threshold=np.inf)["pruned_chunks"] == (
             CHUNKS
         )
         assert h.clock.bytes_moved(op="read") == before
         threshold = float(np.quantile(ds.field, 0.75))
-        result = blob_query(engine, "dpot", threshold=threshold, shape=(32, 32))
+        result = blob_query(handle, "dpot", threshold=threshold, shape=(32, 32))
         # Pruned exactly where no original value reaches the threshold.
         below = sum(1 for idx in chunks if ds.field[idx].max() < threshold)
         assert result["pruned_chunks"] == below > 0
         assert result["candidate_chunks"] == CHUNKS - below > 0
 
-    def test_significance_skips_chunks_monotonically(self, engine):
-        planner = QueryPlanner(engine)
+    def test_significance_skips_chunks_monotonically(self, handle):
+        planner = handle.planner
         pruned = [
             planner.plan_restore(
                 "dpot", level=0, min_significance=m
@@ -158,9 +159,9 @@ class TestSummariesCold:
         assert pruned == sorted(pruned)
         assert pruned[0] == 0 < pruned[-1]
 
-    def test_plan_accounts_bytes(self, campaign, engine):
+    def test_plan_accounts_bytes(self, campaign, handle):
         ds, _ = campaign
-        planner = QueryPlanner(engine)
+        planner = handle.planner
         full = planner.plan_restore("dpot", level=0)
         pruned = planner.plan_restore(
             "dpot", level=0, min_significance=float(ds.field.max()) * 2
@@ -182,63 +183,59 @@ class TestSummariesCold:
 
 # ---------------------------------------------------------------------------
 class TestPlanner:
-    def test_certified_target_matches_progressive_loop(self, campaign, engine):
-        planner = QueryPlanner(engine)
+    def test_certified_target_matches_progressive_loop(self, campaign, handle):
+        planner = handle.planner
         plan = planner.plan_restore("dpot", tolerance=1e-3)
         assert plan.complete and plan.mode == "tolerance"
-        reader = ProgressiveReader(engine.decoder, "dpot")
+        reader = ProgressiveReader(handle.decoder, "dpot")
         legacy = reader.refine_until(rms_tolerance=1e-3, max_level=0)
         assert plan.target_level == legacy.level
 
-    def test_bit_identity_unfiltered(self, campaign, engine):
-        state, plan = QueryPlanner(engine).restore("dpot", tolerance=1e-3)
-        fresh = DecodeEngine(engine.dataset, use_restored_cache=False)
-        legacy = ProgressiveReader(fresh.decoder, "dpot").refine_until(
+    def test_bit_identity_unfiltered(self, campaign, handle):
+        state, plan = handle.planner.restore("dpot", tolerance=1e-3)
+        legacy = ProgressiveReader(_fresh(handle), "dpot").refine_until(
             rms_tolerance=1e-3, max_level=0
         )
         assert state.level == legacy.level
         assert np.array_equal(state.field, legacy.field)
         assert state.last_delta_rms == legacy.last_delta_rms
 
-    def test_met_tolerance_stops_early_within_bound(self, campaign, engine):
-        planner = QueryPlanner(engine)
+    def test_met_tolerance_stops_early_within_bound(self, campaign, handle):
+        planner = handle.planner
         # Pick a tolerance the coarsest refinement provably satisfies.
         coarse = planner.plan_restore("dpot", tolerance=1e-6)
-        base_level = engine.decoder.scheme("dpot").base_level
+        base_level = handle.decoder.scheme("dpot").base_level
         tol = coarse.level_rms[base_level - 1] * 1.01
         state, plan = planner.restore("dpot", tolerance=tol)
         assert plan.target_level == base_level - 1
         assert state.level == base_level - 1
         assert state.last_delta_rms <= tol
-        fresh = DecodeEngine(engine.dataset, use_restored_cache=False)
-        legacy = ProgressiveReader(fresh.decoder, "dpot").refine_until(
+        legacy = ProgressiveReader(_fresh(handle), "dpot").refine_until(
             rms_tolerance=tol, max_level=0
         )
         assert np.array_equal(state.field, legacy.field)
 
-    def test_bit_identity_with_region(self, campaign, engine):
+    def test_bit_identity_with_region(self, campaign, handle):
         ds, _ = campaign
         region = _roi(ds, 0.3)
-        state, plan = QueryPlanner(engine).restore(
+        state, plan = handle.planner.restore(
             "dpot", tolerance=1e-3, region=region
         )
-        fresh = DecodeEngine(engine.dataset, use_restored_cache=False)
-        legacy = ProgressiveReader(fresh.decoder, "dpot").refine_until(
+        legacy = ProgressiveReader(_fresh(handle), "dpot").refine_until(
             rms_tolerance=1e-3, max_level=0, region=region
         )
         assert np.array_equal(state.field, legacy.field)
         assert plan.pruned_chunks > 0
 
-    def test_exact_level_plan_is_bit_identical(self, campaign, engine):
-        planner = QueryPlanner(engine)
+    def test_exact_level_plan_is_bit_identical(self, campaign, handle):
+        planner = handle.planner
         state, plan = planner.restore("dpot", level=0)
-        fresh = DecodeEngine(engine.dataset, use_restored_cache=False)
-        full = fresh.restore("dpot", 0)
+        full = _fresh(handle).restore_to("dpot", 0)
         assert np.array_equal(state.field, full.field)
         assert plan.mode == "level" and plan.skipped_bytes == 0
 
-    def test_loose_tolerance_skips_finer_levels(self, campaign, engine):
-        planner = QueryPlanner(engine)
+    def test_loose_tolerance_skips_finer_levels(self, campaign, handle):
+        planner = handle.planner
         loose = planner.plan_restore("dpot", tolerance=10.0)
         tight = planner.plan_restore("dpot", tolerance=1e-6)
         assert loose.target_level > 0
@@ -249,9 +246,9 @@ class TestPlanner:
         }
         assert not skipped_keys & set(loose.fetch_keys())
 
-    def test_plan_is_explainable_and_serializable(self, campaign, engine):
+    def test_plan_is_explainable_and_serializable(self, campaign, handle):
         ds, _ = campaign
-        plan = QueryPlanner(engine).plan_restore(
+        plan = handle.planner.plan_restore(
             "dpot", tolerance=1e-3, region=_roi(ds, 0.2)
         )
         text = plan.explain()
@@ -262,17 +259,11 @@ class TestPlanner:
         assert doc["planned_bytes"] == plan.planned_bytes
         assert len(doc["decisions"]) == len(plan.decisions)
 
-    def test_missing_summaries_fall_back(self, campaign):
-        _, h = campaign
-        dataset = BPDataset.open("q", h)
-        try:
-            for key in dataset.keys():
-                dataset.inq(key).attrs.pop("stats", None)
-            engine = DecodeEngine(dataset, use_restored_cache=False)
-            plan = QueryPlanner(engine).plan_restore("dpot", tolerance=1e-3)
-            assert not plan.complete
-        finally:
-            dataset.close()
+    def test_missing_summaries_fall_back(self, handle):
+        for key in handle.dataset.keys():
+            handle.dataset.inq(key).attrs.pop("stats", None)
+        plan = handle.planner.plan_restore("dpot", tolerance=1e-3)
+        assert not plan.complete
 
     def test_session_restore_uses_planner_and_falls_back(self, campaign):
         _, h = campaign
@@ -309,15 +300,15 @@ class TestPlanner:
 
 
 # ---------------------------------------------------------------------------
-def _same_signature_boxes(engine):
+def _same_signature_boxes(handle):
     """Two boxes that keep the same chunks at every level, and a third
     that keeps others (all three prune something)."""
-    chain = engine.decoder.chain("dpot")
+    chain = handle.decoder.chain("dpot")
     by_signature = {}
     for cx in np.linspace(-0.9, 0.9, 13):
         for cy in np.linspace(-0.9, 0.9, 13):
             box = ((cx - 0.05, cy - 0.05), (cx + 0.05, cy + 0.05))
-            signature = chain.filter_signature(engine.dataset.catalog, 0, box)
+            signature = chain.filter_signature(handle.dataset.catalog, 0, box)
             if signature:
                 by_signature.setdefault(signature, []).append(box)
     shared = max(by_signature.values(), key=len)
@@ -326,9 +317,9 @@ def _same_signature_boxes(engine):
 
 
 @pytest.fixture()
-def counted_plans(engine, monkeypatch):
+def counted_plans(handle, monkeypatch):
     """A planner whose every ``_plan`` call is recorded."""
-    planner = QueryPlanner(engine)
+    planner = handle.planner
     calls = []
     plan = planner._plan
 
@@ -341,9 +332,9 @@ def counted_plans(engine, monkeypatch):
 
 
 class TestResolutionMemo:
-    def test_one_plan_per_tolerance_and_signature(self, counted_plans, engine):
+    def test_one_plan_per_tolerance_and_signature(self, counted_plans, handle):
         planner, calls = counted_plans
-        box, twin, _ = _same_signature_boxes(engine)
+        box, twin, _ = _same_signature_boxes(handle)
         assert planner.resolved("dpot", tolerance=1e-3, region=box) is None
         first = planner.resolved("dpot", tolerance=1e-3, region=box, plan=True)
         again = planner.resolved("dpot", tolerance=1e-3, region=twin, plan=True)
@@ -361,10 +352,10 @@ class TestResolutionMemo:
         )
 
     def test_tolerance_significance_and_signature_are_separate_entries(
-        self, counted_plans, engine
+        self, counted_plans, handle
     ):
         planner, calls = counted_plans
-        box, _, other = _same_signature_boxes(engine)
+        box, _, other = _same_signature_boxes(handle)
         selections = [
             {"tolerance": 1e-3, "region": box},
             {"tolerance": 1e-2, "region": box},
@@ -389,21 +380,14 @@ class TestResolutionMemo:
         planner.resolved("dpot", tolerance=1e-1, plan=True)
         assert len(calls) == 4
 
-    def test_an_incomplete_plan_is_not_memoised(self, campaign):
-        _, h = campaign
-        dataset = BPDataset.open("q", h)
-        try:
-            for key in dataset.keys():
-                dataset.inq(key).attrs.pop("stats", None)
-            planner = QueryPlanner(
-                DecodeEngine(dataset, use_restored_cache=False)
-            )
-            assert not planner.plan_restore("dpot", tolerance=1e-3).complete
-            assert planner.resolved("dpot", tolerance=1e-3, plan=True) is None
-            assert len(planner.resolutions) == 0
-            assert planner.resolved("dpot", tolerance=1e-3) is None
-        finally:
-            dataset.close()
+    def test_an_incomplete_plan_is_not_memoised(self, handle):
+        for key in handle.dataset.keys():
+            handle.dataset.inq(key).attrs.pop("stats", None)
+        planner = handle.planner
+        assert not planner.plan_restore("dpot", tolerance=1e-3).complete
+        assert planner.resolved("dpot", tolerance=1e-3, plan=True) is None
+        assert len(planner.resolutions) == 0
+        assert planner.resolved("dpot", tolerance=1e-3) is None
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +399,37 @@ class TestValidation:
             for bad in (0.0, -1.0):
                 with pytest.raises(QueryError):
                     handle.restore("dpot", tolerance=bad)
+
+    @pytest.mark.parametrize("selection", [
+        {"tolerance": math.nan},
+        {"min_significance": -1.0},
+        {"min_significance": math.nan},
+        {"level": 0, "min_significance": math.nan},
+    ])
+    def test_nan_tolerance_and_bad_significance_rejected(
+        self, campaign, selection
+    ):
+        """A NaN compares false against every bound: it must be refused,
+        not restored at full accuracy, and must leave no memo entry."""
+        _, h = campaign
+        with Session(h) as session:
+            handle = session.open("q")
+            for _ in range(4):
+                with pytest.raises(QueryError):
+                    handle.restore("dpot", **selection)
+                with pytest.raises(QueryError):
+                    handle.plan("dpot", **selection)
+            assert len(handle.planner.resolutions) == 0
+
+    def test_infinite_tolerance_is_accepted(self, campaign):
+        """``tolerance=inf`` stops at the first certified level."""
+        _, h = campaign
+        with Session(h, use_restored_cache=False) as session:
+            handle = session.open("q")
+            plan = handle.plan("dpot", tolerance=math.inf)
+            assert plan.complete and plan.target_level > 0
+            state = handle.restore("dpot", tolerance=math.inf)
+            assert state.level == plan.target_level
 
     def test_query_error_is_a_value_error_with_400_code(self):
         from repro.errors import error_code, http_status
@@ -456,17 +471,17 @@ class TestValidation:
             with pytest.raises(QueryError):
                 parse_shape(bad)
 
-    def test_level_and_tolerance_conflict(self, campaign, engine):
+    def test_level_and_tolerance_conflict(self, campaign, handle):
         with pytest.raises(RestorationError):
-            QueryPlanner(engine).plan_restore("dpot", level=1, tolerance=0.1)
+            handle.planner.plan_restore("dpot", level=1, tolerance=0.1)
 
 
 # ---------------------------------------------------------------------------
 class TestPushdown:
-    def test_whole_variable_stats_zero_restores(self, campaign, engine):
+    def test_whole_variable_stats_zero_restores(self, campaign, handle):
         ds, h = campaign
         before = h.clock.bytes_moved(op="read")
-        result = stats_query(engine, "dpot")
+        result = stats_query(handle, "dpot")
         assert result["pushdown"] is True and result["restores"] == 0
         assert h.clock.bytes_moved(op="read") == before
         assert result["stats"]["vmax"] == pytest.approx(float(ds.field.max()))
@@ -474,11 +489,11 @@ class TestPushdown:
         assert result["stats"]["mean"] == pytest.approx(float(ds.field.mean()))
         assert result["stats"]["count"] == ds.field.size
 
-    def test_windowed_stats_prune_without_restores(self, campaign, engine):
+    def test_windowed_stats_prune_without_restores(self, campaign, handle):
         ds, h = campaign
         region = _roi(ds, 0.3)
         before = h.clock.bytes_moved(op="read")
-        result = stats_query(engine, "dpot", region=region)
+        result = stats_query(handle, "dpot", region=region)
         assert result["pushdown"] is True and result["restores"] == 0
         assert h.clock.bytes_moved(op="read") == before
         assert result["pruned_chunks"] > 0
@@ -492,34 +507,28 @@ class TestPushdown:
         )
         assert result["stats"]["vmax"] >= float(ds.field[mask].max()) - 1e-12
 
-    def test_stats_fallback_without_summaries(self, campaign):
-        _, h = campaign
-        dataset = BPDataset.open("q", h)
-        try:
-            for key in dataset.keys():
-                dataset.inq(key).attrs.pop("stats", None)
-            meta = dataset.catalog.attrs["variables"]["dpot"]
-            meta.pop("field_stats", None)
-            engine = DecodeEngine(dataset, use_restored_cache=False)
-            result = stats_query(engine, "dpot")
-            assert result["pushdown"] is False and result["restores"] == 1
-        finally:
-            dataset.close()
+    def test_stats_fallback_without_summaries(self, handle):
+        for key in handle.dataset.keys():
+            handle.dataset.inq(key).attrs.pop("stats", None)
+        meta = handle.dataset.catalog.attrs["variables"]["dpot"]
+        meta.pop("field_stats", None)
+        result = stats_query(handle, "dpot")
+        assert result["pushdown"] is False and result["restores"] == 1
 
-    def test_blob_query_above_max_restores_nothing(self, campaign, engine):
+    def test_blob_query_above_max_restores_nothing(self, campaign, handle):
         ds, h = campaign
         before = h.clock.bytes_moved(op="read")
         result = blob_query(
-            engine, "dpot", threshold=float(ds.field.max()) * 2 + 1
+            handle, "dpot", threshold=float(ds.field.max()) * 2 + 1
         )
         assert result["count"] == 0 and result["restores"] == 0
         assert result["pruned_chunks"] == CHUNKS
         assert h.clock.bytes_moved(op="read") == before
 
-    def test_blob_query_survivors_one_focused_restore(self, campaign, engine):
+    def test_blob_query_survivors_one_focused_restore(self, campaign, handle):
         ds, _ = campaign
         threshold = float(np.quantile(ds.field, 0.995))
-        result = blob_query(engine, "dpot", threshold=threshold)
+        result = blob_query(handle, "dpot", threshold=threshold)
         assert result["restores"] == 1
         assert result["count"] >= 1
         lo, hi = ds.mesh.bounding_box()
@@ -530,8 +539,8 @@ class TestPushdown:
 
 # ---------------------------------------------------------------------------
 class TestElasticFeedback:
-    def test_note_plan_heats_fetched_subfiles(self, campaign, engine):
-        planner = QueryPlanner(engine)
+    def test_note_plan_heats_fetched_subfiles(self, campaign, handle):
+        planner = handle.planner
         plan = planner.plan_restore("dpot", tolerance=1e-3)
         tracker = AccessTracker()
         noted = planner.note_plan(tracker, plan, now=1.0)
@@ -539,9 +548,9 @@ class TestElasticFeedback:
         assert tracker.records
         assert sum(i.reads for i in tracker.records.values()) == noted
 
-    def test_query_workload_shifts_plan_replacement(self, campaign, engine):
+    def test_query_workload_shifts_plan_replacement(self, campaign, handle):
         _, h = campaign
-        planner = QueryPlanner(engine)
+        planner = handle.planner
         cold = PlacementEngine(h).plan_replacement(AccessTracker())
         assert all(d.weight == 0.0 for d in cold.decisions)
 
@@ -552,7 +561,7 @@ class TestElasticFeedback:
         hot = PlacementEngine(h).plan_replacement(tracker)
         hot_weights = {d.key: d.weight for d in hot.decisions}
         touched = {
-            engine.dataset.inq(k).subfile for k in plan.fetch_keys()
+            handle.dataset.inq(k).subfile for k in plan.fetch_keys()
         } - {None, ""}
         assert touched
         assert all(hot_weights[s] > 0 for s in touched)

@@ -21,6 +21,7 @@ from repro.core.restored_cache import get_geometry_cache, get_restored_cache
 from repro.errors import (
     AuthError,
     ConflictError,
+    QueryError,
     QuotaError,
     RestorationError,
     VariableNotFoundError,
@@ -148,7 +149,7 @@ class TestEndpoints:
 
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_restore_levels_bit_identical(self, service, level):
-        """Wire payloads equal a direct in-process DecodeEngine restore."""
+        """Wire payloads equal a direct in-process handle restore."""
         svc, _ = service
 
         async def go():
@@ -157,7 +158,7 @@ class TestEndpoints:
                 return await c.restore("camp", "dpot", level=level)
 
         field, meta = _drive(go())
-        direct = svc.datanode.session.open("camp").engine.restore(
+        direct = svc.datanode.session.open("camp").restore_chain(
             "dpot", level
         )
         assert meta["level"] == level
@@ -297,6 +298,57 @@ class TestErrorTaxonomy:
         assert resp.status == 400
         assert resp.parsed_json()["code"] == "bad-request"
 
+    @pytest.mark.parametrize("route", ["restore", "plan"])
+    @pytest.mark.parametrize("selection", [
+        "tolerance=nan",
+        "min_significance=-1",
+        "min_significance=nan",
+        "level=0&min_significance=nan",
+    ])
+    def test_nan_tolerance_and_bad_significance_400(
+        self, service, route, selection
+    ):
+        """A NaN target or filter is refused, never restored at full
+        accuracy, and leaves no resolution in the planner's memo."""
+        svc, _ = service
+        planner = svc.datanode.session.open("camp").planner
+        before = len(planner.resolutions)
+
+        async def go():
+            async with ServiceClient(svc.host, svc.port,
+                                     token="tok-alice") as c:
+                return [
+                    await c._get(
+                        f"/v1/campaigns/camp/vars/dpot/{route}?{selection}"
+                    )
+                    for _ in range(4)
+                ]
+
+        for resp in _drive(go()):
+            assert resp.status == 400
+            assert resp.parsed_json()["code"] == "bad-request"
+        assert len(planner.resolutions) == before
+
+    @pytest.mark.parametrize("selection", [
+        {"tolerance": float("nan")},
+        {"level": 0, "min_significance": -1.0},
+        {"level": 0, "min_significance": float("nan")},
+    ])
+    def test_datanode_rejects_nan_before_resident_path(
+        self, service, selection
+    ):
+        """Refused in-process too, even for a target already resident."""
+        svc, _ = service
+
+        async def go():
+            async with ServiceClient(svc.host, svc.port,
+                                     token="tok-alice") as c:
+                await c.restore("camp", "dpot", level=0)
+
+        _drive(go())
+        with pytest.raises(QueryError):
+            asyncio.run(svc.datanode.restore("camp", "dpot", **selection))
+
     def test_unknown_route_404(self, service):
         svc, _ = service
 
@@ -374,7 +426,7 @@ class TestDeltaCursors:
         coarse, fine, field = _drive(go())
         assert coarse["cursor"].endswith(".apar.L2." + coarse["cursor"].split(".")[-1])
         assert fine["level"] == 0
-        direct = svc.datanode.session.open("camp").engine.restore("apar", 0)
+        direct = svc.datanode.session.open("camp").restore_chain("apar", 0)
         assert np.array_equal(field, direct.field)
 
     def test_stale_cursor_409(self, service):

@@ -2,7 +2,7 @@
 
 The ISSUE acceptance points exercised here: N async clients × M
 variables receive payloads bit-identical to a direct
-:class:`DecodeEngine` restore, the bounded executor never deadlocks
+:class:`~repro.session.Session` restore, the bounded executor never deadlocks
 even when client concurrency far exceeds its width, concurrent
 sessions share the process-wide restored-level cache without
 cross-tenant interference, and a tenant exceeding its budget gets 429
@@ -58,7 +58,7 @@ def stack(tmp_path_factory):
 
     get_restored_cache().clear()
     get_geometry_cache().clear()
-    # Reference restores from a plain in-process engine over a separate
+    # Reference restores from a plain in-process session over a separate
     # hierarchy handle — what the service payloads must equal bit-wise.
     ref_h = two_tier_titan(root, fast_capacity=64 << 20,
                            slow_capacity=1 << 36)

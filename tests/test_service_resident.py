@@ -20,8 +20,7 @@ import numpy as np
 import pytest
 
 from repro.api import write_campaign
-from repro.core import CanopusEncoder, LevelScheme
-from repro.core.decode_engine import DecodeEngine
+from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
 from repro.core.progressive import ProgressiveReader
 from repro.core.restored_cache import (
     RestoredLevelCache,
@@ -352,7 +351,7 @@ def _region_boxes(handle):
     groups = {}
     centres = [float(c) for c in np.linspace(-0.9, 0.9, 25)]
     for var in ("dpot", "planes"):
-        chain = handle.engine.decoder.chain(var)
+        chain = handle.decoder.chain(var)
         for cx in centres:
             for cy in centres:
                 box = ((cx - 0.04, cy - 0.04), (cx + 0.04, cy + 0.04))
@@ -439,7 +438,7 @@ class TestLoopAndExecutorInterleave:
                     assert response.headers["x-canopus-cache"] == "hit"
                     assert response.body == _npy(expected[product][0])
         # Same survivors, same bits: a box the server never saw.
-        assert seeded.body == _npy(handle.engine.decoder.restore_to(
+        assert seeded.body == _npy(handle.decoder.restore_to(
             repeated[0], 0,
             region=tuple(np.array(b) for b in repeats[-1]),
         ).field)
@@ -858,7 +857,7 @@ class TestToleranceOnTheLoop:
             if key[1] == "tolerance"
         ]
         measured = ProgressiveReader(
-            DecodeEngine(handle.dataset, use_restored_cache=False).decoder,
+            CanopusDecoder(handle.dataset, share_geometry=True),
             "dpot",
         ).refine_until(rms_tolerance=1e-3, max_level=0)
         for response in responses:

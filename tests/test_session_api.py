@@ -274,12 +274,8 @@ class TestContentKeyedCache:
         ds1.close()
         ds2.close()
 
-    def test_engine_fingerprint_snapshot(self, root):
-        from repro.core.decode_engine import DecodeEngine
-
+    def test_handle_fingerprint_snapshot(self, root):
         path, _ = root
-        h = _hier(path)
-        ds = BPDataset.open("camp", h)
-        engine = DecodeEngine(ds)
-        assert engine.fingerprint == dataset_fingerprint(ds)
-        ds.close()
+        with Session(_hier(path)) as session:
+            handle = session.open("camp")
+            assert handle.fingerprint == dataset_fingerprint(handle.dataset)

@@ -20,7 +20,6 @@ and every phase is reported.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,38 +32,13 @@ from repro.analytics import (
     run_analysis_at_level,
 )
 from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
-from repro.harness import format_table, json_report
+from repro.harness import format_table
 from repro.harness.experiment import stack_planes, write_baseline_dataset
 from repro.io import BPDataset
 from repro.simulations import make_dataset
 from repro.storage import two_tier_titan
 
 REL_TOL = 1e-4
-
-RESULTS_DIR = Path(__file__).parent / "results"
-BENCH_JSON = RESULTS_DIR / "BENCH_pipeline.json"
-
-
-def record_bench_json(key: str, payload: dict) -> Path:
-    """Merge one benchmark's structured result into BENCH_pipeline.json.
-
-    The file accumulates ``{key: payload}`` across the whole benchmark
-    run (fig9/10/11 sweeps + engine speedup), so one JSON document holds
-    the machine-readable record the ``results/*.txt`` tables mirror.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    merged: dict = {}
-    if BENCH_JSON.exists():
-        try:
-            merged = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            merged = {}
-    merged[key] = payload
-    BENCH_JSON.write_text(
-        json.dumps(merged, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return BENCH_JSON
-
 
 @dataclass
 class PipelineSweep:
@@ -90,25 +64,6 @@ class PipelineSweep:
             title="full-accuracy restoration from base + deltas",
         )
         return a + "\n\n" + b
-
-    def to_json(self) -> dict:
-        """Structured counterpart of :meth:`tables` (same numbers)."""
-        return json_report(
-            f"pipeline:{self.dataset_name}",
-            self.next_level_rows,
-            meta={
-                "dataset": self.dataset_name,
-                "variable": self.variable,
-                "ratios": self.ratios,
-                "rel_tolerance": REL_TOL,
-            },
-            metrics={
-                "baseline": self.baseline_row,
-                "full_restore_rows": self.full_restore_rows,
-                "max_restore_error": self.max_restore_error,
-                "field_range": self.field_range,
-            },
-        )
 
 
 def run_pipeline_sweep(

@@ -14,26 +14,18 @@ Asserted:
 * ``repair`` (the ``repro fsck --repair`` machinery) restores full
   redundancy: afterwards every tier backend verifies clean and a fresh
   trace still restores bit-identically.
-
-The structured result lands in ``benchmarks/results/
-BENCH_durability.json`` and is gated by ``check_regression.py``.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
 
 from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
-from repro.harness import format_table, json_report
-from repro.harness.report import write_json_report
+from repro.harness import format_table
 from repro.io import BPDataset, repair_backends
 from repro.simulations import make_xgc1
 from repro.storage import kill_replica, two_tier_titan
-
-from pipeline_common import RESULTS_DIR
 
 SCALE = 0.5
 LEVELS = 3
@@ -105,9 +97,7 @@ def durability_run(tmp_path_factory):
     for t in h.tiers:
         if t.backend.list_objects():
             kill_replica(t.backend, 1)
-    wall = time.perf_counter()
     repair_actions = repair_backends(h)
-    repair_wall_seconds = time.perf_counter() - wall
     problems_after = {
         t.name: t.backend.verify() for t in h.tiers
     }
@@ -122,7 +112,6 @@ def durability_run(tmp_path_factory):
         "degraded_seconds": degraded_seconds,
         "degraded_tiers": degraded_tiers,
         "repair_actions": repair_actions,
-        "repair_wall_seconds": repair_wall_seconds,
         "problems_after_repair": problems_after,
         "repaired_fields": repaired_fields,
     }
@@ -191,30 +180,3 @@ def test_report(durability_run, record_result):
             ),
         ),
     )
-    report = json_report(
-        "durability_replica_loss",
-        rows,
-        meta={
-            "dataset": "xgc1",
-            "scale": SCALE,
-            "vertices": durability_run["vertices"],
-            "levels": LEVELS,
-            "shards": SHARDS,
-            "replicas": REPLICAS,
-            "chunk_size": CHUNK_SIZE,
-            "codec": "zfp",
-            "rel_tolerance": REL_TOL,
-            "wiped_objects": durability_run["wiped_objects"],
-        },
-        metrics={
-            "healthy_trace_seconds": healthy,
-            "degraded_trace_seconds": degraded,
-            "degraded_over_healthy": degraded / healthy,
-            "max_slowdown": MAX_SLOWDOWN,
-            "repair_wall_seconds": durability_run["repair_wall_seconds"],
-            "repair_actions": len(durability_run["repair_actions"]),
-            "degraded_tiers": len(durability_run["degraded_tiers"]),
-            "bit_identical": True,  # asserted separately
-        },
-    )
-    write_json_report(RESULTS_DIR / "BENCH_durability.json", report)

@@ -24,8 +24,6 @@ from repro.io import BPDataset
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
 
-from pipeline_common import record_bench_json
-
 RATIO = 32
 PLANES = 32
 SCALE = 0.5
@@ -86,20 +84,6 @@ def test_pipelined_refinement_speedup(encoded, record_result):
         f"  speedup:             {speedup:.2f}x\n"
         f"  prefetch issued/useful: {stats.prefetch_issued}"
         f"/{stats.prefetch_useful}",
-    )
-    record_bench_json(
-        "engine_speedup",
-        {
-            "name": "engine_speedup:xgc1",
-            "meta": {"dataset": "xgc1", "ratio": RATIO, "planes": PLANES},
-            "metrics": {
-                "serial_io_seconds": serial_cost,
-                "pipelined_io_seconds": pipe_cost,
-                "speedup": speedup,
-                "prefetch_issued": stats.prefetch_issued,
-                "prefetch_useful": stats.prefetch_useful,
-            },
-        },
     )
     assert speedup >= 1.5, (serial_cost, pipe_cost)
     assert stats.prefetch_useful > 0

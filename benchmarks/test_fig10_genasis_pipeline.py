@@ -7,11 +7,7 @@ decimation ratios {2, 4, 8, 16, 32}.
 
 import pytest
 
-from pipeline_common import (
-    assert_pipeline_shape,
-    record_bench_json,
-    run_pipeline_sweep,
-)
+from pipeline_common import assert_pipeline_shape, run_pipeline_sweep
 
 RATIOS = [2, 4, 8, 16, 32]
 
@@ -29,7 +25,6 @@ def sweep(tmp_path_factory):
 
 def test_fig10_tables(sweep, record_result):
     record_result("fig10_genasis_pipeline", "Fig.10 " + sweep.tables())
-    record_bench_json("fig10_genasis", sweep.to_json())
 
 
 def test_fig10_pipeline_shape(sweep):

@@ -7,11 +7,7 @@ triangles).
 
 import pytest
 
-from pipeline_common import (
-    assert_pipeline_shape,
-    record_bench_json,
-    run_pipeline_sweep,
-)
+from pipeline_common import assert_pipeline_shape, run_pipeline_sweep
 
 RATIOS = [2, 4, 8]
 
@@ -29,7 +25,6 @@ def sweep(tmp_path_factory):
 
 def test_fig11_tables(sweep, record_result):
     record_result("fig11_cfd_pipeline", "Fig.11 " + sweep.tables())
-    record_bench_json("fig11_cfd", sweep.to_json())
 
 
 def test_fig11_pipeline_shape(sweep):

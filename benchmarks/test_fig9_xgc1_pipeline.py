@@ -15,11 +15,7 @@ import pytest
 from repro.analytics import BlobDetectorParams, RasterSpec, detect_blobs, rasterize
 from repro.simulations import make_xgc1
 
-from pipeline_common import (
-    assert_pipeline_shape,
-    record_bench_json,
-    run_pipeline_sweep,
-)
+from pipeline_common import assert_pipeline_shape, run_pipeline_sweep
 
 RATIOS = [2, 4, 8, 16, 32]
 PLANES = 32
@@ -48,7 +44,6 @@ def sweep(tmp_path_factory):
 
 def test_fig9_tables(sweep, record_result):
     record_result("fig9_xgc1_pipeline", "Fig.9 " + sweep.tables())
-    record_bench_json("fig9_xgc1", sweep.to_json())
 
 
 def test_fig9_pipeline_shape(sweep):

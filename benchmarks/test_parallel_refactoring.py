@@ -15,6 +15,7 @@ import pytest
 from repro.core import LevelScheme, get_plan_cache
 from repro.core.parallel import PartitionedDecoder, encode_partitioned
 from repro.harness import format_table
+from repro.mesh import partition_mesh
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
 
@@ -84,14 +85,14 @@ def test_restored_field_bounded(runs):
 
 
 def test_per_part_work_balanced(runs):
-    """Spatial binning yields patches of comparable refactor cost."""
-    _, _, results = runs
-    times = results["serial"].per_part_seconds
-    assert max(times) < 8 * (sum(times) / len(times))
+    """Spatial binning yields patches of comparable size, and refactor
+    work per patch is linear in its vertices."""
+    ds, _, results = runs
+    sizes = [p.mesh.num_vertices for p in partition_mesh(ds.mesh, PARTS)]
+    assert len(sizes) == results["serial"].parts
+    assert max(sizes) < 8 * (sum(sizes) / len(sizes))
 
 
 def test_partition_benchmark(benchmark):
-    from repro.mesh import partition_mesh
-
     ds = make_xgc1(scale=0.4)
     benchmark(lambda: partition_mesh(ds.mesh, PARTS))

@@ -17,9 +17,7 @@ variable first (the walk fills tmpfs with it) and a hot variable second
   future work) and the same trace is replayed against the new layout.
 
 Asserted: the cost-based layout serves the trace in strictly less
-simulated I/O time (threshold below), restores stay bit-identical, and
-the structured result lands in ``benchmarks/results/BENCH_placement.json``
-(uploaded as a CI artifact).
+simulated I/O time (threshold below), and restores stay bit-identical.
 """
 
 from __future__ import annotations
@@ -28,15 +26,12 @@ import numpy as np
 import pytest
 
 from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
-from repro.harness import format_table, json_report
+from repro.harness import format_table
 from repro.harness.experiment import stack_planes
-from repro.harness.report import write_json_report
 from repro.io import BPDataset
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
 from repro.storage.policy import TierManager
-
-from pipeline_common import RESULTS_DIR
 
 SCALE = 0.5  # Fig. 9's XGC1 scale
 PLANES = 2
@@ -114,26 +109,19 @@ def placement_run(tmp_path_factory):
     for sub in hot_subfiles:
         for _ in range(HOT_SESSIONS):
             mgr.tracker.note(sub, now)
-    migration_before = hierarchy.clock.elapsed
     moves = mgr.replan()
-    migration_seconds = hierarchy.clock.elapsed - migration_before
     cost_seconds, cost_fields = _trace_seconds(hierarchy)
     cost_tiers = {s: hierarchy.locate(s).name for s in hot_subfiles}
 
     return {
         "walk_seconds": walk_seconds,
         "cost_seconds": cost_seconds,
-        "migration_seconds": migration_seconds,
         "moves": moves,
         "walk_tiers": walk_tiers,
         "cost_tiers": cost_tiers,
         "walk_fields": walk_fields,
         "cost_fields": cost_fields,
-        "plan_est_seconds": mgr.engine.plan_replacement(
-            mgr.tracker
-        ).est_read_seconds,
         "vertices": src.mesh.num_vertices,
-        "cold_bytes": cold_bytes,
     }
 
 
@@ -191,34 +179,6 @@ def test_cost_beats_walk_and_report(placement_run, record_result):
             ),
         ),
     )
-    report = json_report(
-        "placement_skewed",
-        rows,
-        meta={
-            "dataset": "xgc1",
-            "scale": SCALE,
-            "planes": PLANES,
-            "vertices": placement_run["vertices"],
-            "levels": LEVELS,
-            "chunks": CHUNKS,
-            "codec": "zfp",
-            "rel_tolerance": REL_TOL,
-            "hot_sessions": HOT_SESSIONS,
-            "cold_compressed_bytes": placement_run["cold_bytes"],
-        },
-        metrics={
-            "walk_seconds": walk_s,
-            "cost_seconds": cost_s,
-            "cost_over_walk": cost_s / walk_s,
-            "max_cost_fraction": MAX_COST_FRACTION,
-            "migration_seconds": placement_run["migration_seconds"],
-            "migrations": len(placement_run["moves"]),
-            "plan_est_read_seconds": placement_run["plan_est_seconds"],
-            "bit_identical": True,  # asserted separately
-        },
-    )
-    write_json_report(RESULTS_DIR / "BENCH_placement.json", report)
-
     assert cost_s < MAX_COST_FRACTION * walk_s, (
         f"cost-based trace {cost_s:.4f}s not under "
         f"{MAX_COST_FRACTION:.0%} of walk {walk_s:.4f}s"

@@ -13,26 +13,21 @@ number on the planner end of that claim for a fig9-scale XGC1 campaign:
 * exact (level-0, unfiltered) queries stay bit-identical through the
   planner, and every tolerance query lands within its tolerance.
 
-Emits ``results/BENCH_query.json`` (gated by ``check_regression.py``)
-plus the ``query_stats_pruning`` table (moved here from the focused
+Records the ``query_pushdown`` and ``query_stats_pruning`` tables
+(the latter (moved here from the focused
 retrieval bench, which kept the decoder-level ROI measurements).
 """
-
-import time
 
 import numpy as np
 import pytest
 
 from repro.core import CanopusEncoder, LevelScheme
 from repro.core.restored_cache import get_geometry_cache, get_restored_cache
-from repro.harness import format_table, json_report
-from repro.harness.report import write_json_report
+from repro.harness import format_table
 from repro.query import blob_query, stats_query
 from repro.session import Session
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
-
-from pipeline_common import RESULTS_DIR
 
 CHUNKS = 36
 SCALE = 0.5
@@ -67,17 +62,14 @@ def _fresh_planner(h):
 
 
 def _measure(h, fn):
-    """Run ``fn`` and return (result, sim_read_seconds, read_bytes, wall)."""
+    """Run ``fn`` and return (result, sim_read_seconds, read_bytes)."""
     sim0 = h.clock.total(op="read")
     bytes0 = h.clock.bytes_moved(op="read")
-    wall0 = time.perf_counter()
     result = fn()
-    wall = time.perf_counter() - wall0
     return (
         result,
         h.clock.total(op="read") - sim0,
         h.clock.bytes_moved(op="read") - bytes0,
-        wall,
     )
 
 
@@ -124,11 +116,11 @@ def test_query_pushdown_benchmark(setup, record_result):
     ]
 
     rows = []
-    totals = {"planner": [0.0, 0, 0.0], "naive": [0.0, 0, 0.0]}
+    totals = {"planner": [0.0, 0], "naive": [0.0, 0]}
     for name, kind, params in mix:
         planner = _fresh_planner(h)
         if kind == "restore":
-            (state, plan), psim, pbytes, pwall = _measure(
+            (state, plan), psim, pbytes = _measure(
                 h, lambda: planner.restore("dpot", **params)
             )
             assert plan.complete, f"{name}: tolerance target not certified"
@@ -138,7 +130,7 @@ def test_query_pushdown_benchmark(setup, record_result):
             )
             detail = f"level {plan.target_level}, {plan.pruned_chunks} pruned"
         elif kind == "stats":
-            result, psim, pbytes, pwall = _measure(
+            result, psim, pbytes = _measure(
                 h, lambda: stats_query(planner.handle, "dpot", **params)
             )
             assert result["pushdown"] and result["restores"] == 0
@@ -150,7 +142,7 @@ def test_query_pushdown_benchmark(setup, record_result):
                 assert result["stats"]["count"] == ds.field.size
             detail = "pushdown, 0 restores"
         else:
-            result, psim, pbytes, pwall = _measure(
+            result, psim, pbytes = _measure(
                 h, lambda: blob_query(planner.handle, "dpot", **params)
             )
             assert result["count"] == 0 and result["restores"] == 0
@@ -159,17 +151,16 @@ def test_query_pushdown_benchmark(setup, record_result):
             detail = "pushdown, 0 restores"
 
         naive = _fresh_planner(h)
-        _, nsim, nbytes, nwall = _measure(
+        _, nsim, nbytes = _measure(
             h, lambda: naive.handle.restore_chain("dpot", 0)
         )
 
         for acc, vals in (
-            ("planner", (psim, pbytes, pwall)),
-            ("naive", (nsim, nbytes, nwall)),
+            ("planner", (psim, pbytes)),
+            ("naive", (nsim, nbytes)),
         ):
             totals[acc][0] += vals[0]
             totals[acc][1] += vals[1]
-            totals[acc][2] += vals[2]
         rows.append({
             "query": name,
             "kind": kind,
@@ -200,36 +191,6 @@ def test_query_pushdown_benchmark(setup, record_result):
             ),
         ),
     )
-
-    report = json_report(
-        "query_pushdown",
-        rows,
-        meta={
-            "dataset": "xgc1",
-            "scale": SCALE,
-            "chunks": CHUNKS,
-            "levels": LEVELS,
-            "codec": "zfp",
-            "rel_tolerance": 1e-4,
-            "min_savings_required": MIN_SAVINGS,
-        },
-        metrics={
-            "planner": {
-                "mix_sim_read_seconds": totals["planner"][0],
-                "mix_bytes": totals["planner"][1],
-                "mix_wall_seconds": totals["planner"][2],
-            },
-            "naive": {
-                "mix_sim_read_seconds": totals["naive"][0],
-                "mix_bytes": totals["naive"][1],
-                "mix_wall_seconds": totals["naive"][2],
-            },
-            "sim_read_savings": sim_savings,
-            "bytes_savings": bytes_savings,
-            "exact_bit_identical": True,
-        },
-    )
-    write_json_report(RESULTS_DIR / "BENCH_query.json", report)
 
     assert sim_savings >= MIN_SAVINGS, (
         f"planner saved only {sim_savings:.2f}x sim-read time"

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.compress import get_codec, smoothness
 from repro.core import LevelScheme, refactor
-from repro.harness import print_table
+from repro.harness import format_table
 from repro.simulations import make_dataset
 
 CODECS = ["zfp", "sz", "deflate"]
@@ -57,11 +57,12 @@ def main() -> None:
     all_rows = []
     for name in ("xgc1", "genasis", "cfd"):
         all_rows.extend(study(name))
-    print_table(
+    print()
+    print(format_table(
         all_rows,
         title="Normalized multi-level storage size: direct vs Canopus (N=3)",
         precision=3,
-    )
+    ))
 
     # Why it works: deltas are smoother than the levels they encode.
     ds = make_dataset("xgc1", scale=0.3)
@@ -83,11 +84,12 @@ def main() -> None:
                 "total_variation": s.total_variation,
             }
         )
-    print_table(
+    print()
+    print(format_table(
         rows,
         title="XGC1 signal smoothness (deltas are the smoothest -> compress best)",
         precision=3,
-    )
+    ))
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import CanopusError
+from repro.errors import CanopusError, RestorationError
 
 __all__ = [
     "GEOM_VAR",
@@ -128,7 +128,7 @@ class LevelScheme:
 
     def validate_level(self, level: int) -> None:
         if not 0 <= level < self.num_levels:
-            raise CanopusError(
+            raise RestorationError(
                 f"level {level} out of range [0, {self.num_levels})"
             )
 

@@ -5,21 +5,12 @@ from repro.harness.experiment import (
     setup_experiment,
     write_baseline_dataset,
 )
-from repro.harness.report import (
-    format_fraction_bar,
-    format_table,
-    json_report,
-    print_table,
-    write_json_report,
-)
+from repro.harness.report import format_fraction_bar, format_table
 
 __all__ = [
     "ExperimentSetup",
     "setup_experiment",
     "write_baseline_dataset",
     "format_table",
-    "print_table",
     "format_fraction_bar",
-    "json_report",
-    "write_json_report",
 ]

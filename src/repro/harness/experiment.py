@@ -46,45 +46,6 @@ class ExperimentSetup:
     def decoder(self) -> CanopusDecoder:
         return CanopusDecoder(BPDataset.open(self.canopus_name, self.hierarchy))
 
-    def json_report(self) -> dict:
-        """Machine-readable summary of the encode run (write path)."""
-        from repro.harness.report import json_report
-
-        rows = [
-            {
-                "key": key,
-                "bytes": self.report.compressed_bytes[key],
-                "tier": self.report.placed_tiers.get(key, ""),
-            }
-            for key in sorted(self.report.compressed_bytes)
-        ]
-        return json_report(
-            f"encode:{self.canopus_name}",
-            rows,
-            meta={
-                "dataset": self.dataset.name,
-                "variable": self.dataset.variable,
-                "vertices": self.dataset.mesh.num_vertices,
-                "num_levels": self.scheme.num_levels,
-                "baseline": self.baseline_name,
-            },
-            metrics={
-                "original_bytes": self.report.original_bytes,
-                "payload_bytes": self.report.payload_bytes,
-                "total_compressed_bytes": self.report.total_compressed_bytes,
-                "decimation_seconds": self.report.decimation_seconds,
-                "delta_seconds": self.report.delta_seconds,
-                "compress_seconds": self.report.compress_seconds,
-                "io_seconds": self.report.io_seconds,
-            },
-        )
-
-    def save_json_report(self, path: str | Path) -> Path:
-        """Write :meth:`json_report` to ``path`` (parents created)."""
-        from repro.harness.report import write_json_report
-
-        return write_json_report(path, self.json_report())
-
 
 def stack_planes(dataset: SyntheticDataset, planes: int, seed: int = 0):
     """Stack a dataset's field into a 3-D variable of ``planes`` planes.

@@ -1,24 +1,14 @@
-"""Paper-style ASCII tables and machine-readable reports.
+"""Paper-style ASCII tables.
 
 The benchmarks print the same rows/series the paper's figures plot;
 these helpers keep that output consistent and legible in CI logs.
-:func:`json_report` / :func:`write_json_report` produce the structured
-per-run counterpart (consumed by tooling instead of eyeballs).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Iterable, Mapping
 
-__all__ = [
-    "format_table",
-    "print_table",
-    "format_fraction_bar",
-    "json_report",
-    "write_json_report",
-]
+__all__ = ["format_table", "format_fraction_bar"]
 
 
 def _fmt(value: object, precision: int) -> str:
@@ -58,58 +48,6 @@ def format_table(
     for row in cells:
         lines.append(" | ".join(v.ljust(w) for v, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def print_table(rows, **kwargs) -> None:
-    print()
-    print(format_table(rows, **kwargs))
-
-
-def _jsonable(value):
-    """Best-effort conversion of numpy scalars / sets to JSON types."""
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in value]
-    for attr in ("item",):  # numpy scalar protocol
-        if hasattr(value, attr) and not isinstance(value, (str, bytes)):
-            try:
-                return value.item()
-            except (TypeError, ValueError):
-                break
-    return value
-
-
-def json_report(
-    name: str,
-    rows: Iterable[Mapping[str, object]],
-    *,
-    meta: Mapping[str, object] | None = None,
-    metrics: Mapping[str, object] | None = None,
-) -> dict:
-    """Build the machine-readable counterpart of one printed table.
-
-    ``rows`` are the table rows verbatim; ``meta`` carries run context
-    (dataset, scale, codec, ...); ``metrics`` carries scalar outcomes
-    (speedups, totals). The result is JSON-serializable.
-    """
-    report = {
-        "name": name,
-        "rows": [_jsonable(dict(r)) for r in rows],
-    }
-    if meta:
-        report["meta"] = _jsonable(meta)
-    if metrics:
-        report["metrics"] = _jsonable(metrics)
-    return report
-
-
-def write_json_report(path: str | Path, report: Mapping[str, object]) -> Path:
-    """Write one report (or any JSON-serializable mapping) to ``path``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_jsonable(dict(report)), indent=2, sort_keys=True))
-    return path
 
 
 def format_fraction_bar(

@@ -13,11 +13,11 @@ HSDS-style split in one process (and one import surface):
   loop. All tenants share the process-wide restored-level/geometry
   caches and each dataset's retrieval-engine prefetch pipeline;
 * **client** (:mod:`repro.service.client`) — a stdlib asyncio client
-  used by the test suite, the load harness, and as the reference for
-  external consumers;
-* **load harness** (:mod:`repro.service.loadgen`) — drives hundreds of
-  concurrent simulated clients and aggregates per-tenant results
-  (``benchmarks/test_service_load.py`` writes ``BENCH_service.json``).
+  used by the test suite and as the reference for external consumers.
+
+:class:`~repro.service.servicenode.ServiceThread` hosts a service on its
+own thread + event loop, so in-process clients and handlers run on
+different OS threads.
 
 Quick start::
 
@@ -38,20 +38,17 @@ slowest requests and SLO burn rates).
 from repro.service.client import ServiceClient
 from repro.service.datanode import DataNode
 from repro.service.http import Request, Response
-from repro.service.loadgen import LoadReport, run_load, serial_baseline
-from repro.service.servicenode import CanopusService, ServiceNode
+from repro.service.servicenode import CanopusService, ServiceNode, ServiceThread
 from repro.service.tenants import TenantConfig, TenantRegistry
 
 __all__ = [
     "CanopusService",
     "DataNode",
-    "LoadReport",
     "Request",
     "Response",
     "ServiceClient",
     "ServiceNode",
+    "ServiceThread",
     "TenantConfig",
     "TenantRegistry",
-    "run_load",
-    "serial_baseline",
 ]

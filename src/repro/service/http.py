@@ -239,7 +239,7 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
 
 
 class ClientConnection:
-    """One keep-alive client connection (used by tests and the loadgen).
+    """One keep-alive client connection (the transport of :class:`ServiceClient`).
 
     Not a general HTTP client: exactly one in-flight request per
     connection, Content-Length framing only — the same slice the server

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import threading
 import time
 import types
 
@@ -70,7 +71,7 @@ from repro.service.http import Request, Response, read_request
 from repro.service.tenants import TenantConfig, TenantRegistry
 from repro.storage.hierarchy import StorageHierarchy
 
-__all__ = ["CanopusService", "ServiceNode"]
+__all__ = ["CanopusService", "ServiceNode", "ServiceThread"]
 
 NPY_CONTENT_TYPE = "application/x-npy"
 
@@ -706,3 +707,77 @@ class CanopusService:
 
     async def __aexit__(self, *exc) -> None:
         await self.stop()
+
+
+class ServiceThread:
+    """Host a :class:`CanopusService` on its own thread + event loop.
+
+    The pattern every test/benchmark needs: start, learn the bound
+    port, hammer it from the caller's own loop, stop. ``stop()`` joins
+    the thread after the service has fully shut down.
+    """
+
+    def __init__(self, service: CanopusService) -> None:
+        self.service = service
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._thread: threading.Thread | None = None
+        self._shutdown: asyncio.Event | None = None
+        self._started = threading.Event()
+        self._startup_error: BaseException | None = None
+
+    def start(self, timeout: float = 10.0) -> tuple[str, int]:
+        if self._thread is not None:
+            raise ServiceError("service thread already started")
+        self._thread = threading.Thread(
+            target=self._run, name="repro-service", daemon=True
+        )
+        self._thread.start()
+        if not self._started.wait(timeout):
+            raise ServiceError("service thread failed to start in time")
+        if self._startup_error is not None:
+            raise ServiceError(
+                f"service failed to start: {self._startup_error}"
+            ) from self._startup_error
+        return self.service.host, self.service.port
+
+    def _run(self) -> None:
+        loop = asyncio.new_event_loop()
+        self._loop = loop
+        asyncio.set_event_loop(loop)
+
+        async def _main() -> None:
+            self._shutdown = asyncio.Event()
+            try:
+                # start_server begins accepting immediately; no
+                # serve_forever needed.
+                await self.service.start()
+            except BaseException as exc:  # noqa: BLE001 — report to starter
+                self._startup_error = exc
+                self._started.set()
+                return
+            self._started.set()
+            await self._shutdown.wait()
+            await self.service.stop()
+
+        try:
+            loop.run_until_complete(_main())
+        finally:
+            loop.close()
+
+    def stop(self, timeout: float = 10.0) -> None:
+        loop, thread = self._loop, self._thread
+        if loop is None or thread is None:
+            return
+        if self._shutdown is not None:
+            loop.call_soon_threadsafe(self._shutdown.set)
+        thread.join(timeout)
+        self._loop = None
+        self._thread = None
+        self._shutdown = None
+
+    def __enter__(self) -> "ServiceThread":
+        self.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stop()

@@ -439,7 +439,7 @@ class TestObsReport:
         from repro.obs.logs import JsonlLogger
         from repro.obs.metrics import MetricsRegistry
         from repro.service import CanopusService
-        from repro.service.loadgen import ServiceThread
+        from repro.service import ServiceThread
 
         mesh_path, root = generated
         assert main(

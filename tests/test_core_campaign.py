@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import CampaignReader, CampaignWriter, LevelScheme
 from repro.errors import CanopusError, RestorationError
+from repro.session import Session
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
 
@@ -164,3 +165,33 @@ class TestCampaignReader:
             for _, data in reader.time_series(target_level=0)
         ]
         assert means[0] < means[1] < means[2] < means[3]
+
+
+def test_relative_tolerance_on_workers_restores_within_bound(tmp_path):
+    """A campaign encoded on worker threads with a relative tolerance
+    restores every step through a session within the stage bounds:
+    base plus two deltas, each within ``REL_TOL`` of the first step's
+    range."""
+    rel_tol, levels = 1e-4, 3
+    ds = make_xgc1(scale=0.15, seed=7)
+    x, y = ds.mesh.vertices[:, 0], ds.mesh.vertices[:, 1]
+    steps = [
+        ds.field * (1.0 + 0.05 * t) + 0.1 * np.sin(3 * x + 0.4 * t) * y
+        for t in range(3)
+    ]
+    hierarchy = two_tier_titan(
+        tmp_path, fast_capacity=16 << 20, slow_capacity=1 << 34
+    )
+    with CampaignWriter(
+        hierarchy, "rel", "dpot", ds.mesh, LevelScheme(levels),
+        codec="zfp", codec_params={"tolerance": rel_tol, "mode": "relative"},
+        workers=2,
+    ) as writer:
+        for step, field in enumerate(steps):
+            writer.write_step(step, field)
+    bound = levels * rel_tol * float(np.ptp(steps[0])) + 1e-12
+    with Session(hierarchy) as session:
+        handle = session.open("rel")
+        for step, field in enumerate(steps):
+            state = handle.restore("dpot", step=step, level=0)
+            assert float(np.abs(state.field - field).max()) <= bound

@@ -198,6 +198,19 @@ class TestRestoredLevelCache:
         assert np.array_equal(second.field, first.field)
         assert get_restored_cache().hits >= 1
 
+    def test_repeat_sessions_restore_many_from_cache(self, setup):
+        """Every session after the first is served from the process-wide
+        restored-level cache: one hit per variable, same bits."""
+        _, fields, h = setup
+        sessions = 3
+        first = _handle(h).restore_many(list(fields), level=0)
+        hits = get_restored_cache().hits
+        for _ in range(sessions - 1):
+            out = _handle(h).restore_many(list(fields), level=0)
+            for var in fields:
+                assert np.array_equal(out[var].field, first[var].field)
+        assert get_restored_cache().hits - hits >= (sessions - 1) * len(fields)
+
     def test_warm_start_from_coarser_level(self, setup):
         _, _, h = setup
         handle = _handle(h)

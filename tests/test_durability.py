@@ -18,8 +18,12 @@ from repro.core.restored_cache import get_geometry_cache, get_restored_cache
 from repro.errors import StorageError
 from repro.io import BPDataset, repair_backends, repair_dataset
 from repro.io.fsck import check_dataset
-from repro.service import CanopusService, ServiceClient, TenantConfig
-from repro.service.loadgen import ServiceThread
+from repro.service import (
+    CanopusService,
+    ServiceClient,
+    ServiceThread,
+    TenantConfig,
+)
 from repro.simulations import make_xgc1
 from repro.storage import (
     FAULT_MODES,

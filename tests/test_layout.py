@@ -57,9 +57,9 @@ from repro.obs import trace
 from repro.service import (
     CanopusService,
     ServiceClient,
+    ServiceThread,
     TenantConfig,
 )
-from repro.service.loadgen import ServiceThread
 from repro.simulations import make_xgc1
 
 SCHEME = LevelScheme(3)

@@ -21,9 +21,9 @@ from repro.errors import QuotaError, RestorationError
 from repro.service import (
     CanopusService,
     ServiceClient,
+    ServiceThread,
     TenantConfig,
 )
-from repro.service.loadgen import ServiceThread
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
 from repro.storage.placement import PlacementEngine

@@ -31,11 +31,11 @@ from repro.obs import get_registry
 from repro.service import (
     CanopusService,
     ServiceClient,
+    ServiceThread,
     TenantConfig,
     TenantRegistry,
 )
 from repro.service.http import COALESCE_BYTES, Request, Response
-from repro.service.loadgen import ServiceThread
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
 
@@ -293,6 +293,23 @@ class TestErrorTaxonomy:
                     "/v1/campaigns/camp/vars/dpot/restore?level=abc"
                 )
                 return resp
+
+        resp = _drive(go())
+        assert resp.status == 400
+        assert resp.parsed_json()["code"] == "bad-request"
+
+    @pytest.mark.parametrize("route", ["restore", "plan"])
+    @pytest.mark.parametrize("level", [7, -1])
+    def test_out_of_range_level_400(self, service, route, level):
+        """A level outside [0, N) is the client's mistake, not a 500."""
+        svc, _ = service
+
+        async def go():
+            async with ServiceClient(svc.host, svc.port,
+                                     token="tok-alice") as c:
+                return await c._get(
+                    f"/v1/campaigns/camp/vars/dpot/{route}?level={level}"
+                )
 
         resp = _drive(go())
         assert resp.status == 400

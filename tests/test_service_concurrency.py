@@ -24,9 +24,9 @@ from repro.io import BPDataset
 from repro.service import (
     CanopusService,
     ServiceClient,
+    ServiceThread,
     TenantConfig,
 )
-from repro.service.loadgen import ServiceThread, run_load
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
 
@@ -144,21 +144,35 @@ class TestConcurrentClients:
     def test_bounded_executor_no_deadlock(self, stack):
         """3x oversubscribed clients against a 2-thread executor."""
         svc, expected = stack
+        clients, per_client = 24, 3
+
+        async def one_client(ci):
+            served = failures = mismatches = 0
+            async with ServiceClient(svc.host, svc.port,
+                                     token="tok-a") as c:
+                for i in range(per_client):
+                    var = VARS[(ci + i) % len(VARS)]
+                    level = LEVELS[(ci + i) % len(LEVELS)]
+                    try:
+                        field, _ = await c.restore("camp", var, level=level)
+                    except Exception:
+                        failures += 1
+                        continue
+                    served += 1
+                    if not np.array_equal(field, expected[(var, level)]):
+                        mismatches += 1
+            return served, failures, mismatches
 
         async def go():
             return await asyncio.wait_for(
-                run_load(
-                    svc.host, svc.port, "camp", VARS,
-                    clients=24, requests_per_client=3,
-                    levels=LEVELS, token="tok-a", expected=expected,
-                ),
+                asyncio.gather(*(one_client(ci) for ci in range(clients))),
                 timeout=120,
             )
 
-        report = asyncio.run(go())
-        assert report.requests == 24 * 3
-        assert report.failures == 0
-        assert report.mismatches == 0
+        served, failures, mismatches = map(sum, zip(*asyncio.run(go())))
+        assert served == clients * per_client
+        assert failures == 0
+        assert mismatches == 0
 
     def test_quota_exceeded_does_not_starve_others(self, stack):
         svc, expected = stack

@@ -31,10 +31,14 @@ from repro.errors import ConflictError
 from repro.harness.experiment import stack_planes
 from repro.io import BPDataset
 from repro.obs import MetricsRegistry
-from repro.service import CanopusService, ServiceClient, TenantConfig
+from repro.service import (
+    CanopusService,
+    ServiceClient,
+    ServiceThread,
+    TenantConfig,
+)
 from repro.service.datanode import RestoreResult
 from repro.service.http import Request
-from repro.service.loadgen import ServiceThread
 from repro.service.servicenode import ServiceNode
 from repro.service.tenants import TenantRegistry
 from repro.session import Session

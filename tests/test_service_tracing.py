@@ -23,8 +23,12 @@ from repro.io import BPDataset
 from repro.obs import MetricsRegistry
 from repro.obs import context as obs_context
 from repro.obs.context import TraceContext, new_span_id, new_trace_id
-from repro.service import CanopusService, ServiceClient, TenantConfig
-from repro.service.loadgen import ServiceThread
+from repro.service import (
+    CanopusService,
+    ServiceClient,
+    ServiceThread,
+    TenantConfig,
+)
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
 

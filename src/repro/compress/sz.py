@@ -97,8 +97,8 @@ class SZCompressor(Compressor):
     name = "sz"
 
     def __init__(self, tolerance: float = 1e-6, predictor: str = "auto"):
-        if tolerance < 0:
-            raise CompressionError("tolerance must be >= 0")
+        if not 0 <= tolerance < np.inf:
+            raise CompressionError("tolerance must be finite and >= 0")
         if predictor not in ("lorenzo", "linear", "auto"):
             raise CompressionError(f"unknown predictor {predictor!r}")
         self.tolerance = float(tolerance)

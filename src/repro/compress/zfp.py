@@ -296,8 +296,8 @@ class ZFPCompressor(Compressor):
         mode: str = "absolute",
         rate: float | None = None,
     ):
-        if tolerance < 0:
-            raise CompressionError("tolerance must be >= 0")
+        if not 0 <= tolerance < np.inf:
+            raise CompressionError("tolerance must be finite and >= 0")
         if mode not in ("absolute", "relative"):
             raise CompressionError(f"unknown mode {mode!r}")
         if rate is not None and not 1.0 <= rate <= 64.0:

@@ -139,8 +139,8 @@ class CanopusEncoder:
     ) -> None:
         if chunks < 1:
             raise CanopusError("chunks must be >= 1")
-        if total_error_budget is not None and total_error_budget <= 0:
-            raise CanopusError("total_error_budget must be positive")
+        if total_error_budget is not None and not 0 < total_error_budget < np.inf:
+            raise CanopusError("total_error_budget must be finite and positive")
         if method not in KERNELS:
             raise CanopusError(
                 f"unknown decimation method {method!r}; "

@@ -113,8 +113,8 @@ class LevelScheme:
     def __post_init__(self) -> None:
         if self.num_levels < 1:
             raise CanopusError("need at least one level")
-        if self.step_ratio <= 1.0:
-            raise CanopusError("step_ratio must exceed 1")
+        if not 1.0 < self.step_ratio < float("inf"):
+            raise CanopusError("step_ratio must be finite and exceed 1")
 
     @property
     def base_level(self) -> int:

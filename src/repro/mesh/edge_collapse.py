@@ -130,8 +130,10 @@ def make_priority(
 
 def check_pass(mesh, fields, ratio: float, placement: str) -> dict:
     """Validate one pass's arguments (both kernels); fields by name."""
-    if ratio < 1.0:
-        raise DecimationError(f"decimation ratio must be >= 1, got {ratio}")
+    if not 1.0 <= ratio < np.inf:
+        raise DecimationError(
+            f"decimation ratio must be finite and >= 1, got {ratio}"
+        )
     if placement not in ("midpoint", "endpoint"):
         raise DecimationError(f"unknown placement {placement!r}")
     if isinstance(fields, np.ndarray):

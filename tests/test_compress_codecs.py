@@ -113,6 +113,13 @@ class TestLossyBounds:
         with pytest.raises(CompressionError):
             get_codec("sz", tolerance=-1.0)
 
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["zfp", "sz"])
+    def test_non_finite_tolerance_rejected(self, name, tolerance):
+        # NaN passes ``tolerance < 0``; both used to encode an all-NaN field.
+        with pytest.raises(CompressionError, match="finite"):
+            get_codec(name, tolerance=tolerance)
+
     def test_tolerance_too_small_raises(self):
         data = np.array([1e300, -1e300])
         with pytest.raises(CompressionError):

@@ -57,6 +57,11 @@ class TestLevelScheme:
         with pytest.raises(CanopusError):
             LevelScheme(3).validate_level(-1)
 
+    @pytest.mark.parametrize("step_ratio", [float("nan"), float("inf")])
+    def test_non_finite_step_ratio_rejected(self, step_ratio):
+        with pytest.raises(CanopusError, match="finite"):
+            LevelScheme(3, step_ratio=step_ratio)
+
 
 class TestTierPreference:
     def test_paper_example_three_levels_three_tiers(self):

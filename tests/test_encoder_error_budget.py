@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
-from repro.errors import CanopusError
+from repro.errors import CanopusError, CompressionError
 from repro.io import BPDataset
 from repro.mesh.generators import disk
 from repro.storage import two_tier_titan
@@ -64,6 +64,21 @@ class TestErrorBudget:
             CanopusEncoder(h, total_error_budget=0.0)
         with pytest.raises(CanopusError):
             CanopusEncoder(h, total_error_budget=-1.0)
+
+    @pytest.mark.parametrize("budget", [np.nan, np.inf])
+    def test_non_finite_budget_rejected(self, tmp_path, budget):
+        h = two_tier_titan(tmp_path, fast_capacity=1 << 20, slow_capacity=1 << 30)
+        with pytest.raises(CanopusError, match="finite"):
+            CanopusEncoder(h, total_error_budget=budget)
+
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf])
+    @pytest.mark.parametrize("codec", ["zfp", "sz"])
+    def test_non_finite_codec_tolerance_rejected(self, tmp_path, codec, tolerance):
+        """A NaN or infinite tolerance used to write a dataset that
+        restored every value as NaN; the encoder's codec check stops it."""
+        h = two_tier_titan(tmp_path, fast_capacity=1 << 20, slow_capacity=1 << 30)
+        with pytest.raises(CompressionError, match="finite"):
+            CanopusEncoder(h, codec=codec, codec_params={"tolerance": tolerance})
 
     @settings(
         max_examples=5, deadline=None,

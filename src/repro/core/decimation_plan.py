@@ -57,15 +57,17 @@ __all__ = [
 ]
 
 def mesh_fingerprint(mesh: TriangleMesh) -> str:
-    """Content hash of a mesh (vertex coordinates + connectivity)."""
-    h = hashlib.blake2b(digest_size=16)
-    v = np.ascontiguousarray(mesh.vertices, dtype=np.float64)
-    t = np.ascontiguousarray(mesh.triangles, dtype=np.int64)
-    h.update(np.int64(v.shape[0]).tobytes())
-    h.update(np.int64(t.shape[0]).tobytes())
-    h.update(v.tobytes())
-    h.update(t.tobytes())
-    return h.hexdigest()
+    """Content hash of a mesh (coordinates + connectivity), kept on it."""
+    if mesh._fingerprint is None:
+        h = hashlib.blake2b(digest_size=16)
+        v = np.ascontiguousarray(mesh.vertices, dtype=np.float64)
+        t = np.ascontiguousarray(mesh.triangles, dtype=np.int64)
+        h.update(np.int64(v.shape[0]).tobytes())
+        h.update(np.int64(t.shape[0]).tobytes())
+        h.update(v.tobytes())
+        h.update(t.tobytes())
+        mesh._fingerprint = h.hexdigest()
+    return mesh._fingerprint
 
 
 def plan_eligible(priority) -> bool:

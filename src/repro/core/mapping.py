@@ -22,12 +22,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import RefactoringError
+from repro.mesh.io import (
+    GEOMETRY_DEFLATE,
+    index_from_planes,
+    index_planes,
+    inflate_exact,
+)
 from repro.mesh.locate import TriangleLocator
 from repro.mesh.triangle_mesh import TriangleMesh
 
 __all__ = ["LevelMapping", "build_mapping"]
 
-_MAGIC = b"CMAP"
+_MAGIC = b"CMP2"
 _MEAN_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
@@ -98,24 +104,23 @@ class LevelMapping:
         """Serialize (deflated — indices are highly repetitive)."""
         has_w = self.weights is not None
         header = _MAGIC + struct.pack("<QB", self.n_fine, int(has_w))
-        body = self.tri_vertices.astype("<i8").tobytes()
+        body = index_planes(self.tri_vertices, RefactoringError)
         if has_w:
             body += self.weights.astype("<f8").tobytes()
-        return header + zlib.compress(body, 6)
+        return header + zlib.compress(body, GEOMETRY_DEFLATE)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "LevelMapping":
-        if len(blob) < 13 or blob[:4] != _MAGIC:
+        if len(blob) < 13 or blob[:4] != _MAGIC or blob[12] > 1:
             raise RefactoringError("not a mapping payload")
         n, has_w = struct.unpack_from("<QB", blob, 4)
-        body = zlib.decompress(blob[13:])
-        tri = np.frombuffer(body, dtype="<i8", count=n * 3).reshape(n, 3)
-        weights = None
-        if has_w:
-            weights = np.frombuffer(
-                body, dtype="<f8", count=n * 3, offset=n * 3 * 8
-            ).reshape(n, 3)
-        return cls(tri_vertices=tri.copy(), weights=None if weights is None else weights.copy())
+        size = n * (36 if has_w else 12)
+        body = inflate_exact(blob[13:], size, RefactoringError, "mapping")
+        tri = index_from_planes(body, n * 3).reshape(n, 3)
+        if not has_w:
+            return cls(tri_vertices=tri)
+        weights = np.frombuffer(body, "<f8", offset=n * 12).reshape(n, 3)
+        return cls(tri_vertices=tri, weights=weights.copy())
 
 
 def build_mapping(

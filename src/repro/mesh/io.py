@@ -12,6 +12,8 @@ Per-vertex fields can ride along in the ``.npz`` container under a
 
 from __future__ import annotations
 
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,36 @@ __all__ = [
 ]
 
 _FIELD_PREFIX = "field:"
-_BLOB_MAGIC = b"CMSH"
+_BLOB_MAGIC = b"CMS2"
+
+#: Deflate level of the mesh and mapping payloads: on XGC1's geometry
+#: level 1 stores 3.5 % more than level 6 in 55 % of the time.
+GEOMETRY_DEFLATE = 1
+
+
+def index_planes(indices: np.ndarray, error: type) -> bytes:
+    """Indices as four int32 byte planes, low byte first; ``error`` past int32."""
+    if indices.size and indices.max() > 2**31 - 1:
+        raise error(f"index {indices.max()} does not fit an int32 payload")
+    return indices.astype("<i4").view(np.uint8).reshape(-1, 4).T.tobytes()
+
+
+def index_from_planes(body: bytes, count: int, offset: int = 0) -> np.ndarray:
+    """Inverse of :func:`index_planes`: ``count`` indices, as int64."""
+    planes = np.frombuffer(body, np.uint8, count=4 * count, offset=offset)
+    ints = np.ascontiguousarray(planes.reshape(4, count).T).view("<i4")
+    return ints.reshape(count).astype(np.int64)
+
+
+def inflate_exact(payload: bytes, size: int, error: type, what: str) -> bytes:
+    """Inflate ``payload``; raise ``error`` unless it is ``size`` bytes."""
+    try:
+        body = zlib.decompress(payload)
+    except zlib.error as exc:
+        raise error(f"corrupt {what} payload: {exc}") from None
+    if len(body) != size:
+        raise error(f"{what} body is {len(body)} bytes; its header implies {size}")
+    return body
 
 
 def mesh_to_bytes(mesh: TriangleMesh) -> bytes:
@@ -38,37 +69,27 @@ def mesh_to_bytes(mesh: TriangleMesh) -> bytes:
     Used to store per-level mesh geometry inside BP subfiles (geometry is
     kept lossless so point location stays consistent across write/read).
     """
-    import struct
-    import zlib
-
     header = _BLOB_MAGIC + struct.pack(
         "<QQ", mesh.num_vertices, mesh.num_triangles
     )
-    body = mesh.vertices.astype("<f8").tobytes() + mesh.triangles.astype(
-        "<i8"
-    ).tobytes()
-    return header + zlib.compress(body, 6)
+    body = mesh.vertices.astype("<f8").tobytes() + index_planes(
+        mesh.triangles, MeshError
+    )
+    return header + zlib.compress(body, GEOMETRY_DEFLATE)
 
 
 def mesh_from_bytes(blob: bytes) -> TriangleMesh:
     """Inverse of :func:`mesh_to_bytes`."""
-    import struct
-    import zlib
-
     if len(blob) < 20 or blob[:4] != _BLOB_MAGIC:
         raise MeshError("not a mesh payload")
     nv, nt = struct.unpack_from("<QQ", blob, 4)
-    body = zlib.decompress(blob[20:])
+    body = inflate_exact(blob[20:], nv * 16 + nt * 12, MeshError, "mesh")
     verts = np.frombuffer(body, dtype="<f8", count=nv * 2).reshape(nv, 2)
-    tris = np.frombuffer(
-        body, dtype="<i8", count=nt * 3, offset=nv * 2 * 8
-    ).reshape(nt, 3)
+    tris = index_from_planes(body, nt * 3, nv * 16).reshape(nt, 3)
     # mesh_to_bytes serialises a constructed mesh, so the triangles are
-    # already oriented; the arrays stay read-only views of ``body``
-    # (astype copies only where the platform is not little-endian).
-    return TriangleMesh._from_own_arrays(
-        verts.astype(np.float64, copy=False), tris.astype(np.int64, copy=False)
-    )
+    # already oriented. Both arrays are copies: a cached mesh does not
+    # keep ``body`` alive.
+    return TriangleMesh._from_own_arrays(verts.astype(np.float64), tris)
 
 
 def save_mesh(

@@ -31,7 +31,7 @@ _INSIDE_EPS = 1e-9
 # only temporaries that grow with the query.
 _BLOCK = 4096
 # Triangles per build block (cell expansion and prefilter boxes).
-_TRI_BLOCK = 16384
+_TRI_BLOCK = 8192
 
 # Prefilter (docs/refactoring.md, "Point location"): a pair reaches the
 # exact solve only if the point lies in the triangle's bbox widened by
@@ -119,12 +119,15 @@ class TriangleLocator:
         # Bucket triangle ids by every cell their bbox covers — CSR over
         # the dense cell grid, built by expanding each block of triangles
         # into its (bbox width × height) covered cells.
+        self._corners = mesh.vertices[mesh.triangles]  # (m, 3, 2)
         self._box = np.empty((4, m), dtype=np.float64)  # x0, y0, x1, y1
         self._exact = np.empty(m, dtype=bool)
-        cell_parts, tri_parts = [], []
+        shift = m.bit_length()
+        key_parts = []
         for s in range(0, m, _TRI_BLOCK):
-            p = mesh.vertices[mesh.triangles[s:s + _TRI_BLOCK]]  # (b, 3, 2)
-            tlo, thi = p.min(axis=1), p.max(axis=1)
+            p = self._corners[s:s + _TRI_BLOCK]  # (b, 3, 2)
+            tlo = np.minimum(np.minimum(p[:, 0], p[:, 1]), p[:, 2])
+            thi = np.maximum(np.maximum(p[:, 0], p[:, 1]), p[:, 2])
             self._fill_prefilter(s, p, tlo, thi)
             ilo, ihi = self._cell_index(tlo), self._cell_index(thi)
             wy = ihi[:, 1] - ilo[:, 1] + 1
@@ -136,21 +139,21 @@ class TriangleLocator:
             flat = (ilo[owner, 0] + local // wy[owner]) * n_cells + (
                 ilo[owner, 1] + local % wy[owner]
             )
-            cell_parts.append(flat.astype(_index_dtype(n_cells * n_cells)))
-            tri_parts.append((owner + s).astype(_index_dtype(m)))
-        flat = np.concatenate(cell_parts)
-        del cell_parts
-        # Entries are generated in ascending triangle id, so a stable sort
-        # by cell keeps ids ascending within each bucket: a query hitting
-        # several containing triangles picks the lowest id.
-        order = np.argsort(flat, kind="stable")
-        self._bucket_tris = np.concatenate(tri_parts)[order]
-        del tri_parts, order
+            key_parts.append((flat << shift) | (owner + s))
+        # One sort of packed (cell, triangle) keys: the pairs are unique,
+        # so buckets come out in cell order with ids ascending within
+        # each, and a query hitting several containing triangles picks
+        # the lowest id.
+        keys = np.concatenate(key_parts)
+        del key_parts
+        keys.sort()
+        self._bucket_tris = (keys & ((1 << shift) - 1)).astype(_index_dtype(m))
         indptr = np.zeros(n_cells * n_cells + 1, dtype=np.int64)
         np.cumsum(
-            np.bincount(flat, minlength=n_cells * n_cells), out=indptr[1:]
+            np.bincount(keys >> shift, minlength=n_cells * n_cells),
+            out=indptr[1:],
         )
-        self._bucket_indptr = indptr.astype(_index_dtype(len(flat)))
+        self._bucket_indptr = indptr.astype(_index_dtype(len(keys)))
         # Built on the first point outside every triangle (see locate).
         self._centroid_tree: cKDTree | None = None
 
@@ -212,12 +215,12 @@ class TriangleLocator:
                     f"{len(missing)} point(s) outside the mesh"
                 )
             if self._centroid_tree is None:
-                self._centroid_tree = cKDTree(self.mesh.triangle_centroids())
+                self._centroid_tree = cKDTree(self._corners.mean(axis=1))
             _, nearest = self._centroid_tree.query(points[missing])
             nearest = np.atleast_1d(nearest).astype(np.int64)
             tri_ids[missing] = nearest
             bary[missing] = barycentric_coordinates(
-                points[missing], self.mesh.vertices[self.mesh.triangles[nearest]]
+                points[missing], self._corners[nearest]
             )
 
         if single:
@@ -249,11 +252,12 @@ class TriangleLocator:
         x0, y0, x1, y1 = self._box
         keep = (x >= x0[cand]) & (y >= y0[cand]) & (x <= x1[cand]) & (y <= y1[cand])
         keep |= self._exact[cand]
+        del x, y  # the solve below is the block's peak
         pt, cand = pt[keep], cand[keep]
-        w = barycentric_coordinates(
-            points[pt], self.mesh.vertices[self.mesh.triangles[cand]]
+        w = barycentric_coordinates(points[pt], self._corners[cand])
+        inside = np.flatnonzero(
+            np.minimum(np.minimum(w[:, 0], w[:, 1]), w[:, 2]) >= -_INSIDE_EPS
         )
-        inside = np.flatnonzero(w.min(axis=1) >= -_INSIDE_EPS)
         # pt is non-decreasing, so the first occurrence of each point
         # among the inside pairs is its lowest-id containing triangle.
         hit_pt = pt[inside]

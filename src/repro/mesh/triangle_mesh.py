@@ -56,6 +56,7 @@ class TriangleMesh:
         "_vertex_triangles",
         "_boundary_edges",
         "_triangle_areas",
+        "_fingerprint",
     )
 
     def __init__(
@@ -94,6 +95,8 @@ class TriangleMesh:
         self._vertex_triangles: tuple[np.ndarray, np.ndarray] | None = None
         self._boundary_edges: np.ndarray | None = None
         self._triangle_areas: np.ndarray | None = None
+        #: Content hash, set by ``decimation_plan.mesh_fingerprint``.
+        self._fingerprint: str | None = None
 
     # ------------------------------------------------------------------
     # construction helpers

@@ -1,12 +1,14 @@
 """Unblocked grid point location, the reference for ``TriangleLocator``.
 
 This is the locator as it was before queries ran in point blocks behind
-a bounding-box prefilter: the grid is built by expanding every triangle
-into its covered cells at once and ``lexsort``-ing by (cell, triangle),
-and a query pairs every point with every triangle bucketed in its cell,
-solves all pairs, and keeps the lowest-id containing triangle. Points
-in no triangle fall back to the nearest triangle centroid. It holds
-O(points × candidates) temporaries; it is here for its answers only.
+a bounding-box prefilter, and before its buckets came from one sort of
+packed (cell, triangle) keys. The grid is built by expanding every
+triangle into its covered cells at once and stable-sorting the entries
+by cell; a query pairs every point with every triangle bucketed in its
+cell, solves all pairs, and keeps the lowest-id containing triangle.
+Points in no triangle fall back to the nearest triangle centroid. It
+holds O(points × candidates) temporaries; it is here for its answers
+only.
 """
 
 from __future__ import annotations
@@ -18,19 +20,13 @@ from repro.errors import PointLocationError
 from repro.mesh.locate import barycentric_coordinates
 from repro.mesh.triangle_mesh import TriangleMesh
 
-__all__ = ["reference_locate"]
+__all__ = ["reference_buckets", "reference_locate"]
 
 _INSIDE_EPS = 1e-9
 
 
-def reference_locate(
-    mesh: TriangleMesh,
-    points: np.ndarray,
-    *,
-    cells_per_triangle: float = 1.0,
-    allow_fallback: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``TriangleLocator(mesh, cells_per_triangle).locate(points)``."""
+def _grid(mesh: TriangleMesh, cells_per_triangle: float):
+    """``(n_cells, cell_index)`` of the locator's uniform grid."""
     if mesh.num_triangles == 0:
         raise PointLocationError("cannot build a locator on an empty mesh")
     lo, hi = mesh.bounding_box()
@@ -42,6 +38,16 @@ def reference_locate(
         idx = ((p - lo) / cell).astype(np.int64)
         return np.clip(idx, 0, n_cells - 1)
 
+    return n_cells, cell_index
+
+
+def reference_buckets(
+    mesh: TriangleMesh, cells_per_triangle: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(bucket_tris, bucket_indptr)``: every triangle in every cell its
+    bbox covers, at once, put in cell order by a stable ``argsort`` (ids
+    are generated ascending, so they stay ascending within a cell)."""
+    n_cells, cell_index = _grid(mesh, cells_per_triangle)
     tri_pts = mesh.vertices[mesh.triangles]
     ilo = cell_index(tri_pts.min(axis=1))
     ihi = cell_index(tri_pts.max(axis=1))
@@ -54,11 +60,23 @@ def reference_locate(
     cx = ilo[tri_ids, 0] + local // wy[tri_ids]
     cy = ilo[tri_ids, 1] + local % wy[tri_ids]
     flat = cx * n_cells + cy
-    order = np.lexsort((tri_ids, flat))
-    bucket_tris = tri_ids[order]
+    order = np.argsort(flat, kind="stable")
     bucket_indptr = np.searchsorted(
         flat[order], np.arange(n_cells * n_cells + 1, dtype=np.int64)
     )
+    return tri_ids[order], bucket_indptr
+
+
+def reference_locate(
+    mesh: TriangleMesh,
+    points: np.ndarray,
+    *,
+    cells_per_triangle: float = 1.0,
+    allow_fallback: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``TriangleLocator(mesh, cells_per_triangle).locate(points)``."""
+    n_cells, cell_index = _grid(mesh, cells_per_triangle)
+    bucket_tris, bucket_indptr = reference_buckets(mesh, cells_per_triangle)
 
     points = np.asarray(points, dtype=np.float64)
     single = points.ndim == 1

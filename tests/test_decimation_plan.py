@@ -55,6 +55,29 @@ class TestFingerprint:
         other = TriangleMesh(v, moved.triangles, validate=False)
         assert mesh_fingerprint(mesh) != mesh_fingerprint(other)
 
+    def test_value_is_unchanged_and_hashed_once_per_mesh(self, monkeypatch):
+        import hashlib
+
+        blake2b, calls = hashlib.blake2b, []
+
+        def counted(**kwargs):
+            calls.append(kwargs)
+            return blake2b(**kwargs)
+
+        monkeypatch.setattr(hashlib, "blake2b", counted)
+        mesh = structured_rectangle(4, 3)
+        scheme = LevelScheme(3)
+        for _ in range(3):
+            # The value the unmemoised hash gave.
+            assert mesh_fingerprint(mesh) == "6ebcf54db67a75d86b6de13c41dcd7df"
+            PlanCache.key_for(
+                mesh, scheme, method=DEFAULT_METHOD, priority="length",
+                placement="midpoint", estimator="mean",
+            )
+        assert len(calls) == 1
+        assert mesh_fingerprint(mesh.copy()) == mesh_fingerprint(mesh)
+        assert len(calls) == 2
+
 
 class TestPlanReplay:
     @pytest.mark.parametrize("method", ["serial", "batched"])

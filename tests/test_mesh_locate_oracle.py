@@ -21,7 +21,7 @@ from repro.mesh import TriangleLocator, TriangleMesh, decimate_batched, locate
 from repro.mesh.generators import annulus, structured_rectangle
 from repro.simulations import make_xgc1
 
-from tests.oracle.locate import reference_locate
+from tests.oracle.locate import reference_buckets, reference_locate
 
 _MB = 2**20
 
@@ -127,6 +127,17 @@ class TestOracle:
         _, mesh = _MESHES["xgc1-0.25-s1"]()
         pts = _points(mesh, np.random.default_rng(3), 2000, ["box", "edge"])
         _assert_same(mesh, pts, cells_per_triangle=cpt)
+
+    @pytest.mark.parametrize("name", sorted(_MESHES))
+    def test_buckets_match_a_stable_argsort(self, name):
+        """The packed-key sort puts every (cell, triangle) entry where a
+        stable argsort by cell does, with triangles spanning many cells."""
+        _, mesh = _MESHES[name]()
+        loc = TriangleLocator(mesh, cells_per_triangle=4.0)
+        ref_tris, ref_indptr = reference_buckets(mesh, cells_per_triangle=4.0)
+        assert len(loc._bucket_tris) > 2 * mesh.num_triangles
+        np.testing.assert_array_equal(loc._bucket_tris, ref_tris)
+        np.testing.assert_array_equal(loc._bucket_indptr, ref_indptr)
 
     def test_degenerate_triangles_bypass_the_prefilter(self):
         mesh = _degenerate_mesh()

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from repro.errors import AnalyticsError
 
@@ -102,6 +101,8 @@ def _threshold_centers(
     image: np.ndarray, threshold: float, params: BlobDetectorParams
 ) -> list[tuple[float, float, float, float]]:
     """Per-threshold candidates: (x, y, radius, area)."""
+    from scipy import ndimage
+
     if params.blob_color == 255:
         binary = image >= threshold
     else:

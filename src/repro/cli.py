@@ -32,14 +32,15 @@ from repro.core import (
     encode_partitioned,
 )
 from repro.errors import ReproError
-from repro.harness.report import format_table
 from repro.io.dataset import DEFAULT_PLACEMENT, PLACEMENTS, BPDataset
 from repro.mesh.edge_collapse import DEFAULT_METHOD, KERNELS
 from repro.mesh.io import load_mesh, save_mesh
-from repro.simulations import dataset_names, make_dataset
 from repro.storage import BACKEND_KINDS, two_tier_titan
 
 __all__ = ["main", "build_parser"]
+
+# ``repro.simulations.dataset_names()``; building the parser imports no generator.
+_DATASETS = ("cfd", "genasis", "xgc1")
 
 
 def _add_backend_arg(sub) -> None:
@@ -70,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset to .npz")
-    gen.add_argument("dataset", choices=dataset_names())
+    gen.add_argument("dataset", choices=_DATASETS)
     gen.add_argument("--scale", type=float, default=0.3)
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True)
@@ -317,6 +318,8 @@ def _args_hierarchy(args, fast_capacity: int = 64 << 20):
 
 
 def _cmd_generate(args) -> int:
+    from repro.simulations import make_dataset
+
     params = {"scale": args.scale}
     if args.seed is not None:
         params["seed"] = args.seed
@@ -330,6 +333,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    from repro.harness.report import format_table
+
     mesh, fields = load_mesh(args.mesh)
     if args.field not in fields:
         raise ReproError(
@@ -388,6 +393,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    from repro.harness.report import format_table
+
     hierarchy = _args_hierarchy(args)
     ds = BPDataset.open(args.dataset, hierarchy)
     rows = [
@@ -548,6 +555,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from repro.harness.report import format_table
     from repro.obs import trace_session
 
     hierarchy = _args_hierarchy(args)
@@ -628,6 +636,7 @@ def _report_from_server(args) -> int:
     import asyncio
     from urllib.parse import urlsplit
 
+    from repro.harness.report import format_table
     from repro.service.client import ServiceClient
 
     split = urlsplit(args.url if "//" in args.url else f"//{args.url}")
@@ -669,6 +678,7 @@ def _report_from_server(args) -> int:
 def _report_from_jsonl(args) -> int:
     import json
 
+    from repro.harness.report import format_table
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.slo import SLO
 

@@ -8,9 +8,11 @@ meshes carrying per-vertex floating-point fields. This subpackage provides:
 * :func:`~repro.mesh.edge_collapse.decimate` — Algorithm 1 of the paper
   (shortest-edge-first collapse with a priority queue);
 * :class:`~repro.mesh.locate.TriangleLocator` — uniform-grid point location
-  with barycentric coordinates (used for delta calculation/restoration);
+  with barycentric coordinates (used for delta calculation/restoration;
+  only its outside-point fallback loads scipy, on first use);
 * :mod:`~repro.mesh.generators` — synthetic mesh builders used by the
-  three evaluation datasets;
+  three evaluation datasets (scipy Delaunay; not imported with this
+  package, ask for it with ``from repro.mesh import generators``);
 * :mod:`~repro.mesh.metrics`, :mod:`~repro.mesh.interpolation`,
   :mod:`~repro.mesh.io` — quality metrics, field interpolation, and
   (de)serialization.
@@ -22,7 +24,7 @@ from repro.mesh.batch_collapse import decimate_batched
 from repro.mesh.lineage import CollapseLineage
 from repro.mesh.locate import TriangleLocator, barycentric_coordinates
 from repro.mesh.interpolation import interpolate_at_points, interpolate_to_grid
-from repro.mesh import generators, metrics
+from repro.mesh import metrics
 from repro.mesh.io import load_mesh, save_mesh
 from repro.mesh.ordering import inverse_permutation, vertex_ordering
 from repro.mesh.partition import MeshPartition, gather_field, partition_mesh

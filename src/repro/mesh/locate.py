@@ -18,7 +18,6 @@ assignment quality affects only delta smoothness, never correctness.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.errors import PointLocationError
 from repro.mesh.triangle_mesh import TriangleMesh
@@ -155,7 +154,7 @@ class TriangleLocator:
         )
         self._bucket_indptr = indptr.astype(_index_dtype(len(keys)))
         # Built on the first point outside every triangle (see locate).
-        self._centroid_tree: cKDTree | None = None
+        self._centroid_tree = None
 
     def _fill_prefilter(self, s, p, tlo, thi) -> None:
         """Prefilter boxes and bypass flags for triangles ``s, s+1, …``.
@@ -215,6 +214,9 @@ class TriangleLocator:
                     f"{len(missing)} point(s) outside the mesh"
                 )
             if self._centroid_tree is None:
+                # Write-side only (a restore reads stored mappings).
+                from scipy.spatial import cKDTree
+
                 self._centroid_tree = cKDTree(self._corners.mean(axis=1))
             _, nearest = self._centroid_tree.query(points[missing])
             nearest = np.atleast_1d(nearest).astype(np.int64)

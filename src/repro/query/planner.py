@@ -112,7 +112,7 @@ def parse_region(raw: str | None) -> tuple[np.ndarray, np.ndarray] | None:
 
 def parse_shape(raw: str | None) -> tuple[int, int]:
     """The text raster grid ``"ny,nx"`` of a blob query (CLI ``--shape``,
-    service ``shape=``); empty is ``(128, 128)``."""
+    service ``shape=``), at most 2**20 pixels; empty is ``(128, 128)``."""
     if not raw:
         return (128, 128)
     try:
@@ -121,6 +121,8 @@ def parse_shape(raw: str | None) -> tuple[int, int]:
         dims = ()
     if len(dims) != 2 or min(dims) < 1:
         raise QueryError(f"shape must be two positive integers 'ny,nx'; got {raw!r}")
+    if dims[0] * dims[1] > 1 << 20:  # every grid point is held at once
+        raise QueryError(f"shape {raw!r} exceeds 1024 x 1024 pixels")
     return dims
 
 

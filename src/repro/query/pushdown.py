@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.analytics.blob import BlobDetectorParams, detect_blobs
 from repro.analytics.raster import RasterSpec, rasterize
+from repro.errors import QueryError
 from repro.io.query import ChunkStats
 from repro.obs import trace
 from repro.query.planner import _bump, normalize_region
@@ -169,6 +170,8 @@ def blob_query(
     detector over the window only. Blob centers come back in world
     coordinates (pixel-center mapping of the raster grid).
     """
+    if np.isnan(threshold):  # would reach the detector as a NaN range
+        raise QueryError("blob threshold must be a number, not NaN")
     window = normalize_region(region)
     _bump("query.pushdown.blob_calls")
     with trace.span(

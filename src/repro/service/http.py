@@ -214,7 +214,10 @@ async def _read_body(
         raise ServiceError(f"unacceptable content-length {raw!r}")
     if length == 0:
         return b""
-    return await reader.readexactly(length)
+    try:
+        return await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise ServiceError("truncated HTTP body") from exc
 
 
 async def read_request(reader: asyncio.StreamReader) -> Request | None:
@@ -226,7 +229,10 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise ServiceError(f"malformed request line {lines[0]!r}")
     method, target, _version = parts
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:  # e.g. an unclosed "[" in the authority
+        raise ServiceError(f"malformed request target {target!r}") from exc
     headers = _parse_headers(lines[1:])
     body = await _read_body(reader, headers)
     return Request(

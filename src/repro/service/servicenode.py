@@ -641,8 +641,8 @@ class CanopusService:
                 await writer.drain()
                 if not keep:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass  # client went away mid-frame; nothing to assemble
+        except (ConnectionError, OSError):
+            pass  # client went away; nothing to answer
         finally:
             del self._connections[task]
             writer.close()

@@ -216,10 +216,11 @@ class FilesystemBackend(ObjectStore):
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._resolved_root = self.root.resolve()
 
     def _path(self, key: str) -> Path:
         p = (self.root / key).resolve()
-        root = self.root.resolve()
+        root = self._resolved_root
         if root not in p.parents and p != root:
             raise StorageError(f"object key {key!r} escapes backend root")
         return p

@@ -141,6 +141,8 @@ class TestSummariesCold:
             CHUNKS
         )
         assert h.clock.bytes_moved(op="read") == before
+        with pytest.raises(QueryError):  # NaN compares false to every bound
+            blob_query(handle, "dpot", threshold=np.nan)
         threshold = float(np.quantile(ds.field, 0.75))
         result = blob_query(handle, "dpot", threshold=threshold, shape=(32, 32))
         # Pruned exactly where no original value reaches the threshold.
@@ -467,7 +469,8 @@ class TestValidation:
                 parse_region(bad)
         assert parse_shape(None) == parse_shape("") == (128, 128)
         assert parse_shape("32,64") == (32, 64)
-        for bad in ("32", "32,x", "0,32", "1,2,3"):
+        assert parse_shape("1024,1024") == (1024, 1024)
+        for bad in ("32", "32,x", "0,32", "1,2,3", "1025,1024", "99999,99999"):
             with pytest.raises(QueryError):
                 parse_shape(bad)
 

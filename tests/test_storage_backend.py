@@ -126,6 +126,25 @@ class TestFilesystemBackend:
         with pytest.raises(StorageError):
             be.put("../escape", b"x")
 
+    def test_every_escape_rejected_with_root_resolved_once(self, tmp_path):
+        # The root is resolved once, at construction; each key is still
+        # resolved on every access, so a symlink inside the root that
+        # points outside it is caught.
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "x").write_bytes(b"secret")
+        be = FilesystemBackend(tmp_path / "root")
+        (be.root / "link").symlink_to(outside, target_is_directory=True)
+        for key in ("../x", "a/../../x", str(outside / "x"), "link/x"):
+            with pytest.raises(StorageError):
+                be.get(key)
+            with pytest.raises(StorageError):
+                be.put(key, b"y")
+            assert not be.exists(key)
+        assert (outside / "x").read_bytes() == b"secret"
+        be.put("a/../inside", b"ok")
+        assert be.get("inside") == b"ok"
+
 
 class TestMemoryBackend:
     def test_contents_die_with_instance(self):

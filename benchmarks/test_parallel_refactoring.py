@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from repro.core import LevelScheme, get_plan_cache
-from repro.core.parallel import PartitionedDecoder, encode_partitioned
+from repro.core.parallel import encode_partitioned
 from repro.harness import format_table
 from repro.mesh import partition_mesh
+from repro.session import Session
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
 
@@ -41,6 +42,13 @@ def runs(tmp_path_factory):
         )
         results[label] = report
     return ds, h, results
+
+
+def _gather(hierarchy, name):
+    """The exact global field, every patch read (restored cache off)."""
+    return Session(hierarchy, use_restored_cache=False).open(name).gather(
+        "dpot"
+    )
 
 
 def test_parallel_table(runs, record_result):
@@ -72,14 +80,14 @@ def test_parallel_table(runs, record_result):
 
 def test_results_identical(runs):
     _, h, _ = runs
-    a = PartitionedDecoder(h, "run-serial").gather_full_accuracy()
-    b = PartitionedDecoder(h, "run-pool").gather_full_accuracy()
+    a = _gather(h, "run-serial")
+    b = _gather(h, "run-pool")
     assert np.array_equal(a, b)
 
 
 def test_restored_field_bounded(runs):
     ds, h, _ = runs
-    out = PartitionedDecoder(h, "run-serial").gather_full_accuracy()
+    out = _gather(h, "run-serial")
     rng = np.ptp(ds.field)
     assert np.abs(out - ds.field).max() <= 3 * TOL * rng + 1e-12
 

@@ -4,11 +4,14 @@ One blessed import surface for the common workflows::
 
     from repro.api import Session, write_campaign
 
-* :class:`Session` / :class:`CampaignHandle` — the read surface: open a
-  hierarchy once, then ``session.open(name)`` and
-  ``campaign.restore(var, level=..., tolerance=..., region=...)``,
-  ``restore_many``, ``stats``. Both in-process analytics and the HTTP
-  read tier (:mod:`repro.service`) run on this exact API;
+* :class:`Session` / :class:`CampaignHandle` — the one read entry
+  point, for every layout: open a hierarchy once, then
+  ``session.open(name)`` and
+  ``campaign.restore(var, step=..., part=..., level=..., tolerance=...,
+  region=...)``, ``restore_many``, ``restore_chains``, ``gather`` (a
+  partitioned variable's global field), ``stats``. Both in-process
+  analytics and the HTTP read tier (:mod:`repro.service`) run on this
+  exact API;
 * :func:`write_campaign` — Canopus-encode a timestep series of one
   variable with shared geometry;
 * :class:`QueryPlanner` / :class:`RetrievalPlan` plus
@@ -20,9 +23,10 @@ One blessed import surface for the common workflows::
 
 The classes behind these helpers are re-exported here too, so
 ``repro.api`` is a stable one-stop namespace: ``BPDataset.open`` /
-``BPDataset.create`` for raw product access,
-:class:`ProgressiveReader` for explicit level-by-level iteration, and
-the :class:`CampaignReader` / :class:`PartitionedDecoder` views.
+``BPDataset.create`` for raw product access, and
+:class:`ProgressiveReader` for explicit level-by-level iteration.
+:class:`CampaignReader` is a step-view shim over a session, kept only
+until the perf harness reads campaigns through :class:`Session`.
 
 Storage is pluggable end to end: pass ``backend=`` to
 :func:`~repro.storage.hierarchy.two_tier_titan` (or build tiers over
@@ -39,11 +43,11 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.core.campaign import CampaignReader, CampaignWriter, StepReport
+from repro.core.campaign import CampaignWriter, StepReport
 from repro.core.decoder import CanopusDecoder, LevelData
 from repro.core.encoder import CanopusEncoder
 from repro.core.notation import LevelScheme
-from repro.core.parallel import PartitionedDecoder, encode_partitioned
+from repro.core.parallel import encode_partitioned
 from repro.core.progressive import ProgressiveReader
 from repro.core.restored_cache import (
     GeometryCache,
@@ -78,7 +82,7 @@ from repro.obs import (
     render_prometheus,
     trace_session,
 )
-from repro.session import CampaignHandle, Session
+from repro.session import CampaignHandle, CampaignReader, Session
 from repro.storage.backend import (
     FilesystemBackend,
     MemoryBackend,
@@ -115,7 +119,6 @@ __all__ = [
     "MemoryBackend",
     "MetricsRegistry",
     "ObjectStore",
-    "PartitionedDecoder",
     "PlacementEngine",
     "PlacementPlan",
     "PlanDecision",

@@ -9,12 +9,8 @@ decompress → restore, level by level).
 
 from repro.core.bytesplit import ByteSplitProduct, byte_restore, byte_split
 from repro.core.blocksplit import QualityLayer, block_restore, block_split
-from repro.core.campaign import CampaignReader, CampaignWriter, StepReport
-from repro.core.parallel import (
-    PartitionedDecoder,
-    PartitionedReport,
-    encode_partitioned,
-)
+from repro.core.campaign import CampaignWriter, StepReport
+from repro.core.parallel import PartitionedReport, encode_partitioned
 from repro.core.decoder import CanopusDecoder, LevelData, PhaseTimings
 from repro.core.decimation_plan import (
     DecimationPlan,
@@ -79,13 +75,11 @@ __all__ = [
     "byte_split",
     "byte_restore",
     "CampaignWriter",
-    "CampaignReader",
     "StepReport",
     "QualityLayer",
     "block_split",
     "block_restore",
     "encode_partitioned",
-    "PartitionedDecoder",
     "PartitionedReport",
     "BufferArena",
     "fused_step_products",

@@ -13,9 +13,11 @@ sensitivity studies)". A :class:`CampaignWriter` Canopus-encodes a
   shared geometry (both for delta calculation at write time and for
   restoration at read time).
 
-The reader side restores any (step, level) pair and amortizes geometry
-I/O across the whole campaign — the quantitative justification for the
-one-time ``setup_seconds`` accounting in the analysis pipelines.
+The read side is :class:`~repro.session.CampaignHandle`: each step is
+the chain ``restore(var, step=...)`` names, and every step shares the
+campaign's geometry, so meshes and mappings are read and decoded once —
+the quantitative justification for the one-time ``setup_seconds``
+accounting in the analysis pipelines.
 """
 
 from __future__ import annotations
@@ -27,24 +29,18 @@ import numpy as np
 
 from repro.compress import get_codec
 from repro.core.decimation_plan import plan_for
-from repro.core.decoder import CanopusDecoder, LevelData, PhaseTimings
-from repro.core.layout import (
-    ProductWriter,
-    declare_variable,
-    find_variable,
-    variable_scheme,
-)
+from repro.core.layout import ProductWriter, declare_variable
 from repro.core.mapping import LevelMapping
 from repro.core.notation import GEOM_VAR, LevelScheme, step_chain
 from repro.core.refactor import BufferArena, encode_pool, fused_step_products
-from repro.errors import CanopusError, RestorationError
+from repro.errors import CanopusError
 from repro.io.dataset import DEFAULT_PLACEMENT, BPDataset
 from repro.mesh.edge_collapse import DEFAULT_METHOD, KERNELS
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.obs import trace
 from repro.storage.hierarchy import StorageHierarchy
 
-__all__ = ["CampaignWriter", "CampaignReader", "StepReport"]
+__all__ = ["CampaignWriter", "StepReport"]
 
 
 @dataclass
@@ -199,74 +195,3 @@ class CampaignWriter:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-class CampaignReader:
-    """Restores any (step, level) of a campaign with shared geometry.
-
-    A view over a :class:`~repro.core.decoder.CanopusDecoder`: each
-    timestep is the chain ``step_chain(var, step)``, and every chain
-    shares the campaign's geometry owner, so meshes and mappings are
-    read and decoded once. Restores skip the restored-level cache, so
-    every :meth:`restore` charges its own payload reads.
-    """
-
-    def __init__(self, hierarchy: StorageHierarchy, name: str) -> None:
-        self.dataset = BPDataset.open(name, hierarchy)
-        self.var, meta = find_variable(
-            self.dataset.catalog, "steps", "campaign"
-        )
-        self.scheme = variable_scheme(meta)
-        self.steps: list[int] = list(meta["steps"])
-        self._decoder = CanopusDecoder(self.dataset, share_geometry=True)
-        self.geometry_timings = PhaseTimings()
-
-    # ------------------------------------------------------------------
-    def prefetch_geometry(self) -> PhaseTimings:
-        """Read the shared mesh/mapping products once for the campaign.
-
-        All geometry keys are fetched as one overlapped engine batch, so
-        the one-time setup pays the batched (not per-product) I/O charge.
-        """
-        if self.steps:
-            self.geometry_timings += self._decoder.prefetch_geometry(
-                step_chain(self.var, self.steps[0])
-            )
-        return self.geometry_timings
-
-    def _chains(self, steps) -> list[str]:
-        for step in steps:
-            if step not in self.steps:
-                raise RestorationError(
-                    f"step {step} not in campaign (has {self.steps})"
-                )
-        return [step_chain(self.var, step) for step in steps]
-
-    # ------------------------------------------------------------------
-    def restore(self, step: int, target_level: int = 0) -> LevelData:
-        """Restore one timestep to the requested accuracy level."""
-        (chain,) = self._chains([step])
-        return self._decoder.restore_to(chain, target_level)
-
-    def restore_many(
-        self, steps=None, target_level: int = 0
-    ) -> dict[int, LevelData]:
-        """Restore several timesteps; ``{step: LevelData}``.
-
-        Bit-identical to :meth:`restore` calls one by one. Geometry is
-        decoded once up front and every step's base/delta ranges are
-        hinted to the retrieval engine as one overlapped batch
-        (:meth:`CanopusDecoder.restore_many`), so the simulated I/O charge
-        is that one batch; the steps then restore on the calling thread.
-        A step listed twice is restored once.
-        """
-        steps = list(self.steps if steps is None else steps)
-        chains = self._chains(steps)
-        self.scheme.validate_level(target_level)
-        self.prefetch_geometry()
-        restored = self._decoder.restore_many(chains, target_level)
-        return {step: restored[chain] for step, chain in zip(steps, chains)}
-
-    def time_series(self, target_level: int, steps=None):
-        """Yield ``(step, LevelData)`` across the campaign at one level."""
-        for step in steps if steps is not None else self.steps:
-            yield step, self.restore(step, target_level)

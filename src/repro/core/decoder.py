@@ -98,10 +98,8 @@ class CanopusDecoder:
         decoder instances over the same dataset bytes decode each mesh
         and mapping once. The per-instance cache remains as a lock-free
         L1. Off by default so standalone decoders keep the seed's per-
-        instance I/O accounting; every session handle and read view
-        (:class:`~repro.session.CampaignHandle`,
-        :class:`~repro.core.campaign.CampaignReader`,
-        :class:`~repro.core.parallel.PartitionedDecoder`) turns it on.
+        instance I/O accounting; the one read entry point,
+        :class:`~repro.session.CampaignHandle`, turns it on.
     """
 
     def __init__(

@@ -58,7 +58,8 @@ class EncodeReport:
 
     ``decimation_seconds`` / ``delta_seconds`` / ``compress_seconds`` are
     wall times; ``io_seconds`` is the simulated tier write time. Sizes
-    are per product key.
+    are per product key; ``payload_bytes`` sums the base and delta
+    payloads only (no mesh, mapping or chunk index).
     """
 
     var: str
@@ -70,19 +71,11 @@ class EncodeReport:
     compress_seconds: float = 0.0
     io_seconds: float = 0.0
     placed_tiers: dict[str, str] = field(default_factory=dict)
+    payload_bytes: int = 0
 
     @property
     def total_compressed_bytes(self) -> int:
         return sum(self.compressed_bytes.values())
-
-    @property
-    def payload_bytes(self) -> int:
-        """Field/delta payload bytes only (no mesh/mapping metadata)."""
-        return sum(
-            n
-            for key, n in self.compressed_bytes.items()
-            if "/mesh" not in key and "/mapping" not in key
-        )
 
 
 class CanopusEncoder:
@@ -264,6 +257,8 @@ class CanopusEncoder:
             rec = writer.put(key, payload, **record)
             report.compressed_bytes[key] = len(payload)
             report.placed_tiers[key] = rec.tier
+            if rec.kind in ("base", "delta"):
+                report.payload_bytes += len(payload)
 
         base_level = scheme.base_level
         mesh_blobs, mapping_blobs = plan.geometry_blobs()

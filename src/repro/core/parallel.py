@@ -9,8 +9,9 @@ that structure on one node:
   ``workers`` threads — and writes each patch's products under
   ``{var}/part{i}/...`` through one shared dataset (the I/O stage is
   serialized, like an aggregating transport);
-* :class:`PartitionedDecoder` restores any level per patch and gathers
-  full-accuracy fields back to the global vertex order exactly.
+* :class:`~repro.session.CampaignHandle` restores any level per patch
+  (``restore(var, part=...)``) and gathers full-accuracy fields back to
+  the global vertex order exactly (``gather(var)``).
 
 Patch-local decimation means coarse patches do not stitch into one
 conforming global coarse mesh (cracks at patch seams) — the same
@@ -27,23 +28,17 @@ import numpy as np
 
 from repro.compress import get_codec
 from repro.core.decimation_plan import as_field, plan_for
-from repro.core.decoder import CanopusDecoder
-from repro.core.layout import (
-    ProductWriter,
-    declare_variable,
-    find_variable,
-    variable_scheme,
-)
+from repro.core.layout import ProductWriter, declare_variable
 from repro.core.notation import LevelScheme, part_chain
 from repro.core.refactor import encode_pool, fused_step_products
 from repro.io.dataset import BPDataset
 from repro.mesh.edge_collapse import DEFAULT_METHOD
-from repro.mesh.partition import MeshPartition, gather_field, partition_mesh
+from repro.mesh.partition import MeshPartition, partition_mesh
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.obs import context as obs_context
 from repro.storage.hierarchy import StorageHierarchy
 
-__all__ = ["encode_partitioned", "PartitionedDecoder", "PartitionedReport"]
+__all__ = ["encode_partitioned", "PartitionedReport"]
 
 
 @dataclass
@@ -163,66 +158,3 @@ def encode_partitioned(
     )
     return report, partitions
 
-
-class PartitionedDecoder:
-    """Read side of a partitioned dataset.
-
-    A view over a :class:`~repro.core.decoder.CanopusDecoder`: patch
-    ``p`` is the chain ``part_chain(var, p)``, which owns its geometry.
-    Restores skip the restored-level cache, so every restore charges
-    its own reads.
-    """
-
-    def __init__(self, hierarchy: StorageHierarchy, dataset_name: str) -> None:
-        self.dataset = BPDataset.open(dataset_name, hierarchy)
-        self.var, meta = find_variable(
-            self.dataset.catalog, "parts", "partitioned"
-        )
-        self.parts: int = int(meta["parts"])
-        self.scheme = variable_scheme(meta)
-        self.num_global = int(meta["num_global_vertices"])
-        self._global_vertices = {
-            int(k): np.asarray(v, dtype=np.int64)
-            for k, v in meta["global_vertices"].items()
-        }
-        self._owned = {
-            int(k): np.asarray(v, dtype=bool) for k, v in meta["owned"].items()
-        }
-        self._decoder = CanopusDecoder(self.dataset, share_geometry=True)
-
-    def restore_partition(
-        self, part: int, level: int = 0
-    ) -> tuple[TriangleMesh, np.ndarray]:
-        """Restore one patch to the requested level."""
-        state = self._decoder.restore_to(part_chain(self.var, part), level)
-        return state.mesh, state.field
-
-    def restore_levels(
-        self, level: int = 0
-    ) -> list[tuple[TriangleMesh, np.ndarray]]:
-        """Restore every patch to one level (the patch-union view)."""
-        return [self.restore_partition(p, level) for p in range(self.parts)]
-
-    def gather_full_accuracy(self) -> np.ndarray:
-        """Reassemble the exact global field at level 0.
-
-        Every patch's byte ranges are prefetched as one engine batch
-        (one overlapped charge, issued deterministically before any
-        decode), then the patches are decoded one by one on the calling
-        thread (:meth:`CanopusDecoder.restore_many`).
-        """
-        restored = self._decoder.restore_many(
-            [part_chain(self.var, p) for p in range(self.parts)], 0
-        )
-        partitions = [
-            MeshPartition(
-                index=p,
-                mesh=state.mesh,
-                global_vertices=self._global_vertices[p],
-                owned=self._owned[p],
-            )
-            for p, state in enumerate(restored.values())
-        ]
-        return gather_field(
-            partitions, [s.field for s in restored.values()], self.num_global
-        )

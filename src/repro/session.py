@@ -14,12 +14,16 @@ The object surface both in-process analytics and the HTTP read tier
         fields = campaign.restore_many(["dpot", "apar"], level=1)
         chunk_stats = campaign.stats("dpot", level=1)
         step3 = session.open("run").restore("dpot", step=3, level=0)
+        whole = session.open("patches").gather("dpot")
 
 Every restorable chain is addressed the same way: a single-shot
 variable by name, one timestep of a ``write_campaign`` dataset by
 ``step=``, one patch of an ``encode_partitioned`` dataset by ``part=``
 — data coordinates like ``level``, resolved to the chain's key prefix
-in :func:`repro.core.layout.resolve` and nowhere else.
+in :func:`repro.core.layout.resolve` and nowhere else. The handle is
+the one read entry point for every layout: several chains restore in
+one prefetch batch (:meth:`CampaignHandle.restore_chains`), and
+:meth:`CampaignHandle.gather` reassembles a partitioned variable.
 
 A :class:`Session` owns retrieval configuration (range cache budget,
 checksum policy, restored-cache use, prefetch pipelining) and caches
@@ -46,8 +50,9 @@ from repro.core.decoder import CanopusDecoder, LevelData
 from repro.core.notation import LevelScheme
 from repro.core.progressive import ProgressiveReader
 from repro.core.restored_cache import dataset_fingerprint
-from repro.errors import RestorationError
+from repro.errors import QueryError, RestorationError
 from repro.io.dataset import BPDataset
+from repro.mesh.partition import MeshPartition, gather_field
 from repro.obs import trace
 from repro.query import (
     QueryPlanner,
@@ -292,6 +297,20 @@ class CampaignHandle:
             use_cache=self.session.use_restored_cache,
         )
 
+    def restore_chains(
+        self, chains: Iterable[str], level: int = 0, *, region=None,
+        min_significance: float = 0.0,
+    ) -> dict[str, LevelData]:
+        """Batch form of :meth:`restore_chain`: ``{chain: LevelData}``,
+        one entry per distinct chain. One prefetch batch, then each chain
+        on the calling thread (:meth:`CanopusDecoder.restore_many`)."""
+        check_selection(min_significance=min_significance)
+        return self.decoder.restore_many(
+            chains, level, region=region, min_significance=min_significance,
+            pipeline=self.session.pipeline,
+            use_cache=self.session.use_restored_cache,
+        )
+
     def restore_many(
         self,
         variables: Iterable[str],
@@ -302,22 +321,49 @@ class CampaignHandle:
         min_significance: float = 0.0,
     ) -> dict[str, LevelData]:
         """Multi-variable restore (``{var: LevelData}``); ``step``
-        applies to every listed variable. One prefetch batch, then each
-        chain on the calling thread (:meth:`CanopusDecoder.restore_many`)."""
-        check_selection(min_significance=min_significance)
+        applies to every listed variable (:meth:`restore_chains`)."""
         variables = list(variables)
         chains = [self.chain(var, step=step) for var in variables]
         with trace.span(
             "session.restore_many", "session",
             {"campaign": self.name, "vars": len(variables), "level": level},
         ):
-            restored = self.decoder.restore_many(
+            restored = self.restore_chains(
                 chains, level,
                 region=region, min_significance=min_significance,
-                pipeline=self.session.pipeline,
-                use_cache=self.session.use_restored_cache,
             )
         return {var: restored[chain] for var, chain in zip(variables, chains)}
+
+    def gather(self, var: str) -> np.ndarray:
+        """The exact level-0 global field of a partitioned ``var``.
+
+        Every patch restores in one :meth:`restore_chains` batch; the
+        owned vertices then go back to the global order
+        (:func:`~repro.mesh.partition.gather_field`). A variable stored
+        without parts is :class:`~repro.errors.QueryError`.
+        """
+        meta = self._meta(var)
+        if "parts" not in meta:
+            raise QueryError(f"variable {var!r} has no parts")
+        parts = range(int(meta["parts"]))
+        restored = self.restore_chains(
+            [self.chain(var, part=p) for p in parts]
+        ).values()
+        partitions = [
+            MeshPartition(
+                index=p,
+                mesh=state.mesh,
+                global_vertices=np.asarray(
+                    meta["global_vertices"][str(p)], dtype=np.int64
+                ),
+                owned=np.asarray(meta["owned"][str(p)], dtype=bool),
+            )
+            for p, state in zip(parts, restored)
+        ]
+        return gather_field(
+            partitions, [state.field for state in restored],
+            int(meta["num_global_vertices"]),
+        )
 
     # -- accuracy-aware queries ----------------------------------------
     def plan(
@@ -423,3 +469,19 @@ class CampaignHandle:
     def close(self) -> None:
         self.dataset.close()
         self.session._handles.pop(self.name, None)
+
+
+class CampaignReader:
+    """Step view ``CampaignReader(h, name).restore(step, target_level)``
+    over ``Session(h, use_restored_cache=False)``. It exists only for
+    ``benchmarks/perf/workloads.py:302`` and goes once ROADMAP item 1
+    moves that line to :meth:`Session.open`."""
+
+    def __init__(self, hierarchy: StorageHierarchy, name: str) -> None:
+        self.handle = Session(hierarchy, use_restored_cache=False).open(name)
+        self.var, _ = layout.find_variable(
+            self.handle.dataset.catalog, "steps", "campaign"
+        )
+
+    def restore(self, step: int, target_level: int = 0) -> LevelData:
+        return self.handle.restore(self.var, step=step, level=target_level)

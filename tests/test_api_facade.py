@@ -70,11 +70,9 @@ class TestWriteCampaign:
         )
         assert [r.step for r in reports] == [0, 1]
 
-        from repro.api import CampaignReader
-
-        reader = CampaignReader(hierarchy, "camp")
-        assert reader.steps == [0, 1]
-        state = reader.restore(1, 0)
+        handle = Session(hierarchy, use_restored_cache=False).open("camp")
+        assert handle.describe()["variables"]["dpot"]["steps"] == [0, 1]
+        state = handle.restore("dpot", step=1, level=0)
         assert np.allclose(state.field, field * 1.1, atol=1e-2)
         with Session(hierarchy) as session:
             same = session.open("camp").restore("dpot", step=1, level=0)

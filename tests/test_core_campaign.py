@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import CampaignReader, CampaignWriter, LevelScheme
-from repro.errors import CanopusError, RestorationError
+from repro.core import CampaignWriter, LevelScheme
+from repro.errors import CanopusError, VariableNotFoundError
 from repro.session import Session
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
@@ -98,71 +98,79 @@ class TestCampaignWriter:
         assert writer.close() == 0.0  # idempotent
 
 
-class TestCampaignReader:
+def _open(hierarchy, name="run"):
+    """A handle that skips the restored cache: every restore charges
+    its own payload reads."""
+    return Session(hierarchy, use_restored_cache=False).open(name)
+
+
+class TestCampaignRestore:
     def test_restore_each_step_full_accuracy(self, campaign):
         ds, hierarchy, steps, _, _ = campaign
-        reader = CampaignReader(hierarchy, "run")
-        assert reader.steps == [0, 1, 2, 3]
+        handle = _open(hierarchy)
+        assert handle.describe()["variables"]["dpot"]["steps"] == [0, 1, 2, 3]
         for step, field in steps.items():
-            restored = reader.restore(step, 0)
+            restored = handle.restore("dpot", step=step, level=0)
             # Base + 2 deltas, each within TOL.
             assert np.max(np.abs(restored.field - field)) <= 3 * TOL + 1e-12
 
     def test_restore_base_level(self, campaign):
         _, hierarchy, _, _, writer = campaign
-        reader = CampaignReader(hierarchy, "run")
-        base = reader.restore(2, 2)
+        base = _open(hierarchy).restore("dpot", step=2, level=2)
         assert base.level == 2
         assert len(base.field) == writer.meshes[2].num_vertices
 
     def test_unknown_step(self, campaign):
         _, hierarchy, *_ = campaign
-        reader = CampaignReader(hierarchy, "run")
-        with pytest.raises(RestorationError):
-            reader.restore(99)
+        with pytest.raises(VariableNotFoundError):
+            _open(hierarchy).restore("dpot", step=99)
 
     def test_not_a_campaign(self, campaign, tmp_path):
         ds, hierarchy, *_ = campaign
         from repro.io import BPDataset
 
         BPDataset.create("plain", hierarchy).close()
-        with pytest.raises(RestorationError):
-            CampaignReader(hierarchy, "plain")
+        with pytest.raises(VariableNotFoundError):
+            _open(hierarchy, "plain").restore("dpot", step=0)
 
     def test_geometry_amortized_across_steps(self, campaign):
         """Geometry I/O happens once; per-step retrievals touch only
         field payloads."""
-        _, hierarchy, _, _, _ = campaign
-        reader = CampaignReader(hierarchy, "run")
-        reader.prefetch_geometry()
-        geom_io = reader.geometry_timings.io_seconds
+        _, hierarchy, steps, _, _ = campaign
+        handle = _open(hierarchy)
+        first = handle.chain("dpot", step=0)
+        geom_io = handle.decoder.prefetch_geometry(first).io_seconds
         assert geom_io > 0
         io_per_step = []
-        for step in reader.steps:
-            res = reader.restore(step, 0)
+        for step in steps:
+            res = handle.restore("dpot", step=step, level=0)
             io_per_step.append(res.timings.io_seconds)
-        # No step re-reads geometry: step I/O stays flat, and the total
-        # geometry cost did not grow.
-        assert reader.geometry_timings.io_seconds == geom_io
+        # No step re-reads geometry: step I/O stays flat, and reading
+        # the geometry again costs nothing.
+        assert handle.decoder.prefetch_geometry(first).io_seconds == 0.0
         assert max(io_per_step) < 2 * min(io_per_step)
 
-    def test_time_series_iteration(self, campaign):
+    def test_restore_chains_batch(self, campaign):
         _, hierarchy, steps, _, _ = campaign
-        reader = CampaignReader(hierarchy, "run")
-        seen = []
-        for step, data in reader.time_series(target_level=1, steps=[1, 3]):
-            seen.append(step)
+        handle = _open(hierarchy)
+        chains = [handle.chain("dpot", step=step) for step in (1, 3)]
+        restored = handle.restore_chains(chains, 1)
+        assert list(restored) == chains
+        for chain, data in restored.items():
+            assert data.var == chain
             assert data.level == 1
-        assert seen == [1, 3]
 
     def test_trajectory_statistic(self, campaign):
         """A cross-step analysis: the field drifts monotonically by
         construction; the restored series must reflect it."""
         _, hierarchy, steps, _, _ = campaign
-        reader = CampaignReader(hierarchy, "run")
+        handle = _open(hierarchy)
+        restored = handle.restore_chains(
+            [handle.chain("dpot", step=step) for step in steps], 0
+        )
         means = [
             float(np.mean(np.abs(data.field - steps[0])))
-            for _, data in reader.time_series(target_level=0)
+            for data in restored.values()
         ]
         assert means[0] < means[1] < means[2] < means[3]
 

@@ -63,6 +63,22 @@ class TestEncoder:
         report, _ = encode(hierarchy, mesh, field)
         assert report.payload_bytes < report.original_bytes
 
+    @pytest.mark.parametrize("chunks", [1, 8])
+    def test_payload_bytes_are_base_and_delta_records(
+        self, hierarchy, dataset_inputs, chunks
+    ):
+        """Chunk index lists (``kind="mapping"``) are not payload."""
+        mesh, field = dataset_inputs
+        report, _ = encode(hierarchy, mesh, field, chunks=chunks)
+        ds = BPDataset.open("run", hierarchy)
+        records = [ds.inq(key) for key in ds.keys()]
+        payload = sum(r.length for r in records if r.kind in ("base", "delta"))
+        assert report.payload_bytes == payload
+        # The chunk index lists are stored all the same.
+        assert any(
+            r.kind == "mapping" and "chunk" in r.attrs for r in records
+        ) == (chunks > 1)
+
     def test_invalid_chunks(self, hierarchy):
         with pytest.raises(CanopusError):
             CanopusEncoder(hierarchy, chunks=0)

@@ -24,11 +24,11 @@ from repro.api import (
 )
 from repro.compress import decode_auto
 from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
-from repro.core.campaign import CampaignReader, CampaignWriter
+from repro.core.campaign import CampaignWriter
 from repro.core.decoder import PhaseTimings
 from repro.core.progressive import ProgressiveReader
 from repro.core.notation import chunk_key
-from repro.errors import RestorationError
+from repro.errors import RestorationError, VariableNotFoundError
 from repro.harness.experiment import stack_planes
 from repro.io import BPDataset
 from repro.simulations import make_xgc1
@@ -414,6 +414,11 @@ class TestRmsRegression:
         assert np.isnan(state.last_delta_rms)
 
 
+def _open(hierarchy, name):
+    """A handle that skips the restored cache, as the old views did."""
+    return Session(hierarchy, use_restored_cache=False).open(name)
+
+
 class TestCampaignRestoreMany:
     def test_matches_serial_restore(self, setup, tmp_path):
         src, _, h_unused = setup
@@ -431,13 +436,17 @@ class TestCampaignRestoreMany:
             )
         writer.close()
 
-        serial_reader = CampaignReader(h, "camp")
-        serial = {s: serial_reader.restore(s, 0) for s in range(4)}
-        reader = CampaignReader(h, "camp")
-        out = reader.restore_many()
-        assert sorted(out) == [0, 1, 2, 3]
-        for step in range(4):
-            assert np.array_equal(out[step].field, serial[step].field)
+        serial_handle = _open(h, "camp")
+        serial = {
+            s: serial_handle.restore("dpot", step=s, level=0)
+            for s in range(4)
+        }
+        handle = _open(h, "camp")
+        chains = [handle.chain("dpot", step=s) for s in range(4)]
+        out = handle.restore_chains(chains)
+        assert list(out) == chains
+        for step, chain in enumerate(chains):
+            assert np.array_equal(out[chain].field, serial[step].field)
 
     def test_repeated_step_keeps_every_step(self, setup, tmp_path):
         """Each requested step maps to its own chain's field, a step
@@ -453,14 +462,15 @@ class TestCampaignRestoreMany:
         for step in range(3):
             writer.write_step(step, src.field + step)
         writer.close()
-        reader = CampaignReader(h, "camp3")
-        out = reader.restore_many([1, 1, 2], 0)
-        assert sorted(out) == [1, 2]
+        handle = _open(h, "camp3")
+        out = handle.restore_chains(
+            [handle.chain("dpot", step=s) for s in (1, 1, 2)], 0
+        )
+        assert list(out) == ["dpot/step1", "dpot/step2"]
         for step in (1, 2):
-            assert out[step].var == reader.restore(step, 0).var
-            assert np.array_equal(
-                out[step].field, reader.restore(step, 0).field
-            )
+            one = handle.restore("dpot", step=step, level=0)
+            assert out[one.var].var == one.var
+            assert np.array_equal(out[one.var].field, one.field)
 
     def test_rejects_unknown_step(self, setup, tmp_path):
         src, _, _ = setup
@@ -473,9 +483,13 @@ class TestCampaignRestoreMany:
         )
         writer.write_step(0, src.field)
         writer.close()
-        reader = CampaignReader(h, "camp2")
+        handle = _open(h, "camp2")
+        with pytest.raises(VariableNotFoundError):
+            handle.restore_chains(
+                [handle.chain("dpot", step=s) for s in (0, 99)]
+            )
         with pytest.raises(RestorationError):
-            reader.restore_many([0, 99])
+            handle.restore_chains(["dpot/step0", "dpot/step99"])
 
 
 class TestEngineValidation:

@@ -33,7 +33,7 @@ def test_tutorial_snippets_run(tmp_path):
     # Spot-check that the walkthrough actually produced analytics output.
     assert namespace["blobs"] is not None
     assert namespace["prof"].peak_radius() > 0
-    assert namespace["reader"].steps == [0, 1, 2]
+    assert namespace["steps"] == [0, 1, 2]
 
 
 def test_tutorial_mentions_every_example(tmp_path):

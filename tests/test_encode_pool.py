@@ -15,7 +15,6 @@ from repro.core import (
     CampaignWriter,
     CanopusEncoder,
     LevelScheme,
-    PartitionedDecoder,
     build_plan,
     encode_partitioned,
     fused_step_products,
@@ -25,6 +24,7 @@ from repro.errors import RefactoringError
 from repro.io import BPDataset
 from repro.obs import context as obs_context
 from repro.obs import trace_session
+from repro.session import Session
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
 
@@ -245,7 +245,9 @@ class TestExecutorIndependence:
             hier, "part", "dpot", ds.mesh, ds.field, LevelScheme(3),
             parts=3, workers=2, codec="deflate", codec_params={},
         )
-        gathered = PartitionedDecoder(hier, "part").gather_full_accuracy()
+        gathered = Session(hier, use_restored_cache=False).open("part").gather(
+            "dpot"
+        )
         # Lossless payloads: residual error is float re-association in
         # the delta round trip, far below any physical scale.
         atol = float(np.ptp(ds.field)) * 1e-12

@@ -150,3 +150,17 @@ def test_generators_import_on_request():
         print(generators.disk(50, seed=0).num_vertices)
     """)
     assert int(out) > 0
+
+
+def test_report_tables_load_no_scipy_and_no_simulation():
+    # `repro info`/`encode`/`trace`/`obs report` import only the table
+    # printers; the experiment names still resolve from the package.
+    out = _run("""
+        import repro.harness.report
+        from repro.harness import format_table
+        print(offline_modules())
+        from repro.harness import setup_experiment
+        assert "repro.simulations" in sys.modules
+        print(setup_experiment.__module__)
+    """)
+    assert out.split() == ["[]", "repro.harness.experiment"]

@@ -27,7 +27,6 @@ from repro.api import (
     CampaignReader,
     CanopusEncoder,
     LevelScheme,
-    PartitionedDecoder,
     Session,
     encode_partitioned,
     get_geometry_cache,
@@ -51,7 +50,7 @@ from repro.errors import (
 from repro.harness.experiment import stack_planes
 from repro.mesh.edge_collapse import decimate
 from repro.mesh.io import mesh_from_bytes, mesh_to_bytes
-from repro.mesh.partition import partition_mesh
+from repro.mesh.partition import MeshPartition, gather_field, partition_mesh
 from repro.obs import context as obs_context
 from repro.obs import trace
 from repro.service import (
@@ -188,24 +187,76 @@ def test_session_restore_equals_reference_loop(store, layout, level):
                     assert not got.refined_mask.all(), where
 
 
-def test_views_equal_session(store):
+def test_campaign_reader_shim_equals_session(store):
+    """``CampaignReader(h, name).restore(step, level)`` — kept for the
+    perf harness — restores exactly what the session does."""
     _, h = store
     with Session(h) as session:
         reader = CampaignReader(h, "campaign")
         campaign = session.open("campaign")
-        for step in reader.steps:
+        assert reader.var == "dpot"
+        for step in range(STEPS):
+            assert reader.restore(step).field.tobytes() == campaign.restore(
+                "dpot", step=step, level=0
+            ).field.tobytes()
             for level in SCHEME.levels():
                 assert np.array_equal(
                     reader.restore(step, level).field,
                     campaign.restore("dpot", step=step, level=level).field,
                 )
-        decoder = PartitionedDecoder(h, "partitioned")
+
+
+def test_restore_chains_equal_session(store):
+    _, h = store
+    with Session(h) as session:
+        batch = Session(h, use_restored_cache=False).open("partitioned")
         parts = session.open("partitioned")
-        for part in range(PARTS):
-            mesh, field = decoder.restore_partition(part, 1)
+        chains = [parts.chain("dpot", part=part) for part in range(PARTS)]
+        restored = batch.restore_chains(chains, 1)
+        assert list(restored) == chains
+        for part, chain in enumerate(chains):
             state = parts.restore("dpot", part=part, level=1)
-            assert np.array_equal(field, state.field)
-            assert mesh.num_vertices == state.mesh.num_vertices
+            assert np.array_equal(restored[chain].field, state.field)
+            assert restored[chain].mesh.num_vertices == state.mesh.num_vertices
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(QueryError):
+                batch.restore_chains(chains, min_significance=bad)
+
+
+def test_gather_equals_gather_field_over_part_restores(store):
+    src, h = store
+    with Session(h) as session:
+        handle = session.open("partitioned")
+        patches = partition_mesh(src.mesh, PARTS)
+        states = [
+            handle.restore("dpot", part=p.index, level=0) for p in patches
+        ]
+        want = gather_field(
+            [
+                MeshPartition(p.index, s.mesh, p.global_vertices, p.owned)
+                for p, s in zip(patches, states)
+            ],
+            [s.field for s in states],
+            src.mesh.num_vertices,
+        )
+        assert handle.gather("dpot").tobytes() == want.tobytes()
+        with pytest.raises(QueryError):
+            session.open("mono").gather("dpot")
+        with pytest.raises(VariableNotFoundError):
+            handle.gather("apar")
+
+
+def test_gather_charges_what_the_partitioned_view_charged(store):
+    """Cold caches, restored cache skipped: one prefetch batch over
+    every patch, then the patches one by one. The figure is what
+    ``PartitionedDecoder(h, name).gather_full_accuracy()`` charged on
+    this fixture before the handle absorbed it."""
+    _, h = store
+    before = h.clock.elapsed
+    Session(h, use_restored_cache=False).open("partitioned").gather("dpot")
+    assert h.clock.elapsed - before == pytest.approx(
+        0.0015317433675130204, rel=1e-9
+    )
 
 
 def test_campaign_plans_and_queries(store):
@@ -377,7 +428,11 @@ def test_view_fanout_stays_in_callers_trace(tmp_path, view):
         )
 
         def run():
-            return CampaignReader(h, "v").restore_many()
+            handle = Session(h, use_restored_cache=False).open("v")
+            handle.decoder.prefetch_geometry(handle.chain("dpot", step=0))
+            return handle.restore_chains(
+                [handle.chain("dpot", step=step) for step in range(4)]
+            )
     else:
         encode_partitioned(
             h, "v", "dpot", src.mesh, src.field, SCHEME, parts=4,
@@ -385,7 +440,7 @@ def test_view_fanout_stays_in_callers_trace(tmp_path, view):
         )
 
         def run():
-            return PartitionedDecoder(h, "v").gather_full_accuracy()
+            return Session(h, use_restored_cache=False).open("v").gather("dpot")
 
     ctx = obs_context.TraceContext(trace_id=obs_context.new_trace_id())
     with trace_session(h) as tracer:

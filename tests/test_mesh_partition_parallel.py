@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 from repro.core import LevelScheme
-from repro.core.parallel import PartitionedDecoder, encode_partitioned
-from repro.errors import CanopusError, MeshError, RestorationError
+from repro.core.parallel import encode_partitioned
+from repro.errors import CanopusError, MeshError, VariableNotFoundError
 from repro.mesh.generators import disk, structured_rectangle
 from repro.mesh.partition import gather_field, partition_mesh
+from repro.session import Session
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
 
 TOL = 1e-4
+
+
+def _open(hierarchy, name):
+    """A handle that skips the restored cache: every restore charges
+    its own reads."""
+    return Session(hierarchy, use_restored_cache=False).open(name)
 
 
 class TestPartitionMesh:
@@ -107,27 +114,29 @@ class TestPartitionedEncoding:
 
     def test_gather_full_accuracy_bounded(self, encoded):
         ds, h, _, _ = encoded
-        dec = PartitionedDecoder(h, "prun")
-        out = dec.gather_full_accuracy()
+        out = _open(h, "prun").gather("dpot")
         rng = np.ptp(ds.field)
         assert np.abs(out - ds.field).max() <= 3 * TOL * rng + 1e-12
 
     def test_restore_partition_levels(self, encoded):
         ds, h, _, _ = encoded
-        dec = PartitionedDecoder(h, "prun")
-        mesh2, field2 = dec.restore_partition(0, 2)
-        mesh0, field0 = dec.restore_partition(0, 0)
-        assert len(field2) == mesh2.num_vertices
-        assert mesh0.num_vertices == pytest.approx(
-            4 * mesh2.num_vertices, rel=0.1
+        handle = _open(h, "prun")
+        coarse = handle.restore("dpot", part=0, level=2)
+        fine = handle.restore("dpot", part=0, level=0)
+        assert len(coarse.field) == coarse.mesh.num_vertices
+        assert fine.mesh.num_vertices == pytest.approx(
+            4 * coarse.mesh.num_vertices, rel=0.1
         )
 
     def test_restore_levels_union(self, encoded):
         ds, h, _, _ = encoded
-        dec = PartitionedDecoder(h, "prun")
-        union = dec.restore_levels(1)
-        assert len(union) == dec.parts
-        total = sum(m.num_vertices for m, _ in union)
+        handle = _open(h, "prun")
+        parts = handle.describe()["variables"]["dpot"]["parts"]
+        union = handle.restore_chains(
+            [handle.chain("dpot", part=p) for p in range(parts)], 1
+        )
+        assert len(union) == parts
+        total = sum(state.mesh.num_vertices for state in union.values())
         # Level-1 union has about half the global vertices (plus halos).
         assert total == pytest.approx(ds.mesh.num_vertices / 2, rel=0.25)
 
@@ -136,8 +145,8 @@ class TestPartitionedEncoding:
         from repro.io import BPDataset
 
         BPDataset.create("plain", h).close()
-        with pytest.raises(RestorationError):
-            PartitionedDecoder(h, "plain")
+        with pytest.raises(VariableNotFoundError):
+            _open(h, "plain").gather("dpot")
 
     def test_shape_validation(self, encoded):
         ds, h, _, _ = encoded
@@ -161,6 +170,6 @@ class TestPartitionedEncoding:
             parts=4, workers=2,
             codec_params={"tolerance": TOL, "mode": "relative"},
         )
-        a = PartitionedDecoder(h, "serial").gather_full_accuracy()
-        b = PartitionedDecoder(h, "parallel").gather_full_accuracy()
+        a = _open(h, "serial").gather("dpot")
+        b = _open(h, "parallel").gather("dpot")
         assert np.array_equal(a, b)

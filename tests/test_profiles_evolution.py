@@ -131,7 +131,8 @@ class TestFieldEvolution:
 
     def test_campaign_integration(self, evolution, tmp_path):
         """Evolution feeds the campaign writer end to end."""
-        from repro.core import CampaignReader, CampaignWriter, LevelScheme
+        from repro.core import CampaignWriter, LevelScheme
+        from repro.session import Session
         from repro.storage import two_tier_titan
 
         ds, evo = evolution
@@ -143,7 +144,7 @@ class TestFieldEvolution:
         with writer:
             for step, field in evo.steps(3):
                 writer.write_step(step, field)
-        reader = CampaignReader(h, "evo")
+        handle = Session(h, use_restored_cache=False).open("evo")
         for step, field in evo.steps(3):
-            restored = reader.restore(step, 0)
+            restored = handle.restore("dpot", step=step, level=0)
             assert np.abs(restored.field - field).max() <= 2e-4 + 1e-12

@@ -472,8 +472,8 @@ class TestEndToEndAcrossBackends:
         import numpy as np
 
         from repro.api import (
-            CampaignReader,
             LevelScheme,
+            Session,
             two_tier_titan,
             write_campaign,
         )
@@ -496,10 +496,12 @@ class TestEndToEndAcrossBackends:
                 h, "camp", "dpot", mesh, steps, LevelScheme(3),
                 codec="zfp", codec_params={"tolerance": 1e-4},
             )
-            reader = CampaignReader(h, "camp")
-            assert reader.steps == [0, 1]
+            handle = Session(h, use_restored_cache=False).open("camp")
+            assert handle.describe()["variables"]["dpot"]["steps"] == [0, 1]
             restored[kind] = {
-                (step, level): reader.restore(step, level).field
+                (step, level): handle.restore(
+                    "dpot", step=step, level=level
+                ).field
                 for step in (0, 1)
                 for level in (2, 1, 0)
             }

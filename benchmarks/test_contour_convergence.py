@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analytics import contour_distance, extract_contour
-from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme, ProgressiveReader
+from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
 from repro.harness import format_table
 from repro.io import BPDataset
 from repro.simulations import make_xgc1
@@ -37,9 +37,9 @@ def convergence(tmp_path_factory):
     isovalue = float(np.quantile(ds.field, ISO_QUANTILE))
     reference = extract_contour(ds.mesh, ds.field, isovalue)
 
-    reader = ProgressiveReader(CanopusDecoder(BPDataset.open("iso", h)), "dpot")
+    decoder = CanopusDecoder(BPDataset.open("iso", h))
     rows = []
-    for state in reader.levels():
+    for state in decoder.walk("dpot", 0, pipeline=False):
         contour = extract_contour(state.mesh, state.plane(), isovalue)
         rows.append(
             {

@@ -1,7 +1,7 @@
 """Retrieval-engine pipelining on the Fig. 9 XGC1 workload.
 
 The tentpole claim for the concurrent retrieval engine: refining a
-variable to full accuracy through the pipelined progressive reader
+variable to full accuracy through the pipelined restore walk
 (prefetch next levels while the current delta decompresses; batches
 charged with the overlap model) costs at least 1.5x less simulated I/O
 time than the serial product-at-a-time reader — and restores the exact
@@ -13,12 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import (
-    CanopusDecoder,
-    CanopusEncoder,
-    LevelScheme,
-    ProgressiveReader,
-)
+from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
 from repro.harness.experiment import stack_planes
 from repro.io import BPDataset
 from repro.simulations import make_xgc1
@@ -54,9 +49,9 @@ def encoded(tmp_path_factory):
 def _refine_to_full(hierarchy, var, *, pipeline):
     """Fresh dataset handle, refine to L0; returns (field, sim seconds)."""
     ds = BPDataset.open("xgc1-engine", hierarchy)
-    reader = ProgressiveReader(CanopusDecoder(ds), var, pipeline=pipeline)
+    decoder = CanopusDecoder(ds)
     before = hierarchy.clock.elapsed
-    state = reader.refine_until(rms_tolerance=0.0, max_level=0)
+    state = decoder.restore_to(var, 0, pipeline=pipeline)
     cost = hierarchy.clock.elapsed - before
     stats = ds.engine_stats()
     ds.close()

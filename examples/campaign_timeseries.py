@@ -72,10 +72,10 @@ def main() -> None:
                 f"{geometry.io_seconds * 1e3:.2f} ms simulated I/O"
             )
             for level, label in [(2, "base (quick scan)"), (0, "full accuracy")]:
-                # One prefetch batch for every step, then the walks.
-                before = hierarchy.clock.elapsed
+                # One prefetch batch for every step, then the walks; each
+                # step's timings carry its share of the batch.
                 series = campaign.restore_chains(chains, level).values()
-                io = hierarchy.clock.elapsed - before
+                io = sum(data.timings.io_seconds for data in series)
                 maxima = [float(data.field.max()) for data in series]
                 trend = " -> ".join(f"{m:.3f}" for m in maxima)
                 print(f"\n{label} (level {level}): per-series I/O {io*1e3:.3f} ms")

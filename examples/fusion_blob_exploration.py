@@ -25,7 +25,6 @@ from repro.analytics import (
     overlap_ratio,
     rasterize,
 )
-from repro.core import ProgressiveReader
 from repro.simulations import make_xgc1
 
 CONFIG1 = BlobDetectorParams(min_threshold=10, max_threshold=200, min_area=100)
@@ -56,7 +55,7 @@ def main() -> None:
         )
 
         decoder = CanopusDecoder(BPDataset.open("fusion", hierarchy))
-        reader = ProgressiveReader(decoder, "dpot")
+        walk = decoder.walk("dpot", 0, pipeline=False)
 
         # -- step 1+2: refine until blob count stops changing ----------
         def count_blobs(state) -> int:
@@ -64,11 +63,10 @@ def main() -> None:
             return len(detect_blobs(img, CONFIG1))
 
         print("progressive refinement:")
-        last_count = count_blobs(reader.state)
-        print(f"  level {reader.level} (base): {last_count} blobs")
-        stable = 0
-        while not reader.at_full_accuracy and stable < 1:
-            state = reader.refine()
+        state = next(walk)
+        last_count = count_blobs(state)
+        print(f"  level {state.level} (base): {last_count} blobs")
+        for state in walk:
             count = count_blobs(state)
             stats = blob_stats(
                 detect_blobs(rasterize(state.mesh, state.plane(), spec), CONFIG1)
@@ -78,12 +76,13 @@ def main() -> None:
                 f"avg diameter {stats.avg_diameter:.1f} px, "
                 f"delta RMS {state.last_delta_rms:.2e}"
             )
-            stable = stable + 1 if count == last_count else 0
+            if count == last_count:
+                break
             last_count = count
-        print(f"stopped at level {reader.level} (blob count stabilized)")
+        print(f"stopped at level {state.level} (blob count stabilized)")
 
         blobs = detect_blobs(
-            rasterize(reader.state.mesh, reader.state.plane(), spec), CONFIG1
+            rasterize(state.mesh, state.plane(), spec), CONFIG1
         )
         print(
             "overlap with full-accuracy blobs: "
@@ -91,7 +90,7 @@ def main() -> None:
         )
 
         # -- step 3: focused high-accuracy zoom on the biggest blob ----
-        if blobs and reader.level > 0:
+        if blobs and state.level > 0:
             target = blobs[0]
             lo_b, hi_b = spec.bounds
             px = np.array(
@@ -104,7 +103,7 @@ def main() -> None:
             clock = hierarchy.clock
             decoder.prefetch_geometry("dpot")  # one-time static geometry
             before = clock.bytes_moved(op="read")
-            state = reader.refine(region=(px - half, px + half))
+            state = decoder.refine(state, region=(px - half, px + half))
             roi_bytes = clock.bytes_moved(op="read") - before
             refined = int(state.refined_mask.sum())
             print(

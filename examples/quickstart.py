@@ -21,7 +21,6 @@ from repro import (
     CanopusDecoder,
     CanopusEncoder,
     LevelScheme,
-    ProgressiveReader,
     two_tier_titan,
 )
 from repro.analytics import cross_level_errors
@@ -58,9 +57,8 @@ def main() -> None:
 
         # --- read path (analytics side) --------------------------------
         decoder = CanopusDecoder(BPDataset.open("quickstart", hierarchy))
-        reader = ProgressiveReader(decoder, "potential")
         print("\nprogressive retrieval:")
-        for state in reader.levels():
+        for state in decoder.walk("potential", 0, pipeline=False):
             err = cross_level_errors(state.mesh, state.field, mesh, field)
             print(
                 f"  level {state.level}: {state.mesh.num_vertices:6d} vertices, "

@@ -5,7 +5,7 @@ per-figure experiment index. The top-level namespace re-exports the
 user-facing API; subsystems live in their own subpackages:
 
 * :mod:`repro.core` -- the Canopus contribution (refactor/delta/restore,
-  encoder/decoder, progressive reader);
+  encoder/decoder and its level-by-level walk);
 * :mod:`repro.mesh` -- unstructured triangular meshes + decimation;
 * :mod:`repro.compress` -- ZFP-, SZ-, FPC-style floating-point codecs;
 * :mod:`repro.io` -- ADIOS-like BP container, transports, XML config;
@@ -19,12 +19,7 @@ __version__ = "1.0.0"
 
 from repro import api, errors
 from repro.api import Session, write_campaign
-from repro.core import (
-    CanopusDecoder,
-    CanopusEncoder,
-    LevelScheme,
-    ProgressiveReader,
-)
+from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
 from repro.io import BPDataset, parse_config
 from repro.storage import StorageHierarchy, StorageTier, two_tier_titan
 
@@ -37,7 +32,6 @@ __all__ = [
     "LevelScheme",
     "CanopusEncoder",
     "CanopusDecoder",
-    "ProgressiveReader",
     "BPDataset",
     "parse_config",
     "StorageHierarchy",

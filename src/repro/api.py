@@ -24,7 +24,7 @@ One blessed import surface for the common workflows::
 The classes behind these helpers are re-exported here too, so
 ``repro.api`` is a stable one-stop namespace: ``BPDataset.open`` /
 ``BPDataset.create`` for raw product access, and
-:class:`ProgressiveReader` for explicit level-by-level iteration.
+:meth:`CanopusDecoder.walk` for explicit level-by-level iteration.
 :class:`CampaignReader` is a step-view shim over a session, kept only
 until the perf harness reads campaigns through :class:`Session`.
 
@@ -48,7 +48,6 @@ from repro.core.decoder import CanopusDecoder, LevelData
 from repro.core.encoder import CanopusEncoder
 from repro.core.notation import LevelScheme
 from repro.core.parallel import encode_partitioned
-from repro.core.progressive import ProgressiveReader
 from repro.core.restored_cache import (
     GeometryCache,
     RestoredLevelCache,
@@ -123,7 +122,6 @@ __all__ = [
     "PlacementPlan",
     "PlanDecision",
     "ProductSpec",
-    "ProgressiveReader",
     "QueryError",
     "QueryPlanner",
     "RangeCache",

@@ -565,14 +565,9 @@ def _cmd_trace(args) -> int:
         ds = BPDataset.open(args.dataset, hierarchy)
         decoder = CanopusDecoder(ds)
         var = args.var or decoder.variables()[0]
-        from repro.core.progressive import ProgressiveReader
-
-        reader = ProgressiveReader(
-            decoder, var, pipeline=not args.no_pipeline
+        state = decoder.restore_to(
+            var, args.level, pipeline=not args.no_pipeline
         )
-        state = reader.state
-        while state.level > args.level:
-            state = reader.refine()
         ds.close()
 
     rows = [

@@ -2,9 +2,8 @@
 
 This subpackage is the paper's primary contribution. The write path is
 :class:`~repro.core.encoder.CanopusEncoder` (refactor → compress →
-place); the read path is :class:`~repro.core.decoder.CanopusDecoder`
-and :class:`~repro.core.progressive.ProgressiveReader` (retrieve →
-decompress → restore, level by level).
+place); the read path is :class:`~repro.core.decoder.CanopusDecoder`,
+whose ``walk`` yields retrieve → decompress → restore level by level.
 """
 
 from repro.core.bytesplit import ByteSplitProduct, byte_restore, byte_split
@@ -33,7 +32,6 @@ from repro.core.notation import (
     mesh_key,
 )
 from repro.core.plan import TierPreference, plan_placement
-from repro.core.progressive import ProgressiveReader
 from repro.core.refactor import (
     BufferArena,
     RefactorResult,
@@ -70,7 +68,6 @@ __all__ = [
     "CanopusDecoder",
     "LevelData",
     "PhaseTimings",
-    "ProgressiveReader",
     "ByteSplitProduct",
     "byte_split",
     "byte_restore",

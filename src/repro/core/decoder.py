@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -281,7 +282,8 @@ class CanopusDecoder:
         start the first deltas moving behind it; return sim cost."""
         chain = self.chain(var)
         before = self._clock.elapsed
-        self.dataset.prefetch(self._base_keys(chain), label=f"{var}:base")
+        with trace.span("decode.prefetch", "pipeline", {"var": var}):
+            self.dataset.prefetch(self._base_keys(chain), label=f"{var}:base")
         return (
             self._clock.elapsed - before
             + self.prefetch_window(var, chain.scheme.base_level - 1, floor)
@@ -409,7 +411,7 @@ class CanopusDecoder:
             timings.restore_seconds += time.perf_counter() - t0
             # NaN (not 0.0) when no chunk survived the region/significance
             # filter: "nothing was read" must not look like "the delta
-            # converged", or refine_until() would stop spuriously.
+            # converged", or a tolerance stop would fire spuriously.
             if not applied.any():
                 rms = float("nan")
             elif applied.all():  # the mask would only copy the array
@@ -464,6 +466,106 @@ class CanopusDecoder:
             )
         )
 
+    def walk(
+        self,
+        var: str,
+        level: int = 0,
+        *,
+        region: tuple[np.ndarray, np.ndarray] | None = None,
+        min_significance: float = 0.0,
+        pipeline: bool = True,
+        use_cache: bool = False,
+    ) -> Iterator[LevelData]:
+        """Paper Alg. 3 step by step: yield every state down to ``level``.
+
+        The first state is the base, or with ``use_cache=True`` the
+        nearest state of the same walk in the process-wide
+        :class:`RestoredLevelCache` (keyed by the chain's filter
+        signature, :meth:`cache_key`); each later state applies one
+        delta, and with ``use_cache`` is published under its own prefix
+        of the signature. A caller may stop at any state (a tolerance or
+        a blob count that stopped changing): the walk charges and
+        decodes a level only when asked for it.
+
+        With ``pipeline=True`` the upcoming levels' byte ranges, never
+        below ``level``, are hinted to the retrieval engine before each
+        step, charged as one overlapped batch and folded into that
+        step's I/O phase; the fields are bit-identical either way.
+        ``region`` / ``min_significance`` apply at *every* step. A
+        filtered walk is not pipelined: the hints name whole levels, and
+        the filter reads only the chunks it keeps.
+        """
+        chain = self.chain(var)
+        chain.scheme.validate_level(level)
+        pipeline = pipeline and region is None and not min_significance > 0.0
+        cache = get_restored_cache() if use_cache else None
+        signature = (
+            chain.filter_signature(
+                self.dataset.catalog, level, region, min_significance
+            )
+            if use_cache
+            else ()
+        )
+
+        def key_at(lvl: int) -> tuple:
+            return cache.key_for(
+                self.dataset, var, lvl,
+                signature=chain.signature_prefix(signature, lvl),
+            )
+
+        def publish(state: LevelData) -> None:
+            if cache is not None:
+                mask = state.refined_mask
+                cache.put(
+                    key_at(state.level),
+                    state.field,
+                    refined_mask=None if mask is None or mask.all() else mask,
+                    last_delta_rms=state.last_delta_rms,
+                )
+
+        warm = None
+        if cache is not None:
+            warm = cache.get(key_at(level)) or cache.nearest(
+                [
+                    key_at(lvl)
+                    for lvl in range(level + 1, chain.scheme.base_level + 1)
+                ]
+            )
+        if warm is not None:
+            timings = PhaseTimings()
+            mesh = self._read_mesh(chain, warm.level, timings)
+            state = LevelData(
+                var=var,
+                level=warm.level,
+                mesh=mesh,
+                field=warm.field.copy(),
+                timings=timings,
+                refined_mask=(
+                    None
+                    if warm.refined_mask is None
+                    else warm.refined_mask.copy()
+                ),
+                last_delta_rms=warm.last_delta_rms,
+            )
+        else:
+            prefetch_io = self.prefetch_base(var, level) if pipeline else 0.0
+            state = self.read_base(var)
+            state.timings.io_seconds += prefetch_io
+            publish(state)
+        yield state
+        while state.level > level:
+            prefetch_io = (
+                self.prefetch_window(var, state.level - 1, level)
+                if pipeline
+                else 0.0
+            )
+            state = self.refine(
+                state, region=region, min_significance=min_significance
+            )
+            state.timings.io_seconds += prefetch_io
+            publish(state)
+            yield state
+
     def restore_to(
         self,
         var: str,
@@ -474,101 +576,19 @@ class CanopusDecoder:
         pipeline: bool = True,
         use_cache: bool = False,
     ) -> LevelData:
-        """Restore from the base down to ``level`` (paper options 2/3).
-
-        With ``pipeline=True`` (default) upcoming levels' byte ranges are
-        hinted to the retrieval engine before each refinement, so the
-        non-interactive path gets the same overlapped I/O charge as
-        :class:`~repro.core.progressive.ProgressiveReader`; the restored
-        field is bit-identical either way. ``use_cache=True`` additionally
-        consults the process-wide :class:`RestoredLevelCache` under the
-        chain's filter signature (:meth:`cache_key`): an exact hit
-        returns immediately, else the nearest cached coarser state of
-        the same walk warm-starts it, and every level restored on the
-        way down is published back under its own prefix of the
-        signature.
-
-        ``region`` / ``min_significance`` apply at *every* refinement
-        step. A filtered chain is not pipelined: the hints name whole
-        levels, and the filter reads only the chunks it keeps.
-        """
+        """Restore down to ``level`` (paper options 2/3): the last state
+        of :meth:`walk` with the same arguments."""
         filtered = region is not None or min_significance > 0.0
         with trace.span(
             "decode.restore", "restore",
             {"var": var, "level": level, "filtered": filtered},
         ):
-            chain = self.chain(var)
-            chain.scheme.validate_level(level)
-            pipeline = pipeline and not filtered
-            cache = get_restored_cache() if use_cache else None
-            signature = (
-                chain.filter_signature(
-                    self.dataset.catalog, level, region, min_significance
-                )
-                if use_cache
-                else ()
-            )
-
-            def key_at(lvl: int) -> tuple:
-                return cache.key_for(
-                    self.dataset, var, lvl,
-                    signature=chain.signature_prefix(signature, lvl),
-                )
-
-            def publish(state: LevelData) -> None:
-                if cache is not None:
-                    mask = state.refined_mask
-                    cache.put(
-                        key_at(state.level),
-                        state.field,
-                        refined_mask=None if mask is None or mask.all() else mask,
-                        last_delta_rms=state.last_delta_rms,
-                    )
-
-            state: LevelData | None = None
-            if cache is not None:
-                warm = cache.get(key_at(level)) or cache.nearest(
-                    [
-                        key_at(lvl)
-                        for lvl in range(level + 1, chain.scheme.base_level + 1)
-                    ]
-                )
-                if warm is not None:
-                    timings = PhaseTimings()
-                    mesh = self._read_mesh(chain, warm.level, timings)
-                    state = LevelData(
-                        var=var,
-                        level=warm.level,
-                        mesh=mesh,
-                        field=warm.field.copy(),
-                        timings=timings,
-                        refined_mask=(
-                            None
-                            if warm.refined_mask is None
-                            else warm.refined_mask.copy()
-                        ),
-                        last_delta_rms=warm.last_delta_rms,
-                    )
-                    if warm.level == level:
-                        return state
-            if state is None:
-                prefetch_io = (
-                    self.prefetch_base(var, level) if pipeline else 0.0
-                )
-                state = self.read_base(var)
-                state.timings.io_seconds += prefetch_io
-                publish(state)
-            while state.level > level:
-                prefetch_io = (
-                    self.prefetch_window(var, state.level - 1, level)
-                    if pipeline
-                    else 0.0
-                )
-                state = self.refine(
-                    state, region=region, min_significance=min_significance
-                )
-                state.timings.io_seconds += prefetch_io
-                publish(state)
+            for state in self.walk(
+                var, level,
+                region=region, min_significance=min_significance,
+                pipeline=pipeline, use_cache=use_cache,
+            ):
+                pass
             return state
 
     def restore_many(
@@ -587,7 +607,10 @@ class CanopusDecoder:
         An unfiltered request first prefetches every non-resident chain's
         byte ranges as one overlapped batch, so the simulated I/O charge
         is that one batch; the chains then restore in order on the
-        calling thread.
+        calling thread. Each chain's ``timings.io_seconds`` carries the
+        batch's charge in proportion to its bytes in the batch (a key
+        two chains share counts once, for the first), so the timings sum
+        to what the clock moved.
         """
         variables = list(dict.fromkeys(variables))
         if not variables:
@@ -598,20 +621,29 @@ class CanopusDecoder:
         ):
             trace.count("decode.restore_many.calls")
             trace.count("decode.restore_many.vars", len(variables))
+            share: dict[str, float] = {}
             if region is None and not min_significance > 0.0:
-                keys = [
-                    key
-                    for var in variables
-                    if not self.resident(var, level, use_cache=use_cache)
-                    for key in self.chain_keys(var, level)
-                ]
-                if keys:
-                    self.dataset.prefetch(keys, label="restore_many")
-            return {
-                var: self.restore_to(
+                owner: dict[str, str] = {}
+                for var in variables:
+                    if not self.resident(var, level, use_cache=use_cache):
+                        for key in self.chain_keys(var, level):
+                            owner.setdefault(key, var)
+                if owner:
+                    before = self._clock.elapsed
+                    self.dataset.prefetch(list(owner), label="restore_many")
+                    charge = self._clock.elapsed - before
+                    nbytes = dict.fromkeys(owner.values(), 0)
+                    for key, var in owner.items():
+                        nbytes[var] += self.dataset.inq(key).length
+                    total = sum(nbytes.values())
+                    share = {v: charge * n / total for v, n in nbytes.items()}
+            restored = {}
+            for var in variables:
+                state = self.restore_to(
                     var, level,
                     region=region, min_significance=min_significance,
                     pipeline=pipeline, use_cache=use_cache,
                 )
-                for var in variables
-            }
+                state.timings.io_seconds += share.get(var, 0.0)
+                restored[var] = state
+            return restored

@@ -76,11 +76,6 @@ class Transport(ABC):
     def read(self, relpath: str, label: str = "") -> bytes:
         return self.tier.read(relpath, label)
 
-    def read_range(
-        self, relpath: str, offset: int, length: int, label: str = ""
-    ) -> bytes:
-        return self.tier.read_range(relpath, offset, length, label)
-
     def peek_range(self, relpath: str, offset: int, length: int) -> bytes:
         """Uncharged, thread-safe range read (retrieval-engine data path).
 

@@ -61,13 +61,13 @@ class RetrievalPlan:
     complete:
         True when every surviving product carried a summary, i.e. the
         planner could *certify* the target level from metadata alone.
-        Incomplete plans are advisory — callers fall back to the
-        measure-as-you-go progressive loop.
+        Incomplete plans are advisory — callers fall back to measuring
+        each state of :meth:`~repro.core.decoder.CanopusDecoder.walk`.
     level_rms:
         Planner-predicted applied-delta RMS per delta level (from the
         count-weighted merge of surviving chunk summaries) — exactly
-        the statistic :meth:`ProgressiveReader.refine_until` would
-        measure after applying that level.
+        the ``last_delta_rms`` the walk measures after applying that
+        level.
     """
 
     var: str

@@ -22,8 +22,8 @@ decoder reads by, so the executed restore reads exactly the planned set
 and the result is bit-identical to the measure-as-you-go loop.
 
 Plans whose surviving products lack summaries come back with
-``complete=False`` — the caller falls back to the progressive loop
-(datasets written before summaries existed stay fully supported).
+``complete=False`` — the caller falls back to measuring each state of
+:meth:`~repro.core.decoder.CanopusDecoder.walk` (datasets written before summaries existed stay fully supported).
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ class QueryPlanner:
                 # of the chain conservatively and flag the plan.
                 plan.complete = False
                 continue
-            # Mirror refine_until: stop after the first applied delta
+            # Mirror the measured walk: stop after the first applied delta
             # whose RMS ≤ τ; NaN (nothing survived the filter) never
             # stops — "nothing read" must not look like convergence.
             if not np.isnan(rms) and rms <= tolerance:

@@ -9,8 +9,9 @@ The object surface both in-process analytics and the HTTP read tier
 
     with Session(hierarchy) as session:
         campaign = session.open("fig9-multi")
+        coarse = campaign.restore("dpot", level=2)
         state = campaign.restore("dpot", level=0)
-        coarse = campaign.restore("dpot", tolerance=1e-3)
+        measured = campaign.restore("dpot", tolerance=1e-3)
         fields = campaign.restore_many(["dpot", "apar"], level=1)
         chunk_stats = campaign.stats("dpot", level=1)
         step3 = session.open("run").restore("dpot", step=3, level=0)
@@ -34,7 +35,10 @@ as the session is configured (:meth:`CampaignHandle.restore_chain`):
 with the prefetch pipeline and the process-wide restored-level/geometry
 caches — two sessions (or two service tenants) restoring the same
 content share one cache entry because keys are content-fingerprint
-based, never handle identity.
+based, never handle identity. Stepping one variable through levels is
+a restore per level: the restored cache warm-starts each from the
+coarser one, so ``level=0`` after ``level=2`` reads only the deltas
+between them.
 
 All entry points beyond the positional name/variable are keyword-only.
 """
@@ -48,7 +52,6 @@ import numpy as np
 from repro.core import layout
 from repro.core.decoder import CanopusDecoder, LevelData
 from repro.core.notation import LevelScheme
-from repro.core.progressive import ProgressiveReader
 from repro.core.restored_cache import dataset_fingerprint
 from repro.errors import QueryError, RestorationError
 from repro.io.dataset import BPDataset
@@ -239,9 +242,10 @@ class CampaignHandle:
         the :class:`~repro.query.QueryPlanner` certifies the stopping
         level from per-chunk summaries and fetches only the delta set
         that accuracy needs (datasets without summaries fall back to
-        the measure-as-you-go progressive loop — same result, level by
-        level). ``region``/``min_significance`` select focused /
-        bounded-lossy retrieval and compose with both modes.
+        measuring each state of :meth:`CanopusDecoder.walk` — same
+        result, level by level). ``region``/``min_significance``
+        select focused / bounded-lossy retrieval and compose with both
+        modes.
 
         Raises :class:`~repro.errors.QueryError` (a ``ValueError``
         mapping to HTTP 400) for ``tolerance <= 0`` or an empty
@@ -265,16 +269,18 @@ class CampaignHandle:
                 )
                 if plan.complete:
                     return self.planner.execute(plan)
-                # No summaries to certify from: measure level by level.
-                reader = ProgressiveReader(
-                    self.decoder,
-                    chain,
-                    pipeline=self.session.pipeline,
+                # No summaries to certify from: measure level by level,
+                # past the restored cache (an exact level-0 hit would
+                # answer finer than the tolerance stop). A NaN rms (the
+                # filter kept nothing) never stops the walk.
+                for state in self.decoder.walk(
+                    chain, 0, region=region,
                     min_significance=min_significance,
-                )
-                return reader.refine_until(
-                    rms_tolerance=tolerance, max_level=0, region=region
-                )
+                    pipeline=self.session.pipeline,
+                ):
+                    if state.last_delta_rms <= tolerance:
+                        break
+                return state
         level = 0 if level is None else int(level)
         with trace.span(
             "session.restore", "session",

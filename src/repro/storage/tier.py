@@ -216,33 +216,6 @@ class StorageTier:
         self.clock.charge(self.name, "read", len(data), seconds, label)
         return data
 
-    def read_range(
-        self, relpath: str, offset: int, length: int, label: str = ""
-    ) -> bytes:
-        """Fetch a byte range; only ``length`` bytes are charged.
-
-        This is how the BP reader retrieves a single variable from a
-        multi-variable subfile without paying for the whole file — the
-        metadata-rich-format benefit the paper attributes to ADIOS.
-        """
-        tracer = trace.get_tracer()
-        if tracer is None:
-            return self._read_range(relpath, offset, length, label)
-        with tracer.span(
-            "tier.read_range", "io",
-            {"tier": self.name, "nbytes": length, "file": relpath,
-             "backend": self.backend.kind},
-        ):
-            return self._read_range(relpath, offset, length, label)
-
-    def _read_range(
-        self, relpath: str, offset: int, length: int, label: str
-    ) -> bytes:
-        data = self.peek_range(relpath, offset, length)
-        seconds = self.device.read_seconds(length)
-        self.clock.charge(self.name, "read", length, seconds, label)
-        return data
-
     def peek_range(self, relpath: str, offset: int, length: int) -> bytes:
         """Fetch a byte range *without* charging the simulated clock.
 

@@ -14,7 +14,6 @@ from repro.api import (
     CampaignWriter,
     CanopusDecoder,
     LevelScheme,
-    ProgressiveReader,
     Session,
     write_campaign,
 )
@@ -160,24 +159,10 @@ class TestReadProgressive:
         )
         enc.encode("run", "dpot", mesh, field, LevelScheme(3))
         ds = BPDataset.open("run", hierarchy)
-        reader = ProgressiveReader(CanopusDecoder(ds), "dpot", pipeline=True)
-        state = reader.refine_until(rms_tolerance=0.0)
+        state = CanopusDecoder(ds).restore_to("dpot", 0)
         assert state.level == 0
         assert np.allclose(state.field, field, atol=1e-3)
         assert ds.engine_stats().prefetch_issued > 0
-
-    def test_accepts_decoder(self, hierarchy, mesh_and_field):
-        mesh, field = mesh_and_field
-        from repro.api import CanopusEncoder
-
-        enc = CanopusEncoder(
-            hierarchy, codec="zfp", codec_params={"tolerance": 1e-3}
-        )
-        enc.encode("run", "dpot", mesh, field, LevelScheme(2))
-        dec = CanopusDecoder(BPDataset.open("run", hierarchy))
-        reader = ProgressiveReader(dec, "dpot", pipeline=False)
-        assert reader.decoder is dec
-        assert not reader.pipeline
 
 
 class TestRemovedShims:
@@ -185,11 +170,15 @@ class TestRemovedShims:
         # repro.io.api, the PR 1/PR 6 helper functions and the
         # warn-once registry behind them are removed: the supported
         # import paths are repro.api and repro.io.dataset.
-        for module in ("repro.io.api", "repro.deprecation"):
+        for module in (
+            "repro.io.api", "repro.deprecation", "repro.core.progressive"
+        ):
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(module)
+        # CanopusDecoder.walk is the one level-by-level read loop.
         for helper in (
-            "open_dataset", "read_progressive", "read_progressive_many"
+            "open_dataset", "read_progressive", "read_progressive_many",
+            "ProgressiveReader",
         ):
             assert not hasattr(repro.api, helper)
             assert not hasattr(repro, helper)
@@ -202,7 +191,7 @@ class TestRemovedShims:
         # Pre-façade users imported these from the package root.
         ds = repro.BPDataset.create("run", hierarchy)
         ds.close()
-        assert repro.ProgressiveReader is not None
+        assert repro.CanopusDecoder is not None
         assert repro.CanopusEncoder is not None
 
 

@@ -1,14 +1,10 @@
-"""End-to-end tests for the Canopus encoder/decoder and progressive reader."""
+"""End-to-end tests for the Canopus encoder/decoder and its level walk."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    CanopusDecoder,
-    CanopusEncoder,
-    LevelScheme,
-    ProgressiveReader,
-)
+from repro.api import Session
+from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
 from repro.errors import CanopusError, RestorationError
 from repro.io import BPDataset
 from repro.mesh.generators import annulus, disk
@@ -229,61 +225,37 @@ class TestChunkedAndFocused:
         )
 
 
-class TestProgressiveReader:
+class TestWalk:
     def test_levels_iteration(self, hierarchy, dataset_inputs):
         mesh, field = dataset_inputs
         encode(hierarchy, mesh, field)
-        pr = ProgressiveReader(
-            CanopusDecoder(BPDataset.open("run", hierarchy)), "dpot"
-        )
-        seen = [s.level for s in pr.levels()]
-        assert seen == [2, 1, 0]
-        assert pr.at_full_accuracy
+        dec = CanopusDecoder(BPDataset.open("run", hierarchy))
+        assert [s.level for s in dec.walk("dpot")] == [2, 1, 0]
 
-    def test_refine_until_rms(self, hierarchy, dataset_inputs):
+    def test_tolerance_restore_stops_at_the_first_small_delta(
+        self, hierarchy, dataset_inputs
+    ):
         mesh, field = dataset_inputs
         encode(hierarchy, mesh, field)
-        pr = ProgressiveReader(
-            CanopusDecoder(BPDataset.open("run", hierarchy)), "dpot"
-        )
+        handle = Session(hierarchy, use_restored_cache=False).open("run")
+        for key in handle.dataset.keys():
+            handle.dataset.inq(key).attrs.pop("stats", None)
         # Huge tolerance → stop after the first refinement.
-        state = pr.refine_until(rms_tolerance=1e9)
+        state = handle.restore("dpot", tolerance=1e9)
         assert state.level == 1
 
-    def test_refine_until_predicate(self, hierarchy, dataset_inputs):
+    def test_stop_predicate(self, hierarchy, dataset_inputs):
         mesh, field = dataset_inputs
         encode(hierarchy, mesh, field)
-        pr = ProgressiveReader(
-            CanopusDecoder(BPDataset.open("run", hierarchy)), "dpot"
-        )
-        state = pr.refine_until(stop=lambda s: s.level == 1)
+        dec = CanopusDecoder(BPDataset.open("run", hierarchy))
+        for state in dec.walk("dpot"):
+            if state.level == 1:
+                break
         assert state.level == 1
-
-    def test_refine_until_needs_criterion(self, hierarchy, dataset_inputs):
-        mesh, field = dataset_inputs
-        encode(hierarchy, mesh, field)
-        pr = ProgressiveReader(
-            CanopusDecoder(BPDataset.open("run", hierarchy)), "dpot"
-        )
-        with pytest.raises(RestorationError):
-            pr.refine_until()
 
     def test_refine_past_full_raises(self, hierarchy, dataset_inputs):
         mesh, field = dataset_inputs
         encode(hierarchy, mesh, field, levels=2)
-        pr = ProgressiveReader(
-            CanopusDecoder(BPDataset.open("run", hierarchy)), "dpot"
-        )
-        pr.refine()
+        dec = CanopusDecoder(BPDataset.open("run", hierarchy))
         with pytest.raises(RestorationError):
-            pr.refine()
-
-    def test_reset(self, hierarchy, dataset_inputs):
-        mesh, field = dataset_inputs
-        encode(hierarchy, mesh, field)
-        pr = ProgressiveReader(
-            CanopusDecoder(BPDataset.open("run", hierarchy)), "dpot"
-        )
-        pr.refine()
-        pr.reset()
-        assert pr.level == 2
+            dec.refine(dec.restore_to("dpot", 0))

@@ -6,8 +6,8 @@ session handle) are bit-identical to the serial seed path
 (including region + min_significance filtered retrieval, whose chunk
 scatter order must not matter), the process-wide restored-level and
 geometry caches are correct and thread-safe under concurrent
-``restore_many``, and the ``refine_until`` NaN-rms regression stays
-fixed.
+``restore_many``, and an empty refinement reports a NaN rms (the
+tolerance walk's side of that lives in ``test_restore_walk.py``).
 """
 
 import threading
@@ -26,7 +26,6 @@ from repro.compress import decode_auto
 from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
 from repro.core.campaign import CampaignWriter
 from repro.core.decoder import PhaseTimings
-from repro.core.progressive import ProgressiveReader
 from repro.core.notation import chunk_key
 from repro.errors import RestorationError, VariableNotFoundError
 from repro.harness.experiment import stack_planes
@@ -392,19 +391,6 @@ class TestRmsRegression:
         assert applied.all()
         masked = float(np.sqrt(np.mean(delta[..., applied] ** 2)))
         assert state.last_delta_rms == masked
-
-    def test_refine_until_does_not_stop_on_empty_step(self, setup):
-        src, _, h = setup
-        ms = 1e12  # prunes every chunk: nothing applied per step
-        reader = ProgressiveReader(
-            CanopusDecoder(BPDataset.open("run", h)), "dpot",
-            pipeline=True, min_significance=ms,
-        )
-        final = reader.refine_until(rms_tolerance=1e-9, max_level=0)
-        # NaN rms on empty steps must not fake convergence: the loop
-        # runs all the way down instead of stopping after one step.
-        assert final.level == 0
-        assert np.isnan(final.last_delta_rms)
 
     def test_empty_refine_reports_nan(self, setup):
         _, _, h = setup

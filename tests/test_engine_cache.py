@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme, ProgressiveReader
+from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
 from repro.errors import BPFormatError
 from repro.io import BPDataset, RangeCache
 from repro.io.engine import EngineStats
@@ -422,10 +422,10 @@ class TestPipelinedProgressive:
         )
         encode(h_serial, mesh, field)
         serial_start = h_serial.clock.elapsed
-        serial = ProgressiveReader(
-            CanopusDecoder(BPDataset.open("run", h_serial)), "dpot"
-        )
-        serial_states = [s.field.copy() for s in serial.levels()]
+        serial = CanopusDecoder(BPDataset.open("run", h_serial))
+        serial_states = [
+            s.field.copy() for s in serial.walk("dpot", pipeline=False)
+        ]
         serial_cost = h_serial.clock.elapsed - serial_start
 
         h_pipe = two_tier_titan(
@@ -433,10 +433,8 @@ class TestPipelinedProgressive:
         )
         encode(h_pipe, mesh, field)
         elapsed_after_encode = h_pipe.clock.elapsed
-        pipe = ProgressiveReader(
-            CanopusDecoder(BPDataset.open("run", h_pipe)), "dpot", pipeline=True
-        )
-        pipe_states = [s.field.copy() for s in pipe.levels()]
+        pipe = CanopusDecoder(BPDataset.open("run", h_pipe))
+        pipe_states = [s.field.copy() for s in pipe.walk("dpot")]
         pipe_cost = h_pipe.clock.elapsed - elapsed_after_encode
 
         assert len(serial_states) == len(pipe_states)
@@ -445,18 +443,15 @@ class TestPipelinedProgressive:
         # The overlapped batch model makes the pipelined read cheaper in
         # simulated time (encode cost excluded from both sides).
         assert pipe_cost < serial_cost
-        assert pipe.decoder.dataset.engine_stats().prefetch_useful > 0
+        assert pipe.dataset.engine_stats().prefetch_useful > 0
 
     def test_pipeline_timings_include_prefetch_charge(self, hierarchy, dataset_inputs):
         mesh, field = dataset_inputs
         encode(hierarchy, mesh, field)
-        reader = ProgressiveReader(
-            CanopusDecoder(BPDataset.open("run", hierarchy)), "dpot",
-            pipeline=True,
-        )
+        decoder = CanopusDecoder(BPDataset.open("run", hierarchy))
         before = hierarchy.clock.elapsed
         final = None
-        for state in reader.levels():
+        for state in decoder.walk("dpot"):
             final = state
         charged = hierarchy.clock.elapsed - before
         # Timings accumulate across refinements; the cumulative io phase

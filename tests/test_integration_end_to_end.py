@@ -16,12 +16,7 @@ from repro.analytics import (
     detect_blobs,
     rasterize,
 )
-from repro.core import (
-    CanopusDecoder,
-    CanopusEncoder,
-    LevelScheme,
-    ProgressiveReader,
-)
+from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
 from repro.io import BPDataset, parse_config
 from repro.simulations import make_cfd, make_genasis, make_xgc1
 
@@ -183,11 +178,9 @@ class TestProgressiveBlobWorkflow:
         params = BlobDetectorParams(10, 200, min_area=60)
         reference = len(detect_blobs(rasterize(ds.mesh, ds.field, spec), params))
 
-        reader = ProgressiveReader(
-            CanopusDecoder(BPDataset.open("blobs", h)), "dpot"
-        )
+        decoder = CanopusDecoder(BPDataset.open("blobs", h))
         counts = []
-        for state in reader.levels():
+        for state in decoder.walk("dpot", pipeline=False):
             img = rasterize(state.mesh, state.plane(), spec)
             counts.append(len(detect_blobs(img, params)))
         # Full-accuracy restoration finds what direct analysis finds.
@@ -203,12 +196,10 @@ class TestProgressiveBlobWorkflow:
         h = two_tier_titan(tmp_path, fast_capacity=16 << 20, slow_capacity=1 << 34)
         enc = CanopusEncoder(h, codec_params={"tolerance": 1e-5, "mode": "relative"})
         enc.encode("conv", ds.variable, ds.mesh, ds.field, LevelScheme(4))
-        reader = ProgressiveReader(
-            CanopusDecoder(BPDataset.open("conv", h)), ds.variable
-        )
+        decoder = CanopusDecoder(BPDataset.open("conv", h))
         errors = [
             cross_level_errors(s.mesh, s.field, ds.mesh, ds.field).rmse
-            for s in reader.levels()
+            for s in decoder.walk(ds.variable, pipeline=False)
         ]
         assert errors == sorted(errors, reverse=True)
         assert errors[-1] < 0.05 * errors[0]

@@ -1,7 +1,7 @@
 """End-to-end tracing of the refactor → place → retrieve pipeline.
 
 The acceptance scenario: a (small) Fig. 9 XGC1 workload — Canopus
-encode, then pipelined progressive retrieval — runs under
+encode, then the pipelined restore walk — runs under
 ``trace_session()`` and exports a Chrome trace containing refactor,
 compress, placement, cache, and per-tier I/O spans with both wall-clock
 and simulated durations.
@@ -13,12 +13,7 @@ import json
 
 import pytest
 
-from repro.api import (
-    BPDataset,
-    CanopusDecoder,
-    ProgressiveReader,
-    trace_session,
-)
+from repro.api import BPDataset, CanopusDecoder, trace_session
 from repro.core import CanopusEncoder, LevelScheme
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
@@ -46,10 +41,7 @@ def traced_run(tmp_path_factory):
             LevelScheme(LEVELS),
         )
         ds = BPDataset.open("xgc1-traced", hierarchy)
-        reader = ProgressiveReader(
-            CanopusDecoder(ds), dataset.variable, pipeline=True
-        )
-        for _state in reader.levels():
+        for _state in CanopusDecoder(ds).walk(dataset.variable):
             pass
         ds.close()
     return tracer, chrome_path
@@ -151,10 +143,7 @@ def test_restored_bits_unchanged_by_tracing(tmp_path):
                     LevelScheme(LEVELS),
                 )
                 ds = BPDataset.open("v", hierarchy)
-                reader = ProgressiveReader(
-                    CanopusDecoder(ds), dataset.variable, pipeline=True
-                )
-                state = reader.refine_until(rms_tolerance=0.0, max_level=0)
+                state = CanopusDecoder(ds).restore_to(dataset.variable, 0)
                 ds.close()
         else:
             encoder.encode(
@@ -162,10 +151,7 @@ def test_restored_bits_unchanged_by_tracing(tmp_path):
                 LevelScheme(LEVELS),
             )
             ds = BPDataset.open("v", hierarchy)
-            reader = ProgressiveReader(
-                CanopusDecoder(ds), dataset.variable, pipeline=True
-            )
-            state = reader.refine_until(rms_tolerance=0.0, max_level=0)
+            state = CanopusDecoder(ds).restore_to(dataset.variable, 0)
             ds.close()
         return state.field
 

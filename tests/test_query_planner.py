@@ -9,7 +9,8 @@ sidecar-metadata contract of the paper's §III-C). Covers:
 * summary pruning (blob screen, significance) over the persisted
   summaries;
 * :class:`QueryPlanner` — certified stopping levels, bit-identity with
-  the measure-as-you-go progressive loop, chunk pruning, explainable
+  the measure-as-you-go loop (``tests/oracle/progressive.py``), chunk
+  pruning, explainable
   plans, and the no-summaries fallback;
 * query-shape validation (:class:`QueryError` for bad tolerance/region);
 * pushdown statistics/blob queries with zero restores on pruned paths;
@@ -26,7 +27,6 @@ import pytest
 from repro.core import CanopusEncoder, LevelScheme
 from repro.core.decimation_plan import _spatial_chunks
 from repro.core.decoder import CanopusDecoder
-from repro.core.progressive import ProgressiveReader
 from repro.core.restored_cache import get_geometry_cache, get_restored_cache
 from repro.errors import QueryError, RestorationError
 from repro.io import BPDataset
@@ -43,6 +43,8 @@ from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
 from repro.storage.placement import PlacementEngine
 from repro.storage.policy import AccessTracker
+
+from tests.oracle.progressive import measured_restore
 
 CHUNKS = 16
 LEVELS = 3
@@ -189,15 +191,12 @@ class TestPlanner:
         planner = handle.planner
         plan = planner.plan_restore("dpot", tolerance=1e-3)
         assert plan.complete and plan.mode == "tolerance"
-        reader = ProgressiveReader(handle.decoder, "dpot")
-        legacy = reader.refine_until(rms_tolerance=1e-3, max_level=0)
+        legacy = measured_restore(handle.decoder, "dpot", 1e-3)
         assert plan.target_level == legacy.level
 
     def test_bit_identity_unfiltered(self, campaign, handle):
         state, plan = handle.planner.restore("dpot", tolerance=1e-3)
-        legacy = ProgressiveReader(_fresh(handle), "dpot").refine_until(
-            rms_tolerance=1e-3, max_level=0
-        )
+        legacy = measured_restore(_fresh(handle), "dpot", 1e-3)
         assert state.level == legacy.level
         assert np.array_equal(state.field, legacy.field)
         assert state.last_delta_rms == legacy.last_delta_rms
@@ -212,9 +211,7 @@ class TestPlanner:
         assert plan.target_level == base_level - 1
         assert state.level == base_level - 1
         assert state.last_delta_rms <= tol
-        legacy = ProgressiveReader(_fresh(handle), "dpot").refine_until(
-            rms_tolerance=tol, max_level=0
-        )
+        legacy = measured_restore(_fresh(handle), "dpot", tol)
         assert np.array_equal(state.field, legacy.field)
 
     def test_bit_identity_with_region(self, campaign, handle):
@@ -223,9 +220,7 @@ class TestPlanner:
         state, plan = handle.planner.restore(
             "dpot", tolerance=1e-3, region=region
         )
-        legacy = ProgressiveReader(_fresh(handle), "dpot").refine_until(
-            rms_tolerance=1e-3, max_level=0, region=region
-        )
+        legacy = measured_restore(_fresh(handle), "dpot", 1e-3, region=region)
         assert np.array_equal(state.field, legacy.field)
         assert plan.pruned_chunks > 0
 

@@ -21,7 +21,6 @@ import pytest
 
 from repro.api import write_campaign
 from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
-from repro.core.progressive import ProgressiveReader
 from repro.core.restored_cache import (
     RestoredLevelCache,
     get_geometry_cache,
@@ -45,6 +44,8 @@ from repro.session import Session
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
 from repro.storage.policy import AccessTracker
+
+from tests.oracle.progressive import measured_restore
 
 TOL = 1e-5
 STEPS = 3
@@ -860,10 +861,9 @@ class TestToleranceOnTheLoop:
             key for key, _ in handle.planner.resolutions.items()
             if key[1] == "tolerance"
         ]
-        measured = ProgressiveReader(
-            CanopusDecoder(handle.dataset, share_geometry=True),
-            "dpot",
-        ).refine_until(rms_tolerance=1e-3, max_level=0)
+        measured = measured_restore(
+            CanopusDecoder(handle.dataset, share_geometry=True), "dpot", 1e-3
+        )
         for response in responses:
             assert response.body == _npy(measured.field)
             assert response.headers["x-canopus-level"] == str(measured.level)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import repro.errors as errors_mod
-from repro.api import CanopusDecoder, ProgressiveReader, Session
+from repro.api import CanopusDecoder, Session
 from repro.core import CanopusEncoder, LevelScheme
 from repro.core.restored_cache import (
     RestoredLevelCache,
@@ -154,18 +154,16 @@ class TestSessionSurface:
             s.open("camp")
 
 
-class TestProgressiveReaderDirect:
-    def test_level_by_level_reader_restores_without_warning(self, root):
+class TestDecoderWalkDirect:
+    def test_level_by_level_walk_restores_without_warning(self, root):
         # What the removed read_progressive()/open_dataset() shims
         # wrapped, called directly.
         path, fields = root
         ds = BPDataset.open("camp", _hier(path))
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            reader = ProgressiveReader(
-                CanopusDecoder(ds), "dpot", pipeline=True
-            )
-            state = reader.refine_until(rms_tolerance=0.0, max_level=0)
+            for state in CanopusDecoder(ds).walk("dpot"):
+                pass
         assert np.allclose(state.field, fields["dpot"], atol=1e-3)
         ds.close()
 

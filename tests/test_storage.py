@@ -113,18 +113,19 @@ class TestStorageTier:
         assert tier.exists("x.bin")
         assert tier.file_size("x.bin") == 5
 
-    def test_read_range(self, tmp_path):
+    def test_peek_range(self, tmp_path):
         tier = _tier("t", "ssd", 1000, tmp_path)
         tier.write("x.bin", b"0123456789")
-        assert tier.read_range("x.bin", 2, 4) == b"2345"
-        # Only the range is charged.
-        assert tier.clock.events[-1].nbytes == 4
+        events = len(tier.clock.events)
+        assert tier.peek_range("x.bin", 2, 4) == b"2345"
+        # The engine charges ranges per batch; a peek charges nothing.
+        assert len(tier.clock.events) == events
 
-    def test_read_range_out_of_bounds(self, tmp_path):
+    def test_peek_range_out_of_bounds(self, tmp_path):
         tier = _tier("t", "ssd", 1000, tmp_path)
         tier.write("x.bin", b"abc")
         with pytest.raises(StorageError):
-            tier.read_range("x.bin", 1, 5)
+            tier.peek_range("x.bin", 1, 5)
 
     def test_capacity_enforced(self, tmp_path):
         tier = _tier("t", "ssd", 10, tmp_path)

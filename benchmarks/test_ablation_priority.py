@@ -8,7 +8,6 @@ priority preserves features better at the same decimation ratio —
 lower cross-level error on the decimated levels.
 """
 
-import numpy as np
 import pytest
 
 from repro.analytics import cross_level_errors

@@ -13,7 +13,6 @@ overlap ratio stays high — low-accuracy blobs still mark real
 high-potential regions.
 """
 
-import numpy as np
 import pytest
 
 from repro.analytics import (

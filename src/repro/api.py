@@ -63,7 +63,6 @@ from repro.query import (
     blob_query,
     stats_query,
 )
-from repro.io.cache import RangeCache
 from repro.io.dataset import DEFAULT_PLACEMENT, BPDataset
 from repro.io.engine import EngineStats, RetrievalEngine
 from repro.io.xmlconfig import parse_config
@@ -124,7 +123,6 @@ __all__ = [
     "ProductSpec",
     "QueryError",
     "QueryPlanner",
-    "RangeCache",
     "RequestTrace",
     "RetrievalPlan",
     "RestoredLevelCache",

@@ -7,13 +7,11 @@ relies on: a metadata-rich binary-packed container
 (:mod:`~repro.io.bp`), a global catalog (:mod:`~repro.io.metadata`),
 per-tier transport methods (:mod:`~repro.io.transports`), the dataset
 write/query/read API (:mod:`~repro.io.dataset`), the concurrent
-retrieval engine (:mod:`~repro.io.engine`) with its range cache
-(:mod:`~repro.io.cache`), and ADIOS-style XML
-configuration (:mod:`~repro.io.xmlconfig`).
+retrieval engine (:mod:`~repro.io.engine`) with its range cache, and
+ADIOS-style XML configuration (:mod:`~repro.io.xmlconfig`).
 """
 
 from repro.io.bp import BPReader, BPWriter, LazyBPReader
-from repro.io.cache import CacheEntry, RangeCache
 from repro.io.dataset import BPDataset
 from repro.io.engine import EngineStats, RetrievalEngine
 from repro.io.metadata import Catalog, VariableRecord
@@ -36,8 +34,6 @@ from repro.io.xmlconfig import CanopusConfig, parse_config, parse_size
 
 __all__ = [
     "BPDataset",
-    "RangeCache",
-    "CacheEntry",
     "RetrievalEngine",
     "EngineStats",
     "BPReader",

@@ -90,9 +90,7 @@ class BPDataset:
         }
         self.verify_checksums = verify_checksums
         self.catalog = Catalog(name)
-        self.engine = RetrievalEngine(
-            hierarchy, self.transports, cache_bytes=cache_bytes
-        )
+        self.engine = RetrievalEngine(hierarchy, cache_bytes=cache_bytes)
         self._writers: dict[str, BPWriter] = {}
         self._closed = False
         if mode == "r":

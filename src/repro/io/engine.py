@@ -3,18 +3,21 @@
 The Canopus read side is where the paper's value lives — analytics
 restore accuracy progressively from base + deltas spread across tiers —
 but a naive reader fetches one product at a time and pays full per-op
-latency for each. The engine front-ends the tier transports with three
-mechanisms:
+latency for each. The engine front-ends the tiers with one fetch path,
+claim → coalesce → charge → fetch, that every read takes:
 
-* a byte-budgeted LRU **range cache** (:mod:`repro.io.cache`) so
-  repeated progressive queries stop re-paying slow-tier reads;
+* a byte-budgeted LRU **range cache** (:class:`~repro.lru.LRU`, keyed by
+  ``(subfile, offset, length)``) so repeated progressive queries stop
+  re-paying slow-tier reads;
 * **batched reads** (:meth:`RetrievalEngine.read_many`): requests are
   coalesced per subfile and charged as one concurrent batch across
   tiers with the overlap model — per-tier batches use the device's
   stream concurrency
   (:meth:`~repro.storage.device.DeviceModel.concurrent_read_seconds`)
   and different tiers overlap entirely (max-per-tier, via
-  :meth:`~repro.storage.simclock.SimClock.charge_concurrent`);
+  :meth:`~repro.storage.simclock.SimClock.charge_concurrent`). A single
+  :meth:`~RetrievalEngine.read` is a batch of one, which costs exactly
+  :meth:`~repro.storage.device.DeviceModel.read_seconds`;
 * **prefetch** (:meth:`RetrievalEngine.prefetch`): the decoder knows
   the next level's keys before it needs them, so their byte ranges are
   charged as one overlapped batch when the hint is issued and moved
@@ -24,11 +27,13 @@ mechanisms:
 
 Every fetch runs on the calling thread. Concurrent callers asking for
 the same range share one fetch: the first claims the range, fetches it
-and charges it; the others wait on that claim and read the cache.
+and charges it; the others wait on that claim, then claim again and
+find the bytes cached.
 
-Real bytes always move through :meth:`Transport.peek_range` (uncharged);
-the engine owns every simulated charge it causes. CRC-32 checksums from
-the catalog are verified on every fetch unless the caller opts out.
+Real bytes always move through the tier's uncharged
+:meth:`~repro.storage.tier.StorageTier.peek_range`; the engine owns
+every simulated charge it causes. CRC-32 checksums from the catalog are
+verified on every fetch unless the caller opts out.
 """
 
 from __future__ import annotations
@@ -40,9 +45,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.errors import BPFormatError, ReproError, StorageError
-from repro.io.cache import RangeCache
 from repro.io.metadata import VariableRecord
-from repro.io.transports import Transport
+from repro.lru import LRU
 from repro.obs import trace
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.storage.hierarchy import StorageHierarchy
@@ -57,13 +61,10 @@ _COALESCE_GAP = 4096
 class EngineStats:
     """Cache/prefetch counters, as a view over a metrics registry.
 
-    Historically a plain dataclass mutated with ``+=`` from whichever
-    thread got there first; now every counter lives in a thread-safe
+    Every counter lives in a thread-safe
     :class:`~repro.obs.metrics.MetricsRegistry` (the data node's
-    executor threads restore through one engine concurrently). The
-    attribute API (``stats.hits``, ``stats.hits_by_tier``, ...) is
-    preserved as read-only properties, so existing benchmarks keep
-    working.
+    executor threads restore through one engine concurrently); the
+    attributes (``stats.hits``, ``stats.hits_by_tier``, ...) read it.
     """
 
     #: Scalar counters exposed as attributes and snapshot keys.
@@ -147,9 +148,6 @@ class EngineStats:
         out["hit_ratio"] = self.hit_ratio
         return out
 
-    def as_dict(self) -> dict:
-        return self.snapshot()
-
     def reset(self) -> None:
         """Zero all counters (for per-phase measurement windows)."""
         self.registry.reset()
@@ -181,23 +179,24 @@ class RetrievalEngine:
 
     Parameters
     ----------
-    hierarchy / transports:
-        Where the bytes live and how to reach them (the dataset's own).
+    hierarchy:
+        Where the bytes live (the dataset's own).
     cache_bytes:
         Range-cache budget; ``0`` disables caching *and* prefetching
-        (cold-read charges only — the benchmark opt-out).
+        (cold-read charges only — the benchmark opt-out). A range
+        larger than the budget is fetched but never cached.
     """
 
     def __init__(
-        self,
-        hierarchy: StorageHierarchy,
-        transports: dict[str, Transport],
-        *,
-        cache_bytes: int = 64 << 20,
+        self, hierarchy: StorageHierarchy, *, cache_bytes: int = 64 << 20
     ) -> None:
+        if cache_bytes < 0:
+            raise ValueError("cache_bytes must be >= 0")
         self.hierarchy = hierarchy
-        self.transports = transports
-        self.cache = RangeCache(cache_bytes)
+        #: ``(subfile, offset, length)`` -> ``[data, tier, prefetched]``:
+        #: the bytes, the tier they were charged to, and whether a
+        #: prefetch landed them and no read has used them yet.
+        self.cache = LRU(int(cache_bytes), weigh=lambda entry: len(entry[0]))
         self.stats = EngineStats()
         #: Guards claiming: a range is looked up in the cache and, on a
         #: miss, claimed in ``_inflight`` in one step.
@@ -218,7 +217,7 @@ class RetrievalEngine:
 
     def _peek_resilient(
         self, tier_name: str, subfile: str, offset: int, length: int
-    ) -> tuple[bytes, str]:
+    ) -> bytes:
         """Uncharged range read that survives re-placement and failures.
 
         Two failure shapes are retried, bounded at three attempts:
@@ -241,12 +240,12 @@ class RetrievalEngine:
         retried_same_tier = False
         for attempt in range(attempts):
             try:
-                data = self.transports[tier_name].peek_range(
+                data = self.hierarchy.tier(tier_name).peek_range(
                     subfile, offset, length
                 )
                 if attempt:
                     self.stats.incr("failover_retries")
-                return data, tier_name
+                return data
             except StorageError as exc:
                 last = exc
                 current = self.hierarchy.locate(subfile)
@@ -265,7 +264,7 @@ class RetrievalEngine:
         return (rec.subfile, rec.offset, rec.length)
 
     @staticmethod
-    def _verify(rec: VariableRecord, data: bytes) -> bytes:
+    def _verify(rec: VariableRecord, data: bytes) -> None:
         if rec.checksum:
             crc = zlib.crc32(data) & 0xFFFFFFFF
             if crc != rec.checksum:
@@ -273,11 +272,10 @@ class RetrievalEngine:
                     f"checksum mismatch for {rec.key!r}: stored "
                     f"{rec.checksum:08x}, read {crc:08x}"
                 )
-        return data
 
     # -- single-flight claims -------------------------------------------
     def _claim(
-        self, records: list[VariableRecord]
+        self, records: list[VariableRecord], *, prefetch: bool = False
     ) -> tuple[dict[str, bytes], list[VariableRecord], list[_Wait]]:
         """Sort ``records`` into cache hits, ranges this caller now owns,
         and ranges another caller is fetching — in one step, under the
@@ -286,7 +284,9 @@ class RetrievalEngine:
         Returns ``(hits, owned, waits)``: ``hits`` maps record key to
         bytes (counted as hits), ``owned`` must be fetched by the caller
         inside :meth:`_owning`, and each ``waits`` entry pairs a record
-        with the claim to block on before reading the cache.
+        with the claim to block on before claiming it again. A
+        ``prefetch`` claims only ranges nobody holds or fetches: it
+        skips the rest, counting no hit and waiting on nothing.
         """
         hits: dict[str, bytes] = {}
         owned: list[VariableRecord] = []
@@ -298,18 +298,24 @@ class RetrievalEngine:
                 if key in seen:
                     continue
                 seen.add(key)
-                entry = self.cache.get(key)
-                if entry is not None:
-                    if entry.prefetched:
-                        entry.prefetched = False
-                        self.stats.incr("prefetch_useful")
-                    self.stats.record_hit(entry.tier, rec.length)
-                    hits[rec.key] = entry.data
-                elif key in self._inflight:
-                    waits.append((rec, self._inflight[key]))
+                if prefetch:
+                    if key in self._inflight or key in self.cache:
+                        continue
                 else:
-                    self._inflight[key] = Future()
-                    owned.append(rec)
+                    entry = self.cache.get(key)
+                    if entry is not None:
+                        data, tier, prefetched = entry
+                        if prefetched:
+                            entry[2] = False
+                            self.stats.incr("prefetch_useful")
+                        self.stats.record_hit(tier, rec.length)
+                        hits[rec.key] = data
+                        continue
+                    if key in self._inflight:
+                        waits.append((rec, self._inflight[key]))
+                        continue
+                self._inflight[key] = Future()
+                owned.append(rec)
         return hits, owned, waits
 
     @contextmanager
@@ -330,48 +336,6 @@ class RetrievalEngine:
                     claim.set_result(None)
                 else:
                     claim.set_exception(error)
-
-    # ------------------------------------------------------------------
-    def read(self, rec: VariableRecord, *, verify: bool = True) -> bytes:
-        """Fetch one record's bytes: cache → another caller's fetch → tier.
-
-        A cold read charges exactly the legacy per-request cost
-        (``latency + length / bandwidth``), so serial retrieval through
-        the engine is charge-identical to the pre-engine read path.
-        """
-        tracer = trace.get_tracer()
-        if tracer is None:
-            return self._read(rec, verify)
-        with tracer.span("engine.read", "cache", {"key": rec.key}) as sp:
-            hits_before = self.stats.hits
-            data = self._read(rec, verify)
-            sp.note(hit=self.stats.hits > hits_before, nbytes=rec.length)
-            return data
-
-    def _read(self, rec: VariableRecord, verify: bool) -> bytes:
-        while True:
-            hits, owned, waits = self._claim([rec])
-            if hits:
-                return hits[rec.key]
-            if owned:
-                break
-            # Wall-time wait on the owner's fetch (its charge is issued);
-            # then look again: a hit, or a fresh claim if it was evicted.
-            waits[0][1].result()
-        with self._owning(owned):
-            data, tier_name = self._peek_resilient(
-                self._locate(rec), rec.subfile, rec.offset, rec.length
-            )
-            tier = self.hierarchy.tier(tier_name)
-            tier.clock.charge(
-                tier_name, "read", rec.length,
-                tier.device.read_seconds(rec.length), rec.key,
-            )
-            if verify:
-                self._verify(rec, data)
-            self.stats.record_miss(tier_name, rec.length)
-            self.cache.put(self._key(rec), data, tier_name)
-        return data
 
     # ------------------------------------------------------------------
     def _coalesce(self, records: list[VariableRecord]) -> list[_Span]:
@@ -400,28 +364,26 @@ class RetrievalEngine:
         return spans
 
     def _charge_spans(self, spans: list[_Span], label: str) -> float:
-        """Deterministic overlapped charge for one concurrent batch."""
+        """Deterministic overlapped charge for one concurrent batch.
+
+        A batch of one range charges ``latency + length / bandwidth``,
+        bit for bit :meth:`~repro.storage.device.DeviceModel.read_seconds`.
+        """
         if not spans:
             return 0.0
         sizes_by_tier: dict[str, list[int]] = {}
         for span in spans:
             sizes_by_tier.setdefault(span.tier, []).append(span.length)
-        clock = self.hierarchy.clock
-        entries = []
-        for tier_name in sorted(sizes_by_tier):
-            sizes = sizes_by_tier[tier_name]
-            device = self.hierarchy.tier(tier_name).device
-            entries.append(
-                (
-                    tier_name,
-                    "read",
-                    sum(sizes),
-                    device.concurrent_read_seconds(sizes),
-                )
-            )
+        entries = [
+            (tier, "read", sum(sizes),
+             self.hierarchy.tier(tier).device.concurrent_read_seconds(sizes))
+            for tier, sizes in sorted(sizes_by_tier.items())
+        ]
         self.stats.incr("batches")
         self.stats.incr("coalesced_spans", len(spans))
-        return clock.charge_concurrent(entries, label or "engine-batch")
+        return self.hierarchy.clock.charge_concurrent(
+            entries, label or "engine-batch"
+        )
 
     def _fetch(
         self, spans: list[_Span], *, verify: bool, prefetched: bool,
@@ -443,11 +405,13 @@ class RetrievalEngine:
     def _fetch_span(
         self, span: _Span, *, verify: bool, prefetched: bool
     ) -> dict[str, bytes]:
-        """Move one span's real bytes and fan them out into the cache."""
-        tracer = trace.get_tracer()
-        if tracer is None:
-            return self._fetch_span_inner(span, verify=verify, prefetched=prefetched)
-        with tracer.span(
+        """Move one span's real bytes and fan them out into the cache.
+
+        Cache entries keep the planned tier label even if a retry served
+        the bytes from elsewhere; the charge was already issued against
+        the planned tier at batch time.
+        """
+        with trace.span(
             "engine.fetch_span", "io",
             {
                 "tier": span.tier, "subfile": span.subfile,
@@ -455,28 +419,33 @@ class RetrievalEngine:
                 "prefetched": prefetched,
             },
         ):
-            return self._fetch_span_inner(
-                span, verify=verify, prefetched=prefetched
+            blob = self._peek_resilient(
+                span.tier, span.subfile, span.offset, span.length
             )
-
-    def _fetch_span_inner(
-        self, span: _Span, *, verify: bool, prefetched: bool
-    ) -> dict[str, bytes]:
-        # Cache entries keep the planned tier label even if the retry
-        # served the bytes from elsewhere; the charge was already issued
-        # against the planned tier at batch time.
-        blob, _ = self._peek_resilient(
-            span.tier, span.subfile, span.offset, span.length
-        )
-        out: dict[str, bytes] = {}
-        for rec in span.records:
-            lo = rec.offset - span.offset
-            data = blob[lo:lo + rec.length]
-            if verify:
-                self._verify(rec, data)
-            self.cache.put(self._key(rec), data, span.tier, prefetched=prefetched)
-            out[rec.key] = data
+            out: dict[str, bytes] = {}
+            for rec in span.records:
+                lo = rec.offset - span.offset
+                data = blob[lo:lo + rec.length]
+                if verify:
+                    self._verify(rec, data)
+                # A range larger than the whole budget would evict
+                # everything for one entry that cannot recur cheaply.
+                if len(data) <= self.cache.budget:
+                    self.cache.put(
+                        self._key(rec), [data, span.tier, prefetched]
+                    )
+                out[rec.key] = data
         return out
+
+    # ------------------------------------------------------------------
+    def read(self, rec: VariableRecord, *, verify: bool = True) -> bytes:
+        """Fetch one record's bytes: a batch of one (:meth:`read_many`).
+
+        A cold read charges ``latency + length / bandwidth`` — exactly
+        :meth:`~repro.storage.device.DeviceModel.read_seconds` — in one
+        event labelled with the record's key.
+        """
+        return self.read_many([rec], verify=verify, label=rec.key)[rec.key]
 
     def read_many(
         self,
@@ -515,15 +484,22 @@ class RetrievalEngine:
         verify: bool,
         label: str,
     ) -> dict[str, bytes]:
-        out, owned, waits = self._claim(records)
-        with self._owning(owned):
-            out.update(self._fetch(
-                self._coalesce(owned), verify=verify, prefetched=False,
-                label=label,
-            ))
-        for rec, claim in waits:
-            claim.result()
-            out[rec.key] = self._read(rec, verify)  # a hit unless evicted
+        out: dict[str, bytes] = {}
+        while records:
+            hits, owned, waits = self._claim(records)
+            out.update(hits)
+            if owned:
+                with self._owning(owned):
+                    out.update(self._fetch(
+                        self._coalesce(owned), verify=verify,
+                        prefetched=False, label=label,
+                    ))
+            # Wall-time wait on the other callers' fetches (their charges
+            # are issued), then claim those ranges again: hits, or fresh
+            # claims where an eviction came first.
+            for _, claim in waits:
+                claim.result()
+            records = [rec for rec, _ in waits]
         return out
 
     # ------------------------------------------------------------------
@@ -547,15 +523,9 @@ class RetrievalEngine:
         best-effort: a failed fetch is raised in any caller waiting on
         it and again by the read that needs the bytes, not here.
         """
-        if self.cache.capacity_bytes == 0:
+        if self.cache.budget == 0:
             return 0
-        owned: list[VariableRecord] = []
-        with self._lock:
-            for rec in records:
-                key = self._key(rec)
-                if key not in self._inflight and key not in self.cache:
-                    self._inflight[key] = Future()
-                    owned.append(rec)
+        _, owned, _ = self._claim(records, prefetch=True)
         spans: list[_Span] = []
         try:
             with self._owning(owned):
@@ -570,6 +540,7 @@ class RetrievalEngine:
 
     def __repr__(self) -> str:
         return (
-            f"RetrievalEngine(cache={self.cache!r}, "
+            f"RetrievalEngine(cached={len(self.cache)} ranges, "
+            f"{self.cache.weight}/{self.cache.budget} B, "
             f"inflight={len(self._inflight)})"
         )

@@ -76,14 +76,6 @@ class Transport(ABC):
     def read(self, relpath: str, label: str = "") -> bytes:
         return self.tier.read(relpath, label)
 
-    def peek_range(self, relpath: str, offset: int, length: int) -> bytes:
-        """Uncharged, thread-safe range read (retrieval-engine data path).
-
-        The engine accounts simulated time per overlapped batch itself,
-        so the byte movement must not double-charge the clock.
-        """
-        return self.tier.peek_range(relpath, offset, length)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(tier={self.tier.name!r})"
 

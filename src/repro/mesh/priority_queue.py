@@ -13,7 +13,7 @@ by comparing against the authoritative ``priority_of`` map.
 from __future__ import annotations
 
 import heapq
-from typing import Hashable, Iterable
+from typing import Iterable
 
 __all__ = ["EdgePriorityQueue"]
 

@@ -75,8 +75,9 @@ class Session:
     Parameters (all keyword-only) configure every dataset the session
     opens: ``cache_bytes`` (per-dataset range-cache budget),
     ``verify_checksums``, ``use_restored_cache`` (consult/publish the
-    process-wide restored cache), ``pipeline`` (prefetch pipelining),
-    and ``transports`` (tier-name → transport override).
+    process-wide restored cache) and ``pipeline`` (prefetch
+    pipelining). Datasets open with the default transports: the
+    retrieval engine reads every range from its tier directly.
     """
 
     def __init__(
@@ -87,14 +88,12 @@ class Session:
         verify_checksums: bool = True,
         use_restored_cache: bool = True,
         pipeline: bool = True,
-        transports=None,
     ) -> None:
         self.hierarchy = hierarchy
         self.cache_bytes = int(cache_bytes)
         self.verify_checksums = verify_checksums
         self.use_restored_cache = use_restored_cache
         self.pipeline = pipeline
-        self.transports = transports
         self._handles: dict[str, CampaignHandle] = {}
         self._closed = False
 
@@ -108,7 +107,6 @@ class Session:
             dataset = BPDataset.open(
                 name,
                 self.hierarchy,
-                transports=self.transports,
                 verify_checksums=self.verify_checksums,
                 cache_bytes=self.cache_bytes,
             )
@@ -272,11 +270,12 @@ class CampaignHandle:
                 # No summaries to certify from: measure level by level,
                 # past the restored cache (an exact level-0 hit would
                 # answer finer than the tolerance stop). A NaN rms (the
-                # filter kept nothing) never stops the walk.
+                # filter kept nothing) never stops the walk. The walk may
+                # stop at any level, so it has no floor to prefetch to:
+                # it reads each level only when it gets there.
                 for state in self.decoder.walk(
                     chain, 0, region=region,
-                    min_significance=min_significance,
-                    pipeline=self.session.pipeline,
+                    min_significance=min_significance, pipeline=False,
                 ):
                     if state.last_delta_rms <= tolerance:
                         break

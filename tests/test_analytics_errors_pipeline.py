@@ -10,13 +10,11 @@ from repro.analytics import (
     restore_full_accuracy,
     run_analysis_at_level,
 )
-from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
 from repro.errors import AnalyticsError, CanopusError
-from repro.harness import setup_experiment, write_baseline_dataset
+from repro.harness import setup_experiment
 from repro.io import BPDataset
 from repro.mesh import decimate
 from repro.mesh.generators import disk
-from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
 
 

@@ -13,7 +13,7 @@ from repro.analytics import (
     rasterize,
 )
 from repro.errors import AnalyticsError
-from repro.mesh.generators import disk, structured_rectangle
+from repro.mesh.generators import structured_rectangle
 
 
 def synthetic_image(blobs, shape=(128, 128), background=30):

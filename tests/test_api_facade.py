@@ -56,7 +56,7 @@ class TestOpenDataset:
     def test_engine_knobs_forwarded(self, hierarchy):
         BPDataset.create("x", hierarchy).close()
         ds = BPDataset.open("x", hierarchy, cache_bytes=0)
-        assert ds.engine.cache.capacity_bytes == 0
+        assert ds.engine.cache.budget == 0
 
 
 class TestWriteCampaign:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.blocksplit import QualityLayer, block_restore, block_split
+from repro.core.blocksplit import block_restore, block_split
 from repro.errors import RefactoringError
 
 TOLS = (1e-1, 1e-3, 1e-5)

@@ -7,8 +7,8 @@ from repro.api import Session
 from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
 from repro.errors import CanopusError, RestorationError
 from repro.io import BPDataset
-from repro.mesh.generators import annulus, disk
-from repro.storage import SimClock, StorageHierarchy, StorageTier, two_tier_titan
+from repro.mesh.generators import annulus
+from repro.storage import two_tier_titan
 
 TOL = 1e-4
 

@@ -8,11 +8,10 @@ import pytest
 
 from repro.core import CanopusDecoder, CanopusEncoder, LevelScheme
 from repro.errors import BPFormatError
-from repro.io import BPDataset, RangeCache
-from repro.io.engine import EngineStats
-from repro.io.transports import PosixTransport
+from repro.io import BPDataset
+from repro.io.engine import EngineStats, RetrievalEngine
 from repro.mesh.generators import annulus
-from repro.storage import SimClock, StorageHierarchy, StorageTier, two_tier_titan
+from repro.storage import two_tier_titan
 
 TOL = 1e-4
 
@@ -48,69 +47,40 @@ def plain_dataset(hierarchy, payloads, **open_kwargs):
     return BPDataset.open("raw", hierarchy, **open_kwargs)
 
 
-class TestRangeCache:
-    def test_hit_miss_and_recency(self):
-        cache = RangeCache(100)
-        key = ("sub.bp", 0, 3)
-        assert cache.get(key) is None
-        assert cache.misses == 1
-        assert cache.put(key, b"abc", "fast")
-        entry = cache.get(key)
-        assert entry is not None and entry.data == b"abc"
-        assert entry.tier == "fast"
-        assert cache.hits == 1
-        assert key in cache
-        assert len(cache) == 1
-        assert cache.used_bytes == 3
+class TestCacheBudget:
+    """The engine's range cache is one byte-budgeted LRU; recency,
+    eviction and replacement are :class:`repro.lru.LRU`'s
+    (``tests/test_lru.py``). What the engine adds is checked here."""
 
-    def test_lru_eviction_order(self):
-        cache = RangeCache(10)
-        a, b, c = ("s", 0, 4), ("s", 4, 4), ("s", 8, 4)
-        cache.put(a, b"aaaa", "t")
-        cache.put(b, b"bbbb", "t")
-        cache.get(a)  # refresh a → b is now least recently used
-        cache.put(c, b"cccc", "t")  # over budget → evict b
-        assert a in cache and c in cache and b not in cache
-        assert cache.evictions == 1
-        assert cache.used_bytes <= 10
+    def test_over_budget_record_is_not_cached(self, hierarchy):
+        rd = plain_dataset(
+            hierarchy, {"big": (b"x" * 64, 1), "small": (b"y" * 8, 1)},
+            cache_bytes=16,
+        )
+        rd.read("big")
+        rd.read("small")
+        assert len(rd.engine.cache) == 1 and rd.engine.cache.weight == 8
+        before = hierarchy.clock.elapsed
+        assert rd.read("big") == b"x" * 64
+        assert hierarchy.clock.elapsed > before  # fetched again
+        assert rd.read("small") == b"y" * 8
+        stats = rd.engine_stats()
+        assert (stats.misses, stats.hits) == (3, 1)
 
-    def test_oversized_entry_bypasses(self):
-        cache = RangeCache(4)
-        assert not cache.put(("s", 0, 8), b"x" * 8, "t")
-        assert len(cache) == 0
+    def test_zero_budget_caches_and_prefetches_nothing(self, hierarchy):
+        rd = plain_dataset(hierarchy, {"k": (b"abc", 1)}, cache_bytes=0)
+        rd.read_many(["k"])
+        rd.read("k")
+        assert len(rd.engine.cache) == 0
+        before = hierarchy.clock.elapsed
+        assert rd.prefetch(["k"]) == 0
+        assert hierarchy.clock.elapsed == before
+        assert len(rd.engine.cache) == 0
+        assert rd.engine_stats().prefetch_issued == 0
 
-    def test_zero_capacity_disables(self):
-        cache = RangeCache(0)
-        assert not cache.put(("s", 0, 1), b"x", "t")
-        assert cache.get(("s", 0, 1)) is None
-
-    def test_replacing_entry_reclaims_bytes(self):
-        cache = RangeCache(10)
-        key = ("s", 0, 4)
-        cache.put(key, b"aaaa", "t")
-        cache.put(key, b"bb", "t")
-        assert cache.used_bytes == 2
-
-    def test_invalidate(self):
-        cache = RangeCache(100)
-        cache.put(("one.bp", 0, 1), b"a", "t")
-        cache.put(("one.bp", 1, 1), b"b", "t")
-        cache.put(("two.bp", 0, 1), b"c", "t")
-        assert cache.invalidate("one.bp") == 2
-        assert cache.used_bytes == 1
-        assert cache.invalidate() == 1
-        assert cache.used_bytes == 0
-
-    def test_stats_dict(self):
-        cache = RangeCache(100)
-        cache.put(("s", 0, 1), b"x", "t")
-        stats = cache.stats()
-        assert stats["insertions"] == 1
-        assert stats["capacity_bytes"] == 100
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            RangeCache(-1)
+    def test_negative_budget_rejected(self, hierarchy):
+        with pytest.raises(ValueError, match="cache_bytes"):
+            RetrievalEngine(hierarchy, cache_bytes=-1)
 
 
 class TestEngineCaching:
@@ -144,6 +114,25 @@ class TestEngineCaching:
             device.read_seconds(len(payload))
         )
 
+    def test_single_read_is_a_batch_of_one(self, hierarchy, dataset_inputs):
+        """``read`` charges exactly ``read_seconds`` in one event
+        labelled with the key — the pre-batch cost, bit for bit."""
+        mesh, field = dataset_inputs
+        encode(hierarchy, mesh, field)
+        rd = BPDataset.open("run", hierarchy)
+        clock = hierarchy.clock
+        for rec in rd.select():
+            device = hierarchy.tier(rec.tier).device
+            before, events = clock.elapsed, len(clock.events)
+            rd.read(rec.key)
+            assert clock.elapsed == before + device.read_seconds(rec.length)
+            (event,) = clock.events[events:]
+            assert event.label == rec.key
+            assert (event.tier, event.op, event.nbytes) == (
+                rec.tier, "read", rec.length
+            )
+            assert event.seconds == device.read_seconds(rec.length)
+
     def test_eviction_under_tiny_budget(self, hierarchy):
         payloads = {
             f"k{i}": (bytes([65 + i]) * 4096, 1) for i in range(8)
@@ -151,9 +140,8 @@ class TestEngineCaching:
         rd = plain_dataset(hierarchy, payloads, cache_bytes=2 * 4096)
         for key in payloads:
             rd.read(key)
-        cache_stats = rd.engine.cache.stats()
-        assert cache_stats["evictions"] > 0
-        assert cache_stats["used_bytes"] <= 2 * 4096
+        assert rd.engine.cache.evictions > 0
+        assert rd.engine.cache.weight <= 2 * 4096
 
 
 class TestReadMany:
@@ -244,24 +232,25 @@ class TestPrefetch:
         assert hierarchy.clock.elapsed == before
 
 
-class _BarrierTransport(PosixTransport):
-    """Counts uncharged range reads; each one waits (up to half a second) for
-    a second caller, so two fetches of one range always overlap."""
+class _BarrierPeek:
+    """Stands in for a tier's uncharged ``peek_range``: counts the range
+    reads, and each one waits (up to half a second) for a second caller,
+    so two fetches of one range always overlap."""
 
     def __init__(self, tier):
-        super().__init__(tier)
+        self._peek_range = tier.peek_range
         self.barrier = threading.Barrier(2, timeout=0.5)
         self.peeks = 0
         self._lock = threading.Lock()
 
-    def peek_range(self, relpath, offset, length):
+    def __call__(self, relpath, offset, length):
         with self._lock:
             self.peeks += 1
         try:
             self.barrier.wait()
         except threading.BrokenBarrierError:
             pass  # no second fetch came: the range was fetched once
-        return super().peek_range(relpath, offset, length)
+        return self._peek_range(relpath, offset, length)
 
 
 class TestSingleFlight:
@@ -270,12 +259,16 @@ class TestSingleFlight:
 
     PAYLOAD = b"p" * 20_000
 
-    def _open(self, hierarchy):
-        transports = {t.name: _BarrierTransport(t) for t in hierarchy}
-        rd = plain_dataset(
-            hierarchy, {"k": (self.PAYLOAD, 1)}, transports=transports
-        )
-        return rd, rd.inq("k"), transports[rd.inq("k").tier]
+    @pytest.fixture
+    def opened(self, hierarchy, monkeypatch):
+        """``(dataset, record, peek)`` with the record's tier behind a
+        :class:`_BarrierPeek`."""
+        rd = plain_dataset(hierarchy, {"k": (self.PAYLOAD, 1)})
+        rec = rd.inq("k")
+        tier = hierarchy.tier(rec.tier)
+        peek = _BarrierPeek(tier)
+        monkeypatch.setattr(tier, "peek_range", peek)
+        return rd, rec, peek
 
     @staticmethod
     def _race(call):
@@ -296,13 +289,13 @@ class TestSingleFlight:
             assert not t.is_alive()
         return results, errors
 
-    def test_identical_misses_fetch_once(self, hierarchy):
-        rd, rec, transport = self._open(hierarchy)
+    def test_identical_misses_fetch_once(self, hierarchy, opened):
+        rd, rec, peek = opened
         before = hierarchy.clock.elapsed
         results, errors = self._race(lambda: rd.engine.read_many([rec]))
         assert errors == []
         assert results == [{"k": self.PAYLOAD}] * 2
-        assert transport.peeks == 1
+        assert peek.peeks == 1
         stats = rd.engine_stats()
         assert (stats.misses, stats.hits) == (1, 1)
         device = hierarchy.tier(rec.tier).device
@@ -310,29 +303,29 @@ class TestSingleFlight:
             device.concurrent_read_seconds([rec.length])
         )
 
-    def test_single_reads_fetch_once(self, hierarchy):
-        rd, rec, transport = self._open(hierarchy)
+    def test_single_reads_fetch_once(self, hierarchy, opened):
+        rd, rec, peek = opened
         before = hierarchy.clock.elapsed
         results, errors = self._race(lambda: rd.engine.read(rec))
         assert errors == [] and results == [self.PAYLOAD] * 2
-        assert transport.peeks == 1
+        assert peek.peeks == 1
         assert rd.engine_stats().misses == 1
         device = hierarchy.tier(rec.tier).device
         assert hierarchy.clock.elapsed - before == pytest.approx(
             device.read_seconds(rec.length)
         )
 
-    def test_owner_error_is_raised_in_waiter(self, hierarchy):
-        rd, rec, transport = self._open(hierarchy)
+    def test_owner_error_is_raised_in_waiter(self, hierarchy, opened):
+        rd, rec, peek = opened
         TestChecksumVerification._corrupt(hierarchy, rd, "k")
         results, errors = self._race(lambda: rd.engine.read_many([rec]))
         assert results == [] and len(errors) == 2
         assert all(isinstance(e, BPFormatError) for e in errors)
-        assert transport.peeks == 1
+        assert peek.peeks == 1
         # The failed claim is released: the next read fetches again.
         with pytest.raises(BPFormatError, match="checksum mismatch"):
             rd.read("k")
-        assert transport.peeks == 2
+        assert peek.peeks == 2
 
     def test_stress_overlapping_batches(self, hierarchy):
         """Eight threads read, batch and prefetch overlapping key sets
@@ -461,12 +454,15 @@ class TestPipelinedProgressive:
 
 
 class TestEngineMisc:
-    def test_stats_as_dict_keys(self):
+    def test_snapshot_keys(self):
         stats = EngineStats()
-        d = stats.as_dict()
+        d = stats.snapshot()
         assert {"hits", "misses", "bytes_from_tier", "prefetch_issued",
                 "prefetch_useful", "batches"} <= set(d)
 
     def test_engine_repr(self, hierarchy):
         rd = plain_dataset(hierarchy, {"k": (b"abc", 1)})
-        assert "RangeCache" in repr(rd.engine)
+        rd.read("k")
+        assert repr(rd.engine) == (
+            "RetrievalEngine(cached=1 ranges, 3/67108864 B, inflight=0)"
+        )

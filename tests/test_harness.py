@@ -1,7 +1,6 @@
 """Tests for the experiment harness and report formatting."""
 
 import numpy as np
-import pytest
 
 from repro.harness import (
     format_fraction_bar,

@@ -338,10 +338,10 @@ class TestEngineStatsView:
         assert stats.hits == 0
         assert snap["hits"] == 2  # snapshot is a copy
 
-    def test_as_dict_is_plain_data(self):
+    def test_snapshot_is_plain_data(self):
         stats = EngineStats()
         stats.record_hit("t", 1)
-        d = stats.as_dict()
+        d = stats.snapshot()
         assert isinstance(d, dict)
         json.dumps(d)  # JSON-ready
 

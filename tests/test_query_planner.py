@@ -284,13 +284,13 @@ class TestPlanner:
             with Session(h) as session:
                 handle = session.open("q")
                 first = handle.restore("dpot", **request)
-                handle.dataset.engine.cache.invalidate()
+                handle.dataset.engine.cache.clear()
                 elapsed = h.clock.elapsed
-                stats = handle.dataset.engine_stats().as_dict()
+                stats = handle.dataset.engine_stats().snapshot()
                 again = handle.restore("dpot", **request)
                 assert again.field.tobytes() == first.field.tobytes()
                 assert h.clock.elapsed == elapsed
-                after = handle.dataset.engine_stats().as_dict()
+                after = handle.dataset.engine_stats().snapshot()
                 assert after["bytes_from_tier"] == stats["bytes_from_tier"]
         finally:
             get_restored_cache().clear()

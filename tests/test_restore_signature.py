@@ -181,7 +181,7 @@ def test_a_filtered_chain_starts_from_the_cached_prefix(decoders, cache):
     region = _box(0.5, 0.5, 0.05)
 
     def tier_bytes(level, **kwargs):
-        decoder.dataset.engine.cache.invalidate()
+        decoder.dataset.engine.cache.clear()
         before = clock.bytes_moved(op="read")
         decoder.restore_to("dpot", level, region=region, **kwargs)
         return clock.bytes_moved(op="read") - before

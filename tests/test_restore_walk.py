@@ -213,6 +213,32 @@ class TestToleranceFallback:
         assert direct.field.tobytes() == state.field.tobytes()
         assert (moved, seconds) == (direct_moved, direct_seconds)
 
+    def test_pipelined_fallback_reads_what_the_level_restore_reads(
+        self, store
+    ):
+        _, h = store
+        with Session(h, use_restored_cache=False) as session:
+            assert session.pipeline
+            handle = session.open("w")
+            # Met by the first refinement: a walk with lookahead toward
+            # level 0 would already have fetched the deltas below it.
+            base = handle.scheme("dpot").base_level
+            rms = handle.plan("dpot", tolerance=1e-12).level_rms
+            tolerance = rms[base - 1] * 1.01
+            _strip_summaries(handle)
+            state, _, moved = _charged(
+                h, lambda: handle.restore("dpot", tolerance=tolerance)
+            )
+        assert state.level == base - 1 > 0
+        get_geometry_cache().clear()
+        with Session(h, use_restored_cache=False) as session:
+            handle = session.open("w")
+            direct, _, direct_moved = _charged(
+                h, lambda: handle.restore("dpot", level=state.level)
+            )
+        assert direct.field.tobytes() == state.field.tobytes()
+        assert moved == direct_moved
+
     def test_a_step_that_applies_nothing_never_stops(self, store):
         _, h = store
         with Session(h, use_restored_cache=False) as session:

@@ -10,7 +10,6 @@ backend cannot express them.
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.errors import CapacityError, StorageError

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -81,6 +82,33 @@ class TestCacheBudget:
     def test_negative_budget_rejected(self, hierarchy):
         with pytest.raises(ValueError, match="cache_bytes"):
             RetrievalEngine(hierarchy, cache_bytes=-1)
+
+    def test_hit_refreshes_recency(self, hierarchy):
+        payloads = {key: (key.encode() * 4, 1) for key in "abc"}
+        rd = plain_dataset(hierarchy, payloads, cache_bytes=8)
+        rd.read("a")
+        rd.read("b")
+        rd.read("a")  # a hit: "b" is now the least recently used
+        rd.read("c")  # over budget: "b" is evicted
+        cached = {rd.engine._key(rd.inq(k)) for k in "ac"}
+        assert {key for key, _ in rd.engine.cache.items()} == cached
+        assert rd.engine.cache.evictions == 1
+        before = hierarchy.clock.elapsed
+        assert rd.read("a") == b"aaaa"
+        assert hierarchy.clock.elapsed == before
+        assert rd.read("b") == b"bbbb"
+        assert hierarchy.clock.elapsed > before
+
+    def test_hit_is_counted_on_the_charged_tier(self, hierarchy):
+        rd = plain_dataset(
+            hierarchy, {"fast": (b"f" * 16, 0), "slow": (b"s" * 32, 1)}
+        )
+        for _ in range(2):
+            rd.read_many(["fast", "slow"])
+        stats = rd.engine_stats()
+        assert stats.hits_by_tier == {"tmpfs": 1, "lustre": 1}
+        assert stats.misses_by_tier == {"tmpfs": 1, "lustre": 1}
+        assert stats.bytes_from_cache == 16 + 32
 
 
 class TestEngineCaching:
@@ -230,6 +258,37 @@ class TestPrefetch:
         before = hierarchy.clock.elapsed
         assert rd.prefetch(["k"]) == 0
         assert hierarchy.clock.elapsed == before
+
+    def test_hint_for_a_cached_range_counts_no_hit(self, hierarchy):
+        rd = plain_dataset(hierarchy, {"k": (b"abc", 1)})
+        rd.read("k")
+        before = hierarchy.clock.elapsed
+        assert rd.prefetch(["k"]) == 0
+        assert hierarchy.clock.elapsed == before
+        stats = rd.engine_stats()
+        assert (stats.hits, stats.misses, stats.prefetch_issued) == (0, 1, 0)
+
+    def test_hint_skips_an_inflight_range_without_waiting(self, hierarchy):
+        rd = plain_dataset(hierarchy, {"k": (b"abc", 1), "j": (b"xyz", 1)})
+        key = rd.engine._key(rd.inq("k"))
+        claim = Future()  # another caller's fetch that never ends
+        rd.engine._inflight[key] = claim
+        try:
+            assert rd.prefetch(["k", "j"]) == 1
+        finally:
+            del rd.engine._inflight[key]
+        assert not claim.done()
+        assert key not in rd.engine.cache
+        stats = rd.engine_stats()
+        assert (stats.hits, stats.misses, stats.prefetch_issued) == (0, 1, 1)
+
+    def test_failed_hint_is_swallowed_and_raised_by_the_read(self, hierarchy):
+        rd = plain_dataset(hierarchy, {"k": (b"payload-bytes", 1)})
+        TestChecksumVerification._corrupt(hierarchy, rd, "k")
+        rd.prefetch(["k"])  # no raise
+        assert rd.engine._inflight == {} and len(rd.engine.cache) == 0
+        with pytest.raises(BPFormatError, match="checksum mismatch"):
+            rd.read("k")
 
 
 class _BarrierPeek:

@@ -35,7 +35,6 @@ from repro.core.plan import TierPreference, plan_placement
 from repro.core.refactor import (
     BufferArena,
     RefactorResult,
-    fused_step_products,
     refactor,
     walk,
 )
@@ -79,5 +78,4 @@ __all__ = [
     "encode_partitioned",
     "PartitionedReport",
     "BufferArena",
-    "fused_step_products",
 ]

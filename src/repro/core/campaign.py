@@ -32,7 +32,7 @@ from repro.core.decimation_plan import plan_for
 from repro.core.layout import ProductWriter, declare_variable
 from repro.core.mapping import LevelMapping
 from repro.core.notation import GEOM_VAR, LevelScheme, step_chain
-from repro.core.refactor import BufferArena, encode_pool, fused_step_products
+from repro.core.refactor import BufferArena, encode_pool, walk
 from repro.errors import CanopusError
 from repro.io.dataset import DEFAULT_PLACEMENT, BPDataset
 from repro.mesh.edge_collapse import DEFAULT_METHOD, KERNELS
@@ -134,7 +134,7 @@ class CampaignWriter:
             counts=[m.num_vertices for m in self.meshes],
             steps=[], geometry=GEOM_VAR,
         )
-        self._writer = ProductWriter(self._dataset, scheme, codec)
+        self._writer = ProductWriter(self._dataset, var)
         self._writer.geometry(GEOM_VAR, *self._geom_plan.geometry_blobs())
 
     # ------------------------------------------------------------------
@@ -145,27 +145,30 @@ class CampaignWriter:
         if step in self._steps:
             raise CanopusError(f"step {step} already written")
         # One level in flight at a time through pooled scratch.
+        stats: dict = {}
         with trace.span(
             "campaign.fused_encode", "refactor",
             {"step": step, "workers": self.workers or 1},
         ):
-            products, stats = fused_step_products(
+            walked = list(walk(
                 self._geom_plan, data, self._codec, arena=self._arena,
-                pool=self._pool, what=f"step {step}: ",
-            )
+                pool=self._pool, stats=stats, what=f"step {step}: ",
+            ))
 
         clock = self.hierarchy.clock
         before = clock.elapsed
-        total = self._writer.chain(
-            step_chain(self.var, step), products, stats["summaries"]
-        )
+        try:
+            records = self._writer.chain(step_chain(self.var, step), walked)
+        finally:
+            for level in walked[:-1]:
+                self._arena.give(level.values)
         io_seconds = clock.elapsed - before  # buffered; realized at close
 
         self._steps.append(step)
         self._entry["steps"] = sorted(self._steps)
         return StepReport(
             step=step,
-            compressed_bytes=total,
+            compressed_bytes=sum(rec.length for rec in records),
             original_bytes=int(np.asarray(data).nbytes),
             refactor_seconds=stats["replay_seconds"] + stats["delta_seconds"],
             compress_seconds=stats["compress_seconds"],

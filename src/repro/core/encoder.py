@@ -7,7 +7,8 @@ The encoder drives one variable through the full pipeline:
    base and the deltas, each compressed with the configured
    floating-point codec as soon as it exists;
 2. mappings and mesh geometry are stored losslessly (deflate);
-3. everything is written through an ADIOS-like
+3. :meth:`~repro.core.layout.ProductWriter.chain` writes every level,
+   its mesh and mapping next to it, through an ADIOS-like
    :class:`~repro.io.dataset.BPDataset` with preferred tiers from
    :func:`~repro.core.plan.plan_placement` (base on the fastest tier,
    deltas descending), subject to the capacity-bypass rule.
@@ -30,16 +31,14 @@ from repro.core.decimation_plan import (
     plan_for,
 )
 from repro.core.layout import ProductWriter, declare_variable
-from repro.core.notation import (
-    LevelScheme,
-    chunk_key,
-    delta_key,
-    idx_key,
-    level_key,
-    mapping_key,
-    mesh_key,
+from repro.core.notation import LevelScheme
+from repro.core.refactor import (
+    BufferArena,
+    RefactorResult,
+    absolute_codec_params,
+    encode_pool,
+    walk,
 )
-from repro.core.refactor import BufferArena, RefactorResult, encode_pool, walk
 from repro.errors import CanopusError
 from repro.io.dataset import DEFAULT_PLACEMENT, BPDataset
 from repro.io.query import ChunkStats
@@ -179,11 +178,6 @@ class CanopusEncoder:
         report = EncodeReport(
             var=var, scheme=scheme, original_bytes=int(data_arr.nbytes)
         )
-        # A "relative" tolerance is resolved ONCE against the input
-        # variable's range, then applied as the same absolute bound to the
-        # base and every delta. Re-normalizing per product would tighten
-        # the bound on the low-amplitude deltas and throw away exactly the
-        # compressibility the delta refactoring creates (paper Fig. 5).
         codec_params = dict(self.codec_params)
         if self.total_error_budget is not None:
             # One codec bound applies per product on the restore path
@@ -192,13 +186,9 @@ class CanopusEncoder:
             codec_params["tolerance"] = (
                 self.total_error_budget / scheme.num_levels
             )
-        if codec_params.get("mode") == "relative":
-            value_range = float(np.ptp(data)) if data_arr.size else 1.0
-            codec_params["tolerance"] = (
-                codec_params.get("tolerance", 1e-6) * max(value_range, 1e-300)
-            )
-            codec_params["mode"] = "absolute"
-        codec = get_codec(self.codec_name, **codec_params)
+        codec = get_codec(
+            self.codec_name, **absolute_codec_params(codec_params, data)
+        )
 
         # Geometry-only payloads — meshes, mappings, chunk index lists —
         # come from the plan, so every variable and every later encode on
@@ -235,92 +225,28 @@ class CanopusEncoder:
             dataset_name, self.hierarchy, self.transports,
             placement=self.placement,
         )
-        planes = data_arr.shape[0] if data_arr.ndim == 2 else 0
-        meta = declare_variable(
+        declare_variable(
             ds, var, scheme, self.codec_name,
             codec_params=self.codec_params,
             estimator=self.estimator,
             chunks=self.chunks,
-            planes=planes,
             counts=[m.num_vertices for m in plan.meshes],
             # Whole-field value summary: lets aggregate predicates
             # (min/max/mean over the full domain) answer from the
             # catalog footer alone, with zero data I/O.
             field_stats=ChunkStats.of(data_arr).as_dict(),
         )
-        writer = ProductWriter(ds, scheme, self.codec_name)
-
-        def put(key, payload, **record) -> None:
-            # `stats=`: catalog-resident value statistics enable
-            # query-driven chunk pruning (repro.io.query) with zero data
-            # I/O.
-            rec = writer.put(key, payload, **record)
-            report.compressed_bytes[key] = len(payload)
-            report.placed_tiers[key] = rec.tier
+        # The chain owns its geometry: each level's mesh and mapping sit
+        # next to that level's payloads.
+        records = ProductWriter(ds, var).chain(
+            var, walked, geometry=plan.geometry_blobs(),
+            layout=plan.chunk_layout(self.chunks) if self.chunks > 1 else None,
+        )
+        for rec in records:
+            report.compressed_bytes[rec.key] = rec.length
+            report.placed_tiers[rec.key] = rec.tier
             if rec.kind in ("base", "delta"):
-                report.payload_bytes += len(payload)
-
-        base_level = scheme.base_level
-        mesh_blobs, mapping_blobs = plan.geometry_blobs()
-        chunk_layout = plan.chunk_layout(self.chunks) if self.chunks > 1 else None
-
-        # Base product: field + mesh on the fastest tier.
-        put(
-            level_key(var, base_level), walked[base_level].blobs[0],
-            kind="base", level=base_level, count=result.base_field.size,
-            stats=walked[base_level].summaries[0],
-        )
-        put(
-            mesh_key(var, base_level), mesh_blobs[base_level],
-            kind="mesh", level=base_level,
-        )
-
-        # Delta products: delta (possibly chunked) + mapping + level mesh.
-        for lvl in scheme.delta_levels():
-            _, _, delta, pieces, blobs, summaries = walked[lvl]
-            if chunk_layout is None:
-                put(
-                    delta_key(var, lvl), blobs[0], kind="delta", level=lvl,
-                    count=delta.size, stats=summaries[0],
-                )
-            else:
-                # Spatial chunking: bin fine vertices on a 2-D grid so a
-                # region-of-interest read touches only the chunks whose
-                # bounding box intersects it ("focused data retrieval",
-                # §III-E). Each chunk stores its vertex-index list (the
-                # scatter map) next to its delta values.
-                for c, (idx, idx_blob, bbox) in enumerate(chunk_layout[lvl]):
-                    attrs = {
-                        "chunk": c, "bbox": list(bbox), "n_vertices": len(idx),
-                    }
-                    if lvl == 0:
-                        # Level-0 chunks partition the *original* mesh
-                        # vertices, so summarizing the input field over
-                        # this chunk's vertex set is exact — window
-                        # predicates (min/max/mean over a region) answer
-                        # from the catalog without touching data.
-                        attrs["field_stats"] = ChunkStats.of(
-                            data_arr[..., idx]
-                        ).as_dict()
-                    put(
-                        chunk_key(var, lvl, c), blobs[c],
-                        kind="delta", level=lvl, count=pieces[c].size,
-                        attrs=attrs, stats=summaries[c],
-                    )
-                    put(
-                        idx_key(var, lvl, c), idx_blob,
-                        kind="mapping", level=lvl, attrs={"chunk": c},
-                    )
-                # Record how many chunks were actually written (empty
-                # spatial bins are dropped).
-                meta.setdefault("chunks_per_level", {})[str(lvl)] = len(
-                    chunk_layout[lvl]
-                )
-            put(
-                mapping_key(var, lvl), mapping_blobs[lvl],
-                kind="mapping", level=lvl,
-            )
-            put(mesh_key(var, lvl), mesh_blobs[lvl], kind="mesh", level=lvl)
+                report.payload_bytes += rec.length
 
         if close:
             clock = self.hierarchy.clock

@@ -30,7 +30,7 @@ from repro.compress import get_codec
 from repro.core.decimation_plan import as_field, plan_for
 from repro.core.layout import ProductWriter, declare_variable
 from repro.core.notation import LevelScheme, part_chain
-from repro.core.refactor import encode_pool, fused_step_products
+from repro.core.refactor import absolute_codec_params, encode_pool, walk
 from repro.io.dataset import BPDataset
 from repro.mesh.edge_collapse import DEFAULT_METHOD
 from repro.mesh.partition import MeshPartition, partition_mesh
@@ -72,10 +72,11 @@ def encode_partitioned(
 ) -> tuple[PartitionedReport, list[MeshPartition]]:
     """Partition, refactor each patch (optionally in parallel), write.
 
-    Every patch is one run of the write-side task body
-    (:func:`~repro.core.refactor.fused_step_products`) over the patch's
-    own plan — a stand-in for one MPI rank, exchanging zero data with
-    its peers. With ``workers > 1`` the patches are mapped over that
+    Every patch is one :func:`~repro.core.refactor.walk` over the
+    patch's own plan — a stand-in for one MPI rank, exchanging zero data
+    with its peers — whose levels
+    :meth:`~repro.core.layout.ProductWriter.chain` puts after the
+    patch's geometry. With ``workers > 1`` the patches are mapped over that
     many threads (decimation, replay and the codecs are numpy kernels
     that release the GIL); products are the same bytes either way. The
     shared plan cache makes repeated encodes of the same partitions
@@ -87,15 +88,11 @@ def encode_partitioned(
     """
     original_bytes = int(np.asarray(data).nbytes)
     data = as_field(data, mesh.num_vertices)
-    codec_params = dict(codec_params or {})
-    if codec_params.get("mode") == "relative":
-        # Resolve against the *global* range once, so every patch
-        # instantiates the identical absolute codec.
-        codec_params["tolerance"] = codec_params.get("tolerance", 1e-6) * max(
-            float(np.ptp(data)), 1e-300
-        )
-        codec_params["mode"] = "absolute"
-    payload_codec = get_codec(codec, **codec_params)
+    # Resolved against the *global* range, so every patch instantiates
+    # the identical absolute codec.
+    payload_codec = get_codec(
+        codec, **absolute_codec_params(codec_params or {}, data)
+    )
 
     def encode_patch(patch: MeshPartition) -> tuple:
         plan = plan_for(
@@ -104,11 +101,14 @@ def encode_partitioned(
         )
         plan.geometry_blobs()  # deflated once per plan: here, off the writer
         # No arena (patch shapes all differ) and no pool: this body may
-        # itself be running on the pool.
-        products, stats = fused_step_products(
-            plan, patch.restrict(data), payload_codec
-        )
-        return plan, products, stats
+        # itself be running on the pool. Only payloads and summaries wait
+        # for the write, no level arrays.
+        began = time.perf_counter()
+        walked = [
+            level.without_arrays()
+            for level in walk(plan, patch.restrict(data), payload_codec)
+        ]
+        return plan, walked, time.perf_counter() - began
 
     partitions = partition_mesh(mesh, parts)
     t0 = time.perf_counter()
@@ -136,14 +136,15 @@ def encode_partitioned(
         },
         owned={str(p.index): p.owned.tolist() for p in partitions},
     )
-    writer = ProductWriter(ds, scheme, codec)
+    writer = ProductWriter(ds, var)
     compressed = 0
     clock = hierarchy.clock
     before = clock.elapsed
-    for patch, (plan, products, stats) in zip(partitions, encoded):
+    for patch, (plan, walked, _) in zip(partitions, encoded):
         chain = part_chain(var, patch.index)
-        compressed += writer.geometry(chain, *plan.geometry_blobs())
-        compressed += writer.chain(chain, products, stats["summaries"])
+        records = writer.geometry(chain, *plan.geometry_blobs())
+        records += writer.chain(chain, walked)
+        compressed += sum(rec.length for rec in records)
     ds.close()
     write_seconds = clock.elapsed - before
 
@@ -154,7 +155,7 @@ def encode_partitioned(
         write_seconds=write_seconds,
         compressed_bytes=compressed,
         original_bytes=original_bytes,
-        per_part_seconds=[stats["wall_seconds"] for _, _, stats in encoded],
+        per_part_seconds=[seconds for _, _, seconds in encoded],
     )
     return report, partitions
 

@@ -13,11 +13,11 @@ delta against it, hand each payload piece to the codec, one level in
 flight. Everything that writes consumes it:
 
 * :func:`refactor` keeps the levels and deltas (no codec, no storage);
-* :class:`~repro.core.encoder.CanopusEncoder` cuts each delta into the
-  plan's spatial chunks and places the payloads;
-* :func:`fused_step_products` is the task body of one campaign step or
-  partition patch, shared by :class:`~repro.core.campaign.CampaignWriter`
-  and :func:`~repro.core.parallel.encode_partitioned`.
+* :class:`~repro.core.encoder.CanopusEncoder`,
+  :class:`~repro.core.campaign.CampaignWriter` (one walk per step) and
+  :func:`~repro.core.parallel.encode_partitioned` (one per patch) hand
+  the walked levels to :meth:`~repro.core.layout.ProductWriter.chain`,
+  the one place they become catalog records.
 
 Per-stage wall times are recorded for the write-cost study (Fig. 6b).
 """
@@ -46,8 +46,8 @@ __all__ = [
     "BufferArena",
     "RefactorResult",
     "WalkedLevel",
+    "absolute_codec_params",
     "encode_pool",
-    "fused_step_products",
     "refactor",
     "walk",
 ]
@@ -129,6 +129,35 @@ class WalkedLevel(NamedTuple):
     #: planner (:mod:`repro.query`) prunes from exactly these bounds, so
     #: they describe the *pre-compression* values.
     summaries: list[dict]
+
+    def without_arrays(self) -> WalkedLevel:
+        """The level as a writer holds it between encode and write:
+        payloads and summaries; ``field`` and ``values`` are dropped and
+        each piece shrinks to a zero-stride view that keeps its shape."""
+        return self._replace(
+            field=None, values=None,
+            pieces=[np.broadcast_to(0.0, p.shape) for p in self.pieces],
+        )
+
+
+def absolute_codec_params(codec_params: dict, data) -> dict:
+    """``codec_params`` with a ``"relative"`` tolerance made absolute.
+
+    The fraction is resolved ONCE against ``data``'s whole range and the
+    same absolute bound applies to the base and every delta (every patch,
+    for a partitioned field). Re-normalizing per product would tighten
+    the bound on the low-amplitude deltas and throw away exactly the
+    compressibility the delta refactoring creates (paper Fig. 5).
+    """
+    params = dict(codec_params)
+    if params.get("mode") == "relative":
+        data = np.asarray(data)
+        value_range = float(np.ptp(data)) if data.size else 1.0
+        params["tolerance"] = params.get("tolerance", 1e-6) * max(
+            value_range, 1e-300
+        )
+        params["mode"] = "absolute"
+    return params
 
 
 def walk(
@@ -220,39 +249,6 @@ def _one_behind(levels, stats):
             stats["compress_seconds"] += time.perf_counter() - t0
             yield previous._replace(blobs=blobs)
         previous = level
-
-
-def fused_step_products(
-    plan: DecimationPlan,
-    data: np.ndarray,
-    codec,
-    *,
-    arena: BufferArena | None = None,
-    pool: ThreadPoolExecutor | None = None,
-    what: str = "",
-) -> tuple[dict[str, bytes], dict]:
-    """The products of one chain: one campaign step, one partition patch.
-
-    Returns ``({"base": ..., "delta{l}": ...}, stats)``. ``stats`` holds
-    the per-stage seconds, ``wall_seconds``, and ``summaries``: the value
-    summary of each product, under the same keys.
-    """
-    began = time.perf_counter()
-    stats: dict = {}
-    products: dict[str, bytes] = {}
-    summaries: dict[str, dict] = {}
-    base_level = plan.scheme.base_level
-    for lvl, _, values, _, (blob,), (summary,) in walk(
-        plan, data, codec, arena=arena, pool=pool, stats=stats, what=what
-    ):
-        tag = "base" if lvl == base_level else f"delta{lvl}"
-        products[tag] = blob
-        summaries[tag] = summary
-        if arena is not None and lvl != base_level:
-            arena.give(values)
-    stats["summaries"] = summaries
-    stats["wall_seconds"] = time.perf_counter() - began
-    return products, stats
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Tests for the write side's one executor: ``workers`` threads.
 
-Covers the fused kernel's bit-identity against the staged path, the
-scratch arena, the one pool per writer (:func:`~repro.core.refactor
-.encode_pool`) and what must not depend on it: error text, the resolved
-tolerance and the exact gather of a partitioned encode.
+Covers the walk → ``ProductWriter`` path's bit-identity against the
+staged path on every executor, the scratch arena, the one pool per
+writer (:func:`~repro.core.refactor.encode_pool`) and what must not
+depend on it: error text, the resolved tolerance and the exact gather
+of a partitioned encode.
 """
 
 import numpy as np
@@ -17,9 +18,11 @@ from repro.core import (
     LevelScheme,
     build_plan,
     encode_partitioned,
-    fused_step_products,
     get_plan_cache,
+    walk,
 )
+from repro.core.layout import ProductWriter, declare_variable
+from repro.core.refactor import encode_pool
 from repro.errors import RefactoringError
 from repro.io import BPDataset
 from repro.obs import context as obs_context
@@ -77,28 +80,52 @@ class TestBufferArena:
         assert arena.pooled_bytes == 0
 
 
-class TestFusedKernel:
-    def test_bit_identical_to_staged_path(self, ds, fields):
+def _write_chain(hier, plan, data, codec, *, arena=None, workers=None):
+    """One chain the way every writer puts it: walk, then
+    :meth:`ProductWriter.chain`, delta buffers back to the arena."""
+    ds = BPDataset.create("chain", hier)
+    declare_variable(ds, "dpot", plan.scheme, "zfp")
+    pool = encode_pool(workers)
+    stats: dict = {}
+    walked = list(walk(plan, data, codec, arena=arena, pool=pool, stats=stats))
+    if pool is not None:
+        pool.shutdown()
+    ProductWriter(ds, "dpot").chain("dpot", walked)
+    if arena is not None:
+        for level in walked[:-1]:
+            arena.give(level.values)
+    ds.close()
+    return BPDataset.open("chain", hier), stats
+
+
+class TestWalkToProductWriter:
+    @pytest.mark.parametrize("workers", EXECUTORS)
+    def test_bit_identical_to_staged_path(self, ds, fields, tmp_path, workers):
         scheme = LevelScheme(3)
         plan = build_plan(ds.mesh, scheme)
         codec = get_codec("zfp", tolerance=TOL)
-        products, stats = fused_step_products(plan, fields[0], codec)
+        stored, stats = _write_chain(
+            _hier(tmp_path, f"w{workers}"), plan, fields[0], codec,
+            workers=workers,
+        )
         levels = plan.coarsen(fields[0])
         deltas = plan.deltas_for(levels)
-        assert products["base"] == codec.encode(levels[-1].ravel())
+        assert stored.read("dpot/L2") == codec.encode(levels[-1].ravel())
         for lvl in scheme.delta_levels():
-            assert products[f"delta{lvl}"] == codec.encode(deltas[lvl].ravel())
+            assert stored.read(f"dpot/delta{lvl}-{lvl + 1}") == codec.encode(
+                deltas[lvl].ravel()
+            )
         assert stats["replay_seconds"] > 0
         assert stats["compress_seconds"] > 0
 
-    def test_arena_warm_after_first_step(self, ds, fields):
+    def test_arena_warm_after_first_step(self, ds, fields, tmp_path):
         scheme = LevelScheme(3)
         plan = build_plan(ds.mesh, scheme)
         codec = get_codec("zfp", tolerance=TOL)
         arena = BufferArena()
-        fused_step_products(plan, fields[0], codec, arena=arena)
+        _write_chain(_hier(tmp_path, "a0"), plan, fields[0], codec, arena=arena)
         misses_after_first = arena.misses
-        fused_step_products(plan, fields[1], codec, arena=arena)
+        _write_chain(_hier(tmp_path, "a1"), plan, fields[1], codec, arena=arena)
         assert arena.misses == misses_after_first  # all buffers pooled
         assert arena.hits > 0
 

@@ -42,6 +42,7 @@ from repro.core.encoder import _spatial_chunks
 from repro.core.mapping import LevelMapping, build_mapping
 from repro.core.plan import plan_placement
 from repro.errors import (
+    CanopusError,
     QueryError,
     RestorationError,
     VariableNotFoundError,
@@ -67,39 +68,47 @@ STEPS = 3
 PARTS = 4  # partition_mesh tiles a square grid
 PLANES = 3
 
+CAMPAIGN_CHAINS = [
+    (f"dpot/step{s}", "geometry", {"step": s}) for s in range(STEPS)
+]
+PARTITIONED_CHAINS = [
+    (f"dpot/part{p}", f"dpot/part{p}", {"part": p}) for p in range(PARTS)
+]
 #: layout name -> (key prefix of one chain, its geometry owner, the
 #: Session coordinate that selects it)
 LAYOUTS = {
     "mono": [("dpot", "dpot", {})],
     "chunked": [("dpot", "dpot", {})],
-    "campaign": [
-        (f"dpot/step{s}", "geometry", {"step": s}) for s in range(STEPS)
-    ],
-    "partitioned": [
-        (f"dpot/part{p}", f"dpot/part{p}", {"part": p}) for p in range(PARTS)
-    ],
+    "campaign": CAMPAIGN_CHAINS,
+    "campaign-stacked": CAMPAIGN_CHAINS,
+    "partitioned": PARTITIONED_CHAINS,
+    "partitioned-stacked": PARTITIONED_CHAINS,
 }
+#: Layouts holding a (PLANES, n) field; the others hold a 1-D one.
+STACKED = {"chunked", "campaign-stacked", "partitioned-stacked"}
 
 
 @pytest.fixture(scope="module")
 def store(tmp_path_factory):
     src = make_xgc1(scale=0.15)
     h = two_tier_titan(tmp_path_factory.mktemp("layouts"))
+    stacked = stack_planes(src, PLANES)
     CanopusEncoder(h, codec_params=PARAMS).encode(
         "mono", "dpot", src.mesh, src.field, SCHEME
     )
     CanopusEncoder(h, codec_params=PARAMS, chunks=16).encode(
-        "chunked", "dpot", src.mesh, stack_planes(src, PLANES), SCHEME
+        "chunked", "dpot", src.mesh, stacked, SCHEME
     )
-    steps = [src.field * (1.0 + 0.1 * s) for s in range(STEPS)]
-    write_campaign(
-        h, "campaign", "dpot", src.mesh, steps, SCHEME,
-        codec_params={"tolerance": 1e-4},
-    )
-    encode_partitioned(
-        h, "partitioned", "dpot", src.mesh, src.field, SCHEME,
-        parts=PARTS, codec_params=PARAMS,
-    )
+    for suffix, field in (("", src.field), ("-stacked", stacked)):
+        write_campaign(
+            h, f"campaign{suffix}", "dpot", src.mesh,
+            [field * (1.0 + 0.1 * s) for s in range(STEPS)], SCHEME,
+            codec_params={"tolerance": 1e-4},
+        )
+        encode_partitioned(
+            h, f"partitioned{suffix}", "dpot", src.mesh, field, SCHEME,
+            parts=PARTS, codec_params=PARAMS,
+        )
     return src, h
 
 
@@ -182,6 +191,10 @@ def test_session_restore_equals_reference_loop(store, layout, level):
                 assert got.level == level, where
                 assert got.field.tobytes() == want.tobytes(), where
                 assert np.array_equal(got.mesh.triangles, mesh.triangles)
+                n_level = mesh.num_vertices
+                assert got.field.shape == (
+                    (PLANES, n_level) if layout in STACKED else (n_level,)
+                ), where
                 if flt and level < SCHEME.base_level:
                     # The filter really dropped chunks.
                     assert not got.refined_mask.all(), where
@@ -223,10 +236,11 @@ def test_restore_chains_equal_session(store):
                 batch.restore_chains(chains, min_significance=bad)
 
 
-def test_gather_equals_gather_field_over_part_restores(store):
+@pytest.mark.parametrize("layout", ["partitioned", "partitioned-stacked"])
+def test_gather_equals_gather_field_over_part_restores(store, layout):
     src, h = store
     with Session(h) as session:
-        handle = session.open("partitioned")
+        handle = session.open(layout)
         patches = partition_mesh(src.mesh, PARTS)
         states = [
             handle.restore("dpot", part=p.index, level=0) for p in patches
@@ -239,7 +253,10 @@ def test_gather_equals_gather_field_over_part_restores(store):
             [s.field for s in states],
             src.mesh.num_vertices,
         )
-        assert handle.gather("dpot").tobytes() == want.tobytes()
+        gathered = handle.gather("dpot")
+        assert gathered.tobytes() == want.tobytes()
+        n = src.mesh.num_vertices
+        assert gathered.shape == ((PLANES, n) if layout in STACKED else (n,))
         with pytest.raises(QueryError):
             session.open("mono").gather("dpot")
         with pytest.raises(VariableNotFoundError):
@@ -250,13 +267,19 @@ def test_gather_charges_what_the_partitioned_view_charged(store):
     """Cold caches, restored cache skipped: one prefetch batch over
     every patch, then the patches one by one. The figure is what
     ``PartitionedDecoder(h, name).gather_full_accuracy()`` charged on
-    this fixture before the handle absorbed it."""
+    this fixture before the handle absorbed it (0.0015317433675130204 s)
+    plus 37 more catalog bytes read at open: every payload record now
+    carries its ``count`` and the variable entry its ``planes``."""
     _, h = store
-    before = h.clock.elapsed
+    before, seen = h.clock.elapsed, len(h.clock.events)
     Session(h, use_restored_cache=False).open("partitioned").gather("dpot")
     assert h.clock.elapsed - before == pytest.approx(
-        0.0015317433675130204, rel=1e-9
+        0.0015318609873453777, rel=1e-9
     )
+    (catalog,) = [
+        e for e in h.clock.events[seen:] if e.label.endswith(":catalog")
+    ]
+    assert catalog.nbytes == 50158 + 37
 
 
 def test_campaign_plans_and_queries(store):
@@ -415,6 +438,65 @@ def test_partitioned_products_follow_plan_placement(store):
     assert seen == len(ds.keys())
     # delta1-2 is not a base-level product (it used to land on tmpfs).
     assert ds.inq("dpot/part0/delta1-2").tier == ds.inq("dpot/part0/mapping1").tier
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_payload_records_carry_their_element_count(store, layout):
+    """``count`` on every base/delta record, so fsck's count check
+    covers every writer."""
+    _, h = store
+    ds = BPDataset.open(layout, h)
+    payloads = [
+        ds.inq(key) for key in ds.keys()
+        if ds.inq(key).kind in ("base", "delta")
+    ]
+    assert payloads
+    for rec in payloads:
+        assert rec.count == decode_auto(ds.read(rec.key)).size, rec.key
+
+
+@pytest.mark.parametrize("layout", ["mono", "chunked"])
+def test_encoder_interleaves_each_levels_geometry(store, layout):
+    """A single-shot chain owns its geometry next to each level: the
+    base and its mesh, then per delta level its payloads (chunk before
+    chunk index), mapping and mesh. Offsets decide read coalescing, so
+    each tier's subfile holds its keys in exactly this order."""
+    _, h = store
+    ds = BPDataset.open(layout, h)
+    meta = ds.catalog.attrs["variables"]["dpot"]
+    order = ["dpot/L2", "dpot/mesh2"]
+    for lvl in SCHEME.delta_levels():
+        delta = f"dpot/delta{lvl}-{lvl + 1}"
+        if layout == "mono":
+            order.append(delta)
+        else:
+            for c in range(meta["chunks_per_level"][str(lvl)]):
+                order += [f"{delta}/chunk{c}", f"{delta}/chunk{c}/idx"]
+        order += [f"dpot/mapping{lvl}", f"dpot/mesh{lvl}"]
+    assert sorted(order) == sorted(ds.keys())
+    for tier in {ds.inq(key).tier for key in order}:
+        stored = sorted(
+            (key for key in order if ds.inq(key).tier == tier),
+            key=lambda key: ds.inq(key).offset,
+        )
+        assert stored == [key for key in order if ds.inq(key).tier == tier]
+
+
+def test_campaign_planes_are_fixed_by_the_first_step(tmp_path):
+    src = make_xgc1(scale=0.1)
+    h = two_tier_titan(tmp_path)
+    with CampaignWriter(
+        h, "c", "dpot", src.mesh, SCHEME, codec_params={"tolerance": 1e-4}
+    ) as writer:
+        writer.write_step(0, stack_planes(src, PLANES))
+        with pytest.raises(CanopusError, match="planes"):
+            writer.write_step(1, src.field)
+        written = sorted(writer._dataset.keys())
+    ds = BPDataset.open("c", h)
+    assert sorted(ds.keys()) == written
+    assert not [key for key in written if key.startswith("dpot/step1")]
+    meta = ds.catalog.attrs["variables"]["dpot"]
+    assert (meta["planes"], meta["steps"]) == (PLANES, [0])
 
 
 @pytest.mark.parametrize("view", ["campaign", "partitioned"])

@@ -290,10 +290,6 @@ class CanopusDecoder:
         )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _shape_field(chain: Chain, flat: np.ndarray) -> np.ndarray:
-        return flat.reshape(chain.planes, -1) if chain.planes else flat
-
     def read_base(self, var: str) -> LevelData:
         """Option (1) of §III-B: the quick look from the fastest tier."""
         chain = self.chain(var)
@@ -304,9 +300,14 @@ class CanopusDecoder:
             timings = PhaseTimings()
             blob = self._timed_read(chain.base_key, timings)
             t0 = time.perf_counter()
-            field_ = self._shape_field(chain, decode_auto(blob))
+            flat = decode_auto(blob)
             timings.decompress_seconds += time.perf_counter() - t0
             mesh = self._read_mesh(chain, base_level, timings)
+            planes = chain.planes
+            if planes is None:  # not recorded: count the base's planes
+                planes = flat.size // mesh.num_vertices
+                planes = planes if planes > 1 else 0
+            field_ = flat.reshape(planes, -1) if planes else flat
         return LevelData(
             var=var, level=base_level, mesh=mesh, field=field_, timings=timings
         )
@@ -319,20 +320,24 @@ class CanopusDecoder:
         timings: PhaseTimings,
         region: tuple[np.ndarray, np.ndarray] | None = None,
         min_significance: float = 0.0,
+        *,
+        planes: int = 0,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Read (possibly chunked) delta; returns (delta, applied_mask).
 
+        The delta is ``(planes, n_fine)``, or ``(n_fine,)`` when
+        ``planes`` is 0: the shape of the state it refines.
         ``region=(lo_xy, hi_xy)`` and ``min_significance`` skip spatial
         chunks by :meth:`Chain.chunk_verdicts` (focused / bounded-lossy
         retrieval — only effective when the variable was encoded with
         spatial chunks).
         """
         chain = self.chain(var)
-        planes = chain.planes
         if not chain.chunked:
             blob = self._timed_read(delta_key(var, level), timings)
             t0 = time.perf_counter()
-            delta = self._shape_field(chain, decode_auto(blob))
+            delta = decode_auto(blob)
+            delta = delta.reshape(planes, -1) if planes else delta
             timings.decompress_seconds += time.perf_counter() - t0
             return delta, np.ones(delta.shape[-1], dtype=bool)
 
@@ -403,8 +408,10 @@ class CanopusDecoder:
                 lo, hi = (np.asarray(b, dtype=np.float64) for b in region)
                 window = (lo, hi)
 
+            planes = state.field.shape[0] if state.field.ndim == 2 else 0
             delta, applied = self._read_delta(
-                var, target, mapping.n_fine, timings, window, min_significance
+                var, target, mapping.n_fine, timings, window, min_significance,
+                planes=planes,
             )
             t0 = time.perf_counter()
             field_ = apply_delta(state.field, delta, mapping)

@@ -63,9 +63,10 @@ class Chain:
     meta: dict = field(compare=False, repr=False)
 
     @property
-    def planes(self) -> int:
-        """Plane count of a stacked field (0 = un-stacked 1-D field)."""
-        return int(self.meta.get("planes", 0))
+    def planes(self) -> int | None:
+        """Plane count of a stacked field (0 = un-stacked 1-D field;
+        ``None`` when the entry predates recording it)."""
+        return self.meta.get("planes")
 
     @property
     def chunked(self) -> bool:

@@ -7,8 +7,10 @@ HSDS-style split in one process (and one import surface):
   quota/rate accounting, routing, response assembly, ETag/cursor
   negotiation;
 * **data node** (:mod:`repro.service.datanode`) — owns the storage
-  hierarchy/backends and runs the
-  :class:`~repro.core.decoder.CanopusDecoder` near the bytes on a
+  hierarchy/backends and the near-data state (one
+  :class:`~repro.session.Session`, cursors, elastic feedback), and runs
+  the :class:`~repro.session.CampaignHandle` call a handler hands it
+  (:meth:`DataNode.call <repro.service.datanode.DataNode.call>`) on a
   bounded executor, so blocking decode work never stalls the event
   loop. All tenants share the process-wide restored-level/geometry
   caches and each dataset's retrieval-engine prefetch pipeline;

@@ -3,8 +3,10 @@
 The HSDS-style split puts everything that touches storage on this side:
 one process-wide :class:`~repro.session.Session` owns the open datasets
 (and therefore each dataset's retrieval engine + prefetch pipeline),
-and every blocking restore/stat/raw-read runs on a **bounded**
-``ThreadPoolExecutor`` so the asyncio service node above never blocks.
+and every blocking job — a :class:`~repro.session.CampaignHandle` call
+a handler hands to :meth:`DataNode.call`, or a restore — runs on a
+**bounded** ``ThreadPoolExecutor`` so the asyncio service node above
+never blocks. Open handles live in the session's one map.
 That executor is the read side's only thread pool: a restore fetches,
 verifies and decodes on the executor thread that runs it.
 Admission beyond the executor's queue bound is awaited, not rejected —
@@ -161,10 +163,6 @@ class DataNode:
             thread_name_prefix="repro-datanode",
         )
         self._slots = asyncio.Semaphore(self.executor_workers * QUEUE_FACTOR)
-        self._open_lock = threading.Lock()
-        #: Handles opened so far; the event loop reads it without the
-        #: open lock, which an executor thread may hold across an open.
-        self._handles: dict[str, CampaignHandle] = {}
         self._closed = False
         # Elastic feedback: every served read/query heats the subfiles
         # its retrieval plan touched, so PlacementEngine.plan_replacement
@@ -175,7 +173,7 @@ class DataNode:
         self._query_log: deque = deque(maxlen=256)
         self._query_lock = threading.Lock()
         # Attribute simulated read seconds to the tenant carried by the
-        # active trace context (see _run). Charges from contexts without
+        # active trace context (see call). Charges from contexts without
         # a tenant (e.g. in-process library use) are left unattributed.
         self._clock_listener = self._on_sim_charge
         hierarchy.clock.add_listener(self._clock_listener)
@@ -194,10 +192,12 @@ class DataNode:
         if read_s > 0:
             self.tenants.charge_sim_read(tenant, min(advance, read_s))
 
-    # -- bounded offload ------------------------------------------------
-    async def _run(self, fn, *args, tenant: TenantConfig | None = None):
-        """Run blocking ``fn`` on the bounded executor.
+    # -- the one way onto the executor ---------------------------------
+    async def call(self, name: str, fn, *, tenant: TenantConfig | None = None):
+        """Run blocking ``fn(handle)`` on the bounded executor.
 
+        ``handle`` is campaign ``name``'s :class:`CampaignHandle`, opened
+        (idempotently) by the job itself; an unknown campaign is a 404.
         The job runs inside a copy of the submitting request's context
         (so the request's trace context — and span stack — follow it
         across the thread hop), with the tenant bound on that copy for
@@ -207,47 +207,28 @@ class DataNode:
         if self._closed:
             raise RestorationError("data node is closed")
 
-        def _bound():
-            if tenant is None:
-                return fn(*args)
-            token = obs_context.bind_tenant(tenant.name)
+        def job():
+            token = obs_context.bind_tenant(tenant.name) if tenant else None
             try:
-                return fn(*args)
+                return fn(self._handle(name))
             finally:
-                obs_context.deactivate(token)
+                if token is not None:
+                    obs_context.deactivate(token)
 
         ctx = contextvars.copy_context()
         loop = asyncio.get_running_loop()
         async with self._slots:
-            return await loop.run_in_executor(self._executor, ctx.run, _bound)
+            return await loop.run_in_executor(self._executor, ctx.run, job)
 
-    # -- campaign lifecycle --------------------------------------------
     def _handle(self, name: str) -> CampaignHandle:
-        # Session.open caches handles; serialize so concurrent first
-        # opens of one campaign create a single handle. A missing
-        # catalog surfaces as StorageError (503); to a service client
-        # an unknown campaign is a 404, so narrow it here.
-        handle = self._handles.get(name)
-        if handle is not None:
-            return handle
-        with self._open_lock:
-            try:
-                handle = self.session.open(name)
-            except StorageError as exc:
-                raise VariableNotFoundError(
-                    f"campaign {name!r} not found: {exc}"
-                ) from exc
-            self._handles[name] = handle
-            return handle
-
-    async def open_campaign(
-        self, name: str, *, tenant: TenantConfig | None = None
-    ) -> dict:
-        """Open (idempotent) and describe one campaign."""
-        def _open() -> dict:
-            return self._handle(name).describe()
-
-        return await self._run(_open, tenant=tenant)
+        # A missing catalog surfaces as StorageError (503); to a service
+        # client an unknown campaign is a 404, so narrow it here.
+        try:
+            return self.session.open(name)
+        except StorageError as exc:
+            raise VariableNotFoundError(
+                f"campaign {name!r} not found: {exc}"
+            ) from exc
 
     # -- cursors --------------------------------------------------------
     @staticmethod
@@ -263,7 +244,7 @@ class DataNode:
             )
 
     # -- elastic feedback ----------------------------------------------
-    def _note_query(
+    def note_query(
         self,
         handle: CampaignHandle,
         chain: str,
@@ -385,7 +366,7 @@ class DataNode:
                         region=window,
                         min_significance=min_significance,
                     )
-            self._note_query(
+            self.note_query(
                 handle, chain,
                 level=state.level,
                 region=window,
@@ -402,132 +383,15 @@ class DataNode:
 
         if self._closed:
             raise RestorationError("data node is closed")
-        handle = self._handles.get(name)
+        # A lock-free peek: an executor thread may be opening the campaign.
+        handle = self.session._handles.get(name)
         if handle is not None:
             result = _restore(handle, True)
             if result is not None:
                 return result
-        return await self._run(
-            lambda: _restore(self._handle(name), False), tenant=tenant
+        return await self.call(
+            name, lambda handle: _restore(handle, False), tenant=tenant
         )
-
-    async def stats(
-        self,
-        name: str,
-        var: str | None = None,
-        *,
-        level: int | None = None,
-        tenant: TenantConfig | None = None,
-    ) -> list[dict]:
-        def _stats() -> list[dict]:
-            return self._handle(name).stats(var, level=level)
-
-        return await self._run(_stats, tenant=tenant)
-
-    # -- pushdown queries ----------------------------------------------
-    async def plan(
-        self,
-        name: str,
-        var: str,
-        *,
-        step: int | None = None,
-        level: int | None = None,
-        tolerance: float | None = None,
-        region=None,
-        min_significance: float = 0.0,
-        tenant: TenantConfig | None = None,
-    ) -> dict:
-        """Explain (without executing) one retrieval — plan as JSON."""
-
-        def _plan() -> dict:
-            return self._handle(name).plan(
-                var,
-                step=step,
-                level=level,
-                tolerance=tolerance,
-                region=region,
-                min_significance=min_significance,
-            ).to_dict()
-
-        return await self._run(_plan, tenant=tenant)
-
-    async def query_stats(
-        self,
-        name: str,
-        var: str,
-        *,
-        step: int | None = None,
-        region=None,
-        tenant: TenantConfig | None = None,
-    ) -> dict:
-        """Pushdown aggregate statistics, executed near the bytes."""
-
-        def _query() -> dict:
-            handle = self._handle(name)
-            result = handle.query_stats(var, step=step, region=region)
-            self._note_query(
-                handle, result["var"], level=0, region=region,
-                shape={"mode": "stats"},
-            )
-            return result
-
-        return await self._run(_query, tenant=tenant)
-
-    async def query_blobs(
-        self,
-        name: str,
-        var: str,
-        *,
-        threshold: float,
-        step: int | None = None,
-        region=None,
-        shape: tuple[int, int] = (128, 128),
-        tenant: TenantConfig | None = None,
-    ) -> dict:
-        """Pushdown blob detection, executed near the bytes."""
-
-        def _query() -> dict:
-            handle = self._handle(name)
-            result = handle.query_blobs(
-                var, threshold=threshold, step=step, region=region,
-                shape=shape,
-            )
-            self._note_query(
-                handle, result["var"], level=0, region=region,
-                shape={"mode": "blobs", "threshold": float(threshold)},
-            )
-            return result
-
-        return await self._run(_query, tenant=tenant)
-
-    async def read_raw(
-        self,
-        name: str,
-        key: str,
-        *,
-        start: int = 0,
-        length: int | None = None,
-        tenant: TenantConfig | None = None,
-    ) -> tuple[bytes, dict]:
-        """Range-read one stored product; returns (bytes, record meta)."""
-
-        def _read() -> tuple[bytes, dict]:
-            handle = self._handle(name)
-            rec = handle.inq(key)
-            blob = handle.read_raw(key, start=start, length=length)
-            meta = {
-                "key": rec.key,
-                "kind": rec.kind,
-                "level": rec.level,
-                "codec": rec.codec,
-                "tier": rec.tier,
-                "total_bytes": rec.length,
-                "start": start,
-                "bytes": len(blob),
-            }
-            return blob, meta
-
-        return await self._run(_read, tenant=tenant)
 
     # -- reporting ------------------------------------------------------
     def metrics(self) -> dict:
@@ -536,7 +400,8 @@ class DataNode:
         with self._query_lock:
             query_log = list(self._query_log)
         # The planners' resolution memos, summed over open campaigns.
-        memos = [h.planner.resolutions for h in list(self._handles.values())]
+        handles = list(self.session._handles.values())
+        memos = [h.planner.resolutions for h in handles]
         return {
             "campaigns": self.session.campaigns,
             "engine": self.session.stats(),
@@ -583,7 +448,6 @@ class DataNode:
         if self._closed:
             return
         self._closed = True
-        self._handles.clear()
         self.hierarchy.clock.remove_listener(self._clock_listener)
         self._executor.shutdown(wait=True)
         self.session.close()

@@ -2,8 +2,11 @@
 
 Everything here is per-request and touches no storage: parse, resolve
 the tenant (bearer token), admit against quotas, route, then assemble
-the response from whatever the :class:`~repro.service.datanode.DataNode`
-returns. Library errors translate 1:1 to wire responses through the
+the response. A handler runs the :class:`~repro.session.CampaignHandle`
+call it needs near the bytes through
+:meth:`DataNode.call <repro.service.datanode.DataNode.call>`, or asks
+:meth:`DataNode.restore <repro.service.datanode.DataNode.restore>`.
+Library errors translate 1:1 to wire responses through the
 stable code → status map in :mod:`repro.errors`; every response body
 for an error is ``{"error": ..., "code": ...}``.
 
@@ -69,6 +72,7 @@ from repro.query import parse_region, parse_shape
 from repro.service.datanode import DataNode
 from repro.service.http import Request, Response, read_request
 from repro.service.tenants import TenantConfig, TenantRegistry
+from repro.session import CampaignHandle
 from repro.storage.hierarchy import StorageHierarchy
 
 __all__ = ["CanopusService", "ServiceNode", "ServiceThread"]
@@ -365,7 +369,9 @@ class ServiceNode:
 
     # -- handlers -------------------------------------------------------
     async def _open(self, request, tenant, name: str) -> Response:
-        info = await self.datanode.open_campaign(name, tenant=tenant)
+        info = await self.datanode.call(
+            name, CampaignHandle.describe, tenant=tenant
+        )
         return Response.json(info)
 
     async def _restore(
@@ -415,16 +421,17 @@ class ServiceNode:
         self, request: Request, tenant: TenantConfig, name: str, var: str
     ) -> Response:
         level = _parse_number(request.query, "level", int)
-        rows = await self.datanode.stats(
-            name, var, level=level, tenant=tenant
+        rows = await self.datanode.call(
+            name, lambda h: h.stats(var, level=level), tenant=tenant
         )
         return Response.json({"campaign": name, "var": var, "chunks": rows})
 
     async def _plan(
         self, request: Request, tenant: TenantConfig, name: str, var: str
     ) -> Response:
-        plan = await self.datanode.plan(
-            name, var, **_selection(request.query), tenant=tenant
+        selection = _selection(request.query)
+        plan = await self.datanode.call(
+            name, lambda h: h.plan(var, **selection).to_dict(), tenant=tenant
         )
         return Response.json({"campaign": name, "plan": plan})
 
@@ -433,11 +440,18 @@ class ServiceNode:
     ) -> Response:
         name = _require_param(request.query, "campaign")
         var = _require_param(request.query, "var")
+        step = _parse_number(request.query, "step", int)
         region = parse_region(request.query.get("region"))
-        result = await self.datanode.query_stats(
-            name, var, step=_parse_number(request.query, "step", int),
-            region=region, tenant=tenant,
-        )
+
+        def query(h: CampaignHandle) -> dict:
+            result = h.query_stats(var, step=step, region=region)
+            self.datanode.note_query(
+                h, result["var"], level=0, region=region,
+                shape={"mode": "stats"},
+            )
+            return result
+
+        result = await self.datanode.call(name, query, tenant=tenant)
         return Response.json({"campaign": name, **result})
 
     async def _query_blobs(
@@ -448,17 +462,22 @@ class ServiceNode:
         threshold = _parse_number(request.query, "threshold")
         if threshold is None:
             raise RestorationError("query param 'threshold' is required")
+        step = _parse_number(request.query, "step", int)
         region = parse_region(request.query.get("region"))
         shape = parse_shape(request.query.get("shape"))
-        result = await self.datanode.query_blobs(
-            name,
-            var,
-            threshold=threshold,
-            step=_parse_number(request.query, "step", int),
-            region=region,
-            shape=shape,
-            tenant=tenant,
-        )
+
+        def query(h: CampaignHandle) -> dict:
+            result = h.query_blobs(
+                var, threshold=threshold, step=step, region=region,
+                shape=shape,
+            )
+            self.datanode.note_query(
+                h, result["var"], level=0, region=region,
+                shape={"mode": "blobs", "threshold": float(threshold)},
+            )
+            return result
+
+        result = await self.datanode.call(name, query, tenant=tenant)
         return Response.json({"campaign": name, **result})
 
     async def _raw(
@@ -466,13 +485,22 @@ class ServiceNode:
     ) -> Response:
         start = _parse_number(request.query, "start", int) or 0
         length = _parse_number(request.query, "length", int)
-        blob, meta = await self.datanode.read_raw(
-            name, key, start=start, length=length, tenant=tenant
-        )
-        headers = {
-            f"x-canopus-{k.replace('_', '-')}": str(v)
-            for k, v in meta.items()
+
+        def read(h: CampaignHandle):
+            return h.inq(key), h.read_raw(key, start=start, length=length)
+
+        rec, blob = await self.datanode.call(name, read, tenant=tenant)
+        meta = {
+            "key": rec.key,
+            "kind": rec.kind,
+            "level": rec.level,
+            "codec": rec.codec,
+            "tier": rec.tier,
+            "total-bytes": rec.length,
+            "start": start,
+            "bytes": len(blob),
         }
+        headers = {f"x-canopus-{k}": str(v) for k, v in meta.items()}
         return Response.binary(blob, headers=headers)
 
     async def _metrics(self, request: Request, tenant) -> Response:

@@ -45,6 +45,7 @@ All entry points beyond the positional name/variable are keyword-only.
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable
 
 import numpy as np
@@ -95,6 +96,7 @@ class Session:
         self.use_restored_cache = use_restored_cache
         self.pipeline = pipeline
         self._handles: dict[str, CampaignHandle] = {}
+        self._open_lock = threading.Lock()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -104,14 +106,19 @@ class Session:
             raise RestorationError("session is closed")
         handle = self._handles.get(name)
         if handle is None:
-            dataset = BPDataset.open(
-                name,
-                self.hierarchy,
-                verify_checksums=self.verify_checksums,
-                cache_bytes=self.cache_bytes,
-            )
-            handle = CampaignHandle(self, name, dataset)
-            self._handles[name] = handle
+            # Concurrent first opens of a name build one handle and open
+            # the dataset once; readers of the map never take the lock.
+            with self._open_lock:
+                handle = self._handles.get(name)
+                if handle is None:
+                    dataset = BPDataset.open(
+                        name,
+                        self.hierarchy,
+                        verify_checksums=self.verify_checksums,
+                        cache_bytes=self.cache_bytes,
+                    )
+                    handle = CampaignHandle(self, name, dataset)
+                    self._handles[name] = handle
         return handle
 
     @property

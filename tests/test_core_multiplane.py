@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.core import (
+    CampaignWriter,
     CanopusDecoder,
     CanopusEncoder,
     LevelScheme,
@@ -119,6 +121,41 @@ class TestEncoderDecoderPlanes:
         full = dec.restore_to("v", 0)
         rng = np.ptp(planes)
         assert np.abs(full.field - planes).max() <= 2e-4 * rng + 1e-12
+
+
+class TestCampaignWithoutPlanes:
+    """An entry that does not record ``planes`` (written before it was)
+    restores as one that does: the reader counts the base's planes."""
+
+    @pytest.fixture(scope="class")
+    def store(self, stacked, tmp_path_factory):
+        mesh, planes = stacked
+        h = two_tier_titan(tmp_path_factory.mktemp("planes"))
+        for name in ("recorded", "unrecorded"):
+            writer = CampaignWriter(
+                h, name, "v", mesh, LevelScheme(3),
+                codec_params={"tolerance": 1e-4},
+            )
+            for step in range(2):
+                writer.write_step(step, planes[:3] * (1.0 + step))
+            if name == "unrecorded":
+                writer._entry.pop("planes")
+            writer.close()
+        return h
+
+    @pytest.mark.parametrize("level", [2, 1, 0])
+    def test_restores_equal(self, store, level):
+        with Session(store, use_restored_cache=False) as session:
+            assert "planes" not in BPDataset.open(
+                "unrecorded", store
+            ).catalog.attrs["variables"]["v"]
+            want, got = (
+                session.open(name).restore("v", step=1, level=level)
+                for name in ("recorded", "unrecorded")
+            )
+        assert got.field.shape == (3, got.mesh.num_vertices)
+        assert got.field.shape == want.field.shape
+        assert got.field.tobytes() == want.field.tobytes()
 
 
 class TestStackPlanes:

@@ -154,7 +154,8 @@ class TestBitIdentity:
                 want_applied[idx] = True
 
             got, applied = dec._read_delta(
-                "dpot", level, n_fine, PhaseTimings(), region, ms
+                "dpot", level, n_fine, PhaseTimings(), region, ms,
+                planes=planes,
             )
             assert 0 < want_applied.sum()
             if use_region or use_significance:

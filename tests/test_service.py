@@ -210,6 +210,34 @@ class TestEndpoints:
         assert part == full[4:12]
         assert int(meta["total-bytes"]) == len(full)
 
+    def test_raw_metadata_headers_are_the_record(
+        self, service, campaign_root
+    ):
+        svc, _ = service
+        root, _ = campaign_root
+
+        async def go():
+            async with ServiceClient(svc.host, svc.port,
+                                     token="tok-bob") as c:
+                return await c.read_raw(
+                    "camp", "dpot/L2", start=4, length=8
+                )
+
+        blob, meta = _drive(go())
+        h = two_tier_titan(root, fast_capacity=64 << 20, slow_capacity=1 << 36)
+        rec = BPDataset.open("camp", h).inq("dpot/L2")
+        assert len(blob) == 8
+        assert meta == {
+            "key": rec.key,
+            "kind": rec.kind,
+            "level": str(rec.level),
+            "codec": rec.codec,
+            "tier": rec.tier,
+            "total-bytes": str(rec.length),
+            "start": "4",
+            "bytes": "8",
+        }
+
     def test_metrics_endpoint_per_tenant(self, service):
         svc, _ = service
 
@@ -260,6 +288,35 @@ class TestErrorTaxonomy:
 
         with pytest.raises(VariableNotFoundError):
             _drive(go())
+
+    @pytest.mark.parametrize("method, target", [
+        ("POST", "/v1/campaigns/ghost/open"),
+        ("GET", "/v1/campaigns/ghost"),
+        ("GET", "/v1/campaigns/ghost/vars/dpot/restore?level=0"),
+        ("GET", "/v1/campaigns/ghost/vars/dpot/stats"),
+        ("GET", "/v1/campaigns/ghost/vars/dpot/plan?level=0"),
+        ("GET", "/v1/campaigns/ghost/raw/dpot/L2"),
+        ("GET", "/v1/query/stats?campaign=ghost&var=dpot"),
+        ("GET", "/v1/query/blobs?campaign=ghost&var=dpot&threshold=0.5"),
+    ], ids=[
+        "open", "describe", "restore", "stats", "plan", "raw",
+        "query-stats", "query-blobs",
+    ])
+    def test_unknown_campaign_404_on_every_route(
+        self, service, method, target
+    ):
+        svc, _ = service
+
+        async def go():
+            async with ServiceClient(svc.host, svc.port,
+                                     token="tok-alice") as c:
+                return await c._conn.request(
+                    method, target, headers=c._headers()
+                )
+
+        resp = _drive(go())
+        assert resp.status == 404
+        assert resp.parsed_json()["code"] == "not-found"
 
     def test_unknown_variable_404(self, service):
         svc, _ = service

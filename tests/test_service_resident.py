@@ -388,7 +388,7 @@ class TestLoopAndExecutorInterleave:
         total = clients * rounds
         hot = [p for p in PRODUCTS if p[0] == "camp"]
         _get_all(svc, [_target(*product) for product in hot])
-        handle = svc.datanode._handles["camp"]
+        handle = svc.datanode.session.open("camp")
         groups = _region_boxes(handle)
         repeated = max(groups, key=lambda group: len(groups[group]))
         seed_box, *repeats = groups.pop(repeated)
@@ -744,7 +744,7 @@ def _camp_target(var, box=None, **query) -> str:
 def _opened(svc):
     """Open ``camp`` on the node (one coarse restore); its handle."""
     _get_all(svc, [_camp_target("dpot", level=2)])
-    return svc.datanode._handles["camp"]
+    return svc.datanode.session.open("camp")
 
 
 def _one_signature(handle, var):

@@ -1,6 +1,8 @@
 """Tests for the Session/CampaignHandle API, error
 taxonomy, and content-keyed restored-cache sharing across handles."""
 
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -77,6 +79,39 @@ class TestSessionSurface:
             first = s.open("camp")
             assert s.open("camp") is first
             assert s.campaigns == ["camp"]
+
+    def test_concurrent_first_opens_share_one_handle(self, root, monkeypatch):
+        path, _ = root
+        opened = []
+        real_open = BPDataset.open
+
+        def slow_open(name, *args, **kwargs):
+            opened.append(name)
+            time.sleep(0.05)  # every thread arrives while the first opens
+            return real_open(name, *args, **kwargs)
+
+        monkeypatch.setattr(BPDataset, "open", slow_open)
+        n = 8
+        barrier = threading.Barrier(n)
+        handles = [None] * n
+        with Session(_hier(path)) as s:
+
+            def first_open(i):
+                barrier.wait()
+                handles[i] = s.open("camp")
+
+            threads = [
+                threading.Thread(target=first_open, args=(i,))
+                for i in range(n)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert handles[0] is not None
+            assert all(h is handles[0] for h in handles)
+            assert s.open("camp") is handles[0]
+        assert opened == ["camp"]
 
     def test_restore_by_level_and_default(self, root):
         path, fields = root

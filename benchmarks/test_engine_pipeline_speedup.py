@@ -47,11 +47,20 @@ def encoded(tmp_path_factory):
 
 
 def _refine_to_full(hierarchy, var, *, pipeline):
-    """Fresh dataset handle, refine to L0; returns (field, sim seconds)."""
+    """Fresh dataset handle, refine to L0; returns (field, sim seconds).
+
+    ``pipeline=False`` is the product-at-a-time reader: ``read_base``
+    then one ``refine`` per level, each product its own charged read.
+    """
     ds = BPDataset.open("xgc1-engine", hierarchy)
     decoder = CanopusDecoder(ds)
     before = hierarchy.clock.elapsed
-    state = decoder.restore_to(var, 0, pipeline=pipeline)
+    if pipeline:
+        state = decoder.restore_to(var, 0)
+    else:
+        state = decoder.read_base(var)
+        while state.level > 0:
+            state = decoder.refine(state)
     cost = hierarchy.clock.elapsed - before
     stats = ds.engine_stats()
     ds.close()

@@ -20,7 +20,7 @@ from repro.compress import decode_auto, decode_auto_many
 from repro.core.delta import apply_delta
 from repro.core.layout import Chain, chains
 from repro.core.mapping import LevelMapping
-from repro.core.notation import LevelScheme, delta_key
+from repro.core.notation import LevelScheme
 from repro.core.restored_cache import (
     RestoredLevelCache,
     get_geometry_cache,
@@ -34,8 +34,8 @@ from repro.obs import trace
 
 __all__ = ["PhaseTimings", "LevelData", "CanopusDecoder"]
 
-#: Refinement levels a pipelined read keeps in flight ahead of the one
-#: it is decoding (:meth:`CanopusDecoder.prefetch_window`).
+#: Steps a pipelined walk fetches ahead of the one it is decoding
+#: (:meth:`CanopusDecoder.walk`).
 LOOKAHEAD = 2
 
 
@@ -212,7 +212,7 @@ class CanopusDecoder:
     def _stored(self, keys: list[str]) -> list[str]:
         return [k for k in keys if k in self.dataset.catalog]
 
-    def undecoded(self, keys: list[str]) -> list[str]:
+    def _undecoded(self, keys: list[str]) -> list[str]:
         """Stored geometry keys not yet in an object cache."""
         shared = get_geometry_cache() if self.share_geometry else None
         return [
@@ -222,72 +222,70 @@ class CanopusDecoder:
             and not (shared is not None and shared.has(self.dataset, k))
         ]
 
-    def _level_keys(self, chain: Chain, level: int) -> list[str]:
-        """Catalog keys needed to lift ``level + 1`` → ``level``.
+    def step_keys(
+        self, var: str, step: int, *, region=None, min_significance: float = 0.0
+    ) -> list[str]:
+        """Catalog keys the walk reads to produce the state at ``step``.
 
-        The key set of the *next* refinement is known before the current
-        one finishes, so the engine can fetch it while the current delta
-        decompresses. Geometry already decoded into the object caches is
-        excluded.
-        """
-        return self.undecoded(chain.geometry_keys(level)) + self._stored(
-            chain.delta_keys(level)
-        )
-
-    def _base_keys(self, chain: Chain) -> list[str]:
-        """Catalog keys of the base product (field + mesh)."""
-        return self._stored([chain.base_key]) + self.undecoded(
-            [chain.mesh_key(chain.scheme.base_level)]
-        )
-
-    def chain_keys(self, var: str, level: int) -> list[str]:
-        """Every catalog key an unfiltered restore to ``level`` reads."""
-        chain = self.chain(var)
-        keys = self._base_keys(chain)
-        for lvl in range(chain.scheme.base_level - 1, level - 1, -1):
-            keys.extend(self._level_keys(chain, lvl))
-        return keys
-
-    def prefetch_window(self, var: str, next_target: int, floor: int = 0) -> float:
-        """Hint the next :data:`LOOKAHEAD` refinement levels; return sim cost.
-
-        The window never reaches below ``floor``: a chain that knows its
-        final target pays no charge for deltas it will not apply. The
-        returned simulated seconds are what the newly issued batches
-        cost (already-cached / in-flight ranges are skipped by the
-        engine, so repeated hints are free); callers fold them into the
-        current step's I/O phase — the charge is honest: it happens when
-        the requests are issued.
+        The base step reads the base and its mesh; a delta step reads
+        the level's mapping and mesh, and the delta itself: whole, or
+        the index + payload of each chunk :meth:`Chain.chunk_verdicts`
+        keeps under the filter. Geometry already decoded into an object
+        cache is left out, so the keys are what the step would fetch.
         """
         chain = self.chain(var)
-        keys = [
-            key
-            for lvl in range(
-                next_target, max(floor - 1, next_target - LOOKAHEAD), -1
+        if step == chain.scheme.base_level:
+            return self._stored([chain.base_key]) + self._undecoded(
+                [chain.mesh_key(step)]
             )
-            for key in self._level_keys(chain, lvl)
+        keys = self._undecoded(chain.geometry_keys(step))
+        if not chain.chunked:
+            return keys + self._stored([chain.delta_key(step)])
+        return keys + [
+            key
+            for c, rec, skip in chain.chunk_verdicts(
+                self.dataset.catalog, step, region, min_significance
+            )
+            if skip is None
+            for key in (chain.idx_key(step, c), rec.key)
         ]
-        if not keys:
-            return 0.0
+
+    def chain_keys(
+        self, var: str, level: int, *, region=None, min_significance: float = 0.0
+    ) -> list[str]:
+        """Every catalog key a restore to ``level`` reads: the
+        :meth:`step_keys` of each step from the base down to ``level``."""
+        return [
+            key
+            for step in range(self.chain(var).scheme.base_level, level - 1, -1)
+            for key in self.step_keys(
+                var, step, region=region, min_significance=min_significance
+            )
+        ]
+
+    def _fetch(self, owners: dict[str, str], label: str) -> dict[str, float]:
+        """Fetch ``{key: chain}`` as one engine batch; return each
+        chain's share of the simulated charge.
+
+        A chain's share is in proportion to the bytes of its keys (list
+        a key two chains share once, under the first), so the shares sum
+        to what the clock moved. Cached ranges are skipped by the engine:
+        a batch that is already resident charges nothing.
+        """
+        if not owners:
+            return {}
         before = self._clock.elapsed
         with trace.span(
             "decode.prefetch", "pipeline",
-            {"var": var, "next_target": next_target},
+            {"label": label, "keys": len(owners)},
         ):
-            self.dataset.prefetch(keys, label=f"{var}:pipeline")
-        return self._clock.elapsed - before
-
-    def prefetch_base(self, var: str, floor: int = 0) -> float:
-        """Batch the base field + base mesh into one engine fetch and
-        start the first deltas moving behind it; return sim cost."""
-        chain = self.chain(var)
-        before = self._clock.elapsed
-        with trace.span("decode.prefetch", "pipeline", {"var": var}):
-            self.dataset.prefetch(self._base_keys(chain), label=f"{var}:base")
-        return (
-            self._clock.elapsed - before
-            + self.prefetch_window(var, chain.scheme.base_level - 1, floor)
-        )
+            self.dataset.prefetch(list(owners), label=label)
+        charge = self._clock.elapsed - before
+        nbytes = dict.fromkeys(owners.values(), 0)
+        for key, var in owners.items():
+            nbytes[var] += self.dataset.inq(key).length
+        total = sum(nbytes.values()) or 1
+        return {var: charge * n / total for var, n in nbytes.items()}
 
     # ------------------------------------------------------------------
     def read_base(self, var: str) -> LevelData:
@@ -334,7 +332,7 @@ class CanopusDecoder:
         """
         chain = self.chain(var)
         if not chain.chunked:
-            blob = self._timed_read(delta_key(var, level), timings)
+            blob = self._timed_read(chain.delta_key(level), timings)
             t0 = time.perf_counter()
             delta = decode_auto(blob)
             delta = delta.reshape(planes, -1) if planes else delta
@@ -494,17 +492,18 @@ class CanopusDecoder:
         a blob count that stopped changing): the walk charges and
         decodes a level only when asked for it.
 
-        With ``pipeline=True`` the upcoming levels' byte ranges, never
-        below ``level``, are hinted to the retrieval engine before each
-        step, charged as one overlapped batch and folded into that
-        step's I/O phase; the fields are bit-identical either way.
-        ``region`` / ``min_significance`` apply at *every* step. A
-        filtered walk is not pipelined: the hints name whole levels, and
-        the filter reads only the chunks it keeps.
+        On reaching a step the walk fetches its :meth:`step_keys` as
+        one engine batch, unless a look-ahead already issued them. With
+        ``pipeline=True`` it also issues the next :data:`LOOKAHEAD`
+        steps' keys, never below ``level``, as one more batch;
+        ``pipeline=False`` looks no step ahead. Both charges land in the
+        step's I/O phase, and the fields are bit-identical either way.
+        ``region`` / ``min_significance`` apply at *every* step, and the
+        keys name only the chunks the filter keeps.
         """
         chain = self.chain(var)
         chain.scheme.validate_level(level)
-        pipeline = pipeline and region is None and not min_significance > 0.0
+        filters = {"region": region, "min_significance": min_significance}
         cache = get_restored_cache() if use_cache else None
         signature = (
             chain.filter_signature(
@@ -538,9 +537,33 @@ class CanopusDecoder:
                     for lvl in range(level + 1, chain.scheme.base_level + 1)
                 ]
             )
+        # Steps at or above ``issued`` are fetched (or, warm, not needed).
+        issued = chain.scheme.base_level + 1 if warm is None else warm.level
+
+        def fetch(top: int, floor: int) -> float:
+            """Steps ``top`` down to ``floor`` not yet issued, as one
+            batch; sim seconds."""
+            nonlocal issued
+            steps = range(min(top, issued - 1), floor - 1, -1)
+            issued = min(issued, floor)
+            keys = [
+                key for step in steps
+                for key in self.step_keys(var, step, **filters)
+            ]
+            return self._fetch(dict.fromkeys(keys, var), f"{var}:{top}").get(
+                var, 0.0
+            )
+
+        def ahead(step: int) -> float:
+            """The look-ahead batch issued beside ``step``."""
+            if not pipeline:
+                return 0.0
+            return fetch(step - 1, max(level, step - LOOKAHEAD))
+
         if warm is not None:
             timings = PhaseTimings()
             mesh = self._read_mesh(chain, warm.level, timings)
+            timings.io_seconds += ahead(warm.level)
             state = LevelData(
                 var=var,
                 level=warm.level,
@@ -555,21 +578,17 @@ class CanopusDecoder:
                 last_delta_rms=warm.last_delta_rms,
             )
         else:
-            prefetch_io = self.prefetch_base(var, level) if pipeline else 0.0
+            base = chain.scheme.base_level
+            io = fetch(base, base) + ahead(base)
             state = self.read_base(var)
-            state.timings.io_seconds += prefetch_io
+            state.timings.io_seconds += io
             publish(state)
         yield state
         while state.level > level:
-            prefetch_io = (
-                self.prefetch_window(var, state.level - 1, level)
-                if pipeline
-                else 0.0
-            )
-            state = self.refine(
-                state, region=region, min_significance=min_significance
-            )
-            state.timings.io_seconds += prefetch_io
+            step = state.level - 1
+            io = fetch(step, step) + ahead(step)
+            state = self.refine(state, **filters)
+            state.timings.io_seconds += io
             publish(state)
             yield state
 
@@ -611,13 +630,13 @@ class CanopusDecoder:
         """Restore several chains; ``{var: LevelData}``, one entry per
         distinct chain, each bit-identical to its :meth:`restore_to`.
 
-        An unfiltered request first prefetches every non-resident chain's
-        byte ranges as one overlapped batch, so the simulated I/O charge
-        is that one batch; the chains then restore in order on the
-        calling thread. Each chain's ``timings.io_seconds`` carries the
-        batch's charge in proportion to its bytes in the batch (a key
-        two chains share counts once, for the first), so the timings sum
-        to what the clock moved.
+        The :meth:`chain_keys` of every non-resident chain, filtered or
+        not, are fetched first as one overlapped batch, so the simulated
+        I/O charge is that one batch; the chains then restore in order
+        on the calling thread. Each chain's ``timings.io_seconds``
+        carries the batch's charge in proportion to its bytes in the
+        batch (a key two chains share counts once, for the first), so
+        the timings sum to what the clock moved.
         """
         variables = list(dict.fromkeys(variables))
         if not variables:
@@ -628,22 +647,18 @@ class CanopusDecoder:
         ):
             trace.count("decode.restore_many.calls")
             trace.count("decode.restore_many.vars", len(variables))
-            share: dict[str, float] = {}
-            if region is None and not min_significance > 0.0:
-                owner: dict[str, str] = {}
-                for var in variables:
-                    if not self.resident(var, level, use_cache=use_cache):
-                        for key in self.chain_keys(var, level):
-                            owner.setdefault(key, var)
-                if owner:
-                    before = self._clock.elapsed
-                    self.dataset.prefetch(list(owner), label="restore_many")
-                    charge = self._clock.elapsed - before
-                    nbytes = dict.fromkeys(owner.values(), 0)
-                    for key, var in owner.items():
-                        nbytes[var] += self.dataset.inq(key).length
-                    total = sum(nbytes.values())
-                    share = {v: charge * n / total for v, n in nbytes.items()}
+            owners: dict[str, str] = {}
+            for var in variables:
+                if not self.resident(
+                    var, level, region=region,
+                    min_significance=min_significance, use_cache=use_cache,
+                ):
+                    for key in self.chain_keys(
+                        var, level,
+                        region=region, min_significance=min_significance,
+                    ):
+                        owners.setdefault(key, var)
+            share = self._fetch(owners, "restore_many")
             restored = {}
             for var in variables:
                 state = self.restore_to(

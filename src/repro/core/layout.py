@@ -103,15 +103,9 @@ class Chain:
             self.mapping_key(lvl) for lvl in self.scheme.delta_levels()
         ]
 
-    def delta_keys(self, level: int) -> list[str]:
-        """Payload keys of delta ``level`` (index before values per chunk)."""
-        if not self.chunked:
-            return [delta_key(self.name, level)]
-        return [
-            key
-            for c in range(self.chunk_count(level))
-            for key in (self.idx_key(level, c), chunk_key(self.name, level, c))
-        ]
+    def delta_key(self, level: int) -> str:
+        """Payload key of delta ``level`` stored whole (un-chunked)."""
+        return delta_key(self.name, level)
 
     # -- filters --------------------------------------------------------
     def chunk_verdicts(

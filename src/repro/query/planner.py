@@ -13,9 +13,9 @@ is *computable from metadata alone*:
 :class:`QueryPlanner` walks the level chain on summaries only (the
 progressive-retrieval framework of arXiv:2308.11759 — fetch exactly the
 components the requested accuracy needs), emits an explainable
-:class:`~repro.query.plan.RetrievalPlan`, then executes it: one
-``prefetch`` batch for every surviving product, one chain restore
-(:meth:`~repro.session.CampaignHandle.restore_chain`). The
+:class:`~repro.query.plan.RetrievalPlan`, then executes it as one chain
+restore (:meth:`~repro.session.CampaignHandle.restore_chains`), which
+fetches every surviving product as one batch. The
 chunk-survival rule (region bounding box, ``min_significance``) is
 :meth:`repro.core.layout.Chain.chunk_verdicts`, the same call the
 decoder reads by, so the executed restore reads exactly the planned set
@@ -304,7 +304,7 @@ class QueryPlanner:
         """
         survivors: list = []
         if not chain.chunked:
-            (key,) = chain.delta_keys(lvl)
+            key = chain.delta_key(lvl)
             if skip is not None:
                 self._decide(plan, key, "delta", lvl, SKIP, skip)
             elif key in self.dataset.catalog:
@@ -344,57 +344,27 @@ class QueryPlanner:
 
     # ------------------------------------------------------------------
     def execute(self, plan: RetrievalPlan) -> LevelData:
-        """Run a plan: one batched prefetch, then one chain restore.
+        """Run a plan: one chain restore through
+        :meth:`~repro.session.CampaignHandle.restore_chains`.
 
-        The prefetch moves every surviving product's bytes as a single
-        overlapped engine batch — the focused/filtered chain previously
-        paid per-level, per-chunk charges — and the restore applies the
-        same filters the plan was built with, so it consumes exactly
-        the prefetched set. Results are bit-identical to the
-        progressive loop with the same arguments.
+        That restore fetches every key from the base down to the plan's
+        target as one overlapped batch (the decoder's
+        :meth:`~repro.core.decoder.CanopusDecoder.chain_keys`, chunks
+        kept by :meth:`Chain.chunk_verdicts`, the rule this plan was
+        built by), so it reads exactly the planned set and the batch's
+        charge lands in the returned timings. Results are bit-identical
+        to the progressive loop with the same arguments.
         """
-        window = (
-            None
-            if plan.region is None
-            else tuple(
-                np.asarray(b, dtype=np.float64) for b in plan.region
-            )
-        )
         with trace.span(
             "query.execute", "query",
             {"var": plan.var, "target": plan.target_level,
              "planned_bytes": plan.planned_bytes,
              "pruned_chunks": plan.pruned_chunks},
         ):
-            # A resident result reads nothing, and geometry already
-            # decoded never hits storage again: prefetching either would
-            # charge the plan for bytes the restore won't read.
-            if not self.decoder.resident(
-                plan.var,
-                plan.target_level,
-                region=window,
-                min_significance=plan.min_significance,
-                use_cache=self.handle.session.use_restored_cache,
-            ):
-                fetched = [d for d in plan.decisions if d.fetched]
-                pending = self.decoder.undecoded(
-                    [d.key for d in fetched if d.kind == "geometry"]
-                )
-                keys = [
-                    d.key
-                    for d in fetched
-                    if d.kind != "geometry" or d.key in pending
-                ]
-                if keys:
-                    self.dataset.prefetch(
-                        keys, label=f"{plan.var}:query_plan"
-                    )
-            state = self.handle.restore_chain(
-                plan.var,
-                plan.target_level,
-                region=window,
-                min_significance=plan.min_significance,
-            )
+            state = self.handle.restore_chains(
+                [plan.var], plan.target_level,
+                region=plan.region, min_significance=plan.min_significance,
+            )[plan.var]
         _bump("query.plan.executed")
         _bump("query.plan.planned_bytes", plan.planned_bytes)
         _bump("query.plan.skipped_bytes", plan.skipped_bytes)

@@ -278,8 +278,8 @@ class CampaignHandle:
                 # past the restored cache (an exact level-0 hit would
                 # answer finer than the tolerance stop). A NaN rms (the
                 # filter kept nothing) never stops the walk. The walk may
-                # stop at any level, so it has no floor to prefetch to:
-                # it reads each level only when it gets there.
+                # stop at any level, so it looks no step ahead: it fetches
+                # each level's keys only when it gets there.
                 for state in self.decoder.walk(
                     chain, 0, region=region,
                     min_significance=min_significance, pipeline=False,
@@ -302,7 +302,7 @@ class CampaignHandle:
     ) -> LevelData:
         """Restore one :meth:`chain` to ``level`` as the session is
         configured (``pipeline``, ``use_restored_cache``): the restore
-        :meth:`restore`, executed plans and pushdown fallbacks end in."""
+        :meth:`restore` by level and pushdown fallbacks end in."""
         return self.decoder.restore_to(
             chain, level, region=region, min_significance=min_significance,
             pipeline=self.session.pipeline,
@@ -315,7 +315,8 @@ class CampaignHandle:
     ) -> dict[str, LevelData]:
         """Batch form of :meth:`restore_chain`: ``{chain: LevelData}``,
         one entry per distinct chain. One prefetch batch, then each chain
-        on the calling thread (:meth:`CanopusDecoder.restore_many`)."""
+        on the calling thread (:meth:`CanopusDecoder.restore_many`);
+        an executed plan is a batch of one."""
         check_selection(min_significance=min_significance)
         return self.decoder.restore_many(
             chains, level, region=region, min_significance=min_significance,

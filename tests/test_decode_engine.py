@@ -82,8 +82,6 @@ def _handle(h):
 def _serial_restore(h, var, level=0, *, region=None, min_significance=0.0):
     """The seed path: one decoder, no pipeline, no caches."""
     dec = CanopusDecoder(BPDataset.open("run", h))
-    if region is None and min_significance == 0.0:
-        return dec.restore_to(var, level, pipeline=False)
     state = dec.read_base(var)
     while state.level > level:
         state = dec.refine(

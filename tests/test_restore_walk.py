@@ -6,7 +6,9 @@ fallback of ``Session.restore`` stops it at the first state whose
 applied delta is within the tolerance. The reference for what each
 state holds is the measure-as-you-go loop over ``read_base`` /
 ``refine`` in ``tests/oracle/progressive.py``. Also here: the batch
-charge of ``restore_chains`` lands in its results.
+charge of ``restore_chains`` lands in its results, and every restore
+(by level, by tolerance, the summary-less fallback, ``restore_chains``)
+reports in its timings what the clock charged.
 """
 
 import numpy as np
@@ -274,3 +276,122 @@ class TestRestoreManyTimings:
         assert sum(io) == pytest.approx(charged, rel=1e-12)
         # The shared geometry counts once, for the first step.
         assert all(x > 0 for x in io) and io[0] > max(io[1:])
+
+
+class TestOneReadSchedule:
+    """Every restore fetches through the walk's per-step batches (or one
+    ``restore_chains`` batch), and the returned timings carry every
+    simulated second the clock moved."""
+
+    FILTERS = [
+        {},
+        {"region": True},
+        {"min_significance": 1e-3},
+        {"region": True, "min_significance": 1e-3},
+    ]
+    SELECTIONS = [
+        {"level": 0},
+        {"level": 1},
+        {"tolerance": 1e-3},
+        {"tolerance": 1e-3, "stripped": True},
+        {"chains": True},
+    ]
+
+    @staticmethod
+    def _id(spec: dict) -> str:
+        return ",".join(f"{k}={v}" for k, v in spec.items()) or "none"
+
+    @staticmethod
+    def _restore(handle, selection, filters):
+        """Run one restore; the list of states it returned."""
+        if selection.get("chains"):
+            chains = [handle.chain("dpot", step=s) for s in range(STEPS)]
+            return list(handle.restore_chains(chains, 0, **filters).values())
+        if selection.get("stripped"):
+            _strip_summaries(handle)
+        kwargs = {k: v for k, v in selection.items() if k != "stripped"}
+        return [handle.restore("dpot", **kwargs, **filters)]
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("filters", FILTERS, ids=_id)
+    @pytest.mark.parametrize("selection", SELECTIONS, ids=_id)
+    def test_timings_sum_to_the_clock(self, store, selection, filters, warm):
+        ds, h = store
+        filters = dict(filters)
+        if filters.get("region"):
+            filters["region"] = _roi(ds)
+        name = "series" if selection.get("chains") else "w"
+        with Session(h) as session:
+            handle = session.open(name)
+            if warm:
+                # A coarser restore first: the range, geometry and
+                # restored caches then hold part of what the next reads.
+                coarse = (
+                    {"chains": True} if selection.get("chains") else {"level": 2}
+                )
+                self._restore(handle, coarse, filters)
+            states, charged, _ = _charged(
+                h, lambda: self._restore(handle, selection, filters)
+            )
+            again, recharged, _ = _charged(
+                h, lambda: self._restore(handle, selection, filters)
+            )
+        reported = sum(s.timings.io_seconds for s in states)
+        assert reported == pytest.approx(charged, rel=1e-12, abs=1e-15)
+        assert sum(s.timings.io_seconds for s in again) == pytest.approx(
+            recharged, rel=1e-12, abs=1e-15
+        )
+        if not warm:
+            assert charged > 0
+
+    @pytest.mark.parametrize("level, bound", [(1, 2.0e-3), (0, 2.5e-3)])
+    def test_a_filtered_level_restore_fetches_by_step(
+        self, store, level, bound
+    ):
+        ds, h = store
+        region = _roi(ds)
+        with Session(h, use_restored_cache=False) as session:
+            handle = session.open("w")
+            state, seconds, moved = _charged(
+                h, lambda: handle.restore("dpot", level=level, region=region)
+            )
+        get_geometry_cache().clear()
+        with Session(h, use_restored_cache=False) as session:
+            handle = session.open("w")
+            plan = handle.plan("dpot", level=level, region=region)
+            _, _, planned = _charged(h, lambda: handle.planner.execute(plan))
+        get_geometry_cache().clear()
+        decoder = _decoder(h)
+        states, loop_seconds, loop_moved = _charged(
+            h, lambda: reference_states(decoder, "dpot", level, region=region)
+        )
+        assert state.field.tobytes() == states[-1].field.tobytes()
+        assert seconds <= bound < loop_seconds
+        # The batches read the same records as the product-at-a-time
+        # loop, plus the gaps the engine coalesces between them: never
+        # more than the plan's one batch reads.
+        rise = moved - loop_moved
+        print(
+            f"level {level}: {seconds * 1e3:.3f} ms (loop "
+            f"{loop_seconds * 1e3:.3f} ms), {moved} B (loop {loop_moved} B, "
+            f"+{rise} B = {100 * rise / loop_moved:.2f} %)"
+        )
+        assert 0 <= rise <= 0.04 * loop_moved
+        assert moved <= planned
+
+    def test_the_fallback_fetches_each_step_as_one_batch(self, store):
+        _, h = store
+        with Session(h, use_restored_cache=False) as session:
+            handle = session.open("w")
+            _strip_summaries(handle)
+            state, seconds, moved = _charged(
+                h, lambda: handle.restore("dpot", tolerance=1e-30)
+            )
+        get_geometry_cache().clear()
+        decoder = _decoder(h)
+        states, loop_seconds, loop_moved = _charged(
+            h, lambda: reference_states(decoder, "dpot")
+        )
+        assert state.level == 0
+        assert state.field.tobytes() == states[-1].field.tobytes()
+        assert moved == loop_moved and seconds < loop_seconds

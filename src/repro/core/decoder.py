@@ -251,13 +251,17 @@ class CanopusDecoder:
         ]
 
     def chain_keys(
-        self, var: str, level: int, *, region=None, min_significance: float = 0.0
+        self, var: str, level: int, *, top: int | None = None, region=None,
+        min_significance: float = 0.0,
     ) -> list[str]:
         """Every catalog key a restore to ``level`` reads: the
-        :meth:`step_keys` of each step from the base down to ``level``."""
+        :meth:`step_keys` of each step from ``top`` (the base by default)
+        down to ``level``."""
+        if top is None:
+            top = self.chain(var).scheme.base_level
         return [
             key
-            for step in range(self.chain(var).scheme.base_level, level - 1, -1)
+            for step in range(top, level - 1, -1)
             for key in self.step_keys(
                 var, step, region=region, min_significance=min_significance
             )
@@ -446,14 +450,26 @@ class CanopusDecoder:
         Content fingerprint, chain, level and the chain's filter
         signature: requests that keep the same chunks share it.
         """
-        return RestoredLevelCache.key_for(
-            self.dataset, var, level,
-            signature=self.chain(var).filter_signature(
-                self.dataset.catalog, level, region, min_significance
-            ),
+        return self._state_keys(var, level, region, min_significance)(level)
+
+    def _state_keys(self, var: str, level: int, region, min_significance):
+        """``key_at(lvl)``: the :class:`RestoredLevelCache` key of the
+        state a walk to ``level`` passes at ``lvl``, under the prefix of
+        its filter signature that applies there."""
+        chain = self.chain(var)
+        signature = chain.filter_signature(
+            self.dataset.catalog, level, region, min_significance
         )
 
-    def resident(
+        def key_at(lvl: int) -> tuple:
+            return RestoredLevelCache.key_for(
+                self.dataset, var, lvl,
+                signature=chain.signature_prefix(signature, lvl),
+            )
+
+        return key_at
+
+    def warm_level(
         self,
         var: str,
         level: int,
@@ -461,14 +477,22 @@ class CanopusDecoder:
         region: tuple[np.ndarray, np.ndarray] | None = None,
         min_significance: float = 0.0,
         use_cache: bool = False,
-    ) -> bool:
-        """Whether :meth:`restore_to` with the same arguments would be
-        answered from the restored cache, reading no bytes (a peek: no
-        counter or LRU order moves)."""
-        return use_cache and get_restored_cache().has(
-            self.cache_key(
-                var, level, region=region, min_significance=min_significance
-            )
+    ) -> int | None:
+        """The level of the restored-cache state :meth:`walk` with the
+        same arguments starts from (``level`` when the result itself is
+        resident), or ``None`` when it starts at the base. A peek: no
+        counter or LRU order moves."""
+        if not use_cache:
+            return None
+        key_at = self._state_keys(var, level, region, min_significance)
+        cache = get_restored_cache()
+        return next(
+            (
+                lvl
+                for lvl in range(level, self.chain(var).scheme.base_level + 1)
+                if cache.has(key_at(lvl))
+            ),
+            None,
         )
 
     def walk(
@@ -505,19 +529,11 @@ class CanopusDecoder:
         chain.scheme.validate_level(level)
         filters = {"region": region, "min_significance": min_significance}
         cache = get_restored_cache() if use_cache else None
-        signature = (
-            chain.filter_signature(
-                self.dataset.catalog, level, region, min_significance
-            )
+        key_at = (
+            self._state_keys(var, level, region, min_significance)
             if use_cache
-            else ()
+            else None
         )
-
-        def key_at(lvl: int) -> tuple:
-            return cache.key_for(
-                self.dataset, var, lvl,
-                signature=chain.signature_prefix(signature, lvl),
-            )
 
         def publish(state: LevelData) -> None:
             if cache is not None:
@@ -624,15 +640,16 @@ class CanopusDecoder:
         *,
         region: tuple[np.ndarray, np.ndarray] | None = None,
         min_significance: float = 0.0,
-        pipeline: bool = True,
         use_cache: bool = False,
     ) -> dict[str, LevelData]:
         """Restore several chains; ``{var: LevelData}``, one entry per
         distinct chain, each bit-identical to its :meth:`restore_to`.
 
-        The :meth:`chain_keys` of every non-resident chain, filtered or
-        not, are fetched first as one overlapped batch, so the simulated
-        I/O charge is that one batch; the chains then restore in order
+        The :meth:`chain_keys` of every chain, filtered or not, are
+        fetched first as one overlapped batch, each from the step below
+        the state its walk starts from (:meth:`warm_level`), so the
+        simulated I/O charge is that one batch and a resident state's
+        own keys are never read; the chains then restore in order
         on the calling thread. Each chain's ``timings.io_seconds``
         carries the batch's charge in proportion to its bytes in the
         batch (a key two chains share counts once, for the first), so
@@ -649,22 +666,22 @@ class CanopusDecoder:
             trace.count("decode.restore_many.vars", len(variables))
             owners: dict[str, str] = {}
             for var in variables:
-                if not self.resident(
+                warm = self.warm_level(
                     var, level, region=region,
                     min_significance=min_significance, use_cache=use_cache,
+                )
+                for key in self.chain_keys(
+                    var, level, top=None if warm is None else warm - 1,
+                    region=region, min_significance=min_significance,
                 ):
-                    for key in self.chain_keys(
-                        var, level,
-                        region=region, min_significance=min_significance,
-                    ):
-                        owners.setdefault(key, var)
+                    owners.setdefault(key, var)
             share = self._fetch(owners, "restore_many")
             restored = {}
             for var in variables:
                 state = self.restore_to(
                     var, level,
                     region=region, min_significance=min_significance,
-                    pipeline=pipeline, use_cache=use_cache,
+                    use_cache=use_cache,
                 )
                 state.timings.io_seconds += share.get(var, 0.0)
                 restored[var] = state

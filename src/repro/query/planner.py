@@ -29,7 +29,6 @@ Plans whose surviving products lack summaries come back with
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,22 +40,14 @@ from repro.lru import LRU
 from repro.obs import trace
 from repro.query.plan import FETCH, SKIP, PlanDecision, RetrievalPlan
 
-__all__ = ["QueryPlanner", "Resolution", "parse_region", "parse_shape"]
+__all__ = ["QueryPlanner", "parse_region", "parse_shape"]
 
 
 #: Count in the global registry and the active tracer's registry.
 _bump = functools.partial(trace.count, everywhere=True)
 
 #: Resolutions memoised per planner (least recently used dropped first).
-_FEEDBACK_PLANS = 1024
-
-
-class Resolution(NamedTuple):
-    """A complete plan's target level and the subfile of each product it
-    fetches: a function of the chunks the filter keeps, not of the box."""
-
-    level: int
-    subfiles: tuple
+_RESOLUTIONS = 1024
 
 
 def check_selection(level=None, tolerance=None, min_significance=0.0) -> None:
@@ -133,7 +124,7 @@ class QueryPlanner:
         self.handle = handle
         self.dataset = handle.dataset
         self.decoder = handle.decoder
-        self.resolutions = LRU(_FEEDBACK_PLANS)  # memo key -> Resolution
+        self.resolutions = LRU(_RESOLUTIONS)  # memo key -> target level
 
     # ------------------------------------------------------------------
     def plan_restore(
@@ -152,7 +143,7 @@ class QueryPlanner:
         returned plan lists every product with a fetch/skip decision;
         ``plan.complete`` is False when summaries were missing and the
         tolerance target could not be certified. A complete plan's
-        :class:`Resolution` is memoised on the way out.
+        target level is memoised on the way out (:meth:`resolved`).
         """
         check_selection(level, tolerance, min_significance)
         window = normalize_region(region)
@@ -169,24 +160,18 @@ class QueryPlanner:
         _bump("query.plan.calls")
         if plan.complete:  # an uncertified target is measured, not replayed
             key = self._memo_key(chain, tolerance, level, window, min_significance)
-            resolved = Resolution(plan.target_level, self._subfiles(plan))
-            self.resolutions.put(key, resolved)
+            self.resolutions.put(key, plan.target_level)
         return plan
 
-    def resolved(
-        self, var: str, *, plan: bool = False, **selection
-    ) -> Resolution | None:
-        """The memoised :class:`Resolution` of a restore, or ``None``.
+    def resolved(self, var: str, **selection) -> int | None:
+        """The target level :meth:`plan_restore` memoised for the same
+        selection (its keywords), or ``None``.
 
-        ``selection`` is :meth:`plan_restore`'s keywords. Cheap enough for
-        the service's event loop: it plans only if ``plan=True`` and the
-        memo misses. Each call counts one memo hit or miss."""
-        key = self._memo_key(self.decoder.chain(var), **selection)
-        found = self.resolutions.get(key)
-        if found is None and plan:
-            self.plan_restore(var, **selection)
-            found = self.resolutions.peek(key)
-        return found
+        Never plans, so it is cheap enough for the service's event loop.
+        Each call counts one memo hit or miss."""
+        return self.resolutions.get(
+            self._memo_key(self.decoder.chain(var), **selection)
+        )
 
     def _memo_key(
         self, chain, tolerance=None, level=None, region=None,
@@ -390,25 +375,3 @@ class QueryPlanner:
             min_significance=min_significance,
         )
         return self.execute(plan), plan
-
-    # ------------------------------------------------------------------
-    def note_plan(self, tracker, plan: RetrievalPlan, now: float) -> int:
-        """Feed a plan's fetched products into an access tracker.
-
-        Each fetched product bumps its *subfile* (the tier-file granule
-        :meth:`PlacementEngine.plan_replacement` weighs), closing the
-        elastic loop: delta levels that queries actually touch gain
-        replacement weight and migrate toward fast tiers. Returns the
-        number of records noted.
-        """
-        subfiles = self._subfiles(plan)
-        for path in subfiles:
-            tracker.note(path, now)
-        return len(subfiles)
-
-    def _subfiles(self, plan: RetrievalPlan) -> tuple:
-        """The subfile of every product ``plan`` fetches, one per product
-        (:meth:`_decide` records catalog keys only)."""
-        inq = self.dataset.inq
-        paths = (inq(d.key).subfile for d in plan.decisions if d.fetched)
-        return tuple(path for path in paths if path)

@@ -15,6 +15,10 @@ The one request answered without the executor is a restore of a product
 resident in the restored-level cache, on an open campaign, at a level
 given or already resolved from its tolerance (:meth:`DataNode.restore`):
 it reads no storage and runs no codec, so it costs less than a thread hop.
+Serving records no access history: a product's tier is chosen per level
+when it is written (:class:`~repro.storage.placement.PlacementEngine`),
+and :meth:`~repro.storage.policy.TierManager.replan` is the library's
+re-tiering path.
 
 Multi-tenant sharing happens here by construction:
 
@@ -46,8 +50,6 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import hashlib
-import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -65,24 +67,12 @@ from repro.query import check_selection, normalize_region
 from repro.service.tenants import TenantConfig, TenantRegistry
 from repro.session import CampaignHandle, Session
 from repro.storage.hierarchy import StorageHierarchy
-from repro.storage.policy import AccessTracker
 
 __all__ = ["DataNode", "RestoreResult"]
 
 #: Executor jobs admitted per executor thread; a request past
 #: ``executor_workers * QUEUE_FACTOR`` waits on the event loop.
 QUEUE_FACTOR = 4
-
-
-def _region_json(region) -> list | None:
-    """JSON-ready ``[[lo...], [hi...]]`` form of a region window."""
-    if region is None:
-        return None
-    lo, hi = region
-    return [
-        [float(v) for v in np.asarray(lo, dtype=np.float64).ravel()],
-        [float(v) for v in np.asarray(hi, dtype=np.float64).ravel()],
-    ]
 
 
 def _filter_digest(region, min_significance: float) -> str:
@@ -164,14 +154,6 @@ class DataNode:
         )
         self._slots = asyncio.Semaphore(self.executor_workers * QUEUE_FACTOR)
         self._closed = False
-        # Elastic feedback: every served read/query heats the subfiles
-        # its retrieval plan touched, so PlacementEngine.plan_replacement
-        # over this tracker promotes exactly the delta levels the query
-        # workload reaches. The shape log keeps the recent query mix
-        # (var, region, achieved level) inspectable via /v1/metrics.
-        self.tracker = AccessTracker()
-        self._query_log: deque = deque(maxlen=256)
-        self._query_lock = threading.Lock()
         # Attribute simulated read seconds to the tenant carried by the
         # active trace context (see call). Charges from contexts without
         # a tenant (e.g. in-process library use) are left unattributed.
@@ -243,47 +225,6 @@ class DataNode:
                 f"{handle.fingerprint[:12]!r}; re-open the campaign"
             )
 
-    # -- elastic feedback ----------------------------------------------
-    def note_query(
-        self,
-        handle: CampaignHandle,
-        chain: str,
-        *,
-        level: int,
-        region=None,
-        min_significance: float = 0.0,
-        shape: dict | None = None,
-    ) -> None:
-        """Record one served query shape and heat its plan's subfiles.
-
-        The subfiles come from the planner's memo (planned once per
-        filter signature). Feedback must never fail a read: planning here
-        is metadata-only and advisory, so any error is swallowed (the
-        response the tenant paid for has already been computed).
-        """
-        try:
-            subfiles = handle.planner.resolved(
-                chain, level=level, region=region,
-                min_significance=min_significance, plan=True,
-            ).subfiles
-        except Exception:  # noqa: BLE001 — advisory path only
-            return
-        entry = {
-            "campaign": handle.name,
-            "var": chain,
-            "level": int(level),
-            "region": _region_json(region),
-            "subfiles_noted": len(subfiles),
-        }
-        if shape:
-            entry.update(shape)
-        now = self.hierarchy.clock.elapsed
-        # The loop thread and the executor threads all land here.
-        with self._query_lock:
-            for path in subfiles:
-                self.tracker.note(path, now)
-            self._query_log.append(entry)
-
     # -- reads ----------------------------------------------------------
     async def restore(
         self,
@@ -320,25 +261,21 @@ class DataNode:
         check_selection(level, tolerance, min_significance)
         if tolerance is None:
             level = 0 if level is None else int(level)
-        mode = {
-            "mode": "level" if tolerance is None else "tolerance",
-            "tolerance": tolerance,
-        }
 
         def _restore(handle: CampaignHandle, resident_only: bool):
             self.check_cursor(handle, cursor)
             self.check_cursor(handle, if_none_match)
-            # Cursors, cache keys and the query log name the chain.
+            # Cursors and cache keys name the chain.
             chain = handle.chain(var, step=step)
             window = normalize_region(region)
             stem = f"{handle.fingerprint[:12]}.{chain}.L"
             digest = _filter_digest(window, min_significance)
             target = level
             if tolerance is not None:  # None until a plan resolved it
-                target = getattr(handle.planner.resolved(
+                target = handle.planner.resolved(
                     chain, tolerance=tolerance,
                     region=window, min_significance=min_significance,
-                ), "level", None)
+                )
             state = None  # a CachedLevel or a LevelData: same three fields
             if target is not None:
                 if if_none_match == f"{stem}{target}.{digest}":
@@ -366,13 +303,6 @@ class DataNode:
                         region=window,
                         min_significance=min_significance,
                     )
-            self.note_query(
-                handle, chain,
-                level=state.level,
-                region=window,
-                min_significance=min_significance,
-                shape=mode,
-            )
             out_cursor = f"{stem}{state.level}.{digest}"
             if if_none_match == out_cursor:
                 return RestoreResult(out_cursor, hit)
@@ -397,8 +327,6 @@ class DataNode:
     def metrics(self) -> dict:
         """Aggregate data-node view for the /v1/metrics endpoint."""
         cache = get_restored_cache()
-        with self._query_lock:
-            query_log = list(self._query_log)
         # The planners' resolution memos, summed over open campaigns.
         handles = list(self.session._handles.values())
         memos = [h.planner.resolutions for h in handles]
@@ -407,13 +335,8 @@ class DataNode:
             "engine": self.session.stats(),
             "restored_cache": cache.stats(),
             "query": {
-                "log": query_log,
-                "tracked_subfiles": len(self.tracker.records),
-                "tracked_reads": sum(
-                    info.reads for info in self.tracker.records.values()
-                ),
-                "feedback_plans": sum(len(m) for m in memos),
-                "feedback_evictions": sum(m.evictions for m in memos),
+                "resolutions": sum(len(m) for m in memos),
+                "resolution_evictions": sum(m.evictions for m in memos),
                 "resolve_hits": sum(m.hits for m in memos),
                 "resolve_misses": sum(m.misses for m in memos),
             },

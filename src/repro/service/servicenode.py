@@ -443,15 +443,10 @@ class ServiceNode:
         step = _parse_number(request.query, "step", int)
         region = parse_region(request.query.get("region"))
 
-        def query(h: CampaignHandle) -> dict:
-            result = h.query_stats(var, step=step, region=region)
-            self.datanode.note_query(
-                h, result["var"], level=0, region=region,
-                shape={"mode": "stats"},
-            )
-            return result
-
-        result = await self.datanode.call(name, query, tenant=tenant)
+        result = await self.datanode.call(
+            name, lambda h: h.query_stats(var, step=step, region=region),
+            tenant=tenant,
+        )
         return Response.json({"campaign": name, **result})
 
     async def _query_blobs(
@@ -466,18 +461,14 @@ class ServiceNode:
         region = parse_region(request.query.get("region"))
         shape = parse_shape(request.query.get("shape"))
 
-        def query(h: CampaignHandle) -> dict:
-            result = h.query_blobs(
+        result = await self.datanode.call(
+            name,
+            lambda h: h.query_blobs(
                 var, threshold=threshold, step=step, region=region,
                 shape=shape,
-            )
-            self.datanode.note_query(
-                h, result["var"], level=0, region=region,
-                shape={"mode": "blobs", "threshold": float(threshold)},
-            )
-            return result
-
-        result = await self.datanode.call(name, query, tenant=tenant)
+            ),
+            tenant=tenant,
+        )
         return Response.json({"campaign": name, **result})
 
     async def _raw(

@@ -75,10 +75,11 @@ class Session:
 
     Parameters (all keyword-only) configure every dataset the session
     opens: ``cache_bytes`` (per-dataset range-cache budget),
-    ``verify_checksums``, ``use_restored_cache`` (consult/publish the
-    process-wide restored cache) and ``pipeline`` (prefetch
-    pipelining). Datasets open with the default transports: the
-    retrieval engine reads every range from its tier directly.
+    ``verify_checksums`` and ``use_restored_cache`` (consult/publish
+    the process-wide restored cache). Every restore by level pipelines
+    (:meth:`CanopusDecoder.walk`'s look-ahead). Datasets open with the
+    default transports: the retrieval engine reads every range from its
+    tier directly.
     """
 
     def __init__(
@@ -88,13 +89,11 @@ class Session:
         cache_bytes: int = 64 << 20,
         verify_checksums: bool = True,
         use_restored_cache: bool = True,
-        pipeline: bool = True,
     ) -> None:
         self.hierarchy = hierarchy
         self.cache_bytes = int(cache_bytes)
         self.verify_checksums = verify_checksums
         self.use_restored_cache = use_restored_cache
-        self.pipeline = pipeline
         self._handles: dict[str, CampaignHandle] = {}
         self._open_lock = threading.Lock()
         self._closed = False
@@ -300,12 +299,11 @@ class CampaignHandle:
         self, chain: str, level: int = 0, *, region=None,
         min_significance: float = 0.0,
     ) -> LevelData:
-        """Restore one :meth:`chain` to ``level`` as the session is
-        configured (``pipeline``, ``use_restored_cache``): the restore
-        :meth:`restore` by level and pushdown fallbacks end in."""
+        """Restore one :meth:`chain` to ``level``, pipelined and with the
+        session's ``use_restored_cache``: the restore :meth:`restore` by
+        level and pushdown fallbacks end in."""
         return self.decoder.restore_to(
             chain, level, region=region, min_significance=min_significance,
-            pipeline=self.session.pipeline,
             use_cache=self.session.use_restored_cache,
         )
 
@@ -320,7 +318,6 @@ class CampaignHandle:
         check_selection(min_significance=min_significance)
         return self.decoder.restore_many(
             chains, level, region=region, min_significance=min_significance,
-            pipeline=self.session.pipeline,
             use_cache=self.session.use_restored_cache,
         )
 

@@ -14,7 +14,7 @@ sidecar-metadata contract of the paper's §III-C). Covers:
   plans, and the no-summaries fallback;
 * query-shape validation (:class:`QueryError` for bad tolerance/region);
 * pushdown statistics/blob queries with zero restores on pruned paths;
-* the elastic feedback loop: ``note_plan`` → ``AccessTracker`` →
+* a plan's fetched subfiles, noted in an ``AccessTracker``, weigh in
   ``PlacementEngine.plan_replacement``.
 """
 
@@ -333,20 +333,20 @@ class TestResolutionMemo:
         planner, calls = counted_plans
         box, twin, _ = _same_signature_boxes(handle)
         assert planner.resolved("dpot", tolerance=1e-3, region=box) is None
-        first = planner.resolved("dpot", tolerance=1e-3, region=box, plan=True)
-        again = planner.resolved("dpot", tolerance=1e-3, region=twin, plan=True)
-        assert again == first and len(calls) == 1
-        assert planner.resolved("dpot", tolerance=1e-3, region=twin) == first
-        assert (planner.resolutions.hits, planner.resolutions.misses) == (2, 2)
+        first = planner.plan_restore("dpot", tolerance=1e-3, region=box)
+        assert len(calls) == 1
+        # The twin box keeps the same chunks: its level is already known.
+        for region in (box, twin):
+            assert planner.resolved(
+                "dpot", tolerance=1e-3, region=region
+            ) == first.target_level
+        assert len(calls) == 1
+        assert (planner.resolutions.hits, planner.resolutions.misses) == (2, 1)
         # Plans are never memoised: each explains the box it was asked.
         plan = planner.plan_restore("dpot", tolerance=1e-3, region=twin)
         assert len(calls) == 2
         assert plan.region == tuple(list(map(float, b)) for b in twin)
-        assert plan.target_level == first.level
-        fetched = AccessTracker()
-        assert planner.note_plan(fetched, plan, now=0.0) == len(
-            first.subfiles
-        )
+        assert plan.target_level == first.target_level
 
     def test_tolerance_significance_and_signature_are_separate_entries(
         self, counted_plans, handle
@@ -361,20 +361,21 @@ class TestResolutionMemo:
             {"level": 0, "region": box},
         ]
         for selection in selections * 2:
-            planner.resolved("dpot", **selection, plan=True)
+            if planner.resolved("dpot", **selection) is None:
+                planner.plan_restore("dpot", **selection)
         assert len(calls) == len(planner.resolutions) == len(selections)
 
     def test_memo_is_bounded_and_counts_evictions(self, counted_plans):
         planner, calls = counted_plans
         planner.resolutions.budget = 2
         for tolerance in (1e-1, 1e-2, 1e-3):
-            planner.resolved("dpot", tolerance=tolerance, plan=True)
+            planner.plan_restore("dpot", tolerance=tolerance)
         assert len(planner.resolutions) == 2
         assert planner.resolutions.evictions == 1
         # The least recent went first: asking for it plans again.
         assert planner.resolved("dpot", tolerance=1e-1) is None
         assert planner.resolved("dpot", tolerance=1e-3) is not None
-        planner.resolved("dpot", tolerance=1e-1, plan=True)
+        planner.plan_restore("dpot", tolerance=1e-1)
         assert len(calls) == 4
 
     def test_an_incomplete_plan_is_not_memoised(self, handle):
@@ -382,7 +383,6 @@ class TestResolutionMemo:
             handle.dataset.inq(key).attrs.pop("stats", None)
         planner = handle.planner
         assert not planner.plan_restore("dpot", tolerance=1e-3).complete
-        assert planner.resolved("dpot", tolerance=1e-3, plan=True) is None
         assert len(planner.resolutions) == 0
         assert planner.resolved("dpot", tolerance=1e-3) is None
 
@@ -537,30 +537,22 @@ class TestPushdown:
 
 # ---------------------------------------------------------------------------
 class TestElasticFeedback:
-    def test_note_plan_heats_fetched_subfiles(self, campaign, handle):
-        planner = handle.planner
-        plan = planner.plan_restore("dpot", tolerance=1e-3)
-        tracker = AccessTracker()
-        noted = planner.note_plan(tracker, plan, now=1.0)
-        assert noted == len(plan.fetch_keys())
-        assert tracker.records
-        assert sum(i.reads for i in tracker.records.values()) == noted
-
     def test_query_workload_shifts_plan_replacement(self, campaign, handle):
         _, h = campaign
         planner = handle.planner
         cold = PlacementEngine(h).plan_replacement(AccessTracker())
         assert all(d.weight == 0.0 for d in cold.decisions)
 
-        tracker = AccessTracker()
-        for _ in range(5):
-            plan = planner.plan_restore("dpot", tolerance=1e-3)
-            planner.note_plan(tracker, plan, now=h.clock.elapsed)
-        hot = PlacementEngine(h).plan_replacement(tracker)
-        hot_weights = {d.key: d.weight for d in hot.decisions}
+        plan = planner.plan_restore("dpot", tolerance=1e-3)
         touched = {
             handle.dataset.inq(k).subfile for k in plan.fetch_keys()
         } - {None, ""}
         assert touched
+        tracker = AccessTracker()
+        for _ in range(5):
+            for subfile in touched:
+                tracker.note(subfile, h.clock.elapsed)
+        hot = PlacementEngine(h).plan_replacement(tracker)
+        hot_weights = {d.key: d.weight for d in hot.decisions}
         assert all(hot_weights[s] > 0 for s in touched)
         assert max(hot_weights.values()) > 0

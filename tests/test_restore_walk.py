@@ -220,7 +220,6 @@ class TestToleranceFallback:
     ):
         _, h = store
         with Session(h, use_restored_cache=False) as session:
-            assert session.pipeline
             handle = session.open("w")
             # Met by the first refinement: a walk with lookahead toward
             # level 0 would already have fetched the deltas below it.
@@ -276,6 +275,26 @@ class TestRestoreManyTimings:
         assert sum(io) == pytest.approx(charged, rel=1e-12)
         # The shared geometry counts once, for the first step.
         assert all(x > 0 for x in io) and io[0] > max(io[1:])
+
+    def test_a_warm_start_reads_what_restore_chain_reads(self, store):
+        """A chain whose walk starts from a cached coarser state fetches
+        only the steps below it: the batch reads no base bytes."""
+        _, h = store
+        read = []
+        for restore in (
+            lambda handle: handle.restore_chain("dpot", 0),
+            lambda handle: handle.restore_chains(["dpot"], 0)["dpot"],
+        ):
+            get_restored_cache().clear()
+            get_geometry_cache().clear()
+            with Session(h) as session:
+                session.open("w").restore("dpot", level=2)
+            with Session(h) as session:
+                handle = session.open("w")
+                state, _, moved = _charged(h, lambda: restore(handle))
+            read.append((moved, state.field.tobytes()))
+        single, batch = read
+        assert batch == single and single[0] > 0
 
 
 class TestOneReadSchedule:

@@ -6,12 +6,11 @@ result is in the process-wide :class:`RestoredLevelCache` is answered on
 the event-loop thread; everything else takes the bounded executor. These
 tests pin which requests take which path (by counting executor submits
 and by the thread each span ran on), that both paths put the same bytes,
-headers, accounting and elastic feedback on the wire, and that the body
+headers and accounting on the wire, and that the body
 is ``np.save`` of the field without ever copying the field.
 """
 
 import asyncio
-import copy
 import hashlib
 import io
 import sys
@@ -43,7 +42,6 @@ from repro.service.tenants import TenantRegistry
 from repro.session import Session
 from repro.simulations import make_xgc1
 from repro.storage import two_tier_titan
-from repro.storage.policy import AccessTracker
 
 from tests.oracle.progressive import measured_restore
 
@@ -376,7 +374,7 @@ def _region_target(var, box):
 class TestLoopAndExecutorInterleave:
     def test_hits_on_the_loop_while_misses_decode(self, service, submits):
         """Resident hits (loop thread) and region misses (executor
-        threads) share the tracker, the feedback memo and the query log;
+        threads) share the restored cache and the tenant's counters;
         under a short switch interval nothing is lost or mixed up.
 
         A region request is a miss once per distinct set of surviving
@@ -457,16 +455,8 @@ class TestLoopAndExecutorInterleave:
         assert metrics.value(
             "service.requests", tenant="bob"
         ) - requests_before == 2 * total + len(misses)
-        node = svc.datanode
-        # One memoised plan per distinct product or survivor set asked
-        # for, and every note of every request landed in the tracker.
-        distinct = len(hot) + 1 + len(misses)
-        assert node.metrics()["query"]["feedback_plans"] == distinct
-        assert len(node._query_log) == distinct + 2 * total
-        assert len(node._query_log) < node._query_log.maxlen
-        assert sum(info.reads for info in node.tracker.records.values()) == (
-            sum(entry["subfiles_noted"] for entry in node._query_log)
-        )
+        # Requests by level plan nothing.
+        assert svc.datanode.metrics()["query"]["resolutions"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +505,7 @@ class TestEvictedUnderTheRequest:
 
 
 # ---------------------------------------------------------------------------
-# (d) accounting and elastic feedback of a hit equal a miss's
+# (d) accounting of a hit equals a miss's
 # ---------------------------------------------------------------------------
 def _unfiltered_digest() -> str:
     """The filter digest of a request with no region and no threshold."""
@@ -533,8 +523,6 @@ class TestHitAccounting:
         _get_all(svc, targets)  # warm: every product resident
 
         order = [products[i % len(products)] for i in range(self.HITS)]
-        heat_before = copy.deepcopy(node.tracker.records)
-        log_before = len(node._query_log)
         usage_before = svc.tenants.usage("bob")
         metrics = svc.node.metrics
         sim_before = node.hierarchy.clock.elapsed
@@ -543,26 +531,7 @@ class TestHitAccounting:
             svc, [_target(*product) for product in order], token="tok-bob"
         )
 
-        # What the executor path does per request, written out: plan
-        # the restore, note every fetched product's subfile, log it.
         handle = node.session.open("camp")
-        reference = AccessTracker(records=heat_before)
-        log = []
-        for _, var, step, level in order:
-            chain = handle.chain(var, step=step)
-            plan = handle.planner.plan_restore(chain, level=level)
-            noted = handle.planner.note_plan(
-                reference, plan, now=node.hierarchy.clock.elapsed
-            )
-            log.append({
-                "campaign": "camp", "var": chain, "level": level,
-                "region": None, "subfiles_noted": noted,
-                "mode": "level", "tolerance": None,
-            })
-            assert noted > 0
-        assert node.tracker.records == reference.records
-        assert list(node._query_log)[log_before:] == log
-
         sent = sum(len(r.body) for r in responses)
         assert sent == sum(
             len(_npy(expected[product][0])) for product in order
@@ -599,20 +568,32 @@ class TestHitAccounting:
             assert response.headers["x-canopus-vertices"] == str(vertices)
             assert response.headers["content-type"] == "application/x-npy"
 
-    def test_feedback_plan_is_built_once_per_product(self, service):
-        svc, _ = service
-        target = _target("steps", "dpot", 1, 0)
+    @staticmethod
+    def _planned(svc, target):
+        """``query.plan`` spans per request of four identical ones."""
         responses = _get_all(svc, [target] * 4)
-        planned = [
+        assert [r.headers["x-canopus-cache"] for r in responses] == [
+            "miss", "hit", "hit", "hit",
+        ]
+        return [
             sum(s.name == "query.plan" for s in _spans(svc, r))
             for r in responses
         ]
-        assert planned == [1, 0, 0, 0]
-        noted = [e["subfiles_noted"] for e in svc.datanode._query_log]
-        assert len(set(noted)) == 1 and noted[0] > 0
+
+    def test_a_level_request_never_plans(self, service):
+        svc, _ = service
+        assert self._planned(svc, _target("steps", "dpot", 1, 0)) == [0] * 4
+        assert svc.datanode.metrics()["query"] == {
+            "resolutions": 0, "resolution_evictions": 0,
+            "resolve_hits": 0, "resolve_misses": 0,
+        }
+
+    def test_a_tolerance_is_planned_once(self, service):
+        svc, _ = service
+        target = "/v1/campaigns/steps/vars/dpot/restore?tolerance=1e-3&step=1"
+        assert self._planned(svc, target) == [1, 0, 0, 0]
         query = svc.datanode.metrics()["query"]
-        assert query["feedback_plans"] == 1
-        assert query["feedback_evictions"] == 0
+        assert (query["resolutions"], query["resolution_evictions"]) == (1, 0)
         assert (query["resolve_hits"], query["resolve_misses"]) == (3, 1)
 
 

@@ -39,7 +39,8 @@ class Compressor(ABC):
     """Abstract floating-point codec.
 
     Subclasses implement :meth:`_encode_payload` / :meth:`_decode_payload`
-    on raw float64 arrays; the base class wraps payloads in a
+    on raw float64 arrays (and may batch them in :meth:`_encode_payloads`
+    / :meth:`_decode_payloads`); the base class wraps payloads in a
     self-describing envelope.
     """
 
@@ -51,31 +52,54 @@ class Compressor(ABC):
     # -- envelope -------------------------------------------------------
     def encode(self, data: np.ndarray) -> bytes:
         """Compress a 1-D float array into a self-describing payload."""
-        tracer = trace.get_tracer()
-        if tracer is None:
-            return self._encode(data)
-        arr = np.ascontiguousarray(data, dtype=np.float64).ravel()
-        with tracer.span(
-            f"codec.{self.name}.encode", "compress", {"codec": self.name}
-        ) as sp:
-            blob = self._encode(arr)
-            sp.note(in_bytes=int(arr.nbytes), out_bytes=len(blob))
-            trace.count("codec.bytes_in", arr.nbytes, codec=self.name, op="encode")
-            trace.count("codec.bytes_out", len(blob), codec=self.name, op="encode")
-            return blob
+        return self._encode_traced(
+            [data], lambda arrays: [self._encode_payload(arrays[0])]
+        )[0]
 
-    def _encode(self, data: np.ndarray) -> bytes:
-        data = np.ascontiguousarray(data, dtype=np.float64).ravel()
-        if data.size and not np.isfinite(data).all():
-            raise CompressionError(
-                f"{self.name}: non-finite values are not supported"
-            )
-        payload = self._encode_payload(data)
+    def encode_many(self, arrays: Sequence[np.ndarray]) -> list[bytes]:
+        """Compress several arrays in one pass.
+
+        Equals ``[encode(a) for a in arrays]`` byte for byte; codecs
+        whose payloads share a layout (zfp) override
+        :meth:`_encode_payloads` to run one kernel over the whole batch.
+        """
+        return self._encode_traced(arrays, self._encode_payloads)
+
+    def _encode_traced(self, arrays, encode_payloads) -> list[bytes]:
+        """Check and flatten ``arrays``, ``encode_payloads`` them, and
+        wrap each payload in its envelope: one ``codec.<name>.encode``
+        span per call."""
+        tracer = trace.get_tracer()
+        arrays = [
+            np.ascontiguousarray(data, dtype=np.float64).ravel()
+            for data in arrays
+        ]
+        if tracer is None:
+            return self._encode_all(arrays, encode_payloads)
+        with tracer.span(
+            f"codec.{self.name}.encode", "compress",
+            {"codec": self.name, "blobs": len(arrays)},
+        ) as sp:
+            blobs = self._encode_all(arrays, encode_payloads)
+            in_bytes = sum(data.nbytes for data in arrays)
+            out_bytes = sum(len(blob) for blob in blobs)
+            sp.note(in_bytes=in_bytes, out_bytes=out_bytes)
+            trace.count("codec.bytes_in", in_bytes, codec=self.name, op="encode")
+            trace.count("codec.bytes_out", out_bytes, codec=self.name, op="encode")
+            return blobs
+
+    def _encode_all(self, arrays, encode_payloads) -> list[bytes]:
+        for data in arrays:
+            if data.size and not np.isfinite(data).all():
+                raise CompressionError(
+                    f"{self.name}: non-finite values are not supported"
+                )
         name_b = self.name.encode("ascii")
-        header = _MAGIC + struct.pack(
-            "<BQ", len(name_b), data.size
-        ) + name_b
-        return header + payload
+        return [
+            _MAGIC + struct.pack("<BQ", len(name_b), data.size) + name_b
+            + payload
+            for data, payload in zip(arrays, encode_payloads(arrays))
+        ]
 
     def decode(self, blob: bytes) -> np.ndarray:
         """Decompress a payload produced by this codec."""
@@ -123,6 +147,10 @@ class Compressor(ABC):
     @abstractmethod
     def _decode_payload(self, payload: bytes, count: int) -> np.ndarray:
         """Codec-specific body decoding; must return ``count`` float64s."""
+
+    def _encode_payloads(self, arrays: Sequence[np.ndarray]) -> list[bytes]:
+        """Body encoding of a batch; per array unless overridden."""
+        return [self._encode_payload(data) for data in arrays]
 
     def _decode_payloads(
         self, payloads: Sequence[bytes], counts: Sequence[int]

@@ -11,7 +11,10 @@ Two layers:
 * :func:`scatter_uint` / :func:`gather_uint` — the one pack and the one
   unpack kernel: every value named by its own (bit offset, width), so
   the ZFP-style codec's per-(class, width) groups of one payload, or of
-  many payloads at once, are written or read in a single pass;
+  many payloads at once, are written or read in a single pass.
+  :func:`add_uint` is the write core under :func:`scatter_uint`,
+  without its checks, for a caller that has already proved its values
+  fit and are disjoint;
 * :func:`pack_uint` / :func:`unpack_uint` — their evenly spaced cases,
   bulk fixed-width codecs over whole arrays.
 """
@@ -27,6 +30,7 @@ __all__ = [
     "unpack_uint",
     "scatter_uint",
     "gather_uint",
+    "add_uint",
 ]
 
 
@@ -82,13 +86,9 @@ def scatter_uint(
     -------
     uint8 array of ``ceil(total_bits / 8)`` bytes.
 
-    Values may come in any order (offset-sorted input skips the sort)
-    but must not overlap. The stream is built as big-endian 64-bit
-    words: a value, moved to the top of a word, gives ``top >> lead`` to
-    the word its first bit falls in and the bits that pushes out (the
-    spill) to the next. Values are disjoint, so all that share a word
-    fold with one ``bitwise_or.reduceat``, and only the last of them can
-    spill.
+    Values may come in any order but must not overlap: every check
+    runs here (offset-sorted input skips the sort the overlap check
+    otherwise needs), then :func:`add_uint` writes them.
     """
     values = np.ascontiguousarray(values, dtype=np.uint64).ravel()
     bit_offsets = np.asarray(bit_offsets, dtype=np.int64).ravel()
@@ -121,39 +121,57 @@ def scatter_uint(
         values, bit_offsets, widths = (
             values[keep], bit_offsets[keep], widths[keep]
         )
-        top = top[: values.size]  # all zeros, kept as scratch
-    end = bit_offsets + widths
-    if (end[:-1] > bit_offsets[1:]).any():
-        # Out of order, or overlapping: sort, then look again.
+    start, end = bit_offsets, bit_offsets + widths
+    if (end[:-1] > start[1:]).any():
+        # Out of order, or overlapping: look again in offset order.
         order = np.argsort(bit_offsets)
-        values, bit_offsets = values[order], bit_offsets[order]
-        if widths.ndim:
-            widths = widths[order]
-        end = bit_offsets + widths
-        if (end[:-1] > bit_offsets[1:]).any():
+        start, end = start[order], end[order]
+        if (end[:-1] > start[1:]).any():
             raise BitstreamError("scattered values overlap")
     if int(end[-1]) > total_bits:
         raise BitstreamError(
             f"bitstream overflow: need {int(end[-1])} bits, have {total_bits}"
         )
+    words = np.zeros((total_bits + 63) // 64 + 1, dtype=np.uint64)
+    add_uint(words, values, bit_offsets, widths)
+    return words.astype(">u8").view(np.uint8)[:nbytes]
 
-    # Value-sized temporaries cost more in page faults than the
-    # arithmetic does, so ``top`` and ``end`` are reused from here on.
-    lead = np.bitwise_and(bit_offsets, 63, out=end).astype(np.uint8)
-    word = np.right_shift(bit_offsets, 6, out=end)
-    np.left_shift(values, np.uint8(64) - widths, out=top)
-    last = np.flatnonzero(word[1:] != word[:-1])  # where each word's run ends
-    first = np.concatenate(([0], last + 1))
-    last = np.append(last, word.size - 1)
+
+def add_uint(
+    words: np.ndarray,
+    values: np.ndarray,
+    bit_offsets: np.ndarray,
+    widths: np.ndarray | int,
+) -> None:
+    """The one write core: add each value's bits into ``words``.
+
+    ``words`` is a uint64 stream read as big-endian words (bit 0 is the
+    top bit of ``words[0]``), with one word to spare past the last bit
+    written. A value, moved to the top of a word, adds ``top >> lead``
+    to the word its first bit falls in and the bits that pushes out (the
+    spill) to the next. Nothing is checked: offsets are int64 and
+    non-negative, each uint64 value must fit its width (0..64, any
+    unsigned dtype) and no two may share a bit, for then no add
+    carries and adding is OR-ing, so the order of the values does not
+    matter and ``np.add.at`` (which has a fast path that
+    ``np.bitwise_or.at`` lacks) folds every value that shares a word.
+    A 0-bit value adds nothing, but its word must exist.
+    """
+    # Offsets are non-negative, so their uint64 view is their value, and
+    # every shift below is uint64 by uint64 (NumPy's fast loop).
+    offsets = bit_offsets.view(np.uint64)
+    lead = offsets & np.uint64(63)
+    word = (offsets >> np.uint64(6)).view(np.int64)
+    top = values << (np.uint64(64) - widths)
     # The spill moves left by 64 - lead, which is a full 64 when the
     # value starts a word: two shifts keep every count below 64.
-    spill = top[last] << np.uint8(1)
-    spill <<= np.uint8(63) - lead[last]
+    spill = top << np.uint64(1)
     top >>= lead
-    words = np.zeros((total_bits + 63) // 64 + 1, dtype=np.uint64)
-    words[word[first]] = np.bitwise_or.reduceat(top, first)
-    words[word[last] + 1] |= spill
-    return words.astype(">u8").view(np.uint8)[:nbytes]
+    lead ^= np.uint64(63)  # 63 - lead
+    spill <<= lead
+    np.add.at(words, word, top)
+    word += 1
+    np.add.at(words, word, spill)
 
 
 def gather_uint(

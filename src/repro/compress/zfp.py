@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.compress.base import Compressor, register_codec
-from repro.compress.bitstream import gather_uint, scatter_uint
+from repro.compress.bitstream import add_uint, gather_uint
 from repro.compress.lossless import shuffle_compress, shuffle_decompress
 from repro.errors import BitstreamError, CompressionError
 
@@ -61,11 +61,9 @@ _MODE_LOSSLESS = 2
 _CODED_HEADER = struct.Struct("<BdQ")  # mode, step, nblocks
 _CLASS_SIZE = np.array(CLASS_SIZES, dtype=np.int64)
 _CLASS_FIRST = np.cumsum(_CLASS_SIZE) - _CLASS_SIZE
-#: Place within its class of each of a block's coefficients (the class
-#: itself is ``np.repeat(range(_N_CLASSES), CLASS_SIZES)``).
-_COEFF_RANK = (
-    np.arange(BLOCK) - np.repeat(_CLASS_FIRST, _CLASS_SIZE)
-).astype(np.uint16)
+#: Class of each of a block's coefficients, and its place in the class.
+_COEFF_CLASS = np.repeat(np.arange(_N_CLASSES), _CLASS_SIZE)
+_COEFF_RANK = (np.arange(BLOCK) - _CLASS_FIRST[_COEFF_CLASS]).astype(np.uint16)
 # A payload's groups lie in (class, ascending width) order: slot
 # ``class * 65 + width``. A block adds ``class size * width`` bits to its
 # slot of every class.
@@ -78,19 +76,28 @@ def _forward_transform(q: np.ndarray) -> np.ndarray:
     """4-level integer S-transform over (nblocks, 16) int64.
 
     Returns coefficients ordered ``[DC, d4, d3(2), d2(4), d1(8)]``.
-    Exactly invertible in integer arithmetic.
+    Exactly invertible in integer arithmetic. The block-major face of
+    :func:`_forward_rows`.
     """
-    x = q
-    details = []
-    for _ in range(4):
-        a = x[:, 0::2]
-        b = x[:, 1::2]
-        d = a - b
-        s = b + (d >> 1)  # floor((a + b) / 2)
-        details.append(d)
-        x = s
-    # x is (nblocks, 1) DC; details are fine→coarse, so reverse.
-    return np.concatenate([x] + details[::-1], axis=1)
+    return _forward_rows(q.T.copy()).T
+
+
+def _forward_rows(q: np.ndarray) -> np.ndarray:
+    """:func:`_forward_transform` over coefficient-major (16, nblocks)
+    int64: row ``k`` holds value (then coefficient) ``k`` of every
+    block, so each lifting step is whole contiguous rows. Consumes
+    ``q``: each level's sums and shifted details are kept in its rows."""
+    out = np.empty_like(q)
+    x, rows = q, BLOCK
+    while rows > 1:  # fine → coarse
+        a, b = x[0::2], x[1::2]
+        d = out[rows // 2 : rows]
+        np.subtract(a, b, out=d)
+        np.right_shift(d, 1, out=a)
+        b += a  # floor((a + b) / 2)
+        x, rows = b, rows // 2
+    out[0] = x[0]  # the DC row
+    return out
 
 
 def _inverse_transform(coeffs: np.ndarray) -> np.ndarray:
@@ -110,9 +117,14 @@ def _inverse_transform(coeffs: np.ndarray) -> np.ndarray:
     return s
 
 
-def _zigzag(q: np.ndarray) -> np.ndarray:
-    """Map signed int64 → unsigned uint64 with |q| monotone."""
-    return ((q << 1) ^ (q >> 63)).astype(np.uint64)
+def _zigzag(q: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Map signed int64 → unsigned uint64 with |q| monotone, in place:
+    returns ``q``'s storage viewed as uint64 (``scratch``, shaped like
+    ``q``, spares a temporary)."""
+    sign = np.right_shift(q, 63, out=scratch)
+    q <<= 1
+    q ^= sign
+    return q.view(np.uint64)
 
 
 def _unzigzag(u: np.ndarray) -> np.ndarray:
@@ -192,6 +204,99 @@ def _entry_layout(
     return entry_off, order, slot_end[:, -1]
 
 
+def _encode_coded(
+    arrays: Sequence[np.ndarray], steps: Sequence[float]
+) -> list[bytes]:
+    """Encode every array of a batch as a ``_MODE_CODED`` payload, in
+    one pass; the mirror of :func:`_decode_coded`.
+
+    The payloads are laid end to end in one stream and every step runs
+    once over all of them, coefficient-major (``(16, nblocks)``), so the
+    lifting, the zigzag and the class maxima work on contiguous rows:
+
+    1. quantise each array by its own step, then transform and zigzag;
+    2. a class's width is its largest coefficient's bit length;
+    3. :func:`_entry_layout` places every entry; each payload's
+       entries are checked to be disjoint and inside its body;
+    4. one :func:`add_uint` writes the widths and one every coefficient,
+       in any order: the bits are disjoint, so adding is OR-ing.
+
+    Each array must be non-empty and finite, with ``max|x| / step``
+    inside the ``_MAX_QBITS`` bound.
+    """
+    nblocks = [(data.size + BLOCK - 1) // BLOCK for data in arrays]
+    total_blocks = sum(nblocks)
+    scaled = np.empty(total_blocks * BLOCK, dtype=np.float64)
+    lo = 0
+    for data, step, blocks in zip(arrays, steps, nblocks):
+        piece = scaled[lo : lo + blocks * BLOCK]
+        np.divide(data, step, out=piece[: data.size])
+        # Edge replication: zero detail coefficients in the last block.
+        piece[data.size :] = data[-1] / step
+        lo += blocks * BLOCK
+    np.rint(scaled, out=scaled)
+    q = scaled.reshape(total_blocks, BLOCK).T.astype(np.int64, order="C")
+    u = _zigzag(_forward_rows(q), scratch=q)  # q is spent: scratch
+    largest = np.empty((_N_CLASSES, total_blocks), dtype=np.uint64)
+    for c, (first, size) in enumerate(zip(_CLASS_FIRST, CLASS_SIZES)):
+        np.maximum.reduce(u[first : first + size], axis=0, out=largest[c])
+    class_widths = _bit_lengths(largest)
+    # The fit check: a class's largest coefficient bounds all of it.
+    left = largest >> np.minimum(class_widths, np.uint8(63))
+    left[class_widths == 64] = 0
+    if left.any():
+        raise BitstreamError("a coefficient does not fit its class width")
+    widths = class_widths.T.ravel()  # entry e = block * _N_CLASSES + class
+
+    # Each payload's stream after its fixed header: the 7-bit widths,
+    # padded to a byte, then the coefficient groups; all byte-aligned,
+    # so the payloads follow one another in one stream.
+    n_entries = np.array(nblocks, dtype=np.int64) * _N_CLASSES
+    width_bits = (n_entries * _WIDTH_BITS + 7) // 8 * 8
+    entry_off, order, length = _entry_layout(widths, nblocks, width_bits)
+    start = np.cumsum(length) - length
+    entry_off += np.repeat(start, n_entries)
+    # Disjointness, entry by entry: in stream order each entry (its
+    # class size x width consecutive bits) ends where the next may
+    # start, and a payload's entries stay between its widths and its end.
+    begin = entry_off[order]
+    end = begin + (class_widths * _CLASS_SIZE[:, None]).T.ravel()[order]
+    head = np.cumsum(n_entries) - n_entries  # each payload's first entry
+    if (
+        (end[:-1] > begin[1:]).any()
+        or (begin[head] < start + width_bits).any()
+        or (end[head + n_entries - 1] > start + length).any()
+    ):
+        raise BitstreamError("zfp entries overlap")
+
+    words = np.zeros(int(length.sum()) // 64 + 2, dtype=np.uint64)
+    width_off = np.repeat(start - _WIDTH_BITS * head, n_entries)
+    width_off += _WIDTH_BITS * np.arange(widths.size)
+    add_uint(
+        words, widths.astype(np.uint64), width_off, np.uint8(_WIDTH_BITS)
+    )
+    # A class's j-th coefficient starts j widths past its entry (bit
+    # offsets are non-negative: uint64 views keep the arithmetic uint64).
+    class_off = entry_off.reshape(total_blocks, _N_CLASSES).T.copy()
+    class_off = class_off.view(np.uint64)
+    wide = class_widths.astype(np.uint64)
+    coeff_off = q.view(np.uint64)  # scratch again
+    for c, (first, size) in enumerate(zip(_CLASS_FIRST, CLASS_SIZES)):
+        rows = coeff_off[first : first + size]
+        np.multiply.outer(np.arange(size, dtype=np.uint64), wide[c], out=rows)
+        rows += class_off[c]
+    add_uint(words, u.ravel(), q.ravel(), wide[_COEFF_CLASS].ravel())
+
+    stream = words.astype(">u8").view(np.uint8)
+    return [
+        _CODED_HEADER.pack(_MODE_CODED, step, blocks)
+        + stream[bit0 // 8 : (bit0 + bits) // 8].tobytes()
+        for step, blocks, bit0, bits in zip(
+            steps, nblocks, start.tolist(), length.tolist()
+        )
+    ]
+
+
 def _decode_coded(payloads: Sequence[bytes]) -> list[np.ndarray]:
     """Decode every ``_MODE_CODED`` payload of a batch in one pass.
 
@@ -269,6 +374,15 @@ def _decode_coded(payloads: Sequence[bytes]) -> list[np.ndarray]:
     return out
 
 
+def _check_step(step: float, lo: float, hi: float) -> None:
+    """Refuse a step that would quantise past ``_MAX_QBITS`` bits."""
+    if max(abs(lo), abs(hi)) / step >= 2.0**_MAX_QBITS:
+        raise CompressionError(
+            "tolerance too small relative to data magnitude "
+            f"(needs > {_MAX_QBITS} bits per value)"
+        )
+
+
 class ZFPCompressor(Compressor):
     """Fixed-accuracy / fixed-rate ZFP-style codec.
 
@@ -315,6 +429,29 @@ class ZFPCompressor(Compressor):
 
     # ------------------------------------------------------------------
     def _encode_payload(self, data: np.ndarray) -> bytes:
+        done = self._payload_or_step(data)
+        if isinstance(done, bytes):
+            return done
+        return self._encode_with_step(data, *done)
+
+    def _encode_payloads(self, arrays: Sequence[np.ndarray]) -> list[bytes]:
+        """Every coded member of the batch through one
+        :func:`_encode_coded` pass; the rest as :meth:`_encode_payload`."""
+        outs: list = [self._payload_or_step(data) for data in arrays]
+        coded = [i for i, out in enumerate(outs) if isinstance(out, tuple)]
+        for i in coded:
+            _check_step(*outs[i])
+        if coded:
+            blobs = _encode_coded(
+                [arrays[i] for i in coded], [outs[i][0] for i in coded]
+            )
+            for i, blob in zip(coded, blobs):
+                outs[i] = blob
+        return outs
+
+    def _payload_or_step(self, data: np.ndarray) -> bytes | tuple:
+        """The payload, unless it is a coded one: then its
+        ``(step, lo, hi)`` for the coded kernel."""
         if data.size == 0:
             return struct.pack("<Bd", _MODE_CONSTANT, 0.0)
         if self.lossless:
@@ -335,8 +472,7 @@ class ZFPCompressor(Compressor):
         if step <= 0:
             return struct.pack("<B", _MODE_LOSSLESS) + shuffle_compress(data)
         # Quantization error is step/2; use the full budget.
-        step = 2.0 * step
-        return self._encode_with_step(data, step, lo, hi)
+        return 2.0 * step, lo, hi
 
     def _encode_fixed_rate(
         self, data: np.ndarray, lo: float, hi: float
@@ -368,58 +504,9 @@ class ZFPCompressor(Compressor):
     def _encode_with_step(
         self, data: np.ndarray, step: float, lo: float, hi: float
     ) -> bytes:
-        """The one encode kernel, the mirror of :func:`_decode_coded`:
-        every step runs once over all blocks, and one
-        :func:`scatter_uint` writes the width header and all coefficients
-        at the offsets :func:`_entry_layout` derives from the widths.
-        """
-        if max(abs(lo), abs(hi)) / step >= 2.0**_MAX_QBITS:
-            raise CompressionError(
-                "tolerance too small relative to data magnitude "
-                f"(needs > {_MAX_QBITS} bits per value)"
-            )
-
-        n = data.size
-        nblocks = (n + BLOCK - 1) // BLOCK
-        padded = np.empty(nblocks * BLOCK, dtype=np.float64)
-        padded[:n] = data
-        padded[n:] = data[-1]  # edge replication → zero detail coefficients
-
-        q = np.round(padded / step).astype(np.int64).reshape(nblocks, BLOCK)
-        u = _zigzag(_forward_transform(q))
-        widths = _bit_lengths(
-            np.maximum.reduceat(u, _CLASS_FIRST, axis=1).ravel()
-        )
-        # The stream after the fixed header: the 7-bit widths, padded to
-        # a byte, then the coefficient groups.
-        width_bits = (widths.size * _WIDTH_BITS + 7) // 8 * 8
-        entry_off, order, stream_end = _entry_layout(
-            widths, [nblocks], np.array([width_bits])
-        )
-        # scatter_uint folds values in stream order, and the layout has
-        # already sorted the entries: class c's are
-        # order[c * nblocks:][:nblocks] by ascending width, its 0-bit
-        # ones (nothing to write) first. Expanding entries to
-        # coefficients class by class spares a sort of every coefficient.
-        in_order = widths[order]
-        start = entry_off[order]
-        block = order // _N_CLASSES
-        values = [widths]
-        offsets = [_WIDTH_BITS * np.arange(widths.size)]
-        value_widths = [np.full(widths.size, _WIDTH_BITS, dtype=np.uint8)]
-        for c, (first, size) in enumerate(zip(_CLASS_FIRST, CLASS_SIZES)):
-            begin, end = c * nblocks, (c + 1) * nblocks
-            begin += int(np.searchsorted(in_order[begin:end], 1))
-            width = in_order[begin:end]
-            rank = _COEFF_RANK[first : first + size]
-            values.append(u[block[begin:end], first : first + size].ravel())
-            offsets.append((start[begin:end, None] + width[:, None] * rank).ravel())
-            value_widths.append(np.repeat(width, size))
-        stream = scatter_uint(
-            np.concatenate(values), np.concatenate(offsets),
-            np.concatenate(value_widths), int(stream_end[0]),
-        )
-        return _CODED_HEADER.pack(_MODE_CODED, step, nblocks) + stream.tobytes()
+        """One coded payload: :func:`_encode_coded` of a batch of one."""
+        _check_step(step, lo, hi)
+        return _encode_coded([data], [step])[0]
 
     # ------------------------------------------------------------------
     def _decode_payload(self, payload: bytes, count: int) -> np.ndarray:

@@ -144,16 +144,15 @@ class CampaignWriter:
             raise CanopusError("campaign already closed")
         if step in self._steps:
             raise CanopusError(f"step {step} already written")
-        # One level in flight at a time through pooled scratch.
         stats: dict = {}
         with trace.span(
             "campaign.fused_encode", "refactor",
             {"step": step, "workers": self.workers or 1},
         ):
-            walked = list(walk(
+            walked = walk(
                 self._geom_plan, data, self._codec, arena=self._arena,
                 pool=self._pool, stats=stats, what=f"step {step}: ",
-            ))
+            )
 
         clock = self.hierarchy.clock
         before = clock.elapsed

@@ -208,10 +208,10 @@ class CanopusEncoder:
                 priority=self.priority, estimator=self.estimator,
             )
             plan_seconds = time.perf_counter() - t0
-            walked = list(walk(
+            walked = walk(
                 plan, data, codec, chunks=self.chunks, arena=self._arena,
                 pool=self._pool, stats=stats,
-            ))
+            )
         report.decimation_seconds = plan_seconds + stats["replay_seconds"]
         report.delta_seconds = stats["delta_seconds"]
         report.compress_seconds = stats["compress_seconds"]

@@ -124,7 +124,7 @@ class QueryPlanner:
         self.handle = handle
         self.dataset = handle.dataset
         self.decoder = handle.decoder
-        self.resolutions = LRU(_RESOLUTIONS)  # memo key -> target level
+        self.resolutions = LRU(_RESOLUTIONS)  # tolerance key -> target level
 
     # ------------------------------------------------------------------
     def plan_restore(
@@ -142,8 +142,8 @@ class QueryPlanner:
         :meth:`Session.restore`; neither means full accuracy). The
         returned plan lists every product with a fetch/skip decision;
         ``plan.complete`` is False when summaries were missing and the
-        tolerance target could not be certified. A complete plan's
-        target level is memoised on the way out (:meth:`resolved`).
+        tolerance target could not be certified. A complete tolerance
+        plan's target level is memoised on the way out (:meth:`resolved`).
         """
         check_selection(level, tolerance, min_significance)
         window = normalize_region(region)
@@ -158,32 +158,37 @@ class QueryPlanner:
                 chain, tolerance, level, window, min_significance
             )
         _bump("query.plan.calls")
-        if plan.complete:  # an uncertified target is measured, not replayed
-            key = self._memo_key(chain, tolerance, level, window, min_significance)
+        # A level is its own target: only a tolerance's is worth keeping,
+        # and an uncertified one is measured, not replayed.
+        if tolerance is not None and plan.complete:
+            key = self._memo_key(chain, tolerance, window, min_significance)
             self.resolutions.put(key, plan.target_level)
         return plan
 
-    def resolved(self, var: str, **selection) -> int | None:
+    def resolved(
+        self, var: str, *, tolerance: float, region=None,
+        min_significance: float = 0.0,
+    ) -> int | None:
         """The target level :meth:`plan_restore` memoised for the same
-        selection (its keywords), or ``None``.
+        tolerance selection, or ``None``.
 
         Never plans, so it is cheap enough for the service's event loop.
         Each call counts one memo hit or miss."""
-        return self.resolutions.get(
-            self._memo_key(self.decoder.chain(var), **selection)
-        )
+        return self.resolutions.get(self._memo_key(
+            self.decoder.chain(var), tolerance, region, min_significance
+        ))
 
     def _memo_key(
-        self, chain, tolerance=None, level=None, region=None,
-        min_significance=0.0,
+        self, chain, tolerance, region=None, min_significance=0.0
     ) -> tuple:
-        """``(chain, mode, target, min_significance, signature)``."""
-        reach = 0 if level is None else int(level)  # deepest level surveyed
-        mode = ("level", reach) if tolerance is None else ("tolerance", tolerance)
+        """``(chain, "tolerance", tolerance, min_significance, signature)``."""
         signature = chain.filter_signature(
-            self.dataset.catalog, reach, normalize_region(region), min_significance
+            self.dataset.catalog, 0, normalize_region(region), min_significance
         )
-        return (chain.name, *mode, float(min_significance), signature)
+        return (
+            chain.name, "tolerance", tolerance, float(min_significance),
+            signature,
+        )
 
     def _plan(
         self, chain: Chain, tolerance, level, window, min_significance

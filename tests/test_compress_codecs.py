@@ -16,16 +16,18 @@ from repro.compress import (
     decode_auto_many,
     get_codec,
 )
+from repro.compress import zfp as zfp_module
 from repro.compress.lossless import shuffle_decompress
 from repro.compress.zfp import (
     CLASS_SIZES,
     ZFPCompressor,
     _bit_lengths,
+    _encode_coded,
     _forward_transform,
     _inverse_transform,
     _zigzag,
 )
-from repro.errors import CompressionError, UnknownCodecError
+from repro.errors import BitstreamError, CompressionError, UnknownCodecError
 
 
 def signals():
@@ -584,6 +586,113 @@ class TestEncodeKernel:
         got = _bit_lengths(values)
         assert got.dtype == np.uint8
         assert got.tolist() == [int(v).bit_length() for v in values]
+
+
+#: Codec settings a batch shares: lossless, absolute and relative
+#: coded, fixed-rate, and a step of 1.0 for the widest coefficients.
+_BATCH_PARAMS = [
+    {"tolerance": 0.0},
+    {"tolerance": 1e-3},
+    {"tolerance": 1e-6, "mode": "relative"},
+    {"rate": 8.0},
+    {"tolerance": 0.5},
+]
+
+
+def _batch_member(kind: str, n: int, seed: int) -> np.ndarray:
+    if kind == "constant":
+        return np.full(n, 0.75 * seed)
+    if kind == "wide":  # |q| up to 2**57 at step 1.0: ~60-bit details
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-1, 1, n) * 2.0**57
+    return _encode_input(kind, n, seed)
+
+
+class TestEncodeMany:
+    """``encode_many`` against ``encode`` of each member, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        params=st.sampled_from(_BATCH_PARAMS),
+        members=st.lists(
+            st.tuples(
+                st.sampled_from(["constant", "smooth", "noise", "wide"]),
+                st.sampled_from([0, 1, 15, 16, 17, 33, 400, 3_000]),
+                st.integers(0, 2**16),
+            ),
+            max_size=7,
+        ),
+    )
+    def test_batch_equals_encode_of_each_and_the_reference(
+        self, params, members
+    ):
+        batch = [_batch_member(*member) for member in members]
+        codec = get_codec("zfp", **params)
+        try:
+            expected = [_ReferenceZFP(**params).encode(a) for a in batch]
+        except CompressionError:
+            # A member needs more than 58 bits per value: both refuse.
+            with pytest.raises(CompressionError):
+                codec.encode_many(batch)
+            return
+        assert [codec.encode(a) for a in batch] == expected
+        assert codec.encode_many(batch) == expected
+
+    def test_widest_coefficients_in_a_batch(self):
+        # The 64-bit coefficient of TestEncodeKernel.test_widest_coefficients
+        # (past the public bound, so straight to the kernel) beside narrow
+        # payloads at other steps.
+        wide = np.zeros(48)
+        wide[0], wide[1] = 2.0**62 - 2.0**10, -(2.0**62)
+        wide[16:32] = np.arange(16.0)
+        smooth, noise = _encode_input("smooth", 2_583), _encode_input("noise", 17)
+        batch, steps = [smooth, wide, noise], [1e-4, 1.0, 1e-3]
+        reference = _ReferenceZFP()
+        assert _encode_coded(batch, steps) == [
+            reference._encode_with_step(a, step, 0.0, 0.0)
+            for a, step in zip(batch, steps)
+        ]
+
+    def test_one_call_of_the_kernel_per_batch(self, monkeypatch):
+        calls = []
+        kernel = zfp_module._encode_coded
+
+        def counted(arrays, steps):
+            calls.append(len(arrays))
+            return kernel(arrays, steps)
+
+        monkeypatch.setattr(zfp_module, "_encode_coded", counted)
+        batch = [_encode_input("smooth", n) for n in (17, 0, 400, 33)]
+        batch.append(np.full(30, 2.0))
+        get_codec("zfp", tolerance=1e-5).encode_many(batch)
+        assert calls == [3]  # the empty and constant members need none
+
+    def test_non_finite_member_refused(self):
+        bad = _encode_input("smooth", 100)
+        bad[40] = np.inf
+        batch = [_encode_input("noise", 50), bad, _encode_input("smooth", 30)]
+        for params in _BATCH_PARAMS:
+            with pytest.raises(CompressionError, match="non-finite"):
+                get_codec("zfp", **params).encode_many(batch)
+
+    def test_overlapping_entries_refused(self, monkeypatch):
+        layout = zfp_module._entry_layout
+
+        def overlapping(widths, nblocks, body_bit0):
+            entry_off, order, end = layout(widths, nblocks, body_bit0)
+            # Move the second non-empty entry (stream order) onto the
+            # first: their bits would share a field.
+            first, second = [e for e in order if widths[e]][:2]
+            entry_off[second] = entry_off[first]
+            return entry_off, order, end
+
+        monkeypatch.setattr(zfp_module, "_entry_layout", overlapping)
+        batch = [_encode_input("noise", 200), _encode_input("smooth", 500)]
+        codec = get_codec("zfp", tolerance=1e-4)
+        with pytest.raises(BitstreamError):
+            codec.encode_many(batch)
+        with pytest.raises(BitstreamError):
+            codec.encode(batch[1])
 
 
 def _payload_crcs(root, name):

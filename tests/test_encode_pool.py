@@ -177,11 +177,36 @@ class TestEncodePool:
                 obs_context.deactivate(token)
         (step,) = [s for s in tracer.spans if s.name == "campaign.fused_encode"]
         encodes = [s for s in tracer.spans if s.name == "codec.zfp.encode"]
-        assert len(encodes) == 3
+        # One span per encode batch, not per level: the walk's three
+        # levels hold fewer than ENCODE_BATCH_VALUES values, so one batch.
+        assert [span.args["blobs"] for span in encodes] == [3]
         for span in encodes:
             assert span.thread.startswith("repro-encode")
             assert span.trace_id == ctx.trace_id
             assert span.parent_id == step.span_id
+
+    @pytest.mark.parametrize("workers", EXECUTORS)
+    def test_encode_counters_total_the_walked_values_and_payloads(
+        self, ds, fields, tmp_path, workers
+    ):
+        hier = _hier(tmp_path, f"n{workers}")
+        with trace_session(hier) as tracer:
+            with self._campaign(hier, ds, workers) as writer:
+                for step in range(3):
+                    writer.write_step(step, fields[step])
+        snap = tracer.metrics.snapshot()
+        records = [
+            r for r in BPDataset.open("run", hier).catalog.records.values()
+            if r.kind in ("base", "delta")
+        ]
+        per_step = sum(mesh.num_vertices for mesh in writer.meshes)
+        assert sum(r.count for r in records) == 3 * per_step
+        assert snap["codec.bytes_in{codec=zfp,op=encode}"] == 3 * per_step * 8
+        assert snap["codec.bytes_out{codec=zfp,op=encode}"] == sum(
+            r.length for r in records
+        )
+        encodes = [s for s in tracer.spans if s.name == "codec.zfp.encode"]
+        assert sum(span.args["blobs"] for span in encodes) == len(records)
 
     def test_codec_error_on_a_pool_thread_surfaces_and_spares_the_arena(
         self, ds, fields, tmp_path

@@ -358,12 +358,19 @@ class TestResolutionMemo:
             {"tolerance": 1e-2, "region": box},
             {"tolerance": 1e-3, "region": box, "min_significance": 1e-3},
             {"tolerance": 1e-3, "region": other},
-            {"level": 0, "region": box},
         ]
         for selection in selections * 2:
             if planner.resolved("dpot", **selection) is None:
                 planner.plan_restore("dpot", **selection)
         assert len(calls) == len(planner.resolutions) == len(selections)
+
+    def test_a_level_plan_is_not_memoised(self, counted_plans, handle):
+        # A level is its own target: nothing reads a memoised one.
+        planner, calls = counted_plans
+        for level in (0, 1, 2):
+            assert handle.plan("dpot", level=level).complete
+        assert len(calls) == 3
+        assert len(planner.resolutions) == 0
 
     def test_memo_is_bounded_and_counts_evictions(self, counted_plans):
         planner, calls = counted_plans

@@ -52,9 +52,7 @@ class Compressor(ABC):
     # -- envelope -------------------------------------------------------
     def encode(self, data: np.ndarray) -> bytes:
         """Compress a 1-D float array into a self-describing payload."""
-        return self._encode_traced(
-            [data], lambda arrays: [self._encode_payload(arrays[0])]
-        )[0]
+        return self.encode_many([data])[0]
 
     def encode_many(self, arrays: Sequence[np.ndarray]) -> list[bytes]:
         """Compress several arrays in one pass.
@@ -62,25 +60,20 @@ class Compressor(ABC):
         Equals ``[encode(a) for a in arrays]`` byte for byte; codecs
         whose payloads share a layout (zfp) override
         :meth:`_encode_payloads` to run one kernel over the whole batch.
+        One ``codec.<name>.encode`` span per call.
         """
-        return self._encode_traced(arrays, self._encode_payloads)
-
-    def _encode_traced(self, arrays, encode_payloads) -> list[bytes]:
-        """Check and flatten ``arrays``, ``encode_payloads`` them, and
-        wrap each payload in its envelope: one ``codec.<name>.encode``
-        span per call."""
-        tracer = trace.get_tracer()
         arrays = [
             np.ascontiguousarray(data, dtype=np.float64).ravel()
             for data in arrays
         ]
+        tracer = trace.get_tracer()
         if tracer is None:
-            return self._encode_all(arrays, encode_payloads)
+            return self._encode_many(arrays)
         with tracer.span(
             f"codec.{self.name}.encode", "compress",
             {"codec": self.name, "blobs": len(arrays)},
         ) as sp:
-            blobs = self._encode_all(arrays, encode_payloads)
+            blobs = self._encode_many(arrays)
             in_bytes = sum(data.nbytes for data in arrays)
             out_bytes = sum(len(blob) for blob in blobs)
             sp.note(in_bytes=in_bytes, out_bytes=out_bytes)
@@ -88,7 +81,7 @@ class Compressor(ABC):
             trace.count("codec.bytes_out", out_bytes, codec=self.name, op="encode")
             return blobs
 
-    def _encode_all(self, arrays, encode_payloads) -> list[bytes]:
+    def _encode_many(self, arrays: list[np.ndarray]) -> list[bytes]:
         for data in arrays:
             if data.size and not np.isfinite(data).all():
                 raise CompressionError(
@@ -98,7 +91,7 @@ class Compressor(ABC):
         return [
             _MAGIC + struct.pack("<BQ", len(name_b), data.size) + name_b
             + payload
-            for data, payload in zip(arrays, encode_payloads(arrays))
+            for data, payload in zip(arrays, self._encode_payloads(arrays))
         ]
 
     def decode(self, blob: bytes) -> np.ndarray:

@@ -429,19 +429,22 @@ class ZFPCompressor(Compressor):
 
     # ------------------------------------------------------------------
     def _encode_payload(self, data: np.ndarray) -> bytes:
-        done = self._payload_or_step(data)
-        if isinstance(done, bytes):
-            return done
-        return self._encode_with_step(data, *done)
+        return self._encode_payloads([data])[0]
 
     def _encode_payloads(self, arrays: Sequence[np.ndarray]) -> list[bytes]:
         """Every coded member of the batch through one
-        :func:`_encode_coded` pass; the rest as :meth:`_encode_payload`."""
+        :func:`_encode_coded` pass; a lone one through
+        :meth:`_encode_with_step`, the seam every single coded payload
+        takes (``encode`` and the fixed-rate probes), which a subclass
+        may override."""
         outs: list = [self._payload_or_step(data) for data in arrays]
         coded = [i for i, out in enumerate(outs) if isinstance(out, tuple)]
-        for i in coded:
-            _check_step(*outs[i])
-        if coded:
+        if len(coded) == 1:
+            (i,) = coded
+            outs[i] = self._encode_with_step(arrays[i], *outs[i])
+        elif coded:
+            for i in coded:
+                _check_step(*outs[i])
             blobs = _encode_coded(
                 [arrays[i] for i in coded], [outs[i][0] for i in coded]
             )

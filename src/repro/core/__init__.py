@@ -32,12 +32,7 @@ from repro.core.notation import (
     mesh_key,
 )
 from repro.core.plan import TierPreference, plan_placement
-from repro.core.refactor import (
-    BufferArena,
-    RefactorResult,
-    refactor,
-    walk,
-)
+from repro.core.refactor import RefactorResult, refactor, walk
 
 __all__ = [
     "LevelScheme",
@@ -77,5 +72,4 @@ __all__ = [
     "block_restore",
     "encode_partitioned",
     "PartitionedReport",
-    "BufferArena",
 ]

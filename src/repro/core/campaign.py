@@ -32,7 +32,7 @@ from repro.core.decimation_plan import plan_for
 from repro.core.layout import ProductWriter, declare_variable
 from repro.core.mapping import LevelMapping
 from repro.core.notation import GEOM_VAR, LevelScheme, step_chain
-from repro.core.refactor import BufferArena, encode_pool, walk
+from repro.core.refactor import encode_pool, walk
 from repro.errors import CanopusError
 from repro.io.dataset import DEFAULT_PLACEMENT, BPDataset
 from repro.mesh.edge_collapse import DEFAULT_METHOD, KERNELS
@@ -72,8 +72,8 @@ class CampaignWriter:
     — so a second campaign over the same mesh skips decimation
     entirely, and every ``write_step`` coarsens its field by replaying
     the recorded collapse sequence (bit-identical to re-running it).
-    With ``workers > 1``, each level's codec encode runs on this
-    writer's thread pool while the step goes on to the next level.
+    With ``workers > 1``, each step's encode batches run on this
+    writer's thread pool while the step takes the payload summaries.
     Data-dependent priorities decimate from geometry alone (there is no
     field yet at campaign-setup time). ``placement="cost"`` defers product
     placement to close time, where the cost-based
@@ -112,9 +112,6 @@ class CampaignWriter:
         self.workers = workers
         self._steps: list[int] = []
         self._closed = False
-        # Scratch pool: after the first step every replay/delta buffer
-        # is a pool hit.
-        self._arena = BufferArena()
         self._pool = encode_pool(workers)
 
         # --- one-time geometry refactoring (plan-cached) ----------------
@@ -150,17 +147,13 @@ class CampaignWriter:
             {"step": step, "workers": self.workers or 1},
         ):
             walked = walk(
-                self._geom_plan, data, self._codec, arena=self._arena,
-                pool=self._pool, stats=stats, what=f"step {step}: ",
+                self._geom_plan, data, self._codec, pool=self._pool,
+                stats=stats, what=f"step {step}: ",
             )
 
         clock = self.hierarchy.clock
         before = clock.elapsed
-        try:
-            records = self._writer.chain(step_chain(self.var, step), walked)
-        finally:
-            for level in walked[:-1]:
-                self._arena.give(level.values)
+        records = self._writer.chain(step_chain(self.var, step), walked)
         io_seconds = clock.elapsed - before  # buffered; realized at close
 
         self._steps.append(step)

@@ -190,31 +190,17 @@ class DecimationPlan:
             ]
         return self._memo[chunks]
 
-    def coarsen_level(self, lvl: int, fine: np.ndarray, arena=None) -> np.ndarray:
-        """``L^{lvl+1}`` from ``L^lvl``: one vectorized lineage replay.
-
-        Bit-identical to running the recorded collapse sequence on
-        ``fine``. ``arena`` may supply a buffer pool (``take(shape)`` /
-        ``give(buf)``, e.g. :class:`~repro.core.refactor.BufferArena`)
-        for the replay's extended-id scratch; the returned level is
-        always a fresh array.
-        """
-        lineage = self.lineages[lvl]
-        scratch = None
-        if arena is not None:
-            scratch = arena.take(
-                fine.shape[:-1] + (lineage.n_fine + lineage.num_merges,)
-            )
-        coarse = lineage.replay(fine, scratch=scratch)
-        if arena is not None:
-            arena.give(scratch)
-        return coarse
+    def coarsen_level(self, lvl: int, fine: np.ndarray) -> np.ndarray:
+        """``L^{lvl+1}`` from ``L^lvl``: one vectorized lineage replay,
+        bit-identical to running the recorded collapse sequence on
+        ``fine``."""
+        return self.lineages[lvl].replay(fine)
 
     def delta_level(
-        self, lvl: int, fine: np.ndarray, coarse: np.ndarray, out=None
+        self, lvl: int, fine: np.ndarray, coarse: np.ndarray
     ) -> np.ndarray:
-        """``delta^{lvl-(lvl+1)}`` (Algorithm 2), into ``out`` when given."""
-        return compute_delta(fine, coarse, self.mappings[lvl], out=out)
+        """``delta^{lvl-(lvl+1)}`` (Algorithm 2)."""
+        return compute_delta(fine, coarse, self.mappings[lvl])
 
     def coarsen(self, data: np.ndarray) -> list[np.ndarray]:
         """All level fields ``[L^0 .. L^{N−1}]`` for a new fine field.

@@ -27,15 +27,10 @@ def compute_delta(
     fine_field: np.ndarray,
     coarse_field: np.ndarray,
     mapping: LevelMapping,
-    *,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``delta = L^l − Estimate(L^{l+1})`` (Algorithm 2, vectorized).
 
     Fields may be ``(n,)`` or ``(planes, n)``; the plane axis broadcasts.
-    ``out`` may supply a preallocated result buffer of the fine field's
-    shape (the fused encode kernels pass pooled scratch); the values are
-    bit-identical either way — same IEEE-754 subtraction, same operands.
     """
     fine_field = np.asarray(fine_field, dtype=np.float64)
     coarse_field = np.asarray(coarse_field, dtype=np.float64)
@@ -46,16 +41,7 @@ def compute_delta(
         )
     if mapping.tri_vertices.max(initial=-1) >= coarse_field.shape[-1]:
         raise RefactoringError("mapping references vertices beyond coarse field")
-    estimate = mapping.estimate(coarse_field)
-    if out is None:
-        return fine_field - estimate
-    if out.shape != fine_field.shape or out.dtype != np.float64:
-        raise RefactoringError(
-            f"out buffer {out.shape}/{out.dtype} does not match fine field "
-            f"{fine_field.shape}/float64"
-        )
-    np.subtract(fine_field, estimate, out=out)
-    return out
+    return fine_field - mapping.estimate(coarse_field)
 
 
 def apply_delta(

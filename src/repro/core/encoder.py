@@ -4,8 +4,8 @@ The encoder drives one variable through the full pipeline:
 
 1. :func:`~repro.core.refactor.walk` over the mesh's
    :class:`~repro.core.decimation_plan.DecimationPlan` produces the
-   base and the deltas, each compressed with the configured
-   floating-point codec as soon as it exists;
+   base and the deltas, then compresses all of them with the
+   configured floating-point codec in a few ``encode_many`` batches;
 2. mappings and mesh geometry are stored losslessly (deflate);
 3. :meth:`~repro.core.layout.ProductWriter.chain` writes every level,
    its mesh and mapping next to it, through an ADIOS-like
@@ -33,7 +33,6 @@ from repro.core.decimation_plan import (
 from repro.core.layout import ProductWriter, declare_variable
 from repro.core.notation import LevelScheme
 from repro.core.refactor import (
-    BufferArena,
     RefactorResult,
     absolute_codec_params,
     encode_pool,
@@ -94,9 +93,9 @@ class CanopusEncoder:
         Decimation kernel: ``"batched"`` (round-based vectorized
         kernel, default) or ``"serial"`` (Algorithm 1's heap loop).
     workers:
-        With ``workers > 1``, each level's codec encodes run on this
-        encoder's thread pool while the refactoring goes on to the next
-        level (NumPy and the codecs release the GIL in their hot loops).
+        With ``workers > 1``, the walk's encode batches run on this
+        encoder's thread pool while the walk takes the payload summaries
+        (NumPy and the codecs release the GIL in their hot loops).
     chunks:
         Number of spatial chunks per delta (1 = monolithic).
     total_error_budget:
@@ -149,10 +148,6 @@ class CanopusEncoder:
         self.total_error_budget = total_error_budget
         self.transports = transports
         self.placement = placement
-        # Replay-scratch pool shared across this encoder's encode()
-        # calls: steady-state multi-variable / multi-step encodes reuse
-        # the extended-id work buffers instead of reallocating per field.
-        self._arena = BufferArena()
         self._pool = encode_pool(workers)
         # Fail fast on bad codec configuration.
         get_codec(codec, **self.codec_params)
@@ -209,8 +204,8 @@ class CanopusEncoder:
             )
             plan_seconds = time.perf_counter() - t0
             walked = walk(
-                plan, data, codec, chunks=self.chunks, arena=self._arena,
-                pool=self._pool, stats=stats,
+                plan, data, codec, chunks=self.chunks, pool=self._pool,
+                stats=stats,
             )
         report.decimation_seconds = plan_seconds + stats["replay_seconds"]
         report.delta_seconds = stats["delta_seconds"]

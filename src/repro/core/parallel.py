@@ -100,9 +100,8 @@ def encode_partitioned(
             estimator=estimator,
         )
         plan.geometry_blobs()  # deflated once per plan: here, off the writer
-        # No arena (patch shapes all differ) and no pool: this body may
-        # itself be running on the pool. Only payloads and summaries wait
-        # for the write, no level arrays.
+        # No pool: this body may itself be running on the pool. Only
+        # payloads and summaries wait for the write, no level arrays.
         began = time.perf_counter()
         walked = [
             level.without_arrays()

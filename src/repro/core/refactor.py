@@ -43,7 +43,6 @@ from repro.mesh.triangle_mesh import TriangleMesh
 from repro.obs import context as obs_context
 
 __all__ = [
-    "BufferArena",
     "RefactorResult",
     "WalkedLevel",
     "absolute_codec_params",
@@ -51,44 +50,6 @@ __all__ = [
     "refactor",
     "walk",
 ]
-
-
-class BufferArena:
-    """Pool of reusable float64 scratch buffers keyed by shape.
-
-    The walk's per-level working set (replay extended-id buffer, delta
-    output) has a fixed set of shapes per plan, so after the first field
-    every allocation is a pool hit — allocation churn on the
-    steady-state encode path drops to the codec's internals.
-    """
-
-    def __init__(self) -> None:
-        self._free: dict[tuple, list[np.ndarray]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.bytes_reused = 0
-
-    def take(self, shape: tuple) -> np.ndarray:
-        stack = self._free.get(shape)
-        if stack:
-            self.hits += 1
-            buf = stack.pop()
-            self.bytes_reused += buf.nbytes
-            return buf
-        self.misses += 1
-        return np.empty(shape, dtype=np.float64)
-
-    def give(self, buf: np.ndarray) -> None:
-        self._free.setdefault(buf.shape, []).append(buf)
-
-    @property
-    def pooled_bytes(self) -> int:
-        return sum(
-            b.nbytes for stack in self._free.values() for b in stack
-        )
-
-    def clear(self) -> None:
-        self._free.clear()
 
 
 def encode_pool(workers: int | None) -> ThreadPoolExecutor | None:
@@ -116,8 +77,8 @@ class WalkedLevel(NamedTuple):
     #: ``L^level``.
     field: np.ndarray
     #: What is stored for the level: ``delta^{level-(level+1)}``, or the
-    #: field itself at the base level. The consumer owns a delta: it
-    #: keeps it, or gives it back to the walk's arena when done.
+    #: field itself at the base level. Each delta is a fresh array the
+    #: consumer owns.
     values: np.ndarray
     #: ``values`` cut into payload arrays (one, unless chunked).
     pieces: list[np.ndarray]
@@ -172,7 +133,6 @@ def walk(
     codec=None,
     *,
     chunks: int = 1,
-    arena: BufferArena | None = None,
     pool: ThreadPoolExecutor | None = None,
     stats: dict | None = None,
     what: str = "",
@@ -180,16 +140,15 @@ def walk(
     """Algorithm 2 over ``plan`` for one field, every level finest first.
 
     Per delta level: replay the collapse lineage to the next level,
-    compute the delta (into a pooled buffer when ``arena`` is given)
-    and cut it into ``plan.chunk_layout(chunks)`` pieces; then the
-    base. Every level's pieces then go through ``codec.encode_many`` in
-    order, in batches of at most :data:`ENCODE_BATCH_VALUES` values (a
-    larger piece is a batch of its own), so a small walk is one codec
-    pass. With ``pool`` the batches run there concurrently (in the
-    caller's trace context) while the walk takes the summaries.
+    compute the delta and cut it into ``plan.chunk_layout(chunks)``
+    pieces; then the base. Every level's pieces then go through
+    ``codec.encode_many`` in order, in batches of at most
+    :data:`ENCODE_BATCH_VALUES` values (a larger piece is a batch of
+    its own), so a small walk is one codec pass. With ``pool`` the
+    batches run there concurrently (in the caller's trace context)
+    while the walk takes the summaries.
     Payloads are the same bytes either way: ``encode_many`` equals
-    ``encode`` of each piece, and pooled buffers or not, the deltas are
-    the same IEEE-754 expressions on the same operands.
+    ``encode`` of each piece.
 
     ``data`` is validated here, once (``what`` names it in the error);
     ``stats`` accumulates ``replay/delta/compress/summary_seconds``.
@@ -198,7 +157,7 @@ def walk(
     stats = {} if stats is None else stats
     for stage in ("replay", "delta", "compress", "summary"):
         stats.setdefault(f"{stage}_seconds", 0.0)
-    levels = list(_levels(plan, fine, chunks, arena, stats))
+    levels = list(_levels(plan, fine, chunks, stats))
     if codec is None:
         return levels
     pieces = [p.ravel() for level in levels for p in level.pieces]
@@ -215,7 +174,8 @@ def walk(
     summaries = [ChunkStats.of(p).as_dict() for p in pieces]
     t2 = time.perf_counter()
     if pool is not None:
-        # Every batch settles before a buffer can leave the walk.
+        # Every batch settles before any result is read, so when one
+        # fails the walk raises with no other encode left on the pool.
         wait(futures)
         blobs = [future.result() for future in futures]
     stats["compress_seconds"] += (t1 - t0) + (time.perf_counter() - t2)
@@ -231,19 +191,16 @@ def walk(
     ]
 
 
-def _levels(plan, fine, chunks, arena, stats):
+def _levels(plan, fine, chunks, stats):
     layout = plan.chunk_layout(chunks) if chunks > 1 else None
     base_level = plan.scheme.base_level
     for lvl in plan.scheme.levels():
         t0 = t1 = t2 = time.perf_counter()
         coarse, values, pieces = None, fine, [fine]
         if lvl != base_level:
-            coarse = plan.coarsen_level(lvl, fine, arena)
+            coarse = plan.coarsen_level(lvl, fine)
             t1 = time.perf_counter()
-            values = plan.delta_level(
-                lvl, fine, coarse,
-                out=None if arena is None else arena.take(fine.shape),
-            )
+            values = plan.delta_level(lvl, fine, coarse)
             t2 = time.perf_counter()
             pieces = (
                 [values] if layout is None

@@ -150,19 +150,13 @@ class CollapseLineage:
         )
 
     # ------------------------------------------------------------------
-    def replay(
-        self, field: np.ndarray, *, scratch: np.ndarray | None = None
-    ) -> np.ndarray:
+    def replay(self, field: np.ndarray) -> np.ndarray:
         """Coarsen ``field`` by replaying the collapse sequence.
 
         ``field`` is ``(n_fine,)`` or ``(planes, n_fine)``; the plane
         axis broadcasts. The result is aligned with the coarse mesh's
         vertex order and bit-identical to what the recording decimation
-        pass produced for the same input values. ``scratch`` may supply
-        the extended-id working buffer (shape ``(..., n_fine + merges)``)
-        so streaming encoders can replay many fields without per-call
-        allocation; the output array itself is always fresh (it becomes
-        the next level's input).
+        pass produced for the same input values.
         """
         field = np.asarray(field, dtype=np.float64)
         if field.shape[-1] != self.n_fine:
@@ -170,17 +164,10 @@ class CollapseLineage:
                 f"field has {field.shape[-1]} values; lineage expects "
                 f"{self.n_fine}"
             )
-        total = self.n_fine + self.num_merges
-        want = field.shape[:-1] + (total,)
-        if scratch is not None and (
-            scratch.shape != want or scratch.dtype != np.float64
-        ):
-            raise DecimationError(
-                f"scratch buffer {scratch.shape}/{scratch.dtype} does not "
-                f"match replay working set {want}/float64"
-            )
-        vals = scratch if scratch is not None else np.empty(
-            want, dtype=np.float64
+        # Extended ids: the fine vertices, then one slot per merge.
+        vals = np.empty(
+            field.shape[:-1] + (self.n_fine + self.num_merges,),
+            dtype=np.float64,
         )
         vals[..., : self.n_fine] = field
         midpoint = self.placement == "midpoint"

@@ -27,8 +27,8 @@ one prefetch batch (:meth:`CampaignHandle.restore_chains`), and
 :meth:`CampaignHandle.gather` reassembles a partitioned variable.
 
 A :class:`Session` owns retrieval configuration (range cache budget,
-checksum policy, restored-cache use, prefetch pipelining) and caches
-one :class:`CampaignHandle` per dataset name. Each handle wraps an open
+checksum policy, restored-cache use) and caches one
+:class:`CampaignHandle` per dataset name. Each handle wraps an open
 :class:`~repro.io.dataset.BPDataset` plus a
 :class:`~repro.core.decoder.CanopusDecoder`, and restores every chain
 as the session is configured (:meth:`CampaignHandle.restore_chain`):

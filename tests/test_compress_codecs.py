@@ -694,6 +694,25 @@ class TestEncodeMany:
         with pytest.raises(BitstreamError):
             codec.encode(batch[1])
 
+    def test_coefficient_wider_than_its_class_width_refused(
+        self, monkeypatch
+    ):
+        # A class width one bit short of its largest coefficient: the
+        # fit check, not add_uint (which checks nothing), must refuse.
+        bit_lengths = zfp_module._bit_lengths
+
+        def undercounted(values):
+            bits = bit_lengths(values)
+            return bits - (bits > 0).view(np.uint8)
+
+        monkeypatch.setattr(zfp_module, "_bit_lengths", undercounted)
+        batch = [_encode_input("noise", 200), _encode_input("smooth", 500)]
+        codec = get_codec("zfp", tolerance=1e-4)
+        with pytest.raises(BitstreamError, match="does not fit"):
+            codec.encode_many(batch)
+        with pytest.raises(BitstreamError, match="does not fit"):
+            codec.encode(batch[1])
+
 
 def _payload_crcs(root, name):
     from repro.api import BPDataset, two_tier_titan

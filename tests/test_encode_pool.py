@@ -1,10 +1,10 @@
 """Tests for the write side's one executor: ``workers`` threads.
 
 Covers the walk → ``ProductWriter`` path's bit-identity against the
-staged path on every executor, the scratch arena, the one pool per
-writer (:func:`~repro.core.refactor.encode_pool`) and what must not
-depend on it: error text, the resolved tolerance and the exact gather
-of a partitioned encode.
+staged path on every executor, the one pool per writer
+(:func:`~repro.core.refactor.encode_pool`) and what must not depend on
+it: error text, the resolved tolerance and the exact gather of a
+partitioned encode.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ import pytest
 
 from repro.compress import get_codec
 from repro.core import (
-    BufferArena,
     CampaignWriter,
     CanopusEncoder,
     LevelScheme,
@@ -56,44 +55,17 @@ def _hier(tmp_path, tag):
     )
 
 
-class TestBufferArena:
-    def test_reuse_by_shape(self):
-        arena = BufferArena()
-        a = arena.take((100,))
-        arena.give(a)
-        b = arena.take((100,))
-        assert b is a
-        assert arena.hits == 1 and arena.misses == 1
-        assert arena.bytes_reused == a.nbytes
-
-    def test_distinct_shapes_miss(self):
-        arena = BufferArena()
-        arena.give(arena.take((10,)))
-        arena.take((20,))
-        assert arena.misses == 2
-        assert arena.pooled_bytes == 80
-
-    def test_clear(self):
-        arena = BufferArena()
-        arena.give(arena.take((10,)))
-        arena.clear()
-        assert arena.pooled_bytes == 0
-
-
-def _write_chain(hier, plan, data, codec, *, arena=None, workers=None):
+def _write_chain(hier, plan, data, codec, *, workers=None):
     """One chain the way every writer puts it: walk, then
-    :meth:`ProductWriter.chain`, delta buffers back to the arena."""
+    :meth:`ProductWriter.chain`."""
     ds = BPDataset.create("chain", hier)
     declare_variable(ds, "dpot", plan.scheme, "zfp")
     pool = encode_pool(workers)
     stats: dict = {}
-    walked = list(walk(plan, data, codec, arena=arena, pool=pool, stats=stats))
+    walked = list(walk(plan, data, codec, pool=pool, stats=stats))
     if pool is not None:
         pool.shutdown()
     ProductWriter(ds, "dpot").chain("dpot", walked)
-    if arena is not None:
-        for level in walked[:-1]:
-            arena.give(level.values)
     ds.close()
     return BPDataset.open("chain", hier), stats
 
@@ -117,17 +89,6 @@ class TestWalkToProductWriter:
             )
         assert stats["replay_seconds"] > 0
         assert stats["compress_seconds"] > 0
-
-    def test_arena_warm_after_first_step(self, ds, fields, tmp_path):
-        scheme = LevelScheme(3)
-        plan = build_plan(ds.mesh, scheme)
-        codec = get_codec("zfp", tolerance=TOL)
-        arena = BufferArena()
-        _write_chain(_hier(tmp_path, "a0"), plan, fields[0], codec, arena=arena)
-        misses_after_first = arena.misses
-        _write_chain(_hier(tmp_path, "a1"), plan, fields[1], codec, arena=arena)
-        assert arena.misses == misses_after_first  # all buffers pooled
-        assert arena.hits > 0
 
 
 class TestEncodePool:
@@ -208,7 +169,7 @@ class TestEncodePool:
         encodes = [s for s in tracer.spans if s.name == "codec.zfp.encode"]
         assert sum(span.args["blobs"] for span in encodes) == len(records)
 
-    def test_codec_error_on_a_pool_thread_surfaces_and_spares_the_arena(
+    def test_codec_error_on_a_pool_thread_surfaces_and_the_writer_goes_on(
         self, ds, fields, tmp_path
     ):
         from repro.errors import CompressionError
@@ -219,9 +180,7 @@ class TestEncodePool:
             pooled.write_step(0, fields[0])
             with pytest.raises(CompressionError, match="non-finite"):
                 pooled.write_step(1, poisoned)
-            hits = pooled._arena.hits
             pooled.write_step(2, fields[2])
-            assert pooled._arena.hits > hits
         with self._campaign(_hier(tmp_path, "i"), ds, None) as inline:
             inline.write_step(0, fields[0])
             inline.write_step(2, fields[2])

@@ -171,3 +171,128 @@ class TestReader:
         assert blob.size == 4
         assert list(gather_uint(blob, offsets[:2], widths[:2])) == [3, 100]
         assert list(gather_uint(blob, offsets[2:], 5)) == [1, 2, 3]
+
+
+class TestAddUintCases:
+    """add_uint's edge cases and the ways zfp calls it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        width=st.integers(0, 64),
+        n=st.integers(0, 50),
+        offset=st.integers(0, 130),
+        seed=st.integers(0, 2**31),
+    )
+    def test_evenly_spaced_run_roundtrips(self, width, n, offset, seed):
+        # One group of equal-width values back to back from any bit, the
+        # layout of a zfp class group.
+        rng = np.random.default_rng(seed)
+        hi = 2**width if width < 64 else 2**64
+        values = rng.integers(0, max(hi, 1), size=n, dtype=np.uint64)
+        offsets = offset + width * np.arange(n, dtype=np.int64)
+        widths = np.full(n, width)
+        total = offset + n * width
+        stream = _add_write(total, values, offsets, widths)
+        assert np.array_equal(
+            stream, _bitwise_write(total, values, offsets, widths)
+        )
+        assert np.array_equal(gather_uint(stream, offsets, width), values)
+
+    def test_scalar_width_equals_one_width_per_value(self):
+        # zfp writes its 7-bit class widths with one np.uint8 width.
+        values = np.array([0, 1, 64, 127, 33], dtype=np.uint64)
+        offsets = 7 * np.arange(5, dtype=np.int64) + 3
+        each = np.zeros(3, dtype=np.uint64)
+        add_uint(each, values, offsets, np.full(5, 7, dtype=np.uint8))
+        scalar = np.zeros(3, dtype=np.uint64)
+        add_uint(scalar, values, offsets, np.uint8(7))
+        assert np.array_equal(each, scalar)
+
+    def test_zero_width_adds_nothing(self):
+        words = np.zeros(4, dtype=np.uint64)
+        offsets = np.array([0, 63, 64, 127, 128], dtype=np.int64)
+        add_uint(words, np.zeros(5, np.uint64), offsets, np.zeros(5, np.uint8))
+        assert not words.any()
+
+    def test_no_values_add_nothing(self):
+        words = np.arange(3, dtype=np.uint64)
+        add_uint(
+            words, np.zeros(0, np.uint64), np.zeros(0, np.int64),
+            np.zeros(0, np.uint8),
+        )
+        assert list(words) == [0, 1, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=disjoint_values(), seed=st.integers(0, 2**31))
+    def test_order_of_the_values_does_not_matter(self, case, seed):
+        values, offsets, widths, total_bits = case
+        order = np.random.default_rng(seed).permutation(values.size)
+        assert np.array_equal(
+            _add_write(total_bits, values, offsets, widths),
+            _add_write(
+                total_bits, values[order], offsets[order], widths[order]
+            ),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=disjoint_values(), seed=st.integers(0, 2**31))
+    def test_two_calls_compose_into_one_stream(self, case, seed):
+        # zfp adds the widths, then every coefficient, into one stream.
+        values, offsets, widths, total_bits = case
+        first = np.random.default_rng(seed).random(values.size) < 0.5
+        words = np.zeros(total_bits // 64 + 2, dtype=np.uint64)
+        for part in (first, ~first):
+            add_uint(
+                words, values[part], offsets[part],
+                widths[part].astype(np.uint8),
+            )
+        stream = words.astype(">u8").view(np.uint8)[: (total_bits + 7) // 8]
+        assert np.array_equal(
+            stream, _add_write(total_bits, values, offsets, widths)
+        )
+
+    def test_every_bit_of_one_word_from_its_own_value(self):
+        # Sixty-four 1-bit values fold into the same word.
+        words = np.zeros(2, dtype=np.uint64)
+        values = np.tile(np.array([1, 0], dtype=np.uint64), 32)
+        add_uint(words, values, np.arange(64, dtype=np.int64), np.uint8(1))
+        assert int(words[0]) == int("10" * 32, 2)
+        assert words[1] == 0
+
+    def test_full_width_value_at_every_lead(self):
+        values = np.full(64, 2**64 - 1, dtype=np.uint64)
+        for lead in range(64):
+            offsets = np.array([lead], dtype=np.int64)
+            stream = _add_write(lead + 64, values[:1], offsets, [64])
+            assert np.array_equal(
+                stream, _bitwise_write(lead + 64, values[:1], offsets, [64])
+            )
+
+
+class TestGatherUintCases:
+    def test_scalar_zero_width_reads_zeros(self):
+        got = gather_uint(np.full(8, 0xFF, np.uint8), np.array([0, 9, 40]), 0)
+        assert got.dtype == np.uint64 and list(got) == [0, 0, 0]
+
+    def test_values_far_into_the_stream(self):
+        # Every value past the first words: they are read from the words
+        # they sit in, not from the stream's start.
+        values = np.array([0x5A, 2**40 + 3, 1], dtype=np.uint64)
+        offsets = np.array([1000, 1100, 1500], dtype=np.int64)
+        widths = np.array([8, 41, 1])
+        stream = _bitwise_write(1501, values, offsets, widths)
+        assert np.array_equal(gather_uint(stream, offsets, widths), values)
+
+    def test_value_ending_on_the_last_bit_reads_and_one_past_raises(self):
+        stream = np.array([0x00, 0x07], dtype=np.uint8)
+        assert list(gather_uint(stream, np.array([13]), 3)) == [7]
+        with pytest.raises(BitstreamError, match="underflow"):
+            gather_uint(stream, np.array([14]), 3)
+
+    def test_strided_stream(self):
+        # A non-contiguous byte view reads as its contiguous copy.
+        backing = np.zeros(16, dtype=np.uint8)
+        backing[::2] = np.arange(8, dtype=np.uint8)
+        view = backing[::2]
+        got = gather_uint(view, 8 * np.arange(8), 8)
+        assert np.array_equal(got, np.arange(8, dtype=np.uint64))

@@ -714,6 +714,92 @@ class TestEncodeMany:
             codec.encode(batch[1])
 
 
+class TestEncodeEntry:
+    """``encode(data)`` is ``encode_many([data])[0]`` on every codec, and
+    zfp's write-side checks refuse what ``add_uint`` would not catch."""
+
+    @pytest.mark.parametrize(
+        "name,params", LOSSY + LOSSLESS,
+        ids=[f"{n}-{p}" for n, p in LOSSY + LOSSLESS],
+    )
+    def test_encode_is_encode_many_of_one(self, name, params):
+        codec = get_codec(name, **params)
+        for data in signals().values():
+            assert codec.encode(data) == codec.encode_many([data])[0]
+        grid = signals()["smooth"][:1200].reshape(30, 40)[:, ::2]
+        assert codec.encode(grid) == codec.encode_many([grid.ravel()])[0]
+
+    def test_one_span_per_encode_call(self):
+        from repro.obs import trace_session
+
+        codec = get_codec("zfp", tolerance=1e-4)
+        data = [_encode_input("smooth", n) for n in (40, 300)]
+        with trace_session() as tracer:
+            codec.encode(data[0])
+            codec.encode_many(data)
+        spans = [s for s in tracer.spans if s.name == "codec.zfp.encode"]
+        assert [s.args["blobs"] for s in spans] == [1, 2]
+
+    def test_lone_coded_member_takes_the_encode_with_step_seam(self):
+        seen = []
+
+        class Counting(ZFPCompressor):
+            def _encode_with_step(self, data, step, lo, hi):
+                seen.append(data.size)
+                return super()._encode_with_step(data, step, lo, hi)
+
+        codec = Counting(tolerance=1e-4)
+        coded = [_encode_input("noise", 70), _encode_input("smooth", 90)]
+        codec.encode_many([np.zeros(0), coded[0], np.full(9, 1.5)])
+        assert seen == [70]
+        codec.encode(coded[1])
+        assert seen == [70, 90]
+        codec.encode_many(coded)  # two coded members: one kernel pass
+        assert seen == [70, 90]
+
+    def test_more_than_58_bits_refused_by_encode_and_encode_many(self):
+        wide = np.array([0.0, 1e16, -3.0, 5.0])
+        codec = get_codec("zfp", tolerance=1e-3)
+        with pytest.raises(CompressionError, match="58 bits"):
+            codec.encode(wide)
+        with pytest.raises(CompressionError, match="58 bits"):
+            codec.encode_many([_encode_input("smooth", 50), wide])
+
+    def test_entry_before_its_payloads_body_refused(self, monkeypatch):
+        layout = zfp_module._entry_layout
+
+        def into_the_widths(widths, nblocks, body_bit0):
+            entry_off, order, end = layout(widths, nblocks, body_bit0)
+            entry_off[order[0]] = 0  # on the payload's 7-bit widths
+            return entry_off, order, end
+
+        monkeypatch.setattr(zfp_module, "_entry_layout", into_the_widths)
+        batch = [_encode_input("noise", 200), _encode_input("smooth", 500)]
+        codec = get_codec("zfp", tolerance=1e-4)
+        with pytest.raises(BitstreamError, match="overlap"):
+            codec.encode_many(batch)
+        with pytest.raises(BitstreamError, match="overlap"):
+            codec.encode(batch[0])
+
+    def test_entry_past_its_payloads_end_refused(self, monkeypatch):
+        layout = zfp_module._entry_layout
+
+        def past_the_end(widths, nblocks, body_bit0):
+            entry_off, order, end = layout(widths, nblocks, body_bit0)
+            last = order[-1]
+            assert widths[last]  # noise fills its widest class group
+            entry_off[last] = end[-1]  # starts where the payload ends
+            return entry_off, order, end
+
+        monkeypatch.setattr(zfp_module, "_entry_layout", past_the_end)
+        batch = [_encode_input("smooth", 500), _encode_input("noise", 200)]
+        codec = get_codec("zfp", tolerance=1e-4)
+        with pytest.raises(BitstreamError, match="overlap"):
+            codec.encode_many(batch)
+        with pytest.raises(BitstreamError, match="overlap"):
+            codec.encode(batch[1])
+
+
 def _payload_crcs(root, name):
     from repro.api import BPDataset, two_tier_titan
 

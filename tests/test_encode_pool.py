@@ -90,6 +90,28 @@ class TestWalkToProductWriter:
         assert stats["replay_seconds"] > 0
         assert stats["compress_seconds"] > 0
 
+    def test_every_walked_array_is_its_own(self, ds, fields):
+        # Each step allocates its own delta and replay output, so the
+        # consumer may keep or change any of them without touching another.
+        plan = build_plan(ds.mesh, LevelScheme(3))
+        walked = walk(plan, fields[0], get_codec("zfp", tolerance=TOL))
+        arrays = [level.values for level in walked[:-1]]
+        arrays += [level.field for level in walked[1:]]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        before = walked[1].values.copy()
+        walked[0].values[:] = np.nan
+        assert np.array_equal(walked[1].values, before)
+
+    def test_replay_output_fresh_on_every_call(self, ds, fields):
+        plan = build_plan(ds.mesh, LevelScheme(3))
+        first = plan.coarsen_level(0, fields[0])
+        second = plan.coarsen_level(0, fields[0])
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, fields[0])
+
 
 class TestEncodePool:
     """``workers``: one long-lived pool per writer, fed by the walk."""
